@@ -62,8 +62,6 @@ def _add_common(parser):
     parser.add_argument("--config", help="JSON config file (overrides flags)")
     parser.add_argument("--no-curves", action="store_true",
                         help="skip CSV curve files")
-    parser.add_argument("--parallel", action="store_true",
-                        help="run independent suites concurrently")
 
 
 def _graph_spec(args) -> dict:
@@ -107,7 +105,6 @@ def _config_from_args(args, suites) -> ExperimentConfig:
         "seed": args.seed,
         "out_dir": args.out,
         "dump_curves": not args.no_curves,
-        "parallel": args.parallel,
     }
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:

@@ -9,6 +9,7 @@ excess, simple-cycle counts inside balls, and the distance-k graph.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections import deque
@@ -71,6 +72,9 @@ class Graph:
 
     @property
     def degree_profile(self) -> DegreeProfile:
+        return self._cached("_degree_profile_cache", self._build_degree_profile)
+
+    def _build_degree_profile(self) -> DegreeProfile:
         if self.n == 0:
             return DegreeProfile(0, 0, True)
         degs = [len(a) for a in self.adjacency]
@@ -88,17 +92,49 @@ class Graph:
             raise GraphError("graph is not regular")
         return prof.max_degree
 
+    @property
+    def csr(self) -> tuple:
+        """Read-only int64 ``(indptr, indices)``; row v lists adjacency[v]."""
+        return self._cached("_csr_cache", self._build_csr)
+
+    def _build_csr(self) -> tuple:
+        degs = np.fromiter(map(len, self.adjacency), dtype=np.int64,
+                           count=self.n)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(degs, out=indptr[1:])
+        indices = np.fromiter(itertools.chain.from_iterable(self.adjacency),
+                              dtype=np.int64, count=int(indptr[-1]))
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        return indptr, indices
+
+    def expand(self, vertices) -> tuple:
+        """``(slot, neighbor)`` arrays listing every neighbor of every
+        ``vertices[slot]``, slot by slot in adjacency order."""
+        indptr, indices = self.csr
+        vertices = np.asarray(vertices, dtype=np.int64)
+        degs = indptr[vertices + 1] - indptr[vertices]
+        slot = np.repeat(np.arange(len(vertices)), degs)
+        within = np.arange(len(slot)) - np.repeat(np.cumsum(degs) - degs, degs)
+        return slot, indices[indptr[vertices][slot] + within]
+
+    def neighbor_table(self) -> np.ndarray:
+        """n x d array whose row v is adjacency[v]; regular graphs only."""
+        return self.csr[1].reshape(self.n, self.regular_degree)
+
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        return (u, v) in self._edge_set()
+        return (u, v) in self._cached("_edge_set_cache",
+                                      lambda: frozenset(self.edges))
 
-    def _edge_set(self):
-        cached = getattr(self, "_edge_set_cache", None)
-        if cached is None:
-            cached = frozenset(self.edges)
-            object.__setattr__(self, "_edge_set_cache", cached)
-        return cached
+    def _cached(self, name: str, build):
+        """Per-instance memo for derived data; the graph itself is frozen."""
+        value = self.__dict__.get(name)
+        if value is None:
+            value = build()
+            object.__setattr__(self, name, value)
+        return value
 
     def __eq__(self, other):
         return (
@@ -338,6 +374,76 @@ def bfs_distances(g: Graph, source: int, cutoff=None) -> np.ndarray:
                 dist[w] = du + 1
                 queue.append(w)
     return dist
+
+
+@dataclass(frozen=True, eq=False)
+class BallTable:
+    """Radius-k balls around every vertex, for vectorized distance lookups.
+
+    ``keys`` holds ``anchor * n + u`` for every u within distance k of
+    anchor, sorted ascending; ``dist[i]`` is the distance of ``keys[i]``.
+    """
+
+    n: int
+    k: int
+    keys: np.ndarray
+    dist: np.ndarray
+
+    def distance(self, anchor, v) -> np.ndarray:
+        """Elementwise dist(anchor, v), or -1 when v lies outside the ball."""
+        pos, found = _sorted_lookup(
+            self.keys, np.asarray(anchor, dtype=np.int64) * self.n + v)
+        return np.where(found, self.dist[pos], -1)
+
+    def sphere(self, anchor: int) -> np.ndarray:
+        """Sorted vertices at distance exactly k from ``anchor``."""
+        base = anchor * self.n
+        lo, hi = np.searchsorted(self.keys, (base, base + self.n))
+        return self.keys[lo:hi][self.dist[lo:hi] == self.k] - base
+
+
+def _sorted_lookup(keys: np.ndarray, query):
+    """``(pos, found)``: where each query would sit in the sorted ``keys``
+    (clipped to a valid index) and whether it is there."""
+    pos = np.minimum(np.searchsorted(keys, query), max(len(keys) - 1, 0))
+    found = keys[pos] == query if len(keys) else np.zeros(np.shape(query), bool)
+    return pos, found
+
+
+def ball_table(g: Graph, k: int) -> BallTable:
+    """The radius-k :class:`BallTable` of ``g``, built once per (graph, k)."""
+    tables = g._cached("_ball_table_cache", dict)
+    table = tables.get(k)
+    if table is None:
+        table = tables[k] = _build_ball_table(g, k)
+    return table
+
+
+def _build_ball_table(g: Graph, k: int) -> BallTable:
+    # level-synchronous BFS from all anchors at once over (anchor, vertex)
+    # pairs encoded as anchor * n + vertex
+    if not 1 <= k <= np.iinfo(np.int8).max:
+        raise GraphError(f"ball radius must lie in 1..127, got {k}")
+    n = g.n
+    anchors = vertices = np.arange(n, dtype=np.int64)
+    levels = [anchors * (n + 1)]
+    for _ in range(k):
+        slot, nbr = g.expand(vertices)
+        found = np.sort(anchors[slot] * n + nbr)
+        found = found[np.diff(found, prepend=-1) != 0]
+        # neighbors of level r-1 lie on levels r-2, r-1 or r
+        for level in levels[-2:]:
+            found = found[~_sorted_lookup(level, found)[1]]
+        levels.append(found)
+        anchors, vertices = np.divmod(found, n)
+    keys = np.concatenate(levels)
+    dist = np.repeat(np.arange(k + 1, dtype=np.int8),
+                     [len(level) for level in levels])
+    order = np.argsort(keys, kind="stable")
+    keys, dist = keys[order], dist[order]
+    keys.flags.writeable = False
+    dist.flags.writeable = False
+    return BallTable(n=n, k=k, keys=keys, dist=dist)
 
 
 def connected_components(g: Graph) -> list:
@@ -684,12 +790,10 @@ def inflate(g: Graph, k: int) -> Graph:
     """
     if k < 1:
         raise GraphError(f"inflation distance must be >= 1, got {k}")
-    edges = []
-    for v in range(g.n):
-        dist = bfs_distances(g, v, cutoff=k)
-        for u in np.flatnonzero(dist == k):
-            if v < u:
-                edges.append((v, int(u)))
+    table = ball_table(g, k)
+    v, u = np.divmod(table.keys[table.dist == k], g.n)
+    keep = v < u
+    edges = list(zip(v[keep].tolist(), u[keep].tolist()))
     if not edges:
         warnings.warn(f"distance-{k} graph has no edges", stacklevel=2)
     prov = {"kind": "inflated", "k": k, "base": dict(g.provenance)}

@@ -12,9 +12,9 @@ regeneration times.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,6 +29,7 @@ EXACT_SEARCH_LIMIT = 20
 DIRECT_SOLVE_LIMIT = 20_000
 CG_TOL = 1e-12
 MAX_QUANTILE_STEPS = 100_000
+FAMILY_CHUNK_ROWS = 16_384
 
 
 class HittingError(ValueError):
@@ -55,6 +56,64 @@ def survival_vector(chain: ReversibleChain, subset, t: int) -> np.ndarray:
     for _ in range(t):
         u = sub @ u
     return u
+
+
+def _family_blocks(kernel, sets):
+    """Block-diagonal stacks of the restrictions kernel[A][:, A].
+
+    Consecutive sets share a block until it holds about
+    ``FAMILY_CHUNK_ROWS`` rows, which bounds the memory of a step.
+    Yields ``(lo, starts, block)``: the block stacks the sets from
+    ``sets[lo]`` on, and set ``lo + i`` owns the rows from ``starts[i]``.
+    Every row keeps the entry order of kernel[A][:, A], so a block matvec
+    equals the per-set matvecs bit for bit.  Each set must be nonempty
+    and sorted, with distinct entries.
+    """
+    kernel = sp.csr_matrix(kernel)
+    n = kernel.shape[0]
+    lo = 0
+    while lo < len(sets):
+        hi, rows = lo, 0
+        while hi < len(sets) and (
+                hi == lo or rows + len(sets[hi]) <= FAMILY_CHUNK_ROWS):
+            rows += len(sets[hi])
+            hi += 1
+        sizes = np.array([len(s) for s in sets[lo:hi]], dtype=np.int64)
+        members = np.fromiter(itertools.chain.from_iterable(sets[lo:hi]),
+                              dtype=np.int64, count=rows)
+        owner = np.repeat(np.arange(hi - lo), sizes)
+        # (set, vertex) keys; their sorted order is the block's row order
+        keys = owner * n + members
+        if np.any(sizes == 0) or np.any(np.diff(keys) <= 0) \
+                or np.any(members < 0) or np.any(members >= n):
+            raise HittingError(
+                "sets must be nonempty, sorted, distinct and in range")
+        sub = kernel[members]
+        entry_row = np.repeat(np.arange(rows), np.diff(sub.indptr))
+        entry_keys = owner[entry_row] * n + sub.indices
+        col = np.minimum(np.searchsorted(keys, entry_keys), rows - 1)
+        keep = keys[col] == entry_keys
+        indptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(entry_row[keep], minlength=rows), out=indptr[1:])
+        block = sp.csr_matrix((sub.data[keep], col[keep], indptr),
+                              shape=(rows, rows))
+        yield lo, np.cumsum(sizes) - sizes, block
+        lo = hi
+
+
+def family_survival(kernel, sets, t: int) -> np.ndarray:
+    """max_a (K_A^t 1)(a) for every set A of the family, in family order.
+
+    One block-diagonal matvec per step advances a whole chunk of sets;
+    ``np.maximum.reduceat`` takes each set's maximum.
+    """
+    out = np.empty(len(sets))
+    for lo, starts, block in _family_blocks(kernel, sets):
+        u = np.ones(block.shape[0])
+        for _ in range(t):
+            u = block @ u
+        out[lo:lo + len(starts)] = np.maximum.reduceat(u, starts)
+    return out
 
 
 def survival_probability(chain: ReversibleChain, subset, a: int, t: int) -> float:
@@ -224,7 +283,7 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
         max_size = min(int(alpha * chain.n), chain.n - 1)
         sets = []
         for size in range(1, max_size + 1):
-            for combo in combinations(range(chain.n), size):
+            for combo in itertools.combinations(range(chain.n), size):
                 if pi[list(combo)].sum() <= alpha + 1e-15:
                     sets.append(combo)
         mode = "exact"
@@ -237,32 +296,37 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
     if not sets:
         return HitQuantile(time=0, alpha=alpha, eps=eps, mode=mode, n_sets=0)
 
-    restrictions = []
-    for s in sets:
-        idx = np.asarray(s, dtype=np.int64)
-        restrictions.append((s, chain.kernel[idx][:, idx].tocsr(),
-                             np.ones(len(s))))
-    worst_set = worst_start = None
-    t = 0
-    alive = list(range(len(restrictions)))
-    crossing = 0
-    while alive:
-        still = []
-        for i in alive:
-            s, sub, u = restrictions[i]
-            peak = float(u.max())
-            if peak > eps:
-                still.append(i)
-                crossing = t + 1
-                j = int(np.argmax(u))
-                worst_set, worst_start = s, s[j]
-                restrictions[i] = (s, sub, sub @ u)
-        alive = still
-        if not alive:
-            break
-        t += 1
-        if t > max_steps:
-            raise HittingError(f"survival stayed above eps for {max_steps} steps")
+    # last[i]: last step at which set i's survival exceeds eps; where[i]:
+    # its first maximizer then.  A set stays dead once its peak drops to
+    # eps or below, since killed-chain survival maxima never increase.
+    last = np.empty(len(sets), dtype=np.int64)
+    where = np.empty(len(sets), dtype=np.int64)
+    for lo, starts, block in _family_blocks(chain.kernel, sets):
+        hi = lo + len(starts)
+        rows = block.shape[0]
+        owner = np.repeat(np.arange(len(starts)),
+                          np.diff(np.append(starts, rows)))
+        u = np.ones(rows)
+        alive = np.ones(len(starts), dtype=bool)
+        t = 0
+        while True:
+            peaks = np.maximum.reduceat(u, starts)
+            alive &= peaks > eps
+            if not alive.any():
+                break
+            if t >= max_steps:
+                raise HittingError(
+                    f"survival stayed above eps for {max_steps} steps")
+            first = np.minimum.reduceat(
+                np.where(u == peaks[owner], np.arange(rows), rows), starts)
+            last[lo:hi][alive] = t
+            where[lo:hi][alive] = (first - starts)[alive]
+            u = block @ u
+            t += 1
+    worst = int(np.flatnonzero(last == last.max())[-1])
+    crossing = int(last[worst]) + 1
+    worst_set = sets[worst]
+    worst_start = worst_set[int(where[worst])]
     return HitQuantile(time=crossing, alpha=alpha, eps=eps, mode=mode,
                        n_sets=len(sets), worst_set=worst_set,
                        worst_start=worst_start)

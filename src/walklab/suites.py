@@ -52,7 +52,6 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "walklab-out"
     dump_curves: bool = True
-    parallel: bool = False
 
     def selected_suites(self) -> tuple:
         if "all" in self.suites:
@@ -63,8 +62,12 @@ class ExperimentConfig:
                               f"choose from {SUITE_NAMES}")
         return tuple(s for s in SUITE_NAMES if s in self.suites)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def canonical_dict(self) -> dict:
+        """The config as ``report.json`` embeds it: every field except
+        ``out_dir``, which says where the run writes, not what it computes."""
+        data = asdict(self)
+        del data["out_dir"]
+        return data
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -424,7 +427,7 @@ def run_suite(cfg: ExperimentConfig, write: bool = True):
     knows only whether every asserted check passed.
     """
     g = build_graph(cfg.graph, cfg.seed)
-    report = Report(config=cfg.to_dict())
+    report = Report(config=cfg.canonical_dict())
     report.add(record("run", "graph", passed=None, extra={
         "n": g.n, "m": g.m, "provenance": g.provenance,
         "regular": g.is_regular}))
@@ -438,30 +441,12 @@ def run_suite(cfg: ExperimentConfig, write: bool = True):
     csv_files = {}
     timings = {}
     selected = cfg.selected_suites()
-    if cfg.parallel and len(selected) > 1:
-        # suites only read the immutable graph/chain/summary; results are
-        # reassembled in the fixed suite order so reports stay canonical
-        from concurrent.futures import ThreadPoolExecutor
-
-        def timed(name):
-            t0 = time.perf_counter()
-            recs, csvs = SUITE_FUNCTIONS[name](g, chain, summary, cfg)
-            return name, recs, csvs, time.perf_counter() - t0
-
-        with ThreadPoolExecutor(max_workers=len(selected)) as pool:
-            results = {r[0]: r for r in pool.map(timed, selected)}
-        for name in selected:
-            _, recs, csvs, dt = results[name]
-            timings[name] = dt
-            report.extend(recs)
-            csv_files.update(csvs)
-    else:
-        for name in selected:
-            t0 = time.perf_counter()
-            recs, csvs = SUITE_FUNCTIONS[name](g, chain, summary, cfg)
-            timings[name] = time.perf_counter() - t0
-            report.extend(recs)
-            csv_files.update(csvs)
+    for name in selected:
+        t0 = time.perf_counter()
+        recs, csvs = SUITE_FUNCTIONS[name](g, chain, summary, cfg)
+        timings[name] = time.perf_counter() - t0
+        report.extend(recs)
+        csv_files.update(csvs)
     paths = {}
     if write:
         paths = write_report(report, cfg.out_dir, timings=timings)

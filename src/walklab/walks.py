@@ -6,9 +6,24 @@ previous regeneration position (the anchor); the sequence of anchors is
 the Y-chain, whose exact one-step kernel is the sphere-hitting solve
 from the hitting module.  A step is good when at least d-1 neighbors of
 the current position are strictly farther from the anchor, which is what
-couples the walk to the tree level chain.  All randomness flows through
-counter-based Philox streams keyed by (seed, stream); every result
-records its key, so reruns are bit-identical.
+couples the walk to the tree level chain.  Distances to the anchor come
+from the graph's radius-k ball table, and independent walks advance in
+lockstep as arrays.
+
+All randomness flows through counter-based Philox streams keyed by
+(seed, stream); every result records its key, so reruns are
+bit-identical.  Each step consumes one uniform x and moves from v to
+neighbor ``floor(x * deg(v))`` of v in sorted order.  Draw order:
+
+- ``simulate_walk``: step j of the trajectory (j >= 1) uses uniform j-1
+  of Philox (seed, stream).
+- ``sample_first_regenerations``: the trials read one sequence of
+  uniforms back to back; trial i starts with the uniform after the last
+  one trial i-1 used.  ``empirical_y_kernel`` samples anchor number si
+  this way from Philox (seed, si).
+- ``escape_transfer_experiment``: trial i of start number si uses
+  uniforms ``[i(t+s), (i+1)(t+s))`` of Philox (seed, 1_000_000 + si),
+  one per step, whether or not it regenerates.
 """
 
 from __future__ import annotations
@@ -17,12 +32,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .checks import Check
-from .graphs import Graph, bfs_distances, inflate, is_connected
+# bfs_distances stays bound here: perfbench's self-test checks that its
+# tracer wraps walks.bfs_distances
+from .graphs import (Graph, ball_table, bfs_distances,  # noqa: F401
+                     inflate, is_connected)
 from .chains import srw_chain
-from .hitting import (candidate_small_sets, sphere_hit_distribution,
-                      survival_vector, HittingError)
+from .hitting import (candidate_small_sets, family_survival,
+                      sphere_hit_distribution)
 
 
 class WalkError(ValueError):
@@ -35,37 +54,17 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _UniformStream:
-    """Batched uniforms in [0,1) so tight loops avoid per-step RNG calls."""
-
-    def __init__(self, rng: np.random.Generator, batch: int = 16384):
-        self._rng = rng
-        self._batch = batch
-        self._buf = rng.random(batch)
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._rng.random(self._batch)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
-
-
 def random_walk_positions(g: Graph, start: int, steps: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Plain SRW trajectory of the given length (positions 0..steps)."""
-    stream = _UniformStream(rng)
-    pos = np.empty(steps + 1, dtype=np.int64)
-    pos[0] = start
-    cur = start
     adj = g.adjacency
-    for t in range(1, steps + 1):
+    cur = start
+    out = [start]
+    for x in rng.random(steps).tolist():
         nbrs = adj[cur]
-        cur = nbrs[int(stream.next() * len(nbrs))]
-        pos[t] = cur
-    return pos
+        cur = nbrs[int(x * len(nbrs))]
+        out.append(cur)
+    return np.array(out, dtype=np.int64)
 
 
 def tau(t: int, d: int, k: int) -> int:
@@ -106,11 +105,7 @@ class WalkTrace:
 
     def anchors(self) -> np.ndarray:
         """Anchor vertex governing each time index (the block's start)."""
-        out = np.empty(len(self.positions), dtype=np.int64)
-        bounds = list(self.T) + [len(self.positions)]
-        for i in range(len(bounds) - 1):
-            out[bounds[i]:bounds[i + 1]] = self.positions[bounds[i]]
-        return out
+        return _block_anchors(self.positions, self.T)
 
     def csv_rows(self):
         """Rows (t, vertex, anchor, good) for trace dumps."""
@@ -120,6 +115,11 @@ class WalkTrace:
                 for t in range(len(self.positions))]
 
 
+def _block_anchors(positions: np.ndarray, T) -> np.ndarray:
+    bounds = np.append(np.asarray(T, dtype=np.int64), len(positions))
+    return np.repeat(positions[bounds[:-1]], np.diff(bounds))
+
+
 def annotate_trace(g: Graph, positions, k: int):
     """Re-derive (T, good_flags, U) from raw positions; pure function.
 
@@ -127,42 +127,37 @@ def annotate_trace(g: Graph, positions, k: int):
     block would never terminate.
     """
     positions = np.asarray(positions, dtype=np.int64)
-    steps = len(positions) - 1
+    ball = ball_table(g, k)
+    spheres = {}
+
+    def sphere(anchor):
+        ring = spheres.get(anchor)
+        if ring is None:
+            ring = spheres[anchor] = frozenset(ball.sphere(anchor).tolist())
+            if not ring:
+                raise WalkError(
+                    f"anchor {anchor} has no vertex at distance {k}; "
+                    f"regeneration impossible")
+        return ring
+
     T = [0]
-    good = np.zeros(len(positions), dtype=bool)
-    anchor = int(positions[0])
-    dist = bfs_distances(g, anchor, cutoff=k)
-    if not np.any(dist == k):
-        raise WalkError(
-            f"anchor {anchor} has no vertex at distance {k}; "
-            f"regeneration impossible")
-    j = 0
-    while j <= steps:
-        p = int(positions[j])
-        need = g.degree(p) - 1
-        dp = dist[p]
-        farther = 0
-        for w in g.adjacency[p]:
-            dw = dist[w]
-            if dw < 0 or dw > dp:
-                farther += 1
-        good[j] = farther >= need
-        if j < steps:
-            nxt = int(positions[j + 1])
-            if dist[nxt] == k:
-                T.append(j + 1)
-                anchor = nxt
-                dist = bfs_distances(g, anchor, cutoff=k)
-                if not np.any(dist == k):
-                    raise WalkError(
-                        f"anchor {anchor} has no vertex at distance {k}; "
-                        f"regeneration impossible")
-        j += 1
-    U = []
-    for i in range(len(T) - 1):
-        lo, hi = T[i], T[i + 1]
-        U.append(int(hi - lo - int(good[lo:hi].sum())))
-    return tuple(T), good, tuple(U)
+    ring = sphere(int(positions[0]))
+    for j, p in enumerate(positions[1:].tolist(), 1):
+        if p in ring:
+            T.append(j)
+            ring = sphere(p)
+
+    anchors = _block_anchors(positions, T)
+    dp = ball.distance(anchors, positions)
+    slot, w = g.expand(positions)
+    dw = ball.distance(anchors[slot], w)
+    farther = np.bincount(slot, weights=(dw < 0) | (dw > dp[slot]),
+                          minlength=len(positions))
+    indptr = g.csr[0]
+    good = farther >= indptr[positions + 1] - indptr[positions] - 1
+    bad = np.concatenate(([0], np.cumsum(~good)))
+    U = bad[T[1:]] - bad[T[:-1]]
+    return tuple(T), good, tuple(U.tolist())
 
 
 def simulate_walk(g: Graph, start: int, steps: int, k: int,
@@ -253,18 +248,10 @@ def empirical_y_kernel(g: Graph, k: int, trials: int, seed: int,
     out = []
     for si, anchor in enumerate(anchors):
         exact = sphere_hit_distribution(g, anchor, k)
-        dist = bfs_distances(g, anchor, cutoff=k)
-        rng = make_rng(seed, si)
-        stream = _UniformStream(rng)
-        counts = {}
-        adj = g.adjacency
-        for _ in range(trials):
-            cur = anchor
-            while dist[cur] != k:
-                nbrs = adj[cur]
-                cur = nbrs[int(stream.next() * len(nbrs))]
-            counts[cur] = counts.get(cur, 0) + 1
-        freq = {u: counts.get(u, 0) / trials for u in exact.sphere}
+        _, landings = sample_first_regenerations(g, anchor, k, trials,
+                                                 make_rng(seed, si))
+        counts = np.bincount(landings, minlength=g.n)
+        freq = {u: int(counts[u]) / trials for u in exact.sphere}
         exact_map = {u: float(p) for u, p in zip(exact.sphere, exact.probabilities)}
         tv = 0.5 * sum(abs(freq[u] - exact_map[u]) for u in exact.sphere)
         out.append(EmpiricalKernelRow(
@@ -275,41 +262,75 @@ def empirical_y_kernel(g: Graph, k: int, trials: int, seed: int,
 
 def sample_first_regenerations(g: Graph, anchor: int, k: int, trials: int,
                                rng: np.random.Generator):
-    """Durations and landing spots of ``trials`` first regenerations."""
-    dist = bfs_distances(g, anchor, cutoff=k)
-    if not np.any(dist == k):
+    """Durations and landing spots of ``trials`` first regenerations.
+
+    Every trial starts at ``anchor``, so its outcome is fixed by the offset
+    of its first uniform in the shared sequence.  The walks from every
+    offset of a buffer of uniforms run in lockstep; the trials are then
+    read off by hopping from each trial's offset to offset + duration.
+    """
+    ball = ball_table(g, k)
+    if len(ball.sphere(anchor)) == 0:
         raise WalkError(f"anchor {anchor} has no vertex at distance {k}")
-    stream = _UniformStream(rng)
-    adj = g.adjacency
-    durations = np.empty(trials, dtype=np.int64)
-    landings = np.empty(trials, dtype=np.int64)
-    for i in range(trials):
-        cur = anchor
-        steps = 0
-        while dist[cur] != k:
-            nbrs = adj[cur]
-            cur = nbrs[int(stream.next() * len(nbrs))]
-            steps += 1
-        durations[i] = steps
-        landings[i] = cur
-    return durations, landings
+    durations, landings = [], []
+    u = np.empty(0)
+    while len(durations) < trials:
+        # size the draw from the mean duration so far; a short draw costs
+        # one more pass, over the uniforms after the last finished trial
+        mean = sum(durations) / len(durations) if durations else 4.0
+        more = int(1.25 * mean * (trials - len(durations))) + 64
+        u = np.concatenate((u, rng.random(more)))
+        steps, landing = _first_passages(g, ball, anchor, u)
+        steps, landing = steps.tolist(), landing.tolist()
+        o = 0
+        while len(durations) < trials and o < len(u) and steps[o]:
+            durations.append(steps[o])
+            landings.append(landing[o])
+            o += steps[o]
+        u = u[o:]
+    return (np.array(durations, dtype=np.int64),
+            np.array(landings, dtype=np.int64))
 
 
-def _count_regenerations(g: Graph, start: int, steps: int, k: int,
-                         stream: _UniformStream) -> int:
-    """Completed regenerations of one fresh walk within ``steps`` steps."""
-    adj = g.adjacency
-    anchor = start
-    dist = bfs_distances(g, anchor, cutoff=k)
-    regens = 0
-    cur = start
-    for _ in range(steps):
-        nbrs = adj[cur]
-        cur = nbrs[int(stream.next() * len(nbrs))]
-        if dist[cur] == k:
-            regens += 1
-            anchor = cur
-            dist = bfs_distances(g, anchor, cutoff=k)
+def _first_passages(g: Graph, ball, anchor: int, u: np.ndarray):
+    """Steps to the k-sphere and landing vertex of the walk from ``anchor``
+    that starts at each offset j of ``u`` (using u[j], u[j+1], ...); steps
+    is 0 where the walk runs out of uniforms first."""
+    indptr, indices = g.csr
+    degs = np.diff(indptr)
+    steps = np.zeros(len(u), dtype=np.int64)
+    landing = np.zeros(len(u), dtype=np.int64)
+    walker = np.arange(len(u))
+    cur = np.full(len(u), anchor, dtype=np.int64)
+    t = 0
+    while len(walker):
+        live = walker + t < len(u)
+        walker, cur = walker[live], cur[live]
+        cur = indices[indptr[cur]
+                      + (u[walker + t] * degs[cur]).astype(np.int64)]
+        t += 1
+        hit = ball.distance(anchor, cur) == ball.k
+        steps[walker[hit]] = t
+        landing[walker[hit]] = cur[hit]
+        walker, cur = walker[~hit], cur[~hit]
+    return steps, landing
+
+
+def _lockstep_regenerations(g: Graph, start: int, k: int,
+                            u: np.ndarray) -> np.ndarray:
+    """Completed regenerations of ``len(u)`` fresh walks from ``start``;
+    walk i takes its step j with uniform ``u[i, j]``."""
+    nbr = g.neighbor_table()
+    d = nbr.shape[1]
+    ball = ball_table(g, k)
+    cur = np.full(len(u), start, dtype=np.int64)
+    anchor = cur
+    regens = np.zeros(len(u), dtype=np.int64)
+    for x in u.T:
+        cur = nbr[cur, (x * d).astype(np.int64)]
+        hit = ball.distance(anchor, cur) == k
+        regens += hit
+        anchor = np.where(hit, cur, anchor)
     return regens
 
 
@@ -378,49 +399,34 @@ def escape_transfer_experiment(g: Graph, k: int, t: int, s: int,
     tau_t = tau(t, d, k)
     horizon = t + s
 
-    srw_escape = max(float(survival_vector(chain, A, horizon).max())
-                     for A in sets)
+    srw_escape = float(family_survival(chain.kernel, sets, horizon).max())
 
-    w_rows = {}
     needed = sorted({v for A in sets for v in A})
+    rows, cols, vals = [], [], []
     for v in needed:
         hit = sphere_hit_distribution(g, v, k)
-        w_rows[v] = dict(zip(hit.sphere, hit.probabilities))
-    y_escape = 0.0
-    for A in sets:
-        index = {v: i for i, v in enumerate(A)}
-        m = len(A)
-        w_sub = np.zeros((m, m))
-        for v in A:
-            for u, p in w_rows[v].items():
-                if u in index:
-                    w_sub[index[v], index[u]] = p
-        u_vec = np.ones(m)
-        for _ in range(tau_t):
-            u_vec = w_sub @ u_vec
-        y_escape = max(y_escape, float(u_vec.max()))
+        rows.extend([v] * len(hit.sphere))
+        cols.extend(hit.sphere)
+        vals.extend(hit.probabilities.tolist())
+    w = sp.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+    y_escape = float(family_survival(w, sets, tau_t).max())
 
     k_escape = None
     gk = inflate(g, k)
     if min(gk.degree(v) for v in range(gk.n)) > 0:
         k_chain = srw_chain(gk)
-        k_escape = max(float(survival_vector(k_chain, A, tau_t).max())
-                       for A in sets)
+        k_escape = float(family_survival(k_chain.kernel, sets, tau_t).max())
 
     if g.n <= mc_starts_limit:
         starts = list(range(g.n))
     else:
-        starts = sorted({v for A in sets for v in A})[:mc_starts_limit]
+        starts = needed[:mc_starts_limit]
     slow = 0.0
     slow_se = 0.0
     for si, a in enumerate(starts):
-        rng = make_rng(seed, 1_000_000 + si)
-        stream = _UniformStream(rng)
-        few = 0
-        for _ in range(trials):
-            if _count_regenerations(g, a, horizon, k, stream) < tau_t:
-                few += 1
-        p_hat = few / trials
+        u = make_rng(seed, 1_000_000 + si).random((trials, horizon))
+        regens = _lockstep_regenerations(g, a, k, u)
+        p_hat = int(np.count_nonzero(regens < tau_t)) / trials
         se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / trials) / trials)
         if p_hat > slow:
             slow, slow_se = p_hat, se

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import walklab as wl
-from walklab.graphs import (GraphError, GraphFileError, bfs_distances,
-                            connected_components, count_simple_cycles,
-                            diameter, is_bipartite, is_connected)
+from walklab.graphs import (GraphError, GraphFileError, ball_table,
+                            bfs_distances, connected_components,
+                            count_simple_cycles, diameter, is_bipartite,
+                            is_connected)
 
 
 # -- exhaustive-search oracles ------------------------------------------------
@@ -242,6 +243,57 @@ def test_inflate_empty_warns(k4):
     with pytest.warns(UserWarning):
         g = wl.inflate(k4, 3)
     assert g.m == 0
+
+
+def test_inflate_matches_bfs_definition(random_cubic_medium, c6):
+    for g, k in ((random_cubic_medium, 3), (c6, 2), (c6, 3)):
+        edges = sorted((v, int(u)) for v in range(g.n)
+                       for u in np.flatnonzero(bfs_distances(g, v, k) == k)
+                       if v < u)
+        assert wl.inflate(g, k).edges == tuple(edges)
+
+
+# -- cached derived data ------------------------------------------------------
+
+def test_degree_profile_cached():
+    g = wl.make_graph(4, [(0, 1), (1, 2), (2, 3)])
+    prof = g.degree_profile
+    assert (prof.min_degree, prof.max_degree, prof.is_regular) == (1, 2, False)
+    assert g.degree_profile is prof
+    assert not g.is_regular
+    assert g.degree_profile is prof
+    with pytest.raises(GraphError, match="not regular"):
+        g.regular_degree
+    assert wl.make_graph(0, []).degree_profile.is_regular
+
+
+def test_csr_and_neighbor_table(petersen):
+    indptr, indices = petersen.csr
+    for v in range(petersen.n):
+        assert tuple(indices[indptr[v]:indptr[v + 1]]) == petersen.adjacency[v]
+    assert petersen.neighbor_table().tolist() == \
+        [list(a) for a in petersen.adjacency]
+    slot, nbr = petersen.expand([4, 0])
+    assert slot.tolist() == [0, 0, 0, 1, 1, 1]
+    assert nbr.tolist() == list(petersen.adjacency[4] + petersen.adjacency[0])
+    with pytest.raises(GraphError):
+        wl.make_graph(3, [(0, 1)]).neighbor_table()
+
+
+def test_ball_table_matches_bfs(petersen, prism, c6, random_cubic_medium):
+    path = wl.make_graph(5, [(0, 1), (1, 2), (2, 3)])   # 4 is isolated
+    for g in (petersen, prism, c6, random_cubic_medium, path):
+        for k in (1, 2, 3):
+            table = ball_table(g, k)
+            assert ball_table(g, k) is table
+            everyone = np.arange(g.n)
+            for a in range(g.n):
+                dist = bfs_distances(g, a, cutoff=k)
+                assert np.array_equal(table.distance(a, everyone), dist)
+                assert table.sphere(a).tolist() == \
+                    np.flatnonzero(dist == k).tolist()
+    with pytest.raises(GraphError, match="radius"):
+        ball_table(petersen, 0)
 
 
 # -- edge-list files ----------------------------------------------------------

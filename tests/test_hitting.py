@@ -1,12 +1,14 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import walklab as wl
+from walklab import hitting
 from walklab.chains import srw_chain
 from walklab.hitting import (HittingError, candidate_small_sets,
-                             expected_hit_time, hit_quantile,
+                             expected_hit_time, family_survival, hit_quantile,
                              hitmix_constant_record, quantile_halflog_check,
                              sphere_hit_distribution, survival_probability,
                              survival_vector, verify_spectral_hit,
@@ -81,6 +83,116 @@ def test_hit_quantile_candidate_is_lower_bound(petersen, petersen_chain):
                         search="candidate-family", graph=petersen)
     assert cand.mode == "candidate-lower-bound"
     assert cand.time <= exact.time
+
+
+# -- batched family survival against per-set references -----------------------
+
+def per_set_hit_quantile(chain, sets, eps, max_steps):
+    """Reference: one restriction and one matvec per live set per step."""
+    restrictions = []
+    for s in sets:
+        idx = np.asarray(s, dtype=np.int64)
+        restrictions.append((s, chain.kernel[idx][:, idx].tocsr(),
+                             np.ones(len(s))))
+    worst_set = worst_start = None
+    t = 0
+    alive = list(range(len(restrictions)))
+    crossing = 0
+    while alive:
+        still = []
+        for i in alive:
+            s, sub, u = restrictions[i]
+            if float(u.max()) > eps:
+                still.append(i)
+                crossing = t + 1
+                worst_set, worst_start = s, s[int(np.argmax(u))]
+                restrictions[i] = (s, sub, sub @ u)
+        alive = still
+        if not alive:
+            break
+        t += 1
+        if t > max_steps:
+            raise HittingError("reference overflow")
+    return crossing, worst_set, worst_start
+
+
+def exact_family(chain, alpha):
+    pi = chain.stationary
+    return [c for size in range(1, min(int(alpha * chain.n), chain.n - 1) + 1)
+            for c in combinations(range(chain.n), size)
+            if pi[list(c)].sum() <= alpha + 1e-15]
+
+
+QUANTILE_CASES = [("petersen", 0.25, 0.1), ("petersen", 0.3, 0.02),
+                  ("prism", 0.34, 0.25), ("q3", 0.25, 0.05)]
+
+
+@pytest.mark.parametrize("name,alpha,eps", QUANTILE_CASES)
+def test_hit_quantile_exact_matches_per_set_loop(request, name, alpha, eps):
+    g = request.getfixturevalue(name)
+    chain = srw_chain(g)
+    hq = hit_quantile(chain, alpha, eps, search="exact")
+    ref = per_set_hit_quantile(chain, exact_family(chain, alpha), eps,
+                               hitting.MAX_QUANTILE_STEPS)
+    assert (hq.time, hq.worst_set, hq.worst_start) == ref
+
+
+@pytest.fixture(scope="module")
+def cubic_family(random_cubic_medium):
+    chain = srw_chain(random_cubic_medium)
+    return chain, candidate_small_sets(chain, 0.1, graph=random_cubic_medium)
+
+
+def test_hit_quantile_candidates_match_per_set_loop(petersen, petersen_chain,
+                                                    random_cubic_medium,
+                                                    cubic_family):
+    chain, sets = cubic_family
+    for g, ch, fam, alpha, eps in (
+            (petersen, petersen_chain,
+             candidate_small_sets(petersen_chain, 0.25, graph=petersen),
+             0.25, 0.1),
+            (random_cubic_medium, chain, sets, 0.1, 0.05)):
+        hq = hit_quantile(ch, alpha, eps, search="candidate-family", graph=g)
+        assert hq.n_sets == len(fam)
+        ref = per_set_hit_quantile(ch, fam, eps, hitting.MAX_QUANTILE_STEPS)
+        assert (hq.time, hq.worst_set, hq.worst_start) == ref
+
+
+def test_family_survival_matches_per_set_vectors(cubic_family):
+    chain, sets = cubic_family
+    for t in (0, 7):
+        got = family_survival(chain.kernel, sets, t)
+        for i in range(0, len(sets), 5):
+            assert got[i] == survival_vector(chain, sets[i], t).max()
+
+
+def test_tiny_chunks_give_identical_results(monkeypatch, cubic_family,
+                                            petersen_chain):
+    chain, sets = cubic_family
+    sets = sets[::4]
+    wide = family_survival(chain.kernel, sets, 9)
+    wide_hq = hit_quantile(petersen_chain, 0.3, 0.02)
+    monkeypatch.setattr(hitting, "FAMILY_CHUNK_ROWS", 5)
+    assert np.array_equal(family_survival(chain.kernel, sets, 9), wide)
+    assert hit_quantile(petersen_chain, 0.3, 0.02) == wide_hq
+
+
+def test_hit_quantile_max_steps_overflow(petersen_chain):
+    full = hit_quantile(petersen_chain, 0.3, 0.02)
+    # the last step with survival above eps is full.time - 1
+    assert hit_quantile(petersen_chain, 0.3, 0.02,
+                        max_steps=full.time) == full
+    with pytest.raises(HittingError, match="steps"):
+        hit_quantile(petersen_chain, 0.3, 0.02, max_steps=full.time - 1)
+    with pytest.raises(HittingError):
+        per_set_hit_quantile(petersen_chain,
+                             exact_family(petersen_chain, 0.3), 0.02,
+                             full.time - 1)
+
+
+def test_family_survival_rejects_unsorted_sets(petersen_chain):
+    with pytest.raises(HittingError, match="sorted"):
+        family_survival(petersen_chain.kernel, [(3, 1)], 2)
 
 
 def test_candidate_sets_respect_mass(petersen, petersen_chain):

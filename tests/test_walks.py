@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import walklab as wl
+from walklab.graphs import bfs_distances
 from walklab.hitting import expected_hit_time, sphere_hit_distribution
 from walklab.walks import (WalkError, annotate_trace, block_statistics,
                            empirical_y_kernel, escape_transfer_experiment,
@@ -205,3 +206,98 @@ def test_trace_csv_rows(petersen):
     anchors = tr.anchors()
     for i, T in enumerate(tr.T):
         assert anchors[T] == tr.positions[T]
+
+
+# -- array kernels against scalar references ---------------------------------
+# Each reference walks one trajectory at a time with plain BFS distances and
+# consumes the Philox stream in the documented draw order.
+
+def scalar_slow_regen(g, k, horizon, tau_t, trials, seed):
+    """Worst P[fewer than tau_t regenerations] over all starts, one trial
+    and one step at a time."""
+    dist = [bfs_distances(g, v, cutoff=k) for v in range(g.n)]
+    slow = slow_se = 0.0
+    for si in range(g.n):
+        u = iter(make_rng(seed, 1_000_000 + si).random(trials * horizon)
+                 .tolist())
+        few = 0
+        for _ in range(trials):
+            anchor = cur = si
+            regens = 0
+            for _ in range(horizon):
+                nbrs = g.adjacency[cur]
+                cur = nbrs[int(next(u) * len(nbrs))]
+                if dist[anchor][cur] == k:
+                    regens += 1
+                    anchor = cur
+            few += regens < tau_t
+        p_hat = few / trials
+        se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / trials) / trials)
+        if p_hat > slow:
+            slow, slow_se = p_hat, se
+        slow_se = max(slow_se, se)
+    return slow, slow_se
+
+
+@pytest.fixture(scope="module")
+def cubic64():
+    return wl.build_random_regular(64, 3, 8)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_slow_regen_matches_scalar_reference(prism, cubic64, seed):
+    for g, alpha in ((prism, 0.34), (cubic64, 0.1)):
+        rep = escape_transfer_experiment(g, k=2, t=8, s=4, trials=300,
+                                         seed=seed, alpha=alpha)
+        assert (rep.slow_regen, rep.slow_regen_stderr) == scalar_slow_regen(
+            g, 2, 12, rep.tau_t, 300, seed)
+
+
+def test_first_regenerations_match_scalar_reference(prism, petersen, cubic64):
+    for g, anchor, k in ((prism, 0, 2), (petersen, 3, 2), (cubic64, 5, 3)):
+        durations, landings = sample_first_regenerations(
+            g, anchor, k, 3000, make_rng(4, 2))
+        dist = bfs_distances(g, anchor, cutoff=k)
+        u = iter(make_rng(4, 2).random(int(durations.sum())).tolist())
+        for duration, landing in zip(durations, landings):
+            cur, steps = anchor, 0
+            while dist[cur] != k:
+                nbrs = g.adjacency[cur]
+                cur = nbrs[int(next(u) * len(nbrs))]
+                steps += 1
+            assert (steps, cur) == (duration, landing)
+
+
+def scalar_annotation(g, positions, k):
+    """(T, good, U) with a fresh BFS at every regeneration."""
+    T = [0]
+    good = np.zeros(len(positions), dtype=bool)
+    dist = bfs_distances(g, int(positions[0]), cutoff=k)
+    for j, p in enumerate(positions):
+        dp = dist[p]
+        farther = sum(1 for w in g.adjacency[p]
+                      if dist[w] < 0 or dist[w] > dp)
+        good[j] = farther >= g.degree(p) - 1
+        if j + 1 < len(positions) and dist[positions[j + 1]] == k:
+            T.append(j + 1)
+            dist = bfs_distances(g, int(positions[j + 1]), cutoff=k)
+    U = tuple(int(T[i + 1] - T[i] - good[T[i]:T[i + 1]].sum())
+              for i in range(len(T) - 1))
+    return tuple(T), good, U
+
+
+def test_annotation_matches_scalar_reference(prism, cubic64, girth5_graph):
+    for g, k in ((prism, 2), (cubic64, 2), (cubic64, 3), (girth5_graph, 2)):
+        tr = simulate_walk(g, 1, 3000, k, seed=6, stream=2)
+        T, good, U = scalar_annotation(g, tr.positions, k)
+        assert (tr.T, tr.U) == (T, U)
+        assert np.array_equal(tr.good_flags, good)
+
+
+def test_walk_positions_follow_draw_order(cubic64):
+    tr = simulate_walk(cubic64, 7, 500, 2, seed=12, stream=3)
+    u = make_rng(12, 3).random(500)
+    cur = 7
+    for j in range(1, 501):
+        cur = cubic64.adjacency[cur][int(u[j - 1] * 3)]
+        assert tr.positions[j] == cur
