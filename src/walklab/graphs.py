@@ -395,11 +395,17 @@ class BallTable:
             self.keys, np.asarray(anchor, dtype=np.int64) * self.n + v)
         return np.where(found, self.dist[pos], -1)
 
-    def sphere(self, anchor: int) -> np.ndarray:
-        """Sorted vertices at distance exactly k from ``anchor``."""
+    def ball(self, anchor: int) -> tuple:
+        """``(vertices, dist)``: the vertices within distance k of
+        ``anchor`` in ascending order, and their distances."""
         base = anchor * self.n
         lo, hi = np.searchsorted(self.keys, (base, base + self.n))
-        return self.keys[lo:hi][self.dist[lo:hi] == self.k] - base
+        return self.keys[lo:hi] - base, self.dist[lo:hi]
+
+    def sphere(self, anchor: int) -> np.ndarray:
+        """Sorted vertices at distance exactly k from ``anchor``."""
+        vertices, dist = self.ball(anchor)
+        return vertices[dist == self.k]
 
 
 def _sorted_lookup(keys: np.ndarray, query):

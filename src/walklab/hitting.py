@@ -14,20 +14,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order
 
 from .checks import Check
 from .chains import ReversibleChain, APERIODIC, mixing_profile
-from .graphs import Graph, bfs_distances
-from .spectral import restricted_top_eig, spectrum
+from .graphs import Graph, ball_table
+from .spectral import DENSE_BUDGET, restricted_top_eig, spectrum
 
 EXACT_SEARCH_LIMIT = 20
-DIRECT_SOLVE_LIMIT = 20_000
-CG_TOL = 1e-12
 MAX_QUANTILE_STEPS = 100_000
 FAMILY_CHUNK_ROWS = 16_384
 
@@ -67,20 +68,20 @@ def _family_blocks(kernel, sets):
     ``sets[lo]`` on, and set ``lo + i`` owns the rows from ``starts[i]``.
     Every row keeps the entry order of kernel[A][:, A], so a block matvec
     equals the per-set matvecs bit for bit.  Each set must be nonempty
-    and sorted, with distinct entries.
+    and sorted, with distinct entries.  A :class:`CandidateFamily` is read
+    through its arrays.
     """
     kernel = sp.csr_matrix(kernel)
     n = kernel.shape[0]
+    all_members, offsets = _as_arrays(sets)
     lo = 0
     while lo < len(sets):
-        hi, rows = lo, 0
-        while hi < len(sets) and (
-                hi == lo or rows + len(sets[hi]) <= FAMILY_CHUNK_ROWS):
-            rows += len(sets[hi])
-            hi += 1
-        sizes = np.array([len(s) for s in sets[lo:hi]], dtype=np.int64)
-        members = np.fromiter(itertools.chain.from_iterable(sets[lo:hi]),
-                              dtype=np.int64, count=rows)
+        last = np.searchsorted(offsets, offsets[lo] + FAMILY_CHUNK_ROWS,
+                               side="right") - 1
+        hi = max(int(last), lo + 1)
+        sizes = np.diff(offsets[lo:hi + 1])
+        members = all_members[offsets[lo]:offsets[hi]]
+        rows = len(members)
         owner = np.repeat(np.arange(hi - lo), sizes)
         # (set, vertex) keys; their sorted order is the block's row order
         keys = owner * n + members
@@ -131,82 +132,138 @@ def survival_probability(chain: ReversibleChain, subset, a: int, t: int) -> floa
 # candidate small sets and the escape-time quantile
 
 
-def _support_adjacency(chain: ReversibleChain):
-    adj = [[] for _ in range(chain.n)]
-    coo = chain.kernel.tocoo()
-    for u, v in zip(coo.row, coo.col):
-        if u != v:
-            adj[u].append(int(v))
-    return adj
+class CandidateFamily(Sequence):
+    """Read-only sequence of sorted vertex tuples in lexicographic order.
+
+    Stored as one ``members`` array (every set's vertices, set after set)
+    and ``offsets``: set i is ``members[offsets[i]:offsets[i + 1]]``.
+    Indexing and iteration yield tuples of ints; a slice yields a list.
+    """
+
+    def __init__(self, members: np.ndarray, offsets: np.ndarray):
+        members.flags.writeable = False
+        offsets.flags.writeable = False
+        self.members = members
+        self.offsets = offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("candidate family index out of range")
+        return tuple(self.members[self.offsets[i]:self.offsets[i + 1]].tolist())
+
+
+def _as_arrays(sets):
+    """``(members, offsets)`` of a family given as a sequence of sets."""
+    if isinstance(sets, CandidateFamily):
+        return sets.members, sets.offsets
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    members = np.fromiter(itertools.chain.from_iterable(sets),
+                          dtype=np.int64, count=int(offsets[-1]))
+    return members, offsets
+
+
+def _bfs_levels(adj, v: int):
+    """FIFO breadth-first order from v, neighbors in adjacency order, and
+    the end of each distance level in it: level 0 is ``order[:ends[0]]``
+    (just v), level r > 0 is ``order[ends[r - 1]:ends[r]]``."""
+    order, pred = breadth_first_order(adj, v, directed=True,
+                                      return_predecessors=True)
+    pos = np.empty(adj.shape[0], dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    # children are discovered in the order their parents leave the queue
+    parent_pos = pos[pred[order[1:]]]
+    ends = [1]
+    while ends[-1] < len(order):
+        ends.append(1 + int(np.searchsorted(parent_pos, ends[-1])))
+    return order.astype(np.int64), ends
 
 
 def candidate_small_sets(chain: ReversibleChain, alpha: float,
-                         graph: Graph = None, max_sets: int = 4096) -> list:
-    """Heuristic family of sets with pi(A) <= alpha: balls around every
-    center, greedily grown connected sets, and Perron-weight prefixes."""
+                         graph: Graph = None,
+                         max_sets: int = 4096) -> CandidateFamily:
+    """Heuristic family of sets with pi(A) <= alpha, deduplicated and in
+    lexicographic order of their sorted tuples.
+
+    Three phases, each adding only sets with 0 < |A| < n whose mass,
+    summed in the order the phase adds vertices, is <= alpha + 1e-15:
+
+    - balls: for every center, the BFS balls of each complete radius that
+      fits, then the largest fitting prefix of the BFS order;
+    - greedy: from each center in turn, absorb the outside neighbor with
+      the most links into the set (lowest vertex on ties) while one fits,
+      adding every intermediate set;
+    - Perron prefixes: rank a larger set by restricted Perron weight and
+      add every fitting prefix.  With a graph, the larger sets are the
+      nearest max(4, 2.5 alpha n) vertices of 32 evenly spaced centers;
+      without one, the largest set found so far (the lexicographically
+      last on ties).
+
+    ``max_sets`` bounds only the greedy phase: it stops once the family
+    holds more than ``max_sets`` sets.  The ball and Perron phases are not
+    bounded, so the family can be much larger (29,923 sets on LPS(13,17)
+    at alpha = 0.25).  Traversal uses the graph's adjacency, or the
+    kernel's support when ``graph`` is None.
+    """
     pi = chain.stationary
+    n = chain.n
+    limit = alpha + 1e-15
     if graph is not None:
-        adj = [list(graph.adjacency[v]) for v in range(graph.n)]
+        indptr, indices = graph.csr
     else:
-        adj = _support_adjacency(chain)
+        # self-loops of the kernel's support change nothing: BFS has
+        # already seen the vertex, and the greedy phase never re-absorbs one
+        support = chain.kernel.tocsr()
+        indptr, indices = support.indptr, support.indices
+    adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    # sorted sets as big-endian uint32 bytes: byte order is tuple order
     found = set()
 
-    def push(vertices):
-        fs = frozenset(int(v) for v in vertices)
-        if fs and pi[list(fs)].sum() <= alpha + 1e-15 and len(fs) < chain.n:
-            found.add(fs)
+    def push(sorted_members):
+        if 0 < len(sorted_members) < n:
+            found.add(sorted_members.astype(">u4").tobytes())
+
+    def push_prefixes(ranked, stops):
+        for stop in stops:
+            push(np.sort(ranked[:stop]))
 
     # balls of growing radius around each center
-    from collections import deque
-    for v in range(chain.n):
-        dist = {v: 0}
-        order = [v]
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    order.append(w)
-                    queue.append(w)
-        mass = 0.0
-        ball = []
-        radius = 0
-        for u in order:
-            if dist[u] > radius:
-                push(ball)
-                radius = dist[u]
-            if mass + pi[u] > alpha + 1e-15:
-                break
-            ball.append(u)
-            mass += pi[u]
-        push(ball)
+    for v in range(n):
+        order, ends = _bfs_levels(adj, v)
+        fit = int(np.searchsorted(np.cumsum(pi[order]), limit, side="right"))
+        push_prefixes(order, [e for e in ends if e < fit] + [fit])
 
     # greedy connected growth: absorb the boundary vertex with the most
     # neighbors already inside (maximizes internal retention)
-    for v in range(chain.n):
-        inside = {v}
+    for v in range(n):
         mass = pi[v]
-        if mass > alpha + 1e-15:
+        if mass > limit:
             continue
-        push(inside)
+        inside = np.zeros(n, dtype=bool)
+        links = np.zeros(n, dtype=np.int64)
+
+        def absorb(u):
+            inside[u] = True
+            np.add.at(links, indices[indptr[u]:indptr[u + 1]], 1)
+            push(np.flatnonzero(inside))
+
+        absorb(v)
         while True:
-            boundary = {}
-            for u in inside:
-                for w in adj[u]:
-                    if w not in inside:
-                        boundary[w] = boundary.get(w, 0) + 1
-            best = None
-            for w, links in sorted(boundary.items()):
-                if mass + pi[w] > alpha + 1e-15:
-                    continue
-                if best is None or links > boundary[best]:
-                    best = w
-            if best is None:
+            score = np.where(~inside & (mass + pi <= limit), links, 0)
+            best = int(np.argmax(score))
+            if score[best] == 0:
                 break
-            inside.add(best)
             mass += pi[best]
-            push(inside)
+            absorb(best)
             if len(found) > max_sets:
                 break
         if len(found) > max_sets:
@@ -214,36 +271,80 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
 
     # Perron-guided: rank a larger ball's vertices by restricted Perron
     # weight and take mass-feasible prefixes
-    for v in range(0, chain.n, max(1, chain.n // 32)):
-        dist = bfs_distances(graph, v) if graph is not None else None
-        if dist is not None:
-            ball = [int(u) for u in np.argsort(dist) if dist[u] >= 0][: max(4, int(2.5 * alpha * chain.n))]
-        else:
-            ball = sorted(found, key=len)[-1] if found else [v]
-            ball = sorted(ball)
-        ball = sorted(set(ball))
-        if len(ball) < 2 or len(ball) >= chain.n:
+    if graph is not None:
+        size = max(4, int(2.5 * alpha * n))
+        balls = (_nearest(adj, v, size)
+                 for v in range(0, n, max(1, n // 32)))
+    else:
+        balls = [_largest(found)] if found else []
+    for ball in balls:
+        if len(ball) < 2 or len(ball) >= n:
             continue
-        rec = restricted_top_eig(chain, ball)
-        idx = np.asarray(rec.subset)
-        sub = chain.kernel[idx][:, idx].tocsr()
-        weight = np.ones(len(idx)) / len(idx)
+        sub = chain.kernel[ball][:, ball].tocsr()
+        weight = np.ones(len(ball)) / len(ball)
         for _ in range(50):
             nxt = sub @ weight
             norm = np.linalg.norm(nxt)
             if norm < 1e-300:
                 break
             weight = nxt / norm
-        ranked = [int(idx[i]) for i in np.argsort(-weight)]
-        prefix = []
-        mass = 0.0
-        for u in ranked:
-            if mass + pi[u] > alpha + 1e-15:
-                break
-            prefix.append(u)
-            mass += pi[u]
-            push(prefix)
-    return sorted(tuple(sorted(s)) for s in found)
+        ranked = ball[np.argsort(-weight)]
+        fit = int(np.searchsorted(np.cumsum(pi[ranked]), limit, side="right"))
+        push_prefixes(ranked, range(1, fit + 1))
+
+    keys = sorted(found)
+    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum([len(key) // 4 for key in keys], out=offsets[1:])
+    members = np.frombuffer(b"".join(keys), dtype=">u4").astype(np.int32)
+    return CandidateFamily(members, offsets)
+
+
+def _nearest(adj, v: int, size: int) -> np.ndarray:
+    """The ``size`` vertices nearest v (all of v's component when it is
+    smaller), in ascending order; ties at the cut follow
+    ``np.argsort`` of the int64 distance vector with -1 off the
+    component."""
+    order, ends = _bfs_levels(adj, v)
+    dist = np.full(adj.shape[0], -1, dtype=np.int64)
+    dist[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    near = np.argsort(dist)
+    return np.sort(near[dist[near] >= 0][:size])
+
+
+def _largest(found) -> np.ndarray:
+    """The largest set of ``found``, the lexicographically last on ties."""
+    key = max(found, key=lambda b: (len(b), b))
+    return np.frombuffer(key, dtype=">u4").astype(np.int64)
+
+
+def candidate_family(chain: ReversibleChain, alpha: float,
+                     graph: Graph = None,
+                     max_sets: int = 4096) -> CandidateFamily:
+    """``candidate_small_sets``, built once per (graph, or chain when
+    ``graph`` is None; alpha; max_sets) and shared by later calls.
+
+    The memo lives on the graph (or chain).  A graph's entry also records
+    its chain and is reused only for a chain with the same kernel and
+    stationary distribution; another chain rebuilds and replaces it.
+    """
+    owner = chain if graph is None else graph
+    memo = vars(owner).setdefault("_candidate_family_cache", {})
+    key = (float(alpha), int(max_sets))
+    entry = memo.get(key)
+    if entry is None or not _same_chain(entry[0], chain):
+        entry = memo[key] = (chain, candidate_small_sets(
+            chain, alpha, graph=graph, max_sets=max_sets))
+    return entry[1]
+
+
+def _same_chain(a: ReversibleChain, b: ReversibleChain) -> bool:
+    if a is b:
+        return True
+    ka, kb = a.kernel.tocsr(), b.kernel.tocsr()
+    return (a.n == b.n and np.array_equal(a.stationary, b.stationary)
+            and all(np.array_equal(x, y) for x, y in (
+                (ka.indptr, kb.indptr), (ka.indices, kb.indices),
+                (ka.data, kb.data))))
 
 
 @dataclass(frozen=True)
@@ -288,7 +389,7 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
                     sets.append(combo)
         mode = "exact"
     elif search == "candidate-family":
-        sets = candidate_small_sets(chain, alpha, graph=graph)
+        sets = candidate_family(chain, alpha, graph=graph)
         mode = "candidate-lower-bound"
     else:
         raise HittingError(f"unknown search mode {search!r}")
@@ -411,7 +512,8 @@ def verify_spectral_hit(chain: ReversibleChain, subset, t_list,
     hitmix = None
     if alpha is not None:
         if lambda2 is None or t_rel is None:
-            summ = spectrum(chain, mode="dense-full" if chain.n <= 3000
+            summ = spectrum(chain, mode="dense-full"
+                            if chain.n <= DENSE_BUDGET
                             else "iterative-extremal")
             lambda2 = summ.lambda2 if lambda2 is None else lambda2
             t_rel = summ.t_rel if t_rel is None else t_rel
@@ -476,48 +578,36 @@ def hitmix_constant_record(chain: ReversibleChain, alpha: float, eps: float,
 
 
 def _ball_absorbing_system(g: Graph, v: int, k: int):
-    dist = bfs_distances(g, v, cutoff=k)
-    sphere = np.flatnonzero(dist == k)
-    interior = np.flatnonzero((dist >= 0) & (dist < k))
+    """The walk from v killed on the radius-k sphere.
+
+    Returns ``(interior, sphere, system, exits)``: ``system`` is
+    I - P_interior in CSC form, and ``exits = (src, dst, step)`` lists the
+    entries P(interior[src], sphere[dst]) = step row by row.  The walk never
+    leaves the ball, and the graph is undirected, so column j of
+    P_interior holds P(u, interior[j]) = 1/deg(u) for the interior
+    neighbors u of interior[j].
+    """
+    if k < 1:
+        raise HittingError("radius must be >= 1")
+    ball, dist = ball_table(g, k).ball(v)
+    interior, sphere = ball[dist < k], ball[dist == k]
     if len(sphere) == 0:
         raise HittingError(f"sphere of radius {k} around {v} is empty")
-    degs = np.array([g.degree(int(u)) for u in interior], dtype=float)
-    pos_int = {int(u): i for i, u in enumerate(interior)}
-    pos_sph = {int(u): i for i, u in enumerate(sphere)}
-    rows_i, cols_i, vals_i = [], [], []
-    rows_b, cols_b, vals_b = [], [], []
-    for i, u in enumerate(interior):
-        w_step = 1.0 / degs[i]
-        for w in g.adjacency[int(u)]:
-            if w in pos_int:
-                rows_i.append(i), cols_i.append(pos_int[w]), vals_i.append(w_step)
-            elif w in pos_sph:
-                rows_b.append(i), cols_b.append(pos_sph[w]), vals_b.append(w_step)
-            else:
-                raise HittingError(
-                    "internal error: interior vertex leaks outside the ball")
     m = len(interior)
-    p_ii = sp.csr_matrix((vals_i, (rows_i, cols_i)), shape=(m, m))
-    p_ib = sp.csr_matrix((vals_b, (rows_b, cols_b)), shape=(m, len(sphere)))
-    system = sp.identity(m, format="csc") - p_ii.tocsc()
-    return interior, sphere, system, p_ib, pos_int
-
-
-def _solve_absorbing(system: sp.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-    m = system.shape[0]
-    if m <= DIRECT_SOLVE_LIMIT:
-        lu = spla.splu(system)
-        if rhs.ndim == 1:
-            return lu.solve(rhs)
-        return np.column_stack([lu.solve(rhs[:, j]) for j in range(rhs.shape[1])])
-    cols = rhs.reshape(m, -1)
-    out = np.empty_like(cols)
-    for j in range(cols.shape[1]):
-        sol, info = spla.cg(system, cols[:, j], rtol=CG_TOL, atol=0.0)
-        if info != 0:
-            raise HittingError(f"conjugate gradient failed with info={info}")
-        out[:, j] = sol
-    return out.reshape(rhs.shape)
+    slot, nbr = g.expand(interior)
+    inv_deg = 1.0 / np.diff(g.csr[0])
+    inner = dist[np.searchsorted(ball, nbr)] < k
+    rows = np.concatenate((np.arange(m), np.searchsorted(interior, nbr[inner])))
+    cols = np.concatenate((np.arange(m), slot[inner]))
+    vals = np.concatenate((np.ones(m), -inv_deg[nbr[inner]]))
+    order = np.lexsort((rows, cols))
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=m), out=indptr[1:])
+    system = sp.csc_matrix((vals[order], rows[order], indptr), shape=(m, m))
+    outer = slot[~inner]
+    exits = (outer, np.searchsorted(sphere, nbr[~inner]),
+             inv_deg[interior[outer]])
+    return interior, sphere, system, exits
 
 
 @dataclass(frozen=True)
@@ -546,34 +636,40 @@ def sphere_hit_distribution(g: Graph, v: int, k: int) -> SphereHit:
     """Solve the absorbing system on the ball B_k(v) exactly.
 
     The walk killed on the radius-k sphere never leaves the ball, so the
-    hitting-location distribution solves (I - P_interior) H = P_boundary.
+    hitting-location distribution is row v of (I - P_interior)^{-1}
+    P_boundary: one transposed solve (I - P_interior)^T x = e_v, then
+    x^T P_boundary.  ``excess`` is the tree excess of the ball: edges
+    with an interior endpoint minus the ball size, plus one.
     """
     if not g.is_regular:
         raise HittingError("sphere hitting bound needs a regular graph")
-    if k < 1:
-        raise HittingError("radius must be >= 1")
     d = g.regular_degree
-    interior, sphere, system, p_ib, pos_int = _ball_absorbing_system(g, v, k)
-    h = _solve_absorbing(system, p_ib.toarray())
-    row = h[pos_int[v]]
+    interior, sphere, system, (src, dst, step) = \
+        _ball_absorbing_system(g, v, k)
+    e_v = np.zeros(len(interior))
+    e_v[np.searchsorted(interior, v)] = 1.0
+    x = spla.splu(system).solve(e_v, trans="T")
+    row = np.bincount(dst, weights=x[src] * step, minlength=len(sphere))
+    # edges with an interior endpoint: interior-interior ones appear twice
+    # among the off-diagonal entries of the system, exits once each
+    edges = (system.nnz - len(interior)) // 2 + len(src)
     total = float(row.sum())
     lb = 1.0 / (d * (d - 1) ** (k - 1))
-    from .graphs import ball_stats
-    excess = ball_stats(g, v, k).excess
     min_p, max_p = float(row.min()), float(row.max())
     return SphereHit(
-        center=v, radius=k, sphere=tuple(int(u) for u in sphere),
+        center=v, radius=k, sphere=tuple(sphere.tolist()),
         probabilities=row, total=total, lower_bound=lb,
         min_prob=min_p, max_prob=max_p,
-        c_hat=max_p * d * (d - 1) ** (k - 1), excess=excess,
+        c_hat=max_p * d * (d - 1) ** (k - 1),
+        excess=edges - len(interior) - len(sphere) + 1,
         lower_bound_pass=min_p >= lb - 1e-12)
 
 
 def expected_hit_time(g: Graph, v: int, k: int) -> float:
     """E_v[T_{D_k}]: expected steps to reach distance k from v."""
-    interior, sphere, system, _, pos_int = _ball_absorbing_system(g, v, k)
-    h = _solve_absorbing(system, np.ones(len(interior)))
-    return float(h[pos_int[v]])
+    interior, _, system, _ = _ball_absorbing_system(g, v, k)
+    h = spla.splu(system).solve(np.ones(len(interior)))
+    return float(h[np.searchsorted(interior, v)])
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,9 @@ def restricted_top_eig(chain: ReversibleChain, subset,
     """Largest eigenvalue of P_A via power iteration on its symmetrization.
 
     A must be a proper nonempty subset.  A nilpotent restriction (the
-    iterate collapses to zero) yields lambda(A) = 0.  When ``lambda2`` is
+    iterate collapses to zero) yields lambda(A) = 0.  Raises
+    :class:`SpectralError` when the iteration neither collapses nor
+    stagnates within ``RESTRICTED_MAX_ITER`` steps.  When ``lambda2`` is
     given, the comparison bounds are evaluated; pass None to skip them.
     """
     subset = tuple(sorted(int(v) for v in set(subset)))
@@ -308,6 +310,10 @@ def restricted_top_eig(chain: ReversibleChain, subset,
         if abs(theta - theta_old) < RESTRICTED_STAGNATION:
             break
         theta_old = theta
+    else:
+        raise SpectralError(
+            f"restricted power iteration did not stagnate within "
+            f"{RESTRICTED_MAX_ITER} iterations (|A| = {m})")
     if collapsed:
         lam, residual = 0.0, 0.0
     else:

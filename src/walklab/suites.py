@@ -155,7 +155,7 @@ def spectral_suite(g, chain, summary, cfg) -> tuple:
                    "bipartite": cls.bipartite}))
 
     # restricted Perron roots on a deterministic family of small sets
-    sets = H.candidate_small_sets(chain, cfg.alpha, graph=g)[:16]
+    sets = H.candidate_family(chain, cfg.alpha, graph=g)[:16]
     for A in sets:
         rec = S.restricted_top_eig(chain, A, lambda2=summary.lambda2)
         recs.append(record(
@@ -233,7 +233,7 @@ def mixing_suite(g, chain, summary, cfg) -> tuple:
 def hitting_suite(g, chain, summary, cfg) -> tuple:
     recs = []
     csvs = {}
-    sets = H.candidate_small_sets(chain, cfg.alpha, graph=g)
+    sets = H.candidate_family(chain, cfg.alpha, graph=g)
     if not sets:
         return [_skip("hitting", f"no sets with mass <= alpha={cfg.alpha}")], {}
     sets = sorted(sets, key=lambda A: (len(A), A))

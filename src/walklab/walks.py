@@ -40,7 +40,7 @@ from .checks import Check
 from .graphs import (Graph, ball_table, bfs_distances,  # noqa: F401
                      inflate, is_connected)
 from .chains import srw_chain
-from .hitting import (candidate_small_sets, family_survival,
+from .hitting import (candidate_family, family_survival,
                       sphere_hit_distribution)
 
 
@@ -393,7 +393,7 @@ def escape_transfer_experiment(g: Graph, k: int, t: int, s: int,
         raise WalkError(
             f"alpha={alpha_used:.6g} is below the smallest stationary mass; "
             f"no candidate sets exist")
-    sets = candidate_small_sets(chain, alpha_used, graph=g)
+    sets = candidate_family(chain, alpha_used, graph=g)
     if not sets:
         raise WalkError("candidate family is empty")
     tau_t = tau(t, d, k)
@@ -401,7 +401,7 @@ def escape_transfer_experiment(g: Graph, k: int, t: int, s: int,
 
     srw_escape = float(family_survival(chain.kernel, sets, horizon).max())
 
-    needed = sorted({v for A in sets for v in A})
+    needed = np.unique(sets.members).tolist()
     rows, cols, vals = [], [], []
     for v in needed:
         hit = sphere_hit_distribution(g, v, k)

@@ -204,6 +204,315 @@ def test_candidate_sets_respect_mass(petersen, petersen_chain):
         assert 0 < len(s) < 10
 
 
+# -- the candidate family against the scalar reference ------------------------
+
+def _reference_support_adjacency(chain):
+    adj = [[] for _ in range(chain.n)]
+    coo = chain.kernel.tocoo()
+    for u, v in zip(coo.row, coo.col):
+        if u != v:
+            adj[u].append(int(v))
+    return adj
+
+
+def reference_candidate_small_sets(chain, alpha, graph=None, max_sets=4096):
+    """Reference: the scalar family builder (dict BFS, boundary dicts,
+    frozenset dedupe).  One line differs from the scalar original: without
+    a graph, the Perron phase took ``sorted(found, key=len)[-1]``, a
+    largest set in hash-set iteration order; here ties among the largest
+    sets go to the lexicographically last, as in the array builder."""
+    from collections import deque
+    from walklab.graphs import bfs_distances
+    from walklab.spectral import restricted_top_eig
+    pi = chain.stationary
+    if graph is not None:
+        adj = [list(graph.adjacency[v]) for v in range(graph.n)]
+    else:
+        adj = _reference_support_adjacency(chain)
+    found = set()
+
+    def push(vertices):
+        fs = frozenset(int(v) for v in vertices)
+        if fs and pi[list(fs)].sum() <= alpha + 1e-15 and len(fs) < chain.n:
+            found.add(fs)
+
+    for v in range(chain.n):
+        dist = {v: 0}
+        order = [v]
+        queue = deque([v])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    order.append(w)
+                    queue.append(w)
+        mass = 0.0
+        ball = []
+        radius = 0
+        for u in order:
+            if dist[u] > radius:
+                push(ball)
+                radius = dist[u]
+            if mass + pi[u] > alpha + 1e-15:
+                break
+            ball.append(u)
+            mass += pi[u]
+        push(ball)
+
+    for v in range(chain.n):
+        inside = {v}
+        mass = pi[v]
+        if mass > alpha + 1e-15:
+            continue
+        push(inside)
+        while True:
+            boundary = {}
+            for u in inside:
+                for w in adj[u]:
+                    if w not in inside:
+                        boundary[w] = boundary.get(w, 0) + 1
+            best = None
+            for w, links in sorted(boundary.items()):
+                if mass + pi[w] > alpha + 1e-15:
+                    continue
+                if best is None or links > boundary[best]:
+                    best = w
+            if best is None:
+                break
+            inside.add(best)
+            mass += pi[best]
+            push(inside)
+            if len(found) > max_sets:
+                break
+        if len(found) > max_sets:
+            break
+
+    for v in range(0, chain.n, max(1, chain.n // 32)):
+        dist = bfs_distances(graph, v) if graph is not None else None
+        if dist is not None:
+            ball = [int(u) for u in np.argsort(dist) if dist[u] >= 0][
+                : max(4, int(2.5 * alpha * chain.n))]
+        else:
+            ball = max(found, key=lambda s: (len(s), sorted(s))) \
+                if found else [v]
+            ball = sorted(ball)
+        ball = sorted(set(ball))
+        if len(ball) < 2 or len(ball) >= chain.n:
+            continue
+        rec = restricted_top_eig(chain, ball)
+        idx = np.asarray(rec.subset)
+        sub = chain.kernel[idx][:, idx].tocsr()
+        weight = np.ones(len(idx)) / len(idx)
+        for _ in range(50):
+            nxt = sub @ weight
+            norm = np.linalg.norm(nxt)
+            if norm < 1e-300:
+                break
+            weight = nxt / norm
+        ranked = [int(idx[i]) for i in np.argsort(-weight)]
+        prefix = []
+        mass = 0.0
+        for u in ranked:
+            if mass + pi[u] > alpha + 1e-15:
+                break
+            prefix.append(u)
+            mass += pi[u]
+            push(prefix)
+    return sorted(tuple(sorted(s)) for s in found)
+
+
+def _nonregular_graph():
+    # a path with chords: degrees 1..4, so pi is not uniform
+    edges = [(i, i + 1) for i in range(39)]
+    edges += [(0, 10), (5, 30), (12, 18), (20, 35), (3, 37), (5, 12)]
+    return wl.make_graph(40, edges)
+
+
+FAMILY_CASES = [
+    # (graph fixture or builder, alpha, max_sets, pass the graph)
+    ("petersen", 0.25, 4096, True), ("petersen", 0.4, 10, True),
+    ("prism", 0.34, 4096, True), ("prism", 0.5, 4096, True),
+    ("rr512", 0.25, 4096, True),
+    ("nonregular", 0.25, 4096, True), ("nonregular", 0.4, 30, True),
+    ("petersen", 0.4, 4096, False), ("prism", 0.5, 4096, False),
+    ("q3", 0.25, 4096, False), ("nonregular", 0.25, 4096, False),
+    ("random_cubic_medium", 0.1, 100, False), ("lazy_prism", 0.5, 4096, False),
+]
+
+
+@pytest.fixture(scope="module")
+def rr512():
+    return wl.build_random_regular(512, 3, 2)
+
+
+@pytest.fixture(scope="module")
+def nonregular():
+    return _nonregular_graph()
+
+
+@pytest.mark.parametrize("name,alpha,max_sets,with_graph", FAMILY_CASES)
+def test_candidate_family_matches_scalar_reference(request, name, alpha,
+                                                   max_sets, with_graph):
+    if name == "lazy_prism":
+        # holding probability 1/2: the kernel's support has self-loops
+        g = request.getfixturevalue("prism")
+        chain = srw_chain(g)
+        chain = wl.chain_from_kernel((chain.kernel + np.eye(g.n)) * 0.5,
+                                     chain.stationary)
+    else:
+        g = request.getfixturevalue(name)
+        chain = srw_chain(g)
+    graph = g if with_graph else None
+    got = candidate_small_sets(chain, alpha, graph=graph, max_sets=max_sets)
+    ref = reference_candidate_small_sets(chain, alpha, graph=graph,
+                                         max_sets=max_sets)
+    assert list(got) == ref
+    assert len(got) == len(ref)
+
+
+def test_candidate_family_greedy_phase_is_exercised(rr512):
+    # the rr512 family outgrows its balls: the greedy phase stops on
+    # max_sets, and the Perron prefixes then add sets beyond the bound
+    chain = srw_chain(rr512)
+    fam = candidate_small_sets(chain, 0.25, graph=rr512)
+    small = candidate_small_sets(chain, 0.25, graph=rr512, max_sets=10)
+    assert len(fam) > 4096
+    assert len(small) < len(fam)
+
+
+def test_candidate_family_sequence(petersen, petersen_chain):
+    fam = candidate_small_sets(petersen_chain, 0.25, graph=petersen)
+    sets = list(fam)
+    assert all(isinstance(s, tuple) and list(s) == sorted(s) for s in sets)
+    assert all(isinstance(v, int) for s in sets for v in s)
+    assert sets == sorted(sets) and len(set(sets)) == len(sets)
+    assert fam[-1] == sets[-1] and fam[3] == sets[3]
+    assert fam[1:7:2] == sets[1:7:2]
+    assert sets[2] in fam
+    with pytest.raises(IndexError):
+        fam[len(fam)]
+    with pytest.raises(ValueError):
+        fam.members[0] = 1
+    assert list(np.diff(fam.offsets)) == [len(s) for s in sets]
+
+
+def test_candidate_family_is_built_once(monkeypatch, petersen, prism):
+    builds = []
+    build = hitting.candidate_small_sets
+
+    def counting(*args, **kwargs):
+        builds.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(hitting, "candidate_small_sets", counting)
+    g = wl.make_graph(petersen.n, petersen.edges)
+    first = hitting.candidate_family(srw_chain(g), 0.25, graph=g)
+    # an equal chain built again shares the graph's family
+    assert hitting.candidate_family(srw_chain(g), 0.25, graph=g) is first
+    assert len(builds) == 1
+    hitting.candidate_family(srw_chain(g), 0.3, graph=g)
+    assert builds == [0.25, 0.3]
+    # without a graph the family lives on the chain
+    chain = srw_chain(prism)
+    assert hitting.candidate_family(chain, 0.34) \
+        is hitting.candidate_family(chain, 0.34)
+    assert len(builds) == 3
+    # a different chain on the same graph gets its own family
+    lazy = wl.chain_from_kernel(
+        (chain.kernel + np.eye(prism.n)) * 0.5, chain.stationary)
+    hitting.candidate_family(lazy, 0.34, graph=prism)
+    hitting.candidate_family(chain, 0.34, graph=prism)
+    assert len(builds) == 5
+
+
+def test_run_suite_builds_the_family_once(monkeypatch):
+    from walklab.suites import ExperimentConfig, run_suite
+    builds = []
+    build = hitting.candidate_small_sets
+
+    def counting(*args, **kwargs):
+        builds.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(hitting, "candidate_small_sets", counting)
+    cfg = ExperimentConfig(graph={"kind": "random-regular", "n": 64, "d": 3,
+                                  "seed": 8}, trials=200, seed=3)
+    report, _ = run_suite(cfg, write=False)
+    # spectral and hitting suites, the hit quantile and the escape
+    # experiment all read the family
+    assert any(r["name"] == "escape-decomposition" for r in report.records)
+    assert builds == [cfg.alpha]
+
+
+# -- sphere hits against the column-solve reference ---------------------------
+
+def reference_ball_system(g, v, k):
+    """Reference: the BFS ball and its absorbing system built entry by
+    entry.  Returns (interior, sphere, I - P_int, P_bd, position of v)."""
+    import scipy.sparse as sp
+    from walklab.graphs import bfs_distances
+    dist = bfs_distances(g, v, cutoff=k)
+    sphere = np.flatnonzero(dist == k)
+    interior = np.flatnonzero((dist >= 0) & (dist < k))
+    pos_int = {int(u): i for i, u in enumerate(interior)}
+    pos_sph = {int(u): i for i, u in enumerate(sphere)}
+    rows_i, cols_i, vals_i = [], [], []
+    rows_b, cols_b, vals_b = [], [], []
+    for i, u in enumerate(interior):
+        w_step = 1.0 / g.degree(int(u))
+        for w in g.adjacency[int(u)]:
+            if w in pos_int:
+                rows_i.append(i), cols_i.append(pos_int[w]), vals_i.append(w_step)
+            else:
+                rows_b.append(i), cols_b.append(pos_sph[w]), vals_b.append(w_step)
+    m = len(interior)
+    p_ii = sp.csr_matrix((vals_i, (rows_i, cols_i)), shape=(m, m))
+    p_ib = sp.csr_matrix((vals_b, (rows_b, cols_b)), shape=(m, len(sphere)))
+    system = sp.identity(m, format="csc") - p_ii.tocsc()
+    return interior, sphere, system, p_ib, pos_int[v]
+
+
+def reference_sphere_hit(g, v, k):
+    """Reference: every column of (I - P_int)^{-1} P_bd solved, row v read
+    off.  Returns (sphere, row)."""
+    import scipy.sparse.linalg as spla
+    _, sphere, system, p_ib, at = reference_ball_system(g, v, k)
+    lu = spla.splu(system)
+    rhs = p_ib.toarray()
+    h = np.column_stack([lu.solve(rhs[:, j]) for j in range(rhs.shape[1])])
+    return tuple(int(u) for u in sphere), h[at]
+
+
+SPHERE_CASES = [("petersen", 1), ("petersen", 2), ("prism", 2), ("q3", 2),
+                ("girth5_graph", 2), ("random_cubic_medium", 2),
+                ("random_cubic_medium", 3), ("rr512", 4)]
+
+
+@pytest.mark.parametrize("name,k", SPHERE_CASES)
+def test_sphere_hit_matches_column_solve(request, name, k):
+    from walklab.graphs import ball_stats
+    g = request.getfixturevalue(name)
+    for v in range(0, g.n, max(1, g.n // 24)):
+        hit = sphere_hit_distribution(g, v, k)
+        sphere, row = reference_sphere_hit(g, v, k)
+        assert hit.sphere == sphere
+        assert np.max(np.abs(hit.probabilities - row)) <= 1e-15
+        assert hit.excess == ball_stats(g, v, k).excess
+
+
+def test_expected_hit_time_matches_reference_system(nonregular):
+    # degrees 1..4: the system's columns carry the neighbors' own 1/deg
+    import scipy.sparse.linalg as spla
+    for k in (1, 2, 3):
+        for v in range(0, nonregular.n, 3):
+            interior, _, system, _, at = reference_ball_system(
+                nonregular, v, k)
+            ref = spla.splu(system).solve(np.ones(len(interior)))[at]
+            assert abs(expected_hit_time(nonregular, v, k) - ref) \
+                <= 1e-12 * ref
+
+
 # -- the survival / Perron suite ---------------------------------------------
 
 def test_verify_spectral_hit_k4_pair(k4_chain):

@@ -141,6 +141,19 @@ def test_restricted_c6_path(c6):
     assert abs(rec.lambda_A - math.sqrt(2) / 2) < 1e-10
 
 
+def test_restricted_raises_at_iteration_cap(monkeypatch, c6):
+    from walklab import spectral
+    chain = srw_chain(c6)
+    full = restricted_top_eig(chain, [1, 2, 3])
+    assert 2 < full.iterations < spectral.RESTRICTED_MAX_ITER
+    monkeypatch.setattr(spectral, "RESTRICTED_MAX_ITER", 2)
+    with pytest.raises(SpectralError, match="did not stagnate within 2"):
+        restricted_top_eig(chain, [1, 2, 3])
+    # stagnating on the last allowed iteration is not a failure
+    monkeypatch.setattr(spectral, "RESTRICTED_MAX_ITER", full.iterations)
+    assert restricted_top_eig(chain, [1, 2, 3]) == full
+
+
 def test_restricted_rejects_bad_subsets(k4_chain):
     with pytest.raises(SpectralError):
         restricted_top_eig(k4_chain, [])
