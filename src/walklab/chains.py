@@ -13,11 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
-from .graphs import Graph, bipartition, connected_components
+from .graphs import Graph
 
 ROW_SUM_TOL = 1e-12
 REVERSIBILITY_TOL = 1e-12
+MIXING_BLOCK_COLUMNS = 128     # >= 2; see mixing_profile
 
 APERIODIC = "aperiodic"
 BIPARTITE_PERIODIC = "bipartite-periodic"
@@ -31,9 +33,9 @@ class ChainError(ValueError):
 class ReversibleChain:
     """Row-stochastic kernel P with stationary distribution pi.
 
-    ``period_info`` is 'aperiodic' or 'bipartite-periodic' (detected by
-    two-coloring each component, not spectrally).  ``components`` lists
-    the state sets of the communicating classes.
+    ``period_info`` is 'aperiodic' or 'bipartite-periodic' (detected on
+    the support graph, not spectrally).  ``components`` lists the state
+    sets of the communicating classes.
     """
 
     n: int
@@ -67,96 +69,62 @@ def _validate(kernel: sp.csr_matrix, pi: np.ndarray) -> None:
         raise ChainError(f"detailed balance violated by {worst:.3e}")
 
 
-def _graph_period_info(g: Graph) -> str:
-    for comp in connected_components(g):
-        sub_colors = bipartition(_induced(g, comp))
-        if sub_colors is not None:
-            return BIPARTITE_PERIODIC
-    return APERIODIC
+def _support(kernel: sp.csr_matrix) -> sp.csr_matrix:
+    """Unit-weight CSR graph of the kernel's positive entries."""
+    return (kernel > 0).astype(float)
 
 
-def _induced(g: Graph, vertices) -> Graph:
-    from .graphs import make_graph
-    idx = {v: i for i, v in enumerate(vertices)}
-    edges = [(idx[u], idx[v]) for u, v in g.edges if u in idx and v in idx]
-    return make_graph(len(vertices), edges)
+def _support_classes(support: sp.csr_matrix) -> tuple:
+    """(components, any_bipartite) of the undirected support graph.
+
+    Components are sorted vertex tuples, ordered by least vertex.  A
+    connected component is bipartite (a self-loop is an odd cycle) exactly
+    when its bipartite double cover (vertices (v, side), edges (u, 0)-(v, 1)
+    and (u, 1)-(v, 0)) splits into two components, so some component is
+    bipartite exactly when the cover has more components than the support.
+    """
+    count, labels = csgraph.connected_components(support, directed=False)
+    grouped = np.split(np.argsort(labels, kind="stable"),
+                       np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    comps = sorted((tuple(c.tolist()) for c in grouped), key=lambda c: c[0])
+    cover = sp.bmat([[None, support], [support, None]], format="csr")
+    cover_count, _ = csgraph.connected_components(cover, directed=False)
+    return tuple(comps), cover_count > count
 
 
 def srw_chain(g: Graph) -> ReversibleChain:
     """SRW kernel P(x,y) = 1/deg(x) on edges, pi proportional to degree."""
-    degs = np.array([g.degree(v) for v in range(g.n)], dtype=np.int64)
+    indptr, indices = g.csr
+    degs = np.diff(indptr)
     isolated = np.flatnonzero(degs == 0)
     if len(isolated):
         raise ChainError(
             f"isolated vertices have no SRW step: {isolated.tolist()[:20]}")
-    rows, cols, vals = [], [], []
-    for u, v in g.edges:
-        rows.append(u), cols.append(v), vals.append(1.0 / degs[u])
-        rows.append(v), cols.append(u), vals.append(1.0 / degs[v])
-    kernel = sp.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-    pi = degs / degs.sum()
-    _validate(kernel, pi)
-    comps = tuple(tuple(c) for c in connected_components(g))
-    return ReversibleChain(
-        n=g.n, kernel=kernel, stationary=pi,
-        period_info=_graph_period_info(g), components=comps,
-        source={"kind": "srw", "graph": dict(g.provenance)})
+    kernel = sp.csr_matrix((np.repeat(1.0 / degs, degs), indices, indptr),
+                           shape=(g.n, g.n))
+    return chain_from_kernel(kernel, degs / degs.sum(),
+                             source={"kind": "srw",
+                                     "graph": dict(g.provenance)})
 
 
 def chain_from_kernel(kernel, stationary, source=None) -> ReversibleChain:
-    """Wrap an explicit kernel; fails unless it is verifiably reversible."""
+    """Wrap an explicit kernel; fails unless it is verifiably reversible.
+
+    The communicating classes are the components of the support graph;
+    the chain is bipartite-periodic when it has no holding probability
+    and some class is bipartite.
+    """
     kernel = sp.csr_matrix(kernel)
     pi = np.asarray(stationary, dtype=float)
     _validate(kernel, pi)
     n = kernel.shape[0]
-    # communicating classes via the support graph
-    adj = [set() for _ in range(n)]
-    coo = kernel.tocoo()
-    for u, v, w in zip(coo.row, coo.col, coo.data):
-        if u != v and w > 0:
-            adj[u].add(int(v))
-            adj[v].add(int(u))
-    seen = [False] * n
-    comps = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
+    comps, any_bipartite = _support_classes(_support(kernel))
     has_diag = kernel.diagonal().max() > 0 if n else False
-    period = APERIODIC if has_diag else _kernel_period_info(adj, n)
+    period = BIPARTITE_PERIODIC if any_bipartite and not has_diag \
+        else APERIODIC
     return ReversibleChain(
         n=n, kernel=kernel, stationary=pi, period_info=period,
-        components=tuple(comps), source=dict(source or {"kind": "kernel"}))
-
-
-def _kernel_period_info(adj, n) -> str:
-    color = [-1] * n
-    for s in range(n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        stack = [s]
-        bip = True
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    bip = False
-        if bip and any(adj[v] for v in range(n)):
-            return BIPARTITE_PERIODIC
-    return APERIODIC
+        components=comps, source=dict(source or {"kind": "kernel"}))
 
 
 def evolve(chain: ReversibleChain, mu0: np.ndarray, t: int) -> np.ndarray:
@@ -218,27 +186,12 @@ class MixingProfile:
 def _farthest_point_starts(chain: ReversibleChain, count: int) -> list:
     """Greedy k-center seeds over the kernel's support graph."""
     n = chain.n
-    adj = [[] for _ in range(n)]
-    coo = chain.kernel.tocoo()
-    for u, v in zip(coo.row, coo.col):
-        if u != v:
-            adj[u].append(int(v))
-    from collections import deque
+    support = _support(chain.kernel)
     chosen = [0]
     dist = np.full(n, np.inf)
     while len(chosen) < min(count, n):
-        src = chosen[-1]
-        d = np.full(n, -1, dtype=np.int64)
-        d[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if d[w] < 0:
-                    d[w] = d[u] + 1
-                    queue.append(w)
-        reach = d >= 0
-        dist[reach] = np.minimum(dist[reach], d[reach])
+        np.minimum(dist, csgraph.shortest_path(
+            support, unweighted=True, indices=chosen[-1]), out=dist)
         nxt = int(np.argmax(np.where(np.isfinite(dist), dist, -1.0)))
         if nxt in chosen:
             break
@@ -274,9 +227,22 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
         exact = False
     pi = chain.stationary
     pt = chain.kernel.T.tocsr()
-    cols = np.zeros((n, len(starts)))
-    for j, s in enumerate(starts):
-        cols[s, j] = 1.0
+    m = len(starts)
+    cols = np.zeros((n, m))
+    cols[starts, np.arange(m)] = 1.0
+
+    # The distances of all starts are reduced block by block through one
+    # scratch buffer of at most MIXING_BLOCK_COLUMNS columns instead of
+    # through n x m temporaries.  Numpy sums each column of a block row by
+    # row, as it does in a whole-array reduction, so the curves are the
+    # same bits.  A single column is summed pairwise instead, so a block is
+    # one column wide only when the whole array is.
+    blocks = -(-m // MIXING_BLOCK_COLUMNS)
+    edges = [m * b // blocks for b in range(blocks + 1)]
+    buf = np.empty((n, -(-m // blocks)))
+    pi_col = pi[:, None]
+    tv_all = np.empty(m)
+    l2_all = np.empty(m)
 
     targets = sorted(set(eps_grid) | {1.0 - e for e in eps_grid})
     need = min(targets)
@@ -287,10 +253,17 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
     t = 0
     prev_tv = prev_l2 = math.inf
     while True:
-        tv_all = 0.5 * np.abs(cols - pi[:, None]).sum(axis=0)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            block, scratch = cols[:, lo:hi], buf[:, :hi - lo]
+            np.subtract(block, pi_col, out=scratch)
+            np.abs(scratch, out=scratch)
+            scratch.sum(axis=0, out=tv_all[lo:hi])
+            np.multiply(block, block, out=scratch)
+            np.divide(scratch, pi_col, out=scratch)
+            scratch.sum(axis=0, out=l2_all[lo:hi])
         worst = int(np.argmax(tv_all))
-        tv = tv_all[worst]
-        l2 = (np.sum(cols * cols / pi[:, None], axis=0) - 1.0).max()
+        tv = 0.5 * tv_all[worst]
+        l2 = (l2_all - 1.0).max()
         # sanity on every profile run: both distances are monotone and
         # the Jensen comparison 4 tv^2 <= l2sq holds pointwise
         if tv > prev_tv + 1e-12 or l2 > prev_l2 + 1e-10:

@@ -1,12 +1,16 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import walklab as wl
-from walklab.chains import (APERIODIC, ChainError, chain_from_kernel,
-                            distances, evolve, mixing_profile, point_mass,
-                            power_chain, srw_chain)
+from walklab.chains import (APERIODIC, BIPARTITE_PERIODIC, ChainError,
+                            chain_from_kernel, distances, evolve,
+                            mixing_profile, point_mass, power_chain,
+                            srw_chain)
+from walklab.graphs import connected_components
 
 
 def petersen_adjacency():
@@ -177,3 +181,221 @@ def test_tv_monotone_on_profile(random_cubic_medium):
     assert all(curve[i + 1] <= curve[i] + 1e-12 for i in range(len(curve) - 1))
     l2 = prof.l2sq_curve
     assert all(l2[i + 1] <= l2[i] + 1e-10 for i in range(len(l2) - 1))
+
+
+# -- array kernels against the scalar code they replaced ----------------------
+
+def reference_srw_kernel(g):
+    """The edge-loop SRW kernel builder that srw_chain replaced."""
+    degs = np.array([g.degree(v) for v in range(g.n)], dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for u, v in g.edges:
+        rows.append(u), cols.append(v), vals.append(1.0 / degs[u])
+        rows.append(v), cols.append(u), vals.append(1.0 / degs[v])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+
+
+def reference_classes(kernel):
+    """The DFS components and two-coloring period check that
+    chain_from_kernel replaced."""
+    n = kernel.shape[0]
+    adj = [set() for _ in range(n)]
+    coo = kernel.tocoo()
+    for u, v, w in zip(coo.row, coo.col, coo.data):
+        if u != v and w > 0:
+            adj[u].add(int(v))
+            adj[v].add(int(u))
+    seen = [False] * n
+    comps = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        stack, comp = [s], []
+        seen[s] = True
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    period = APERIODIC
+    if not kernel.diagonal().max() > 0:
+        color = [-1] * n
+        for s in range(n):
+            if color[s] >= 0:
+                continue
+            color[s] = 0
+            stack = [s]
+            bip = True
+            while stack:
+                u = stack.pop()
+                for w in adj[u]:
+                    if color[w] < 0:
+                        color[w] = 1 - color[u]
+                        stack.append(w)
+                    elif color[w] == color[u]:
+                        bip = False
+            if bip and any(adj[v] for v in range(n)):
+                period = BIPARTITE_PERIODIC
+                break
+    return tuple(comps), period
+
+
+def reference_starts(chain, count):
+    """The Python-BFS farthest-point starts that csgraph replaced."""
+    n = chain.n
+    adj = [[] for _ in range(n)]
+    coo = chain.kernel.tocoo()
+    for u, v in zip(coo.row, coo.col):
+        if u != v:
+            adj[u].append(int(v))
+    chosen = [0]
+    dist = np.full(n, np.inf)
+    while len(chosen) < min(count, n):
+        src = chosen[-1]
+        d = np.full(n, -1, dtype=np.int64)
+        d[src] = 0
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if d[w] < 0:
+                    d[w] = d[u] + 1
+                    queue.append(w)
+        reach = d >= 0
+        dist[reach] = np.minimum(dist[reach], d[reach])
+        nxt = int(np.argmax(np.where(np.isfinite(dist), dist, -1.0)))
+        if nxt in chosen:
+            break
+        chosen.append(nxt)
+    return chosen
+
+
+def reference_sweep(chain, eps, exact_start_limit, sample_starts=64):
+    """The whole-array distance reductions that mixing_profile replaced:
+    (tv_curve, l2sq_curve, worst_starts, starts)."""
+    n = chain.n
+    if n <= exact_start_limit:
+        starts = list(range(n))
+    else:
+        starts = reference_starts(chain, sample_starts)
+    pi = chain.stationary
+    pt = chain.kernel.T.tocsr()
+    cols = np.zeros((n, len(starts)))
+    for j, s in enumerate(starts):
+        cols[s, j] = 1.0
+    tv_curve, l2_curve, worst_starts = [], [], []
+    while True:
+        tv_all = 0.5 * np.abs(cols - pi[:, None]).sum(axis=0)
+        worst = int(np.argmax(tv_all))
+        tv_curve.append(float(tv_all[worst]))
+        l2_curve.append(float(
+            (np.sum(cols * cols / pi[:, None], axis=0) - 1.0).max()))
+        worst_starts.append(starts[worst])
+        if tv_all[worst] <= min(eps, 1.0 - eps):
+            return (tuple(tv_curve), tuple(l2_curve), tuple(worst_starts),
+                    tuple(starts))
+        cols = pt @ cols
+
+
+@pytest.fixture(scope="module")
+def lps_chain():
+    return srw_chain(wl.build_lps(13, 17))
+
+
+def _kernel_cases(request):
+    gs = [request.getfixturevalue(name) for name in
+          ("petersen", "k4", "c6", "q3", "prism", "random_cubic_medium")]
+    gs += [wl.inflate(request.getfixturevalue("c6"), 2),
+           wl.make_graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)]),
+           wl.build_lps(5, 13)]
+    return gs
+
+
+def test_srw_kernel_matches_edge_loop(request):
+    for g in _kernel_cases(request):
+        new, old = srw_chain(g).kernel, reference_srw_kernel(g)
+        assert np.array_equal(new.indptr, old.indptr), g
+        assert np.array_equal(new.indices, old.indices), g
+        assert np.array_equal(new.data, old.data), g
+        assert new.indices.dtype == old.indices.dtype
+
+
+# disjoint unions, labelled so that the components interleave
+INTERLEAVED = {
+    "c4+c3": (7, [(0, 2), (2, 4), (4, 6), (6, 0), (1, 3), (3, 5), (5, 1)]),
+    "c5+c3": (8, [(0, 2), (2, 4), (4, 6), (6, 7), (7, 0), (1, 3), (3, 5),
+                  (5, 1)]),
+    "p3+p2+k3": (8, [(0, 3), (3, 6), (1, 4), (2, 5), (5, 7), (7, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERLEAVED))
+def test_components_and_period_interleaved(name):
+    g = wl.make_graph(*INTERLEAVED[name])
+    chain = srw_chain(g)
+    assert (chain.components, chain.period_info) == \
+        reference_classes(chain.kernel)
+    assert chain.components == tuple(
+        tuple(c) for c in connected_components(g))
+    lazy = chain_from_kernel((chain.kernel + sp.eye(g.n)) / 2,
+                             chain.stationary)
+    assert (lazy.components, lazy.period_info) == (chain.components,
+                                                   APERIODIC)
+
+
+def test_components_and_period_match_dfs(request):
+    expected = {"c4+c3": BIPARTITE_PERIODIC, "c5+c3": APERIODIC}
+    for name, period in expected.items():
+        assert srw_chain(wl.make_graph(*INTERLEAVED[name])).period_info \
+            == period
+    chains = [srw_chain(g) for g in _kernel_cases(request)]
+    chains.append(power_chain(request.getfixturevalue("petersen_chain"), 2))
+    chains.append(power_chain(srw_chain(request.getfixturevalue("c6")), 2))
+    for chain in chains:
+        assert (chain.components, chain.period_info) == \
+            reference_classes(chain.kernel), chain
+
+
+@pytest.mark.parametrize("graph", ["rr200", "lps"])
+@pytest.mark.parametrize("exact", [True, False])
+def test_mixing_profile_matches_whole_array_sweep(request, graph, exact,
+                                                  lps_chain):
+    if graph == "lps":
+        chain = lps_chain
+    else:
+        chain = srw_chain(request.getfixturevalue("random_cubic_medium"))
+    limit = chain.n if exact else chain.n // 2
+    prof = mixing_profile(chain, [0.25], exact_start_limit=limit)
+    ref = reference_sweep(chain, 0.25, limit)
+    assert prof.exact_starts == exact
+    assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
+            prof.starts) == ref
+
+
+@pytest.mark.parametrize("columns", [2, 3, 7])
+def test_mixing_profile_narrow_blocks(monkeypatch, random_cubic_medium,
+                                      columns):
+    # narrow and uneven blocks sum each column in the same order
+    from walklab import chains
+    monkeypatch.setattr(chains, "MIXING_BLOCK_COLUMNS", columns)
+    chain = srw_chain(random_cubic_medium)
+    for limit, count in ((chain.n, 64), (50, 64), (50, 1)):
+        prof = mixing_profile(chain, [0.25], exact_start_limit=limit,
+                              sample_starts=count)
+        ref = reference_sweep(chain, 0.25, limit, count)
+        assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
+                prof.starts) == ref
+
+
+def test_farthest_point_starts_match_bfs(request, lps_chain):
+    from walklab.chains import _farthest_point_starts
+    chains = [srw_chain(request.getfixturevalue("random_cubic_medium")),
+              lps_chain, srw_chain(wl.inflate(request.getfixturevalue("c6"),
+                                              2))]
+    for chain in chains:
+        for count in (1, 5, 64):
+            assert _farthest_point_starts(chain, count) == \
+                reference_starts(chain, count)

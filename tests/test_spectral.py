@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -47,6 +48,65 @@ def test_spectrum_iterative_matches_dense(petersen, petersen_chain,
         it = spectrum(chain, mode="iterative-extremal", source_graph=g)
         assert abs(it.lambda2 - dense.lambda2) < 1e-8
         assert abs(it.lambda_min - dense.lambda_min) < 1e-8
+
+
+# graphs on which the iterative path is easy to get wrong
+ITERATIVE_CASES = {
+    "k6": lambda: wl.build_named("complete", 6),      # lambda2 = -1/5 < 0
+    "k30": lambda: wl.build_named("complete", 30),
+    "q4": lambda: wl.build_named("hypercube", 4),     # lambda_min = -1
+    "petersen": lambda: wl.build_named("petersen"),   # lambda2 of mult. 5
+    "non-regular": lambda: wl.make_graph(             # triangle with tails
+        7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (1, 6)]),
+    "path3": lambda: wl.make_graph(3, [(0, 1), (1, 2)]),  # 3 distinct values
+    "rr200": lambda: wl.build_random_regular(200, 3, 77),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ITERATIVE_CASES))
+def test_iterative_matches_dense_within_residuals(name):
+    g = ITERATIVE_CASES[name]()
+    chain = srw_chain(g)
+    dense = spectrum(chain)
+    it = spectrum(chain, mode="iterative-extremal")
+    res = it.residuals
+    assert it.method == "iterative-extremal" and it.eigenvalues is None
+    assert abs(it.lambda2 - dense.lambda2) <= res["lambda2"] + 1e-12
+    assert abs(it.lambda_min - dense.lambda_min) <= res["lambda_min"] + 1e-12
+    assert res["lambda2"] < 1e-12 and res["lambda_min"] < 1e-12
+    assert 0 < res["lambda2_iterations"] and 0 < res["lambda_min_iterations"]
+    assert abs(it.lambda_star - dense.lambda_star) < 1e-12
+    if name.startswith("k"):
+        n = g.n
+        assert abs(it.lambda2 + 1.0 / (n - 1)) < 1e-12
+    if name == "q4":
+        assert abs(it.lambda_min + 1.0) < 1e-12
+        assert it.t_rel == math.inf
+
+
+@pytest.mark.parametrize("name", sorted(ITERATIVE_CASES))
+def test_iterative_reruns_identical(name):
+    # path3 exhausts its Krylov space, so ARPACK draws a fresh vector
+    chain = srw_chain(ITERATIVE_CASES[name]())
+    first = spectrum(chain, mode="iterative-extremal")
+    assert spectrum(chain, mode="iterative-extremal") == first
+
+
+def test_iterative_raises_at_restart_cap(monkeypatch, random_cubic_medium):
+    from walklab import spectral
+    chain = srw_chain(random_cubic_medium)
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_RESTARTS", 1)
+    with pytest.raises(SpectralError, match="did not converge within 1 "):
+        spectrum(chain, mode="iterative-extremal")
+
+
+def test_iterative_rejects_reducible_and_single_state(c6):
+    chain = srw_chain(wl.inflate(c6, 2))
+    with pytest.raises(SpectralError, match="irreducible"):
+        spectrum(chain, mode="iterative-extremal")
+    single = chain_from_kernel(np.array([[1.0]]), [1.0])
+    with pytest.raises(SpectralError, match="two states"):
+        spectrum(single, mode="iterative-extremal")
 
 
 def test_spectrum_dense_budget(petersen_chain):
@@ -102,6 +162,38 @@ def test_classify_neither_on_circular_ladder():
     rep = classify_ramanujan(g, s)
     assert rep.category == "neither"
     assert rep.lambda2_over_rho > 1.0
+
+
+def test_classify_iterative_uses_interval_ends(petersen):
+    # Petersen: 1/3 (x5), -2/3 (x4); rho_3 = 0.9428...
+    it = spectrum(srw_chain(petersen), mode="iterative-extremal",
+                  source_graph=petersen)
+    assert classify_ramanujan(petersen, it).category == "ramanujan"
+    r = rho(3)
+
+    def verdict(lambda2, r2, lambda_min, r_min):
+        s = dataclasses.replace(
+            it, lambda2=lambda2, lambda_min=lambda_min,
+            residuals=dict(it.residuals, lambda2=r2, lambda_min=r_min))
+        return classify_ramanujan(petersen, s).category
+
+    assert verdict(r - 1e-8, 0.0, -2 / 3, 0.0) == "ramanujan"
+    assert verdict(r - 1e-8, 2e-8, -2 / 3, 0.0) == "neither"
+    assert verdict(1 / 3, 0.0, -r + 1e-8, 0.0) == "ramanujan"
+    assert verdict(1 / 3, 0.0, -r + 1e-8, 2e-8) == "one-sided-at-margin"
+    assert verdict(1 / 3, 0.0, -1.0 + 1e-8, 0.0) == "one-sided-at-margin"
+    assert verdict(1 / 3, 0.0, -1.0 + 1e-8, 2e-8) == "neither"
+
+
+def test_classify_iterative_bipartite_uses_lambda2_end():
+    q4 = wl.build_named("hypercube", 4)
+    it = spectrum(srw_chain(q4), mode="iterative-extremal", source_graph=q4)
+    rep = classify_ramanujan(q4, it)
+    assert rep.category == "ramanujan" and rep.bipartite
+    r = rho(4)
+    near = dataclasses.replace(
+        it, lambda2=r - 1e-8, residuals=dict(it.residuals, lambda2=2e-8))
+    assert classify_ramanujan(q4, near).category == "neither"
 
 
 def test_poincare_values():
