@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .graphs import Graph
+from .graphs import Graph, _support_classes
 
 ROW_SUM_TOL = 1e-12
 REVERSIBILITY_TOL = 1e-12
@@ -74,24 +74,6 @@ def _support(kernel: sp.csr_matrix) -> sp.csr_matrix:
     return (kernel > 0).astype(float)
 
 
-def _support_classes(support: sp.csr_matrix) -> tuple:
-    """(components, any_bipartite) of the undirected support graph.
-
-    Components are sorted vertex tuples, ordered by least vertex.  A
-    connected component is bipartite (a self-loop is an odd cycle) exactly
-    when its bipartite double cover (vertices (v, side), edges (u, 0)-(v, 1)
-    and (u, 1)-(v, 0)) splits into two components, so some component is
-    bipartite exactly when the cover has more components than the support.
-    """
-    count, labels = csgraph.connected_components(support, directed=False)
-    grouped = np.split(np.argsort(labels, kind="stable"),
-                       np.cumsum(np.bincount(labels, minlength=count))[:-1])
-    comps = sorted((tuple(c.tolist()) for c in grouped), key=lambda c: c[0])
-    cover = sp.bmat([[None, support], [support, None]], format="csr")
-    cover_count, _ = csgraph.connected_components(cover, directed=False)
-    return tuple(comps), cover_count > count
-
-
 def srw_chain(g: Graph) -> ReversibleChain:
     """SRW kernel P(x,y) = 1/deg(x) on edges, pi proportional to degree."""
     indptr, indices = g.csr
@@ -118,10 +100,10 @@ def chain_from_kernel(kernel, stationary, source=None) -> ReversibleChain:
     pi = np.asarray(stationary, dtype=float)
     _validate(kernel, pi)
     n = kernel.shape[0]
-    comps, any_bipartite = _support_classes(_support(kernel))
+    comps, cover_count = _support_classes(_support(kernel))
     has_diag = kernel.diagonal().max() > 0 if n else False
-    period = BIPARTITE_PERIODIC if any_bipartite and not has_diag \
-        else APERIODIC
+    periodic = cover_count > len(comps) and not has_diag
+    period = BIPARTITE_PERIODIC if periodic else APERIODIC
     return ReversibleChain(
         n=n, kernel=kernel, stationary=pi, period_info=period,
         components=comps, source=dict(source or {"kind": "kernel"}))
@@ -298,19 +280,17 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
         starts=tuple(starts), exact_starts=exact)
 
 
-def power_chain(chain: ReversibleChain, t: int,
-                dense_limit: int = 3000) -> ReversibleChain:
+def power_chain(chain: ReversibleChain, t: int) -> ReversibleChain:
     """Chain with kernel P^t and the same stationary distribution."""
     if t < 1:
         raise ChainError("exponent must be >= 1")
     if t == 1:
         return chain
-    if chain.n > dense_limit:
-        raise ChainError(
-            f"dense kernel power needs n <= {dense_limit}, got {chain.n}")
-    dense = chain.kernel.toarray()
-    powered = np.linalg.matrix_power(dense, t)
-    kern = sp.csr_matrix(powered)
+    kern = chain.kernel
+    for _ in range(t - 1):
+        kern = kern @ chain.kernel
+    # products leave each row's columns unsorted; keep the canonical order
+    kern.sort_indices()
     return chain_from_kernel(
         kern, chain.stationary,
         source={"kind": "power", "t": t, "base": dict(chain.source)})

@@ -16,6 +16,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 INFINITE_GIRTH = math.inf
 
@@ -291,37 +293,13 @@ def build_high_girth_regular(n: int, d: int, min_girth: int, seed: int,
     edge_set = set(g.edges)
     adj = [set(a) for a in g.adjacency]
 
-    def find_short_cycle_edge():
-        # BFS from every vertex to depth floor((min_girth-1+1)/2); the
-        # minimum over all detections is exact, so any detection with
-        # length < min_girth certifies a short cycle through that edge.
-        depth_cap = min_girth // 2
-        best = None
-        for src in range(n):
-            dist = {src: 0}
-            parent = {src: -1}
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                if dist[u] >= depth_cap:
-                    continue
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        queue.append(w)
-                    elif w != parent[u]:
-                        length = dist[u] + dist[w] + 1
-                        if length < min_girth and (best is None or length < best[0]):
-                            best = (length, (min(u, w), max(u, w)))
-        return best
-
     swaps = 0
     while True:
-        found = find_short_cycle_edge()
+        # the live sets: their iteration order picks the edge on ties
+        _, found = _shortest_cycle(adj, min_girth)
         if found is None:
             break
-        _, (u, v) = found
+        u, v = found
         edge_list = sorted(edge_set)
         done = False
         for _ in range(500):
@@ -359,20 +337,47 @@ def build_high_girth_regular(n: int, d: int, min_girth: int, seed: int,
 # traversal helpers
 
 
+def _matrix(g: Graph) -> sp.csr_matrix:
+    """Unit-weight adjacency matrix of ``g`` on its CSR arrays, for csgraph."""
+    def build():
+        indptr, indices = g.csr
+        return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
+                             shape=(g.n, g.n))
+    return g._cached("_matrix_cache", build)
+
+
+def _bfs_levels(adj, v: int):
+    """FIFO breadth-first order from v, neighbors in adjacency order, and
+    the end of each distance level in it: level 0 is ``order[:ends[0]]``
+    (just v), level r > 0 is ``order[ends[r - 1]:ends[r]]``."""
+    order, pred = csgraph.breadth_first_order(adj, v, directed=True,
+                                              return_predecessors=True)
+    pos = np.empty(adj.shape[0], dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    # children are discovered in the order their parents leave the queue
+    parent_pos = pos[pred[order[1:]]]
+    ends = [1]
+    while ends[-1] < len(order):
+        ends.append(1 + int(np.searchsorted(parent_pos, ends[-1])))
+    return order.astype(np.int64), ends
+
+
+def _level_distances(adj, v: int) -> np.ndarray:
+    """int64 BFS distances from v over the CSR matrix ``adj``; -1 off v's
+    component."""
+    order, ends = _bfs_levels(adj, v)
+    dist = np.full(adj.shape[0], -1, dtype=np.int64)
+    dist[order] = np.repeat(np.arange(len(ends), dtype=np.int64),
+                            np.diff(ends, prepend=0))
+    return dist
+
+
 def bfs_distances(g: Graph, source: int, cutoff=None) -> np.ndarray:
-    """Distances from ``source``; unreachable vertices get -1."""
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if cutoff is not None and du >= cutoff:
-            continue
-        for w in g.adjacency[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
+    """Distances from ``source``; unreachable vertices, and those beyond
+    ``cutoff`` when it is given, get -1."""
+    dist = _level_distances(_matrix(g), source)
+    if cutoff is not None:
+        dist[dist > cutoff] = -1
     return dist
 
 
@@ -452,52 +457,40 @@ def _build_ball_table(g: Graph, k: int) -> BallTable:
     return BallTable(n=n, k=k, keys=keys, dist=dist)
 
 
+def _support_classes(support: sp.csr_matrix) -> tuple:
+    """``(components, cover_count)`` of the undirected graph ``support``.
+
+    Components are sorted vertex tuples, ordered by least vertex.
+    ``cover_count`` counts the components of the bipartite double cover
+    (vertices (v, side), edges (u, 0)-(v, 1) and (u, 1)-(v, 0)).  A
+    connected component is bipartite (a self-loop is an odd cycle) exactly
+    when its cover splits in two, so every component is bipartite when
+    ``cover_count`` is twice the component count, and some component is
+    when it is larger.
+    """
+    count, labels = csgraph.connected_components(support, directed=False)
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=count)
+    # [:count] drops the empty piece np.split returns for no vertices
+    grouped = np.split(order, np.cumsum(sizes)[:-1])[:count]
+    comps = sorted((tuple(c.tolist()) for c in grouped), key=lambda c: c[0])
+    cover = sp.bmat([[None, support], [support, None]], format="csr")
+    cover_count, _ = csgraph.connected_components(cover, directed=False)
+    return tuple(comps), cover_count
+
+
 def connected_components(g: Graph) -> list:
     """List of components, each a sorted list of vertices."""
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+    return [list(c) for c in _support_classes(_matrix(g))[0]]
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
-def bipartition(g: Graph):
-    """Two-coloring as a 0/1 array, or None if some component is odd."""
-    color = np.full(g.n, -1, dtype=np.int8)
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    return color
+    return len(_support_classes(_matrix(g))[0]) <= 1
 
 
 def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
+    comps, cover_count = _support_classes(_matrix(g))
+    return cover_count == 2 * len(comps)
 
 
 def eccentricity(g: Graph, v: int) -> int:
@@ -519,13 +512,24 @@ def diameter(g: Graph) -> int:
 
 
 def girth(g: Graph):
-    """Length of the shortest cycle, or an infinite sentinel for forests.
+    """Length of the shortest cycle, or an infinite sentinel for forests."""
+    return _shortest_cycle(g.adjacency, INFINITE_GIRTH)[0]
 
-    BFS from every vertex; the first non-tree edge seen from each source
-    gives a candidate cycle length, and the minimum over sources is exact.
+
+def _shortest_cycle(adjacency, bound) -> tuple:
+    """``(length, edge)`` of the first shortest cycle shorter than
+    ``bound``, or ``(bound, None)`` when there is none.
+
+    BFS from every vertex; a non-tree edge (u, w) seen from a source
+    closes a walk of length dist[u] + dist[w] + 1 that contains a cycle
+    no longer, and the minimum over sources is exact.  A vertex with
+    2 dist[u] + 1 >= best is not expanded: it can only close cycles of
+    that length or ones already found.  ``edge`` is (min, max) of the
+    first non-tree edge that gave the final length; neighbors are visited
+    in the iteration order of ``adjacency[u]``.
     """
-    best = INFINITE_GIRTH
-    for src in range(g.n):
+    best, edge = bound, None
+    for src in range(len(adjacency)):
         dist = {src: 0}
         parent = {src: -1}
         queue = deque([src])
@@ -533,7 +537,7 @@ def girth(g: Graph):
             u = queue.popleft()
             if 2 * dist[u] + 1 >= best:
                 continue
-            for w in g.adjacency[u]:
+            for w in adjacency[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     parent[w] = u
@@ -541,8 +545,8 @@ def girth(g: Graph):
                 elif w != parent[u]:
                     length = dist[u] + dist[w] + 1
                     if length < best:
-                        best = length
-    return best
+                        best, edge = length, (min(u, w), max(u, w))
+    return best, edge
 
 
 # ---------------------------------------------------------------------------
@@ -590,27 +594,27 @@ def ball_stats(g: Graph, v: int, k: int,
     if not (0 <= v < g.n):
         raise GraphError(f"vertex {v} out of range")
     dist = bfs_distances(g, v, cutoff=k)
-    levels = tuple(int(np.sum(dist == i)) for i in range(k + 1))
-    ball = [int(u) for u in np.flatnonzero(dist >= 0)]
+    ball = np.flatnonzero(dist >= 0)
+    levels = tuple(np.bincount(dist[ball], minlength=k + 1).tolist())
     ball_size = len(ball)
-    in_ball = dist >= 0
-    inner = (dist >= 0) & (dist <= k - 1)
 
-    relevant = 0
-    full = 0
-    ball_edges = []
-    for u, w in g.edges:
-        if in_ball[u] and in_ball[w]:
-            full += 1
-            ball_edges.append((u, w))
-            if inner[u] or inner[w]:
-                relevant += 1
+    # each ball edge (u, w), u < w, once; u ascends and adjacency rows are
+    # sorted, so the list comes out in the order of g.edges
+    slot, w = g.expand(ball)
+    u = ball[slot]
+    keep = (u < w) & (dist[w] >= 0)
+    u, w = u[keep], w[keep]
+    ball_edges = list(zip(u.tolist(), w.tolist()))
+    full = len(ball_edges)
+    relevant = int(np.count_nonzero((dist[u] < k) | (dist[w] < k)))
 
     edge_surplus = relevant - ball_size
     excess = edge_surplus + 1
     cycle_rank = relevant - (ball_size - 1)
-    full_rank = full - ball_size + _component_count(ball, ball_edges)
-    bound = (1 << full_rank) - 1 if full_rank >= 0 else 0
+    # the induced ball is connected: every vertex reaches v along a
+    # shortest path that stays inside it
+    full_rank = full - ball_size + 1
+    bound = (1 << full_rank) - 1
     if full <= edge_budget and full_rank <= rank_budget:
         count = count_simple_cycles(ball_edges)
     else:
@@ -620,23 +624,6 @@ def ball_stats(g: Graph, v: int, k: int,
                      relevant_edge_count=relevant, full_edge_count=full,
                      full_cycle_rank=full_rank, simple_cycle_count=count,
                      simple_cycle_bound=bound)
-
-
-def _component_count(vertices, edges) -> int:
-    idx = {u: i for i, u in enumerate(vertices)}
-    parent = list(range(len(vertices)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, w in edges:
-        ra, rb = find(idx[u]), find(idx[w])
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(len(vertices))})
 
 
 def count_simple_cycles(edges) -> int:
@@ -704,22 +691,15 @@ def count_simple_cycles(edges) -> int:
             continue
         deg = {}
         sel = mask
-        n_edges = 0
-        ok = True
         while sel:
             i = (sel & -sel).bit_length() - 1
             sel &= sel - 1
             u, w = endpoints[i]
             deg[u] = deg.get(u, 0) + 1
             deg[w] = deg.get(w, 0) + 1
-            n_edges += 1
-        for u, dcount in deg.items():
-            if dcount != 2:
-                ok = False
-                break
-        # a disjoint union of cycles has all degrees 2; a single cycle
-        # additionally has #edges == #vertices and is connected
-        if ok and n_edges == len(deg):
+        # a disjoint union of cycles has all degrees 2; a single cycle is
+        # also connected
+        if all(dcount == 2 for dcount in deg.values()):
             start = next(iter(deg))
             seen = {start}
             queue = deque([start])

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import breadth_first_order
 
 from .checks import Check
 from .chains import ReversibleChain, APERIODIC, mixing_profile
-from .graphs import Graph, ball_table
+from .graphs import Graph, _bfs_levels, _level_distances, ball_table
 from .spectral import DENSE_BUDGET, restricted_top_eig, spectrum
 
 EXACT_SEARCH_LIMIT = 20
@@ -172,22 +171,6 @@ def _as_arrays(sets):
     return members, offsets
 
 
-def _bfs_levels(adj, v: int):
-    """FIFO breadth-first order from v, neighbors in adjacency order, and
-    the end of each distance level in it: level 0 is ``order[:ends[0]]``
-    (just v), level r > 0 is ``order[ends[r - 1]:ends[r]]``."""
-    order, pred = breadth_first_order(adj, v, directed=True,
-                                      return_predecessors=True)
-    pos = np.empty(adj.shape[0], dtype=np.int64)
-    pos[order] = np.arange(len(order))
-    # children are discovered in the order their parents leave the queue
-    parent_pos = pos[pred[order[1:]]]
-    ends = [1]
-    while ends[-1] < len(order):
-        ends.append(1 + int(np.searchsorted(parent_pos, ends[-1])))
-    return order.astype(np.int64), ends
-
-
 def candidate_small_sets(chain: ReversibleChain, alpha: float,
                          graph: Graph = None,
                          max_sets: int = 4096) -> CandidateFamily:
@@ -304,9 +287,7 @@ def _nearest(adj, v: int, size: int) -> np.ndarray:
     smaller), in ascending order; ties at the cut follow
     ``np.argsort`` of the int64 distance vector with -1 off the
     component."""
-    order, ends = _bfs_levels(adj, v)
-    dist = np.full(adj.shape[0], -1, dtype=np.int64)
-    dist[order] = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    dist = _level_distances(adj, v)
     near = np.argsort(dist)
     return np.sort(near[dist[near] >= 0][:size])
 

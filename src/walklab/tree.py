@@ -41,31 +41,15 @@ def level_distribution(d: int, t: int, k: int, no_return: bool = False) -> float
     _check_degree(d)
     if t < 0 or k < 0:
         raise TreeError("t and k must be >= 0")
-    if t > DP_HORIZON_LIMIT:
-        raise TreeError(f"DP horizon capped at {DP_HORIZON_LIMIT}, got {t}")
-    if k > t:
-        return 0.0
-    p = np.zeros(t + 1)
-    p[0] = 1.0
-    up = (d - 1.0) / d
-    down = 1.0 / d
-    for step in range(t):
-        nxt = np.zeros(t + 1)
-        # forced up-move out of level 0 (only reachable when not killed)
-        nxt[1] += p[0]
-        if step + 1 <= t:
-            hi = min(step + 1, t)
-            nxt[2:hi + 1] += p[1:hi] * up
-        if not no_return:
-            nxt[0] += p[1] * down
-        nxt[1:t] += p[2:t + 1] * down
-        p = nxt
-    return float(p[k])
+    profile = level_profile(d, t, no_return)
+    return float(profile[k]) if k <= t else 0.0
 
 
 def level_profile(d: int, t: int, no_return: bool = False) -> np.ndarray:
     """The whole level distribution at time t (vector over 0..t)."""
     _check_degree(d)
+    if t < 0:
+        raise TreeError("t must be >= 0")
     if t > DP_HORIZON_LIMIT:
         raise TreeError(f"DP horizon capped at {DP_HORIZON_LIMIT}, got {t}")
     p = np.zeros(t + 1)

@@ -165,6 +165,35 @@ def test_power_chain_matches_evolve(petersen_chain):
         assert np.abs(direct - one).max() <= 1e-10
 
 
+def assert_same_power(chain, t):
+    """power_chain against the dense matrix_power it replaced: the same
+    CSR pattern, entries within 1e-15."""
+    got = power_chain(chain, t).kernel
+    want = sp.csr_matrix(np.linalg.matrix_power(chain.kernel.toarray(), t))
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.abs(got.data - want.data).max() <= 1e-15
+
+
+@pytest.mark.parametrize("t", [2, 3, 4])
+def test_power_chain_matches_dense_power(petersen_chain, t):
+    assert_same_power(petersen_chain, t)
+
+
+def test_power_chain_matches_dense_power_lps(lps_chain):
+    assert_same_power(lps_chain, 2)
+
+
+def test_power_chain_beyond_3000_states():
+    chain = srw_chain(wl.build_random_regular(4000, 3, 1))
+    p2 = power_chain(chain, 2)
+    assert p2.n == 4000 and p2.is_irreducible
+    for x in (0, 1999, 3999):
+        direct = evolve(chain, point_mass(chain.n, x), 2)
+        assert np.abs(evolve(p2, point_mass(chain.n, x), 1) - direct).max() \
+            <= 1e-15
+
+
 def test_chain_from_kernel_validates():
     bad = np.array([[0.5, 0.5], [0.9, 0.2]])
     with pytest.raises(ChainError, match="rows"):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -327,3 +329,281 @@ def test_edge_list_header_mismatch(tmp_path):
 def test_bfs_distances_petersen(petersen):
     dist = bfs_distances(petersen, 0)
     assert sorted(np.bincount(dist).tolist()) == sorted([1, 3, 6])
+
+
+# -- csgraph traversals against the Python code they replaced -----------------
+
+def reference_bfs_distances(g, source, cutoff=None):
+    """The Python BFS that bfs_distances replaced."""
+    dist = np.full(g.n, -1, dtype=np.int64)
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        if cutoff is not None and du >= cutoff:
+            continue
+        for w in g.adjacency[u]:
+            if dist[w] < 0:
+                dist[w] = du + 1
+                queue.append(w)
+    return dist
+
+
+def reference_components(g):
+    """The Python BFS that connected_components replaced."""
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        comp = []
+        queue = deque([s])
+        seen[s] = True
+        while queue:
+            u = queue.popleft()
+            comp.append(u)
+            for w in g.adjacency[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def reference_bipartition(g):
+    """The two-coloring BFS behind the old is_bipartite: a 0/1 array, or
+    None if some component is odd."""
+    color = np.full(g.n, -1, dtype=np.int8)
+    for s in range(g.n):
+        if color[s] >= 0:
+            continue
+        color[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.adjacency[u]:
+                if color[w] < 0:
+                    color[w] = 1 - color[u]
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return None
+    return color
+
+
+def reference_girth(g):
+    """The girth scan that _shortest_cycle replaced."""
+    best = math.inf
+    for src in range(g.n):
+        dist = {src: 0}
+        parent = {src: -1}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            if 2 * dist[u] + 1 >= best:
+                continue
+            for w in g.adjacency[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    length = dist[u] + dist[w] + 1
+                    if length < best:
+                        best = length
+    return best
+
+
+def reference_short_cycle_edge(adj, min_girth):
+    """The depth-capped scan that picked the edge to swap out in
+    build_high_girth_regular: (length, edge) or None."""
+    depth_cap = min_girth // 2
+    best = None
+    for src in range(len(adj)):
+        dist = {src: 0}
+        parent = {src: -1}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            if dist[u] >= depth_cap:
+                continue
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    length = dist[u] + dist[w] + 1
+                    if length < min_girth and (best is None
+                                               or length < best[0]):
+                        best = (length, (min(u, w), max(u, w)))
+    return best
+
+
+def reference_ball_stats(g, v, k):
+    """The ball statistics from a loop over every edge of g, with the
+    union-find component count of the induced ball."""
+    dist = reference_bfs_distances(g, v, cutoff=k)
+    levels = tuple(int(np.sum(dist == i)) for i in range(k + 1))
+    ball = [int(u) for u in np.flatnonzero(dist >= 0)]
+    in_ball = dist >= 0
+    inner = in_ball & (dist <= k - 1)
+    relevant = 0
+    ball_edges = []
+    for u, w in g.edges:
+        if in_ball[u] and in_ball[w]:
+            ball_edges.append((u, w))
+            if inner[u] or inner[w]:
+                relevant += 1
+    idx = {u: i for i, u in enumerate(ball)}
+    parent = list(range(len(ball)))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, w in ball_edges:
+        ra, rb = find(idx[u]), find(idx[w])
+        if ra != rb:
+            parent[ra] = rb
+    components = len({find(i) for i in range(len(ball))})
+    full = len(ball_edges)
+    full_rank = full - len(ball) + components
+    count = None
+    if full <= wl.graphs.CYCLE_EDGE_BUDGET and \
+            full_rank <= wl.graphs.CYCLE_RANK_BUDGET:
+        count = count_simple_cycles(ball_edges)
+    stats = wl.BallStats(
+        center=v, radius=k, levels=levels,
+        edge_surplus=relevant - len(ball), excess=relevant - len(ball) + 1,
+        cycle_rank=relevant - (len(ball) - 1), relevant_edge_count=relevant,
+        full_edge_count=full, full_cycle_rank=full_rank,
+        simple_cycle_count=count,
+        simple_cycle_bound=(1 << full_rank) - 1 if full_rank >= 0 else 0)
+    return stats, ball_edges, components
+
+
+# disjoint unions with isolated vertices, labelled so that components
+# interleave; the empty and one-vertex graphs; odd and even cycles
+TRAVERSAL_GRAPHS = {
+    "c4+c3+isolated": (9, [(0, 2), (2, 4), (4, 6), (6, 0), (1, 3), (3, 5),
+                           (5, 1)]),
+    "c4+p2+isolated": (8, [(0, 3), (3, 6), (6, 7), (7, 0), (1, 5)]),
+    "path+isolated": (5, [(0, 1), (1, 2), (2, 3)]),
+    "empty": (0, []),
+    "single": (1, []),
+    "c5": (5, [(i, (i + 1) % 5) for i in range(5)]),
+}
+
+
+@pytest.fixture(scope="module")
+def lps_bipartite():
+    return wl.build_lps(5, 13)
+
+
+@pytest.fixture(scope="module")
+def lps_nonbipartite():
+    return wl.build_lps(17, 13)
+
+
+def _traversal_graph(request, name):
+    if name in TRAVERSAL_GRAPHS:
+        return wl.make_graph(*TRAVERSAL_GRAPHS[name])
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", sorted(TRAVERSAL_GRAPHS) + [
+    "c6", "q3", "petersen", "lps_bipartite", "lps_nonbipartite"])
+def test_traversals_match_python_bfs(request, name):
+    g = _traversal_graph(request, name)
+    for s in range(0, g.n, max(1, g.n // 12)):
+        for cutoff in (None, 0, 1, 2, 3):
+            dist = bfs_distances(g, s, cutoff)
+            assert dist.dtype == np.int64
+            assert np.array_equal(dist,
+                                  reference_bfs_distances(g, s, cutoff))
+    comps = reference_components(g)
+    assert connected_components(g) == comps
+    assert is_connected(g) == (len(comps) <= 1)
+    assert is_bipartite(g) == (reference_bipartition(g) is not None)
+
+
+def test_bipartite_verdicts(request):
+    verdicts = {name: is_bipartite(_traversal_graph(request, name))
+                for name in ("c4+c3+isolated", "c4+p2+isolated", "empty",
+                             "single", "c5", "c6", "q3", "lps_bipartite",
+                             "lps_nonbipartite")}
+    assert verdicts == {"c4+c3+isolated": False, "c4+p2+isolated": True,
+                        "empty": True, "single": True, "c5": False,
+                        "c6": True, "q3": True, "lps_bipartite": True,
+                        "lps_nonbipartite": False}
+
+
+def test_girth_matches_reference_scan(request, k4, prism, c6, q3, petersen,
+                                      random_cubic_medium, girth5_graph):
+    tree = wl.make_graph(5, [(0, 1), (0, 2), (1, 3), (1, 4)])
+    graphs = [k4, prism, c6, q3, petersen, random_cubic_medium, girth5_graph,
+              tree, request.getfixturevalue("lps_nonbipartite")]
+    for g in graphs:
+        assert wl.girth(g) == reference_girth(g), g
+
+
+HIGH_GIRTH_FIXTURES = {
+    # (n, d, min_girth, seed): (sha256 prefix of repr(edges), swaps)
+    (400, 3, 5, 21): ("36706994b44b08b6", 1),
+    (2000, 3, 7, 11): ("afbcda7496552412", 15),
+    (200, 3, 6, 3): ("3c79184a495ecf79", 8),
+    (300, 4, 5, 7): ("06cfa4ea0b72e5bd", 18),
+    (150, 3, 7, 1): ("56cc3aaff6ceae8d", 23),
+    (100, 3, 4, 2): ("cb33f7e197222e58", 1),
+}
+
+
+@pytest.mark.parametrize("key", sorted(HIGH_GIRTH_FIXTURES),
+                         ids=lambda key: "n{}-d{}-g{}-s{}".format(*key))
+def test_high_girth_fixtures_pinned(key):
+    n, d, min_girth, seed = key
+    g = wl.build_high_girth_regular(n, d, min_girth, seed=seed)
+    digest = hashlib.sha256(repr(g.edges).encode()).hexdigest()[:16]
+    assert (digest, g.provenance["swaps"]) == HIGH_GIRTH_FIXTURES[key]
+    assert wl.girth(g) >= min_girth
+
+
+@pytest.mark.parametrize("key", sorted(HIGH_GIRTH_FIXTURES),
+                         ids=lambda key: "n{}-d{}-g{}-s{}".format(*key))
+def test_shortest_cycle_matches_swap_scan(key):
+    # the first girth-surgery step on the pairing-model graph, on the
+    # same live sets the builder passes
+    from walklab.graphs import _shortest_cycle
+    n, d, min_girth, seed = key
+    g = wl.build_random_regular(n, d, seed)
+    adj = [set(a) for a in g.adjacency]
+    ref = reference_short_cycle_edge(adj, min_girth)
+    assert _shortest_cycle(adj, min_girth) == (ref or (min_girth, None))
+    assert _shortest_cycle(adj, math.inf)[0] == reference_girth(g)
+
+
+@pytest.mark.parametrize("name,ks", [
+    ("petersen", (0, 1, 2, 3)), ("prism", (0, 1, 2, 3)),
+    ("random_cubic_medium", (1, 2, 3, 4)), ("girth5_graph", (1, 2, 3))])
+def test_ball_stats_match_edge_loop(request, name, ks, monkeypatch):
+    # count_simple_cycles must get the edge list the loop built
+    from walklab import graphs
+    seen = []
+    real = graphs.count_simple_cycles
+
+    def spy(edges):
+        seen.append(list(edges))
+        return real(edges)
+
+    monkeypatch.setattr(graphs, "count_simple_cycles", spy)
+    g = request.getfixturevalue(name)
+    for k in ks:
+        for v in range(0, g.n, max(1, g.n // 50)):
+            seen.clear()
+            ref, ref_edges, components = reference_ball_stats(g, v, k)
+            assert components == 1
+            assert wl.ball_stats(g, v, k) == ref
+            assert seen in ([], [ref_edges])

@@ -51,6 +51,49 @@ def test_level_distribution_matches_rational_dp():
                 assert abs(got - want) < 1e-14, (d, t, k, no_return)
 
 
+def reference_level_distribution(d, t, k, no_return=False):
+    """The DP loop level_distribution ran before it read level_profile."""
+    if k > t:
+        return 0.0
+    p = np.zeros(t + 1)
+    p[0] = 1.0
+    up = (d - 1.0) / d
+    down = 1.0 / d
+    for step in range(t):
+        nxt = np.zeros(t + 1)
+        nxt[1] += p[0]
+        if step + 1 <= t:
+            hi = min(step + 1, t)
+            nxt[2:hi + 1] += p[1:hi] * up
+        if not no_return:
+            nxt[0] += p[1] * down
+        nxt[1:t] += p[2:t + 1] * down
+        p = nxt
+    return float(p[k])
+
+
+def test_level_distribution_bitwise_equal_to_old_dp():
+    for d in (3, 4, 7):
+        for t in (0, 1, 2, 5, 13, 30):
+            for no_return in (False, True):
+                for k in range(t + 2):
+                    assert level_distribution(d, t, k, no_return) == \
+                        reference_level_distribution(d, t, k, no_return)
+
+
+def test_level_guards():
+    with pytest.raises(TreeError):
+        level_profile(3, -1)
+    with pytest.raises(TreeError):
+        level_distribution(3, -1, 0)
+    with pytest.raises(TreeError):
+        level_distribution(3, 2, -1)
+    with pytest.raises(TreeError, match="horizon"):
+        level_distribution(3, 10_001, 0)
+    with pytest.raises(TreeError, match="degree"):
+        level_distribution(2, 3, 1)
+
+
 def test_level_profile_sums_to_one():
     for d in (3, 5):
         for t in (1, 7, 40):
