@@ -9,11 +9,11 @@ excess, simple-cycle counts inside balls, and the distance-k graph.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,37 +50,47 @@ class DegreeProfile:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple undirected graph.
+    """Immutable simple undirected graph, stored as CSR arrays.
 
-    ``edges`` is a lexicographically sorted tuple of (u, v) pairs with
-    u < v; ``adjacency`` is a tuple of sorted neighbor tuples.  Instances
-    are safe to share across threads.
+    ``indptr`` and ``indices`` are read-only int64 arrays; row v lists v's
+    neighbors in ascending order.  ``edges`` (lexicographically sorted
+    (u, v) pairs with u < v) and ``adjacency`` (sorted neighbor tuples)
+    are derived on demand and hold Python ints.  Build instances with
+    :func:`make_graph`; they are safe to share across threads.
     """
 
     n: int
-    edges: tuple
-    adjacency: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.indices) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def neighbors(self, v: int) -> tuple:
         return self.adjacency[v]
 
-    @property
-    def degree_profile(self) -> DegreeProfile:
-        return self._cached("_degree_profile_cache", self._build_degree_profile)
+    @cached_property
+    def edges(self) -> tuple:
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = rows < self.indices
+        return tuple(zip(rows[upper].tolist(), self.indices[upper].tolist()))
 
-    def _build_degree_profile(self) -> DegreeProfile:
+    @cached_property
+    def adjacency(self) -> tuple:
+        ptr, nbrs = self.indptr.tolist(), self.indices.tolist()
+        return tuple(tuple(nbrs[ptr[v]:ptr[v + 1]]) for v in range(self.n))
+
+    @cached_property
+    def degree_profile(self) -> DegreeProfile:
         if self.n == 0:
             return DegreeProfile(0, 0, True)
-        degs = [len(a) for a in self.adjacency]
-        lo, hi = min(degs), max(degs)
+        degs = np.diff(self.indptr)
+        lo, hi = int(degs.min()), int(degs.max())
         return DegreeProfile(lo, hi, lo == hi)
 
     @property
@@ -96,19 +106,8 @@ class Graph:
 
     @property
     def csr(self) -> tuple:
-        """Read-only int64 ``(indptr, indices)``; row v lists adjacency[v]."""
-        return self._cached("_csr_cache", self._build_csr)
-
-    def _build_csr(self) -> tuple:
-        degs = np.fromiter(map(len, self.adjacency), dtype=np.int64,
-                           count=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(degs, out=indptr[1:])
-        indices = np.fromiter(itertools.chain.from_iterable(self.adjacency),
-                              dtype=np.int64, count=int(indptr[-1]))
-        indptr.flags.writeable = False
-        indices.flags.writeable = False
-        return indptr, indices
+        """The stored ``(indptr, indices)``."""
+        return self.indptr, self.indices
 
     def expand(self, vertices) -> tuple:
         """``(slot, neighbor)`` arrays listing every neighbor of every
@@ -122,27 +121,31 @@ class Graph:
 
     def neighbor_table(self) -> np.ndarray:
         """n x d array whose row v is adjacency[v]; regular graphs only."""
-        return self.csr[1].reshape(self.n, self.regular_degree)
+        return self.indices.reshape(self.n, self.regular_degree)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._cached("_edge_set_cache",
-                                      lambda: frozenset(self.edges))
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
+        row = self.indices[self.indptr[u]:self.indptr[u + 1]]
+        return bool(_sorted_lookup(row, v)[1])
 
-    def _cached(self, name: str, build):
-        """Per-instance memo for derived data; the graph itself is frozen."""
-        value = self.__dict__.get(name)
-        if value is None:
-            value = build()
-            object.__setattr__(self, name, value)
-        return value
+    @cached_property
+    def _matrix(self) -> sp.csr_matrix:
+        """Unit-weight adjacency matrix on the CSR arrays, for csgraph."""
+        return sp.csr_matrix((np.ones(len(self.indices)), self.indices,
+                              self.indptr), shape=(self.n, self.n))
+
+    @cached_property
+    def _ball_tables(self) -> dict:
+        """Radius -> :class:`BallTable`, filled by :func:`ball_table`."""
+        return {}
 
     def __eq__(self, other):
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
 
     def __repr__(self):
@@ -153,31 +156,43 @@ class Graph:
 def make_graph(n: int, edges, provenance=None) -> Graph:
     """Validate an edge list and build a :class:`Graph`.
 
-    Rejects self-loops, parallel edges, and out-of-range endpoints.
+    ``edges`` is an iterable of (u, v) pairs or an (m, 2) integer array.
+    Rejects self-loops, out-of-range endpoints and parallel edges; the
+    error names the first bad edge, checked in that order.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    norm = []
-    seen = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise GraphError(f"parallel edge ({u},{v})")
-        seen.add((u, v))
-        norm.append((u, v))
-    norm.sort()
-    adj = [[] for _ in range(n)]
-    for u, v in norm:
-        adj[u].append(v)
-        adj[v].append(u)
-    adjacency = tuple(tuple(sorted(a)) for a in adj)
-    return Graph(n=n, edges=tuple(norm), adjacency=adjacency,
+    try:
+        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges),
+                         dtype=np.int64)
+    except OverflowError as exc:
+        raise GraphError(f"vertex label out of range for n={n}") from exc
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    u, v = pairs.T   # ValueError unless the rows are pairs
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = lo * n + hi
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[np.unique(keys, return_index=True)[1]] = False   # first copies pass
+    loop = u == v
+    out_of_range = (lo < 0) | (hi >= n)
+    bad = np.flatnonzero(loop | out_of_range | repeat)
+    if len(bad):
+        i = bad[0]
+        a, b = int(u[i]), int(v[i])
+        if loop[i]:
+            raise GraphError(f"self-loop at vertex {a}")
+        if out_of_range[i]:
+            raise GraphError(f"edge ({a},{b}) out of range for n={n}")
+        raise GraphError(f"parallel edge ({min(a, b)},{max(a, b)})")
+    # each edge from both ends, sorted by (row, neighbor)
+    both = np.sort(np.concatenate((keys, hi * n + lo)))
+    rows, indices = np.divmod(both, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indptr.flags.writeable = False
+    indices.flags.writeable = False
+    return Graph(n=n, indptr=indptr, indices=indices,
                  provenance=dict(provenance or {}))
 
 
@@ -269,9 +284,8 @@ def build_random_regular(n: int, d: int, seed: int) -> Graph:
         keys = lo.astype(np.int64) * n + hi
         if len(np.unique(keys)) != len(keys):
             continue
-        edges = list(zip(lo.tolist(), hi.tolist()))
         return make_graph(
-            n, edges,
+            n, pairs,
             {"kind": "random-regular", "n": n, "d": d, "seed": int(seed),
              "attempts": attempt})
     raise GraphError(
@@ -328,22 +342,13 @@ def build_high_girth_regular(n: int, d: int, min_girth: int, seed: int,
                 f"girth surgery did not converge within {max_swaps} swaps "
                 f"(n={n}, d={d}, min_girth={min_girth}, seed={seed})")
     return make_graph(
-        n, sorted(edge_set),
+        n, list(edge_set),
         {"kind": "random-regular", "n": n, "d": d, "seed": int(seed),
          "min_girth": min_girth, "swaps": swaps})
 
 
 # ---------------------------------------------------------------------------
 # traversal helpers
-
-
-def _matrix(g: Graph) -> sp.csr_matrix:
-    """Unit-weight adjacency matrix of ``g`` on its CSR arrays, for csgraph."""
-    def build():
-        indptr, indices = g.csr
-        return sp.csr_matrix((np.ones(len(indices)), indices, indptr),
-                             shape=(g.n, g.n))
-    return g._cached("_matrix_cache", build)
 
 
 def _bfs_levels(adj, v: int):
@@ -375,7 +380,7 @@ def _level_distances(adj, v: int) -> np.ndarray:
 def bfs_distances(g: Graph, source: int, cutoff=None) -> np.ndarray:
     """Distances from ``source``; unreachable vertices, and those beyond
     ``cutoff`` when it is given, get -1."""
-    dist = _level_distances(_matrix(g), source)
+    dist = _level_distances(g._matrix, source)
     if cutoff is not None:
         dist[dist > cutoff] = -1
     return dist
@@ -423,7 +428,7 @@ def _sorted_lookup(keys: np.ndarray, query):
 
 def ball_table(g: Graph, k: int) -> BallTable:
     """The radius-k :class:`BallTable` of ``g``, built once per (graph, k)."""
-    tables = g._cached("_ball_table_cache", dict)
+    tables = g._ball_tables
     table = tables.get(k)
     if table is None:
         table = tables[k] = _build_ball_table(g, k)
@@ -481,15 +486,15 @@ def _support_classes(support: sp.csr_matrix) -> tuple:
 
 def connected_components(g: Graph) -> list:
     """List of components, each a sorted list of vertices."""
-    return [list(c) for c in _support_classes(_matrix(g))[0]]
+    return [list(c) for c in _support_classes(g._matrix)[0]]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_support_classes(_matrix(g))[0]) <= 1
+    return len(_support_classes(g._matrix)[0]) <= 1
 
 
 def is_bipartite(g: Graph) -> bool:
-    comps, cover_count = _support_classes(_matrix(g))
+    comps, cover_count = _support_classes(g._matrix)
     return cover_count == 2 * len(comps)
 
 
@@ -565,7 +570,9 @@ class BallStats:
     cycle rank of the whole induced ball, which also sees edges between
     two boundary vertices.  ``simple_cycle_count`` enumerates simple
     cycles of the induced ball exactly, or is None when the enumeration
-    budget is exceeded.
+    budget is exceeded; a tree ball counts 0 at any size.  The repr omits
+    ``simple_cycle_bound`` = 2^full_cycle_rank - 1: it can run to
+    thousands of digits, past the int-to-str limit.
     """
 
     center: int
@@ -578,7 +585,7 @@ class BallStats:
     full_edge_count: int
     full_cycle_rank: int
     simple_cycle_count: object
-    simple_cycle_bound: int
+    simple_cycle_bound: int = field(repr=False)
 
     @property
     def ball_size(self) -> int:
@@ -615,7 +622,9 @@ def ball_stats(g: Graph, v: int, k: int,
     # shortest path that stays inside it
     full_rank = full - ball_size + 1
     bound = (1 << full_rank) - 1
-    if full <= edge_budget and full_rank <= rank_budget:
+    if full_rank == 0:
+        count = 0   # a tree has no cycles, whatever its size
+    elif full <= edge_budget and full_rank <= rank_budget:
         count = count_simple_cycles(ball_edges)
     else:
         count = None
@@ -729,7 +738,7 @@ class Assumption1Report:
     radius: int
     max_excess: int
     max_cycle_rank: int
-    max_simple_cycle_bound: int
+    max_simple_cycle_bound: int = field(repr=False)
     max_simple_cycle_count: object
     all_counts_exact: bool
 
@@ -779,11 +788,10 @@ def inflate(g: Graph, k: int) -> Graph:
     table = ball_table(g, k)
     v, u = np.divmod(table.keys[table.dist == k], g.n)
     keep = v < u
-    edges = list(zip(v[keep].tolist(), u[keep].tolist()))
-    if not edges:
+    if not keep.any():
         warnings.warn(f"distance-{k} graph has no edges", stacklevel=2)
     prov = {"kind": "inflated", "k": k, "base": dict(g.provenance)}
-    return make_graph(g.n, edges, prov)
+    return make_graph(g.n, np.column_stack((v[keep], u[keep])), prov)
 
 
 # ---------------------------------------------------------------------------

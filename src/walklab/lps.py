@@ -8,28 +8,26 @@ PSL(2,q) and the graph is non-bipartite on q(q^2-1)/2 vertices; otherwise
 the graph lives on all of PGL(2,q), is bipartite, and has q(q^2-1)
 vertices.  Matrices are kept as canonical projective representatives:
 scaled so the first nonzero entry is 1.
+
+The build runs on arrays: the group is an (N, 4) integer array of
+representatives in the order of their mixed-radix codes; each generator
+multiplies every element in one vectorized product mod q; the products
+are canonicalised through a table of inverses mod q and mapped back to
+vertex indices through a code table with q^3 + q^2 slots.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+
+import numpy as np
 
 from .graphs import Graph, GraphError, make_graph
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -53,83 +51,43 @@ def sqrt_minus_one(q: int) -> int:
 
 
 def quadruples(p: int) -> list:
-    """All (a0, a1, a2, a3) with sum of squares p, a0 odd > 0, rest even."""
-    sols = []
-    limit = int(math.isqrt(p))
-    for a0 in range(1, limit + 1, 2):
-        r0 = p - a0 * a0
-        for a1 in range(-limit, limit + 1):
-            if a1 % 2:
-                continue
-            r1 = r0 - a1 * a1
-            if r1 < 0:
-                continue
-            for a2 in range(-limit, limit + 1):
-                if a2 % 2:
-                    continue
-                r2 = r1 - a2 * a2
-                if r2 < 0:
-                    continue
-                a3 = math.isqrt(r2)
-                if a3 * a3 == r2 and a3 % 2 == 0:
-                    sols.append((a0, a1, a2, a3))
-                    if a3 > 0:
-                        sols.append((a0, a1, a2, -a3))
-    sols.sort()
-    return sols
+    """All (a0, a1, a2, a3) with sum of squares p, a0 odd > 0, rest even,
+    in lexicographic order."""
+    limit = math.isqrt(p)
+    odd = range(1, limit + 1, 2)
+    even = range(-(limit // 2) * 2, limit + 1, 2)
+    return [a for a in itertools.product(odd, even, even, even)
+            if sum(x * x for x in a) == p]
 
 
-def _canon(m: tuple, q: int) -> tuple:
-    """Scale so the first nonzero entry equals 1 (projective representative)."""
-    for entry in m:
-        if entry % q != 0:
-            inv = pow(entry, q - 2, q)
-            return tuple((inv * x) % q for x in m)
-    raise GraphError("zero matrix cannot be normalized")
+def _canon(m: np.ndarray, q: int) -> np.ndarray:
+    """Scale each row of the (N, 4) array ``m`` so its first nonzero entry
+    is 1 (projective representative), through a table of inverses mod q.
+    Rows of invertible matrices have m[0] or m[1] nonzero."""
+    inv = np.array([0] + [pow(x, q - 2, q) for x in range(1, q)])
+    lead = np.where(m[:, 0] != 0, m[:, 0], m[:, 1])
+    return m * inv[lead][:, None] % q
 
 
-def _mul(a: tuple, b: tuple, q: int) -> tuple:
-    return ((a[0] * b[0] + a[1] * b[2]) % q,
-            (a[0] * b[1] + a[1] * b[3]) % q,
-            (a[2] * b[0] + a[3] * b[2]) % q,
-            (a[2] * b[1] + a[3] * b[3]) % q)
-
-
-def _det(m: tuple, q: int) -> int:
-    return (m[0] * m[3] - m[1] * m[2]) % q
+def _codes(m: np.ndarray, q: int) -> np.ndarray:
+    """Mixed-radix code of canonical rows: b q^2 + c q + d for (1, b, c, d)
+    and q^3 + c q + d for (0, 1, c, d), so q^3 + q^2 slots in all."""
+    head = np.where(m[:, 0] == 1, m[:, 1] * q * q, q ** 3)
+    return head + m[:, 2] * q + m[:, 3]
 
 
 def generators(p: int, q: int) -> list:
     """Canonical generator matrices; must number exactly p+1."""
     i = sqrt_minus_one(q)
-    gens = []
-    for a0, a1, a2, a3 in quadruples(p):
-        m = ((a0 + i * a1) % q, (a2 + i * a3) % q,
-             (-a2 + i * a3) % q, (a0 - i * a1) % q)
-        gens.append(_canon(m, q))
-    distinct = sorted(set(gens))
+    a0, a1, a2, a3 = np.array(quadruples(p), dtype=np.int64).T
+    raw = np.stack([a0 + i * a1, a2 + i * a3, -a2 + i * a3, a0 - i * a1],
+                   axis=1) % q
+    distinct = sorted(set(map(tuple, _canon(raw, q).tolist())))
     if len(distinct) != p + 1:
         raise GraphError(
             f"expected {p + 1} distinct generators, got {len(distinct)} "
             f"(p={p}, q={q})")
     return distinct
-
-
-def _pgl_elements(q: int) -> list:
-    """Canonical representatives of PGL(2,q), in deterministic order."""
-    elems = []
-    # first nonzero entry is m[0] = 1
-    for b in range(q):
-        for c in range(q):
-            bc = (b * c) % q
-            for d in range(q):
-                if d != bc:
-                    elems.append((1, b, c, d))
-    # m[0] = 0 forces m[1] = 1 and det = -c != 0
-    for c in range(1, q):
-        for d in range(q):
-            elems.append((0, 1, c, d))
-    return elems
 
 
 def build_lps(p: int, q: int) -> Graph:
@@ -151,33 +109,51 @@ def build_lps(p: int, q: int) -> Graph:
 
     gens = generators(p, q)
     residue = legendre_symbol(p, q)
-    pgl = _pgl_elements(q)
+    # every slot of the code table: (1, b, c, d) below q^3, (0, 1, c, d)
+    # above; PGL(2,q) is the invertible ones, in code order
+    code = np.arange(q ** 3 + q * q)
+    top = code >= q ** 3
+    vertices = np.stack([~top, np.where(top, 1, code // (q * q)),
+                         code // q % q, code % q], axis=1)
+    a, b, c, d = vertices.T
+    det = (a * d - b * c) % q
+    keep = det != 0
     if residue == 1:
-        squares = {(x * x) % q for x in range(1, q)}
-        vertices = [m for m in pgl if _det(m, q) in squares]
+        squares = np.zeros(q, dtype=bool)
+        squares[np.arange(1, q) ** 2 % q] = True
+        keep &= squares[det]
         expected_n = q * (q * q - 1) // 2
     else:
-        vertices = pgl
         expected_n = q * (q * q - 1)
+    vertices = vertices[keep]
     if len(vertices) != expected_n:
         raise GraphError(
             f"group enumeration produced {len(vertices)} elements, "
             f"expected {expected_n}")
 
-    index = {m: i for i, m in enumerate(vertices)}
-    edges = set()
-    for m, src in index.items():
-        for s in gens:
-            tgt = index[_canon(_mul(m, s, q), q)]
-            if tgt == src:
-                raise GraphError(f"self-loop at group element {m}")
-            edges.add((min(src, tgt), max(src, tgt)))
-    if 2 * len(edges) != expected_n * (p + 1):
+    index = np.full(q ** 3 + q * q, -1, dtype=np.int64)
+    index[_codes(vertices, q)] = np.arange(expected_n)
+    # column j: the vertex m * gens[j] for every vertex m
+    targets = np.empty((expected_n, len(gens)), dtype=np.int64)
+    for j, s in enumerate(np.array(gens, dtype=np.int64)):
+        prod = (vertices[:, [0, 0, 2, 2]] * s[[0, 1, 0, 1]]
+                + vertices[:, [1, 1, 3, 3]] * s[[2, 3, 2, 3]]) % q
+        targets[:, j] = index[_codes(_canon(prod, q), q)]
+    if (targets < 0).any():
+        raise GraphError("a product left the enumerated group")
+    src = np.arange(expected_n)[:, None]
+    loops = np.flatnonzero((targets == src).any(axis=1))
+    if len(loops):
+        m = tuple(vertices[loops[0]].tolist())
+        raise GraphError(f"self-loop at group element {m}")
+    keys = np.unique(np.minimum(src, targets) * expected_n
+                     + np.maximum(src, targets))
+    if 2 * len(keys) != expected_n * (p + 1):
         raise GraphError(
-            f"multi-edge collision: {len(edges)} edges for "
+            f"multi-edge collision: {len(keys)} edges for "
             f"{expected_n} vertices of degree {p + 1}")
 
-    g = make_graph(expected_n, sorted(edges),
+    g = make_graph(expected_n, np.column_stack(np.divmod(keys, expected_n)),
                    {"kind": "lps", "p": p, "q": q,
                     "group": "PSL" if residue == 1 else "PGL",
                     "legendre": residue})

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chains import ReversibleChain
-from .graphs import Graph
+from .graphs import Graph, _sorted_lookup
 
 DENSE_BUDGET = 3000
 EIG_ONE_TOL = 1e-9
@@ -121,7 +121,11 @@ def spectrum(chain: ReversibleChain, mode: str = "dense-full",
     sends eigenvalue 1 to -1, at or below every other eigenvalue, so a
     negative lambda2 is found), and lambda_min as the smallest of S.
     ``residuals`` holds each value's residual ||S x - theta x|| and the
-    operator applications it took.
+    operator applications it took.  A residual r certifies that *some*
+    eigenvalue lies in [theta - r, theta + r]; it does not certify that
+    none lies above theta + r, which holds only if Lanczos found the
+    extremal eigenvalue and not an interior one (Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 4).
     """
     rho_d = None
     if source_graph is not None and source_graph.is_regular and source_graph.n:
@@ -355,22 +359,29 @@ class ComparisonReport:
     passed: bool
 
 
+def _entries(kernel: sp.csr_matrix) -> tuple:
+    """Ascending ``row * n + col`` keys of a kernel's summed entries, and
+    the entries."""
+    k = kernel.tocoo()
+    k.sum_duplicates()
+    return k.row.astype(np.int64) * k.shape[1] + k.col, k.data
+
+
 def compare_restricted(chain1: ReversibleChain, chain2: ReversibleChain,
                        subset, tol: float = 1e-9) -> ComparisonReport:
     if chain1.n != chain2.n:
         raise SpectralError("chains must share a state space")
-    k1 = chain1.kernel.tocoo()
-    k2 = chain2.kernel.tocoo()
-    p2_entries = {(int(u), int(v)): w for u, v, w in zip(k2.row, k2.col, k2.data)}
-    c1 = 0.0
-    for u, v, w in zip(k1.row, k1.col, k1.data):
-        if w <= 0:
-            continue
-        denom = p2_entries.get((int(u), int(v)), 0.0)
-        if denom <= 0:
-            raise SpectralError(
-                f"support violation: P1({u},{v}) = {w:.3e} but P2({u},{v}) = 0")
-        c1 = max(c1, w / denom)
+    keys1, w1 = _entries(chain1.kernel)
+    keys2, w2 = _entries(chain2.kernel)
+    pos, found = _sorted_lookup(keys2, keys1)
+    denom = np.where(found, w2[pos], 0.0)
+    live = w1 > 0
+    bad = np.flatnonzero(live & (denom <= 0))
+    if len(bad):
+        u, v = divmod(int(keys1[bad[0]]), chain1.n)
+        raise SpectralError(f"support violation: P1({u},{v}) = "
+                            f"{w1[bad[0]]:.3e} but P2({u},{v}) = 0")
+    c1 = float(np.max(w1[live] / denom[live], initial=0.0))
     ratio = chain1.stationary / chain2.stationary
     c2 = float(max(ratio.max(), (1.0 / ratio).max()))
     lhs = restricted_top_eig(chain1, subset).lambda_A

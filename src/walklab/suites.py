@@ -327,7 +327,7 @@ def tree_suite(g, chain, summary, cfg) -> tuple:
             "tree", f"z-path-ratio(k={k})", lhs=ratio, rhs=0.12,
             passed=ratio >= 0.12))
     x = 0
-    y = g.adjacency[0][0]
+    y = int(g.indices[0])   # the first neighbor of x
     for t in (1, 3):
         kd = T.kernel_domination_check(g, x, y, t)
         recs.append(record(

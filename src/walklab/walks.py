@@ -413,7 +413,7 @@ def escape_transfer_experiment(g: Graph, k: int, t: int, s: int,
 
     k_escape = None
     gk = inflate(g, k)
-    if min(gk.degree(v) for v in range(gk.n)) > 0:
+    if gk.degree_profile.min_degree > 0:
         k_chain = srw_chain(gk)
         k_escape = float(family_survival(k_chain.kernel, sets, tau_t).max())
 

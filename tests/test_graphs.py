@@ -298,6 +298,159 @@ def test_ball_table_matches_bfs(petersen, prism, c6, random_cubic_medium):
         ball_table(petersen, 0)
 
 
+# -- CSR storage against the tuple builder it replaced ------------------------
+
+def reference_make_graph(n, edges):
+    """The per-edge loop of the tuple-storing ``make_graph``: the sorted
+    ``(edges, adjacency)`` tuples, or the message it raised."""
+    if n < 0:
+        return f"vertex count must be nonnegative, got {n}"
+    norm = []
+    seen = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) out of range for n={n}"
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            return f"parallel edge ({u},{v})"
+        seen.add((u, v))
+        norm.append((u, v))
+    norm.sort()
+    adj = [[] for _ in range(n)]
+    for u, v in norm:
+        adj[u].append(v)
+        adj[v].append(u)
+    return tuple(norm), tuple(tuple(sorted(a)) for a in adj)
+
+
+def reference_csr(adjacency):
+    """CSR arrays from adjacency tuples, as the tuple-storing graph
+    derived them."""
+    indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in adjacency], out=indptr[1:])
+    indices = np.array([w for a in adjacency for w in a], dtype=np.int64)
+    return indptr, indices
+
+
+def _shuffled(edges, seed):
+    rng = np.random.default_rng(seed)
+    return [edges[i][::-1] if rng.integers(2) else edges[i]
+            for i in rng.permutation(len(edges))]
+
+
+MAKE_GRAPH_CASES = {
+    "petersen-shuffled": lambda: (
+        10, _shuffled(wl.build_named("petersen").edges, 1)),
+    "petersen-reversed": lambda: (
+        10, [e[::-1] for e in reversed(wl.build_named("petersen").edges)]),
+    "rr200-shuffled": lambda: (
+        200, _shuffled(wl.build_random_regular(200, 3, 77).edges, 2)),
+    "lps-shuffled": lambda: (2184, _shuffled(wl.build_lps(5, 13).edges, 3)),
+    "numpy-int64": lambda: (6, [(np.int64(u), np.int64(v)) for u, v in
+                                [(4, 5), (0, 3), (3, 1), (2, 0)]]),
+    "numpy-int32-array": lambda: (6, np.array([(4, 5), (0, 3), (3, 1)],
+                                              dtype=np.int32)),
+    "tuple-of-lists": lambda: (4, ([3, 2], [1, 0], [0, 3])),
+    "generator": lambda: (5, ((i, i + 1) for i in range(4))),
+    "empty": lambda: (4, []),
+    "empty-array": lambda: (3, np.empty((0, 2), dtype=np.int64)),
+    "n0": lambda: (0, []),
+    "n0-edge": lambda: (0, [(0, 1)]),
+    "negative-n": lambda: (-1, []),
+    "loop-before-range-and-parallel": lambda: (3, [(0, 1), (2, 2), (0, 9), (1, 0)]),
+    "range-before-loop-and-parallel": lambda: (3, [(0, 1), (0, 9), (2, 2), (1, 0)]),
+    "parallel-before-loop-and-range": lambda: (3, [(0, 1), (1, 0), (2, 2), (0, 9)]),
+    "loop-out-of-range": lambda: (2, [(0, 1), (7, 7)]),
+    "negative-endpoint": lambda: (3, [(0, 1), (-1, 2)]),
+    "parallel-reversed-first": lambda: (4, [(0, 1), (2, 1), (1, 2), (1, 0)]),
+    "parallel-thrice": lambda: (4, [(0, 1), (0, 1), (0, 1)]),
+    # (0, 5) has the key 0*3+5 of (1, 2): range, not parallel, either way
+    "key-collision-after": lambda: (3, [(1, 2), (0, 5)]),
+    "key-collision-before": lambda: (3, [(0, 5), (1, 2)]),
+    "fault-in-large-list": lambda: (2448, wl.build_lps(13, 17).edges[:5000]
+                                    + ((17, 2447), (4, 4), (17, 2447))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAKE_GRAPH_CASES))
+def test_make_graph_matches_tuple_builder(name):
+    n, edges = MAKE_GRAPH_CASES[name]()
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    ref = reference_make_graph(n, edges)
+    if isinstance(ref, str):
+        with pytest.raises(GraphError) as info:
+            wl.make_graph(n, edges)
+        assert str(info.value) == ref
+        return
+    g = wl.make_graph(n, edges)
+    ref_edges, ref_adjacency = ref
+    assert g.edges == ref_edges and g.adjacency == ref_adjacency
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert all(type(w) is int for a in g.adjacency for w in a)
+    for got, want in zip(g.csr, reference_csr(ref_adjacency)):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
+    assert g.m == len(ref_edges)
+    assert [g.degree(v) for v in range(n)] == [len(a) for a in ref_adjacency]
+
+
+def test_make_graph_rejects_non_pairs_and_huge_labels():
+    with pytest.raises(ValueError, match="unpack"):
+        wl.make_graph(4, [(0, 1, 2)])
+    with pytest.raises(GraphError, match="out of range"):
+        wl.make_graph(4, [(0, 10 ** 30)])
+
+
+def test_graph_stores_only_csr():
+    import dataclasses
+    assert [f.name for f in dataclasses.fields(wl.Graph)] == \
+        ["n", "indptr", "indices", "provenance"]
+
+
+def test_has_edge_and_equality(petersen, random_cubic_medium):
+    for g in (petersen, random_cubic_medium, wl.make_graph(3, [])):
+        edge_set = set(g.edges)
+        for u in range(-1, g.n + 1):
+            for v in range(-1, g.n + 1):
+                assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edge_set)
+    same = wl.make_graph(10, reversed(petersen.edges), {"kind": "file"})
+    assert same == petersen and same.provenance != petersen.provenance
+    assert wl.make_graph(11, petersen.edges) != petersen
+    assert wl.make_graph(10, petersen.edges[1:]) != petersen
+    assert petersen != petersen.edges
+
+
+def test_tree_balls_count_exactly_beyond_edge_budget():
+    # LPS(13,17) has girth 6, so its radius-2 balls are trees of 196 edges
+    g = wl.build_lps(13, 17)
+    stats = wl.ball_stats(g, 0, 2)
+    assert stats.full_edge_count == 196 > wl.graphs.CYCLE_EDGE_BUDGET
+    assert stats.full_cycle_rank == 0 and stats.simple_cycle_count == 0
+    rep = wl.assumption1_scan(g, 2)
+    assert rep.max_cycle_rank == 0
+    assert rep.all_counts_exact and rep.max_simple_cycle_count == 0
+
+
+def test_reprs_survive_huge_cycle_bounds():
+    # the radius-4 ball covers LPS(13,17): rank 14,689, a 4,422-digit bound
+    stats = wl.ball_stats(wl.build_lps(13, 17), 0, 4)
+    assert stats.full_cycle_rank == 14689
+    assert stats.simple_cycle_bound == (1 << 14689) - 1
+    text = repr(stats)
+    assert "full_cycle_rank=14689" in text and "simple_cycle_bound" not in text
+    rep = wl.Assumption1Report(
+        radius=4, max_excess=12825, max_cycle_rank=14689,
+        max_simple_cycle_bound=stats.simple_cycle_bound,
+        max_simple_cycle_count=None, all_counts_exact=False)
+    assert "max_cycle_rank=14689" in repr(rep)
+    assert "max_simple_cycle_bound" not in repr(rep)
+
+
 # -- edge-list files ----------------------------------------------------------
 
 def test_edge_list_round_trip(tmp_path, petersen):
@@ -472,7 +625,9 @@ def reference_ball_stats(g, v, k):
     full = len(ball_edges)
     full_rank = full - len(ball) + components
     count = None
-    if full <= wl.graphs.CYCLE_EDGE_BUDGET and \
+    if full_rank == 0:
+        count = 0
+    elif full <= wl.graphs.CYCLE_EDGE_BUDGET and \
             full_rank <= wl.graphs.CYCLE_RANK_BUDGET:
         count = count_simple_cycles(ball_edges)
     stats = wl.BallStats(

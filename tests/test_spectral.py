@@ -60,6 +60,8 @@ ITERATIVE_CASES = {
         7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (1, 6)]),
     "path3": lambda: wl.make_graph(3, [(0, 1), (1, 2)]),  # 3 distinct values
     "rr200": lambda: wl.build_random_regular(200, 3, 77),
+    # criterion 11's graph; n = 2448 is within DENSE_BUDGET
+    "lps13-17": lambda: wl.build_lps(13, 17),
 }
 
 
@@ -315,6 +317,49 @@ def test_compare_restricted_support_violation(k4_chain):
     p2 = power_chain(k4_chain, 2)
     with pytest.raises(SpectralError, match=r"support violation.*P2\(0,0\)"):
         compare_restricted(p2, k4_chain, [0, 1])
+
+
+def reference_compare_c1(chain1, chain2):
+    """C1 from a dict of P2's entries, one P1 entry at a time."""
+    k1, k2 = chain1.kernel.tocoo(), chain2.kernel.tocoo()
+    p2 = {(int(u), int(v)): w for u, v, w in zip(k2.row, k2.col, k2.data)}
+    c1 = 0.0
+    for u, v, w in zip(k1.row, k1.col, k1.data):
+        if w <= 0:
+            continue
+        denom = p2.get((int(u), int(v)), 0.0)
+        if denom <= 0:
+            return (f"support violation: P1({u},{v}) = {w:.3e} "
+                    f"but P2({u},{v}) = 0")
+        c1 = max(c1, w / denom)
+    return c1
+
+
+def test_compare_restricted_matches_dict_lookup(k4_chain):
+    lps = srw_chain(wl.build_lps(13, 17))
+    blend = chain_from_kernel((lps.kernel + power_chain(lps, 2).kernel) * 0.5,
+                              lps.stationary)
+    # P2 with each row's entries stored in reverse order
+    flipped = blend.kernel.copy()
+    for v in range(flipped.shape[0]):
+        lo, hi = flipped.indptr[v], flipped.indptr[v + 1]
+        flipped.indices[lo:hi] = flipped.indices[lo:hi][::-1].copy()
+        flipped.data[lo:hi] = flipped.data[lo:hi][::-1].copy()
+    flipped.has_sorted_indices = False
+    # chain_from_kernel would sort the rows back
+    flipped_chain = dataclasses.replace(blend, kernel=flipped)
+    stored = flipped_chain.kernel.indices.copy()
+    assert not np.array_equal(stored, blend.kernel.indices)
+    for p1, p2 in ((lps, blend), (lps, flipped_chain),
+                   (k4_chain, power_chain(k4_chain, 2))):
+        c1 = compare_restricted(p1, p2, [0, 1]).C1
+        assert type(c1) is float and c1 == reference_compare_c1(p1, p2)
+    # the lookup leaves the caller's kernel as it was stored
+    assert np.array_equal(flipped_chain.kernel.indices, stored)
+    for p1, p2 in ((power_chain(k4_chain, 2), k4_chain), (blend, lps)):
+        with pytest.raises(SpectralError) as info:
+            compare_restricted(p1, p2, [0, 1])
+        assert str(info.value) == reference_compare_c1(p1, p2)
 
 
 def test_compare_w_equals_k_on_tree_balls(girth5_graph):
