@@ -23,9 +23,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .checks import Check
-from .chains import ReversibleChain, APERIODIC, mixing_profile
+from .chains import ReversibleChain, APERIODIC, MixingProfile
 from .graphs import Graph, _bfs_levels, _level_distances, ball_table
-from .spectral import DENSE_BUDGET, restricted_top_eig, spectrum
+from .spectral import restricted_top_eig
 
 EXACT_SEARCH_LIMIT = 20
 MAX_QUANTILE_STEPS = 100_000
@@ -298,36 +298,6 @@ def _largest(found) -> np.ndarray:
     return np.frombuffer(key, dtype=">u4").astype(np.int64)
 
 
-def candidate_family(chain: ReversibleChain, alpha: float,
-                     graph: Graph = None,
-                     max_sets: int = 4096) -> CandidateFamily:
-    """``candidate_small_sets``, built once per (graph, or chain when
-    ``graph`` is None; alpha; max_sets) and shared by later calls.
-
-    The memo lives on the graph (or chain).  A graph's entry also records
-    its chain and is reused only for a chain with the same kernel and
-    stationary distribution; another chain rebuilds and replaces it.
-    """
-    owner = chain if graph is None else graph
-    memo = vars(owner).setdefault("_candidate_family_cache", {})
-    key = (float(alpha), int(max_sets))
-    entry = memo.get(key)
-    if entry is None or not _same_chain(entry[0], chain):
-        entry = memo[key] = (chain, candidate_small_sets(
-            chain, alpha, graph=graph, max_sets=max_sets))
-    return entry[1]
-
-
-def _same_chain(a: ReversibleChain, b: ReversibleChain) -> bool:
-    if a is b:
-        return True
-    ka, kb = a.kernel.tocsr(), b.kernel.tocsr()
-    return (a.n == b.n and np.array_equal(a.stationary, b.stationary)
-            and all(np.array_equal(x, y) for x, y in (
-                (ka.indptr, kb.indptr), (ka.indices, kb.indices),
-                (ka.data, kb.data))))
-
-
 @dataclass(frozen=True)
 class HitQuantile:
     """hit_{1-alpha}(eps) over an explicit or exhaustive set family.
@@ -347,18 +317,20 @@ class HitQuantile:
 
 
 def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
-                 search: str = "exact", graph: Graph = None,
+                 sets=None,
                  max_steps: int = MAX_QUANTILE_STEPS) -> HitQuantile:
     """First time every mass-<=alpha set is escaped w.p. >= 1-eps.
 
-    Exact mode enumerates subsets (n <= 20, sizes <= floor(alpha n));
-    candidate-family mode maximizes over the heuristic family only and is
-    flagged as a lower bound.  Returns 0 when no set qualifies.
+    With ``sets`` None every subset of size <= floor(alpha n) is
+    enumerated (n <= 20) and the value is exact; a given family, such as
+    ``candidate_small_sets(chain, alpha)``, is maximized over as it stands
+    and the value is flagged as a lower bound.  Returns 0 when no set
+    qualifies.
     """
     if not (0.0 < alpha < 1.0 and 0.0 < eps < 1.0):
         raise HittingError("alpha and eps must lie in (0,1)")
     pi = chain.stationary
-    if search == "exact":
+    if sets is None:
         if chain.n > EXACT_SEARCH_LIMIT:
             raise HittingError(
                 f"exact search needs n <= {EXACT_SEARCH_LIMIT}, got {chain.n}")
@@ -369,11 +341,8 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
                 if pi[list(combo)].sum() <= alpha + 1e-15:
                     sets.append(combo)
         mode = "exact"
-    elif search == "candidate-family":
-        sets = candidate_family(chain, alpha, graph=graph)
-        mode = "candidate-lower-bound"
     else:
-        raise HittingError(f"unknown search mode {search!r}")
+        mode = "candidate-lower-bound"
 
     if not sets:
         return HitQuantile(time=0, alpha=alpha, eps=eps, mode=mode, n_sets=0)
@@ -424,9 +393,6 @@ class HitReport:
 
     ``survival_checks`` holds, per requested t, the three-term chain
     pi_A(a) surv(a,t)^2 <= sum_b pi_A(b) surv(b,t)^2 <= lambda(A)^{2t}.
-    ``quantile_check`` compares hit_{1-alpha}(sqrt(alpha)) against the
-    half-log bound available when lambda2 is in (0, 1/2).  The mixing
-    transfer constant is reported, never asserted.
     """
 
     subset: tuple
@@ -435,26 +401,16 @@ class HitReport:
     survival_curve: tuple
     survival_checks: tuple
     middle_consistency: tuple
-    quantile_check: Check = None
-    hitmix_constant: Check = None
 
     @property
     def all_passed(self) -> bool:
-        records = list(self.survival_checks) + list(self.middle_consistency)
-        if self.quantile_check is not None:
-            records.append(self.quantile_check)
-        return not any(r.failed for r in records)
+        return not any(r.failed for r in
+                       self.survival_checks + self.middle_consistency)
 
 
 def verify_spectral_hit(chain: ReversibleChain, subset, t_list,
-                        alpha: float = None, eps: float = None,
-                        lambda2: float = None, t_rel: float = None,
-                        graph: Graph = None, tol: float = 1e-10) -> HitReport:
-    """Evaluate the survival/Perron chain at each t plus the side checks.
-
-    ``alpha``/``eps`` activate the quantile bound and the implied mixing
-    constant; both need lambda2 (computed densely when not supplied).
-    """
+                        tol: float = 1e-10) -> HitReport:
+    """Evaluate the survival/Perron chain at each t."""
     subset = tuple(sorted(set(int(v) for v in subset)))
     t_list = tuple(sorted(set(int(t) for t in t_list)))
     if not t_list or t_list[0] < 0:
@@ -489,33 +445,18 @@ def verify_spectral_hit(chain: ReversibleChain, subset, t_list,
         curve.append(float(u.max()))
         u = sub @ u
 
-    quantile_check = None
-    hitmix = None
-    if alpha is not None:
-        if lambda2 is None or t_rel is None:
-            summ = spectrum(chain, mode="dense-full"
-                            if chain.n <= DENSE_BUDGET
-                            else "iterative-extremal")
-            lambda2 = summ.lambda2 if lambda2 is None else lambda2
-            t_rel = summ.t_rel if t_rel is None else t_rel
-        quantile_check = quantile_halflog_check(chain, alpha, lambda2,
-                                                graph=graph, tol=tol)
-        if eps is not None:
-            hitmix = hitmix_constant_record(chain, alpha, eps, t_rel,
-                                            graph=graph)
     return HitReport(subset=subset, lambda_A=lam, t_list=t_list,
                      survival_curve=tuple(curve), survival_checks=tuple(checks),
-                     middle_consistency=tuple(middles),
-                     quantile_check=quantile_check, hitmix_constant=hitmix)
+                     middle_consistency=tuple(middles))
 
 
 def quantile_halflog_check(chain: ReversibleChain, alpha: float,
-                           lambda2: float, graph: Graph = None,
+                           lambda2: float, sets=None,
                            tol: float = 1e-10) -> Check:
     """hit_{1-alpha}(sqrt(alpha)) against (1/2)|log_{1/(2 lambda2)} min pi|.
 
     Valid for lambda2 in (0, 1/2) and alpha <= lambda2; skipped with the
-    reason otherwise.
+    reason otherwise.  ``sets`` is passed to :func:`hit_quantile`.
     """
     if not (0.0 < lambda2 < 0.5):
         return Check(name="quantile-halflog", lhs=None, rhs=None, passed=None,
@@ -524,9 +465,7 @@ def quantile_halflog_check(chain: ReversibleChain, alpha: float,
         return Check(name="quantile-halflog", lhs=None, rhs=None, passed=None,
                      note=f"skipped: alpha={alpha:.6g} exceeds "
                           f"lambda2={lambda2:.6g}")
-    search = "exact" if chain.n <= EXACT_SEARCH_LIMIT else "candidate-family"
-    hq = hit_quantile(chain, alpha, math.sqrt(alpha), search=search,
-                      graph=graph)
+    hq = hit_quantile(chain, alpha, math.sqrt(alpha), sets=sets)
     pi_min = float(chain.stationary.min())
     bound = 0.5 * abs(math.log(pi_min) / math.log(1.0 / (2.0 * lambda2)))
     return Check(name="quantile-halflog", lhs=hq.time, rhs=bound,
@@ -534,20 +473,26 @@ def quantile_halflog_check(chain: ReversibleChain, alpha: float,
 
 
 def hitmix_constant_record(chain: ReversibleChain, alpha: float, eps: float,
-                           t_rel: float, graph: Graph = None) -> Check:
+                           t_rel: float, profile: MixingProfile,
+                           sets=None) -> Check:
     """Implied constant (tmix(eps+alpha) - hit)/(t_rel log(1/alpha)).
 
-    Reported, never asserted: the escape-to-mixing transfer holds with
-    some absolute constant, whose value is not pinned down.
+    tmix(eps+alpha) is the first t with ``profile.tv_curve[t] <=
+    eps+alpha``; ``profile`` is the chain's mixing profile, which may be
+    None for a periodic or reducible chain, and ``sets`` is passed to
+    :func:`hit_quantile`.  Reported, never asserted: the escape-to-mixing
+    transfer holds with some absolute constant, whose value is not pinned
+    down.
     """
     if chain.period_info != APERIODIC or not chain.is_irreducible:
         return Check(name="hitmix-constant", lhs=None, rhs=None,
                      passed=None, note="skipped: chain not ergodic")
-    search = "exact" if chain.n <= EXACT_SEARCH_LIMIT else "candidate-family"
-    hq = hit_quantile(chain, alpha, eps, search=search, graph=graph)
+    hq = hit_quantile(chain, alpha, eps, sets=sets)
     target = eps + alpha
-    tmix = 0 if target >= 1.0 else mixing_profile(
-        chain, [target]).mixing_times[target]
+    tmix = 0 if target >= 1.0 else next(
+        (t for t, tv in enumerate(profile.tv_curve) if tv <= target), None)
+    if tmix is None:
+        raise HittingError(f"mixing profile stops above eps+alpha={target:g}")
     denom = t_rel * math.log(1.0 / alpha)
     c_impl = (tmix - hq.time) / denom if denom > 0 else math.inf
     return Check(name="hitmix-constant", lhs=c_impl, rhs=None, passed=None,

@@ -1,13 +1,17 @@
 """Config-driven verification suites tying the library together.
 
-Each suite turns one graph into a list of report records (pass/fail or
-informational).  Everything is deterministic given the config: all
-randomness is drawn from Philox streams keyed by the config seed, and
-the emitted files carry no timing or host data.
+``run_suite`` builds one :class:`Run` per config: the graph, its SRW
+chain and spectrum, plus the candidate family, mixing profile and
+distance-k graph and chain, each built on first use and shared by every
+suite.  Each suite turns the run into a list of report records
+(pass/fail or informational).  Everything is deterministic given the
+config: all randomness is drawn from Philox streams keyed by the config
+seed, and the emitted files carry no timing or host data.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -113,15 +117,51 @@ def _skip(suite: str, reason: str) -> dict:
     return record(suite, "suite-skipped", passed=None, note=reason)
 
 
+@dataclass(frozen=True)
+class Run:
+    """The per-run objects every suite reads, each built at most once.
+
+    ``chain`` is the SRW chain of ``g`` and ``summary`` its spectrum.  The
+    cached properties are built on first use, through their module
+    attributes (``H.candidate_small_sets``, ...).
+    """
+
+    cfg: ExperimentConfig
+    g: G.Graph
+    chain: C.ReversibleChain
+    summary: S.SpectrumSummary
+
+    @functools.cached_property
+    def family(self) -> H.CandidateFamily:
+        return H.candidate_small_sets(self.chain, self.cfg.alpha, graph=self.g)
+
+    @functools.cached_property
+    def profile(self):
+        """Mixing profile on the grid {eps, 0.1}; None when the chain is
+        periodic or reducible."""
+        if self.chain.period_info != C.APERIODIC \
+                or not self.chain.is_irreducible:
+            return None
+        return C.mixing_profile(self.chain, sorted({self.cfg.eps, 0.1}))
+
+    @functools.cached_property
+    def inflated(self) -> G.Graph:
+        return G.inflate(self.g, self.cfg.k)
+
+    @functools.cached_property
+    def inflated_chain(self):
+        """SRW chain of the distance-k graph; None when some k-sphere is
+        empty."""
+        if self.inflated.degree_profile.min_degree == 0:
+            return None
+        return C.srw_chain(self.inflated)
+
+
 # ---------------------------------------------------------------------------
 
 
-def _shared_spectrum(g, chain):
-    mode = "dense-full" if chain.n <= S.DENSE_BUDGET else "iterative-extremal"
-    return S.spectrum(chain, mode=mode, source_graph=g)
-
-
-def spectral_suite(g, chain, summary, cfg) -> tuple:
+def spectral_suite(run: Run) -> tuple:
+    g, chain, summary, cfg = run.g, run.chain, run.summary, run.cfg
     recs = []
     csvs = {}
     recs.append(record(
@@ -155,7 +195,7 @@ def spectral_suite(g, chain, summary, cfg) -> tuple:
                    "bipartite": cls.bipartite}))
 
     # restricted Perron roots on a deterministic family of small sets
-    sets = H.candidate_family(chain, cfg.alpha, graph=g)[:16]
+    sets = run.family[:16]
     for A in sets:
         rec = S.restricted_top_eig(chain, A, lambda2=summary.lambda2)
         recs.append(record(
@@ -179,15 +219,16 @@ def spectral_suite(g, chain, summary, cfg) -> tuple:
     return recs, csvs
 
 
-def mixing_suite(g, chain, summary, cfg) -> tuple:
+def mixing_suite(run: Run) -> tuple:
+    g, chain, summary, cfg = run.g, run.chain, run.summary, run.cfg
     if chain.period_info != C.APERIODIC:
         return [_skip("mixing", "chain is bipartite-periodic")], {}
     if not chain.is_irreducible:
         return [_skip("mixing", "chain is reducible")], {}
     recs = []
     csvs = {}
-    grid = tuple(sorted({cfg.eps, 0.1}))
-    prof = C.mixing_profile(chain, grid)
+    prof = run.profile
+    grid = prof.eps_grid
     recs.append(record(
         "mixing", "profile-internal-invariants", passed=True,
         note="TV/L2 monotone and 4tv^2 <= l2sq at every step"))
@@ -230,10 +271,11 @@ def mixing_suite(g, chain, summary, cfg) -> tuple:
     return recs, csvs
 
 
-def hitting_suite(g, chain, summary, cfg) -> tuple:
+def hitting_suite(run: Run) -> tuple:
+    chain, summary, cfg = run.chain, run.summary, run.cfg
     recs = []
     csvs = {}
-    sets = H.candidate_family(chain, cfg.alpha, graph=g)
+    sets = run.family
     if not sets:
         return [_skip("hitting", f"no sets with mass <= alpha={cfg.alpha}")], {}
     sets = sorted(sets, key=lambda A: (len(A), A))
@@ -251,11 +293,14 @@ def hitting_suite(g, chain, summary, cfg) -> tuple:
         if tail > worst_peak:
             worst_peak = tail
             worst_curve = rep.survival_curve
+    # the quantile is exact on small chains, a lower bound over the family
+    # otherwise
+    qsets = None if chain.n <= H.EXACT_SEARCH_LIMIT else run.family
     qcheck = H.quantile_halflog_check(chain, cfg.alpha, summary.lambda2,
-                                      graph=g)
+                                      sets=qsets)
     recs.append(record_from_check("hitting", qcheck))
     hm = H.hitmix_constant_record(chain, cfg.alpha, cfg.eps, summary.t_rel,
-                                  graph=g)
+                                  run.profile, sets=qsets)
     recs.append(record_from_check("hitting", hm))
     if cfg.dump_curves and worst_curve is not None:
         csvs["survival_worst_set.csv"] = (
@@ -263,11 +308,12 @@ def hitting_suite(g, chain, summary, cfg) -> tuple:
     return recs, csvs
 
 
-def inflation_suite(g, chain, summary, cfg) -> tuple:
+def inflation_suite(run: Run) -> tuple:
+    g, cfg = run.g, run.cfg
     if not g.is_regular:
         return [_skip("inflation", "needs a regular base graph")], {}
     recs = []
-    gk = G.inflate(g, cfg.k)
+    gk = run.inflated
     prof = gk.degree_profile
     comps = len(G.connected_components(gk))
     recs.append(record(
@@ -280,7 +326,7 @@ def inflation_suite(g, chain, summary, cfg) -> tuple:
             "inflation", "w-vs-k", passed=None,
             note="skipped: some vertex has an empty k-sphere"))
         return recs, {}
-    k_chain = C.srw_chain(gk)
+    k_chain = run.inflated_chain
     recs.append(record(
         "inflation", "inflated-srw-reversible", passed=True,
         note=f"pi proportional to degree, {k_chain.period_info}"))
@@ -306,7 +352,8 @@ def inflation_suite(g, chain, summary, cfg) -> tuple:
     return recs, {}
 
 
-def tree_suite(g, chain, summary, cfg) -> tuple:
+def tree_suite(run: Run) -> tuple:
+    g, cfg = run.g, run.cfg
     recs = []
     csvs = {}
     if not g.is_regular or g.regular_degree < 3:
@@ -351,11 +398,14 @@ def tree_suite(g, chain, summary, cfg) -> tuple:
     return recs, csvs
 
 
-def walk_suite(g, chain, summary, cfg) -> tuple:
+def walk_suite(run: Run) -> tuple:
+    g, cfg = run.g, run.cfg
     if not G.is_connected(g):
         return [_skip("walk", "graph is disconnected")], {}
     if not g.is_regular:
         return [_skip("walk", "walk suite needs a regular graph")], {}
+    if g.regular_degree < 3:
+        return [_skip("walk", "needs a regular graph with d >= 3")], {}
     recs = []
     k = cfg.k
     try:
@@ -396,8 +446,8 @@ def walk_suite(g, chain, summary, cfg) -> tuple:
              f"seed ({row.seed},{row.stream})"))
 
     esc = W.escape_transfer_experiment(
-        g, k=k, t=cfg.steps, s=max(1, cfg.steps // 2),
-        trials=min(cfg.trials, 4000), seed=cfg.seed, alpha=cfg.alpha)
+        g, run.chain, run.family, run.inflated_chain, k=k, t=cfg.steps,
+        s=max(1, cfg.steps // 2), trials=min(cfg.trials, 4000), seed=cfg.seed)
     for check in esc.checks:
         recs.append(record_from_check("walk", check, extra={
             "srw_escape": esc.srw_escape, "y_escape": esc.y_escape,
@@ -437,13 +487,14 @@ def run_suite(cfg: ExperimentConfig, write: bool = True):
         report.add(record("run", "srw-chain", passed=False, note=str(exc)))
         paths = write_report(report, cfg.out_dir) if write else {}
         return report, paths
-    summary = _shared_spectrum(g, chain)
+    mode = "dense-full" if chain.n <= S.DENSE_BUDGET else "iterative-extremal"
+    run = Run(cfg, g, chain, S.spectrum(chain, mode=mode, source_graph=g))
     csv_files = {}
     timings = {}
     selected = cfg.selected_suites()
     for name in selected:
         t0 = time.perf_counter()
-        recs, csvs = SUITE_FUNCTIONS[name](g, chain, summary, cfg)
+        recs, csvs = SUITE_FUNCTIONS[name](run)
         timings[name] = time.perf_counter() - t0
         report.extend(recs)
         csv_files.update(csvs)

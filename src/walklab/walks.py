@@ -38,10 +38,9 @@ from .checks import Check
 # bfs_distances stays bound here: perfbench's self-test checks that its
 # tracer wraps walks.bfs_distances
 from .graphs import (Graph, ball_table, bfs_distances,  # noqa: F401
-                     inflate, is_connected)
-from .chains import srw_chain
-from .hitting import (candidate_family, family_survival,
-                      sphere_hit_distribution)
+                     is_connected)
+from .chains import ReversibleChain
+from .hitting import family_survival, sphere_hit_distribution
 
 
 class WalkError(ValueError):
@@ -350,8 +349,6 @@ class EscapeTransferReport:
     t: int
     s: int
     tau_t: int
-    alpha_requested: object
-    alpha_used: float
     n_sets: int
     srw_escape: float
     y_escape: float
@@ -361,41 +358,30 @@ class EscapeTransferReport:
     trials: int
     seed: int
     checks: tuple
-    note: str = ""
 
     @property
     def all_passed(self) -> bool:
         return not any(c.failed for c in self.checks)
 
 
-def escape_transfer_experiment(g: Graph, k: int, t: int, s: int,
-                               trials: int, seed: int,
-                               alpha: float = None,
+def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
+                               k_chain: ReversibleChain, k: int, t: int,
+                               s: int, trials: int, seed: int,
                                mc_starts_limit: int = 64) -> EscapeTransferReport:
     """Exact + Monte Carlo verification of the escape decomposition.
 
     P_a[T_{A^c} > t+s] <= P^Y_a[T_{A^c} > tau(t)] + P_a[T_{tau(t)} > t+s]
-    is asserted for the worst candidate set within Monte Carlo error.
-    When ``alpha`` is None the scale max(1/n, (d-1)^{-3k^2}) is used and
-    the substitution is recorded in the note.
+    is asserted for the worst set of ``sets`` within Monte Carlo error.
+    ``chain`` is the SRW chain of ``g`` and ``sets`` a nonempty family of
+    small sets, such as ``candidate_small_sets(chain, alpha, graph=g)``;
+    ``k_chain`` is the SRW chain of ``inflate(g, k)``, or None when some
+    k-sphere is empty, which leaves ``k_escape`` None.
     """
     if not g.is_regular:
         raise WalkError("escape transfer experiment needs a regular graph")
     d = g.regular_degree
-    note = ""
-    if alpha is None:
-        alpha_used = max(1.0 / g.n, float(d - 1) ** (-3 * k * k))
-        note = (f"alpha defaulted to max(1/n, (d-1)^(-3k^2)) = {alpha_used:.6g}")
-    else:
-        alpha_used = float(alpha)
-    chain = srw_chain(g)
-    if alpha_used < chain.stationary.min() - 1e-15:
-        raise WalkError(
-            f"alpha={alpha_used:.6g} is below the smallest stationary mass; "
-            f"no candidate sets exist")
-    sets = candidate_family(chain, alpha_used, graph=g)
     if not sets:
-        raise WalkError("candidate family is empty")
+        raise WalkError("candidate family is empty: no set has mass <= alpha")
     tau_t = tau(t, d, k)
     horizon = t + s
 
@@ -412,9 +398,7 @@ def escape_transfer_experiment(g: Graph, k: int, t: int, s: int,
     y_escape = float(family_survival(w, sets, tau_t).max())
 
     k_escape = None
-    gk = inflate(g, k)
-    if gk.degree_profile.min_degree > 0:
-        k_chain = srw_chain(gk)
+    if k_chain is not None:
         k_escape = float(family_survival(k_chain.kernel, sets, tau_t).max())
 
     if g.n <= mc_starts_limit:
@@ -443,8 +427,7 @@ def escape_transfer_experiment(g: Graph, k: int, t: int, s: int,
             name="y-vs-k-escape", lhs=y_escape, rhs=k_escape, passed=None,
             note="informational: equal on graphs with girth > 2k"))
     return EscapeTransferReport(
-        k=k, t=t, s=s, tau_t=tau_t, alpha_requested=alpha,
-        alpha_used=alpha_used, n_sets=len(sets), srw_escape=srw_escape,
+        k=k, t=t, s=s, tau_t=tau_t, n_sets=len(sets), srw_escape=srw_escape,
         y_escape=y_escape, k_escape=k_escape, slow_regen=slow,
         slow_regen_stderr=slow_se, trials=trials, seed=seed,
-        checks=tuple(checks), note=note)
+        checks=tuple(checks))

@@ -203,6 +203,18 @@ def test_chain_from_kernel_validates():
         chain_from_kernel(asym, np.array([0.5, 0.5]))
 
 
+def test_chain_from_kernel_leaves_the_callers_matrix_alone():
+    # SRW on the triangle, row 0 stored with its columns as [2, 1]
+    kernel = sp.csr_matrix((np.full(6, 0.5), np.array([2, 1, 0, 2, 0, 1]),
+                            np.array([0, 2, 4, 6])), shape=(3, 3))
+    chain = chain_from_kernel(kernel, np.full(3, 1.0 / 3.0))
+    assert kernel.indices.tolist() == [2, 1, 0, 2, 0, 1]
+    for name in ("data", "indices", "indptr"):
+        assert not np.shares_memory(getattr(chain.kernel, name),
+                                    getattr(kernel, name)), name
+    assert np.array_equal(chain.kernel.toarray(), kernel.toarray())
+
+
 def test_tv_monotone_on_profile(random_cubic_medium):
     chain = srw_chain(random_cubic_medium)
     prof = mixing_profile(chain, [0.25])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -11,6 +12,17 @@ from walklab.suites import (ConfigError, ExperimentConfig, build_graph,
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def canonical_digest(out_dir) -> str:
+    """sha256 over name, NUL and bytes of every report file but the
+    timings sidecar, in sorted order."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(out_dir)):
+        if name != "timings.json":
+            with open(os.path.join(out_dir, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + fh.read())
+    return h.hexdigest()
 
 
 def test_gen_and_file_round_trip(tmp_path):
@@ -140,7 +152,7 @@ def test_exit_code_on_check_failure(tmp_path, monkeypatch):
     from walklab import suites as su
     from walklab.reports import record
 
-    def bad_suite(g, chain, summary, cfg):
+    def bad_suite(run):
         return [record("spectral", "forced-failure", lhs=1, rhs=0,
                        passed=False)], {}
 
@@ -185,3 +197,38 @@ def test_report_json_independent_of_out_dir(tmp_path):
             blobs.append(fh.read())
     assert blobs[0] == blobs[1]
     assert b"out_dir" not in blobs[0]
+
+
+# all-suite canonical reports; any change to these bytes must be deliberate
+PINNED_DIGESTS = {
+    "rr64": ({"kind": "random-regular", "n": 64, "d": 3, "seed": 8},
+             "5d78ed0c3600f09cf836a3d440e1555c83ee4dc2010a69a08bc53023904a0e69"),
+    "petersen": ({"kind": "named", "name": "petersen"},
+                 "db25e29c737c4b9a0264d50ab73edd941e9bb3309e15bdec2d0dee3b5d7a1678"),
+    # bipartite: the periodic skips of the mixing and hitmix records
+    "q3": ({"kind": "named", "name": "hypercube", "dim": 3},
+           "10f49310591cfc8effec36244c85c284f2675e7a6ca31c1f8c5f756ce95605ae"),
+    # diameter 1: every 2-sphere is empty
+    "k5": ({"kind": "named", "name": "complete", "n": 5},
+           "157d7a3ba93f153dcefcab1ac085bcef8a581fd84dcc8e2ecd16b5244a6ef06a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_canonical_report_digests(tmp_path, name):
+    spec, digest = PINNED_DIGESTS[name]
+    out = str(tmp_path / name)
+    run_suite(ExperimentConfig(graph=spec, trials=2000, seed=3, out_dir=out))
+    assert canonical_digest(out) == digest
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_all_suites_on_cycles_skip_the_walk(tmp_path, n):
+    out = str(tmp_path / f"c{n}")
+    cfg = ExperimentConfig(graph={"kind": "named", "name": "cycle", "n": n},
+                           out_dir=out)
+    run_suite(cfg)
+    rep = read_report(os.path.join(out, "report.json"))
+    assert [(r["suite"], r["name"], r["note"]) for r in rep["records"]
+            if r["suite"] == "walk"] == [
+        ("walk", "suite-skipped", "needs a regular graph with d >= 3")]

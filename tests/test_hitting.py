@@ -6,7 +6,7 @@ import pytest
 
 import walklab as wl
 from walklab import hitting
-from walklab.chains import srw_chain
+from walklab.chains import mixing_profile, srw_chain
 from walklab.hitting import (HittingError, candidate_small_sets,
                              expected_hit_time, family_survival, hit_quantile,
                              hitmix_constant_record, quantile_halflog_check,
@@ -74,13 +74,13 @@ def test_hit_quantile_vacuous(k4_chain):
 def test_hit_quantile_exact_needs_small_n(random_cubic_medium):
     chain = srw_chain(random_cubic_medium)
     with pytest.raises(HittingError, match="n <= 20"):
-        hit_quantile(chain, 0.1, 0.1, search="exact")
+        hit_quantile(chain, 0.1, 0.1)
 
 
 def test_hit_quantile_candidate_is_lower_bound(petersen, petersen_chain):
-    exact = hit_quantile(petersen_chain, 0.25, 0.1, search="exact")
-    cand = hit_quantile(petersen_chain, 0.25, 0.1,
-                        search="candidate-family", graph=petersen)
+    exact = hit_quantile(petersen_chain, 0.25, 0.1)
+    cand = hit_quantile(petersen_chain, 0.25, 0.1, sets=candidate_small_sets(
+        petersen_chain, 0.25, graph=petersen))
     assert cand.mode == "candidate-lower-bound"
     assert cand.time <= exact.time
 
@@ -131,7 +131,7 @@ QUANTILE_CASES = [("petersen", 0.25, 0.1), ("petersen", 0.3, 0.02),
 def test_hit_quantile_exact_matches_per_set_loop(request, name, alpha, eps):
     g = request.getfixturevalue(name)
     chain = srw_chain(g)
-    hq = hit_quantile(chain, alpha, eps, search="exact")
+    hq = hit_quantile(chain, alpha, eps)
     ref = per_set_hit_quantile(chain, exact_family(chain, alpha), eps,
                                hitting.MAX_QUANTILE_STEPS)
     assert (hq.time, hq.worst_set, hq.worst_start) == ref
@@ -152,7 +152,7 @@ def test_hit_quantile_candidates_match_per_set_loop(petersen, petersen_chain,
              candidate_small_sets(petersen_chain, 0.25, graph=petersen),
              0.25, 0.1),
             (random_cubic_medium, chain, sets, 0.1, 0.05)):
-        hq = hit_quantile(ch, alpha, eps, search="candidate-family", graph=g)
+        hq = hit_quantile(ch, alpha, eps, sets=fam)
         assert hq.n_sets == len(fam)
         ref = per_set_hit_quantile(ch, fam, eps, hitting.MAX_QUANTILE_STEPS)
         assert (hq.time, hq.worst_set, hq.worst_start) == ref
@@ -397,36 +397,8 @@ def test_candidate_family_sequence(petersen, petersen_chain):
     assert list(np.diff(fam.offsets)) == [len(s) for s in sets]
 
 
-def test_candidate_family_is_built_once(monkeypatch, petersen, prism):
-    builds = []
-    build = hitting.candidate_small_sets
-
-    def counting(*args, **kwargs):
-        builds.append(args[1])
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(hitting, "candidate_small_sets", counting)
-    g = wl.make_graph(petersen.n, petersen.edges)
-    first = hitting.candidate_family(srw_chain(g), 0.25, graph=g)
-    # an equal chain built again shares the graph's family
-    assert hitting.candidate_family(srw_chain(g), 0.25, graph=g) is first
-    assert len(builds) == 1
-    hitting.candidate_family(srw_chain(g), 0.3, graph=g)
-    assert builds == [0.25, 0.3]
-    # without a graph the family lives on the chain
-    chain = srw_chain(prism)
-    assert hitting.candidate_family(chain, 0.34) \
-        is hitting.candidate_family(chain, 0.34)
-    assert len(builds) == 3
-    # a different chain on the same graph gets its own family
-    lazy = wl.chain_from_kernel(
-        (chain.kernel + np.eye(prism.n)) * 0.5, chain.stationary)
-    hitting.candidate_family(lazy, 0.34, graph=prism)
-    hitting.candidate_family(chain, 0.34, graph=prism)
-    assert len(builds) == 5
-
-
 def test_run_suite_builds_the_family_once(monkeypatch):
+    from walklab import chains, graphs, spectral
     from walklab.suites import ExperimentConfig, run_suite
     builds = []
     build = hitting.candidate_small_sets
@@ -436,6 +408,21 @@ def test_run_suite_builds_the_family_once(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(hitting, "candidate_small_sets", counting)
+    calls = {}
+
+    def record_calls(module, name):
+        original = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.setdefault(name, []).append((args, out))
+            return out
+
+        monkeypatch.setattr(module, name, recorded)
+
+    for module, name in ((spectral, "spectrum"), (chains, "mixing_profile"),
+                         (graphs, "inflate"), (chains, "srw_chain")):
+        record_calls(module, name)
     cfg = ExperimentConfig(graph={"kind": "random-regular", "n": 64, "d": 3,
                                   "seed": 8}, trials=200, seed=3)
     report, _ = run_suite(cfg, write=False)
@@ -443,6 +430,12 @@ def test_run_suite_builds_the_family_once(monkeypatch):
     # experiment all read the family
     assert any(r["name"] == "escape-decomposition" for r in report.records)
     assert builds == [cfg.alpha]
+    # the mixing and hitting suites share one profile, the inflation and
+    # walk suites one distance-k graph and chain
+    for name in ("spectrum", "mixing_profile", "inflate"):
+        assert len(calls[name]) == 1, name
+    [(_, gk)] = calls["inflate"]
+    assert sum(args[0] is gk for args, _ in calls["srw_chain"]) == 1
 
 
 # -- sphere hits against the column-solve reference ---------------------------
@@ -516,8 +509,7 @@ def test_expected_hit_time_matches_reference_system(nonregular):
 # -- the survival / Perron suite ---------------------------------------------
 
 def test_verify_spectral_hit_k4_pair(k4_chain):
-    rep = verify_spectral_hit(k4_chain, [0, 1], [0, 1, 2, 5], alpha=0.3,
-                              eps=0.1)
+    rep = verify_spectral_hit(k4_chain, [0, 1], [0, 1, 2, 5])
     assert abs(rep.lambda_A - 1 / 3) < 1e-12
     assert rep.all_passed
     # right inequality is an equality here: the all-ones vector is the
@@ -529,8 +521,9 @@ def test_verify_spectral_hit_k4_pair(k4_chain):
     at2 = [c for c in rep.survival_checks if c.name.endswith("t=2")]
     assert abs(at2[0].lhs - 0.5 * 3.0 ** -4) < 1e-15
     # lambda2(K4) < 0, so the half-log quantile bound is skipped
-    assert rep.quantile_check.passed is None
-    assert "lambda2" in rep.quantile_check.note
+    check = quantile_halflog_check(k4_chain, 0.3, spectrum(k4_chain).lambda2)
+    assert check.passed is None
+    assert "lambda2" in check.note
 
 
 def test_verify_spectral_hit_random_pairs():
@@ -545,10 +538,9 @@ def test_verify_spectral_hit_random_pairs():
         assert rep.all_passed, (n, subset)
 
 
-def test_quantile_halflog_petersen(petersen, petersen_chain):
+def test_quantile_halflog_petersen(petersen_chain):
     s = spectrum(petersen_chain)
-    check = quantile_halflog_check(petersen_chain, 0.25, s.lambda2,
-                                   graph=petersen)
+    check = quantile_halflog_check(petersen_chain, 0.25, s.lambda2)
     # survival of the worst pair after 1 step is 1/3 <= sqrt(0.25)
     assert check.lhs == 1
     assert abs(check.rhs - 0.5 * math.log(10) / math.log(1.5)) < 1e-12
@@ -562,12 +554,23 @@ def test_quantile_halflog_requires_alpha_below_lambda2(petersen_chain):
     assert "alpha" in check.note
 
 
-def test_hitmix_record_is_informational(petersen, petersen_chain):
+def test_hitmix_record_is_informational(petersen_chain):
     s = spectrum(petersen_chain)
-    rec = hitmix_constant_record(petersen_chain, 0.25, 0.25, s.t_rel,
-                                 graph=petersen)
+    prof = mixing_profile(petersen_chain, [0.1, 0.25])
+    rec = hitmix_constant_record(petersen_chain, 0.25, 0.25, s.t_rel, prof)
     assert rec.passed is None
     assert isinstance(rec.lhs, float)
+    # tmix(eps+alpha) read off the shared profile equals its own profile's
+    tmix = mixing_profile(petersen_chain, [0.5]).mixing_times[0.5]
+    assert rec.note.startswith(f"tmix(0.5)={tmix}, ")
+
+
+def test_hitmix_record_needs_a_long_enough_profile(petersen_chain):
+    s = spectrum(petersen_chain)
+    prof = mixing_profile(petersen_chain, [0.5])
+    assert prof.tv_curve[-1] > 0.25
+    with pytest.raises(HittingError, match="profile stops above"):
+        hitmix_constant_record(petersen_chain, 0.1, 0.15, s.t_rel, prof)
 
 
 # -- sphere hitting -----------------------------------------------------------

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import walklab as wl
-from walklab.graphs import bfs_distances
-from walklab.hitting import expected_hit_time, sphere_hit_distribution
+from walklab.chains import srw_chain
+from walklab.graphs import bfs_distances, inflate
+from walklab.hitting import (candidate_small_sets, expected_hit_time,
+                             sphere_hit_distribution)
 from walklab.walks import (WalkError, annotate_trace, block_statistics,
                            empirical_y_kernel, escape_transfer_experiment,
                            make_rng, sample_first_regenerations,
@@ -154,9 +156,18 @@ def test_sample_first_regenerations_matches_hit_time(petersen):
     assert set(np.unique(landings)) == set(hit.sphere)
 
 
+def escape_transfer(g, alpha, k, **kwargs):
+    """The escape experiment on g with the candidate family at alpha."""
+    chain = srw_chain(g)
+    sets = candidate_small_sets(chain, alpha, graph=g)
+    gk = inflate(g, k)
+    k_chain = srw_chain(gk) if gk.degree_profile.min_degree > 0 else None
+    return escape_transfer_experiment(g, chain, sets, k_chain, k=k, **kwargs)
+
+
 def test_escape_transfer_petersen(petersen):
-    rep = escape_transfer_experiment(petersen, k=2, t=12, s=6, trials=2000,
-                                     seed=14, alpha=0.25)
+    rep = escape_transfer(petersen, 0.25, k=2, t=12, s=6, trials=2000,
+                          seed=14)
     assert rep.tau_t == tau(12, 3, 2)
     assert rep.all_passed
     assert rep.srw_escape <= rep.y_escape + rep.slow_regen \
@@ -165,33 +176,23 @@ def test_escape_transfer_petersen(petersen):
 
 
 def test_escape_transfer_t_zero(petersen):
-    rep = escape_transfer_experiment(petersen, k=2, t=0, s=4, trials=500,
-                                     seed=2, alpha=0.25)
+    rep = escape_transfer(petersen, 0.25, k=2, t=0, s=4, trials=500, seed=2)
     assert rep.tau_t == 0
     assert rep.y_escape == 1.0  # zero-step Y chain never escapes
     assert rep.all_passed
 
 
 def test_escape_transfer_w_equals_k_on_high_girth(girth5_graph):
-    rep = escape_transfer_experiment(girth5_graph, k=2, t=8, s=4, trials=400,
-                                     seed=3, alpha=0.02)
+    rep = escape_transfer(girth5_graph, 0.02, k=2, t=8, s=4, trials=400,
+                          seed=3)
     assert rep.k_escape is not None
     assert abs(rep.y_escape - rep.k_escape) < 1e-10
     assert rep.all_passed
 
 
-def test_escape_transfer_alpha_default(petersen):
-    rep = escape_transfer_experiment(petersen, k=2, t=6, s=3, trials=400,
-                                     seed=4)
-    # (d-1)^{-3k^2} = 2^-12 is far below 1/n = 0.1, so 1/n is used
-    assert rep.alpha_used == pytest.approx(0.1)
-    assert "alpha defaulted" in rep.note
-
-
 def test_escape_transfer_alpha_too_small(petersen):
     with pytest.raises(WalkError, match="alpha"):
-        escape_transfer_experiment(petersen, k=2, t=6, s=3, trials=100,
-                                   seed=4, alpha=0.01)
+        escape_transfer(petersen, 0.01, k=2, t=6, s=3, trials=100, seed=4)
 
 
 def test_trace_csv_rows(petersen):
@@ -247,8 +248,7 @@ def cubic64():
 @pytest.mark.parametrize("seed", [3, 8])
 def test_slow_regen_matches_scalar_reference(prism, cubic64, seed):
     for g, alpha in ((prism, 0.34), (cubic64, 0.1)):
-        rep = escape_transfer_experiment(g, k=2, t=8, s=4, trials=300,
-                                         seed=seed, alpha=alpha)
+        rep = escape_transfer(g, alpha, k=2, t=8, s=4, trials=300, seed=seed)
         assert (rep.slow_regen, rep.slow_regen_stderr) == scalar_slow_regen(
             g, 2, 12, rep.tau_t, 300, seed)
 
