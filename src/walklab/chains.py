@@ -94,11 +94,11 @@ def chain_from_kernel(kernel, stationary, source=None) -> ReversibleChain:
 
     The communicating classes are the components of the support graph;
     the chain is bipartite-periodic when it has no holding probability
-    and some class is bipartite.  The chain keeps its own copy of the
-    kernel, so the caller's matrix is never modified or shared.
+    and some class is bipartite.  The chain keeps its own copies of the
+    kernel and of pi, so the caller's arrays are never modified or shared.
     """
     kernel = sp.csr_matrix(kernel, copy=True)
-    pi = np.asarray(stationary, dtype=float)
+    pi = np.array(stationary, dtype=float)
     _validate(kernel, pi)
     n = kernel.shape[0]
     comps, cover_count = _support_classes(_support(kernel))

@@ -7,8 +7,8 @@ largest and the smallest eigenvalue by Lanczos (ARPACK through
 ``scipy.sparse.linalg.eigsh``).  Each Ritz pair (theta, x) comes with its
 residual ||S x - theta x||, which for a symmetric S and a unit x certifies
 an eigenvalue in [theta - r, theta + r]; the Ramanujan verdict uses the
-conservative end of those intervals.  The restricted Perron root
-lambda(A) of a killed chain is computed by power iteration.
+conservative end of those intervals, and so do the verdicts on the
+restricted Perron root lambda(A) of a killed chain, found the same way.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .graphs import Graph, _sorted_lookup
 DENSE_BUDGET = 3000
 EIG_ONE_TOL = 1e-9
 LANCZOS_MAX_RESTARTS = 1000
-RESTRICTED_STAGNATION = 1e-13
-RESTRICTED_MAX_ITER = 100_000
 
 
 class SpectralError(ValueError):
@@ -262,6 +260,8 @@ class RestrictedEig:
     Carries both forms of the comparison with lambda2: the plain bound
     lambda(A) <= lambda2 + pi(A), asserted only when lambda2 >= 0, and
     the always-valid refinement lambda(A) <= lambda2 + (1-lambda2) pi(A).
+    ``residual`` r certifies an eigenvalue in [lambda_A - r, lambda_A + r];
+    ``iterations`` counts Lanczos operator applications.
     """
 
     subset: tuple
@@ -279,13 +279,14 @@ class RestrictedEig:
 
 def restricted_top_eig(chain: ReversibleChain, subset,
                        lambda2=None, tol: float = 1e-9) -> RestrictedEig:
-    """Largest eigenvalue of P_A via power iteration on its symmetrization.
+    """Largest eigenvalue of P_A, by Lanczos on its symmetrization.
 
-    A must be a proper nonempty subset.  A nilpotent restriction (the
-    iterate collapses to zero) yields lambda(A) = 0.  Raises
-    :class:`SpectralError` when the iteration neither collapses nor
-    stagnates within ``RESTRICTED_MAX_ITER`` steps.  When ``lambda2`` is
-    given, the comparison bounds are evaluated; pass None to skip them.
+    A must be a proper nonempty subset.  S_A = D^{1/2} P_A D^{-1/2} is
+    symmetric and nonnegative, so its largest eigenvalue is lambda(A).
+    On one state, or when P_A stores no entries, that is P_A's largest
+    diagonal entry, with residual 0; otherwise :func:`_lanczos_extremal`
+    computes it.  When ``lambda2`` is given, the bounds are checked at
+    lambda(A) + residual; pass None to skip them.
     """
     subset = tuple(sorted(int(v) for v in set(subset)))
     if not subset:
@@ -297,36 +298,11 @@ def restricted_top_eig(chain: ReversibleChain, subset,
     pi_sub = chain.stationary[idx]
     root = np.sqrt(pi_sub)
     s_sub = (sp.diags(root) @ sub @ sp.diags(1.0 / root)).tocsr()
-    m = len(subset)
-
-    # Iterate on (I + S_A)/2: positive semidefinite, so no +/- eigenvalue
-    # pair can trap the iteration, and nonnegative iterates stay
-    # nonnegative.  Top eigenvalue maps back as lambda(A) = 2 theta - 1.
-    x = np.ones(m) / math.sqrt(m)
-    theta_old = math.inf
-    iterations = 0
-    collapsed = False
-    for it in range(1, RESTRICTED_MAX_ITER + 1):
-        y = 0.5 * (x + s_sub @ x)
-        norm = np.linalg.norm(y)
-        iterations = it
-        if norm < 1e-300:
-            collapsed = True
-            break
-        theta = float(x @ y)
-        x = y / norm
-        if abs(theta - theta_old) < RESTRICTED_STAGNATION:
-            break
-        theta_old = theta
+    if len(subset) == 1 or sub.nnz == 0:
+        lam, residual, iterations = float(sub.diagonal().max()), 0.0, 0
     else:
-        raise SpectralError(
-            f"restricted power iteration did not stagnate within "
-            f"{RESTRICTED_MAX_ITER} iterations (|A| = {m})")
-    if collapsed:
-        lam, residual = 0.0, 0.0
-    else:
-        lam = max(2.0 * float(x @ (0.5 * (x + s_sub @ x))) - 1.0, 0.0)
-        residual = float(np.linalg.norm(s_sub @ x - lam * x))
+        lam, residual, iterations = _lanczos_extremal(
+            lambda x: s_sub @ x, s_sub, "LA")
 
     pi_A = float(pi_sub.sum())
     plain_bound = plain_pass = refined_bound = refined_pass = None
@@ -335,8 +311,9 @@ def restricted_top_eig(chain: ReversibleChain, subset,
         plain_bound = lambda2 + pi_A
         refined_bound = lambda2 + (1.0 - lambda2) * pi_A
         plain_applicable = lambda2 >= 0.0
-        plain_pass = (lam <= plain_bound + tol) if plain_applicable else None
-        refined_pass = lam <= refined_bound + tol
+        top = lam + residual
+        plain_pass = (top <= plain_bound + tol) if plain_applicable else None
+        refined_pass = top <= refined_bound + tol
     return RestrictedEig(
         subset=subset, lambda_A=lam, pi_A=pi_A, lambda2=lambda2,
         plain_bound=plain_bound, plain_applicable=plain_applicable,
@@ -349,7 +326,9 @@ class ComparisonReport:
     """Two-chain domination of restricted Perron roots.
 
     With P1 <= C1 P2 entrywise on its support and stationary ratio bound
-    C2, lambda_{P1}(A) <= C1 C2^2 lambda_{P2}(A).
+    C2, lambda_{P1}(A) <= C1 C2^2 lambda_{P2}(A).  ``passed`` tests the upper
+    end of lambda_{P1}(A)'s residual interval against the lower end of
+    lambda_{P2}(A)'s; ``residuals`` and ``iterations`` are the two solves'.
     """
 
     C1: float
@@ -357,6 +336,8 @@ class ComparisonReport:
     lhs: float
     rhs: float
     passed: bool
+    residuals: tuple
+    iterations: tuple
 
 
 def _entries(kernel: sp.csr_matrix) -> tuple:
@@ -384,8 +365,12 @@ def compare_restricted(chain1: ReversibleChain, chain2: ReversibleChain,
     c1 = float(np.max(w1[live] / denom[live], initial=0.0))
     ratio = chain1.stationary / chain2.stationary
     c2 = float(max(ratio.max(), (1.0 / ratio).max()))
-    lhs = restricted_top_eig(chain1, subset).lambda_A
-    rhs_root = restricted_top_eig(chain2, subset).lambda_A
-    rhs = c1 * c2 * c2 * rhs_root
-    return ComparisonReport(C1=c1, C2=c2, lhs=lhs, rhs=rhs,
-                            passed=lhs <= rhs + tol)
+    one = restricted_top_eig(chain1, subset)
+    two = restricted_top_eig(chain2, subset)
+    scale = c1 * c2 * c2
+    passed = (one.lambda_A + one.residual
+              <= scale * max(two.lambda_A - two.residual, 0.0) + tol)
+    return ComparisonReport(
+        C1=c1, C2=c2, lhs=one.lambda_A, rhs=scale * two.lambda_A,
+        passed=passed, residuals=(one.residual, two.residual),
+        iterations=(one.iterations, two.iterations))

@@ -157,6 +157,13 @@ class Run:
         return C.srw_chain(self.inflated)
 
 
+def _spread(family: H.CandidateFamily, count: int) -> list:
+    """Every (len // count)-th set in (size, lexicographic) order, at most
+    ``count``; the family is lexicographic, so a stable sort by size."""
+    order = np.argsort(np.diff(family.offsets), kind="stable")
+    return [family[i] for i in order[::max(1, len(order) // count)][:count]]
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -194,28 +201,31 @@ def spectral_suite(run: Run) -> tuple:
                    "min_nontrivial": cls.min_nontrivial,
                    "bipartite": cls.bipartite}))
 
-    # restricted Perron roots on a deterministic family of small sets
-    sets = run.family[:16]
+    # restricted Perron roots on sets spread over the candidate family
+    sets = _spread(run.family, 16)
     for A in sets:
         rec = S.restricted_top_eig(chain, A, lambda2=summary.lambda2)
+        solver = {"residual": rec.residual, "iterations": rec.iterations}
         recs.append(record(
             "spectral", f"restricted-refined|A|={len(A)}",
             lhs=rec.lambda_A, rhs=rec.refined_bound, passed=rec.refined_pass,
-            note=f"A={list(A)[:8]}"))
+            note=f"A={list(A)[:8]}", extra=solver))
         if rec.plain_applicable:
             recs.append(record(
                 "spectral", f"restricted-plain|A|={len(A)}",
-                lhs=rec.lambda_A, rhs=rec.plain_bound, passed=rec.plain_pass))
+                lhs=rec.lambda_A, rhs=rec.plain_bound, passed=rec.plain_pass,
+                extra=solver))
     if sets and chain.n <= S.DENSE_BUDGET:
         # blend with the two-step kernel: support always contains P's
         blend = (chain.kernel + C.power_chain(chain, 2).kernel) * 0.5
         other = C.chain_from_kernel(blend, chain.stationary,
                                     source={"kind": "blend"})
-        cmp = S.compare_restricted(chain, other, sets[0])
+        cmp = S.compare_restricted(chain, other, sets[-1])
         recs.append(record(
             "spectral", "restricted-comparison-vs-blend",
             lhs=cmp.lhs, rhs=cmp.rhs, passed=cmp.passed,
-            extra={"C1": cmp.C1, "C2": cmp.C2}))
+            extra={"C1": cmp.C1, "C2": cmp.C2, "residual": cmp.residuals,
+                   "iterations": cmp.iterations}))
     return recs, csvs
 
 
@@ -278,9 +288,7 @@ def hitting_suite(run: Run) -> tuple:
     sets = run.family
     if not sets:
         return [_skip("hitting", f"no sets with mass <= alpha={cfg.alpha}")], {}
-    sets = sorted(sets, key=lambda A: (len(A), A))
-    stride = max(1, len(sets) // 6)
-    sets = sets[::stride][:6]
+    sets = _spread(sets, 6)
     t_list = tuple(cfg.t_grid)
     worst_curve = None
     worst_peak = -1.0

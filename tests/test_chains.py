@@ -215,6 +215,15 @@ def test_chain_from_kernel_leaves_the_callers_matrix_alone():
     assert np.array_equal(chain.kernel.toarray(), kernel.toarray())
 
 
+def test_chain_from_kernel_leaves_the_callers_stationary_vector_alone():
+    kernel = sp.csr_matrix(np.full((3, 3), 0.5) - 0.5 * np.eye(3))
+    pi = np.full(3, 1.0 / 3.0)
+    chain = chain_from_kernel(kernel, pi)
+    assert not np.shares_memory(chain.stationary, pi)
+    pi[0] = 0.9
+    assert chain.stationary.tolist() == [1.0 / 3.0] * 3
+
+
 def test_tv_monotone_on_profile(random_cubic_medium):
     chain = srw_chain(random_cubic_medium)
     prof = mixing_profile(chain, [0.25])

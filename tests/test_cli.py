@@ -202,15 +202,15 @@ def test_report_json_independent_of_out_dir(tmp_path):
 # all-suite canonical reports; any change to these bytes must be deliberate
 PINNED_DIGESTS = {
     "rr64": ({"kind": "random-regular", "n": 64, "d": 3, "seed": 8},
-             "5d78ed0c3600f09cf836a3d440e1555c83ee4dc2010a69a08bc53023904a0e69"),
+             "66af2971150f1b6bc78cd5b9dac4a9182dd4b9d7323f95dad6c6c917a2a80c09"),
     "petersen": ({"kind": "named", "name": "petersen"},
-                 "db25e29c737c4b9a0264d50ab73edd941e9bb3309e15bdec2d0dee3b5d7a1678"),
+                 "8bf1e040374f9002752898fd28d7ba27cf5eb25109448e1103493102139ff81c"),
     # bipartite: the periodic skips of the mixing and hitmix records
     "q3": ({"kind": "named", "name": "hypercube", "dim": 3},
-           "10f49310591cfc8effec36244c85c284f2675e7a6ca31c1f8c5f756ce95605ae"),
+           "7cdc5d209f58e3bee68d0aefffc9dc02a86336edade2ca9afed209bf0adea14e"),
     # diameter 1: every 2-sphere is empty
     "k5": ({"kind": "named", "name": "complete", "n": 5},
-           "157d7a3ba93f153dcefcab1ac085bcef8a581fd84dcc8e2ecd16b5244a6ef06a"),
+           "e975f3145de9080af806bb278b680b140db979d34892311af03d2a4bcee84a5e"),
 }
 
 

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import walklab as wl
+from walklab import spectral
 from walklab.chains import chain_from_kernel, power_chain, srw_chain
+from walklab.hitting import candidate_small_sets, verify_spectral_hit
 from walklab.spectral import (SpectralError, classify_ramanujan,
                               compare_restricted, poincare_bound,
                               restricted_top_eig, rho, spectrum, symmetrized)
+from walklab.suites import _spread
 
 
 def eig_multiset(summary, digits=9):
@@ -235,17 +239,102 @@ def test_restricted_c6_path(c6):
     assert abs(rec.lambda_A - math.sqrt(2) / 2) < 1e-10
 
 
-def test_restricted_raises_at_iteration_cap(monkeypatch, c6):
-    from walklab import spectral
+@pytest.fixture(scope="module")
+def families():
+    """(chain, candidate family) of random 3-regular n=512 (seed 2) and
+    LPS(13,17), at alpha = 0.25."""
+    out = []
+    for g in (wl.build_random_regular(512, 3, 2), wl.build_lps(13, 17)):
+        chain = srw_chain(g)
+        out.append((chain, candidate_small_sets(chain, 0.25, graph=g)))
+    return out
+
+
+def dense_top(chain, subset) -> float:
+    """Largest eigenvalue of S_A by a dense symmetric solve."""
+    idx = np.asarray(subset)
+    root = np.sqrt(chain.stationary[idx])
+    s = chain.kernel[idx][:, idx].toarray() * root[:, None] / root[None, :]
+    return float(np.linalg.eigvalsh((s + s.T) / 2)[-1])
+
+
+def test_restricted_matches_dense_on_spread_sets(families):
+    for chain, family in families:
+        for subset in _spread(family, 16):
+            rec = restricted_top_eig(chain, subset)
+            assert abs(rec.lambda_A - dense_top(chain, subset)) < 1e-13
+            assert rec.residual < 1e-13
+            assert restricted_top_eig(chain, subset) == rec
+
+
+def test_spread_matches_the_sorted_stride(families, petersen_chain):
+    small = candidate_small_sets(petersen_chain, 0.25)
+    for family in [f for _, f in families] + [small]:
+        ordered = sorted(family, key=lambda A: (len(A), A))
+        for count in (6, 16):
+            stride = max(1, len(ordered) // count)
+            assert _spread(family, count) == ordered[::stride][:count]
+
+
+def test_restricted_exact_without_an_operator(c6):
     chain = srw_chain(c6)
-    full = restricted_top_eig(chain, [1, 2, 3])
-    assert 2 < full.iterations < spectral.RESTRICTED_MAX_ITER
-    monkeypatch.setattr(spectral, "RESTRICTED_MAX_ITER", 2)
-    with pytest.raises(SpectralError, match="did not stagnate within 2"):
-        restricted_top_eig(chain, [1, 2, 3])
-    # stagnating on the last allowed iteration is not a failure
-    monkeypatch.setattr(spectral, "RESTRICTED_MAX_ITER", full.iterations)
-    assert restricted_top_eig(chain, [1, 2, 3]) == full
+    for subset in ([0], [0, 2, 4]):     # a singleton, an independent set
+        rec = restricted_top_eig(chain, subset)
+        assert (rec.lambda_A, rec.residual, rec.iterations) == (0.0, 0.0, 0)
+    lazy = chain_from_kernel((chain.kernel + sp.identity(6)) * 0.5,
+                             chain.stationary)
+    rec = restricted_top_eig(lazy, [3])
+    assert (rec.lambda_A, rec.residual, rec.iterations) == (0.5, 0.0, 0)
+
+
+def test_restricted_raises_past_the_restart_cap(monkeypatch, families):
+    chain, family = families[0]
+    largest = family[int(np.argmax(np.diff(family.offsets)))]
+    assert restricted_top_eig(chain, largest).iterations > 0
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_RESTARTS", 1)
+    with pytest.raises(SpectralError, match="did not converge within 1 "):
+        restricted_top_eig(chain, largest)
+
+
+def set_residual(monkeypatch, residual):
+    """Make every Lanczos solve report ``residual``."""
+    solve = spectral._lanczos_extremal
+
+    def patched(op, s, which):
+        theta, _, applications = solve(op, s, which)
+        return theta, residual, applications
+
+    monkeypatch.setattr(spectral, "_lanczos_extremal", patched)
+
+
+def test_verdicts_read_the_conservative_end(monkeypatch, petersen_chain):
+    chain, subset = petersen_chain, [0, 1]         # an edge: lambda(A) = 1/3
+    lam2 = spectrum(chain).lambda2
+    rec = restricted_top_eig(chain, subset, lambda2=lam2)
+    assert rec.refined_pass and rec.plain_pass
+    blend = chain_from_kernel((chain.kernel + power_chain(chain, 2).kernel)
+                              * 0.5, chain.stationary)
+    cmp = compare_restricted(chain, blend, subset)
+    assert cmp.passed
+    hit = verify_spectral_hit(chain, subset, (1, 2))
+    assert hit.all_passed
+
+    set_residual(monkeypatch, rec.refined_bound - rec.lambda_A + 1e-8)
+    rec2 = restricted_top_eig(chain, subset, lambda2=lam2)
+    assert rec2.lambda_A == rec.lambda_A
+    assert not rec2.refined_pass and rec2.plain_pass
+    set_residual(monkeypatch, rec.plain_bound - rec.lambda_A + 1e-8)
+    assert not restricted_top_eig(chain, subset, lambda2=lam2).plain_pass
+    # the left root's upper end against the right root's lower end
+    set_residual(monkeypatch, (cmp.rhs - cmp.lhs) / 2)
+    cmp2 = compare_restricted(chain, blend, subset)
+    assert (cmp2.lhs, cmp2.rhs) == (cmp.lhs, cmp.rhs) and not cmp2.passed
+    # the Perron side of the survival chain uses the lower end
+    set_residual(monkeypatch, rec.lambda_A)
+    hit2 = verify_spectral_hit(chain, subset, (1, 2))
+    assert [c.rhs for c in hit2.survival_checks
+            if c.name.startswith("norm-le-perron")] == [0.0, 0.0]
+    assert not hit2.all_passed
 
 
 def test_restricted_rejects_bad_subsets(k4_chain):
@@ -376,8 +465,7 @@ def test_compare_w_equals_k_on_tree_balls(girth5_graph):
         hit = sphere_hit_distribution(girth5_graph, x, 2)
         for u, p in zip(hit.sphere, hit.probabilities):
             rows.append(x), cols.append(u), vals.append(float(p))
-    import scipy.sparse as sp_
-    w = sp_.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    w = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     w_chain = chain_from_kernel(w, k_chain.stationary)
     subset = list(range(8))
     rep = compare_restricted(w_chain, k_chain, subset)
