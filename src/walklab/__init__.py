@@ -15,6 +15,7 @@ from .graphs import (
     assumption1_scan,
     inflate,
     make_graph,
+    vertex_transitive,
     read_edge_list,
     write_edge_list,
     INFINITE_GIRTH,

@@ -8,6 +8,7 @@ detailed balance are validated to 1e-12 at construction.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .graphs import Graph, _support_classes
+from .graphs import Graph, _support_classes, vertex_transitive
 
 ROW_SUM_TOL = 1e-12
 REVERSIBILITY_TOL = 1e-12
@@ -35,7 +36,9 @@ class ReversibleChain:
 
     ``period_info`` is 'aperiodic' or 'bipartite-periodic' (detected on
     the support graph, not spectrally).  ``components`` lists the state
-    sets of the communicating classes.
+    sets of the communicating classes.  ``transitive`` is True only for
+    the SRW of a graph that :func:`graphs.vertex_transitive` certified:
+    automorphisms of the chain then carry state 0 onto every state.
     """
 
     n: int
@@ -45,6 +48,7 @@ class ReversibleChain:
     components: tuple
     source: dict = field(default_factory=dict)
     reversible_flag: bool = True
+    transitive: bool = False
 
     @property
     def is_irreducible(self) -> bool:
@@ -75,7 +79,10 @@ def _support(kernel: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def srw_chain(g: Graph) -> ReversibleChain:
-    """SRW kernel P(x,y) = 1/deg(x) on edges, pi proportional to degree."""
+    """SRW kernel P(x,y) = 1/deg(x) on edges, pi proportional to degree.
+
+    ``transitive`` records :func:`graphs.vertex_transitive` of g: every
+    automorphism of g preserves the SRW kernel."""
     indptr, indices = g.csr
     degs = np.diff(indptr)
     isolated = np.flatnonzero(degs == 0)
@@ -84,9 +91,10 @@ def srw_chain(g: Graph) -> ReversibleChain:
             f"isolated vertices have no SRW step: {isolated.tolist()[:20]}")
     kernel = sp.csr_matrix((np.repeat(1.0 / degs, degs), indices, indptr),
                            shape=(g.n, g.n))
-    return chain_from_kernel(kernel, degs / degs.sum(),
-                             source={"kind": "srw",
-                                     "graph": dict(g.provenance)})
+    chain = chain_from_kernel(kernel, degs / degs.sum(),
+                              source={"kind": "srw",
+                                      "graph": dict(g.provenance)})
+    return dataclasses.replace(chain, transitive=vertex_transitive(g))
 
 
 def chain_from_kernel(kernel, stationary, source=None) -> ReversibleChain:
@@ -96,6 +104,7 @@ def chain_from_kernel(kernel, stationary, source=None) -> ReversibleChain:
     the chain is bipartite-periodic when it has no holding probability
     and some class is bipartite.  The chain keeps its own copies of the
     kernel and of pi, so the caller's arrays are never modified or shared.
+    The chain is never ``transitive``: no automorphisms come with a kernel.
     """
     kernel = sp.csr_matrix(kernel, copy=True)
     pi = np.array(stationary, dtype=float)
@@ -191,7 +200,9 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
     Evolves every start simultaneously (dense columns against the sparse
     kernel); above ``exact_start_limit`` states a farthest-point sample
     of starts is used instead and the result is a flagged lower bound.
-    Raises for periodic or reducible chains, whose TV does not converge.
+    On a ``transitive`` chain every start has the same curves, so start 0
+    alone is evolved and the profile is exact at any n.  Raises for
+    periodic or reducible chains, whose TV does not converge.
     """
     if chain.period_info != APERIODIC:
         raise ChainError("mixing time undefined: chain is bipartite-periodic")
@@ -202,7 +213,10 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
         raise ChainError("epsilon grid must lie in (0,1)")
 
     n = chain.n
-    if n <= exact_start_limit:
+    if chain.transitive:
+        starts = [0]
+        exact = True
+    elif n <= exact_start_limit:
         starts = list(range(n))
         exact = True
     else:

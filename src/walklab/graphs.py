@@ -5,6 +5,10 @@ immutable :class:`Graph` built here.  Alongside the standard builders
 (named families, random regular via the pairing model, edge-list files)
 this module computes girth, ball/sphere decompositions with their tree
 excess, simple-cycle counts inside balls, and the distance-k graph.
+
+Builders of Cayley graphs attach automorphism generators;
+:func:`vertex_transitive` checks them once, and on a certified graph a
+graph-wide scan visits vertex 0 alone.
 """
 
 from __future__ import annotations
@@ -55,7 +59,10 @@ class Graph:
     ``indptr`` and ``indices`` are read-only int64 arrays; row v lists v's
     neighbors in ascending order.  ``edges`` (lexicographically sorted
     (u, v) pairs with u < v) and ``adjacency`` (sorted neighbor tuples)
-    are derived on demand and hold Python ints.  Build instances with
+    are derived on demand and hold Python ints.  ``automorphisms`` holds
+    read-only int64 arrays that a builder claims are automorphisms (vertex
+    v goes to ``perm[v]``); nothing trusts them until
+    :func:`vertex_transitive` has checked them.  Build instances with
     :func:`make_graph`; they are safe to share across threads.
     """
 
@@ -63,6 +70,7 @@ class Graph:
     indptr: np.ndarray
     indices: np.ndarray
     provenance: dict = field(default_factory=dict)
+    automorphisms: tuple = ()
 
     @property
     def m(self) -> int:
@@ -136,6 +144,28 @@ class Graph:
                               self.indptr), shape=(self.n, self.n))
 
     @cached_property
+    def _vertex_transitive(self) -> bool:
+        """The certificate behind :func:`vertex_transitive`."""
+        if not self.automorphisms:
+            return False
+        n = self.n
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        keys = rows * n + self.indices   # ascending, as CSR rows are sorted
+        for perm in self.automorphisms:
+            if perm.shape != (n,) \
+                    or not np.array_equal(np.sort(perm), np.arange(n)):
+                return False
+            if not np.array_equal(np.sort(perm[rows] * n + perm[self.indices]),
+                                  keys):
+                return False
+        # the orbit of 0 is its component in the graph of moves v -> perm[v]
+        moves = sp.csr_matrix(
+            (np.ones(n * len(self.automorphisms)),
+             (np.tile(np.arange(n), len(self.automorphisms)),
+              np.concatenate(self.automorphisms))), shape=(n, n))
+        return csgraph.connected_components(moves, directed=False)[0] == 1
+
+    @cached_property
     def _ball_tables(self) -> dict:
         """Radius -> :class:`BallTable`, filled by :func:`ball_table`."""
         return {}
@@ -153,12 +183,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m}, kind={kind!r})"
 
 
-def make_graph(n: int, edges, provenance=None) -> Graph:
+def make_graph(n: int, edges, provenance=None, automorphisms=()) -> Graph:
     """Validate an edge list and build a :class:`Graph`.
 
     ``edges`` is an iterable of (u, v) pairs or an (m, 2) integer array.
     Rejects self-loops, out-of-range endpoints and parallel edges; the
     error names the first bad edge, checked in that order.
+    ``automorphisms`` are copied as they are, unchecked: only
+    :func:`vertex_transitive` decides whether they certify anything.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
@@ -190,10 +222,11 @@ def make_graph(n: int, edges, provenance=None) -> Graph:
     rows, indices = np.divmod(both, n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indptr.flags.writeable = False
-    indices.flags.writeable = False
+    perms = tuple(np.array(p, dtype=np.int64) for p in automorphisms)
+    for arr in (indptr, indices) + perms:
+        arr.flags.writeable = False
     return Graph(n=n, indptr=indptr, indices=indices,
-                 provenance=dict(provenance or {}))
+                 provenance=dict(provenance or {}), automorphisms=perms)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +252,20 @@ def _complete(n: int) -> Graph:
     if n < 2:
         raise GraphError(f"complete graph needs n >= 2, got {n}")
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return make_graph(n, edges, {"kind": "named", "name": "complete", "n": n})
+    return make_graph(n, edges, {"kind": "named", "name": "complete", "n": n},
+                      [_rotation(n)])
 
 
 def _cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return make_graph(n, edges, {"kind": "named", "name": "cycle", "n": n})
+    return make_graph(n, edges, {"kind": "named", "name": "cycle", "n": n},
+                      [_rotation(n)])
+
+
+def _rotation(n: int) -> np.ndarray:
+    return (np.arange(n) + 1) % n
 
 
 def _hypercube(dim: int) -> Graph:
@@ -235,7 +274,9 @@ def _hypercube(dim: int) -> Graph:
     n = 1 << dim
     edges = [(x, x ^ (1 << b)) for x in range(n) for b in range(dim)
              if x < (x ^ (1 << b))]
-    return make_graph(n, edges, {"kind": "named", "name": "hypercube", "dim": dim})
+    flips = [np.arange(n) ^ (1 << b) for b in range(dim)]
+    return make_graph(n, edges, {"kind": "named", "name": "hypercube", "dim": dim},
+                      flips)
 
 
 def _petersen() -> Graph:
@@ -505,10 +546,30 @@ def eccentricity(g: Graph, v: int) -> int:
     return int(dist.max())
 
 
+def vertex_transitive(g: Graph) -> bool:
+    """Whether ``g.automorphisms`` certify that g is vertex-transitive.
+
+    True only when every attached array is a permutation of the vertices
+    that maps the sorted edge keys u*n + v onto themselves, and the orbit
+    of vertex 0 under them (one csgraph components call) is all of V.
+    False at once when no arrays are attached.  Computed once per graph.
+    On a certified graph an automorphism carries vertex 0 onto any
+    vertex, so a quantity that automorphisms preserve needs vertex 0 only.
+    """
+    return g._vertex_transitive
+
+
+def _scan_vertices(g: Graph):
+    """The vertices a graph-wide scan must visit: 0 alone on a certified
+    vertex-transitive graph, every vertex otherwise."""
+    return [0] if vertex_transitive(g) else range(g.n)
+
+
 def diameter(g: Graph) -> int:
-    """Max eccentricity; -1 when disconnected."""
+    """Max eccentricity; -1 when disconnected.  One eccentricity on a
+    certified vertex-transitive graph."""
     worst = 0
-    for v in range(g.n):
+    for v in _scan_vertices(g):
         e = eccentricity(g, v)
         if e < 0:
             return -1
@@ -517,24 +578,28 @@ def diameter(g: Graph) -> int:
 
 
 def girth(g: Graph):
-    """Length of the shortest cycle, or an infinite sentinel for forests."""
-    return _shortest_cycle(g.adjacency, INFINITE_GIRTH)[0]
+    """Length of the shortest cycle, or an infinite sentinel for forests.
+
+    On a certified vertex-transitive graph the scan runs from vertex 0
+    only: some shortest cycle passes through every vertex, and a BFS
+    from a vertex on a shortest cycle finds its length."""
+    return _shortest_cycle(g.adjacency, INFINITE_GIRTH, _scan_vertices(g))[0]
 
 
-def _shortest_cycle(adjacency, bound) -> tuple:
+def _shortest_cycle(adjacency, bound, sources=None) -> tuple:
     """``(length, edge)`` of the first shortest cycle shorter than
     ``bound``, or ``(bound, None)`` when there is none.
 
-    BFS from every vertex; a non-tree edge (u, w) seen from a source
-    closes a walk of length dist[u] + dist[w] + 1 that contains a cycle
-    no longer, and the minimum over sources is exact.  A vertex with
-    2 dist[u] + 1 >= best is not expanded: it can only close cycles of
-    that length or ones already found.  ``edge`` is (min, max) of the
-    first non-tree edge that gave the final length; neighbors are visited
-    in the iteration order of ``adjacency[u]``.
+    BFS from every vertex, or from each of ``sources``; a non-tree edge
+    (u, w) seen from a source closes a walk of length dist[u] + dist[w] + 1
+    that contains a cycle no longer, and the minimum over all sources is
+    exact.  A vertex with 2 dist[u] + 1 >= best is not expanded: it can
+    only close cycles of that length or ones already found.  ``edge`` is
+    (min, max) of the first non-tree edge that gave the final length;
+    neighbors are visited in the iteration order of ``adjacency[u]``.
     """
     best, edge = bound, None
-    for src in range(len(adjacency)):
+    for src in range(len(adjacency)) if sources is None else sources:
         dist = {src: 0}
         parent = {src: -1}
         queue = deque([src])
@@ -751,13 +816,15 @@ def assumption1_scan(g: Graph, r: int,
     ``max_cycle_rank`` and the simple-cycle figures refer to the full
     induced ball (the quantity whose uniform boundedness the machinery
     needs); ``max_excess`` is the absorption-relevant normalized excess.
+    On a certified vertex-transitive graph every ball is a copy of vertex
+    0's, and that one ball is scanned.
     """
     max_excess = 0
     max_rank = 0
     max_bound = 0
     max_count = 0
     exact = True
-    for v in range(g.n):
+    for v in _scan_vertices(g):
         stats = ball_stats(g, v, r, edge_budget, rank_budget)
         max_excess = max(max_excess, stats.excess)
         max_rank = max(max_rank, stats.full_cycle_rank)

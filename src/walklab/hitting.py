@@ -24,7 +24,8 @@ import scipy.sparse.linalg as spla
 
 from .checks import Check
 from .chains import ReversibleChain, APERIODIC, MixingProfile
-from .graphs import Graph, _bfs_levels, _level_distances, ball_table
+from .graphs import (Graph, _bfs_levels, _level_distances, ball_table,
+                     vertex_transitive)
 from .spectral import restricted_top_eig
 
 EXACT_SEARCH_LIMIT = 20
@@ -636,7 +637,10 @@ def w_vs_k_report(g: Graph, k: int, centers=None) -> WvsKReport:
 
     W rows are exact sphere-hitting solves; K(x, .) is uniform over the
     distance-k neighbors.  Requires every measured vertex to have a
-    nonempty k-sphere.
+    nonempty k-sphere.  On a certified vertex-transitive graph an
+    automorphism carries center 0's ball and sphere-hit row onto every
+    center's, so center 0 is solved once and its row stands for each
+    requested center.
     """
     if not g.is_regular:
         raise HittingError("comparison needs a regular graph")
@@ -650,8 +654,9 @@ def w_vs_k_report(g: Graph, k: int, centers=None) -> WvsKReport:
     k_max = -math.inf
     w_min = math.inf
     per_center = []
+    same = sphere_hit_distribution(g, 0, k) if vertex_transitive(g) else None
     for x in centers:
-        hit = sphere_hit_distribution(g, x, k)
+        hit = same or sphere_hit_distribution(g, x, k)
         deg_k = len(hit.sphere)
         k_val = scale / deg_k
         k_min, k_max = min(k_min, k_val), max(k_max, k_val)

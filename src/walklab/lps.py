@@ -13,7 +13,9 @@ The build runs on arrays: the group is an (N, 4) integer array of
 representatives in the order of their mixed-radix codes; each generator
 multiplies every element in one vectorized product mod q; the products
 are canonicalised through a table of inverses mod q and mapped back to
-vertex indices through a code table with q^3 + q^2 slots.
+vertex indices through a code table with q^3 + q^2 slots.  The same
+lookup turns left multiplication by each generator into a vertex
+permutation, which the graph carries as an automorphism.
 """
 
 from __future__ import annotations
@@ -76,6 +78,14 @@ def _codes(m: np.ndarray, q: int) -> np.ndarray:
     return head + m[:, 2] * q + m[:, 3]
 
 
+def _times(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Products a b mod q of 2x2 matrices stored as rows (m00, m01, m10,
+    m11): row by row, or one matrix against every row of the other."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    return (a[:, [0, 0, 2, 2]] * b[:, [0, 1, 0, 1]]
+            + a[:, [1, 1, 3, 3]] * b[:, [2, 3, 2, 3]]) % q
+
+
 def generators(p: int, q: int) -> list:
     """Canonical generator matrices; must number exactly p+1."""
     i = sqrt_minus_one(q)
@@ -95,7 +105,9 @@ def build_lps(p: int, q: int) -> Graph:
 
     Requires distinct primes p, q = 1 mod 4 with q > 2*sqrt(p).  The
     result is audited: regularity, vertex count against the group order,
-    and simplicity all raise on mismatch.
+    and simplicity all raise on mismatch.  Vertex m is joined to m s for
+    each generator s; left multiplication by each generator is attached
+    as an automorphism, for :func:`graphs.vertex_transitive` to check.
     """
     for name, value in (("p", p), ("q", q)):
         if not is_prime(value):
@@ -133,13 +145,16 @@ def build_lps(p: int, q: int) -> Graph:
 
     index = np.full(q ** 3 + q * q, -1, dtype=np.int64)
     index[_codes(vertices, q)] = np.arange(expected_n)
+
+    def lookup(prod):
+        return index[_codes(_canon(prod, q), q)]
+
+    gens = np.array(gens, dtype=np.int64)
     # column j: the vertex m * gens[j] for every vertex m
-    targets = np.empty((expected_n, len(gens)), dtype=np.int64)
-    for j, s in enumerate(np.array(gens, dtype=np.int64)):
-        prod = (vertices[:, [0, 0, 2, 2]] * s[[0, 1, 0, 1]]
-                + vertices[:, [1, 1, 3, 3]] * s[[2, 3, 2, 3]]) % q
-        targets[:, j] = index[_codes(_canon(prod, q), q)]
-    if (targets < 0).any():
+    targets = np.column_stack([lookup(_times(vertices, s, q)) for s in gens])
+    # row j: the vertex gens[j] * m, left multiplication, an automorphism
+    left = np.stack([lookup(_times(s, vertices, q)) for s in gens])
+    if (targets < 0).any() or (left < 0).any():
         raise GraphError("a product left the enumerated group")
     src = np.arange(expected_n)[:, None]
     loops = np.flatnonzero((targets == src).any(axis=1))
@@ -156,7 +171,7 @@ def build_lps(p: int, q: int) -> Graph:
     g = make_graph(expected_n, np.column_stack(np.divmod(keys, expected_n)),
                    {"kind": "lps", "p": p, "q": q,
                     "group": "PSL" if residue == 1 else "PGL",
-                    "legendre": residue})
+                    "legendre": residue}, left)
     if not g.is_regular or g.regular_degree != p + 1:
         raise GraphError("LPS output failed the regularity audit")
     return g

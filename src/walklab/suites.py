@@ -250,7 +250,8 @@ def mixing_suite(run: Run) -> tuple:
         "mixing", "cutoff-ratios", passed=None,
         extra={"n": g.n,
                "ratios": {f"{e:g}": prof.cutoff_ratios[e] for e in grid},
-               "exact_starts": prof.exact_starts}))
+               "exact_starts": prof.exact_starts,
+               "starts": len(prof.starts)}))
 
     if summary.lambda_star < 1.0 and g.is_regular:
         for e in grid:
@@ -338,7 +339,9 @@ def inflation_suite(run: Run) -> tuple:
     recs.append(record(
         "inflation", "inflated-srw-reversible", passed=True,
         note=f"pi proportional to degree, {k_chain.period_info}"))
-    centers = range(g.n) if g.n <= 4096 else range(256)
+    # on a certified vertex-transitive graph every center costs one solve
+    centers = range(g.n) if g.n <= 4096 or G.vertex_transitive(g) \
+        else range(256)
     wk = H.w_vs_k_report(g, cfg.k, centers=centers)
     for check in wk.checks:
         recs.append(record_from_check("inflation", check))
@@ -488,7 +491,8 @@ def run_suite(cfg: ExperimentConfig, write: bool = True):
     report = Report(config=cfg.canonical_dict())
     report.add(record("run", "graph", passed=None, extra={
         "n": g.n, "m": g.m, "provenance": g.provenance,
-        "regular": g.is_regular}))
+        "regular": g.is_regular,
+        "vertex_transitive": G.vertex_transitive(g)}))
     try:
         chain = C.srw_chain(g)
     except C.ChainError as exc:

@@ -414,7 +414,8 @@ def test_components_and_period_match_dfs(request):
 def test_mixing_profile_matches_whole_array_sweep(request, graph, exact,
                                                   lps_chain):
     if graph == "lps":
-        chain = lps_chain
+        # an uncertified copy of the kernel, so every start is swept
+        chain = chain_from_kernel(lps_chain.kernel, lps_chain.stationary)
     else:
         chain = srw_chain(request.getfixturevalue("random_cubic_medium"))
     limit = chain.n if exact else chain.n // 2
@@ -423,6 +424,35 @@ def test_mixing_profile_matches_whole_array_sweep(request, graph, exact,
     assert prof.exact_starts == exact
     assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
             prof.starts) == ref
+
+
+@pytest.mark.parametrize("spec", [("lps", 13, 17), ("lps", 17, 13),
+                                  ("cycle", 9), ("complete", 6)],
+                         ids=lambda spec: "-".join(map(str, spec)))
+def test_certified_profile_matches_all_start_sweep(spec, lps_chain):
+    if spec == ("lps", 13, 17):
+        chain = lps_chain
+    elif spec[0] == "lps":
+        chain = srw_chain(wl.build_lps(*spec[1:]))
+    else:
+        chain = srw_chain(wl.build_named(*spec))
+    assert chain.transitive
+    prof = mixing_profile(chain, [0.25], exact_start_limit=1)
+    tv, l2, _, starts = reference_sweep(chain, 0.25, chain.n)
+    assert prof.exact_starts and prof.starts == (0,) and len(starts) == chain.n
+    assert prof.worst_starts == (0,) * len(tv)
+    assert np.allclose(prof.tv_curve, tv, rtol=0, atol=1e-13)
+    assert np.allclose(prof.l2sq_curve, l2, rtol=0, atol=1e-13)
+    for e, t in prof.mixing_times.items():
+        assert t == next(s for s, v in enumerate(tv) if v <= e)
+
+
+def test_only_certified_srw_chains_are_transitive(lps_chain, petersen_chain):
+    assert lps_chain.transitive and not petersen_chain.transitive
+    assert not chain_from_kernel(lps_chain.kernel,
+                                 lps_chain.stationary).transitive
+    assert power_chain(lps_chain, 1) is lps_chain
+    assert not power_chain(lps_chain, 2).transitive
 
 
 @pytest.mark.parametrize("columns", [2, 3, 7])

@@ -199,26 +199,32 @@ def test_report_json_independent_of_out_dir(tmp_path):
     assert b"out_dir" not in blobs[0]
 
 
-# all-suite canonical reports; any change to these bytes must be deliberate
+# canonical reports; any change to these bytes must be deliberate
+ALL = ("all",)
 PINNED_DIGESTS = {
-    "rr64": ({"kind": "random-regular", "n": 64, "d": 3, "seed": 8},
-             "66af2971150f1b6bc78cd5b9dac4a9182dd4b9d7323f95dad6c6c917a2a80c09"),
-    "petersen": ({"kind": "named", "name": "petersen"},
-                 "8bf1e040374f9002752898fd28d7ba27cf5eb25109448e1103493102139ff81c"),
+    "rr64": ({"kind": "random-regular", "n": 64, "d": 3, "seed": 8}, ALL,
+             "8f92baea52072de1ac68d5ad425dac4b45e26f759674c03e364cb06ee88e7a64"),
+    "petersen": ({"kind": "named", "name": "petersen"}, ALL,
+                 "0365f8398f7bcbbac94c2c8e32454585f563411df62958c9552845dce47ec0e6"),
     # bipartite: the periodic skips of the mixing and hitmix records
-    "q3": ({"kind": "named", "name": "hypercube", "dim": 3},
-           "7cdc5d209f58e3bee68d0aefffc9dc02a86336edade2ca9afed209bf0adea14e"),
+    "q3": ({"kind": "named", "name": "hypercube", "dim": 3}, ALL,
+           "744753695304ef4483670b067d1f6cd51399999aa9d92a01c20d2734b2442318"),
     # diameter 1: every 2-sphere is empty
-    "k5": ({"kind": "named", "name": "complete", "n": 5},
-           "e975f3145de9080af806bb278b680b140db979d34892311af03d2a4bcee84a5e"),
+    "k5": ({"kind": "named", "name": "complete", "n": 5}, ALL,
+           "4eb016569d4d7ba9a1a6208007a22847df67c1980dca467299ddd4bd4e8e755c"),
+    # certified vertex-transitive (PSL, non-bipartite): one start, one center
+    "lps17-13": ({"kind": "lps", "p": 17, "q": 13},
+                 ("spectral", "mixing", "inflation"),
+                 "9c8399bc8b5501a6ca98466eb1f5e4589cebe1e716aadbfce05e5bb70b996d7d"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
 def test_canonical_report_digests(tmp_path, name):
-    spec, digest = PINNED_DIGESTS[name]
+    spec, suites, digest = PINNED_DIGESTS[name]
     out = str(tmp_path / name)
-    run_suite(ExperimentConfig(graph=spec, trials=2000, seed=3, out_dir=out))
+    run_suite(ExperimentConfig(graph=spec, suites=suites, trials=2000, seed=3,
+                               out_dir=out))
     assert canonical_digest(out) == digest
 
 

@@ -409,7 +409,7 @@ def test_make_graph_rejects_non_pairs_and_huge_labels():
 def test_graph_stores_only_csr():
     import dataclasses
     assert [f.name for f in dataclasses.fields(wl.Graph)] == \
-        ["n", "indptr", "indices", "provenance"]
+        ["n", "indptr", "indices", "provenance", "automorphisms"]
 
 
 def test_has_edge_and_equality(petersen, random_cubic_medium):
@@ -762,3 +762,85 @@ def test_ball_stats_match_edge_loop(request, name, ks, monkeypatch):
             assert components == 1
             assert wl.ball_stats(g, v, k) == ref
             assert seen in ([], [ref_edges])
+
+
+# -- certified vertex-transitivity --------------------------------------------
+
+@pytest.fixture(scope="module")
+def lps_13_17():
+    return wl.build_lps(13, 17)
+
+
+CAYLEY_GRAPHS = ["lps_bipartite", "lps_nonbipartite", "lps_13_17", "q4",
+                 "c9", "k6"]
+
+
+def _cayley_graph(request, name):
+    named = {"q4": ("hypercube", 4), "c9": ("cycle", 9),
+             "k6": ("complete", 6)}
+    if name in named:
+        return wl.build_named(*named[name])
+    return request.getfixturevalue(name)
+
+
+def _uncertified(g):
+    """The same graph with no automorphisms attached."""
+    return wl.make_graph(g.n, np.array(g.edges), g.provenance)
+
+
+@pytest.mark.parametrize("name", CAYLEY_GRAPHS)
+def test_builders_attach_certified_automorphisms(request, name):
+    g = _cayley_graph(request, name)
+    assert wl.vertex_transitive(g)
+    for perm in g.automorphisms:
+        assert perm.dtype == np.int64 and not perm.flags.writeable
+        assert sorted(perm.tolist()) == list(range(g.n))
+        moved = {(min(a, b), max(a, b))
+                 for a, b in perm[np.array(g.edges)].tolist()}
+        assert moved == set(g.edges)
+    # the arrays ride along outside equality and repr
+    plain = _uncertified(g)
+    assert plain == g and repr(plain) == repr(g)
+    assert plain.automorphisms == () and not wl.vertex_transitive(plain)
+
+
+def test_certificate_rejects_what_it_must(tmp_path, lps_bipartite, prism,
+                                          random_cubic_medium):
+    g = lps_bipartite
+    edges = np.array(g.edges)
+    swap = np.arange(g.n)
+    swap[[0, 1]] = [1, 0]
+    repeated = np.arange(g.n)
+    repeated[1] = 0
+    for bad in (swap, repeated, np.arange(g.n - 1)):
+        # one bad array sinks the valid generators beside it
+        copy = wl.make_graph(g.n, edges, g.provenance,
+                             g.automorphisms + (bad,))
+        assert copy == g and not wl.vertex_transitive(copy)
+    # a true automorphism whose orbit of 0 is {0, 3}
+    triangle_swap = [3, 4, 5, 0, 1, 2]
+    swapped = wl.make_graph(6, prism.edges, prism.provenance,
+                            [triangle_swap])
+    assert not wl.vertex_transitive(swapped)
+    rotated = wl.make_graph(6, prism.edges, prism.provenance,
+                            [triangle_swap, [1, 2, 0, 4, 5, 3]])
+    assert wl.vertex_transitive(rotated)
+    # no generators: random graphs, files, relabelled copies, even with
+    # an LPS provenance
+    path = tmp_path / "lps.txt"
+    wl.write_edge_list(g, path)
+    perm = np.random.Generator(np.random.Philox(key=np.uint64(5))) \
+        .permutation(g.n)
+    relabelled = wl.make_graph(g.n, perm[edges], dict(g.provenance))
+    for plain in (random_cubic_medium, wl.read_edge_list(path), relabelled):
+        assert plain.automorphisms == () and not wl.vertex_transitive(plain)
+    assert wl.read_edge_list(path) == g
+
+
+@pytest.mark.parametrize("name", CAYLEY_GRAPHS)
+def test_one_vertex_scans_match_all_vertex_scans(request, name):
+    g = _cayley_graph(request, name)
+    plain = _uncertified(g)
+    assert wl.girth(g) == reference_girth(g)
+    assert diameter(g) == diameter(plain)
+    assert wl.assumption1_scan(g, 2) == wl.assumption1_scan(plain, 2)

@@ -421,7 +421,8 @@ def test_run_suite_builds_the_family_once(monkeypatch):
         monkeypatch.setattr(module, name, recorded)
 
     for module, name in ((spectral, "spectrum"), (chains, "mixing_profile"),
-                         (graphs, "inflate"), (chains, "srw_chain")):
+                         (graphs, "inflate"), (chains, "srw_chain"),
+                         (hitting, "sphere_hit_distribution")):
         record_calls(module, name)
     cfg = ExperimentConfig(graph={"kind": "random-regular", "n": 64, "d": 3,
                                   "seed": 8}, trials=200, seed=3)
@@ -436,6 +437,20 @@ def test_run_suite_builds_the_family_once(monkeypatch):
         assert len(calls[name]) == 1, name
     [(_, gk)] = calls["inflate"]
     assert sum(args[0] is gk for args, _ in calls["srw_chain"]) == 1
+    # a random graph carries no automorphisms: every start, every center
+    [(_, prof)] = calls["mixing_profile"]
+    assert prof.starts == tuple(range(64))
+    assert len(calls["sphere_hit_distribution"]) == 64
+
+    # on a certified Cayley graph one start and one center stand for all
+    calls.clear()
+    cfg = ExperimentConfig(graph={"kind": "lps", "p": 17, "q": 13},
+                           suites=("mixing", "inflation"))
+    report, _ = run_suite(cfg, write=False)
+    assert report.all_passed
+    [(_, prof)] = calls["mixing_profile"]
+    assert prof.starts == (0,) and prof.exact_starts
+    assert len(calls["sphere_hit_distribution"]) == 1
 
 
 # -- sphere hits against the column-solve reference ---------------------------
@@ -662,6 +677,49 @@ def test_w_vs_k_high_girth(girth5_graph):
     assert abs(rep.ratio_min - 1.0) < 1e-10
     assert abs(rep.ratio_max - 1.0) < 1e-10
     assert abs(rep.k_scaled_min - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("pq", [(5, 13), (13, 17)])
+def test_w_vs_k_one_center_matches_all_centers(monkeypatch, pq):
+    g = wl.build_lps(*pq)
+    plain = wl.make_graph(g.n, np.array(g.edges), g.provenance)
+    ref = w_vs_k_report(plain, 2)
+    solves = []
+    solve = hitting.sphere_hit_distribution
+    monkeypatch.setattr(hitting, "sphere_hit_distribution",
+                        lambda *args: solves.append(args) or solve(*args))
+    rep = w_vs_k_report(g, 2)
+    assert solves == [(g, 0, 2)]
+    assert len(rep.per_center) == len(ref.per_center) == g.n
+    for got, want in zip(rep.per_center, ref.per_center):
+        assert got[:3] == want[:3]
+        assert np.allclose(got[3:], want[3:], rtol=0, atol=1e-12)
+    fields = ("ratio_min", "ratio_max", "k_scaled_min", "k_scaled_max",
+              "w_scaled_min")
+    assert np.allclose([getattr(rep, f) for f in fields],
+                       [getattr(ref, f) for f in fields], rtol=0, atol=1e-12)
+    assert [c.passed for c in rep.checks] == [c.passed for c in ref.checks]
+
+
+def test_uncertified_graphs_take_every_start_and_center(
+        monkeypatch, tmp_path, random_cubic_medium):
+    g = wl.build_lps(17, 13)
+    path = tmp_path / "lps.txt"
+    wl.write_edge_list(g, path)
+    perm = np.random.Generator(np.random.Philox(key=np.uint64(5))) \
+        .permutation(g.n)
+    relabelled = wl.make_graph(g.n, perm[np.array(g.edges)], g.provenance)
+    solves = []
+    solve = hitting.sphere_hit_distribution
+    monkeypatch.setattr(hitting, "sphere_hit_distribution",
+                        lambda *args: solves.append(args) or solve(*args))
+    for plain in (random_cubic_medium, wl.read_edge_list(path), relabelled):
+        chain = srw_chain(plain)
+        assert not chain.transitive
+        assert mixing_profile(chain, [0.25]).starts == tuple(range(plain.n))
+        solves.clear()
+        w_vs_k_report(plain, 2)
+        assert [args[1] for args in solves] == list(range(plain.n))
 
 
 def test_middle_term_two_ways(petersen_chain):
