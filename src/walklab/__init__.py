@@ -46,6 +46,7 @@ from .hitting import (
     HitReport,
     HittingError,
     SphereHit,
+    SphereHits,
     WvsKReport,
     survival_probability,
     hit_quantile,

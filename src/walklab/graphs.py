@@ -120,16 +120,7 @@ class Graph:
     def expand(self, vertices) -> tuple:
         """``(slot, neighbor)`` arrays listing every neighbor of every
         ``vertices[slot]``, slot by slot in adjacency order."""
-        indptr, indices = self.csr
-        vertices = np.asarray(vertices, dtype=np.int64)
-        degs = indptr[vertices + 1] - indptr[vertices]
-        slot = np.repeat(np.arange(len(vertices)), degs)
-        within = np.arange(len(slot)) - np.repeat(np.cumsum(degs) - degs, degs)
-        return slot, indices[indptr[vertices][slot] + within]
-
-    def neighbor_table(self) -> np.ndarray:
-        """n x d array whose row v is adjacency[v]; regular graphs only."""
-        return self.indices.reshape(self.n, self.regular_degree)
+        return _expand(self.indptr, self.indices, vertices)
 
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -181,6 +172,15 @@ class Graph:
     def __repr__(self):
         kind = self.provenance.get("kind", "graph")
         return f"Graph(n={self.n}, m={self.m}, kind={kind!r})"
+
+
+def _expand(indptr, indices, vertices) -> tuple:
+    """:meth:`Graph.expand` on the CSR arrays ``(indptr, indices)``."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+    degs = indptr[vertices + 1] - indptr[vertices]
+    slot = np.repeat(np.arange(len(vertices)), degs)
+    within = np.arange(len(slot)) - np.repeat(np.cumsum(degs) - degs, degs)
+    return slot, indices[indptr[vertices][slot] + within]
 
 
 def make_graph(n: int, edges, provenance=None, automorphisms=()) -> Graph:
@@ -429,16 +429,27 @@ def bfs_distances(g: Graph, source: int, cutoff=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BallTable:
-    """Radius-k balls around every vertex, for vectorized distance lookups.
+    """Radius-k balls around every vertex, for vectorized distance lookups
+    and walks that stay inside one ball.
 
     ``keys`` holds ``anchor * n + u`` for every u within distance k of
     anchor, sorted ascending; ``dist[i]`` is the distance of ``keys[i]``.
+    The index of a pair in ``keys`` is its position.  ``indptr`` and
+    ``indices`` are the graph's CSR arrays, which the step table reads.
+
+    :attr:`steps` is the ball-local transition table: a walker at the
+    interior position of (anchor, u) moves to its slot-th neighbor w by
+    one gather, to the position of (anchor, w), with no search.
+    :attr:`home` gives the position of (v, v), where a walker that has
+    just reached its anchor's sphere at v starts v's ball.
     """
 
     n: int
     k: int
     keys: np.ndarray
     dist: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def distance(self, anchor, v) -> np.ndarray:
         """Elementwise dist(anchor, v), or -1 when v lies outside the ball."""
@@ -457,6 +468,37 @@ class BallTable:
         """Sorted vertices at distance exactly k from ``anchor``."""
         vertices, dist = self.ball(anchor)
         return vertices[dist == self.k]
+
+    def vertex(self, pos) -> np.ndarray:
+        """The vertex u of each position of (anchor, u)."""
+        return self.keys[pos] % self.n
+
+    @cached_property
+    def home(self) -> np.ndarray:
+        """``home[v]``: the position of (v, v)."""
+        return _read_only(
+            np.searchsorted(self.keys, np.arange(self.n) * (self.n + 1)))
+
+    @cached_property
+    def steps(self) -> tuple:
+        """``(first, target)``, built on first use: for the position p of
+        (anchor, u) with dist(anchor, u) < k, ``target[first[p] + slot]``
+        is the position of (anchor, w), w the slot-th neighbor of u in
+        adjacency order.  ``first`` has one entry per position plus one;
+        rows are the interior positions only, so a position at distance k
+        has an empty row, and ``target`` holds sum(deg(u)) entries over
+        the interior pairs: n |B_{k-1}| d on a d-regular graph whose balls
+        have |B_{k-1}| vertices."""
+        inner = np.flatnonzero(self.dist < self.k)
+        anchors, vertices = np.divmod(self.keys[inner], self.n)
+        degs = np.zeros(len(self.keys), dtype=np.int64)
+        degs[inner] = self.indptr[vertices + 1] - self.indptr[vertices]
+        first = np.zeros(len(self.keys) + 1, dtype=np.int64)
+        np.cumsum(degs, out=first[1:])
+        slot, nbr = _expand(self.indptr, self.indices, vertices)
+        # a neighbor of an interior vertex lies in the ball
+        target = np.searchsorted(self.keys, anchors[slot] * self.n + nbr)
+        return _read_only(first), _read_only(target)
 
 
 def _sorted_lookup(keys: np.ndarray, query):
@@ -497,10 +539,14 @@ def _build_ball_table(g: Graph, k: int) -> BallTable:
     dist = np.repeat(np.arange(k + 1, dtype=np.int8),
                      [len(level) for level in levels])
     order = np.argsort(keys, kind="stable")
-    keys, dist = keys[order], dist[order]
-    keys.flags.writeable = False
-    dist.flags.writeable = False
-    return BallTable(n=n, k=k, keys=keys, dist=dist)
+    return BallTable(n=n, k=k, keys=_read_only(keys[order]),
+                     dist=_read_only(dist[order]), indptr=g.indptr,
+                     indices=g.indices)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _support_classes(support: sp.csr_matrix) -> tuple:

@@ -63,22 +63,29 @@ def _family_blocks(kernel, sets):
     """Block-diagonal stacks of the restrictions kernel[A][:, A].
 
     Consecutive sets share a block until it holds about
-    ``FAMILY_CHUNK_ROWS`` rows, which bounds the memory of a step.
-    Yields ``(lo, starts, block)``: the block stacks the sets from
-    ``sets[lo]`` on, and set ``lo + i`` owns the rows from ``starts[i]``.
-    Every row keeps the entry order of kernel[A][:, A], so a block matvec
-    equals the per-set matvecs bit for bit.  Each set must be nonempty
-    and sorted, with distinct entries.  A :class:`CandidateFamily` is read
-    through its arrays.
+    ``FAMILY_CHUNK_ROWS`` rows, or until one more set would take the slot
+    map (below) past 16 ``FAMILY_CHUNK_ROWS`` entries, which bounds the
+    memory of a step.  Yields ``(lo, starts, block)``: the block stacks
+    the sets from ``sets[lo]`` on, and set ``lo + i`` owns the rows from
+    ``starts[i]``.  Every row keeps the entry order of kernel[A][:, A], so
+    a block matvec equals the per-set matvecs bit for bit.  Each set must
+    be nonempty and sorted, with distinct entries.  A
+    :class:`CandidateFamily` is read through its arrays.
+
+    The kernel rows of a chunk's members are sliced out together; an
+    entry (set, column) finds its block column by one gather in an int32
+    slot map local[set, vertex], which holds the vertex's block row, or
+    -1 when the vertex is not in the set.
     """
     kernel = sp.csr_matrix(kernel)
     n = kernel.shape[0]
+    cap = 16 * FAMILY_CHUNK_ROWS
     all_members, offsets = _as_arrays(sets)
     lo = 0
     while lo < len(sets):
         last = np.searchsorted(offsets, offsets[lo] + FAMILY_CHUNK_ROWS,
                                side="right") - 1
-        hi = max(int(last), lo + 1)
+        hi = max(min(int(last), lo + cap // max(n, 1)), lo + 1)
         sizes = np.diff(offsets[lo:hi + 1])
         members = all_members[offsets[lo]:offsets[hi]]
         rows = len(members)
@@ -91,15 +98,40 @@ def _family_blocks(kernel, sets):
                 "sets must be nonempty, sorted, distinct and in range")
         sub = kernel[members]
         entry_row = np.repeat(np.arange(rows), np.diff(sub.indptr))
-        entry_keys = owner[entry_row] * n + sub.indices
-        col = np.minimum(np.searchsorted(keys, entry_keys), rows - 1)
-        keep = keys[col] == entry_keys
+        col = _block_columns(owner, members, owner[entry_row], sub.indices,
+                             n, cap)
+        keep = col >= 0
         indptr = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(entry_row[keep], minlength=rows), out=indptr[1:])
         block = sp.csr_matrix((sub.data[keep], col[keep], indptr),
                               shape=(rows, rows))
         yield lo, np.cumsum(sizes) - sizes, block
         lo = hi
+
+
+def _block_columns(owner, members, entry_set, entry_col, n, cap):
+    """Block row of the member (entry_set[e], entry_col[e]) for every
+    entry e, or -1 where entry_col[e] is not in set entry_set[e].
+
+    Member i is vertex members[i] of set owner[i].  The slot map holds at
+    most ``cap`` entries: it spans every vertex when sets x n fits, and
+    otherwise (one set on more than ``cap`` vertices) it is filled one
+    window of ``cap`` vertices at a time.
+    """
+    sets = int(owner[-1]) + 1
+    width = min(n, cap // sets)
+    local = np.full((sets, width), -1, dtype=np.int32)
+    if width == n:
+        local[owner, members] = np.arange(len(members))
+        return local[entry_set, entry_col]
+    col = np.full(len(entry_col), -1, dtype=np.int32)
+    for v0 in range(0, n, width):
+        mine = (members >= v0) & (members < v0 + width)
+        here = (entry_col >= v0) & (entry_col < v0 + width)
+        local.fill(-1)
+        local[owner[mine], members[mine] - v0] = np.flatnonzero(mine)
+        col[here] = local[entry_set[here], entry_col[here] - v0]
+    return col
 
 
 def family_survival(kernel, sets, t: int) -> np.ndarray:
@@ -593,6 +625,32 @@ def sphere_hit_distribution(g: Graph, v: int, k: int) -> SphereHit:
         lower_bound_pass=min_p >= lb - 1e-12)
 
 
+class SphereHits(dict):
+    """The sphere-hit rows of one graph at one radius, keyed by center:
+    ``hits[v]`` is ``sphere_hit_distribution(g, v, k)``, solved on first
+    access and kept.  One instance per run lets every reader of a row
+    share its solve."""
+
+    def __init__(self, g: Graph, k: int):
+        super().__init__()
+        self.g = g
+        self.k = k
+
+    def __missing__(self, v):
+        hit = self[v] = sphere_hit_distribution(self.g, v, self.k)
+        return hit
+
+
+def _sphere_hits(g: Graph, k: int, hits) -> SphereHits:
+    """``hits``, checked to belong to (g, k), or a fresh
+    :class:`SphereHits` when it is None."""
+    if hits is None:
+        return SphereHits(g, k)
+    if hits.g is not g or hits.k != k:
+        raise HittingError("sphere hits belong to another graph or radius")
+    return hits
+
+
 def expected_hit_time(g: Graph, v: int, k: int) -> float:
     """E_v[T_{D_k}]: expected steps to reach distance k from v."""
     interior, _, system, _ = _ball_absorbing_system(g, v, k)
@@ -632,15 +690,17 @@ class WvsKReport:
         return out
 
 
-def w_vs_k_report(g: Graph, k: int, centers=None) -> WvsKReport:
+def w_vs_k_report(g: Graph, k: int, centers=None,
+                  hits: SphereHits = None) -> WvsKReport:
     """min/max of W/K and of K d(d-1)^{k-1} over inflated edges.
 
-    W rows are exact sphere-hitting solves; K(x, .) is uniform over the
-    distance-k neighbors.  Requires every measured vertex to have a
-    nonempty k-sphere.  On a certified vertex-transitive graph an
-    automorphism carries center 0's ball and sphere-hit row onto every
-    center's, so center 0 is solved once and its row stands for each
-    requested center.
+    W rows are exact sphere-hitting solves, read from ``hits`` (the
+    run's :class:`SphereHits` of g at radius k; a fresh one when None);
+    K(x, .) is uniform over the distance-k neighbors.  Requires every
+    measured vertex to have a nonempty k-sphere.  On a certified
+    vertex-transitive graph an automorphism carries center 0's ball and
+    sphere-hit row onto every center's, so center 0 is solved once and
+    its row stands for each requested center.
     """
     if not g.is_regular:
         raise HittingError("comparison needs a regular graph")
@@ -654,9 +714,10 @@ def w_vs_k_report(g: Graph, k: int, centers=None) -> WvsKReport:
     k_max = -math.inf
     w_min = math.inf
     per_center = []
-    same = sphere_hit_distribution(g, 0, k) if vertex_transitive(g) else None
+    hits = _sphere_hits(g, k, hits)
+    same = hits[0] if vertex_transitive(g) else None
     for x in centers:
-        hit = same or sphere_hit_distribution(g, x, k)
+        hit = same or hits[x]
         deg_k = len(hit.sphere)
         k_val = scale / deg_k
         k_min, k_max = min(k_min, k_val), max(k_max, k_val)

@@ -1,12 +1,13 @@
 """Config-driven verification suites tying the library together.
 
 ``run_suite`` builds one :class:`Run` per config: the graph, its SRW
-chain and spectrum, plus the candidate family, mixing profile and
-distance-k graph and chain, each built on first use and shared by every
-suite.  Each suite turns the run into a list of report records
-(pass/fail or informational).  Everything is deterministic given the
-config: all randomness is drawn from Philox streams keyed by the config
-seed, and the emitted files carry no timing or host data.
+chain and spectrum, plus the candidate family, mixing profile,
+sphere-hit rows and distance-k graph and chain, each built on first use
+and shared by every suite.  Each suite turns the run into a list of
+report records (pass/fail or informational).  Everything is
+deterministic given the config: all randomness is drawn from Philox
+streams keyed by the config seed, and the emitted files carry no timing
+or host data.
 """
 
 from __future__ import annotations
@@ -143,6 +144,12 @@ class Run:
                 or not self.chain.is_irreducible:
             return None
         return C.mixing_profile(self.chain, sorted({self.cfg.eps, 0.1}))
+
+    @functools.cached_property
+    def sphere_hits(self) -> H.SphereHits:
+        """Sphere-hit rows at radius k, each solved on first access; the
+        inflation and walk suites read the same rows."""
+        return H.SphereHits(self.g, self.cfg.k)
 
     @functools.cached_property
     def inflated(self) -> G.Graph:
@@ -342,7 +349,7 @@ def inflation_suite(run: Run) -> tuple:
     # on a certified vertex-transitive graph every center costs one solve
     centers = range(g.n) if g.n <= 4096 or G.vertex_transitive(g) \
         else range(256)
-    wk = H.w_vs_k_report(g, cfg.k, centers=centers)
+    wk = H.w_vs_k_report(g, cfg.k, centers=centers, hits=run.sphere_hits)
     for check in wk.checks:
         recs.append(record_from_check("inflation", check))
     recs.append(record(
@@ -458,7 +465,8 @@ def walk_suite(run: Run) -> tuple:
 
     esc = W.escape_transfer_experiment(
         g, run.chain, run.family, run.inflated_chain, k=k, t=cfg.steps,
-        s=max(1, cfg.steps // 2), trials=min(cfg.trials, 4000), seed=cfg.seed)
+        s=max(1, cfg.steps // 2), trials=min(cfg.trials, 4000), seed=cfg.seed,
+        hits=run.sphere_hits)
     for check in esc.checks:
         recs.append(record_from_check("walk", check, extra={
             "srw_escape": esc.srw_escape, "y_escape": esc.y_escape,

@@ -7,8 +7,9 @@ the Y-chain, whose exact one-step kernel is the sphere-hitting solve
 from the hitting module.  A step is good when at least d-1 neighbors of
 the current position are strictly farther from the anchor, which is what
 couples the walk to the tree level chain.  Distances to the anchor come
-from the graph's radius-k ball table, and independent walks advance in
-lockstep as arrays.
+from the graph's radius-k ball table; independent walks advance in
+lockstep as arrays of positions in that table and step through its
+ball-local step table, one gather per step.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream); every result records its key, so reruns are
@@ -40,7 +41,8 @@ from .checks import Check
 from .graphs import (Graph, ball_table, bfs_distances,  # noqa: F401
                      is_connected)
 from .chains import ReversibleChain
-from .hitting import family_survival, sphere_hit_distribution
+from .hitting import (SphereHits, _sphere_hits, family_survival,
+                      sphere_hit_distribution)
 
 
 class WalkError(ValueError):
@@ -279,7 +281,7 @@ def sample_first_regenerations(g: Graph, anchor: int, k: int, trials: int,
         mean = sum(durations) / len(durations) if durations else 4.0
         more = int(1.25 * mean * (trials - len(durations))) + 64
         u = np.concatenate((u, rng.random(more)))
-        steps, landing = _first_passages(g, ball, anchor, u)
+        steps, landing = _first_passages(ball, anchor, u)
         steps, landing = steps.tolist(), landing.tolist()
         o = 0
         while len(durations) < trials and o < len(u) and steps[o]:
@@ -291,45 +293,56 @@ def sample_first_regenerations(g: Graph, anchor: int, k: int, trials: int,
             np.array(landings, dtype=np.int64))
 
 
-def _first_passages(g: Graph, ball, anchor: int, u: np.ndarray):
+def _first_passages(ball, anchor: int, u: np.ndarray):
     """Steps to the k-sphere and landing vertex of the walk from ``anchor``
     that starts at each offset j of ``u`` (using u[j], u[j+1], ...); steps
-    is 0 where the walk runs out of uniforms first."""
-    indptr, indices = g.csr
-    degs = np.diff(indptr)
+    is 0 where the walk runs out of uniforms first.
+
+    A walker is a position in ``ball`` (a :class:`BallTable`) and moves
+    through its step table: slot ``floor(x * deg)`` of the current row,
+    where deg is the row's length, the degree of the current vertex, so
+    irregular graphs walk as well.
+    """
+    first, target = ball.steps
     steps = np.zeros(len(u), dtype=np.int64)
     landing = np.zeros(len(u), dtype=np.int64)
     walker = np.arange(len(u))
-    cur = np.full(len(u), anchor, dtype=np.int64)
+    pos = np.full(len(u), ball.home[anchor])
     t = 0
     while len(walker):
         live = walker + t < len(u)
-        walker, cur = walker[live], cur[live]
-        cur = indices[indptr[cur]
-                      + (u[walker + t] * degs[cur]).astype(np.int64)]
+        walker, pos = walker[live], pos[live]
+        row = first[pos]
+        degs = first[pos + 1] - row
+        pos = target[row + (u[walker + t] * degs).astype(np.int64)]
         t += 1
-        hit = ball.distance(anchor, cur) == ball.k
+        hit = ball.dist[pos] == ball.k
         steps[walker[hit]] = t
-        landing[walker[hit]] = cur[hit]
-        walker, cur = walker[~hit], cur[~hit]
+        landing[walker[hit]] = ball.vertex(pos[hit])
+        walker, pos = walker[~hit], pos[~hit]
     return steps, landing
 
 
 def _lockstep_regenerations(g: Graph, start: int, k: int,
                             u: np.ndarray) -> np.ndarray:
     """Completed regenerations of ``len(u)`` fresh walks from ``start``;
-    walk i takes its step j with uniform ``u[i, j]``."""
-    nbr = g.neighbor_table()
-    d = nbr.shape[1]
+    walk i takes its step j with uniform ``u[i, j]``.
+
+    Each walker is its position in the radius-k :class:`BallTable`, the
+    pair (anchor, vertex).  A step is one gather in the step table; a
+    walker that lands on its anchor's sphere at v regenerates and moves to
+    the home position of v, so it never leaves the table's interior rows.
+    """
+    d = g.regular_degree
     ball = ball_table(g, k)
-    cur = np.full(len(u), start, dtype=np.int64)
-    anchor = cur
+    first, target = ball.steps
+    pos = np.full(len(u), ball.home[start])
     regens = np.zeros(len(u), dtype=np.int64)
     for x in u.T:
-        cur = nbr[cur, (x * d).astype(np.int64)]
-        hit = ball.distance(anchor, cur) == k
+        pos = target[first[pos] + (x * d).astype(np.int64)]
+        hit = ball.dist[pos] == k
         regens += hit
-        anchor = np.where(hit, cur, anchor)
+        pos[hit] = ball.home[ball.vertex(pos[hit])]
     return regens
 
 
@@ -367,7 +380,8 @@ class EscapeTransferReport:
 def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
                                k_chain: ReversibleChain, k: int, t: int,
                                s: int, trials: int, seed: int,
-                               mc_starts_limit: int = 64) -> EscapeTransferReport:
+                               mc_starts_limit: int = 64,
+                               hits: SphereHits = None) -> EscapeTransferReport:
     """Exact + Monte Carlo verification of the escape decomposition.
 
     P_a[T_{A^c} > t+s] <= P^Y_a[T_{A^c} > tau(t)] + P_a[T_{tau(t)} > t+s]
@@ -375,13 +389,16 @@ def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
     ``chain`` is the SRW chain of ``g`` and ``sets`` a nonempty family of
     small sets, such as ``candidate_small_sets(chain, alpha, graph=g)``;
     ``k_chain`` is the SRW chain of ``inflate(g, k)``, or None when some
-    k-sphere is empty, which leaves ``k_escape`` None.
+    k-sphere is empty, which leaves ``k_escape`` None.  The rows of the
+    regeneration kernel W are read from ``hits``, the run's
+    :class:`SphereHits` of g at radius k (a fresh one when None).
     """
     if not g.is_regular:
         raise WalkError("escape transfer experiment needs a regular graph")
     d = g.regular_degree
     if not sets:
         raise WalkError("candidate family is empty: no set has mass <= alpha")
+    hits = _sphere_hits(g, k, hits)
     tau_t = tau(t, d, k)
     horizon = t + s
 
@@ -390,7 +407,7 @@ def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
     needed = np.unique(sets.members).tolist()
     rows, cols, vals = [], [], []
     for v in needed:
-        hit = sphere_hit_distribution(g, v, k)
+        hit = hits[v]
         rows.extend([v] * len(hit.sphere))
         cols.extend(hit.sphere)
         vals.extend(hit.probabilities.tolist())

@@ -269,17 +269,13 @@ def test_degree_profile_cached():
     assert wl.make_graph(0, []).degree_profile.is_regular
 
 
-def test_csr_and_neighbor_table(petersen):
+def test_csr_and_expand(petersen):
     indptr, indices = petersen.csr
     for v in range(petersen.n):
         assert tuple(indices[indptr[v]:indptr[v + 1]]) == petersen.adjacency[v]
-    assert petersen.neighbor_table().tolist() == \
-        [list(a) for a in petersen.adjacency]
     slot, nbr = petersen.expand([4, 0])
     assert slot.tolist() == [0, 0, 0, 1, 1, 1]
     assert nbr.tolist() == list(petersen.adjacency[4] + petersen.adjacency[0])
-    with pytest.raises(GraphError):
-        wl.make_graph(3, [(0, 1)]).neighbor_table()
 
 
 def test_ball_table_matches_bfs(petersen, prism, c6, random_cubic_medium):
@@ -296,6 +292,40 @@ def test_ball_table_matches_bfs(petersen, prism, c6, random_cubic_medium):
                     np.flatnonzero(dist == k).tolist()
     with pytest.raises(GraphError, match="radius"):
         ball_table(petersen, 0)
+
+
+def test_ball_step_table_moves_inside_each_ball(petersen, prism, c6,
+                                                random_cubic_medium):
+    path = wl.make_graph(5, [(0, 1), (1, 2), (2, 3)])   # 4 is isolated
+    for g in (petersen, prism, c6, random_cubic_medium, path):
+        for k in (1, 2, 3):
+            table = ball_table(g, k)
+            first, target = table.steps
+            assert table.steps is table.steps
+            assert np.array_equal(table.keys[table.home],
+                                  np.arange(g.n) * (g.n + 1))
+            degs = np.diff(first)
+            inner = table.dist < k
+            assert not degs[~inner].any()     # interior rows only
+            for pos in np.flatnonzero(inner).tolist():
+                anchor, u = divmod(int(table.keys[pos]), g.n)
+                assert degs[pos] == g.degree(u)
+                row = target[first[pos]:first[pos + 1]]
+                assert table.keys[row].tolist() == \
+                    [anchor * g.n + w for w in g.adjacency[u]]
+                assert table.vertex(row).tolist() == list(g.adjacency[u])
+
+
+@pytest.mark.parametrize("p,q,d,ball1", [(13, 17, 14, 15), (5, 13, 6, 7)])
+def test_step_table_size_on_regular_graphs(p, q, d, ball1):
+    # interior rows only: n |B_1| d slots at k = 2, not n |B_2| d
+    g = wl.build_lps(p, q)
+    first, target = ball_table(g, 2).steps
+    assert len(target) == first[-1] == g.n * ball1 * d
+    assert len(ball_table(g, 2).keys) > g.n * ball1
+    cubic = wl.build_random_regular(64, 3, 8)
+    table = ball_table(cubic, 3)
+    assert len(table.steps[1]) == 3 * np.count_nonzero(table.dist < 3)
 
 
 # -- CSR storage against the tuple builder it replaced ------------------------

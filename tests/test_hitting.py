@@ -195,6 +195,155 @@ def test_family_survival_rejects_unsorted_sets(petersen_chain):
         family_survival(petersen_chain.kernel, [(3, 1)], 2)
 
 
+def reference_family_blocks(kernel, sets):
+    """Reference: the block builder that finds each kernel entry's block
+    column by binary search over the chunk's (set, vertex) keys, with
+    chunks closed on rows alone."""
+    import scipy.sparse as sp
+    kernel = sp.csr_matrix(kernel)
+    n = kernel.shape[0]
+    all_members, offsets = hitting._as_arrays(sets)
+    lo = 0
+    while lo < len(sets):
+        last = np.searchsorted(offsets,
+                               offsets[lo] + hitting.FAMILY_CHUNK_ROWS,
+                               side="right") - 1
+        hi = max(int(last), lo + 1)
+        sizes = np.diff(offsets[lo:hi + 1])
+        members = all_members[offsets[lo]:offsets[hi]]
+        rows = len(members)
+        owner = np.repeat(np.arange(hi - lo), sizes)
+        keys = owner * n + members
+        if np.any(sizes == 0) or np.any(np.diff(keys) <= 0) \
+                or np.any(members < 0) or np.any(members >= n):
+            raise HittingError(
+                "sets must be nonempty, sorted, distinct and in range")
+        sub = kernel[members]
+        entry_row = np.repeat(np.arange(rows), np.diff(sub.indptr))
+        entry_keys = owner[entry_row] * n + sub.indices
+        col = np.minimum(np.searchsorted(keys, entry_keys), rows - 1)
+        keep = keys[col] == entry_keys
+        indptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(entry_row[keep], minlength=rows), out=indptr[1:])
+        block = sp.csr_matrix((sub.data[keep], col[keep], indptr),
+                              shape=(rows, rows))
+        yield lo, np.cumsum(sizes) - sizes, block
+        lo = hi
+
+
+def per_set_pieces(blocks):
+    """(lo, starts, block) triples cut into one (indptr, indices, data)
+    triple per set, columns counted from the set's first row."""
+    pieces = []
+    for _, starts, block in blocks:
+        ends = np.append(starts[1:], block.shape[0])
+        for a, b in zip(starts.tolist(), ends.tolist()):
+            lo, hi = block.indptr[a], block.indptr[b]
+            pieces.append((block.indptr[a:b + 1] - lo,
+                           block.indices[lo:hi] - a, block.data[lo:hi]))
+    return pieces
+
+
+def reference_survival(kernel, sets, t):
+    out = []
+    for _, starts, block in reference_family_blocks(kernel, sets):
+        u = np.ones(block.shape[0])
+        for _ in range(t):
+            u = block @ u
+        out.extend(np.maximum.reduceat(u, starts))
+    return np.array(out)
+
+
+def assert_blocks_match_reference(kernel, sets):
+    blocks = list(hitting._family_blocks(kernel, sets))
+    assert [lo for lo, _, _ in blocks] == \
+        np.cumsum([0] + [len(st) for _, st, _ in blocks[:-1]]).tolist()
+    for got, want in zip(per_set_pieces(blocks),
+                         per_set_pieces(reference_family_blocks(kernel, sets)),
+                         strict=True):
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+    for _, starts, block in blocks:
+        # block-diagonal: every entry lies in its own set's columns
+        owner = np.searchsorted(starts, np.arange(block.shape[0]),
+                                side="right")
+        row_of = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+        assert np.array_equal(
+            np.searchsorted(starts, block.indices, side="right"),
+            owner[row_of])
+    for t in (0, 1, 6):
+        assert np.array_equal(family_survival(kernel, sets, t),
+                              reference_survival(kernel, sets, t))
+    return blocks
+
+
+def recording_slot_maps(monkeypatch):
+    """Sizes of the 2-d int32 arrays (slot maps) that hitting.py
+    allocates with np.full."""
+    import inspect
+    sizes = []
+    full = np.full
+
+    def recorded(shape, *args, **kwargs):
+        out = full(shape, *args, **kwargs)
+        caller = inspect.currentframe().f_back.f_globals["__name__"]
+        if caller == hitting.__name__ and out.dtype == np.int32 \
+                and out.ndim == 2:
+            sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(hitting.np, "full", recorded)
+    return sizes
+
+
+def test_family_blocks_match_search_reference(monkeypatch, cubic_family,
+                                              petersen_chain):
+    chain, sets = cubic_family
+    sizes = recording_slot_maps(monkeypatch)
+    # default chunks: one slot map of sets x n entries per chunk
+    blocks = assert_blocks_match_reference(chain.kernel, sets)
+    assert len(blocks) > 1 and sizes
+    assert max(sizes) <= 16 * hitting.FAMILY_CHUNK_ROWS
+    # tiny chunks, a map of 80 entries: on n = 200 a set alone is matched
+    # one window of 80 vertices at a time; on n = 10 a chunk holds up to
+    # 5 rows from at most 8 sets
+    monkeypatch.setattr(hitting, "FAMILY_CHUNK_ROWS", 5)
+    sizes.clear()
+    blocks = assert_blocks_match_reference(chain.kernel, sets[::7])
+    assert all(len(starts) == 1 for _, starts, _ in blocks)
+    assert set(sizes) == {80}
+    blocks = assert_blocks_match_reference(
+        petersen_chain.kernel, exact_family(petersen_chain, 0.3))
+    assert max(len(starts) for _, starts, _ in blocks) == 5
+
+
+def test_singleton_chunks_close_on_the_slot_map_bound(monkeypatch,
+                                                      cubic_family):
+    chain, _ = cubic_family
+    n = chain.n
+    sets = [(v,) for v in range(n)] * 8
+    sizes = recording_slot_maps(monkeypatch)
+    blocks = assert_blocks_match_reference(chain.kernel, sets)
+    per_chunk = 16 * hitting.FAMILY_CHUNK_ROWS // n
+    assert [len(starts) for _, starts, _ in blocks] == \
+        [per_chunk] * (len(sets) // per_chunk) + [len(sets) % per_chunk]
+    assert max(sizes) == per_chunk * n <= 16 * hitting.FAMILY_CHUNK_ROWS
+    # the rows alone would have closed one chunk
+    assert len(list(reference_family_blocks(chain.kernel, sets))) == 1
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+def test_family_blocks_reject_bad_sets(monkeypatch, petersen_chain, rows):
+    if rows is not None:
+        monkeypatch.setattr(hitting, "FAMILY_CHUNK_ROWS", rows)
+    message = "^sets must be nonempty, sorted, distinct and in range$"
+    for bad in ([(0, 1), ()], [(3, 1)], [(2, 5, 5)], [(4, 10)], [(-1, 2)]):
+        with pytest.raises(HittingError, match=message):
+            family_survival(petersen_chain.kernel, bad, 2)
+        with pytest.raises(HittingError, match=message):
+            list(reference_family_blocks(petersen_chain.kernel, bad))
+
+
 def test_candidate_sets_respect_mass(petersen, petersen_chain):
     sets = candidate_small_sets(petersen_chain, 0.25, graph=petersen)
     assert sets
@@ -398,7 +547,7 @@ def test_candidate_family_sequence(petersen, petersen_chain):
 
 
 def test_run_suite_builds_the_family_once(monkeypatch):
-    from walklab import chains, graphs, spectral
+    from walklab import chains, graphs, spectral, walks
     from walklab.suites import ExperimentConfig, run_suite
     builds = []
     build = hitting.candidate_small_sets
@@ -424,6 +573,10 @@ def test_run_suite_builds_the_family_once(monkeypatch):
                          (graphs, "inflate"), (chains, "srw_chain"),
                          (hitting, "sphere_hit_distribution")):
         record_calls(module, name)
+    walk_solves = []
+    solve = walks.sphere_hit_distribution
+    monkeypatch.setattr(walks, "sphere_hit_distribution",
+                        lambda *args: walk_solves.append(args) or solve(*args))
     cfg = ExperimentConfig(graph={"kind": "random-regular", "n": 64, "d": 3,
                                   "seed": 8}, trials=200, seed=3)
     report, _ = run_suite(cfg, write=False)
@@ -440,7 +593,10 @@ def test_run_suite_builds_the_family_once(monkeypatch):
     # a random graph carries no automorphisms: every start, every center
     [(_, prof)] = calls["mixing_profile"]
     assert prof.starts == tuple(range(64))
+    # the inflation suite and the escape experiment share one solve per
+    # center; the empirical Y-kernel row solves its anchor on its own
     assert len(calls["sphere_hit_distribution"]) == 64
+    assert [args[1:] for args in walk_solves] == [(0, 2)]
 
     # on a certified Cayley graph one start and one center stand for all
     calls.clear()
@@ -451,6 +607,39 @@ def test_run_suite_builds_the_family_once(monkeypatch):
     [(_, prof)] = calls["mixing_profile"]
     assert prof.starts == (0,) and prof.exact_starts
     assert len(calls["sphere_hit_distribution"]) == 1
+
+
+def test_one_suite_alone_solves_only_what_it_reads(monkeypatch):
+    from walklab.suites import ExperimentConfig, build_graph, run_suite
+    solves = []
+    solve = hitting.sphere_hit_distribution
+    monkeypatch.setattr(hitting, "sphere_hit_distribution",
+                        lambda *args: solves.append(args[1]) or solve(*args))
+    graph = {"kind": "random-regular", "n": 64, "d": 3, "seed": 8}
+    run_suite(ExperimentConfig(graph=graph, suites=("inflation",)),
+              write=False)
+    assert solves == list(range(64))
+    solves.clear()
+    cfg = ExperimentConfig(graph=graph, suites=("walk",), trials=200, seed=3)
+    run_suite(cfg, write=False)
+    g = build_graph(graph)
+    family = candidate_small_sets(srw_chain(g), cfg.alpha, graph=g)
+    assert solves == np.unique(family.members).tolist()
+
+
+def test_sphere_hits_solve_each_center_once(monkeypatch, petersen, prism):
+    solves = []
+    solve = hitting.sphere_hit_distribution
+    monkeypatch.setattr(hitting, "sphere_hit_distribution",
+                        lambda *args: solves.append(args) or solve(*args))
+    hits = hitting.SphereHits(petersen, 2)
+    first = w_vs_k_report(petersen, 2, hits=hits)
+    assert w_vs_k_report(petersen, 2, hits=hits) == first
+    assert solves == [(petersen, v, 2) for v in range(10)]
+    assert hits[3] is hits[3] and len(solves) == 10
+    for g, k in ((prism, 2), (petersen, 1)):
+        with pytest.raises(HittingError, match="another graph or radius"):
+            w_vs_k_report(g, k, hits=hits)
 
 
 # -- sphere hits against the column-solve reference ---------------------------

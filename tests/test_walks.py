@@ -5,10 +5,11 @@ import pytest
 
 import walklab as wl
 from walklab.chains import srw_chain
-from walklab.graphs import bfs_distances, inflate
-from walklab.hitting import (candidate_small_sets, expected_hit_time,
-                             sphere_hit_distribution)
-from walklab.walks import (WalkError, annotate_trace, block_statistics,
+from walklab.graphs import BallTable, bfs_distances, inflate
+from walklab.hitting import (CandidateFamily, candidate_small_sets,
+                             expected_hit_time, sphere_hit_distribution)
+from walklab.walks import (WalkError, _lockstep_regenerations,
+                           annotate_trace, block_statistics,
                            empirical_y_kernel, escape_transfer_experiment,
                            make_rng, sample_first_regenerations,
                            simulate_walk, tau)
@@ -213,21 +214,23 @@ def test_trace_csv_rows(petersen):
 # Each reference walks one trajectory at a time with plain BFS distances and
 # consumes the Philox stream in the documented draw order.
 
-def scalar_slow_regen(g, k, horizon, tau_t, trials, seed):
-    """Worst P[fewer than tau_t regenerations] over all starts, one trial
+def scalar_slow_regen(g, k, horizon, tau_t, trials, seed, starts):
+    """Worst P[fewer than tau_t regenerations] over ``starts``, one trial
     and one step at a time."""
-    dist = [bfs_distances(g, v, cutoff=k) for v in range(g.n)]
+    dist = {}
     slow = slow_se = 0.0
-    for si in range(g.n):
+    for si, start in enumerate(starts):
         u = iter(make_rng(seed, 1_000_000 + si).random(trials * horizon)
                  .tolist())
         few = 0
         for _ in range(trials):
-            anchor = cur = si
+            anchor = cur = start
             regens = 0
             for _ in range(horizon):
                 nbrs = g.adjacency[cur]
                 cur = nbrs[int(next(u) * len(nbrs))]
+                if anchor not in dist:
+                    dist[anchor] = bfs_distances(g, anchor, cutoff=k)
                 if dist[anchor][cur] == k:
                     regens += 1
                     anchor = cur
@@ -245,16 +248,51 @@ def cubic64():
     return wl.build_random_regular(64, 3, 8)
 
 
+@pytest.fixture(scope="module")
+def lps13_17():
+    return wl.build_lps(13, 17)
+
+
+@pytest.fixture(scope="module")
+def irregular():
+    """Connected, degrees 1 to 5, with triangles and a 4-cycle."""
+    return wl.make_graph(13, [
+        (0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5), (5, 6),
+        (6, 7), (7, 4), (5, 8), (8, 9), (9, 10), (10, 11), (11, 8), (2, 9),
+        (4, 6), (11, 12)])
+
+
+def few_sets(g):
+    """Three small sets around vertex 0: a singleton, an edge and the
+    radius-1 ball, as a candidate family."""
+    ball = (0,) + g.adjacency[0]
+    sets = sorted({(0,), tuple(sorted(ball[:2])), tuple(sorted(ball))})
+    offsets = np.cumsum([0] + [len(s) for s in sets])
+    return CandidateFamily(np.concatenate(sets).astype(np.int64), offsets)
+
+
 @pytest.mark.parametrize("seed", [3, 8])
-def test_slow_regen_matches_scalar_reference(prism, cubic64, seed):
-    for g, alpha in ((prism, 0.34), (cubic64, 0.1)):
-        rep = escape_transfer(g, alpha, k=2, t=8, s=4, trials=300, seed=seed)
+def test_slow_regen_matches_scalar_reference(prism, cubic64, lps13_17, seed):
+    for g, alpha, k in ((prism, 0.34, 2), (cubic64, 0.1, 2), (cubic64, 0.1, 3)):
+        rep = escape_transfer(g, alpha, k=k, t=8, s=4, trials=300, seed=seed)
         assert (rep.slow_regen, rep.slow_regen_stderr) == scalar_slow_regen(
-            g, 2, 12, rep.tau_t, 300, seed)
+            g, k, 12, rep.tau_t, 300, seed, range(g.n))
+    # n > 64: the Monte Carlo starts are the family's members, in order
+    sets = few_sets(lps13_17)
+    rep = escape_transfer_experiment(lps13_17, srw_chain(lps13_17), sets,
+                                     None, k=2, t=8, s=4, trials=300,
+                                     seed=seed)
+    assert 0 < rep.slow_regen < 1
+    assert (rep.slow_regen, rep.slow_regen_stderr) == scalar_slow_regen(
+        lps13_17, 2, 12, rep.tau_t, 300, seed,
+        np.unique(sets.members).tolist())
 
 
-def test_first_regenerations_match_scalar_reference(prism, petersen, cubic64):
-    for g, anchor, k in ((prism, 0, 2), (petersen, 3, 2), (cubic64, 5, 3)):
+def test_first_regenerations_match_scalar_reference(prism, petersen, cubic64,
+                                                    lps13_17, irregular):
+    for g, anchor, k in ((prism, 0, 2), (petersen, 3, 2), (cubic64, 5, 3),
+                         (lps13_17, 7, 2), (irregular, 0, 2),
+                         (irregular, 12, 3), (irregular, 6, 4)):
         durations, landings = sample_first_regenerations(
             g, anchor, k, 3000, make_rng(4, 2))
         dist = bfs_distances(g, anchor, cutoff=k)
@@ -266,6 +304,18 @@ def test_first_regenerations_match_scalar_reference(prism, petersen, cubic64):
                 cur = nbrs[int(next(u) * len(nbrs))]
                 steps += 1
             assert (steps, cur) == (duration, landing)
+
+
+def test_walkers_never_search_the_ball_table(monkeypatch, prism, irregular):
+    def searched(*args):
+        raise AssertionError("BallTable.distance called on a walker step")
+
+    monkeypatch.setattr(BallTable, "distance", searched)
+    durations, _ = sample_first_regenerations(irregular, 0, 2, 500,
+                                              make_rng(1, 0))
+    assert len(durations) == 500
+    u = make_rng(1, 1).random((200, 12))
+    assert _lockstep_regenerations(prism, 0, 2, u).sum() > 0
 
 
 def scalar_annotation(g, positions, k):
