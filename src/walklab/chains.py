@@ -20,6 +20,7 @@ from .graphs import Graph, _support_classes, vertex_transitive
 
 ROW_SUM_TOL = 1e-12
 REVERSIBILITY_TOL = 1e-12
+EPS_SNAP = 1e-12               # see _snap
 MIXING_BLOCK_COLUMNS = 128     # >= 2; see mixing_profile
 
 APERIODIC = "aperiodic"
@@ -167,12 +168,23 @@ class MixingProfile:
     exact_starts: bool
 
     def mixing_time(self, eps: float) -> int:
+        """``mixing_times`` at eps, looked up through :func:`_snap`, so
+        ``mixing_time(1.0 - e)`` finds the complement of a grid value e."""
         if eps >= 1.0:
             return 0
-        key = min(self.mixing_times, key=lambda e: abs(e - eps))
-        if abs(key - eps) > 1e-12:
+        key = _snap(eps, self.mixing_times)
+        if key not in self.mixing_times:
             raise KeyError(f"eps={eps} not on the profile grid")
         return self.mixing_times[key]
+
+
+def _snap(eps: float, grid) -> float:
+    """The first value of ``grid`` within ``EPS_SNAP`` of eps, else eps.
+
+    A complement 1 - e is exact only up to rounding: 1 - 0.95 is
+    0.050000000000000044, which must land on a grid value 0.05 and not
+    become a key of its own."""
+    return next((g for g in grid if abs(g - eps) <= EPS_SNAP), eps)
 
 
 def _farthest_point_starts(chain: ReversibleChain, count: int) -> list:
@@ -241,7 +253,8 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
     tv_all = np.empty(m)
     l2_all = np.empty(m)
 
-    targets = sorted(set(eps_grid) | {1.0 - e for e in eps_grid})
+    targets = sorted(set(eps_grid) | {_snap(1.0 - e, eps_grid)
+                                      for e in eps_grid})
     need = min(targets)
     tv_curve = []
     l2_curve = []
@@ -284,7 +297,7 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
     ratios = {}
     for e in eps_grid:
         hi = mixing_times[e]
-        lo = mixing_times[1.0 - e]
+        lo = mixing_times[_snap(1.0 - e, eps_grid)]
         ratios[e] = (hi / lo) if lo > 0 else math.inf
     return MixingProfile(
         eps_grid=eps_grid,

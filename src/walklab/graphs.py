@@ -8,7 +8,9 @@ excess, simple-cycle counts inside balls, and the distance-k graph.
 
 Builders of Cayley graphs attach automorphism generators;
 :func:`vertex_transitive` checks them once, and on a certified graph a
-graph-wide scan visits vertex 0 alone.
+graph-wide scan visits vertex 0 alone.  :func:`cyclic_automorphism`
+picks the certified array with the longest uniform cycles, along which
+the exact spectrum splits into blocks.
 """
 
 from __future__ import annotations
@@ -155,6 +157,31 @@ class Graph:
              (np.tile(np.arange(n), len(self.automorphisms)),
               np.concatenate(self.automorphisms))), shape=(n, n))
         return csgraph.connected_components(moves, directed=False)[0] == 1
+
+    @cached_property
+    def _cyclic_automorphism(self):
+        """The answer of :func:`cyclic_automorphism`."""
+        if not self._vertex_transitive:
+            return None
+        best = None
+        identity = np.arange(self.n)
+        for perm in self.automorphisms:
+            # the cycle length of vertex 0, by one scalar walk
+            m, v = 1, int(perm[0])
+            while v != 0:
+                m, v = m + 1, int(perm[v])
+            if m < 2 or (best is not None and m <= best[1]):
+                continue
+            # uniform: no vertex returns before step m, every vertex at m
+            cur = perm
+            for _ in range(m - 1):
+                if (cur == identity).any():
+                    break
+                cur = perm[cur]
+            else:
+                if np.array_equal(cur, identity):
+                    best = (perm, m)
+        return best
 
     @cached_property
     def _ball_tables(self) -> dict:
@@ -603,6 +630,18 @@ def vertex_transitive(g: Graph) -> bool:
     vertex, so a quantity that automorphisms preserve needs vertex 0 only.
     """
     return g._vertex_transitive
+
+
+def cyclic_automorphism(g: Graph):
+    """``(perm, m)``: the certified attached array whose cycles all have
+    one length m >= 2, the longest such m (the first array on ties); None
+    when g is not certified by :func:`vertex_transitive` or no attached
+    array has uniform cycles (one with a fixed point never does).
+
+    Each candidate costs O(n m) time in O(n) memory: its powers are
+    composed one at a time, never stacked.  Computed once per graph.
+    """
+    return g._cyclic_automorphism
 
 
 def _scan_vertices(g: Graph):

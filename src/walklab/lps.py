@@ -14,8 +14,12 @@ representatives in the order of their mixed-radix codes; each generator
 multiplies every element in one vectorized product mod q; the products
 are canonicalised through a table of inverses mod q and mapped back to
 vertex indices through a code table with q^3 + q^2 slots.  The same
-lookup turns left multiplication by each generator into a vertex
-permutation, which the graph carries as an automorphism.
+lookup turns left multiplication by each generator, and by the unipotent
+u = [[1, 1], [0, 1]], into a vertex permutation, which the graph carries
+as an automorphism.  Left multiplication acts freely, so every cycle of
+u's permutation has length ord(u) = q, in PSL and PGL alike; the
+spectrum splits into blocks along those cycles (see
+:func:`graphs.cyclic_automorphism`).
 """
 
 from __future__ import annotations
@@ -106,8 +110,9 @@ def build_lps(p: int, q: int) -> Graph:
     Requires distinct primes p, q = 1 mod 4 with q > 2*sqrt(p).  The
     result is audited: regularity, vertex count against the group order,
     and simplicity all raise on mismatch.  Vertex m is joined to m s for
-    each generator s; left multiplication by each generator is attached
-    as an automorphism, for :func:`graphs.vertex_transitive` to check.
+    each generator s; left multiplication by each generator, and then by
+    the unipotent [[1, 1], [0, 1]] of order q, is attached as an
+    automorphism, for :func:`graphs.vertex_transitive` to check.
     """
     for name, value in (("p", p), ("q", q)):
         if not is_prime(value):
@@ -152,8 +157,11 @@ def build_lps(p: int, q: int) -> Graph:
     gens = np.array(gens, dtype=np.int64)
     # column j: the vertex m * gens[j] for every vertex m
     targets = np.column_stack([lookup(_times(vertices, s, q)) for s in gens])
-    # row j: the vertex gens[j] * m, left multiplication, an automorphism
-    left = np.stack([lookup(_times(s, vertices, q)) for s in gens])
+    # row j: the vertex gens[j] * m, left multiplication, an automorphism;
+    # the last row multiplies by the unipotent, whose cycles all have length q
+    unipotent = np.array([1, 1, 0, 1], dtype=np.int64)
+    left = np.stack([lookup(_times(s, vertices, q))
+                     for s in np.vstack((gens, unipotent))])
     if (targets < 0).any() or (left < 0).any():
         raise GraphError("a product left the enumerated group")
     src = np.arange(expected_n)[:, None]

@@ -2,7 +2,9 @@
 
 Kernels are conjugated by sqrt(pi) into symmetric form before solving,
 which preserves the spectrum and admits symmetric solvers.  Dense mode
-returns the full eigenvalue multiset; iterative mode finds the second
+returns the full eigenvalue multiset, block by block when the source
+graph carries a certified automorphism with uniform cycles that commutes
+with the kernel; iterative mode finds the second
 largest and the smallest eigenvalue by Lanczos (ARPACK through
 ``scipy.sparse.linalg.eigsh``).  Each Ritz pair (theta, x) comes with its
 residual ||S x - theta x||, which for a symmetric S and a unit x certifies
@@ -21,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chains import ReversibleChain
-from .graphs import Graph, _sorted_lookup
+from .graphs import Graph, _sorted_lookup, cyclic_automorphism
 
 DENSE_BUDGET = 3000
 EIG_ONE_TOL = 1e-9
@@ -54,6 +56,8 @@ class SpectrumSummary:
     ``t_rel = 1/(1 - lambda_star)`` (infinite for periodic chains).
     ``eigenvalues`` holds the full sorted multiset in dense mode, None in
     iterative mode.  ``rho_d`` is filled when the source graph is regular.
+    ``blocks`` is ``{"m": m, "size": n // m}`` when the dense multiset was
+    computed in cyclic symmetry blocks, None otherwise.
     """
 
     lambda2: float
@@ -64,6 +68,7 @@ class SpectrumSummary:
     method: str
     residuals: dict = field(default_factory=dict)
     eigenvalues: object = None
+    blocks: object = None
 
 
 def _lambda_star(lambda2: float, lambda_min: float) -> float:
@@ -72,6 +77,13 @@ def _lambda_star(lambda2: float, lambda_min: float) -> float:
         candidates.append(abs(lambda2))
     candidates.append(abs(lambda_min))
     return max(candidates) if candidates else 0.0
+
+
+def _t_rel(lambda_star: float) -> float:
+    """1 / (1 - lambda_star), infinite within rounding of lambda_star = 1:
+    a periodic chain's -1 comes out of a solver as -1 + an ulp or two."""
+    return 1.0 / (1.0 - lambda_star) if lambda_star < 1.0 - 1e-15 \
+        else math.inf
 
 
 def _lanczos_extremal(op, s: sp.csr_matrix, which: str):
@@ -108,13 +120,94 @@ def _lanczos_extremal(op, s: sp.csr_matrix, which: str):
     return theta, float(np.linalg.norm(s @ x - theta * x)), applications
 
 
+def _commuting_symmetry(s: sp.csr_matrix, graph: Graph):
+    """``(perm, m)`` from :func:`graphs.cyclic_automorphism` of ``graph``
+    when the permutation h commutes with ``s``, S[h][:, h] == S entry for
+    entry (checked on the stored entries in O(nnz log nnz)); else None."""
+    if graph is None or graph.n != s.shape[0]:
+        return None
+    found = cyclic_automorphism(graph)
+    if found is None:
+        return None
+    perm, n = found[0], graph.n
+    k = s.tocoo()
+    k.sum_duplicates()
+    keys = k.row.astype(np.int64) * n + k.col
+    moved = perm[k.row] * n + perm[k.col]
+    here, there = np.argsort(keys), np.argsort(moved)
+    if np.array_equal(keys[here], moved[there]) \
+            and np.array_equal(k.data[here], k.data[there]):
+        return found
+    return None
+
+
+def _block_eigenvalues(s: sp.csr_matrix, perm: np.ndarray, m: int):
+    """Eigenvalues of the symmetric ``s`` (ascending), from the Fourier
+    blocks of a permutation h that commutes with it and whose cycles all
+    have length m.
+
+    Each orbit o of h has representative r_o, its smallest vertex, and
+    phi(v) is v's position along its orbit from there.  With omega =
+    exp(2 pi i / m), block k is the Hermitian (n/m) x (n/m) matrix
+    B_k[o, orbit(v)] = sum of omega^(k phi(v)) S(r_o, v), read off the
+    representatives' rows alone; blocks k and m - k are conjugate, so
+    k = 0 .. m // 2 are solved, one at a time, and the pairs counted twice
+    (Babai, "Spectra of Cayley graphs", JCTB 27, 1979).
+    """
+    n = s.shape[0]
+    size = n // m
+    smallest = np.arange(n)
+    cur = perm
+    for _ in range(m - 1):
+        np.minimum(smallest, cur, out=smallest)
+        cur = perm[cur]
+    reps = np.flatnonzero(smallest == np.arange(n))
+    orbit = np.empty(n, dtype=np.int64)
+    phase = np.empty(n, dtype=np.int64)
+    cur = reps
+    for j in range(m):
+        orbit[cur] = np.arange(size)
+        phase[cur] = j
+        cur = perm[cur]
+    rows = s[reps].tocoo()   # row o is the representative of orbit o
+    cell = rows.row.astype(np.int64) * size + orbit[rows.col]
+    shift = phase[rows.col]
+    # omega^t with omega^(m - t) the exact conjugate of omega^t and the
+    # points on the axes exact, so a zero eigenvalue such as C4's comes
+    # out 0, not an ulp of either sign
+    half = np.exp(2j * np.pi * np.arange(m // 2 + 1) / m)
+    half[0] = 1.0
+    if m % 2 == 0:
+        half[m // 2] = -1.0
+    if m % 4 == 0:
+        half[m // 4] = 1j
+    omega = np.concatenate((half, half[1:(m + 1) // 2][::-1].conj()))
+    parts = []
+    for k in range(m // 2 + 1):
+        w = omega[k * shift % m] * rows.data
+        block = np.bincount(cell, w.real, size * size)
+        if 2 * k % m:
+            block = block + 1j * np.bincount(cell, w.imag, size * size)
+        vals = np.linalg.eigvalsh(block.reshape(size, size))
+        parts.append(vals)
+        if 0 < 2 * k < m:
+            parts.append(vals)
+    return np.sort(np.concatenate(parts))
+
+
 def spectrum(chain: ReversibleChain, mode: str = "dense-full",
              dense_budget: int = DENSE_BUDGET,
              source_graph: Graph = None) -> SpectrumSummary:
     """Eigenvalue summary of the chain kernel.
 
-    dense-full computes the whole symmetric eigendecomposition (budgeted
-    by n); iterative-extremal finds lambda2 as the largest eigenvalue of
+    dense-full computes the whole eigenvalue multiset (budgeted by n, not
+    by block).  When ``source_graph`` carries a
+    :func:`graphs.cyclic_automorphism` h with cycle length m that commutes
+    with S (checked entry for entry, so a chain passed with the wrong
+    graph falls back), the multiset comes from m // 2 + 1 Hermitian
+    blocks of size n/m (see :func:`_block_eigenvalues`) and ``blocks``
+    records m and the size; otherwise from one dense ``eigvalsh``.
+    iterative-extremal finds lambda2 as the largest eigenvalue of
     S - 2 u u^T, where u = sqrt(pi) is the top eigenvector (the shift
     sends eigenvalue 1 to -1, at or below every other eigenvalue, so a
     negative lambda2 is found), and lambda_min as the smallest of S.
@@ -133,18 +226,24 @@ def spectrum(chain: ReversibleChain, mode: str = "dense-full",
         if chain.n > dense_budget:
             raise SpectralError(
                 f"dense mode budget is n <= {dense_budget}, got {chain.n}")
-        s = symmetrized(chain).toarray()
-        eigs = np.linalg.eigvalsh(s)
+        s = symmetrized(chain)
+        symmetry = _commuting_symmetry(s, source_graph)
+        blocks = None
+        if symmetry is None:
+            eigs = np.linalg.eigvalsh(s.toarray())
+        else:
+            eigs = _block_eigenvalues(s, *symmetry)
+            blocks = {"m": symmetry[1], "size": chain.n // symmetry[1]}
         eigs_desc = eigs[::-1]
         lambda2 = float(eigs_desc[1]) if chain.n > 1 else 1.0
         lambda_min = float(eigs_desc[-1])
         nontrivial = eigs_desc[eigs_desc < 1.0 - EIG_ONE_TOL]
         lam = float(np.abs(nontrivial).max()) if len(nontrivial) else 0.0
-        t_rel = 1.0 / (1.0 - lam) if lam < 1.0 else math.inf
+        t_rel = _t_rel(lam)
         return SpectrumSummary(
             lambda2=lambda2, lambda_min=lambda_min, lambda_star=lam,
             t_rel=t_rel, rho_d=rho_d, method="dense-full",
-            residuals={}, eigenvalues=eigs_desc.copy())
+            residuals={}, eigenvalues=eigs_desc.copy(), blocks=blocks)
 
     if mode != "iterative-extremal":
         raise SpectralError(f"unknown spectrum mode {mode!r}")
@@ -162,7 +261,7 @@ def spectrum(chain: ReversibleChain, mode: str = "dense-full",
     residuals = {"lambda2": res2, "lambda2_iterations": it2,
                  "lambda_min": resm, "lambda_min_iterations": itm}
     lam = _lambda_star(lambda2, lambda_min)
-    t_rel = 1.0 / (1.0 - lam) if lam < 1.0 - 1e-15 else math.inf
+    t_rel = _t_rel(lam)
     return SpectrumSummary(
         lambda2=lambda2, lambda_min=lambda_min, lambda_star=lam,
         t_rel=t_rel, rho_d=rho_d, method="iterative-extremal",

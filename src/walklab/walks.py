@@ -45,6 +45,11 @@ from .hitting import (SphereHits, _sphere_hits, family_survival,
                       sphere_hit_distribution)
 
 
+# Probability that the empirical-law TV of an exact sampler exceeds
+# tv_noise_bound; see there
+TV_GATE_DELTA = 1e-6
+
+
 class WalkError(ValueError):
     pass
 
@@ -259,6 +264,21 @@ def empirical_y_kernel(g: Graph, k: int, trials: int, seed: int,
             anchor=anchor, trials=trials, frequencies=freq, exact=exact_map,
             tv_deviation=tv, seed=seed, stream=si))
     return out
+
+
+def tv_noise_bound(exact, trials: int) -> float:
+    """Sampling noise in the TV distance of an empirical law from the law
+    ``exact`` (its probabilities) that it was drawn from, ``trials`` draws.
+
+    E[TV] <= (1/2) sum sqrt(p (1 - p) / N), cell by cell from the
+    binomial variance, and one draw moves TV by at most 1/N, so by
+    McDiarmid's inequality TV exceeds that by sqrt(ln(1/delta) / (2N))
+    with probability at most delta = ``TV_GATE_DELTA``.  The bound grows
+    with the support, as the noise does.
+    """
+    p = np.asarray(exact, dtype=float)
+    return (0.5 * float(np.sqrt(p * (1.0 - p) / trials).sum())
+            + math.sqrt(math.log(1.0 / TV_GATE_DELTA) / (2.0 * trials)))
 
 
 def sample_first_regenerations(g: Graph, anchor: int, k: int, trials: int,

@@ -479,3 +479,21 @@ def test_farthest_point_starts_match_bfs(request, lps_chain):
         for count in (1, 5, 64):
             assert _farthest_point_starts(chain, count) == \
                 reference_starts(chain, count)
+
+
+def test_mixing_profile_snaps_complements_onto_the_grid():
+    chain = srw_chain(wl.build_random_regular(64, 3, 1))
+    prof = mixing_profile(chain, [0.05, 0.95])
+    # 1 - 0.95 is 0.050000000000000044: one key, not two
+    assert list(prof.mixing_times) == [0.05, 0.95]
+    assert prof.cutoff_ratios[0.05] == \
+        prof.mixing_times[0.05] / prof.mixing_times[0.95]
+    assert prof.cutoff_ratios[0.95] == \
+        prof.mixing_times[0.95] / prof.mixing_times[0.05]
+    assert prof.mixing_time(1.0 - 0.95) == prof.mixing_times[0.05]
+    assert prof.mixing_time(1.0 - 0.05) == prof.mixing_times[0.95]
+    with pytest.raises(KeyError, match="not on the profile grid"):
+        prof.mixing_time(0.5)
+    # the suites' grid has no such pair, and keeps its exact complements
+    prof = mixing_profile(chain, [0.1, 0.25])
+    assert list(prof.mixing_times) == [0.1, 0.25, 0.75, 0.9]

@@ -8,8 +8,8 @@ import pytest
 import walklab as wl
 from walklab.graphs import (GraphError, GraphFileError, ball_table,
                             bfs_distances, connected_components,
-                            count_simple_cycles, diameter, is_bipartite,
-                            is_connected)
+                            count_simple_cycles, cyclic_automorphism,
+                            diameter, is_bipartite, is_connected)
 
 
 # -- exhaustive-search oracles ------------------------------------------------
@@ -874,3 +874,56 @@ def test_one_vertex_scans_match_all_vertex_scans(request, name):
     assert wl.girth(g) == reference_girth(g)
     assert diameter(g) == diameter(plain)
     assert wl.assumption1_scan(g, 2) == wl.assumption1_scan(plain, 2)
+
+
+def test_cyclic_automorphism_takes_the_longest_uniform_cycles():
+    for n in (8, 9):
+        c = wl.build_named("cycle", n)
+        edges = np.array(c.edges)
+        rotation = (np.arange(n) + 1) % n
+        reflection = -np.arange(n) % n        # fixes vertex 0
+        g = wl.make_graph(n, edges, c.provenance, [reflection, rotation])
+        perm, m = cyclic_automorphism(g)
+        assert m == n and np.array_equal(perm, rotation)
+        # a reflection alone does not certify the cycle
+        alone = wl.make_graph(n, edges, c.provenance, [reflection])
+        assert cyclic_automorphism(alone) is None
+    # on C8, v -> 1 - v has no fixed point (four 2-cycles); the rotation by
+    # two (two 4-cycles) is longer, and of two equal lengths the first wins
+    c8 = wl.build_named("cycle", 8)
+    edges = np.array(c8.edges)
+    flip = (1 - np.arange(8)) % 8
+    by2, by6 = (np.arange(8) + 2) % 8, (np.arange(8) + 6) % 8
+    g = wl.make_graph(8, edges, c8.provenance, [flip, by2, by6])
+    perm, m = cyclic_automorphism(g)
+    assert m == 4 and np.array_equal(perm, by2)
+    # on the prism the triangle swap (three 2-cycles) and the rotation (two
+    # 3-cycles) are uniform; the reflection fixing 0 and 3 never qualifies
+    prism = wl.build_named("prism")
+    mixed = wl.make_graph(6, prism.edges, prism.provenance,
+                          [[3, 4, 5, 0, 1, 2], [1, 2, 0, 4, 5, 3],
+                           [0, 2, 1, 3, 5, 4]])
+    assert wl.vertex_transitive(mixed)
+    perm, m = cyclic_automorphism(mixed)
+    assert m == 3 and perm.tolist() == [1, 2, 0, 4, 5, 3]
+    # on Q3, rotating the bits and flipping bit 0 puts vertex 0 on a
+    # 6-cycle and 010, 101 on a 2-cycle: longer than a flip, never uniform
+    q3 = wl.build_named("hypercube", 3)
+    x = np.arange(8)
+    twist = (((x << 1) | (x >> 2)) & 7) ^ 1
+    g = wl.make_graph(8, np.array(q3.edges), q3.provenance,
+                      (twist,) + q3.automorphisms)
+    assert wl.vertex_transitive(g)
+    perm, m = cyclic_automorphism(g)
+    assert m == 2 and perm is g.automorphisms[1]
+
+
+def test_cyclic_automorphism_needs_the_certificate(petersen,
+                                                   random_cubic_medium):
+    assert cyclic_automorphism(petersen) is None
+    assert cyclic_automorphism(random_cubic_medium) is None
+    c5 = wl.build_named("cycle", 5)
+    broken = wl.make_graph(5, np.array(c5.edges), c5.provenance,
+                           [(np.arange(5) + 2) % 5, [1, 0, 2, 3, 4]])
+    assert not wl.vertex_transitive(broken)
+    assert cyclic_automorphism(broken) is None

@@ -1,10 +1,12 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
-from walklab import build_lps, make_graph
-from walklab.graphs import GraphError, is_bipartite, is_connected
+from walklab import build_lps, make_graph, vertex_transitive
+from walklab.graphs import (GraphError, cyclic_automorphism, is_bipartite,
+                            is_connected)
 from walklab.lps import (generators, is_prime, legendre_symbol, quadruples,
                          sqrt_minus_one)
 
@@ -216,3 +218,21 @@ def test_lps_audits_raise(monkeypatch):
     monkeypatch.setattr(lps, "generators", lambda p, q: repeated)
     with pytest.raises(GraphError, match="multi-edge collision"):
         build_lps(5, 13)
+
+
+@pytest.mark.parametrize("key", [(13, 17), (17, 13), (5, 13)],
+                         ids=lambda key: "p{}-q{}".format(*key))
+def test_lps_attaches_the_unipotent_of_order_q(key):
+    p, q = key
+    g = build_lps(p, q)
+    assert len(g.automorphisms) == p + 2
+    assert vertex_transitive(g)
+    u = g.automorphisms[-1]
+    # left multiplication is free: u^j fixes no vertex for 0 < j < q
+    power = np.arange(g.n)
+    for _ in range(q - 1):
+        power = u[power]
+        assert not (power == np.arange(g.n)).any()
+    assert np.array_equal(u[power], np.arange(g.n))
+    perm, m = cyclic_automorphism(g)
+    assert m == q and perm is u

@@ -7,12 +7,13 @@ import scipy.sparse as sp
 
 import walklab as wl
 from walklab import spectral
-from walklab.chains import chain_from_kernel, power_chain, srw_chain
+from walklab.chains import (BIPARTITE_PERIODIC, chain_from_kernel, power_chain,
+                            srw_chain)
 from walklab.hitting import candidate_small_sets, verify_spectral_hit
 from walklab.spectral import (SpectralError, classify_ramanujan,
                               compare_restricted, poincare_bound,
                               restricted_top_eig, rho, spectrum, symmetrized)
-from walklab.suites import _spread
+from walklab.suites import ExperimentConfig, _spread, run_suite
 
 
 def eig_multiset(summary, digits=9):
@@ -477,3 +478,77 @@ def test_compare_w_equals_k_on_tree_balls(girth5_graph):
 def test_symmetrized_is_symmetric(petersen_chain):
     s = symmetrized(petersen_chain).toarray()
     assert np.abs(s - s.T).max() < 1e-14
+
+
+# -- exact spectra by cyclic symmetry blocks ---------------------------------
+
+# builder, and the cycle length m of the array the block path must use
+BLOCK_CASES = {
+    "c8": (lambda: wl.build_named("cycle", 8), 8),
+    "c9": (lambda: wl.build_named("cycle", 9), 9),
+    "k5": (lambda: wl.build_named("complete", 5), 5),
+    "q3": (lambda: wl.build_named("hypercube", 3), 2),
+    "q4": (lambda: wl.build_named("hypercube", 4), 2),
+    "lps13-17": (lambda: wl.build_lps(13, 17), 17),
+    "lps17-13": (lambda: wl.build_lps(17, 13), 13),
+    "lps5-13": (lambda: wl.build_lps(5, 13), 13),     # PGL, bipartite
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_block_spectrum_matches_dense_eigvalsh(name):
+    build, m = BLOCK_CASES[name]
+    g = build()
+    chain = srw_chain(g)
+    s = spectrum(chain, source_graph=g)
+    assert s.method == "dense-full"
+    assert s.blocks == {"m": m, "size": g.n // m}
+    dense = np.linalg.eigvalsh(symmetrized(chain).toarray())[::-1]
+    assert np.abs(s.eigenvalues - dense).max() <= 1e-12
+    assert np.all(np.diff(s.eigenvalues) <= 0)
+    # the trace-moment records' checks, on the block spectrum
+    kernel = chain.kernel
+    assert abs(s.eigenvalues.sum() - kernel.diagonal().sum()) <= 1e-8
+    assert abs((s.eigenvalues ** 2).sum()
+               - (kernel @ kernel).diagonal().sum()) <= 1e-8
+    # a block's -1 may come out an ulp above -1 (it does on Q3); a
+    # periodic chain's t_rel stays infinite
+    periodic = chain.period_info == BIPARTITE_PERIODIC
+    assert (s.t_rel == math.inf) == periodic
+
+
+def test_spectral_suite_records_the_blocks():
+    for spec, blocks in (
+            ({"kind": "named", "name": "hypercube", "dim": 3},
+             {"m": 2, "size": 4}),
+            ({"kind": "lps", "p": 17, "q": 13}, {"m": 13, "size": 84}),
+            ({"kind": "named", "name": "petersen"}, None)):
+        cfg = ExperimentConfig(graph=spec, suites=("spectral",))
+        report, _ = run_suite(cfg, write=False)
+        recs = {r["name"]: r for r in report.records}
+        assert recs["spectrum"]["extra"].get("blocks") == blocks
+        for name in ("trace-first-moment", "trace-second-moment"):
+            assert recs[name]["passed"] is True
+
+
+def test_wrong_source_graph_takes_the_dense_path():
+    c8, q3 = wl.build_named("cycle", 8), wl.build_named("hypercube", 3)
+    chain = srw_chain(c8)
+    # Q3's bit flips are certified on Q3 but do not commute with C8's kernel
+    wrong = spectrum(chain, source_graph=q3)
+    plain = spectrum(chain)
+    assert wrong.blocks is None and plain.blocks is None
+    assert np.array_equal(wrong.eigenvalues, plain.eigenvalues)
+    # an uncertified copy of the right graph takes the dense path too
+    bare = wl.make_graph(c8.n, np.array(c8.edges), c8.provenance)
+    assert spectrum(chain, source_graph=bare).blocks is None
+    assert spectrum(chain, source_graph=c8).blocks == {"m": 8, "size": 1}
+
+
+def test_block_spectrum_keeps_exact_zeros():
+    # C4's lambda2 is 0; an ulp below it would make the plain restricted
+    # bound inapplicable and drop its records
+    c4 = wl.build_named("cycle", 4)
+    s = spectrum(srw_chain(c4), source_graph=c4)
+    assert s.blocks == {"m": 4, "size": 1}
+    assert s.eigenvalues.tolist() == [1.0, 0.0, 0.0, -1.0]

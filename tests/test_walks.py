@@ -8,11 +8,12 @@ from walklab.chains import srw_chain
 from walklab.graphs import BallTable, bfs_distances, inflate
 from walklab.hitting import (CandidateFamily, candidate_small_sets,
                              expected_hit_time, sphere_hit_distribution)
+from walklab.suites import ExperimentConfig, run_suite
 from walklab.walks import (WalkError, _lockstep_regenerations,
                            annotate_trace, block_statistics,
                            empirical_y_kernel, escape_transfer_experiment,
                            make_rng, sample_first_regenerations,
-                           simulate_walk, tau)
+                           simulate_walk, tau, tv_noise_bound)
 
 
 def test_tau_values():
@@ -351,3 +352,43 @@ def test_walk_positions_follow_draw_order(cubic64):
     for j in range(1, 501):
         cur = cubic64.adjacency[cur][int(u[j - 1] * 3)]
         assert tr.positions[j] == cur
+
+
+def _tv_of_draw(law, sample_from, trials, seed):
+    """TV from ``law`` of the empirical law of ``trials`` draws from
+    ``sample_from``, by one seeded multinomial draw."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    counts = rng.multinomial(trials, sample_from)
+    return 0.5 * float(np.abs(counts / trials - law).sum())
+
+
+def test_tv_noise_bound_grows_with_the_support():
+    trials = 100_000
+    pet, big = np.full(6, 1 / 6), np.full(306, 1 / 306)
+    assert tv_noise_bound(pet, trials) == pytest.approx(0.011847, abs=1e-6)
+    assert tv_noise_bound(big, trials) == pytest.approx(0.035925, abs=1e-6)
+    # an exact sampler passes on LPS(17,13)'s 306-cell 2-sphere, where the
+    # old fixed 0.02 sat below the mean noise (0.022)
+    for seed in range(5):
+        tv = _tv_of_draw(big, big, trials, seed)
+        assert 0.02 < tv <= tv_noise_bound(big, trials)
+    # a law at TV 0.05 from the exact one fails on 6 cells and on 306
+    for law in (pet, big):
+        off = law.copy()
+        half = len(law) // 2
+        off[:half] += 0.05 / half
+        off[half:] -= 0.05 / (len(law) - half)
+        assert 0.5 * np.abs(off - law).sum() == pytest.approx(0.05)
+        for seed in range(5):
+            assert _tv_of_draw(law, off, trials, seed) \
+                > tv_noise_bound(law, trials)
+
+
+def test_walk_suite_gates_against_the_noise_bound():
+    cfg = ExperimentConfig(graph={"kind": "named", "name": "petersen"},
+                           suites=("walk",), trials=100_000, seed=3)
+    report, _ = run_suite(cfg, write=False)
+    rec = next(r for r in report.records
+               if r["name"] == "empirical-y-kernel-tv")
+    assert rec["rhs"] == tv_noise_bound(np.full(6, 1 / 6), 100_000)
+    assert rec["passed"] is True and rec["lhs"] <= rec["rhs"]
