@@ -24,8 +24,8 @@ import scipy.sparse.linalg as spla
 
 from .checks import Check
 from .chains import ReversibleChain, APERIODIC, MixingProfile
-from .graphs import (Graph, _bfs_levels, _level_distances, ball_table,
-                     vertex_transitive)
+from .graphs import (Graph, _bfs_levels, _level_distances, _scan_vertices,
+                     ball_table, vertex_transitive)
 from .spectral import restricted_top_eig
 
 EXACT_SEARCH_LIMIT = 20
@@ -213,33 +213,42 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
     Three phases, each adding only sets with 0 < |A| < n whose mass,
     summed in the order the phase adds vertices, is <= alpha + 1e-15:
 
-    - balls: for every center, the BFS balls of each complete radius that
+    - balls: for every seed, the BFS balls of each complete radius that
       fits, then the largest fitting prefix of the BFS order;
-    - greedy: from each center in turn, absorb the outside neighbor with
+    - greedy: from each seed in turn, absorb the outside neighbor with
       the most links into the set (lowest vertex on ties) while one fits,
       adding every intermediate set;
     - Perron prefixes: rank a larger set by restricted Perron weight and
       add every fitting prefix.  With a graph, the larger sets are the
-      nearest max(4, 2.5 alpha n) vertices of 32 evenly spaced centers;
+      nearest max(4, 2.5 alpha n) vertices of every (n // 32)-th seed;
       without one, the largest set found so far (the lexicographically
       last on ties).
 
+    The seeds are all n vertices, except on a graph that
+    :func:`graphs.vertex_transitive` certifies, where they are vertex 0
+    alone.  There the family F0 stands for its orbit closure Aut.F0,
+    which has sets at every vertex: for a chain that the automorphisms
+    preserve, such as the graph's SRW, the maxima of killed-chain
+    survival and of restricted Perron roots over F0 equal those over
+    Aut.F0, and so does :func:`hit_quantile`.
+
     ``max_sets`` bounds only the greedy phase: it stops once the family
     holds more than ``max_sets`` sets.  The ball and Perron phases are not
-    bounded, so the family can be much larger (29,923 sets on LPS(13,17)
-    at alpha = 0.25).  Traversal uses the graph's adjacency, or the
-    kernel's support when ``graph`` is None.
+    bounded, so the family can be much larger.  Traversal uses the
+    graph's adjacency, or the kernel's support when ``graph`` is None.
     """
     pi = chain.stationary
     n = chain.n
     limit = alpha + 1e-15
     if graph is not None:
         indptr, indices = graph.csr
+        seeds = _scan_vertices(graph)
     else:
         # self-loops of the kernel's support change nothing: BFS has
         # already seen the vertex, and the greedy phase never re-absorbs one
         support = chain.kernel.tocsr()
         indptr, indices = support.indptr, support.indices
+        seeds = range(n)
     adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     # sorted sets as big-endian uint32 bytes: byte order is tuple order
     found = set()
@@ -252,15 +261,15 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
         for stop in stops:
             push(np.sort(ranked[:stop]))
 
-    # balls of growing radius around each center
-    for v in range(n):
+    # balls of growing radius around each seed
+    for v in seeds:
         order, ends = _bfs_levels(adj, v)
         fit = int(np.searchsorted(np.cumsum(pi[order]), limit, side="right"))
         push_prefixes(order, [e for e in ends if e < fit] + [fit])
 
     # greedy connected growth: absorb the boundary vertex with the most
     # neighbors already inside (maximizes internal retention)
-    for v in range(n):
+    for v in seeds:
         mass = pi[v]
         if mass > limit:
             continue
@@ -289,8 +298,7 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
     # weight and take mass-feasible prefixes
     if graph is not None:
         size = max(4, int(2.5 * alpha * n))
-        balls = (_nearest(adj, v, size)
-                 for v in range(0, n, max(1, n // 32)))
+        balls = (_nearest(adj, v, size) for v in seeds[::max(1, n // 32)])
     else:
         balls = [_largest(found)] if found else []
     for ball in balls:

@@ -357,8 +357,12 @@ class RestrictedEig:
     """Perron root of the kernel restricted (killed) on a subset A.
 
     Carries both forms of the comparison with lambda2: the plain bound
-    lambda(A) <= lambda2 + pi(A), asserted only when lambda2 >= 0, and
+    lambda(A) <= lambda2 + pi(A), asserted only when lambda2 >= -tol, and
     the always-valid refinement lambda(A) <= lambda2 + (1-lambda2) pi(A).
+    For lambda2 in [-tol, 0) the plain bound lies at most
+    |lambda2| pi(A) <= tol below the refined one, inside the pass test's
+    tol slack, so an ulp of rounding around lambda2 = 0 does not decide
+    whether the plain record exists.
     ``residual`` r certifies an eigenvalue in [lambda_A - r, lambda_A + r];
     ``iterations`` counts Lanczos operator applications.
     """
@@ -409,7 +413,7 @@ def restricted_top_eig(chain: ReversibleChain, subset,
     if lambda2 is not None:
         plain_bound = lambda2 + pi_A
         refined_bound = lambda2 + (1.0 - lambda2) * pi_A
-        plain_applicable = lambda2 >= 0.0
+        plain_applicable = lambda2 >= -tol
         top = lam + residual
         plain_pass = (top <= plain_bound + tol) if plain_applicable else None
         refined_pass = top <= refined_bound + tol

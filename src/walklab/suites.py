@@ -134,6 +134,11 @@ class Run:
 
     @functools.cached_property
     def family(self) -> H.CandidateFamily:
+        """Candidate small sets at ``cfg.alpha``.  On a certified
+        vertex-transitive graph it is F0, the sets seeded at vertex 0,
+        which stands for its orbit closure: the spread samples, the hit
+        quantile, the escape values and the Monte Carlo starts all come
+        from F0."""
         return H.candidate_small_sets(self.chain, self.cfg.alpha, graph=self.g)
 
     @functools.cached_property

@@ -411,7 +411,12 @@ def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
     ``k_chain`` is the SRW chain of ``inflate(g, k)``, or None when some
     k-sphere is empty, which leaves ``k_escape`` None.  The rows of the
     regeneration kernel W are read from ``hits``, the run's
-    :class:`SphereHits` of g at radius k (a fresh one when None).
+    :class:`SphereHits` of g at radius k (a fresh one when None), for the
+    members of ``sets`` only; the Monte Carlo starts are the first
+    ``mc_starts_limit`` members (every vertex when n is at most that).
+    On a certified vertex-transitive graph that family is F0, seeded at
+    vertex 0: automorphisms preserve the SRW, W and K survivals, so their
+    maxima over F0 are those over its orbit closure.
     """
     if not g.is_regular:
         raise WalkError("escape transfer experiment needs a regular graph")

@@ -201,8 +201,9 @@ def test_report_json_independent_of_out_dir(tmp_path):
 
 # canonical reports; any change to these bytes must be deliberate.  q3, k5
 # and lps17-13 carry certified automorphisms with uniform cycles, so their
-# spectra come from cyclic symmetry blocks; rr64 and petersen from one
-# dense eigvalsh
+# spectra come from cyclic symmetry blocks and their candidate families are
+# seeded at vertex 0; rr64 and petersen take one dense eigvalsh and every
+# seed
 ALL = ("all",)
 PINNED_DIGESTS = {
     "rr64": ({"kind": "random-regular", "n": 64, "d": 3, "seed": 8}, ALL,
@@ -211,14 +212,14 @@ PINNED_DIGESTS = {
                  "0365f8398f7bcbbac94c2c8e32454585f563411df62958c9552845dce47ec0e6"),
     # bipartite: the periodic skips of the mixing and hitmix records
     "q3": ({"kind": "named", "name": "hypercube", "dim": 3}, ALL,
-           "fd127f32fdb00b4753329f295dea09b80d949da6d469696b5cc396ca3b115a0b"),
+           "a6cc39105bae53a316ccdca4d884ec599d043aed810c1818f62f13b8757cad75"),
     # diameter 1: every 2-sphere is empty
     "k5": ({"kind": "named", "name": "complete", "n": 5}, ALL,
-           "eb9235bfe907321a4ebd88464da972602ccf6b52452a760a506d42caf0f06341"),
+           "b879694bc7aee7564efedc023dc9ce87c6325f5e4255b68a028369c29340c37c"),
     # certified vertex-transitive (PSL, non-bipartite): one start, one center
     "lps17-13": ({"kind": "lps", "p": 17, "q": 13},
                  ("spectral", "mixing", "inflation"),
-                 "7705fe61f4a4f7ea8a6b8bc0fb5163d58ccfedb71a6966add2aad9e13961c725"),
+                 "1dd5f98bbd5955ede4a709ceaedfb7259127e84e058dc9879ef7ac73fb2eae10"),
 }
 
 

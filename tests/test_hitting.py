@@ -364,16 +364,19 @@ def _reference_support_adjacency(chain):
     return adj
 
 
-def reference_candidate_small_sets(chain, alpha, graph=None, max_sets=4096):
+def reference_candidate_small_sets(chain, alpha, graph=None, max_sets=4096,
+                                   seeds=None):
     """Reference: the scalar family builder (dict BFS, boundary dicts,
-    frozenset dedupe).  One line differs from the scalar original: without
-    a graph, the Perron phase took ``sorted(found, key=len)[-1]``, a
+    frozenset dedupe), with every phase seeded at ``seeds`` (all states
+    when None).  One line differs from the scalar original: without a
+    graph, the Perron phase took ``sorted(found, key=len)[-1]``, a
     largest set in hash-set iteration order; here ties among the largest
     sets go to the lexicographically last, as in the array builder."""
     from collections import deque
     from walklab.graphs import bfs_distances
     from walklab.spectral import restricted_top_eig
     pi = chain.stationary
+    seeds = list(range(chain.n)) if seeds is None else list(seeds)
     if graph is not None:
         adj = [list(graph.adjacency[v]) for v in range(graph.n)]
     else:
@@ -385,7 +388,7 @@ def reference_candidate_small_sets(chain, alpha, graph=None, max_sets=4096):
         if fs and pi[list(fs)].sum() <= alpha + 1e-15 and len(fs) < chain.n:
             found.add(fs)
 
-    for v in range(chain.n):
+    for v in seeds:
         dist = {v: 0}
         order = [v]
         queue = deque([v])
@@ -409,7 +412,7 @@ def reference_candidate_small_sets(chain, alpha, graph=None, max_sets=4096):
             mass += pi[u]
         push(ball)
 
-    for v in range(chain.n):
+    for v in seeds:
         inside = {v}
         mass = pi[v]
         if mass > alpha + 1e-15:
@@ -437,7 +440,7 @@ def reference_candidate_small_sets(chain, alpha, graph=None, max_sets=4096):
         if len(found) > max_sets:
             break
 
-    for v in range(0, chain.n, max(1, chain.n // 32)):
+    for v in seeds[::max(1, chain.n // 32)]:
         dist = bfs_distances(graph, v) if graph is not None else None
         if dist is not None:
             ball = [int(u) for u in np.argsort(dist) if dist[u] >= 0][
@@ -518,6 +521,58 @@ def test_candidate_family_matches_scalar_reference(request, name, alpha,
                                          max_sets=max_sets)
     assert list(got) == ref
     assert len(got) == len(ref)
+
+
+CERTIFIED_FAMILY_CASES = [(("cycle", 12), 0.25), (("hypercube", 4), 0.25),
+                          (("complete", 6), 0.34), (("hypercube", 3), 0.25)]
+
+
+@pytest.mark.parametrize("spec,alpha", CERTIFIED_FAMILY_CASES)
+def test_the_certificate_alone_decides_the_seeds(spec, alpha):
+    # certified: every phase seeded at vertex 0; a relabelled copy without
+    # automorphisms: every vertex, as before
+    g = wl.build_named(*spec)
+    assert wl.vertex_transitive(g)
+    chain = srw_chain(g)
+    assert list(candidate_small_sets(chain, alpha, graph=g)) == \
+        reference_candidate_small_sets(chain, alpha, graph=g, seeds=[0])
+    perm = np.random.Generator(np.random.Philox(key=np.uint64(9))) \
+        .permutation(g.n)
+    bare = wl.make_graph(g.n, perm[np.array(g.edges)], g.provenance)
+    assert not wl.vertex_transitive(bare)
+    chain = srw_chain(bare)
+    assert list(candidate_small_sets(chain, alpha, graph=bare)) == \
+        reference_candidate_small_sets(chain, alpha, graph=bare)
+
+
+def orbit_closure(g, family):
+    """Test helper: Aut.F, the images of every set of ``family`` under the
+    group that ``g.automorphisms`` generate, by a Schreier BFS whose nodes
+    are sets and whose edges are the generators.  Sorted tuples."""
+    seen = {tuple(A) for A in family}
+    frontier = list(seen)
+    while frontier:
+        images = {tuple(sorted(perm[list(A)].tolist()))
+                  for A in frontier for perm in g.automorphisms}
+        frontier = list(images - seen)
+        seen |= images
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("spec,alpha", CERTIFIED_FAMILY_CASES)
+def test_family_statistics_match_on_the_orbit_closure(spec, alpha):
+    g = wl.build_named(*spec)
+    chain = srw_chain(g)
+    family = candidate_small_sets(chain, alpha, graph=g)
+    closure = orbit_closure(g, family)
+    assert set(family) < set(closure)
+    for t in range(1, 6):
+        assert family_survival(chain.kernel, family, t).max() == \
+            pytest.approx(family_survival(chain.kernel, closure, t).max(),
+                          rel=0, abs=1e-15)
+    for eps in (0.1, 0.25):
+        assert hit_quantile(chain, alpha, eps, sets=family).time == \
+            hit_quantile(chain, alpha, eps, sets=closure).time
 
 
 def test_candidate_family_greedy_phase_is_exercised(rr512):
@@ -619,12 +674,16 @@ def test_one_suite_alone_solves_only_what_it_reads(monkeypatch):
     run_suite(ExperimentConfig(graph=graph, suites=("inflation",)),
               write=False)
     assert solves == list(range(64))
-    solves.clear()
-    cfg = ExperimentConfig(graph=graph, suites=("walk",), trials=200, seed=3)
-    run_suite(cfg, write=False)
-    g = build_graph(graph)
-    family = candidate_small_sets(srw_chain(g), cfg.alpha, graph=g)
-    assert solves == np.unique(family.members).tolist()
+    # the walk suite solves the member union of the family, which on the
+    # certified LPS(17,13) is seeded at vertex 0 alone
+    for graph in (graph, {"kind": "lps", "p": 17, "q": 13}):
+        solves.clear()
+        cfg = ExperimentConfig(graph=graph, suites=("walk",), trials=200,
+                               seed=3)
+        run_suite(cfg, write=False)
+        g = build_graph(graph)
+        family = candidate_small_sets(srw_chain(g), cfg.alpha, graph=g)
+        assert solves == np.unique(family.members).tolist()
 
 
 def test_sphere_hits_solve_each_center_once(monkeypatch, petersen, prism):

@@ -552,3 +552,24 @@ def test_block_spectrum_keeps_exact_zeros():
     s = spectrum(srw_chain(c4), source_graph=c4)
     assert s.blocks == {"m": 4, "size": 1}
     assert s.eigenvalues.tolist() == [1.0, 0.0, 0.0, -1.0]
+
+
+def test_plain_records_do_not_hang_on_the_sign_of_a_zero_lambda2():
+    # an ulp either side of C4's lambda2 = 0 keeps the same records: the
+    # plain bound applies from -tol, inside its pass test's slack
+    from walklab.suites import Run, spectral_suite
+    c4 = wl.build_named("cycle", 4)
+    chain = srw_chain(c4)
+    exact = spectrum(chain, source_graph=c4)
+    cfg = ExperimentConfig(graph={"kind": "named", "name": "cycle", "n": 4},
+                           alpha=0.5, dump_curves=False)
+    kept = []
+    for lam2 in (1e-17, -1e-17):
+        summary = dataclasses.replace(exact, lambda2=lam2)
+        recs, _ = spectral_suite(Run(cfg, c4, chain, summary))
+        kept.append([(r["name"], r["passed"]) for r in recs
+                     if r["name"].startswith("restricted-")])
+    assert kept[0] == kept[1]
+    assert sum(name.startswith("restricted-plain") for name, _ in kept[0]) \
+        == 2
+    assert all(passed for _, passed in kept[0])
