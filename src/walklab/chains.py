@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .graphs import Graph, _support_classes, vertex_transitive
+from .graphs import Graph, _cover_count, _support_classes, vertex_transitive
 
 ROW_SUM_TOL = 1e-12
 REVERSIBILITY_TOL = 1e-12
@@ -48,7 +48,6 @@ class ReversibleChain:
     period_info: str
     components: tuple
     source: dict = field(default_factory=dict)
-    reversible_flag: bool = True
     transitive: bool = False
 
     @property
@@ -111,9 +110,11 @@ def chain_from_kernel(kernel, stationary, source=None) -> ReversibleChain:
     pi = np.array(stationary, dtype=float)
     _validate(kernel, pi)
     n = kernel.shape[0]
-    comps, cover_count = _support_classes(_support(kernel))
+    support = _support(kernel)
+    comps = _support_classes(support)
+    # a holding probability makes the chain aperiodic: no cover needed
     has_diag = kernel.diagonal().max() > 0 if n else False
-    periodic = cover_count > len(comps) and not has_diag
+    periodic = not has_diag and _cover_count(support) > len(comps)
     period = BIPARTITE_PERIODIC if periodic else APERIODIC
     return ReversibleChain(
         n=n, kernel=kernel, stationary=pi, period_info=period,

@@ -577,39 +577,41 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _support_classes(support: sp.csr_matrix) -> tuple:
-    """``(components, cover_count)`` of the undirected graph ``support``.
-
-    Components are sorted vertex tuples, ordered by least vertex.
-    ``cover_count`` counts the components of the bipartite double cover
-    (vertices (v, side), edges (u, 0)-(v, 1) and (u, 1)-(v, 0)).  A
-    connected component is bipartite (a self-loop is an odd cycle) exactly
-    when its cover splits in two, so every component is bipartite when
-    ``cover_count`` is twice the component count, and some component is
-    when it is larger.
-    """
+    """Components of the undirected graph ``support``: sorted vertex
+    tuples, ordered by least vertex."""
     count, labels = csgraph.connected_components(support, directed=False)
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels, minlength=count)
     # [:count] drops the empty piece np.split returns for no vertices
     grouped = np.split(order, np.cumsum(sizes)[:-1])[:count]
-    comps = sorted((tuple(c.tolist()) for c in grouped), key=lambda c: c[0])
+    return tuple(sorted((tuple(c.tolist()) for c in grouped),
+                        key=lambda c: c[0]))
+
+
+def _cover_count(support: sp.csr_matrix) -> int:
+    """Component count of the bipartite double cover of ``support``
+    (vertices (v, side), edges (u, 0)-(v, 1) and (u, 1)-(v, 0)).
+
+    A connected component is bipartite (a self-loop is an odd cycle)
+    exactly when its cover splits in two, so every component is bipartite
+    when the count is twice the component count, and some component is
+    when it is larger.
+    """
     cover = sp.bmat([[None, support], [support, None]], format="csr")
-    cover_count, _ = csgraph.connected_components(cover, directed=False)
-    return tuple(comps), cover_count
+    return csgraph.connected_components(cover, directed=False)[0]
 
 
 def connected_components(g: Graph) -> list:
     """List of components, each a sorted list of vertices."""
-    return [list(c) for c in _support_classes(g._matrix)[0]]
+    return [list(c) for c in _support_classes(g._matrix)]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_support_classes(g._matrix)[0]) <= 1
+    return len(_support_classes(g._matrix)) <= 1
 
 
 def is_bipartite(g: Graph) -> bool:
-    comps, cover_count = _support_classes(g._matrix)
-    return cover_count == 2 * len(comps)
+    return _cover_count(g._matrix) == 2 * len(_support_classes(g._matrix))
 
 
 def eccentricity(g: Graph, v: int) -> int:

@@ -65,12 +65,14 @@ def _family_blocks(kernel, sets):
     Consecutive sets share a block until it holds about
     ``FAMILY_CHUNK_ROWS`` rows, or until one more set would take the slot
     map (below) past 16 ``FAMILY_CHUNK_ROWS`` entries, which bounds the
-    memory of a step.  Yields ``(lo, starts, block)``: the block stacks
-    the sets from ``sets[lo]`` on, and set ``lo + i`` owns the rows from
-    ``starts[i]``.  Every row keeps the entry order of kernel[A][:, A], so
-    a block matvec equals the per-set matvecs bit for bit.  Each set must
-    be nonempty and sorted, with distinct entries.  A
-    :class:`CandidateFamily` is read through its arrays.
+    memory of a step: a map holds at most max(16 ``FAMILY_CHUNK_ROWS``, n)
+    entries, n for a set alone in its chunk.  Yields ``(lo, starts,
+    block)``: the block stacks the sets from ``sets[lo]`` on, and set
+    ``lo + i`` owns the rows from ``starts[i]``.  Every row keeps the
+    entry order of kernel[A][:, A], so a block matvec equals the per-set
+    matvecs bit for bit.  Each set must be nonempty and sorted, with
+    distinct entries.  A :class:`CandidateFamily` is read through its
+    arrays.
 
     The kernel rows of a chunk's members are sliced out together; an
     entry (set, column) finds its block column by one gather in an int32
@@ -98,8 +100,7 @@ def _family_blocks(kernel, sets):
                 "sets must be nonempty, sorted, distinct and in range")
         sub = kernel[members]
         entry_row = np.repeat(np.arange(rows), np.diff(sub.indptr))
-        col = _block_columns(owner, members, owner[entry_row], sub.indices,
-                             n, cap)
+        col = _block_columns(owner, members, owner[entry_row], sub.indices, n)
         keep = col >= 0
         indptr = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(entry_row[keep], minlength=rows), out=indptr[1:])
@@ -109,29 +110,18 @@ def _family_blocks(kernel, sets):
         lo = hi
 
 
-def _block_columns(owner, members, entry_set, entry_col, n, cap):
+def _block_columns(owner, members, entry_set, entry_col, n):
     """Block row of the member (entry_set[e], entry_col[e]) for every
     entry e, or -1 where entry_col[e] is not in set entry_set[e].
 
-    Member i is vertex members[i] of set owner[i].  The slot map holds at
-    most ``cap`` entries: it spans every vertex when sets x n fits, and
-    otherwise (one set on more than ``cap`` vertices) it is filled one
-    window of ``cap`` vertices at a time.
+    Member i is vertex members[i] of set owner[i].  The slot map spans
+    every vertex of every set in the chunk: sets x n entries, at most
+    max(16 ``FAMILY_CHUNK_ROWS``, n) under the chunking of
+    :func:`_family_blocks`.
     """
-    sets = int(owner[-1]) + 1
-    width = min(n, cap // sets)
-    local = np.full((sets, width), -1, dtype=np.int32)
-    if width == n:
-        local[owner, members] = np.arange(len(members))
-        return local[entry_set, entry_col]
-    col = np.full(len(entry_col), -1, dtype=np.int32)
-    for v0 in range(0, n, width):
-        mine = (members >= v0) & (members < v0 + width)
-        here = (entry_col >= v0) & (entry_col < v0 + width)
-        local.fill(-1)
-        local[owner[mine], members[mine] - v0] = np.flatnonzero(mine)
-        col[here] = local[entry_set[here], entry_col[here] - v0]
-    return col
+    local = np.full((int(owner[-1]) + 1, n), -1, dtype=np.int32)
+    local[owner, members] = np.arange(len(members))
+    return local[entry_set, entry_col]
 
 
 def family_survival(kernel, sets, t: int) -> np.ndarray:
@@ -388,37 +378,31 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
     if not sets:
         return HitQuantile(time=0, alpha=alpha, eps=eps, mode=mode, n_sets=0)
 
-    # last[i]: last step at which set i's survival exceeds eps; where[i]:
-    # its first maximizer then.  A set stays dead once its peak drops to
-    # eps or below, since killed-chain survival maxima never increase.
+    # last[i]: last step at which set i's survival exceeds eps.  A set
+    # stays dead once its peak drops to eps or below, since killed-chain
+    # survival maxima never increase.  The worst set's first maximizer at
+    # that step comes from replaying it alone: its block rows and its own
+    # matvecs give the same bits (see _family_blocks).
     last = np.empty(len(sets), dtype=np.int64)
-    where = np.empty(len(sets), dtype=np.int64)
     for lo, starts, block in _family_blocks(chain.kernel, sets):
-        hi = lo + len(starts)
-        rows = block.shape[0]
-        owner = np.repeat(np.arange(len(starts)),
-                          np.diff(np.append(starts, rows)))
-        u = np.ones(rows)
+        u = np.ones(block.shape[0])
         alive = np.ones(len(starts), dtype=bool)
         t = 0
         while True:
-            peaks = np.maximum.reduceat(u, starts)
-            alive &= peaks > eps
+            alive &= np.maximum.reduceat(u, starts) > eps
             if not alive.any():
                 break
             if t >= max_steps:
                 raise HittingError(
                     f"survival stayed above eps for {max_steps} steps")
-            first = np.minimum.reduceat(
-                np.where(u == peaks[owner], np.arange(rows), rows), starts)
-            last[lo:hi][alive] = t
-            where[lo:hi][alive] = (first - starts)[alive]
+            last[lo:lo + len(starts)][alive] = t
             u = block @ u
             t += 1
     worst = int(np.flatnonzero(last == last.max())[-1])
     crossing = int(last[worst]) + 1
     worst_set = sets[worst]
-    worst_start = worst_set[int(where[worst])]
+    worst_start = worst_set[int(np.argmax(
+        survival_vector(chain, worst_set, crossing - 1)))]
     return HitQuantile(time=crossing, alpha=alpha, eps=eps, mode=mode,
                        n_sets=len(sets), worst_set=worst_set,
                        worst_start=worst_start)

@@ -144,7 +144,7 @@ def _commuting_symmetry(s: sp.csr_matrix, graph: Graph):
 def _block_eigenvalues(s: sp.csr_matrix, perm: np.ndarray, m: int):
     """Eigenvalues of the symmetric ``s`` (ascending), from the Fourier
     blocks of a permutation h that commutes with it and whose cycles all
-    have length m.
+    have length m (m = 1: the identity, and the one block is ``s``).
 
     Each orbit o of h has representative r_o, its smallest vertex, and
     phi(v) is v's position along its orbit from there.  With omega =
@@ -201,12 +201,13 @@ def spectrum(chain: ReversibleChain, mode: str = "dense-full",
     """Eigenvalue summary of the chain kernel.
 
     dense-full computes the whole eigenvalue multiset (budgeted by n, not
-    by block).  When ``source_graph`` carries a
-    :func:`graphs.cyclic_automorphism` h with cycle length m that commutes
-    with S (checked entry for entry, so a chain passed with the wrong
-    graph falls back), the multiset comes from m // 2 + 1 Hermitian
-    blocks of size n/m (see :func:`_block_eigenvalues`) and ``blocks``
-    records m and the size; otherwise from one dense ``eigvalsh``.
+    by block) from the m // 2 + 1 Hermitian blocks of size n/m of
+    :func:`_block_eigenvalues`.  h is the :func:`graphs.cyclic_automorphism`
+    of ``source_graph``, with cycle length m, when it commutes with S
+    (checked entry for entry, so a chain passed with the wrong graph falls
+    back), and ``blocks`` then records m and the size.  Otherwise h is the
+    identity, m = 1, and the one block is S itself, solved by one dense
+    ``eigvalsh``; ``blocks`` stays None.
     iterative-extremal finds lambda2 as the largest eigenvalue of
     S - 2 u u^T, where u = sqrt(pi) is the top eigenvector (the shift
     sends eigenvalue 1 to -1, at or below every other eigenvalue, so a
@@ -227,13 +228,10 @@ def spectrum(chain: ReversibleChain, mode: str = "dense-full",
             raise SpectralError(
                 f"dense mode budget is n <= {dense_budget}, got {chain.n}")
         s = symmetrized(chain)
-        symmetry = _commuting_symmetry(s, source_graph)
-        blocks = None
-        if symmetry is None:
-            eigs = np.linalg.eigvalsh(s.toarray())
-        else:
-            eigs = _block_eigenvalues(s, *symmetry)
-            blocks = {"m": symmetry[1], "size": chain.n // symmetry[1]}
+        perm, m = (_commuting_symmetry(s, source_graph)
+                   or (np.arange(chain.n), 1))
+        eigs = _block_eigenvalues(s, perm, m)
+        blocks = {"m": m, "size": chain.n // m} if m > 1 else None
         eigs_desc = eigs[::-1]
         lambda2 = float(eigs_desc[1]) if chain.n > 1 else 1.0
         lambda_min = float(eigs_desc[-1])

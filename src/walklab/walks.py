@@ -7,9 +7,11 @@ the Y-chain, whose exact one-step kernel is the sphere-hitting solve
 from the hitting module.  A step is good when at least d-1 neighbors of
 the current position are strictly farther from the anchor, which is what
 couples the walk to the tree level chain.  Distances to the anchor come
-from the graph's radius-k ball table; independent walks advance in
-lockstep as arrays of positions in that table and step through its
-ball-local step table, one gather per step.
+from the graph's radius-k ball table.  The escape experiment's
+independent walks advance in lockstep as arrays of positions in that
+table and step through its ball-local step table, one gather per step;
+the first regenerations of the Y-kernel sampler are one walk, stepped in
+order on the adjacency lists.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream); every result records its key, so reruns are
@@ -285,62 +287,34 @@ def sample_first_regenerations(g: Graph, anchor: int, k: int, trials: int,
                                rng: np.random.Generator):
     """Durations and landing spots of ``trials`` first regenerations.
 
-    Every trial starts at ``anchor``, so its outcome is fixed by the offset
-    of its first uniform in the shared sequence.  The walks from every
-    offset of a buffer of uniforms run in lockstep; the trials are then
-    read off by hopping from each trial's offset to offset + duration.
+    The trials form one walk on ``g.adjacency`` that starts at ``anchor``
+    and jumps back to it whenever it lands on the anchor's k-sphere.
+    Uniforms are drawn in batches sized from the mean duration so far;
+    the uniforms left after the last trial are drawn but never read.
     """
-    ball = ball_table(g, k)
-    if len(ball.sphere(anchor)) == 0:
+    ring = frozenset(ball_table(g, k).sphere(anchor).tolist())
+    if not ring:
         raise WalkError(f"anchor {anchor} has no vertex at distance {k}")
+    adj = g.adjacency
     durations, landings = [], []
-    u = np.empty(0)
+    cur, steps = anchor, 0
     while len(durations) < trials:
-        # size the draw from the mean duration so far; a short draw costs
-        # one more pass, over the uniforms after the last finished trial
+        # the batch rule fixes how many uniforms are drawn, and with it
+        # the generator's state after the call
         mean = sum(durations) / len(durations) if durations else 4.0
         more = int(1.25 * mean * (trials - len(durations))) + 64
-        u = np.concatenate((u, rng.random(more)))
-        steps, landing = _first_passages(ball, anchor, u)
-        steps, landing = steps.tolist(), landing.tolist()
-        o = 0
-        while len(durations) < trials and o < len(u) and steps[o]:
-            durations.append(steps[o])
-            landings.append(landing[o])
-            o += steps[o]
-        u = u[o:]
+        for x in rng.random(more).tolist():
+            nbrs = adj[cur]
+            cur = nbrs[int(x * len(nbrs))]
+            steps += 1
+            if cur in ring:
+                durations.append(steps)
+                landings.append(cur)
+                if len(durations) == trials:
+                    break
+                cur, steps = anchor, 0
     return (np.array(durations, dtype=np.int64),
             np.array(landings, dtype=np.int64))
-
-
-def _first_passages(ball, anchor: int, u: np.ndarray):
-    """Steps to the k-sphere and landing vertex of the walk from ``anchor``
-    that starts at each offset j of ``u`` (using u[j], u[j+1], ...); steps
-    is 0 where the walk runs out of uniforms first.
-
-    A walker is a position in ``ball`` (a :class:`BallTable`) and moves
-    through its step table: slot ``floor(x * deg)`` of the current row,
-    where deg is the row's length, the degree of the current vertex, so
-    irregular graphs walk as well.
-    """
-    first, target = ball.steps
-    steps = np.zeros(len(u), dtype=np.int64)
-    landing = np.zeros(len(u), dtype=np.int64)
-    walker = np.arange(len(u))
-    pos = np.full(len(u), ball.home[anchor])
-    t = 0
-    while len(walker):
-        live = walker + t < len(u)
-        walker, pos = walker[live], pos[live]
-        row = first[pos]
-        degs = first[pos + 1] - row
-        pos = target[row + (u[walker + t] * degs).astype(np.int64)]
-        t += 1
-        hit = ball.dist[pos] == ball.k
-        steps[walker[hit]] = t
-        landing[walker[hit]] = ball.vertex(pos[hit])
-        walker, pos = walker[~hit], pos[~hit]
-    return steps, landing
 
 
 def _lockstep_regenerations(g: Graph, start: int, k: int,

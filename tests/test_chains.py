@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import walklab as wl
+from walklab import chains, graphs
 from walklab.chains import (APERIODIC, BIPARTITE_PERIODIC, ChainError,
                             chain_from_kernel, distances, evolve,
                             mixing_profile, point_mass, power_chain,
@@ -497,3 +498,36 @@ def test_mixing_profile_snaps_complements_onto_the_grid():
     # the suites' grid has no such pair, and keeps its exact complements
     prof = mixing_profile(chain, [0.1, 0.25])
     assert list(prof.mixing_times) == [0.1, 0.25, 0.75, 0.9]
+
+
+def test_double_cover_built_only_when_a_period_is_asked(monkeypatch,
+                                                        petersen, c6, q3):
+    calls = []
+    cover_count = graphs._cover_count
+
+    def counted(support):
+        calls.append(support.shape[0])
+        return cover_count(support)
+
+    monkeypatch.setattr(graphs, "_cover_count", counted)
+    monkeypatch.setattr(chains, "_cover_count", counted)
+    k5 = wl.build_named("complete", 5)
+    for g, bipartite in ((petersen, False), (c6, True), (q3, True),
+                         (k5, False)):
+        connected_components(g)
+        assert graphs.is_connected(g)
+        assert calls == []
+        chain = srw_chain(g)
+        assert calls == [g.n]
+        two = power_chain(chain, 2)
+        blend = chain_from_kernel((chain.kernel + two.kernel) * 0.5,
+                                  chain.stationary)
+        # both hold with positive probability: aperiodic without a cover
+        assert two.period_info == blend.period_info == APERIODIC
+        assert calls == [g.n]
+        assert graphs.is_bipartite(g) == bipartite
+        assert calls == [g.n, g.n]
+        calls.clear()
+    assert srw_chain(c6).period_info == BIPARTITE_PERIODIC
+    assert srw_chain(q3).period_info == BIPARTITE_PERIODIC
+    assert srw_chain(k5).period_info == APERIODIC

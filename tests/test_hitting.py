@@ -158,6 +158,23 @@ def test_hit_quantile_candidates_match_per_set_loop(petersen, petersen_chain,
         assert (hq.time, hq.worst_set, hq.worst_start) == ref
 
 
+@pytest.mark.parametrize("eps", [0.02, 0.1, 0.3])
+def test_worst_start_is_the_maximizer_at_the_last_step(petersen_chain, eps):
+    # on these sets the first maximizer alternates from step to step, so
+    # the worst start must be read at the last step above eps
+    nonregular = _nonregular_graph()
+    chain = srw_chain(nonregular)
+    for ch, fam in ((petersen_chain, exact_family(petersen_chain, 0.4)),
+                    (chain, candidate_small_sets(chain, 0.4,
+                                                 graph=nonregular))):
+        hq = hit_quantile(ch, 0.4, eps, sets=fam)
+        ref = per_set_hit_quantile(ch, fam, eps, hitting.MAX_QUANTILE_STEPS)
+        assert (hq.time, hq.worst_set, hq.worst_start) == ref
+        at = [int(np.argmax(survival_vector(ch, hq.worst_set, t)))
+              for t in (hq.time - 1, hq.time)]
+        assert at[0] != at[1]
+
+
 def test_family_survival_matches_per_set_vectors(cubic_family):
     chain, sets = cubic_family
     for t in (0, 7):
@@ -304,14 +321,14 @@ def test_family_blocks_match_search_reference(monkeypatch, cubic_family,
     blocks = assert_blocks_match_reference(chain.kernel, sets)
     assert len(blocks) > 1 and sizes
     assert max(sizes) <= 16 * hitting.FAMILY_CHUNK_ROWS
-    # tiny chunks, a map of 80 entries: on n = 200 a set alone is matched
-    # one window of 80 vertices at a time; on n = 10 a chunk holds up to
-    # 5 rows from at most 8 sets
+    # tiny chunks, a bound of 80 entries: on n = 200 a set alone gets a
+    # map of all n vertices; on n = 10 a chunk holds up to 5 rows from at
+    # most 8 sets
     monkeypatch.setattr(hitting, "FAMILY_CHUNK_ROWS", 5)
     sizes.clear()
     blocks = assert_blocks_match_reference(chain.kernel, sets[::7])
     assert all(len(starts) == 1 for _, starts, _ in blocks)
-    assert set(sizes) == {80}
+    assert set(sizes) == {chain.n} == {200}
     blocks = assert_blocks_match_reference(
         petersen_chain.kernel, exact_family(petersen_chain, 0.3))
     assert max(len(starts) for _, starts, _ in blocks) == 5

@@ -545,6 +545,18 @@ def test_wrong_source_graph_takes_the_dense_path():
     assert spectrum(chain, source_graph=c8).blocks == {"m": 8, "size": 1}
 
 
+def test_one_block_spectrum_equals_dense_eigvalsh_bit_for_bit():
+    # no commuting symmetry: the identity, one block, S itself
+    rr = wl.build_random_regular(200, 3, 5)
+    for g in (wl.build_named("petersen"), wl.build_named("prism"), rr,
+              wl.inflate(rr, 2)):
+        chain = srw_chain(g)
+        s = spectrum(chain, source_graph=g)
+        assert s.blocks is None
+        dense = np.linalg.eigvalsh(symmetrized(chain).toarray())[::-1]
+        assert np.array_equal(s.eigenvalues, dense)
+
+
 def test_block_spectrum_keeps_exact_zeros():
     # C4's lambda2 is 0; an ulp below it would make the plain restricted
     # bound inapplicable and drop its records

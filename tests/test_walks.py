@@ -5,7 +5,7 @@ import pytest
 
 import walklab as wl
 from walklab.chains import srw_chain
-from walklab.graphs import BallTable, bfs_distances, inflate
+from walklab.graphs import BallTable, ball_table, bfs_distances, inflate
 from walklab.hitting import (CandidateFamily, candidate_small_sets,
                              expected_hit_time, sphere_hit_distribution)
 from walklab.suites import ExperimentConfig, run_suite
@@ -305,6 +305,61 @@ def test_first_regenerations_match_scalar_reference(prism, petersen, cubic64,
                 cur = nbrs[int(next(u) * len(nbrs))]
                 steps += 1
             assert (steps, cur) == (duration, landing)
+
+
+def offset_first_regenerations(g, anchor, k, trials, rng):
+    """Reference: the walks from every offset of a batch of uniforms run in
+    lockstep through the ball's step table, and the trials are read off by
+    hopping from each trial's offset to offset + duration."""
+    ball = ball_table(g, k)
+    first, target = ball.steps
+    durations, landings = [], []
+    u = np.empty(0)
+    while len(durations) < trials:
+        mean = sum(durations) / len(durations) if durations else 4.0
+        more = int(1.25 * mean * (trials - len(durations))) + 64
+        u = np.concatenate((u, rng.random(more)))
+        steps = np.zeros(len(u), dtype=np.int64)
+        landing = np.zeros(len(u), dtype=np.int64)
+        walker = np.arange(len(u))
+        pos = np.full(len(u), ball.home[anchor])
+        t = 0
+        while len(walker):
+            live = walker + t < len(u)
+            walker, pos = walker[live], pos[live]
+            row = first[pos]
+            degs = first[pos + 1] - row
+            pos = target[row + (u[walker + t] * degs).astype(np.int64)]
+            t += 1
+            hit = ball.dist[pos] == ball.k
+            steps[walker[hit]] = t
+            landing[walker[hit]] = ball.vertex(pos[hit])
+            walker, pos = walker[~hit], pos[~hit]
+        steps, landing = steps.tolist(), landing.tolist()
+        o = 0
+        while len(durations) < trials and o < len(u) and steps[o]:
+            durations.append(steps[o])
+            landings.append(landing[o])
+            o += steps[o]
+        u = u[o:]
+    return np.array(durations), np.array(landings)
+
+
+@pytest.mark.parametrize("trials", [1, 3000])
+def test_first_regenerations_match_offset_sampler(prism, petersen, cubic64,
+                                                  lps13_17, irregular,
+                                                  trials):
+    for g, anchor, k in ((prism, 0, 2), (petersen, 3, 2), (cubic64, 5, 3),
+                         (lps13_17, 7, 2), (irregular, 0, 2),
+                         (irregular, 12, 3), (irregular, 6, 4)):
+        rng, ref_rng = make_rng(4, 2), make_rng(4, 2)
+        durations, landings = sample_first_regenerations(g, anchor, k,
+                                                         trials, rng)
+        want = offset_first_regenerations(g, anchor, k, trials, ref_rng)
+        assert np.array_equal(durations, want[0])
+        assert np.array_equal(landings, want[1])
+        # the same batches were drawn: the generators end in one state
+        assert rng.random() == ref_rng.random()
 
 
 def test_walkers_never_search_the_ball_table(monkeypatch, prism, irregular):
