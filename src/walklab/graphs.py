@@ -27,9 +27,8 @@ from scipy.sparse import csgraph
 
 INFINITE_GIRTH = math.inf
 
-# Enumeration budget for exact simple-cycle counts inside a ball.  Beyond
-# this we only report the 2^rank - 1 cycle-space bound.
-CYCLE_EDGE_BUDGET = 64
+# Largest cycle rank of a ball whose simple cycles are counted exactly;
+# past it only the 2^rank - 1 cycle-space bound is reported.
 CYCLE_RANK_BUDGET = 20
 
 
@@ -80,9 +79,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
-
-    def neighbors(self, v: int) -> tuple:
-        return self.adjacency[v]
 
     @cached_property
     def edges(self) -> tuple:
@@ -714,15 +710,14 @@ def _shortest_cycle(adjacency, bound, sources=None) -> tuple:
 class BallStats:
     """Structure of the radius-k ball around a center.
 
-    ``edge_surplus`` counts edges with an endpoint inside radius k-1 minus the
-    ball size; it equals -1 on tree balls, so ``excess = edge_surplus + 1`` is
-    the normalized version that scores 0 there.  ``cycle_rank`` is the
-    cycle rank of the absorption-relevant subgraph (edges incident to the
-    interior) and always equals ``excess``; ``full_cycle_rank`` is the
-    cycle rank of the whole induced ball, which also sees edges between
-    two boundary vertices.  ``simple_cycle_count`` enumerates simple
-    cycles of the induced ball exactly, or is None when the enumeration
-    budget is exceeded; a tree ball counts 0 at any size.  The repr omits
+    ``excess`` is the cycle rank of the absorption-relevant subgraph (the
+    edges with an endpoint inside radius k-1, less the ball size, plus 1);
+    it scores 0 on tree balls.  ``full_cycle_rank`` is the cycle rank of
+    the whole induced ball, which also sees edges between two boundary
+    vertices.  ``simple_cycle_count`` counts the simple cycles of the
+    induced ball exactly, in time exponential in ``full_cycle_rank``
+    only, or is None when that rank exceeds ``CYCLE_RANK_BUDGET``; a tree
+    ball counts 0 at any size.  The repr omits
     ``simple_cycle_bound`` = 2^full_cycle_rank - 1: it can run to
     thousands of digits, past the int-to-str limit.
     """
@@ -730,9 +725,7 @@ class BallStats:
     center: int
     radius: int
     levels: tuple
-    edge_surplus: int
     excess: int
-    cycle_rank: int
     relevant_edge_count: int
     full_edge_count: int
     full_cycle_rank: int
@@ -744,10 +737,9 @@ class BallStats:
         return sum(self.levels)
 
 
-def ball_stats(g: Graph, v: int, k: int,
-               edge_budget: int = CYCLE_EDGE_BUDGET,
-               rank_budget: int = CYCLE_RANK_BUDGET) -> BallStats:
-    """Level sizes and cycle structure of the radius-k ball around v."""
+def ball_stats(g: Graph, v: int, k: int) -> BallStats:
+    """Level sizes and cycle structure of the radius-k ball around v;
+    see :class:`BallStats` for the cycle-count budget."""
     if k < 0:
         raise GraphError(f"radius must be >= 0, got {k}")
     if not (0 <= v < g.n):
@@ -767,21 +759,18 @@ def ball_stats(g: Graph, v: int, k: int,
     full = len(ball_edges)
     relevant = int(np.count_nonzero((dist[u] < k) | (dist[w] < k)))
 
-    edge_surplus = relevant - ball_size
-    excess = edge_surplus + 1
-    cycle_rank = relevant - (ball_size - 1)
     # the induced ball is connected: every vertex reaches v along a
     # shortest path that stays inside it
     full_rank = full - ball_size + 1
     bound = (1 << full_rank) - 1
     if full_rank == 0:
         count = 0   # a tree has no cycles, whatever its size
-    elif full <= edge_budget and full_rank <= rank_budget:
+    elif full_rank <= CYCLE_RANK_BUDGET:
         count = count_simple_cycles(ball_edges)
     else:
         count = None
-    return BallStats(center=v, radius=k, levels=levels, edge_surplus=edge_surplus,
-                     excess=excess, cycle_rank=cycle_rank,
+    return BallStats(center=v, radius=k, levels=levels,
+                     excess=relevant - ball_size + 1,
                      relevant_edge_count=relevant, full_edge_count=full,
                      full_cycle_rank=full_rank, simple_cycle_count=count,
                      simple_cycle_bound=bound)
@@ -790,96 +779,86 @@ def ball_stats(g: Graph, v: int, k: int,
 def count_simple_cycles(edges) -> int:
     """Exact number of simple cycles in the graph given by ``edges``.
 
-    Enumerates the cycle space: every nonempty XOR of fundamental cycles
-    is tested for being a single vertex-disjoint cycle.  Exponential in
-    the cycle rank, so callers must budget.
+    ``edges`` lists (u, v) pairs on sortable labels, in either
+    orientation; a self-loop or a repeated edge raises GraphError naming
+    it.  The graph is peeled to its 2-core, whose cycle space is
+    enumerated: a nonempty XOR of fundamental cycles is a simple cycle
+    when it meets each core vertex of degree >= 3 at most twice (a
+    degree-2 vertex passes in every even subgraph) and the walk from its
+    lowest edge takes all of it.  A core of cycle rank c has at most
+    2(c - 1) vertices of degree >= 3, so the test of each of the 2^c - 1
+    XORs costs O(c) big-integer operations, and only the disjoint unions
+    of cycles that pass it are walked.  The time is exponential in the
+    rank only, so callers budget the rank.
     """
-    edges = [tuple(e) for e in edges]
-    if not edges:
-        return 0
-    vertices = sorted({u for e in edges for u in e})
-    index = {e: i for i, e in enumerate(edges)}
-    adj = {u: [] for u in vertices}
-    for u, w in edges:
-        adj[u].append(w)
-        adj[w].append(u)
+    pairs = [tuple(e) for e in edges]
+    labels = sorted({x for e in pairs for x in e})
+    pos = {x: i for i, x in enumerate(labels)}
+    try:
+        g = make_graph(len(labels), [(pos[a], pos[b]) for a, b in pairs])
+    except GraphError:
+        # make_graph names the edge in 0..V-1; name it in the caller's labels
+        seen = set()
+        for a, b in pairs:
+            if a == b:
+                raise GraphError(f"self-loop at vertex {a}") from None
+            if frozenset((a, b)) in seen:
+                raise GraphError(f"repeated edge ({a},{b})") from None
+            seen.add(frozenset((a, b)))
+        raise
+    ends = g.edges
+    inc = [0] * g.n         # each vertex's edges as a bitmask
 
-    # spanning forest for fundamental cycles
-    parent_edge = {}
-    visited = set()
-    tree_edges = set()
-    for root in vertices:
-        if root in visited:
-            continue
-        visited.add(root)
-        parent_edge[root] = None
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in visited:
-                    visited.add(w)
-                    e = (min(u, w), max(u, w))
-                    parent_edge[w] = (u, e)
-                    tree_edges.add(e)
-                    queue.append(w)
+    def far(bit, x):        # the other end of edge ``bit`` from x
+        u, w = ends[bit.bit_length() - 1]
+        return w if u == x else u
 
-    def path_to_root(u):
-        mask = 0
-        while parent_edge[u] is not None:
-            up, e = parent_edge[u]
-            mask ^= 1 << index[e]
-            u = up
-        return mask
+    for i, (u, w) in enumerate(ends):
+        inc[u] |= 1 << i
+        inc[w] |= 1 << i
+    leaves = [v for v in range(g.n) if inc[v].bit_count() < 2]
+    while leaves:           # peel to the 2-core
+        v = leaves.pop()
+        if inc[v]:
+            x = far(inc[v], v)
+            inc[v], inc[x] = 0, inc[x] ^ inc[v]
+            if inc[x].bit_count() == 1:
+                leaves.append(x)
 
-    basis = []
-    for e in edges:
-        if e not in tree_edges:
-            u, w = e
-            mask = path_to_root(u) ^ path_to_root(w) ^ (1 << index[e])
-            basis.append(mask)
-
-    rank = len(basis)
-    if rank == 0:
-        return 0
-    endpoints = edges
-    count = 0
-    mask = 0
-    # Gray-code walk over all nonempty subsets of the basis.
-    for step in range(1, 1 << rank):
-        mask ^= basis[(step & -step).bit_length() - 1]
-        if mask == 0:
-            continue
-        deg = {}
-        sel = mask
-        while sel:
-            i = (sel & -sel).bit_length() - 1
-            sel &= sel - 1
-            u, w = endpoints[i]
-            deg[u] = deg.get(u, 0) + 1
-            deg[w] = deg.get(w, 0) + 1
-        # a disjoint union of cycles has all degrees 2; a single cycle is
-        # also connected
-        if all(dcount == 2 for dcount in deg.values()):
-            start = next(iter(deg))
-            seen = {start}
-            queue = deque([start])
-            sel = mask
-            inc = {u: [] for u in deg}
-            while sel:
-                i = (sel & -sel).bit_length() - 1
-                sel &= sel - 1
-                u, w = endpoints[i]
-                inc[u].append(w)
-                inc[w].append(u)
-            while queue:
-                u = queue.popleft()
-                for w in inc[u]:
-                    if w not in seen:
-                        seen.add(w)
+    # path[v]: the spanning-forest path from v to its root, so a tree
+    # edge's fundamental XOR is 0
+    path = [None] * g.n
+    for r in range(g.n):
+        if inc[r] and path[r] is None:
+            path[r] = 0
+            queue = [r]
+            for u in queue:
+                for w in g.adjacency[u]:
+                    if inc[w] and path[w] is None:
+                        path[w] = path[u] ^ (inc[u] & inc[w])
                         queue.append(w)
-            if len(seen) == len(deg):
-                count += 1
+    basis = [c for i, (u, w) in enumerate(ends)
+             if inc[u] and inc[w] and (c := path[u] ^ path[w] ^ (1 << i))]
+    branch = [m for m in inc if m.bit_count() > 2]
+
+    def one_cycle(mask):    # walk from the lowest edge until it closes
+        walked = edge = mask & -mask
+        start, x = ends[edge.bit_length() - 1]
+        while x != start:
+            edge = mask & inc[x] & ~edge
+            walked |= edge
+            x = far(edge, x)
+        return walked == mask
+
+    count = mask = 0
+    # Gray-code walk over all nonempty subsets of the basis
+    for step in range(1, 1 << len(basis)):
+        mask ^= basis[(step & -step).bit_length() - 1]
+        for m in branch:
+            if (mask & m).bit_count() > 2:
+                break
+        else:
+            count += one_cycle(mask)
     return count
 
 
@@ -895,9 +874,7 @@ class Assumption1Report:
     all_counts_exact: bool
 
 
-def assumption1_scan(g: Graph, r: int,
-                     edge_budget: int = CYCLE_EDGE_BUDGET,
-                     rank_budget: int = CYCLE_RANK_BUDGET) -> Assumption1Report:
+def assumption1_scan(g: Graph, r: int) -> Assumption1Report:
     """Worst-case cycle content over all radius-r balls.
 
     ``max_cycle_rank`` and the simple-cycle figures refer to the full
@@ -912,7 +889,7 @@ def assumption1_scan(g: Graph, r: int,
     max_count = 0
     exact = True
     for v in _scan_vertices(g):
-        stats = ball_stats(g, v, r, edge_budget, rank_budget)
+        stats = ball_stats(g, v, r)
         max_excess = max(max_excess, stats.excess)
         max_rank = max(max_rank, stats.full_cycle_rank)
         max_bound = max(max_bound, stats.simple_cycle_bound)

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chains import ReversibleChain
-from .graphs import Graph, _sorted_lookup, cyclic_automorphism
+from .graphs import Graph, _sorted_lookup, cyclic_automorphism, is_bipartite
 
 DENSE_BUDGET = 3000
 EIG_ONE_TOL = 1e-9
@@ -295,7 +295,6 @@ def classify_ramanujan(g: Graph, summary: SpectrumSummary,
     """
     if not g.is_regular or g.regular_degree < 3:
         raise SpectralError("classification needs a d-regular graph with d >= 3")
-    from .graphs import is_bipartite
     bip = is_bipartite(g)
     r = rho(g.regular_degree)
     lambda2 = summary.lambda2

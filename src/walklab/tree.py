@@ -230,14 +230,6 @@ class LevelConcentration:
     stddev: float
     lower_tail: tuple  # ((j, P[level <= mean - j sqrt(t)]) for j = 1..6)
 
-    def tail_below(self, x: float) -> float:
-        return self._cdf(x)
-
-    def _cdf(self, x: float) -> float:
-        profile = level_profile(self.d, self.t)
-        levels = np.arange(len(profile))
-        return float(profile[levels <= x].sum())
-
 
 def tree_distance_concentration(d: int, t: int) -> LevelConcentration:
     """Exact moments and lower tails of the level chain at time t.

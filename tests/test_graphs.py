@@ -54,6 +54,99 @@ def is_connected_subset(sub_edges, vertices):
     return seen == vs
 
 
+def reference_count_simple_cycles(edges):
+    """The Gray-code counter that the 2-core counter replaced: every
+    nonempty XOR of fundamental cycles is tested with a degree table over
+    all its edges and a BFS.  ``edges`` must be (min, max) pairs."""
+    edges = [tuple(e) for e in edges]
+    if not edges:
+        return 0
+    vertices = sorted({u for e in edges for u in e})
+    index = {e: i for i, e in enumerate(edges)}
+    adj = {u: [] for u in vertices}
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+
+    # spanning forest for fundamental cycles
+    parent_edge = {}
+    visited = set()
+    tree_edges = set()
+    for root in vertices:
+        if root in visited:
+            continue
+        visited.add(root)
+        parent_edge[root] = None
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in adj[u]:
+                if w not in visited:
+                    visited.add(w)
+                    e = (min(u, w), max(u, w))
+                    parent_edge[w] = (u, e)
+                    tree_edges.add(e)
+                    queue.append(w)
+
+    def path_to_root(u):
+        mask = 0
+        while parent_edge[u] is not None:
+            up, e = parent_edge[u]
+            mask ^= 1 << index[e]
+            u = up
+        return mask
+
+    basis = []
+    for e in edges:
+        if e not in tree_edges:
+            u, w = e
+            mask = path_to_root(u) ^ path_to_root(w) ^ (1 << index[e])
+            basis.append(mask)
+
+    rank = len(basis)
+    if rank == 0:
+        return 0
+    endpoints = edges
+    count = 0
+    mask = 0
+    # Gray-code walk over all nonempty subsets of the basis.
+    for step in range(1, 1 << rank):
+        mask ^= basis[(step & -step).bit_length() - 1]
+        if mask == 0:
+            continue
+        deg = {}
+        sel = mask
+        while sel:
+            i = (sel & -sel).bit_length() - 1
+            sel &= sel - 1
+            u, w = endpoints[i]
+            deg[u] = deg.get(u, 0) + 1
+            deg[w] = deg.get(w, 0) + 1
+        # a disjoint union of cycles has all degrees 2; a single cycle is
+        # also connected
+        if all(dcount == 2 for dcount in deg.values()):
+            start = next(iter(deg))
+            seen = {start}
+            queue = deque([start])
+            sel = mask
+            inc = {u: [] for u in deg}
+            while sel:
+                i = (sel & -sel).bit_length() - 1
+                sel &= sel - 1
+                u, w = endpoints[i]
+                inc[u].append(w)
+                inc[w].append(u)
+            while queue:
+                u = queue.popleft()
+                for w in inc[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+            if len(seen) == len(deg):
+                count += 1
+    return count
+
+
 # -- named builders -----------------------------------------------------------
 
 def test_complete_graph(k4):
@@ -151,15 +244,12 @@ def test_ball_stats_petersen(petersen):
     st = wl.ball_stats(petersen, 0, 2)
     assert st.levels == (1, 3, 6)
     assert st.relevant_edge_count == 9
-    assert st.edge_surplus == -1
     assert st.excess == 0
-    assert st.cycle_rank == 0
 
 
 def test_ball_stats_k4(k4):
     st = wl.ball_stats(k4, 0, 1)
     assert st.levels == (1, 3)
-    assert st.edge_surplus == -1
     assert st.excess == 0
 
 
@@ -168,7 +258,6 @@ def test_ball_stats_c6(c6):
     assert st.levels == (1, 2, 2, 1)
     assert st.relevant_edge_count == 6
     assert st.excess == 1
-    assert st.cycle_rank == 1
 
 
 def test_excess_equals_edge_surplus_plus_one(petersen, prism, c6, random_cubic_medium):
@@ -176,8 +265,8 @@ def test_excess_equals_edge_surplus_plus_one(petersen, prism, c6, random_cubic_m
         for v in range(0, g.n, max(1, g.n // 10)):
             for k in (1, 2, 3):
                 st = wl.ball_stats(g, v, k)
-                assert st.excess == st.edge_surplus + 1
-                assert st.excess == st.cycle_rank
+                # edge surplus: relevant edges minus the ball size
+                assert st.excess == st.relevant_edge_count - st.ball_size + 1
                 assert st.excess >= 0
 
 
@@ -189,6 +278,9 @@ def test_ball_levels_sum_to_n_at_diameter(petersen, prism):
             assert sum(st.levels) == g.n
 
 
+K33 = [(a, b) for a in range(3) for b in range(3, 6)]
+
+
 def test_simple_cycle_counts():
     # K4: four triangles + three 4-cycles
     assert count_simple_cycles(wl.build_named("complete", 4).edges) == 7
@@ -196,6 +288,89 @@ def test_simple_cycle_counts():
     assert count_simple_cycles(wl.build_named("petersen").edges) == 57
     assert count_simple_cycles(wl.build_named("cycle", 6).edges) == 1
     assert count_simple_cycles([(0, 1), (1, 2)]) == 0
+    assert count_simple_cycles([]) == 0
+    assert count_simple_cycles(wl.build_named("complete", 5).edges) == 37
+    assert count_simple_cycles(K33) == 15
+    assert count_simple_cycles(wl.build_named("hypercube", 3).edges) == 28
+    # Q4: cycle rank 17
+    assert count_simple_cycles(wl.build_named("hypercube", 4).edges) == 14704
+
+
+def test_count_simple_cycles_input_handling():
+    assert count_simple_cycles([(0, 1), (1, 2), (2, 0)]) == 1
+    assert count_simple_cycles([("b", "a"), ("c", "b"), ("a", "c")]) == 1
+    # errors name the edge as given, not relabelled to 0..V-1
+    for edges, message in [([(0, 1), (1, 0)], "repeated edge (1,0)"),
+                           ([(0, 0)], "self-loop at vertex 0"),
+                           ([(10, 12), (12, 30), (30, 12)],
+                            "repeated edge (30,12)"),
+                           ([(10, 12), (12, 12)], "self-loop at vertex 12")]:
+        with pytest.raises(GraphError) as err:
+            count_simple_cycles(edges)
+        assert str(err.value) == message
+
+
+# 2-core and degree-2 path cases: (edges, simple cycles)
+CONTRACTION_CASES = {
+    # two triangles sharing a degree-4 vertex
+    "bowtie": ([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)], 2),
+    # a triangle on a two-edge tail, and a pendant edge on the triangle
+    "lollipop": ([(4, 3), (3, 2), (2, 0), (0, 1), (1, 2), (1, 5)], 1),
+    # three paths of lengths 1, 2 and 3 between vertices 0 and 1
+    "theta": ([(0, 1), (0, 2), (2, 1), (0, 3), (3, 4), (4, 1)], 3),
+    # a 4-ring, a 5-ring and a theta, disjoint, labels interleaved
+    "rings+theta": ([(0, 3), (3, 6), (6, 9), (9, 0),
+                     (1, 4), (4, 7), (7, 10), (10, 13), (13, 1),
+                     (2, 5), (5, 8), (2, 11), (11, 8), (2, 14), (14, 8)],
+                    5),
+    # a 6-cycle with the chord (0, 3)
+    "chorded-c6": ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)],
+                   3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTION_CASES))
+def test_count_simple_cycles_contraction_cases(name):
+    edges, cycles = CONTRACTION_CASES[name]
+    assert count_simple_cycles(edges) == cycles
+    assert reference_count_simple_cycles([tuple(sorted(e))
+                                          for e in edges]) == cycles
+
+
+def test_count_simple_cycles_matches_reference_on_named_graphs():
+    graphs = [wl.build_named("complete", n).edges for n in (4, 5, 6)]
+    graphs += [wl.build_named(name).edges for name in ("petersen", "prism")]
+    graphs += [wl.build_named("hypercube", 3).edges, K33]
+    for edges in graphs:
+        assert count_simple_cycles(edges) == \
+            reference_count_simple_cycles(edges)
+        assert count_simple_cycles(reversed([e[::-1] for e in edges])) == \
+            reference_count_simple_cycles(edges)
+
+
+def test_count_simple_cycles_matches_reference_on_rr512_balls():
+    # every radius-5 ball of the n=512 graph has cycle rank <= 12
+    g = wl.build_random_regular(512, 3, 2)
+    ranks = []
+    for v in range(g.n):
+        dist = bfs_distances(g, v, cutoff=5)
+        ball = np.flatnonzero(dist >= 0)
+        slot, w = g.expand(ball)
+        u = ball[slot]
+        keep = (u < w) & (dist[w] >= 0)
+        edges = list(zip(u[keep].tolist(), w[keep].tolist()))
+        ranks.append(len(edges) - len(ball) + 1)
+        assert count_simple_cycles(edges) == \
+            reference_count_simple_cycles(edges)
+    assert max(ranks) == 12
+
+
+def test_assumption1_scan_counts_random_regular_balls_at_radius_5():
+    rep = wl.assumption1_scan(wl.build_random_regular(512, 3, 2), 5)
+    assert (rep.max_cycle_rank, rep.max_simple_cycle_count) == (12, 2118)
+    assert rep.all_counts_exact
+    rep = wl.assumption1_scan(wl.build_random_regular(2000, 3, 4), 5)
+    assert (rep.max_cycle_rank, rep.max_simple_cycle_count) == (5, 28)
 
 
 def test_assumption1_scan_petersen(petersen):
@@ -459,7 +634,8 @@ def test_tree_balls_count_exactly_beyond_edge_budget():
     # LPS(13,17) has girth 6, so its radius-2 balls are trees of 196 edges
     g = wl.build_lps(13, 17)
     stats = wl.ball_stats(g, 0, 2)
-    assert stats.full_edge_count == 196 > wl.graphs.CYCLE_EDGE_BUDGET
+    # the budget is on the cycle rank only, not on the edge count
+    assert stats.full_edge_count == 196
     assert stats.full_cycle_rank == 0 and stats.simple_cycle_count == 0
     rep = wl.assumption1_scan(g, 2)
     assert rep.max_cycle_rank == 0
@@ -655,15 +831,11 @@ def reference_ball_stats(g, v, k):
     full = len(ball_edges)
     full_rank = full - len(ball) + components
     count = None
-    if full_rank == 0:
-        count = 0
-    elif full <= wl.graphs.CYCLE_EDGE_BUDGET and \
-            full_rank <= wl.graphs.CYCLE_RANK_BUDGET:
-        count = count_simple_cycles(ball_edges)
+    if full_rank <= wl.graphs.CYCLE_RANK_BUDGET:
+        count = reference_count_simple_cycles(ball_edges)
     stats = wl.BallStats(
         center=v, radius=k, levels=levels,
-        edge_surplus=relevant - len(ball), excess=relevant - len(ball) + 1,
-        cycle_rank=relevant - (len(ball) - 1), relevant_edge_count=relevant,
+        excess=relevant - len(ball) + 1, relevant_edge_count=relevant,
         full_edge_count=full, full_cycle_rank=full_rank,
         simple_cycle_count=count,
         simple_cycle_bound=(1 << full_rank) - 1 if full_rank >= 0 else 0)
