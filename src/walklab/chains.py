@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
-from .graphs import Graph, _cover_count, _support_classes, vertex_transitive
+from .graphs import (Graph, _cover_count, _level_distances, _support_classes,
+                     vertex_transitive)
 
 ROW_SUM_TOL = 1e-12
 REVERSIBILITY_TOL = 1e-12
@@ -195,8 +195,8 @@ def _farthest_point_starts(chain: ReversibleChain, count: int) -> list:
     chosen = [0]
     dist = np.full(n, np.inf)
     while len(chosen) < min(count, n):
-        np.minimum(dist, csgraph.shortest_path(
-            support, unweighted=True, indices=chosen[-1]), out=dist)
+        hops = _level_distances(support, chosen[-1])
+        np.minimum(dist, np.where(hops >= 0, hops, np.inf), out=dist)
         nxt = int(np.argmax(np.where(np.isfinite(dist), dist, -1.0)))
         if nxt in chosen:
             break
@@ -210,12 +210,24 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
                    max_steps: int = 100000) -> MixingProfile:
     """Worst-start mixing times for each epsilon, plus cutoff ratios.
 
-    Evolves every start simultaneously (dense columns against the sparse
-    kernel); above ``exact_start_limit`` states a farthest-point sample
-    of starts is used instead and the result is a flagged lower bound.
-    On a ``transitive`` chain every start has the same curves, so start 0
+    Evolves the point mass of every start (dense columns against the
+    sparse kernel) in blocks of at most ``MIXING_BLOCK_COLUMNS`` starts.
+    Each block is carried through every step it needs while it stays in
+    cache, and records per step only its largest TV, the first start
+    attaining it, and its largest L2 distance.  A block runs until its own
+    worst TV falls to the smallest target; the run stops at the last such
+    step, so a block that stopped earlier is resumed from its kept columns
+    until it reaches it.  The block records are then combined per step in
+    block order (the first block wins a TV tie), and the monotonicity and
+    Jensen checks run over the combined curve in step order, so the
+    profile is the one a single sweep of all starts would give.
+
+    Above ``exact_start_limit`` states a farthest-point sample of starts
+    is used instead and the result is a flagged lower bound.  On a
+    ``transitive`` chain every start has the same curves, so start 0
     alone is evolved and the profile is exact at any n.  Raises for
-    periodic or reducible chains, whose TV does not converge.
+    periodic or reducible chains, whose TV does not converge, and when
+    the worst TV stays above the smallest target through ``max_steps``.
     """
     if chain.period_info != APERIODIC:
         raise ChainError("mixing time undefined: chain is bipartite-periodic")
@@ -235,46 +247,84 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
     else:
         starts = _farthest_point_starts(chain, sample_starts)
         exact = False
-    pi = chain.stationary
+    pi_col = chain.stationary[:, None]
     pt = chain.kernel.T.tocsr()
     m = len(starts)
-    cols = np.zeros((n, m))
-    cols[starts, np.arange(m)] = 1.0
-
-    # The distances of all starts are reduced block by block through one
-    # scratch buffer of at most MIXING_BLOCK_COLUMNS columns instead of
-    # through n x m temporaries.  Numpy sums each column of a block row by
-    # row, as it does in a whole-array reduction, so the curves are the
-    # same bits.  A single column is summed pairwise instead, so a block is
-    # one column wide only when the whole array is.
-    blocks = -(-m // MIXING_BLOCK_COLUMNS)
-    edges = [m * b // blocks for b in range(blocks + 1)]
-    buf = np.empty((n, -(-m // blocks)))
-    pi_col = pi[:, None]
-    tv_all = np.empty(m)
-    l2_all = np.empty(m)
-
     targets = sorted(set(eps_grid) | {_snap(1.0 - e, eps_grid)
                                       for e in eps_grid})
     need = min(targets)
+
+    # A column's sparse product and its distance sums do not depend on the
+    # width of its block: numpy sums a block of two or more columns row by
+    # row, as it does the whole array, so the curves are the same bits.  A
+    # single column is summed pairwise instead, so a block is one column
+    # wide only when the whole array is.  ``kept[b]`` holds block b's
+    # columns at the last step it reached; together they are the n x m state.
+    blocks = max(1, min(-(-m // MIXING_BLOCK_COLUMNS), m // 2))
+    edges = [m * b // blocks for b in range(blocks + 1)]
+    tv_rec = [[] for _ in range(blocks)]     # per block, per step: max TV
+    arg_rec = [[] for _ in range(blocks)]    # sum, its first column, and
+    l2_rec = [[] for _ in range(blocks)]     # max L2 sum
+    kept = [None] * blocks
+
+    def settled(b, until):
+        t = len(tv_rec[b]) - 1
+        return t >= 0 and (t >= max_steps or (
+            t >= until and 0.5 * tv_rec[b][-1] <= need))
+
+    def sweep(b, until):
+        lo, hi = edges[b], edges[b + 1]
+        state, kept[b] = kept[b], None
+        if state is None:       # a fresh block: its point masses at t = 0
+            state = np.zeros((n, hi - lo))
+            state[starts[lo:hi], np.arange(hi - lo)] = 1.0
+        scratch = np.empty_like(state)
+        tv_w, l2_w = np.empty(hi - lo), np.empty(hi - lo)
+        while not settled(b, until):
+            if tv_rec[b]:
+                # the old state becomes the scratch: two blocks live at once
+                scratch = state
+                state = pt @ state
+            np.subtract(state, pi_col, out=scratch)
+            np.abs(scratch, out=scratch)
+            scratch.sum(axis=0, out=tv_w)
+            j = int(np.argmax(tv_w))
+            np.multiply(state, state, out=scratch)
+            np.divide(scratch, pi_col, out=scratch)
+            scratch.sum(axis=0, out=l2_w)
+            tv_rec[b].append(tv_w[j])
+            arg_rec[b].append(lo + j)
+            l2_rec[b].append(l2_w.max())
+        kept[b] = state
+
+    # every block runs to its own stop and the run stops at the last of
+    # them, so the blocks that stopped earlier are resumed up to it (and
+    # past it, should one of them sit above the target there)
+    last = 0
+    while True:
+        for b in range(blocks):
+            if not settled(b, last):
+                sweep(b, last)
+        reached = max(map(len, tv_rec)) - 1
+        if reached == last:
+            break
+        last = reached
+
+    # argmax takes the first block at a tie, so the worst start is the
+    # first one over all columns; rounding is monotone, so subtracting 1
+    # after the max gives the max of the differences
+    tv_tab = np.array(tv_rec)
+    first = np.argmax(tv_tab, axis=0)
+    steps = np.arange(last + 1)
+    tv_seq = 0.5 * tv_tab[first, steps]
+    worst_seq = np.array(arg_rec)[first, steps]
+    l2_seq = np.max(l2_rec, axis=0) - 1.0
     tv_curve = []
     l2_curve = []
     worst_starts = []
     mixing_times = {}
-    t = 0
     prev_tv = prev_l2 = math.inf
-    while True:
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            block, scratch = cols[:, lo:hi], buf[:, :hi - lo]
-            np.subtract(block, pi_col, out=scratch)
-            np.abs(scratch, out=scratch)
-            scratch.sum(axis=0, out=tv_all[lo:hi])
-            np.multiply(block, block, out=scratch)
-            np.divide(scratch, pi_col, out=scratch)
-            scratch.sum(axis=0, out=l2_all[lo:hi])
-        worst = int(np.argmax(tv_all))
-        tv = 0.5 * tv_all[worst]
-        l2 = (l2_all - 1.0).max()
+    for t, (tv, l2, worst) in enumerate(zip(tv_seq, l2_seq, worst_seq)):
         # sanity on every profile run: both distances are monotone and
         # the Jensen comparison 4 tv^2 <= l2sq holds pointwise
         if tv > prev_tv + 1e-12 or l2 > prev_l2 + 1e-10:
@@ -290,10 +340,8 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
                 mixing_times[e] = t
         if tv <= need:
             break
-        t += 1
-        if t > max_steps:
-            raise ChainError(f"no mixing below eps={need} within {max_steps} steps")
-        cols = pt @ cols
+    else:
+        raise ChainError(f"no mixing below eps={need} within {max_steps} steps")
 
     ratios = {}
     for e in eps_grid:

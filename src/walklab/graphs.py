@@ -787,9 +787,10 @@ def count_simple_cycles(edges) -> int:
     degree-2 vertex passes in every even subgraph) and the walk from its
     lowest edge takes all of it.  A core of cycle rank c has at most
     2(c - 1) vertices of degree >= 3, so the test of each of the 2^c - 1
-    XORs costs O(c) big-integer operations, and only the disjoint unions
-    of cycles that pass it are walked.  The time is exponential in the
-    rank only, so callers budget the rank.
+    XORs costs O(c) big-integer operations.  Only the disjoint unions of
+    cycles that pass it are walked, one hop per path of degree-2 vertices
+    between those vertices.  The time is exponential in the rank only, so
+    callers budget the rank.
     """
     pairs = [tuple(e) for e in edges]
     labels = sorted({x for e in pairs for x in e})
@@ -841,13 +842,40 @@ def count_simple_cycles(edges) -> int:
              if inc[u] and inc[w] and (c := path[u] ^ path[w] ^ (1 << i))]
     branch = [m for m in inc if m.bit_count() > 2]
 
-    def one_cycle(mask):    # walk from the lowest edge until it closes
-        walked = edge = mask & -mask
-        start, x = ends[edge.bit_length() - 1]
-        while x != start:
-            edge = mask & inc[x] & ~edge
-            walked |= edge
+    def trace(x, edge):     # from x, entered by edge, through degree-2 vertices
+        mask = edge
+        while inc[x].bit_count() == 2:
+            edge = inc[x] & ~edge
+            if mask & edge:
+                break       # back at the first edge: a cycle of degree 2
+            mask |= edge
             x = far(edge, x)
+        return mask, x
+
+    # hop[i]: the core path through edge i, between vertices of core degree
+    # >= 3, as (edges, end, end).  An even subgraph holds all of a path or
+    # none of it, so a walk takes each path in one hop.
+    hop = [None] * len(ends)
+    for i, (u, w) in enumerate(ends):
+        if hop[i] is None and inc[u] >> i & 1:
+            ahead, b = trace(w, 1 << i)
+            if inc[b].bit_count() == 2:     # a whole cycle, ends at b
+                seg = (ahead, b, b)
+            else:
+                back, a = trace(u, 1 << i)
+                seg = (ahead | back, a, b)
+            rest = seg[0]
+            while rest:
+                low = rest & -rest
+                hop[low.bit_length() - 1] = seg
+                rest ^= low
+
+    def one_cycle(mask):    # walk path by path from the lowest edge's
+        walked, start, x = hop[(mask & -mask).bit_length() - 1]
+        while x != start:
+            path, a, b = hop[(mask & inc[x] & ~walked).bit_length() - 1]
+            walked |= path
+            x = b if a == x else a
         return walked == mask
 
     count = mask = 0

@@ -531,3 +531,66 @@ def test_double_cover_built_only_when_a_period_is_asked(monkeypatch,
     assert srw_chain(c6).period_info == BIPARTITE_PERIODIC
     assert srw_chain(q3).period_info == BIPARTITE_PERIODIC
     assert srw_chain(k5).period_info == APERIODIC
+
+
+def _slow_and_rare_chain(g):
+    """The walk on g plus two states that mix late in different ways.
+
+    A 10-vertex path hangs off g's vertex 0; its far end, state 110, is the
+    last start to mix in TV.  State 20 is joined to g's vertex 50 by a
+    conductance of 1e-9 and holds with probability 0.9: its TV falls below
+    1/4 early, but its L2 distance stays the largest for a long time after.
+    """
+    n = g.n + 11
+    rest = [x for x in range(n) if x != 20 and not 101 <= x <= 110]
+    links = [(rest[u], rest[w], 1.0) for u, w in g.edges]
+    links += [(rest[0], 101, 1.0)] + [(x, x + 1, 1.0) for x in range(101, 110)]
+    links += [(20, rest[50], 1e-9)]
+    u, w, c = map(np.array, zip(*links))
+    cond = sp.csr_matrix((np.r_[c, c, 9e-9], (np.r_[u, w, 20], np.r_[w, u, 20])),
+                         shape=(n, n))
+    weight = np.asarray(cond.sum(axis=1)).ravel()
+    return chain_from_kernel(sp.diags(1.0 / weight) @ cond,
+                             weight / weight.sum())
+
+
+def test_mixing_profile_resumes_blocks_that_stop_early(monkeypatch,
+                                                       random_cubic_medium):
+    # With 7-wide blocks the slow start 110 sits in a middle block of all
+    # 211 starts, and in the first block of the sampled ones.  The rare
+    # state's block stops first, and the L2 curve after that step is read
+    # from its resumed columns.
+    monkeypatch.setattr(chains, "MIXING_BLOCK_COLUMNS", 7)
+    chain = _slow_and_rare_chain(random_cubic_medium)
+    pt = chain.kernel.T.tocsr()
+    pi = chain.stationary[:, None]
+    for limit in (chain.n, 50):
+        prof = mixing_profile(chain, [0.25], exact_start_limit=limit)
+        assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
+                prof.starts) == reference_sweep(chain, 0.25, limit)
+        starts = list(prof.starts)
+        assert prof.worst_starts[-1] == 110 and 20 in starts
+        cols = np.zeros((chain.n, len(starts)))
+        cols[starts, np.arange(len(starts))] = 1.0
+        rare_tv, l2_worst = [], []
+        for _ in prof.tv_curve:
+            rare_tv.append(0.5 * np.abs(cols[:, starts.index(20)] - pi[:, 0]).sum())
+            l2_worst.append(starts[int(np.argmax((cols * cols / pi).sum(axis=0)))])
+            cols = pt @ cols
+        rare_stop = next(t for t, v in enumerate(rare_tv) if v <= 0.25)
+        assert rare_stop + 1 < len(prof.tv_curve) - 1
+        assert l2_worst[rare_stop + 1] == 20
+
+
+@pytest.mark.parametrize("transitive", [False, True])
+def test_mixing_profile_max_steps_boundary(random_cubic_medium, lps_chain,
+                                           transitive):
+    # two 100-wide blocks, or start 0 alone
+    chain = lps_chain if transitive else srw_chain(random_cubic_medium)
+    prof = mixing_profile(chain, [0.25])
+    assert len(prof.starts) == (1 if transitive else 200)
+    last = len(prof.tv_curve) - 1
+    assert mixing_profile(chain, [0.25], max_steps=last) == prof
+    with pytest.raises(ChainError, match="no mixing below eps=0.25 within "
+                                         f"{last - 1} steps"):
+        mixing_profile(chain, [0.25], max_steps=last - 1)
