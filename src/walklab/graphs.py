@@ -120,12 +120,6 @@ class Graph:
         ``vertices[slot]``, slot by slot in adjacency order."""
         return _expand(self.indptr, self.indices, vertices)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        row = self.indices[self.indptr[u]:self.indptr[u + 1]]
-        return bool(_sorted_lookup(row, v)[1])
-
     @cached_property
     def _matrix(self) -> sp.csr_matrix:
         """Unit-weight adjacency matrix on the CSR arrays, for csgraph."""

@@ -24,8 +24,8 @@ import scipy.sparse.linalg as spla
 
 from .checks import Check
 from .chains import ReversibleChain, APERIODIC, MixingProfile
-from .graphs import (Graph, _bfs_levels, _level_distances, _scan_vertices,
-                     ball_table, vertex_transitive)
+from .graphs import (Graph, _bfs_levels, _scan_vertices, ball_table,
+                     vertex_transitive)
 from .spectral import restricted_top_eig
 
 EXACT_SEARCH_LIMIT = 20
@@ -194,25 +194,31 @@ def _as_arrays(sets):
     return members, offsets
 
 
-def candidate_small_sets(chain: ReversibleChain, alpha: float,
-                         graph: Graph = None,
+def candidate_small_sets(chain: ReversibleChain, alpha: float, graph: Graph,
                          max_sets: int = 4096) -> CandidateFamily:
     """Heuristic family of sets with pi(A) <= alpha, deduplicated and in
     lexicographic order of their sorted tuples.
 
-    Three phases, each adding only sets with 0 < |A| < n whose mass,
-    summed in the order the phase adds vertices, is <= alpha + 1e-15:
+    Three phases traverse ``graph``, each adding only sets with
+    0 < |A| < n whose mass, summed in the order the phase adds vertices,
+    is <= alpha + 1e-15:
 
     - balls: for every seed, the BFS balls of each complete radius that
       fits, then the largest fitting prefix of the BFS order;
     - greedy: from each seed in turn, absorb the outside neighbor with
-      the most links into the set (lowest vertex on ties) while one fits,
-      adding every intermediate set;
-    - Perron prefixes: rank a larger set by restricted Perron weight and
-      add every fitting prefix.  With a graph, the larger sets are the
-      nearest max(4, 2.5 alpha n) vertices of every (n // 32)-th seed;
-      without one, the largest set found so far (the lexicographically
-      last on ties).
+      the most links into the set while one fits, adding every
+      intermediate set;
+    - Perron prefixes: for every (n // 32)-th seed, take the first
+      max(4, 2.5 alpha n) vertices of its BFS order, rank them by
+      restricted Perron weight (50 power steps, each scaled by its
+      largest entry) and add every fitting prefix of the ranking.
+
+    Ties are broken by three stated rules, none of which depends on a
+    sort kernel: the BFS order is FIFO with neighbors in ascending order,
+    so a ball cut inside a level keeps the vertices discovered first;
+    the greedy phase takes the lowest vertex among the most linked; the
+    Perron ranking is a stable sort of the ascending ball, so equal
+    weights go to the lower vertex.
 
     The seeds are all n vertices, except on a graph that
     :func:`graphs.vertex_transitive` certifies, where they are vertex 0
@@ -224,22 +230,15 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
 
     ``max_sets`` bounds only the greedy phase: it stops once the family
     holds more than ``max_sets`` sets.  The ball and Perron phases are not
-    bounded, so the family can be much larger.  Traversal uses the
-    graph's adjacency, or the kernel's support when ``graph`` is None.
+    bounded, so the family can be much larger.
     """
     pi = chain.stationary
     n = chain.n
     limit = alpha + 1e-15
-    if graph is not None:
-        indptr, indices = graph.csr
-        seeds = _scan_vertices(graph)
-    else:
-        # self-loops of the kernel's support change nothing: BFS has
-        # already seen the vertex, and the greedy phase never re-absorbs one
-        support = chain.kernel.tocsr()
-        indptr, indices = support.indptr, support.indices
-        seeds = range(n)
-    adj = sp.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    indptr, indices = graph.csr
+    seeds = _scan_vertices(graph)
+    size = max(4, int(2.5 * alpha * n))
+    stride = max(1, n // 32)
     # sorted sets as big-endian uint32 bytes: byte order is tuple order
     found = set()
 
@@ -251,11 +250,15 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
         for stop in stops:
             push(np.sort(ranked[:stop]))
 
-    # balls of growing radius around each seed
-    for v in seeds:
-        order, ends = _bfs_levels(adj, v)
+    # balls of growing radius around each seed; every stride-th seed keeps
+    # the head of its BFS order as its Perron ball
+    balls = []
+    for i, v in enumerate(seeds):
+        order, ends = _bfs_levels(graph._matrix, v)
         fit = int(np.searchsorted(np.cumsum(pi[order]), limit, side="right"))
         push_prefixes(order, [e for e in ends if e < fit] + [fit])
+        if i % stride == 0:
+            balls.append(np.sort(order[:size]))
 
     # greedy connected growth: absorb the boundary vertex with the most
     # neighbors already inside (maximizes internal retention)
@@ -286,11 +289,6 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
 
     # Perron-guided: rank a larger ball's vertices by restricted Perron
     # weight and take mass-feasible prefixes
-    if graph is not None:
-        size = max(4, int(2.5 * alpha * n))
-        balls = (_nearest(adj, v, size) for v in seeds[::max(1, n // 32)])
-    else:
-        balls = [_largest(found)] if found else []
     for ball in balls:
         if len(ball) < 2 or len(ball) >= n:
             continue
@@ -298,11 +296,11 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
         weight = np.ones(len(ball)) / len(ball)
         for _ in range(50):
             nxt = sub @ weight
-            norm = np.linalg.norm(nxt)
-            if norm < 1e-300:
+            top = nxt.max()
+            if top < 1e-300:
                 break
-            weight = nxt / norm
-        ranked = ball[np.argsort(-weight)]
+            weight = nxt / top
+        ranked = ball[np.argsort(-weight, kind="stable")]
         fit = int(np.searchsorted(np.cumsum(pi[ranked]), limit, side="right"))
         push_prefixes(ranked, range(1, fit + 1))
 
@@ -311,22 +309,6 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
     np.cumsum([len(key) // 4 for key in keys], out=offsets[1:])
     members = np.frombuffer(b"".join(keys), dtype=">u4").astype(np.int32)
     return CandidateFamily(members, offsets)
-
-
-def _nearest(adj, v: int, size: int) -> np.ndarray:
-    """The ``size`` vertices nearest v (all of v's component when it is
-    smaller), in ascending order; ties at the cut follow
-    ``np.argsort`` of the int64 distance vector with -1 off the
-    component."""
-    dist = _level_distances(adj, v)
-    near = np.argsort(dist)
-    return np.sort(near[dist[near] >= 0][:size])
-
-
-def _largest(found) -> np.ndarray:
-    """The largest set of ``found``, the lexicographically last on ties."""
-    key = max(found, key=lambda b: (len(b), b))
-    return np.frombuffer(key, dtype=">u4").astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -354,9 +336,9 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
 
     With ``sets`` None every subset of size <= floor(alpha n) is
     enumerated (n <= 20) and the value is exact; a given family, such as
-    ``candidate_small_sets(chain, alpha)``, is maximized over as it stands
-    and the value is flagged as a lower bound.  Returns 0 when no set
-    qualifies.
+    ``candidate_small_sets(chain, alpha, graph)``, is maximized over as it
+    stands and the value is flagged as a lower bound.  Returns 0 when no
+    set qualifies.
     """
     if not (0.0 < alpha < 1.0 and 0.0 < eps < 1.0):
         raise HittingError("alpha and eps must lie in (0,1)")

@@ -401,7 +401,7 @@ def tree_suite(run: Run) -> tuple:
     x = 0
     y = int(g.indices[0])   # the first neighbor of x
     for t in (1, 3):
-        kd = T.kernel_domination_check(g, x, y, t)
+        kd = T.kernel_domination_check(g, run.chain, x, y, t)
         recs.append(record(
             "tree", f"kernel-domination(t={t})", lhs=kd.graph_kernel,
             rhs=kd.tree_value, passed=kd.passed,

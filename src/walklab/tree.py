@@ -17,6 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .checks import Check
+from .chains import ReversibleChain, evolve, point_mass
 from .graphs import Graph, bfs_distances
 
 DP_HORIZON_LIMIT = 10_000
@@ -197,20 +198,20 @@ class KernelDomination:
     passed: bool
 
 
-def kernel_domination_check(g: Graph, x: int, y: int, t: int) -> KernelDomination:
-    """Check P^t(x,y) >= tree kernel at distance dist(x,y), slack 1e-12.
+def kernel_domination_check(g: Graph, chain: ReversibleChain, x: int, y: int,
+                            t: int) -> KernelDomination:
+    """Check P^t(x,y) >= tree kernel at distance dist(x,y), slack 1e-12,
+    where P is ``chain``, the SRW chain of ``g``.
 
     The universal cover projects SRW on the tree onto SRW on the graph,
     so the graph kernel dominates the tree kernel entrywise.
     """
     if not g.is_regular:
         raise TreeError("kernel domination needs a regular graph")
-    from .chains import srw_chain, evolve, point_mass
     d = g.regular_degree
     dist = int(bfs_distances(g, x)[y])
     if dist < 0:
         raise TreeError(f"{y} unreachable from {x}")
-    chain = srw_chain(g)
     mu = evolve(chain, point_mass(g.n, x), t)
     graph_val = float(mu[y])
     tree_val = level_distribution(d, t, dist) / sphere_size(d, dist) \

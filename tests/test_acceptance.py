@@ -190,12 +190,12 @@ def test_criterion_08_level_bound_and_domination():
             rep = td1_bound_check(d, k, c0=0.125)
             assert rep.lhs >= rep.rhs - 1e-12, (d, k)
     pet = wl.build_named("petersen")
-    dom = kernel_domination_check(pet, 0, 1, 3)
+    dom = kernel_domination_check(pet, srw_chain(pet), 0, 1, 3)
     assert abs(dom.graph_kernel - 5 / 27) < 1e-12
     assert abs(dom.tree_value - 5 / 27) < 1e-12
     assert dom.graph_kernel >= dom.tree_value - 1e-12
     k4 = wl.build_named("complete", 4)
-    dom2 = kernel_domination_check(k4, 0, 1, 2)
+    dom2 = kernel_domination_check(k4, srw_chain(k4), 0, 1, 2)
     assert abs(dom2.graph_kernel - 2 / 9) < 1e-12
     assert dom2.tree_value == 0.0
     assert dom2.passed

@@ -207,19 +207,19 @@ def test_report_json_independent_of_out_dir(tmp_path):
 ALL = ("all",)
 PINNED_DIGESTS = {
     "rr64": ({"kind": "random-regular", "n": 64, "d": 3, "seed": 8}, ALL,
-             "8f92baea52072de1ac68d5ad425dac4b45e26f759674c03e364cb06ee88e7a64"),
+             "70d713f2df3e3daaddb61ffccc5a2c52573b158f9dd34478cf9a59bd80b691af"),
     "petersen": ({"kind": "named", "name": "petersen"}, ALL,
-                 "0365f8398f7bcbbac94c2c8e32454585f563411df62958c9552845dce47ec0e6"),
+                 "da3fd252fe057581493b4d15eb263d784e2863f42a5ec6cc1356306d80ce7ff4"),
     # bipartite: the periodic skips of the mixing and hitmix records
     "q3": ({"kind": "named", "name": "hypercube", "dim": 3}, ALL,
-           "a6cc39105bae53a316ccdca4d884ec599d043aed810c1818f62f13b8757cad75"),
+           "49e96d3b1935f0b4b441a5fd14e829f1fc179d2a0068f3f70617d8c07cf5cac2"),
     # diameter 1: every 2-sphere is empty
     "k5": ({"kind": "named", "name": "complete", "n": 5}, ALL,
            "b879694bc7aee7564efedc023dc9ce87c6325f5e4255b68a028369c29340c37c"),
     # certified vertex-transitive (PSL, non-bipartite): one start, one center
     "lps17-13": ({"kind": "lps", "p": 17, "q": 13},
                  ("spectral", "mixing", "inflation"),
-                 "1dd5f98bbd5955ede4a709ceaedfb7259127e84e058dc9879ef7ac73fb2eae10"),
+                 "0f2983d1444e84339aafcef91513483657badf67863ccc0bf8805e7dd6a4dfeb"),
 }
 
 

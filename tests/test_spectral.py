@@ -268,8 +268,8 @@ def test_restricted_matches_dense_on_spread_sets(families):
             assert restricted_top_eig(chain, subset) == rec
 
 
-def test_spread_matches_the_sorted_stride(families, petersen_chain):
-    small = candidate_small_sets(petersen_chain, 0.25)
+def test_spread_matches_the_sorted_stride(families, petersen, petersen_chain):
+    small = candidate_small_sets(petersen_chain, 0.25, graph=petersen)
     for family in [f for _, f in families] + [small]:
         ordered = sorted(family, key=lambda A: (len(A), A))
         for count in (6, 16):

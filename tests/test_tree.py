@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from walklab.chains import srw_chain
 from walklab.tree import (TreeError, ballot_count, count_z_paths,
                           diameter_lower_bound, inv_normal_cdf,
                           kernel_domination_check, level_distribution,
@@ -282,17 +283,17 @@ def test_c_d_constant():
 # -- kernel domination ---------------------------------------------------------
 
 def test_kernel_domination_k4(k4):
-    rep = kernel_domination_check(k4, 0, 1, 1)
+    rep = kernel_domination_check(k4, srw_chain(k4), 0, 1, 1)
     assert abs(rep.graph_kernel - 1 / 3) < 1e-15
     assert abs(rep.tree_value - 1 / 3) < 1e-15
-    rep2 = kernel_domination_check(k4, 0, 1, 2)
+    rep2 = kernel_domination_check(k4, srw_chain(k4), 0, 1, 2)
     assert abs(rep2.graph_kernel - 2 / 9) < 1e-15
     assert rep2.tree_value == 0.0  # parity kills the tree side
     assert rep2.passed
 
 
 def test_kernel_domination_petersen_equality(petersen):
-    rep = kernel_domination_check(petersen, 0, 1, 3)
+    rep = kernel_domination_check(petersen, srw_chain(petersen), 0, 1, 3)
     assert abs(rep.graph_kernel - 5 / 27) < 1e-14
     assert abs(rep.tree_value - 5 / 27) < 1e-14
     assert rep.passed
@@ -300,11 +301,13 @@ def test_kernel_domination_petersen_equality(petersen):
 
 def test_kernel_domination_sweep(petersen, prism, girth5_graph):
     for g in (petersen, prism):
+        chain = srw_chain(g)
         for t in range(1, 7):
             for y in (1, g.n - 1):
-                rep = kernel_domination_check(g, 0, y, t)
+                rep = kernel_domination_check(g, chain, 0, y, t)
                 assert rep.passed, (g.provenance, y, t)
-    rep = kernel_domination_check(girth5_graph, 0, girth5_graph.adjacency[0][0], 5)
+    rep = kernel_domination_check(girth5_graph, srw_chain(girth5_graph), 0,
+                                  girth5_graph.adjacency[0][0], 5)
     assert rep.passed
 
 
