@@ -478,14 +478,26 @@ def _nonregular_graph():
     return wl.make_graph(40, edges)
 
 
+def relabelled(g):
+    """``g`` under a fixed random relabelling of its vertices, with its
+    provenance but no automorphism certificate: every vertex seeds."""
+    perm = np.random.Generator(np.random.Philox(key=np.uint64(9))) \
+        .permutation(g.n)
+    return wl.make_graph(g.n, perm[np.array(g.edges)], g.provenance)
+
+
 FAMILY_CASES = [
-    # (graph fixture, alpha, max_sets, the graph's SRW or else its lazy
-    # version, whose kernel holds 1/2 at every vertex)
+    # (graph fixture, alpha, max_sets, the graph as built or else
+    # relabelled); "lazy_prism" is the prism with its lazy SRW, whose
+    # kernel holds 1/2 at every vertex
     ("petersen", 0.25, 4096, True), ("petersen", 0.4, 10, True),
     ("prism", 0.34, 4096, True), ("prism", 0.5, 4096, True),
-    ("prism", 0.5, 4096, False),
+    ("lazy_prism", 0.5, 4096, True),
     ("rr512", 0.25, 4096, True),
     ("nonregular", 0.25, 4096, True), ("nonregular", 0.4, 30, True),
+    ("petersen", 0.4, 4096, False), ("prism", 0.5, 4096, False),
+    ("q3", 0.25, 4096, False), ("nonregular", 0.25, 4096, False),
+    ("random_cubic_medium", 0.1, 100, False), ("lazy_prism", 0.5, 4096, False),
 ]
 
 
@@ -509,12 +521,16 @@ def lps17_13():
     return wl.build_lps(17, 13)
 
 
-@pytest.mark.parametrize("name,alpha,max_sets,srw", FAMILY_CASES)
+@pytest.mark.parametrize("name,alpha,max_sets,as_built", FAMILY_CASES)
 def test_candidate_family_matches_scalar_reference(request, name, alpha,
-                                                   max_sets, srw):
-    g = request.getfixturevalue(name)
+                                                   max_sets, as_built):
+    lazy = name == "lazy_prism"
+    g = request.getfixturevalue("prism" if lazy else name)
+    if not as_built:
+        g = relabelled(g)
+        assert not wl.vertex_transitive(g)
     chain = srw_chain(g)
-    if not srw:
+    if lazy:
         chain = wl.chain_from_kernel((chain.kernel + np.eye(g.n)) * 0.5,
                                      chain.stationary)
     got = candidate_small_sets(chain, alpha, graph=g, max_sets=max_sets)
@@ -569,9 +585,7 @@ def test_the_certificate_alone_decides_the_seeds(spec, alpha):
     chain = srw_chain(g)
     assert list(candidate_small_sets(chain, alpha, graph=g)) == \
         reference_candidate_small_sets(chain, alpha, g, seeds=[0])
-    perm = np.random.Generator(np.random.Philox(key=np.uint64(9))) \
-        .permutation(g.n)
-    bare = wl.make_graph(g.n, perm[np.array(g.edges)], g.provenance)
+    bare = relabelled(g)
     assert not wl.vertex_transitive(bare)
     chain = srw_chain(bare)
     assert list(candidate_small_sets(chain, alpha, graph=bare)) == \
