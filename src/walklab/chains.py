@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +22,9 @@ ROW_SUM_TOL = 1e-12
 REVERSIBILITY_TOL = 1e-12
 EPS_SNAP = 1e-12               # see _snap
 MIXING_BLOCK_COLUMNS = 128     # >= 2; see mixing_profile
+EXACT_START_LIMIT = 5000       # see mixing_profile
+SAMPLE_STARTS = 64
+MAX_MIXING_STEPS = 100_000
 
 APERIODIC = "aperiodic"
 BIPARTITE_PERIODIC = "bipartite-periodic"
@@ -47,7 +50,6 @@ class ReversibleChain:
     stationary: np.ndarray
     period_info: str
     components: tuple
-    source: dict = field(default_factory=dict)
     transitive: bool = False
 
     @property
@@ -83,7 +85,7 @@ def srw_chain(g: Graph) -> ReversibleChain:
 
     ``transitive`` records :func:`graphs.vertex_transitive` of g: every
     automorphism of g preserves the SRW kernel."""
-    indptr, indices = g.csr
+    indptr, indices = g.indptr, g.indices
     degs = np.diff(indptr)
     isolated = np.flatnonzero(degs == 0)
     if len(isolated):
@@ -91,13 +93,11 @@ def srw_chain(g: Graph) -> ReversibleChain:
             f"isolated vertices have no SRW step: {isolated.tolist()[:20]}")
     kernel = sp.csr_matrix((np.repeat(1.0 / degs, degs), indices, indptr),
                            shape=(g.n, g.n))
-    chain = chain_from_kernel(kernel, degs / degs.sum(),
-                              source={"kind": "srw",
-                                      "graph": dict(g.provenance)})
+    chain = chain_from_kernel(kernel, degs / degs.sum())
     return dataclasses.replace(chain, transitive=vertex_transitive(g))
 
 
-def chain_from_kernel(kernel, stationary, source=None) -> ReversibleChain:
+def chain_from_kernel(kernel, stationary) -> ReversibleChain:
     """Wrap an explicit kernel; fails unless it is verifiably reversible.
 
     The communicating classes are the components of the support graph;
@@ -118,7 +118,7 @@ def chain_from_kernel(kernel, stationary, source=None) -> ReversibleChain:
     period = BIPARTITE_PERIODIC if periodic else APERIODIC
     return ReversibleChain(
         n=n, kernel=kernel, stationary=pi, period_info=period,
-        components=comps, source=dict(source or {"kind": "kernel"}))
+        components=comps)
 
 
 def evolve(chain: ReversibleChain, mu0: np.ndarray, t: int) -> np.ndarray:
@@ -204,10 +204,7 @@ def _farthest_point_starts(chain: ReversibleChain, count: int) -> list:
     return chosen
 
 
-def mixing_profile(chain: ReversibleChain, eps_grid,
-                   exact_start_limit: int = 5000,
-                   sample_starts: int = 64,
-                   max_steps: int = 100000) -> MixingProfile:
+def mixing_profile(chain: ReversibleChain, eps_grid) -> MixingProfile:
     """Worst-start mixing times for each epsilon, plus cutoff ratios.
 
     Evolves the point mass of every start (dense columns against the
@@ -222,12 +219,13 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
     Jensen checks run over the combined curve in step order, so the
     profile is the one a single sweep of all starts would give.
 
-    Above ``exact_start_limit`` states a farthest-point sample of starts
-    is used instead and the result is a flagged lower bound.  On a
-    ``transitive`` chain every start has the same curves, so start 0
-    alone is evolved and the profile is exact at any n.  Raises for
+    Above ``EXACT_START_LIMIT`` states a farthest-point sample of
+    ``SAMPLE_STARTS`` starts is used instead and the result is a flagged
+    lower bound.  On a ``transitive`` chain every start has the same
+    curves, so start 0 alone is evolved and the profile is exact at any n.  Raises for
     periodic or reducible chains, whose TV does not converge, and when
-    the worst TV stays above the smallest target through ``max_steps``.
+    the worst TV stays above the smallest target through
+    ``MAX_MIXING_STEPS`` steps.
     """
     if chain.period_info != APERIODIC:
         raise ChainError("mixing time undefined: chain is bipartite-periodic")
@@ -241,11 +239,11 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
     if chain.transitive:
         starts = [0]
         exact = True
-    elif n <= exact_start_limit:
+    elif n <= EXACT_START_LIMIT:
         starts = list(range(n))
         exact = True
     else:
-        starts = _farthest_point_starts(chain, sample_starts)
+        starts = _farthest_point_starts(chain, SAMPLE_STARTS)
         exact = False
     pi_col = chain.stationary[:, None]
     pt = chain.kernel.T.tocsr()
@@ -269,7 +267,7 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
 
     def settled(b, until):
         t = len(tv_rec[b]) - 1
-        return t >= 0 and (t >= max_steps or (
+        return t >= 0 and (t >= MAX_MIXING_STEPS or (
             t >= until and 0.5 * tv_rec[b][-1] <= need))
 
     def sweep(b, until):
@@ -341,7 +339,8 @@ def mixing_profile(chain: ReversibleChain, eps_grid,
         if tv <= need:
             break
     else:
-        raise ChainError(f"no mixing below eps={need} within {max_steps} steps")
+        raise ChainError(
+            f"no mixing below eps={need} within {MAX_MIXING_STEPS} steps")
 
     ratios = {}
     for e in eps_grid:
@@ -368,6 +367,4 @@ def power_chain(chain: ReversibleChain, t: int) -> ReversibleChain:
         kern = kern @ chain.kernel
     # products leave each row's columns unsorted; keep the canonical order
     kern.sort_indices()
-    return chain_from_kernel(
-        kern, chain.stationary,
-        source={"kind": "power", "t": t, "base": dict(chain.source)})
+    return chain_from_kernel(kern, chain.stationary)

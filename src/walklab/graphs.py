@@ -30,6 +30,7 @@ INFINITE_GIRTH = math.inf
 # Largest cycle rank of a ball whose simple cycles are counted exactly;
 # past it only the 2^rank - 1 cycle-space bound is reported.
 CYCLE_RANK_BUDGET = 20
+MAX_GIRTH_SWAPS = 20_000       # see build_high_girth_regular
 
 
 class GraphError(ValueError):
@@ -109,11 +110,6 @@ class Graph:
         if not prof.is_regular:
             raise GraphError("graph is not regular")
         return prof.max_degree
-
-    @property
-    def csr(self) -> tuple:
-        """The stored ``(indptr, indices)``."""
-        return self.indptr, self.indices
 
     def expand(self, vertices) -> tuple:
         """``(slot, neighbor)`` arrays listing every neighbor of every
@@ -351,14 +347,15 @@ def build_random_regular(n: int, d: int, seed: int) -> Graph:
         f"{max_attempts} attempts (n={n}, d={d}, seed={seed})")
 
 
-def build_high_girth_regular(n: int, d: int, min_girth: int, seed: int,
-                             max_swaps: int = 20000) -> Graph:
+def build_high_girth_regular(n: int, d: int, min_girth: int,
+                             seed: int) -> Graph:
     """Random d-regular graph surgically rewired to have girth >= min_girth.
 
     Starts from the pairing model and repeatedly performs degree-preserving
     double-edge swaps that each remove one edge of a shortest short cycle.
-    Deterministic given ``seed``.  Used to manufacture fixtures whose
-    radius-k balls are trees (girth > 2k).
+    Deterministic given ``seed``; raises after ``MAX_GIRTH_SWAPS`` swaps.
+    Used to manufacture fixtures whose radius-k balls are trees
+    (girth > 2k).
     """
     g = build_random_regular(n, d, seed)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=1))
@@ -395,10 +392,10 @@ def build_high_girth_regular(n: int, d: int, min_girth: int, seed: int,
         if not done:
             raise GraphError("could not find a usable swap partner edge")
         swaps += 1
-        if swaps > max_swaps:
+        if swaps > MAX_GIRTH_SWAPS:
             raise GraphError(
-                f"girth surgery did not converge within {max_swaps} swaps "
-                f"(n={n}, d={d}, min_girth={min_girth}, seed={seed})")
+                f"girth surgery did not converge within {MAX_GIRTH_SWAPS} "
+                f"swaps (n={n}, d={d}, min_girth={min_girth}, seed={seed})")
     return make_graph(
         n, list(edge_set),
         {"kind": "random-regular", "n": n, "d": d, "seed": int(seed),

@@ -30,6 +30,7 @@ from .spectral import restricted_top_eig
 
 EXACT_SEARCH_LIMIT = 20
 MAX_QUANTILE_STEPS = 100_000
+MAX_GREEDY_SETS = 4096         # see candidate_small_sets
 FAMILY_CHUNK_ROWS = 16_384
 
 
@@ -194,8 +195,8 @@ def _as_arrays(sets):
     return members, offsets
 
 
-def candidate_small_sets(chain: ReversibleChain, alpha: float, graph: Graph,
-                         max_sets: int = 4096) -> CandidateFamily:
+def candidate_small_sets(chain: ReversibleChain, alpha: float,
+                         graph: Graph) -> CandidateFamily:
     """Heuristic family of sets with pi(A) <= alpha, deduplicated and in
     lexicographic order of their sorted tuples.
 
@@ -228,14 +229,14 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float, graph: Graph,
     survival and of restricted Perron roots over F0 equal those over
     Aut.F0, and so does :func:`hit_quantile`.
 
-    ``max_sets`` bounds only the greedy phase: it stops once the family
-    holds more than ``max_sets`` sets.  The ball and Perron phases are not
-    bounded, so the family can be much larger.
+    ``MAX_GREEDY_SETS`` bounds only the greedy phase: it stops once the
+    family holds more than ``MAX_GREEDY_SETS`` sets.  The ball and Perron
+    phases are not bounded, so the family can be much larger.
     """
     pi = chain.stationary
     n = chain.n
     limit = alpha + 1e-15
-    indptr, indices = graph.csr
+    indptr, indices = graph.indptr, graph.indices
     seeds = _scan_vertices(graph)
     size = max(4, int(2.5 * alpha * n))
     stride = max(1, n // 32)
@@ -282,9 +283,9 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float, graph: Graph,
                 break
             mass += pi[best]
             absorb(best)
-            if len(found) > max_sets:
+            if len(found) > MAX_GREEDY_SETS:
                 break
-        if len(found) > max_sets:
+        if len(found) > MAX_GREEDY_SETS:
             break
 
     # Perron-guided: rank a larger ball's vertices by restricted Perron
@@ -330,15 +331,15 @@ class HitQuantile:
 
 
 def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
-                 sets=None,
-                 max_steps: int = MAX_QUANTILE_STEPS) -> HitQuantile:
+                 sets=None) -> HitQuantile:
     """First time every mass-<=alpha set is escaped w.p. >= 1-eps.
 
     With ``sets`` None every subset of size <= floor(alpha n) is
     enumerated (n <= 20) and the value is exact; a given family, such as
     ``candidate_small_sets(chain, alpha, graph)``, is maximized over as it
     stands and the value is flagged as a lower bound.  Returns 0 when no
-    set qualifies.
+    set qualifies; raises when some set's survival stays above eps for
+    ``MAX_QUANTILE_STEPS`` steps.
     """
     if not (0.0 < alpha < 1.0 and 0.0 < eps < 1.0):
         raise HittingError("alpha and eps must lie in (0,1)")
@@ -374,9 +375,9 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
             alive &= np.maximum.reduceat(u, starts) > eps
             if not alive.any():
                 break
-            if t >= max_steps:
-                raise HittingError(
-                    f"survival stayed above eps for {max_steps} steps")
+            if t >= MAX_QUANTILE_STEPS:
+                raise HittingError(f"survival stayed above eps for "
+                                   f"{MAX_QUANTILE_STEPS} steps")
             last[lo:lo + len(starts)][alive] = t
             u = block @ u
             t += 1
@@ -423,13 +424,12 @@ def verify_spectral_hit(chain: ReversibleChain, subset, t_list,
     t_list = tuple(sorted(set(int(t) for t in t_list)))
     if not t_list or t_list[0] < 0:
         raise HittingError("t_list must contain nonnegative times")
-    idx = np.asarray(subset, dtype=np.int64)
     pi = chain.stationary
-    pi_A = pi[idx] / pi[idx].sum()
     rec = restricted_top_eig(chain, subset)
     low = max(rec.lambda_A - rec.residual, 0.0)
 
-    sub = chain.kernel[idx][:, idx].tocsr()
+    idx, sub = _restriction(chain, subset)
+    pi_A = pi[idx] / pi[idx].sum()
     u = np.ones(len(idx))
     checks = []
     middles = []
@@ -529,7 +529,7 @@ def _ball_absorbing_system(g: Graph, v: int, k: int):
         raise HittingError(f"sphere of radius {k} around {v} is empty")
     m = len(interior)
     slot, nbr = g.expand(interior)
-    inv_deg = 1.0 / np.diff(g.csr[0])
+    inv_deg = 1.0 / np.diff(g.indptr)
     inner = dist[np.searchsorted(ball, nbr)] < k
     rows = np.concatenate((np.arange(m), np.searchsorted(interior, nbr[inner])))
     cols = np.concatenate((np.arange(m), slot[inner]))

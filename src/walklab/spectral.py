@@ -130,13 +130,12 @@ def _commuting_symmetry(s: sp.csr_matrix, graph: Graph):
     if found is None:
         return None
     perm, n = found[0], graph.n
-    k = s.tocoo()
-    k.sum_duplicates()
-    keys = k.row.astype(np.int64) * n + k.col
-    moved = perm[k.row] * n + perm[k.col]
-    here, there = np.argsort(keys), np.argsort(moved)
-    if np.array_equal(keys[here], moved[there]) \
-            and np.array_equal(k.data[here], k.data[there]):
+    keys, data = _entries(s)
+    row, col = np.divmod(keys, n)
+    moved = perm[row] * n + perm[col]
+    there = np.argsort(moved)
+    if np.array_equal(keys, moved[there]) \
+            and np.array_equal(data, data[there]):
         return found
     return None
 
@@ -196,16 +195,16 @@ def _block_eigenvalues(s: sp.csr_matrix, perm: np.ndarray, m: int):
 
 
 def spectrum(chain: ReversibleChain, mode: str = "dense-full",
-             dense_budget: int = DENSE_BUDGET,
              source_graph: Graph = None) -> SpectrumSummary:
     """Eigenvalue summary of the chain kernel.
 
-    dense-full computes the whole eigenvalue multiset (budgeted by n, not
-    by block) from the m // 2 + 1 Hermitian blocks of size n/m of
-    :func:`_block_eigenvalues`.  h is the :func:`graphs.cyclic_automorphism`
-    of ``source_graph``, with cycle length m, when it commutes with S
-    (checked entry for entry, so a chain passed with the wrong graph falls
-    back), and ``blocks`` then records m and the size.  Otherwise h is the
+    dense-full computes the whole eigenvalue multiset (n at most
+    ``DENSE_BUDGET``, whatever the block size) from the m // 2 + 1
+    Hermitian blocks of size n/m of :func:`_block_eigenvalues`.  h is the
+    :func:`graphs.cyclic_automorphism` of ``source_graph``, with cycle
+    length m, when it commutes with S (checked entry for entry, so a chain
+    passed with the wrong graph falls back), and ``blocks`` then records m
+    and the size.  Otherwise h is the
     identity, m = 1, and the one block is S itself, solved by one dense
     ``eigvalsh``; ``blocks`` stays None.
     iterative-extremal finds lambda2 as the largest eigenvalue of
@@ -224,9 +223,9 @@ def spectrum(chain: ReversibleChain, mode: str = "dense-full",
         rho_d = rho(source_graph.regular_degree)
 
     if mode == "dense-full":
-        if chain.n > dense_budget:
+        if chain.n > DENSE_BUDGET:
             raise SpectralError(
-                f"dense mode budget is n <= {dense_budget}, got {chain.n}")
+                f"dense mode budget is n <= {DENSE_BUDGET}, got {chain.n}")
         s = symmetrized(chain)
         perm, m = (_commuting_symmetry(s, source_graph)
                    or (np.arange(chain.n), 1))

@@ -231,9 +231,11 @@ def spectral_suite(run: Run) -> tuple:
                 extra=solver))
     if sets and chain.n <= S.DENSE_BUDGET:
         # blend with the two-step kernel: support always contains P's
-        blend = (chain.kernel + C.power_chain(chain, 2).kernel) * 0.5
-        other = C.chain_from_kernel(blend, chain.stationary,
-                                    source={"kind": "blend"})
+        # (sorted rows, as power_chain keeps them); reassigning frees P^2
+        blend = chain.kernel @ chain.kernel
+        blend.sort_indices()
+        blend = (chain.kernel + blend) * 0.5
+        other = C.chain_from_kernel(blend, chain.stationary)
         cmp = S.compare_restricted(chain, other, sets[-1])
         recs.append(record(
             "spectral", "restricted-comparison-vs-blend",
@@ -425,7 +427,7 @@ def tree_suite(run: Run) -> tuple:
 
 def walk_suite(run: Run) -> tuple:
     g, cfg = run.g, run.cfg
-    if not G.is_connected(g):
+    if not run.chain.is_irreducible:
         return [_skip("walk", "graph is disconnected")], {}
     if not g.is_regular:
         return [_skip("walk", "walk suite needs a regular graph")], {}
@@ -442,7 +444,7 @@ def walk_suite(run: Run) -> tuple:
     steps = int(math.ceil(1.5 * target_blocks * exact_t1))
     traces = [W.simulate_walk(g, 0, steps, k, cfg.seed, stream=0)]
     extra_stream = 1
-    while sum(tr.n_blocks for tr in traces) < 1000:
+    while sum(tr.n_blocks for tr in traces) < W.MIN_BLOCKS:
         traces.append(W.simulate_walk(g, 0, steps, k, cfg.seed,
                                       stream=extra_stream))
         extra_stream += 1

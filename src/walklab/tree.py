@@ -214,8 +214,7 @@ def kernel_domination_check(g: Graph, chain: ReversibleChain, x: int, y: int,
         raise TreeError(f"{y} unreachable from {x}")
     mu = evolve(chain, point_mass(g.n, x), t)
     graph_val = float(mu[y])
-    tree_val = level_distribution(d, t, dist) / sphere_size(d, dist) \
-        if dist <= t else 0.0
+    tree_val = tree_kernel(d, t, dist) if dist <= t else 0.0
     return KernelDomination(x=x, y=y, t=t, distance=dist,
                             graph_kernel=graph_val, tree_value=tree_val,
                             passed=graph_val >= tree_val - 1e-12)

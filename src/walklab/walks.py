@@ -50,6 +50,8 @@ from .hitting import (SphereHits, _sphere_hits, family_survival,
 # Probability that the empirical-law TV of an exact sampler exceeds
 # tv_noise_bound; see there
 TV_GATE_DELTA = 1e-6
+MIN_BLOCKS = 1000              # see block_statistics
+MC_STARTS_LIMIT = 64           # see escape_transfer_experiment
 
 
 class WalkError(ValueError):
@@ -161,7 +163,7 @@ def annotate_trace(g: Graph, positions, k: int):
     dw = ball.distance(anchors[slot], w)
     farther = np.bincount(slot, weights=(dw < 0) | (dw > dp[slot]),
                           minlength=len(positions))
-    indptr = g.csr[0]
+    indptr = g.indptr
     good = farther >= indptr[positions + 1] - indptr[positions] - 1
     bad = np.concatenate(([0], np.cumsum(~good)))
     U = bad[T[1:]] - bad[T[:-1]]
@@ -195,16 +197,17 @@ class BlockStats:
     checks: tuple
 
 
-def block_statistics(traces, min_blocks: int = 1000) -> BlockStats:
-    """Mean/variance of the regeneration time and the tail of U."""
+def block_statistics(traces) -> BlockStats:
+    """Mean/variance of the regeneration time and the tail of U, over at
+    least ``MIN_BLOCKS`` completed blocks."""
     lengths = []
     us = []
     for tr in traces:
         lengths.extend(tr.block_lengths)
         us.extend(tr.U)
     n = len(lengths)
-    if n < min_blocks:
-        raise WalkError(f"need at least {min_blocks} completed blocks, got {n}")
+    if n < MIN_BLOCKS:
+        raise WalkError(f"need at least {MIN_BLOCKS} completed blocks, got {n}")
     arr = np.asarray(lengths, dtype=float)
     mean = float(arr.mean())
     var = float(arr.var(ddof=1))
@@ -374,7 +377,6 @@ class EscapeTransferReport:
 def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
                                k_chain: ReversibleChain, k: int, t: int,
                                s: int, trials: int, seed: int,
-                               mc_starts_limit: int = 64,
                                hits: SphereHits = None) -> EscapeTransferReport:
     """Exact + Monte Carlo verification of the escape decomposition.
 
@@ -387,7 +389,7 @@ def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
     regeneration kernel W are read from ``hits``, the run's
     :class:`SphereHits` of g at radius k (a fresh one when None), for the
     members of ``sets`` only; the Monte Carlo starts are the first
-    ``mc_starts_limit`` members (every vertex when n is at most that).
+    ``MC_STARTS_LIMIT`` members (every vertex when n is at most that).
     On a certified vertex-transitive graph that family is F0, seeded at
     vertex 0: automorphisms preserve the SRW, W and K survivals, so their
     maxima over F0 are those over its orbit closure.
@@ -417,10 +419,10 @@ def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
     if k_chain is not None:
         k_escape = float(family_survival(k_chain.kernel, sets, tau_t).max())
 
-    if g.n <= mc_starts_limit:
+    if g.n <= MC_STARTS_LIMIT:
         starts = list(range(g.n))
     else:
-        starts = needed[:mc_starts_limit]
+        starts = needed[:MC_STARTS_LIMIT]
     slow = 0.0
     slow_se = 0.0
     for si, a in enumerate(starts):

@@ -128,11 +128,12 @@ def test_mixing_profile_reducible_error(c6):
         mixing_profile(chain, [0.25])
 
 
-def test_mixing_profile_sampled_starts(random_cubic_medium):
+def test_mixing_profile_sampled_starts(monkeypatch, random_cubic_medium):
     chain = srw_chain(random_cubic_medium)
     exact = mixing_profile(chain, [0.25])
-    sampled = mixing_profile(chain, [0.25], exact_start_limit=50,
-                             sample_starts=16)
+    monkeypatch.setattr(chains, "EXACT_START_LIMIT", 50)
+    monkeypatch.setattr(chains, "SAMPLE_STARTS", 16)
+    sampled = mixing_profile(chain, [0.25])
     assert not sampled.exact_starts
     assert len(sampled.starts) == 16
     # a start subset can only lower the worst-start curve
@@ -412,15 +413,16 @@ def test_components_and_period_match_dfs(request):
 
 @pytest.mark.parametrize("graph", ["rr200", "lps"])
 @pytest.mark.parametrize("exact", [True, False])
-def test_mixing_profile_matches_whole_array_sweep(request, graph, exact,
-                                                  lps_chain):
+def test_mixing_profile_matches_whole_array_sweep(monkeypatch, request, graph,
+                                                  exact, lps_chain):
     if graph == "lps":
         # an uncertified copy of the kernel, so every start is swept
         chain = chain_from_kernel(lps_chain.kernel, lps_chain.stationary)
     else:
         chain = srw_chain(request.getfixturevalue("random_cubic_medium"))
     limit = chain.n if exact else chain.n // 2
-    prof = mixing_profile(chain, [0.25], exact_start_limit=limit)
+    monkeypatch.setattr(chains, "EXACT_START_LIMIT", limit)
+    prof = mixing_profile(chain, [0.25])
     ref = reference_sweep(chain, 0.25, limit)
     assert prof.exact_starts == exact
     assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
@@ -430,7 +432,8 @@ def test_mixing_profile_matches_whole_array_sweep(request, graph, exact,
 @pytest.mark.parametrize("spec", [("lps", 13, 17), ("lps", 17, 13),
                                   ("cycle", 9), ("complete", 6)],
                          ids=lambda spec: "-".join(map(str, spec)))
-def test_certified_profile_matches_all_start_sweep(spec, lps_chain):
+def test_certified_profile_matches_all_start_sweep(monkeypatch, spec,
+                                                   lps_chain):
     if spec == ("lps", 13, 17):
         chain = lps_chain
     elif spec[0] == "lps":
@@ -438,7 +441,8 @@ def test_certified_profile_matches_all_start_sweep(spec, lps_chain):
     else:
         chain = srw_chain(wl.build_named(*spec))
     assert chain.transitive
-    prof = mixing_profile(chain, [0.25], exact_start_limit=1)
+    monkeypatch.setattr(chains, "EXACT_START_LIMIT", 1)
+    prof = mixing_profile(chain, [0.25])
     tv, l2, _, starts = reference_sweep(chain, 0.25, chain.n)
     assert prof.exact_starts and prof.starts == (0,) and len(starts) == chain.n
     assert prof.worst_starts == (0,) * len(tv)
@@ -464,8 +468,9 @@ def test_mixing_profile_narrow_blocks(monkeypatch, random_cubic_medium,
     monkeypatch.setattr(chains, "MIXING_BLOCK_COLUMNS", columns)
     chain = srw_chain(random_cubic_medium)
     for limit, count in ((chain.n, 64), (50, 64), (50, 1)):
-        prof = mixing_profile(chain, [0.25], exact_start_limit=limit,
-                              sample_starts=count)
+        monkeypatch.setattr(chains, "EXACT_START_LIMIT", limit)
+        monkeypatch.setattr(chains, "SAMPLE_STARTS", count)
+        prof = mixing_profile(chain, [0.25])
         ref = reference_sweep(chain, 0.25, limit, count)
         assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
                 prof.starts) == ref
@@ -565,7 +570,8 @@ def test_mixing_profile_resumes_blocks_that_stop_early(monkeypatch,
     pt = chain.kernel.T.tocsr()
     pi = chain.stationary[:, None]
     for limit in (chain.n, 50):
-        prof = mixing_profile(chain, [0.25], exact_start_limit=limit)
+        monkeypatch.setattr(chains, "EXACT_START_LIMIT", limit)
+        prof = mixing_profile(chain, [0.25])
         assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
                 prof.starts) == reference_sweep(chain, 0.25, limit)
         starts = list(prof.starts)
@@ -583,14 +589,16 @@ def test_mixing_profile_resumes_blocks_that_stop_early(monkeypatch,
 
 
 @pytest.mark.parametrize("transitive", [False, True])
-def test_mixing_profile_max_steps_boundary(random_cubic_medium, lps_chain,
-                                           transitive):
+def test_mixing_profile_max_steps_boundary(monkeypatch, random_cubic_medium,
+                                           lps_chain, transitive):
     # two 100-wide blocks, or start 0 alone
     chain = lps_chain if transitive else srw_chain(random_cubic_medium)
     prof = mixing_profile(chain, [0.25])
     assert len(prof.starts) == (1 if transitive else 200)
     last = len(prof.tv_curve) - 1
-    assert mixing_profile(chain, [0.25], max_steps=last) == prof
+    monkeypatch.setattr(chains, "MAX_MIXING_STEPS", last)
+    assert mixing_profile(chain, [0.25]) == prof
+    monkeypatch.setattr(chains, "MAX_MIXING_STEPS", last - 1)
     with pytest.raises(ChainError, match="no mixing below eps=0.25 within "
                                          f"{last - 1} steps"):
-        mixing_profile(chain, [0.25], max_steps=last - 1)
+        mixing_profile(chain, [0.25])

@@ -445,7 +445,7 @@ def test_degree_profile_cached():
 
 
 def test_csr_and_expand(petersen):
-    indptr, indices = petersen.csr
+    indptr, indices = petersen.indptr, petersen.indices
     for v in range(petersen.n):
         assert tuple(indices[indptr[v]:indptr[v + 1]]) == petersen.adjacency[v]
     slot, nbr = petersen.expand([4, 0])
@@ -597,7 +597,8 @@ def test_make_graph_matches_tuple_builder(name):
     assert g.edges == ref_edges and g.adjacency == ref_adjacency
     assert all(type(x) is int for e in g.edges for x in e)
     assert all(type(w) is int for a in g.adjacency for w in a)
-    for got, want in zip(g.csr, reference_csr(ref_adjacency)):
+    for got, want in zip((g.indptr, g.indices),
+                         reference_csr(ref_adjacency)):
         assert got.dtype == np.int64 and not got.flags.writeable
         assert np.array_equal(got, want)
     assert g.m == len(ref_edges)

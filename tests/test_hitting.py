@@ -194,13 +194,15 @@ def test_tiny_chunks_give_identical_results(monkeypatch, cubic_family,
     assert hit_quantile(petersen_chain, 0.3, 0.02) == wide_hq
 
 
-def test_hit_quantile_max_steps_overflow(petersen_chain):
+def test_hit_quantile_max_steps_overflow(monkeypatch, petersen_chain):
     full = hit_quantile(petersen_chain, 0.3, 0.02)
-    # the last step with survival above eps is full.time - 1
-    assert hit_quantile(petersen_chain, 0.3, 0.02,
-                        max_steps=full.time) == full
-    with pytest.raises(HittingError, match="steps"):
-        hit_quantile(petersen_chain, 0.3, 0.02, max_steps=full.time - 1)
+    # the last step with survival above eps is full.time - 1; the bound is
+    # read when the quantile runs, not when the module is imported
+    monkeypatch.setattr(hitting, "MAX_QUANTILE_STEPS", full.time)
+    assert hit_quantile(petersen_chain, 0.3, 0.02) == full
+    monkeypatch.setattr(hitting, "MAX_QUANTILE_STEPS", full.time - 1)
+    with pytest.raises(HittingError, match=f"for {full.time - 1} steps"):
+        hit_quantile(petersen_chain, 0.3, 0.02)
     with pytest.raises(HittingError):
         per_set_hit_quantile(petersen_chain,
                              exact_family(petersen_chain, 0.3), 0.02,
@@ -522,8 +524,8 @@ def lps17_13():
 
 
 @pytest.mark.parametrize("name,alpha,max_sets,as_built", FAMILY_CASES)
-def test_candidate_family_matches_scalar_reference(request, name, alpha,
-                                                   max_sets, as_built):
+def test_candidate_family_matches_scalar_reference(monkeypatch, request, name,
+                                                   alpha, max_sets, as_built):
     lazy = name == "lazy_prism"
     g = request.getfixturevalue("prism" if lazy else name)
     if not as_built:
@@ -533,7 +535,8 @@ def test_candidate_family_matches_scalar_reference(request, name, alpha,
     if lazy:
         chain = wl.chain_from_kernel((chain.kernel + np.eye(g.n)) * 0.5,
                                      chain.stationary)
-    got = candidate_small_sets(chain, alpha, graph=g, max_sets=max_sets)
+    monkeypatch.setattr(hitting, "MAX_GREEDY_SETS", max_sets)
+    got = candidate_small_sets(chain, alpha, graph=g)
     ref = reference_candidate_small_sets(chain, alpha, g, max_sets=max_sets)
     assert list(got) == ref
     assert len(got) == len(ref)
@@ -622,12 +625,13 @@ def test_family_statistics_match_on_the_orbit_closure(spec, alpha):
             hit_quantile(chain, alpha, eps, sets=closure).time
 
 
-def test_candidate_family_greedy_phase_is_exercised(rr512):
+def test_candidate_family_greedy_phase_is_exercised(monkeypatch, rr512):
     # the rr512 family outgrows its balls: the greedy phase stops on
-    # max_sets, and the Perron prefixes then add sets beyond the bound
+    # MAX_GREEDY_SETS, and the Perron prefixes then add sets beyond the bound
     chain = srw_chain(rr512)
     fam = candidate_small_sets(chain, 0.25, graph=rr512)
-    small = candidate_small_sets(chain, 0.25, graph=rr512, max_sets=10)
+    monkeypatch.setattr(hitting, "MAX_GREEDY_SETS", 10)
+    small = candidate_small_sets(chain, 0.25, graph=rr512)
     assert len(fam) > 4096
     assert len(small) < len(fam)
 

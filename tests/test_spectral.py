@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 import scipy.sparse as sp
 
 import walklab as wl
-from walklab import spectral
+from walklab import chains, spectral
 from walklab.chains import (BIPARTITE_PERIODIC, chain_from_kernel, power_chain,
                             srw_chain)
 from walklab.hitting import candidate_small_sets, verify_spectral_hit
+from walklab.reports import dumps_canonical
 from walklab.spectral import (SpectralError, classify_ramanujan,
                               compare_restricted, poincare_bound,
                               restricted_top_eig, rho, spectrum, symmetrized)
@@ -116,9 +118,17 @@ def test_iterative_rejects_reducible_and_single_state(c6):
         spectrum(single, mode="iterative-extremal")
 
 
-def test_spectrum_dense_budget(petersen_chain):
-    with pytest.raises(SpectralError, match="budget"):
-        spectrum(petersen_chain, dense_budget=5)
+def test_spectrum_dense_budget(monkeypatch, petersen_chain):
+    # spectrum and the suites read the one budget when they run
+    monkeypatch.setattr(spectral, "DENSE_BUDGET", 5)
+    with pytest.raises(SpectralError, match="budget is n <= 5"):
+        spectrum(petersen_chain)
+    report, _ = run_suite(ExperimentConfig(
+        graph={"kind": "named", "name": "petersen"}, suites=("spectral",)),
+        write=False)
+    assert report.records[1]["note"] == "iterative-extremal"
+    assert not any(r["name"] == "restricted-comparison-vs-blend"
+                   for r in report.records)
 
 
 def test_trace_consistency(petersen_chain):
@@ -529,6 +539,26 @@ def test_spectral_suite_records_the_blocks():
         assert recs["spectrum"]["extra"].get("blocks") == blocks
         for name in ("trace-first-moment", "trace-second-moment"):
             assert recs[name]["passed"] is True
+
+
+def test_spectral_suite_blends_without_a_power_chain(monkeypatch):
+    # the blend reads the sorted product K @ K; sha256 of each canonical
+    # restricted-comparison-vs-blend record, as power_chain(chain, 2) gave it
+    def refuse(chain, t):
+        raise AssertionError("the spectral suite built a power chain")
+
+    monkeypatch.setattr(chains, "power_chain", refuse)
+    for spec, digest in (
+            ({"kind": "named", "name": "petersen"},
+             "57ded25a883f59b9bf0ba748b3ac0bd9fe3950ab119a2c7c6c077736972d71fc"),
+            ({"kind": "random-regular", "n": 64, "d": 3, "seed": 8},
+             "591b934a76f979b588e3c883b392cae65661668d331a6a0ecafab49adb344c61")):
+        cfg = ExperimentConfig(graph=spec, suites=("spectral",), seed=3)
+        report, _ = run_suite(cfg, write=False)
+        rec, = [r for r in report.records
+                if r["name"] == "restricted-comparison-vs-blend"]
+        assert hashlib.sha256(
+            dumps_canonical(rec).encode()).hexdigest() == digest
 
 
 def test_wrong_source_graph_takes_the_dense_path():
