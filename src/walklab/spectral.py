@@ -4,13 +4,17 @@ Kernels are conjugated by sqrt(pi) into symmetric form before solving,
 which preserves the spectrum and admits symmetric solvers.  Dense mode
 returns the full eigenvalue multiset, block by block when the source
 graph carries a certified automorphism with uniform cycles that commutes
-with the kernel; iterative mode finds the second
-largest and the smallest eigenvalue by Lanczos (ARPACK through
-``scipy.sparse.linalg.eigsh``).  Each Ritz pair (theta, x) comes with its
-residual ||S x - theta x||, which for a symmetric S and a unit x certifies
-an eigenvalue in [theta - r, theta + r]; the Ramanujan verdict uses the
-conservative end of those intervals, and so do the verdicts on the
-restricted Perron root lambda(A) of a killed chain, found the same way.
+with the kernel.  Iterative mode finds the second largest and the
+smallest eigenvalue together, from one run of the plain three-term
+Lanczos recurrence on S off the top eigenvector sqrt(pi): it stops when
+the Ritz estimate at both ends reaches working precision, or on a
+breakdown (an invariant Krylov space), and a second pass replays the
+recurrence to build the two Ritz vectors, so memory stays O(n).  Each
+pair (theta, x) comes with its residual ||S x - theta x||, which for a
+symmetric S and a unit x certifies an eigenvalue in [theta - r,
+theta + r]; the Ramanujan verdict uses the conservative end of those
+intervals, and so do the verdicts on the restricted Perron root
+lambda(A) of a killed chain, found by the same routine.
 """
 
 from __future__ import annotations
@@ -20,14 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from .chains import ReversibleChain
 from .graphs import Graph, _sorted_lookup, cyclic_automorphism, is_bipartite
 
 DENSE_BUDGET = 3000
 EIG_ONE_TOL = 1e-9
-LANCZOS_MAX_RESTARTS = 1000
+LANCZOS_MAX_STEPS = 20000
 
 
 class SpectralError(ValueError):
@@ -86,38 +90,106 @@ def _t_rel(lambda_star: float) -> float:
         else math.inf
 
 
-def _lanczos_extremal(op, s: sp.csr_matrix, which: str):
-    """One extremal eigenpair of the symmetric operator ``op`` by ARPACK.
+def _lanczos_steps(s: sp.csr_matrix, top):
+    """The plain three-term Lanczos recurrence on ``s``.
 
-    Returns (theta, residual, applications): the Ritz value, the residual
-    ||S x - theta x|| of its unit Ritz vector against ``s`` itself, and
-    the number of times ARPACK applied ``op``.  The start vector, and any
-    vector ARPACK draws after an exhausted Krylov space, come from one
-    fixed Philox stream, and ARPACK runs to machine precision, so reruns
-    are identical.  Raises :class:`SpectralError` past
-    ``LANCZOS_MAX_RESTARTS``.
+    Yields (q_j, alpha_j, beta_j) for j = 1, 2, ...: the unit vector q_j,
+    alpha_j = q_j . S q_j and beta_j = ||r_j||, where r_j = S q_j -
+    alpha_j q_j - beta_{j-1} q_{j-1} and q_{j+1} = r_j / beta_j.  When
+    ``top`` is a unit vector, the start and every r_j are projected off it,
+    so the recurrence runs on S restricted to the complement of ``top``.
+    The start is the first draw of a fixed Philox stream, so two runs
+    yield the same bits; a caller stops before resuming past a beta_j of
+    0.  Each step applies S once.
     """
-    n = s.shape[0]
-    applications = 0
-
-    def matvec(x):
-        nonlocal applications
-        applications += 1
-        return op(np.ravel(x))
-
     rng = np.random.Generator(np.random.Philox(key=np.uint64(7)))
-    try:
-        vals, vecs = spla.eigsh(
-            spla.LinearOperator((n, n), matvec=matvec, dtype=float),
-            k=1, which=which, v0=rng.standard_normal(n), tol=0,
-            maxiter=LANCZOS_MAX_RESTARTS, rng=rng)
-    except spla.ArpackNoConvergence as exc:
-        raise SpectralError(
-            f"Lanczos ({which}) did not converge within "
-            f"{LANCZOS_MAX_RESTARTS} restarts ({applications} "
-            f"operator applications)") from exc
-    theta, x = float(vals[0]), vecs[:, 0]
-    return theta, float(np.linalg.norm(s @ x - theta * x)), applications
+    q = rng.standard_normal(s.shape[0])
+    if top is not None:
+        q -= (top @ q) * top
+    q /= np.linalg.norm(q)
+    prev, beta = np.zeros_like(q), 0.0
+    while True:
+        r = s @ q
+        alpha = float(q @ r)
+        r -= alpha * q
+        r -= beta * prev
+        if top is not None:
+            r -= (top @ r) * top
+        beta = float(np.linalg.norm(r))
+        yield q, alpha, beta
+        prev, q = q, r / beta
+
+
+def _lanczos_extremal(s: sp.csr_matrix, ends: tuple, top=None):
+    """Extreme eigenvalues of the symmetric ``s`` by plain Lanczos, each
+    with its residual certificate.
+
+    ``ends`` are positions in the ascending spectrum: -1 the largest, 0
+    the smallest.  With ``top`` given (a unit vector), the run sees S on
+    the complement of ``top`` only.  The first pass runs the recurrence of
+    :func:`_lanczos_steps` and keeps only the alpha_j and beta_j of the
+    tridiagonal T_k.  Every 16 steps it solves T_k for the Ritz pair
+    (theta, s) at each end not yet settled (``eigh_tridiagonal``, one
+    eigenvalue by index) and settles it once beta_k |s_k|, the residual
+    estimate of that pair, is at most eps max(|theta|, eps^(2/3)) (the
+    floor as in ARPACK).  The pass ends when every end is settled, or at
+    once on a breakdown, beta_k <= sqrt(eps) ||T_k||: the Krylov space is
+    invariant to that width, T_k's extreme eigenvalues are S's to within
+    beta_k, and dividing by beta_k would lift the rounding in q_{k+1}
+    past the sqrt(eps) level of orthogonality plain Lanczos relies on.
+    Reaching k = n is no reason to stop: the vectors lose orthogonality,
+    so they are not exhausted there, and the ends keep converging.  The
+    second pass replays the same recurrence and adds s_j q_j into each
+    end's Ritz vector x, so memory stays a few vectors of length n, never
+    the k-column basis.
+
+    Returns ([(theta, residual), ...] per end, applications): theta is the
+    Rayleigh quotient x . S x of the normalised x, which minimises its
+    residual ||S x - theta x||, computed against ``s`` itself, and
+    ``applications`` counts the products with S in both passes.  Raises
+    :class:`SpectralError` past ``LANCZOS_MAX_STEPS`` steps.
+    """
+    eps = np.finfo(float).eps
+    alphas, betas = [], []
+    found = [None] * len(ends)      # each end's s, once settled
+    norm_t = 0.0
+    for _, alpha, beta in _lanczos_steps(s, top):
+        alphas.append(alpha)
+        betas.append(beta)
+        k = len(alphas)
+        norm_t = max(norm_t, abs(alpha) + beta + (betas[-2] if k > 1 else 0))
+        broke = beta <= math.sqrt(eps) * norm_t
+        if broke or k % 16 == 0 or k == LANCZOS_MAX_STEPS:
+            for e, end in enumerate(ends):
+                if found[e] is not None:
+                    continue
+                theta, vec = eigh_tridiagonal(
+                    alphas, betas[:-1], select="i",
+                    select_range=(end % k, end % k))
+                if broke or beta * abs(vec[-1, 0]) \
+                        <= eps * max(abs(theta[0]), eps ** (2 / 3)):
+                    found[e] = vec[:, 0]
+            if all(vec is not None for vec in found):
+                break
+        if k == LANCZOS_MAX_STEPS:
+            raise SpectralError(
+                f"Lanczos did not converge within {LANCZOS_MAX_STEPS} "
+                f"steps ({k} operator applications)")
+    replay = max(len(vec) for vec in found)
+    xs = [np.zeros(s.shape[0]) for _ in ends]
+    for j, (q, _, _) in enumerate(_lanczos_steps(s, top)):
+        for x, vec in zip(xs, found):
+            if j < len(vec):
+                x += vec[j] * q
+        if j + 1 == replay:
+            break
+    out = []
+    for x in xs:
+        x /= np.linalg.norm(x)
+        sx = s @ x
+        theta = float(x @ sx)
+        out.append((theta, float(np.linalg.norm(sx - theta * x))))
+    return out, k + replay
 
 
 def _commuting_symmetry(s: sp.csr_matrix, graph: Graph):
@@ -207,12 +279,19 @@ def spectrum(chain: ReversibleChain, mode: str = "dense-full",
     and the size.  Otherwise h is the
     identity, m = 1, and the one block is S itself, solved by one dense
     ``eigvalsh``; ``blocks`` stays None.
-    iterative-extremal finds lambda2 as the largest eigenvalue of
-    S - 2 u u^T, where u = sqrt(pi) is the top eigenvector (the shift
-    sends eigenvalue 1 to -1, at or below every other eigenvalue, so a
-    negative lambda2 is found), and lambda_min as the smallest of S.
-    ``residuals`` holds each value's residual ||S x - theta x|| and the
-    operator applications it took.  A residual r certifies that *some*
+    iterative-extremal finds lambda2 and lambda_min as the largest and the
+    smallest eigenvalue of S on the complement of its top eigenvector
+    u = sqrt(pi)/||sqrt(pi)||, from one run of :func:`_lanczos_extremal`:
+    the plain three-term Lanczos recurrence with the start and every new
+    vector projected off u (projecting the start alone is not enough:
+    rounding feeds u back in and Lanczos amplifies it until 1 shows up as
+    lambda2).  It stops once the Ritz estimate at both ends is below
+    eps |theta|, or on a breakdown, and a second pass replays the
+    recurrence to form the two Ritz vectors, so memory is a few vectors of
+    length n.  A negative lambda2 is found like any other.
+    ``residuals`` holds each value's residual ||S x - theta x|| and, under
+    both iteration keys, the operator applications of the shared run
+    (both passes).  A residual r certifies that *some*
     eigenvalue lies in [theta - r, theta + r]; it does not certify that
     none lies above theta + r, which holds only if Lanczos found the
     extremal eigenvalue and not an interior one (Parlett, *The Symmetric
@@ -252,11 +331,10 @@ def spectrum(chain: ReversibleChain, mode: str = "dense-full",
     s = symmetrized(chain)
     top = np.sqrt(chain.stationary)
     top /= np.linalg.norm(top)
-    lambda2, res2, it2 = _lanczos_extremal(
-        lambda x: s @ x - (2.0 * (top @ x)) * top, s, "LA")
-    lambda_min, resm, itm = _lanczos_extremal(lambda x: s @ x, s, "SA")
-    residuals = {"lambda2": res2, "lambda2_iterations": it2,
-                 "lambda_min": resm, "lambda_min_iterations": itm}
+    ((lambda2, res2), (lambda_min, resm)), steps = _lanczos_extremal(
+        s, (-1, 0), top)
+    residuals = {"lambda2": res2, "lambda2_iterations": steps,
+                 "lambda_min": resm, "lambda_min_iterations": steps}
     lam = _lambda_star(lambda2, lambda_min)
     t_rel = _t_rel(lam)
     return SpectrumSummary(
@@ -383,9 +461,14 @@ def restricted_top_eig(chain: ReversibleChain, subset,
     A must be a proper nonempty subset.  S_A = D^{1/2} P_A D^{-1/2} is
     symmetric and nonnegative, so its largest eigenvalue is lambda(A).
     On one state, or when P_A stores no entries, that is P_A's largest
-    diagonal entry, with residual 0; otherwise :func:`_lanczos_extremal`
-    computes it.  When ``lambda2`` is given, the bounds are checked at
-    lambda(A) + residual; pass None to skip them.
+    diagonal entry, with residual 0.  Otherwise :func:`_lanczos_extremal`
+    computes it, with no projection: the plain Lanczos recurrence on S_A
+    stops when the top Ritz estimate is below eps lambda(A), or on a
+    breakdown (the Krylov space of an S_A with j distinct eigenvalues is
+    invariant after j steps), and a second pass rebuilds the Ritz vector
+    in O(|A|) memory; ``iterations`` counts both passes' products.  When
+    ``lambda2`` is given, the bounds are checked at lambda(A) + residual;
+    pass None to skip them.
     """
     subset = tuple(sorted(int(v) for v in set(subset)))
     if not subset:
@@ -400,8 +483,7 @@ def restricted_top_eig(chain: ReversibleChain, subset,
     if len(subset) == 1 or sub.nnz == 0:
         lam, residual, iterations = float(sub.diagonal().max()), 0.0, 0
     else:
-        lam, residual, iterations = _lanczos_extremal(
-            lambda x: s_sub @ x, s_sub, "LA")
+        ((lam, residual),), iterations = _lanczos_extremal(s_sub, (-1,))
 
     pi_A = float(pi_sub.sum())
     plain_bound = plain_pass = refined_bound = refined_pass = None

@@ -195,7 +195,8 @@ def spectral_suite(run: Run) -> tuple:
     if summary.eigenvalues is not None:
         eigs = np.asarray(summary.eigenvalues)
         trace_p = float(chain.kernel.diagonal().sum())
-        trace_p2 = float((chain.kernel @ chain.kernel).diagonal().sum())
+        # tr(K^2) = sum of K o K^T, without forming K^2 beside the blend's
+        trace_p2 = float(chain.kernel.multiply(chain.kernel.T).sum())
         recs.append(record(
             "spectral", "trace-first-moment", lhs=float(eigs.sum()),
             rhs=trace_p, passed=abs(eigs.sum() - trace_p) <= 1e-8))

@@ -207,19 +207,19 @@ def test_report_json_independent_of_out_dir(tmp_path):
 ALL = ("all",)
 PINNED_DIGESTS = {
     "rr64": ({"kind": "random-regular", "n": 64, "d": 3, "seed": 8}, ALL,
-             "70d713f2df3e3daaddb61ffccc5a2c52573b158f9dd34478cf9a59bd80b691af"),
+             "5336a56ea873c1fbdac3c07f94f7c1b183aa61e8fd3157704ce7ddb42e656698"),
     "petersen": ({"kind": "named", "name": "petersen"}, ALL,
-                 "da3fd252fe057581493b4d15eb263d784e2863f42a5ec6cc1356306d80ce7ff4"),
+                 "87ba4126267774ac2d06903f632670a62f7ed9cadc137dffde02d31878023bea"),
     # bipartite: the periodic skips of the mixing and hitmix records
     "q3": ({"kind": "named", "name": "hypercube", "dim": 3}, ALL,
-           "49e96d3b1935f0b4b441a5fd14e829f1fc179d2a0068f3f70617d8c07cf5cac2"),
+           "3382ce9392ef8b3912a15319659179b99b2fd227da544eecd12d18a632c9fb5c"),
     # diameter 1: every 2-sphere is empty
     "k5": ({"kind": "named", "name": "complete", "n": 5}, ALL,
            "b879694bc7aee7564efedc023dc9ce87c6325f5e4255b68a028369c29340c37c"),
     # certified vertex-transitive (PSL, non-bipartite): one start, one center
     "lps17-13": ({"kind": "lps", "p": 17, "q": 13},
                  ("spectral", "mixing", "inflation"),
-                 "0f2983d1444e84339aafcef91513483657badf67863ccc0bf8805e7dd6a4dfeb"),
+                 "eda8511669665c2585510e41d4b5d6f357716f011fce859e9627ee396353ecf9"),
 }
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,16 +96,35 @@ def test_iterative_matches_dense_within_residuals(name):
 
 @pytest.mark.parametrize("name", sorted(ITERATIVE_CASES))
 def test_iterative_reruns_identical(name):
-    # path3 exhausts its Krylov space, so ARPACK draws a fresh vector
+    # path3 breaks down: its Krylov space is invariant after two steps
     chain = srw_chain(ITERATIVE_CASES[name]())
     first = spectrum(chain, mode="iterative-extremal")
     assert spectrum(chain, mode="iterative-extremal") == first
 
 
-def test_iterative_raises_at_restart_cap(monkeypatch, random_cubic_medium):
-    from walklab import spectral
+@pytest.mark.parametrize("name", sorted(ITERATIVE_CASES))
+def test_iterative_ends_share_one_run(name):
+    res = spectrum(srw_chain(ITERATIVE_CASES[name]()),
+                   mode="iterative-extremal").residuals
+    assert res["lambda2_iterations"] == res["lambda_min_iterations"]
+
+
+def test_iterative_memory_stays_linear():
+    # a few vectors of length n: the run takes some 400 steps here, and
+    # keeping its basis would peak near 14 MB
+    chain = srw_chain(wl.build_random_regular(4000, 3, 1))
+    tracemalloc.start()
+    try:
+        spectrum(chain, mode="iterative-extremal")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * chain.n * 8
+
+
+def test_iterative_raises_at_the_step_cap(monkeypatch, random_cubic_medium):
     chain = srw_chain(random_cubic_medium)
-    monkeypatch.setattr(spectral, "LANCZOS_MAX_RESTARTS", 1)
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 1)
     with pytest.raises(SpectralError, match="did not converge within 1 "):
         spectrum(chain, mode="iterative-extremal")
 
@@ -298,11 +318,11 @@ def test_restricted_exact_without_an_operator(c6):
     assert (rec.lambda_A, rec.residual, rec.iterations) == (0.5, 0.0, 0)
 
 
-def test_restricted_raises_past_the_restart_cap(monkeypatch, families):
+def test_restricted_raises_past_the_step_cap(monkeypatch, families):
     chain, family = families[0]
     largest = family[int(np.argmax(np.diff(family.offsets)))]
     assert restricted_top_eig(chain, largest).iterations > 0
-    monkeypatch.setattr(spectral, "LANCZOS_MAX_RESTARTS", 1)
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 1)
     with pytest.raises(SpectralError, match="did not converge within 1 "):
         restricted_top_eig(chain, largest)
 
@@ -311,9 +331,9 @@ def set_residual(monkeypatch, residual):
     """Make every Lanczos solve report ``residual``."""
     solve = spectral._lanczos_extremal
 
-    def patched(op, s, which):
-        theta, _, applications = solve(op, s, which)
-        return theta, residual, applications
+    def patched(s, ends, top=None):
+        pairs, applications = solve(s, ends, top)
+        return [(theta, residual) for theta, _ in pairs], applications
 
     monkeypatch.setattr(spectral, "_lanczos_extremal", patched)
 
@@ -543,16 +563,17 @@ def test_spectral_suite_records_the_blocks():
 
 def test_spectral_suite_blends_without_a_power_chain(monkeypatch):
     # the blend reads the sorted product K @ K; sha256 of each canonical
-    # restricted-comparison-vs-blend record, as power_chain(chain, 2) gave it
+    # restricted-comparison-vs-blend record, whose two roots come from the
+    # plain Lanczos run of spectral._lanczos_extremal
     def refuse(chain, t):
         raise AssertionError("the spectral suite built a power chain")
 
     monkeypatch.setattr(chains, "power_chain", refuse)
     for spec, digest in (
             ({"kind": "named", "name": "petersen"},
-             "57ded25a883f59b9bf0ba748b3ac0bd9fe3950ab119a2c7c6c077736972d71fc"),
+             "961e92ee4f9d8a01944681ad0873438de4d1404608c1b51b7a4a19ee8fc5e3c9"),
             ({"kind": "random-regular", "n": 64, "d": 3, "seed": 8},
-             "591b934a76f979b588e3c883b392cae65661668d331a6a0ecafab49adb344c61")):
+             "c11135a3f3020b3dc8e201bc4a76923fbd943330a37e848ccdc19ce273f2a806")):
         cfg = ExperimentConfig(graph=spec, suites=("spectral",), seed=3)
         report, _ = run_suite(cfg, write=False)
         rec, = [r for r in report.records
