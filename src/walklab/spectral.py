@@ -285,10 +285,11 @@ def spectrum(chain: ReversibleChain, mode: str = "dense-full",
     the plain three-term Lanczos recurrence with the start and every new
     vector projected off u (projecting the start alone is not enough:
     rounding feeds u back in and Lanczos amplifies it until 1 shows up as
-    lambda2).  It stops once the Ritz estimate at both ends is below
-    eps |theta|, or on a breakdown, and a second pass replays the
-    recurrence to form the two Ritz vectors, so memory is a few vectors of
-    length n.  A negative lambda2 is found like any other.
+    lambda2).  Each end keeps the Ritz pair of the first 16-step check
+    where its estimate is below eps |theta|; the run stops when both ends
+    have one, or on a breakdown, and a second pass replays the recurrence
+    to form the two Ritz vectors, so memory is a few vectors of length n.
+    A negative lambda2 is found like any other.
     ``residuals`` holds each value's residual ||S x - theta x|| and, under
     both iteration keys, the operator applications of the shared run
     (both passes).  A residual r certifies that *some*
@@ -463,12 +464,12 @@ def restricted_top_eig(chain: ReversibleChain, subset,
     On one state, or when P_A stores no entries, that is P_A's largest
     diagonal entry, with residual 0.  Otherwise :func:`_lanczos_extremal`
     computes it, with no projection: the plain Lanczos recurrence on S_A
-    stops when the top Ritz estimate is below eps lambda(A), or on a
-    breakdown (the Krylov space of an S_A with j distinct eigenvalues is
-    invariant after j steps), and a second pass rebuilds the Ritz vector
-    in O(|A|) memory; ``iterations`` counts both passes' products.  When
-    ``lambda2`` is given, the bounds are checked at lambda(A) + residual;
-    pass None to skip them.
+    stops at the first 16-step check where the top Ritz estimate is below
+    eps lambda(A), or on a breakdown (the Krylov space of an S_A with j
+    distinct eigenvalues is invariant after j steps), and a second pass
+    rebuilds the Ritz vector in O(|A|) memory; ``iterations`` counts both
+    passes' products.  When ``lambda2`` is given, the bounds are checked
+    at lambda(A) + residual; pass None to skip them.
     """
     subset = tuple(sorted(int(v) for v in set(subset)))
     if not subset:
