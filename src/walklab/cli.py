@@ -26,7 +26,8 @@ import sys
 
 from .graphs import GraphError, GraphFileError, write_edge_list, inflate
 from .chains import ChainError
-from .reports import write_json, read_report, emit_summary, dumps_canonical
+from .reports import (write_json, read_report, emit_summary, dumps_canonical,
+                      render_text)
 from .suites import (ExperimentConfig, ConfigError, build_graph,
                      config_from_dict, run_suite, SUITE_NAMES)
 
@@ -117,9 +118,8 @@ def _config_from_args(args, suites) -> ExperimentConfig:
 
 def _run_selected(args, suites) -> int:
     cfg = _config_from_args(args, suites)
-    report, paths = run_suite(cfg)
-    sys.stdout.write(open(paths["text"], encoding="ascii").read()
-                     if "text" in paths else dumps_canonical(report.to_dict()))
+    report, _ = run_suite(cfg)
+    sys.stdout.write(render_text(report))
     return EXIT_PASS if report.all_passed else EXIT_CHECK_FAILED
 
 

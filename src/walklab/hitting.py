@@ -32,6 +32,7 @@ EXACT_SEARCH_LIMIT = 20
 MAX_QUANTILE_STEPS = 100_000
 MAX_GREEDY_SETS = 4096         # see candidate_small_sets
 FAMILY_CHUNK_ROWS = 16_384
+SURVIVAL_TOL = 1e-10           # slack of the survival and quantile checks
 
 
 class HittingError(ValueError):
@@ -416,10 +417,10 @@ class HitReport:
                        self.survival_checks + self.middle_consistency)
 
 
-def verify_spectral_hit(chain: ReversibleChain, subset, t_list,
-                        tol: float = 1e-10) -> HitReport:
+def verify_spectral_hit(chain: ReversibleChain, subset, t_list) -> HitReport:
     """Evaluate the survival/Perron chain at each t, with lambda(A) at the
-    lower end of its residual interval, max(lambda(A) - r, 0)."""
+    lower end of its residual interval, max(lambda(A) - r, 0), and
+    ``SURVIVAL_TOL`` of slack in both inequalities."""
     subset = tuple(sorted(set(int(v) for v in subset)))
     t_list = tuple(sorted(set(int(t) for t in t_list)))
     if not t_list or t_list[0] < 0:
@@ -443,10 +444,10 @@ def verify_spectral_hit(chain: ReversibleChain, subset, t_list,
             rhs = low ** (2 * t)
             checks.append(Check(
                 name=f"survival-le-norm@t={t}", lhs=first, rhs=middle_dot,
-                passed=first <= middle_dot + tol))
+                passed=first <= middle_dot + SURVIVAL_TOL))
             checks.append(Check(
                 name=f"norm-le-perron@t={t}", lhs=middle_dot, rhs=rhs,
-                passed=middle_dot <= rhs + tol))
+                passed=middle_dot <= rhs + SURVIVAL_TOL))
             middles.append(Check(
                 name=f"norm-two-ways@t={t}", lhs=middle_sum, rhs=middle_dot,
                 passed=abs(middle_sum - middle_dot) <= 1e-12))
@@ -459,9 +460,9 @@ def verify_spectral_hit(chain: ReversibleChain, subset, t_list,
 
 
 def quantile_halflog_check(chain: ReversibleChain, alpha: float,
-                           lambda2: float, sets=None,
-                           tol: float = 1e-10) -> Check:
-    """hit_{1-alpha}(sqrt(alpha)) against (1/2)|log_{1/(2 lambda2)} min pi|.
+                           lambda2: float, sets=None) -> Check:
+    """hit_{1-alpha}(sqrt(alpha)) against (1/2)|log_{1/(2 lambda2)} min pi|,
+    with ``SURVIVAL_TOL`` of slack.
 
     Valid for lambda2 in (0, 1/2) and alpha <= lambda2; skipped with the
     reason otherwise.  ``sets`` is passed to :func:`hit_quantile`.
@@ -477,7 +478,7 @@ def quantile_halflog_check(chain: ReversibleChain, alpha: float,
     pi_min = float(chain.stationary.min())
     bound = 0.5 * abs(math.log(pi_min) / math.log(1.0 / (2.0 * lambda2)))
     return Check(name="quantile-halflog", lhs=hq.time, rhs=bound,
-                 passed=hq.time <= bound + tol, note=hq.mode)
+                 passed=hq.time <= bound + SURVIVAL_TOL, note=hq.mode)
 
 
 def hitmix_constant_record(chain: ReversibleChain, alpha: float, eps: float,

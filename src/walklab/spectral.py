@@ -31,6 +31,7 @@ from .graphs import Graph, _sorted_lookup, cyclic_automorphism, is_bipartite
 
 DENSE_BUDGET = 3000
 EIG_ONE_TOL = 1e-9
+VERDICT_TOL = 1e-9       # slack of the Ramanujan and restricted-root verdicts
 LANCZOS_MAX_STEPS = 20000
 
 
@@ -357,11 +358,9 @@ class RamanujanReport:
     lambda2_over_rho: float
     min_nontrivial: float
     bipartite: bool
-    tol: float
 
 
-def classify_ramanujan(g: Graph, summary: SpectrumSummary,
-                       tol: float = 1e-9) -> RamanujanReport:
+def classify_ramanujan(g: Graph, summary: SpectrumSummary) -> RamanujanReport:
     """Check whether all nontrivial eigenvalues lie in [-rho_d, rho_d].
 
     'ramanujan' when the two-sided bound holds; 'one-sided-at-margin'
@@ -369,7 +368,8 @@ def classify_ramanujan(g: Graph, summary: SpectrumSummary,
     (finite-size stand-in for the one-sided asymptotic notion); else
     'neither'.  The margin lambda2/rho_d is always reported.  With
     iterative (extremal) data each eigenvalue is taken at the end of its
-    residual interval that is worse for the verdict.
+    residual interval that is worse for the verdict.  Every bound is
+    tested with ``VERDICT_TOL`` of slack.
     """
     if not g.is_regular or g.regular_degree < 3:
         raise SpectralError("classification needs a d-regular graph with d >= 3")
@@ -382,7 +382,7 @@ def classify_ramanujan(g: Graph, summary: SpectrumSummary,
         nontrivial = eigs[np.abs(np.abs(eigs) - 1.0) > EIG_ONE_TOL]
         min_nt = float(nontrivial.min()) if len(nontrivial) else 0.0
         max_abs = float(np.abs(nontrivial).max()) if len(nontrivial) else 0.0
-        two_sided = max_abs <= r + tol
+        two_sided = max_abs <= r + VERDICT_TOL
     else:
         # extremal data only, each value certified to within its residual;
         # the verdict uses the end of the interval that is worse for it.
@@ -392,20 +392,22 @@ def classify_ramanujan(g: Graph, summary: SpectrumSummary,
         lam_min = summary.lambda_min
         if bip and lam_min <= -1.0 + EIG_ONE_TOL:
             min_nt, r_lo = -lambda2, r2
-            two_sided = lambda2 + r2 <= r + tol
+            two_sided = lambda2 + r2 <= r + VERDICT_TOL
         else:
             min_nt, r_lo = lam_min, summary.residuals["lambda_min"]
-            two_sided = max(abs(lambda2) + r2, abs(lam_min) + r_lo) <= r + tol
+            two_sided = (max(abs(lambda2) + r2, abs(lam_min) + r_lo)
+                         <= r + VERDICT_TOL)
     if two_sided:
         cat = RAMANUJAN
-    elif lambda2 + r2 <= r + tol and min_nt - r_lo > -1.0 + tol:
+    elif lambda2 + r2 <= r + VERDICT_TOL \
+            and min_nt - r_lo > -1.0 + VERDICT_TOL:
         cat = ONE_SIDED
     else:
         cat = NEITHER
     return RamanujanReport(
         category=cat, rho_d=r, lambda2=lambda2,
         lambda2_over_rho=lambda2 / r, min_nontrivial=min_nt,
-        bipartite=bip, tol=tol)
+        bipartite=bip)
 
 
 def poincare_bound(n: int, lambda_star: float, eps: float):
@@ -433,11 +435,11 @@ class RestrictedEig:
 
     Carries both forms of the comparison with lambda2: the plain bound
     lambda(A) <= lambda2 + pi(A), asserted only when lambda2 >= -tol, and
-    the always-valid refinement lambda(A) <= lambda2 + (1-lambda2) pi(A).
-    For lambda2 in [-tol, 0) the plain bound lies at most
-    |lambda2| pi(A) <= tol below the refined one, inside the pass test's
-    tol slack, so an ulp of rounding around lambda2 = 0 does not decide
-    whether the plain record exists.
+    the always-valid refinement lambda(A) <= lambda2 + (1-lambda2) pi(A),
+    where tol is ``VERDICT_TOL``.  For lambda2 in [-tol, 0) the plain bound
+    lies at most |lambda2| pi(A) <= tol below the refined one, inside the
+    pass test's tol slack, so an ulp of rounding around lambda2 = 0 does
+    not decide whether the plain record exists.
     ``residual`` r certifies an eigenvalue in [lambda_A - r, lambda_A + r];
     ``iterations`` counts Lanczos operator applications.
     """
@@ -456,7 +458,7 @@ class RestrictedEig:
 
 
 def restricted_top_eig(chain: ReversibleChain, subset,
-                       lambda2=None, tol: float = 1e-9) -> RestrictedEig:
+                       lambda2=None) -> RestrictedEig:
     """Largest eigenvalue of P_A, by Lanczos on its symmetrization.
 
     A must be a proper nonempty subset.  S_A = D^{1/2} P_A D^{-1/2} is
@@ -492,10 +494,11 @@ def restricted_top_eig(chain: ReversibleChain, subset,
     if lambda2 is not None:
         plain_bound = lambda2 + pi_A
         refined_bound = lambda2 + (1.0 - lambda2) * pi_A
-        plain_applicable = lambda2 >= -tol
+        plain_applicable = lambda2 >= -VERDICT_TOL
         top = lam + residual
-        plain_pass = (top <= plain_bound + tol) if plain_applicable else None
-        refined_pass = top <= refined_bound + tol
+        plain_pass = (top <= plain_bound + VERDICT_TOL) if plain_applicable \
+            else None
+        refined_pass = top <= refined_bound + VERDICT_TOL
     return RestrictedEig(
         subset=subset, lambda_A=lam, pi_A=pi_A, lambda2=lambda2,
         plain_bound=plain_bound, plain_applicable=plain_applicable,
@@ -510,7 +513,8 @@ class ComparisonReport:
     With P1 <= C1 P2 entrywise on its support and stationary ratio bound
     C2, lambda_{P1}(A) <= C1 C2^2 lambda_{P2}(A).  ``passed`` tests the upper
     end of lambda_{P1}(A)'s residual interval against the lower end of
-    lambda_{P2}(A)'s; ``residuals`` and ``iterations`` are the two solves'.
+    lambda_{P2}(A)'s, with ``VERDICT_TOL`` of slack; ``residuals`` and
+    ``iterations`` are the two solves'.
     """
 
     C1: float
@@ -531,7 +535,7 @@ def _entries(kernel: sp.csr_matrix) -> tuple:
 
 
 def compare_restricted(chain1: ReversibleChain, chain2: ReversibleChain,
-                       subset, tol: float = 1e-9) -> ComparisonReport:
+                       subset) -> ComparisonReport:
     if chain1.n != chain2.n:
         raise SpectralError("chains must share a state space")
     keys1, w1 = _entries(chain1.kernel)
@@ -551,7 +555,8 @@ def compare_restricted(chain1: ReversibleChain, chain2: ReversibleChain,
     two = restricted_top_eig(chain2, subset)
     scale = c1 * c2 * c2
     passed = (one.lambda_A + one.residual
-              <= scale * max(two.lambda_A - two.residual, 0.0) + tol)
+              <= scale * max(two.lambda_A - two.residual, 0.0)
+              + VERDICT_TOL)
     return ComparisonReport(
         C1=c1, C2=c2, lhs=one.lambda_A, rhs=scale * two.lambda_A,
         passed=passed, residuals=(one.residual, two.residual),

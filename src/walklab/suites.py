@@ -1,9 +1,9 @@
 """Config-driven verification suites tying the library together.
 
-``run_suite`` builds one :class:`Run` per config: the graph, its SRW
-chain and spectrum, plus the candidate family, mixing profile,
-sphere-hit rows and distance-k graph and chain, each built on first use
-and shared by every suite.  Each suite turns the run into a list of
+``run_suite`` builds one :class:`Run` per config: the graph and its SRW
+chain, plus the spectrum, candidate family, mixing profile, sphere-hit
+rows and distance-k graph and chain, each built on first use and shared
+by every suite.  Each suite turns the run into a list of
 report records (pass/fail or informational).  Everything is
 deterministic given the config: all randomness is drawn from Philox
 streams keyed by the config seed, and the emitted files carry no timing
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, asdict
@@ -37,6 +38,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_int(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, "
+                          f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully serializable description of one run.
@@ -57,6 +65,31 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "walklab-out"
     dump_curves: bool = True
+
+    def __post_init__(self):
+        """Reject values the suites cannot run with, as a ``ConfigError``."""
+        for name in ("alpha", "eps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0.0 < value < 1.0:
+                raise ConfigError(f"{name} must lie in (0, 1), got {value!r}")
+        _check_int("k", self.k, 1)
+        _check_int("steps", self.steps, 0)
+        _check_int("trials", self.trials, 1)
+        seeds = {"seed": self.seed}
+        if isinstance(self.graph, dict) and "seed" in self.graph:
+            seeds["graph seed"] = self.graph["seed"]
+        for name, seed in seeds.items():
+            _check_int(name, seed, 0)
+            if seed >= 2 ** 64:     # seeds key 64-bit Philox streams
+                raise ConfigError(f"{name} must be below 2**64, got {seed}")
+        for name in ("suites", "t_grid"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ConfigError(f"{name} must be a nonempty list, "
+                                  f"got {value!r}")
+        for t in self.t_grid:
+            _check_int("each t_grid entry", t, 0)
 
     def selected_suites(self) -> tuple:
         if "all" in self.suites:
@@ -84,7 +117,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("config needs a 'graph' entry")
     data = dict(data)
     for key in ("suites", "t_grid"):
-        if key in data:
+        if isinstance(data.get(key), list):
             data[key] = tuple(data[key])
     return ExperimentConfig(**data)
 
@@ -122,15 +155,22 @@ def _skip(suite: str, reason: str) -> dict:
 class Run:
     """The per-run objects every suite reads, each built at most once.
 
-    ``chain`` is the SRW chain of ``g`` and ``summary`` its spectrum.  The
-    cached properties are built on first use, through their module
-    attributes (``H.candidate_small_sets``, ...).
+    ``chain`` is the SRW chain of ``g``.  The cached properties are built
+    on first use, through their module attributes (``S.spectrum``,
+    ``H.candidate_small_sets``, ...).
     """
 
     cfg: ExperimentConfig
     g: G.Graph
     chain: C.ReversibleChain
-    summary: S.SpectrumSummary
+
+    @functools.cached_property
+    def summary(self) -> S.SpectrumSummary:
+        """Spectrum of ``chain``: dense iff n <= ``S.DENSE_BUDGET``, the
+        extremal pair from the iterative path otherwise."""
+        mode = "dense-full" if self.chain.n <= S.DENSE_BUDGET \
+            else "iterative-extremal"
+        return S.spectrum(self.chain, mode=mode, source_graph=self.g)
 
     @functools.cached_property
     def family(self) -> H.CandidateFamily:
@@ -230,7 +270,7 @@ def spectral_suite(run: Run) -> tuple:
                 "spectral", f"restricted-plain|A|={len(A)}",
                 lhs=rec.lambda_A, rhs=rec.plain_bound, passed=rec.plain_pass,
                 extra=solver))
-    if sets and chain.n <= S.DENSE_BUDGET:
+    if sets and summary.eigenvalues is not None:
         # blend with the two-step kernel: support always contains P's
         # (sorted rows, as power_chain keeps them); reassigning frees P^2
         blend = chain.kernel @ chain.kernel
@@ -501,8 +541,9 @@ SUITE_FUNCTIONS = {
 }
 
 
-def run_suite(cfg: ExperimentConfig, write: bool = True):
-    """Execute the selected suites and (optionally) write report files.
+def run_suite(cfg: ExperimentConfig):
+    """Execute the selected suites and write the report files to
+    ``cfg.out_dir``.
 
     Returns (report, paths).  Exit semantics live in the CLI: the report
     knows only whether every asserted check passed.
@@ -517,10 +558,8 @@ def run_suite(cfg: ExperimentConfig, write: bool = True):
         chain = C.srw_chain(g)
     except C.ChainError as exc:
         report.add(record("run", "srw-chain", passed=False, note=str(exc)))
-        paths = write_report(report, cfg.out_dir) if write else {}
-        return report, paths
-    mode = "dense-full" if chain.n <= S.DENSE_BUDGET else "iterative-extremal"
-    run = Run(cfg, g, chain, S.spectrum(chain, mode=mode, source_graph=g))
+        return report, write_report(report, cfg.out_dir)
+    run = Run(cfg, g, chain)
     csv_files = {}
     timings = {}
     selected = cfg.selected_suites()
@@ -530,11 +569,9 @@ def run_suite(cfg: ExperimentConfig, write: bool = True):
         timings[name] = time.perf_counter() - t0
         report.extend(recs)
         csv_files.update(csvs)
-    paths = {}
-    if write:
-        paths = write_report(report, cfg.out_dir, timings=timings)
-        for fname, (header, rows) in sorted(csv_files.items()):
-            path = os.path.join(cfg.out_dir, fname)
-            write_csv(path, header, rows)
-            paths[fname] = path
+    paths = write_report(report, cfg.out_dir, timings=timings)
+    for fname, (header, rows) in sorted(csv_files.items()):
+        path = os.path.join(cfg.out_dir, fname)
+        write_csv(path, header, rows)
+        paths[fname] = path
     return report, paths

@@ -22,6 +22,7 @@ from .graphs import Graph, bfs_distances
 
 DP_HORIZON_LIMIT = 10_000
 TD1_K_LIMIT = 6
+TD1_C0 = 0.125           # the constant c0 of the staying-positive bound
 
 
 class TreeError(ValueError):
@@ -104,9 +105,9 @@ def level_hitting_time(d: int, k: int) -> float:
 class Td1Report:
     """Staying-positive level bound at horizon k + 2k^2.
 
-    lhs is the exact P[level = k at k+2k^2, never back to 0]; rhs(c0) is
-    c0 k^{-2} 2^{k+2k^2} (d-1)^{k^2+k-1} d^{1-(k+2k^2)}.  ``max_c0`` is
-    the largest constant for which lhs >= rhs holds.
+    lhs is the exact P[level = k at k+2k^2, never back to 0]; rhs is
+    c0 k^{-2} 2^{k+2k^2} (d-1)^{k^2+k-1} d^{1-(k+2k^2)} at c0 = ``TD1_C0``.
+    ``max_c0`` is the largest constant for which lhs >= rhs holds.
     """
 
     d: int
@@ -114,12 +115,11 @@ class Td1Report:
     horizon: int
     lhs: float
     rhs: float
-    c0: float
     max_c0: float
     passed: bool
 
 
-def td1_bound_check(d: int, k: int, c0: float = 0.125) -> Td1Report:
+def td1_bound_check(d: int, k: int) -> Td1Report:
     _check_degree(d)
     if k < 1:
         raise TreeError("k must be >= 1")
@@ -128,8 +128,8 @@ def td1_bound_check(d: int, k: int, c0: float = 0.125) -> Td1Report:
     t = k + 2 * k * k
     lhs = level_distribution(d, t, k, no_return=True)
     unit = (2.0 ** t) * (d - 1.0) ** (k * k + k - 1) * float(d) ** (1 - t) / (k * k)
-    rhs = c0 * unit
-    return Td1Report(d=d, k=k, horizon=t, lhs=lhs, rhs=rhs, c0=c0,
+    rhs = TD1_C0 * unit
+    return Td1Report(d=d, k=k, horizon=t, lhs=lhs, rhs=rhs,
                      max_c0=lhs / unit, passed=lhs >= rhs - 1e-12)
 
 

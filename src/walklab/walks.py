@@ -43,7 +43,7 @@ from .checks import Check
 from .graphs import (Graph, ball_table, bfs_distances,  # noqa: F401
                      is_connected)
 from .chains import ReversibleChain
-from .hitting import (SphereHits, _sphere_hits, family_survival,
+from .hitting import (SphereHits, _as_arrays, _sphere_hits, family_survival,
                       sphere_hit_distribution)
 
 
@@ -383,7 +383,8 @@ def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
     P_a[T_{A^c} > t+s] <= P^Y_a[T_{A^c} > tau(t)] + P_a[T_{tau(t)} > t+s]
     is asserted for the worst set of ``sets`` within Monte Carlo error.
     ``chain`` is the SRW chain of ``g`` and ``sets`` a nonempty family of
-    small sets, such as ``candidate_small_sets(chain, alpha, graph=g)``;
+    small sets, a sequence of vertex sets or a :class:`CandidateFamily`
+    such as ``candidate_small_sets(chain, alpha, graph=g)``;
     ``k_chain`` is the SRW chain of ``inflate(g, k)``, or None when some
     k-sphere is empty, which leaves ``k_escape`` None.  The rows of the
     regeneration kernel W are read from ``hits``, the run's
@@ -405,7 +406,7 @@ def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
 
     srw_escape = float(family_survival(chain.kernel, sets, horizon).max())
 
-    needed = np.unique(sets.members).tolist()
+    needed = np.unique(_as_arrays(sets)[0]).tolist()
     rows, cols, vals = [], [], []
     for v in needed:
         hit = hits[v]

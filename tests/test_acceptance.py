@@ -13,12 +13,14 @@ import pytest
 
 import walklab as wl
 from walklab.chains import mixing_profile, srw_chain
-from walklab.hitting import (expected_hit_time, sphere_hit_distribution,
-                             verify_spectral_hit, w_vs_k_report)
-from walklab.spectral import (classify_ramanujan, poincare_bound,
+from walklab.hitting import (SURVIVAL_TOL, expected_hit_time,
+                             sphere_hit_distribution, verify_spectral_hit,
+                             w_vs_k_report)
+from walklab.spectral import (VERDICT_TOL, classify_ramanujan, poincare_bound,
                               restricted_top_eig, rho, spectrum)
-from walklab.tree import (ballot_count, count_z_paths, diameter_lower_bound,
-                          kernel_domination_check, td1_bound_check)
+from walklab.tree import (TD1_C0, ballot_count, count_z_paths,
+                          diameter_lower_bound, kernel_domination_check,
+                          td1_bound_check)
 from walklab.walks import (block_statistics, empirical_y_kernel,
                            simulate_walk)
 
@@ -73,6 +75,7 @@ def test_criterion_02_l2_contraction_suite():
 
 def test_criterion_03_restricted_root_bounds():
     t0 = time.perf_counter()
+    assert VERDICT_TOL == 1e-9
     # the K4 singleton corner case: bound tight at zero
     k4 = srw_chain(wl.build_named("complete", 4))
     lam2_k4 = spectrum(k4).lambda2
@@ -95,7 +98,7 @@ def test_criterion_03_restricted_root_bounds():
         size = int(rng.integers(1, max(2, (2 * n) // 3)))
         subset = sorted(int(v) for v in rng.choice(n, size=size,
                                                    replace=False))
-        rec = restricted_top_eig(chain, subset, lambda2=lam2, tol=1e-9)
+        rec = restricted_top_eig(chain, subset, lambda2=lam2)
         assert rec.refined_pass, (n, d, subset)
         if rec.plain_applicable:
             assert rec.plain_pass, (n, d, subset)
@@ -109,7 +112,8 @@ def test_criterion_03_restricted_root_bounds():
 def test_criterion_04_survival_norm_perron_chain():
     t0 = time.perf_counter()
     k4 = srw_chain(wl.build_named("complete", 4))
-    rep = verify_spectral_hit(k4, [0, 1], list(range(101)), tol=1e-10)
+    assert SURVIVAL_TOL == 1e-10
+    rep = verify_spectral_hit(k4, [0, 1], list(range(101)))
     assert rep.all_passed
     for check in rep.survival_checks:
         if check.name.startswith("norm-le-perron"):
@@ -123,7 +127,7 @@ def test_criterion_04_survival_norm_perron_chain():
         size = int(rng.integers(2, max(3, n // 2)))
         subset = sorted(int(v) for v in rng.choice(n, size=size,
                                                    replace=False))
-        rep = verify_spectral_hit(chain, subset, list(range(101)), tol=1e-10)
+        rep = verify_spectral_hit(chain, subset, list(range(101)))
         assert rep.all_passed, (n, subset)
     _done(4, "survival/norm/Perron chain at t <= 100 on 101 pairs", t0, 30.0)
 
@@ -185,9 +189,10 @@ def test_criterion_07_signed_path_counts():
 
 def test_criterion_08_level_bound_and_domination():
     t0 = time.perf_counter()
+    assert TD1_C0 == 0.125
     for d in (3, 4, 5):
         for k in (1, 2):
-            rep = td1_bound_check(d, k, c0=0.125)
+            rep = td1_bound_check(d, k)
             assert rep.lhs >= rep.rhs - 1e-12, (d, k)
     pet = wl.build_named("petersen")
     dom = kernel_domination_check(pet, srw_chain(pet), 0, 1, 3)

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import walklab
 from walklab.cli import main
 from walklab.reports import dumps_canonical, emit_summary, read_report
 from walklab.suites import (ConfigError, ExperimentConfig, build_graph,
@@ -62,6 +65,56 @@ def test_malformed_file_is_usage_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "line 3" in err
+
+
+PETERSEN = {"kind": "named", "name": "petersen"}
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("hit", "--alpha", "1.5"), None, "alpha must lie in (0, 1), got 1.5"),
+    (("verify", "--alpha", "1.0"), None, "alpha must lie in (0, 1)"),
+    (("hit", "--alpha", "0"), None, "alpha must lie in (0, 1)"),
+    (("mix", "--eps", "0"), None, "eps must lie in (0, 1)"),
+    (("tree", "--seed", "-1"), None, "seed must be an integer >= 0, got -1"),
+    (("tree",), {"seed": 2 ** 64}, "seed must be below 2**64"),
+    (("walk", "--trials", "-5"), None, "trials must be an integer >= 1"),
+    (("walk", "--steps", "-3"), None, "steps must be an integer >= 0"),
+    (("walk", "--k", "0"), None, "k must be an integer >= 1"),
+    (("hit",), {"t_grid": [0, -1, 2]}, "each t_grid entry must be"),
+    (("hit",), {"t_grid": []}, "t_grid must be a nonempty list"),
+    (("verify",), {"suites": "spectral"}, "suites must be a nonempty list"),
+    (("verify",), {"suites": []}, "suites must be a nonempty list, got ()"),
+    (("gen",), {"graph": {"kind": "random-regular", "n": 10, "d": 3,
+                          "seed": -1}}, "graph seed must be an integer"),
+], ids=["alpha-1.5", "alpha-1.0", "alpha-0", "eps-0", "seed", "seed-2**64",
+        "trials", "steps", "k", "t_grid-negative", "t_grid-empty",
+        "suites-string", "suites-empty", "graph-seed"])
+def test_bad_config_values_are_usage_errors(tmp_path, capsys, argv, config,
+                                            message):
+    args = [*argv, "--graph", "petersen", "--out", str(tmp_path / "o")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    assert run_cli(*args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("walklab: error: " + message)
+    assert err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "o")
+
+
+def test_cli_prints_the_text_report_and_closes_its_files(tmp_path):
+    # a file left open would show as a ResourceWarning, raised as an error
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(walklab.__file__)))
+    env.pop("WALKLAB_OUT", None)
+    out = tmp_path / "tree"
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m",
+         "walklab.cli", "tree", "--graph", "petersen", "--out", str(out)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (out / "report.txt").read_text()
 
 
 def test_unknown_graph_is_usage_error(tmp_path):

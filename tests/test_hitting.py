@@ -652,7 +652,7 @@ def test_candidate_family_sequence(petersen, petersen_chain):
     assert list(np.diff(fam.offsets)) == [len(s) for s in sets]
 
 
-def test_run_suite_builds_the_family_once(monkeypatch):
+def test_run_suite_builds_the_family_once(monkeypatch, tmp_path):
     from walklab import chains, graphs, spectral, walks
     from walklab.suites import ExperimentConfig, run_suite
     builds = []
@@ -684,8 +684,9 @@ def test_run_suite_builds_the_family_once(monkeypatch):
     monkeypatch.setattr(walks, "sphere_hit_distribution",
                         lambda *args: walk_solves.append(args) or solve(*args))
     cfg = ExperimentConfig(graph={"kind": "random-regular", "n": 64, "d": 3,
-                                  "seed": 8}, trials=200, seed=3)
-    report, _ = run_suite(cfg, write=False)
+                                  "seed": 8}, trials=200, seed=3,
+                           out_dir=str(tmp_path / "rr64"))
+    report, _ = run_suite(cfg)
     # spectral and hitting suites, the hit quantile and the escape
     # experiment all read the family
     assert any(r["name"] == "escape-decomposition" for r in report.records)
@@ -707,31 +708,42 @@ def test_run_suite_builds_the_family_once(monkeypatch):
     # on a certified Cayley graph one start and one center stand for all
     calls.clear()
     cfg = ExperimentConfig(graph={"kind": "lps", "p": 17, "q": 13},
-                           suites=("mixing", "inflation"))
-    report, _ = run_suite(cfg, write=False)
+                           suites=("mixing", "inflation"),
+                           out_dir=str(tmp_path / "lps"))
+    report, _ = run_suite(cfg)
     assert report.all_passed
     [(_, prof)] = calls["mixing_profile"]
     assert prof.starts == (0,) and prof.exact_starts
     assert len(calls["sphere_hit_distribution"]) == 1
 
 
-def test_one_suite_alone_solves_only_what_it_reads(monkeypatch):
+def test_one_suite_alone_solves_only_what_it_reads(monkeypatch, tmp_path):
+    from walklab import spectral
     from walklab.suites import ExperimentConfig, build_graph, run_suite
     solves = []
     solve = hitting.sphere_hit_distribution
     monkeypatch.setattr(hitting, "sphere_hit_distribution",
                         lambda *args: solves.append(args[1]) or solve(*args))
+    spectra = []
+    spectrum = spectral.spectrum
+    monkeypatch.setattr(spectral, "spectrum",
+                        lambda *args, **kwargs: spectra.append(args)
+                        or spectrum(*args, **kwargs))
     graph = {"kind": "random-regular", "n": 64, "d": 3, "seed": 8}
-    run_suite(ExperimentConfig(graph=graph, suites=("inflation",)),
-              write=False)
+    run_suite(ExperimentConfig(graph=graph, suites=("inflation",),
+                               out_dir=str(tmp_path)))
     assert solves == list(range(64))
+    # neither the inflation nor the tree suite reads the spectrum
+    run_suite(ExperimentConfig(graph=graph, suites=("tree",),
+                               out_dir=str(tmp_path)))
+    assert spectra == []
     # the walk suite solves the member union of the family, which on the
     # certified LPS(17,13) is seeded at vertex 0 alone
     for graph in (graph, {"kind": "lps", "p": 17, "q": 13}):
         solves.clear()
         cfg = ExperimentConfig(graph=graph, suites=("walk",), trials=200,
-                               seed=3)
-        run_suite(cfg, write=False)
+                               seed=3, out_dir=str(tmp_path))
+        run_suite(cfg)
         g = build_graph(graph)
         family = candidate_small_sets(srw_chain(g), cfg.alpha, graph=g)
         assert solves == np.unique(family.members).tolist()

@@ -138,14 +138,14 @@ def test_iterative_rejects_reducible_and_single_state(c6):
         spectrum(single, mode="iterative-extremal")
 
 
-def test_spectrum_dense_budget(monkeypatch, petersen_chain):
+def test_spectrum_dense_budget(monkeypatch, petersen_chain, tmp_path):
     # spectrum and the suites read the one budget when they run
     monkeypatch.setattr(spectral, "DENSE_BUDGET", 5)
     with pytest.raises(SpectralError, match="budget is n <= 5"):
         spectrum(petersen_chain)
     report, _ = run_suite(ExperimentConfig(
-        graph={"kind": "named", "name": "petersen"}, suites=("spectral",)),
-        write=False)
+        graph={"kind": "named", "name": "petersen"}, suites=("spectral",),
+        out_dir=str(tmp_path)))
     assert report.records[1]["note"] == "iterative-extremal"
     assert not any(r["name"] == "restricted-comparison-vs-blend"
                    for r in report.records)
@@ -547,21 +547,22 @@ def test_block_spectrum_matches_dense_eigvalsh(name):
     assert (s.t_rel == math.inf) == periodic
 
 
-def test_spectral_suite_records_the_blocks():
+def test_spectral_suite_records_the_blocks(tmp_path):
     for spec, blocks in (
             ({"kind": "named", "name": "hypercube", "dim": 3},
              {"m": 2, "size": 4}),
             ({"kind": "lps", "p": 17, "q": 13}, {"m": 13, "size": 84}),
             ({"kind": "named", "name": "petersen"}, None)):
-        cfg = ExperimentConfig(graph=spec, suites=("spectral",))
-        report, _ = run_suite(cfg, write=False)
+        cfg = ExperimentConfig(graph=spec, suites=("spectral",),
+                               out_dir=str(tmp_path))
+        report, _ = run_suite(cfg)
         recs = {r["name"]: r for r in report.records}
         assert recs["spectrum"]["extra"].get("blocks") == blocks
         for name in ("trace-first-moment", "trace-second-moment"):
             assert recs[name]["passed"] is True
 
 
-def test_spectral_suite_blends_without_a_power_chain(monkeypatch):
+def test_spectral_suite_blends_without_a_power_chain(monkeypatch, tmp_path):
     # the blend reads the sorted product K @ K; sha256 of each canonical
     # restricted-comparison-vs-blend record, whose two roots come from the
     # plain Lanczos run of spectral._lanczos_extremal
@@ -574,8 +575,9 @@ def test_spectral_suite_blends_without_a_power_chain(monkeypatch):
              "961e92ee4f9d8a01944681ad0873438de4d1404608c1b51b7a4a19ee8fc5e3c9"),
             ({"kind": "random-regular", "n": 64, "d": 3, "seed": 8},
              "c11135a3f3020b3dc8e201bc4a76923fbd943330a37e848ccdc19ce273f2a806")):
-        cfg = ExperimentConfig(graph=spec, suites=("spectral",), seed=3)
-        report, _ = run_suite(cfg, write=False)
+        cfg = ExperimentConfig(graph=spec, suites=("spectral",), seed=3,
+                               out_dir=str(tmp_path))
+        report, _ = run_suite(cfg)
         rec, = [r for r in report.records
                 if r["name"] == "restricted-comparison-vs-blend"]
         assert hashlib.sha256(
@@ -617,7 +619,8 @@ def test_block_spectrum_keeps_exact_zeros():
     assert s.eigenvalues.tolist() == [1.0, 0.0, 0.0, -1.0]
 
 
-def test_plain_records_do_not_hang_on_the_sign_of_a_zero_lambda2():
+def test_plain_records_do_not_hang_on_the_sign_of_a_zero_lambda2(
+        monkeypatch):
     # an ulp either side of C4's lambda2 = 0 keeps the same records: the
     # plain bound applies from -tol, inside its pass test's slack
     from walklab.suites import Run, spectral_suite
@@ -629,7 +632,9 @@ def test_plain_records_do_not_hang_on_the_sign_of_a_zero_lambda2():
     kept = []
     for lam2 in (1e-17, -1e-17):
         summary = dataclasses.replace(exact, lambda2=lam2)
-        recs, _ = spectral_suite(Run(cfg, c4, chain, summary))
+        monkeypatch.setattr(spectral, "spectrum",
+                            lambda *args, summary=summary, **kwargs: summary)
+        recs, _ = spectral_suite(Run(cfg, c4, chain))
         kept.append([(r["name"], r["passed"]) for r in recs
                      if r["name"].startswith("restricted-")])
     assert kept[0] == kept[1]

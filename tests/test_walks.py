@@ -177,6 +177,16 @@ def test_escape_transfer_petersen(petersen):
     assert rep.n_sets > 0
 
 
+def test_escape_transfer_takes_a_list_of_sets(petersen):
+    chain = srw_chain(petersen)
+    family = candidate_small_sets(chain, 0.25, graph=petersen)
+    k_chain = srw_chain(inflate(petersen, 2))
+    reps = [escape_transfer_experiment(petersen, chain, sets, k_chain, k=2,
+                                       t=6, s=3, trials=500, seed=5)
+            for sets in (family, list(family))]
+    assert reps[0] == reps[1]
+
+
 def test_escape_transfer_t_zero(petersen):
     rep = escape_transfer(petersen, 0.25, k=2, t=0, s=4, trials=500, seed=2)
     assert rep.tau_t == 0
@@ -439,10 +449,11 @@ def test_tv_noise_bound_grows_with_the_support():
                 > tv_noise_bound(law, trials)
 
 
-def test_walk_suite_gates_against_the_noise_bound():
+def test_walk_suite_gates_against_the_noise_bound(tmp_path):
     cfg = ExperimentConfig(graph={"kind": "named", "name": "petersen"},
-                           suites=("walk",), trials=100_000, seed=3)
-    report, _ = run_suite(cfg, write=False)
+                           suites=("walk",), trials=100_000, seed=3,
+                           out_dir=str(tmp_path))
+    report, _ = run_suite(cfg)
     rec = next(r for r in report.records
                if r["name"] == "empirical-y-kernel-tv")
     assert rec["rhs"] == tv_noise_bound(np.full(6, 1 / 6), 100_000)
