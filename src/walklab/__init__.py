@@ -48,7 +48,6 @@ from .hitting import (
     SphereHit,
     SphereHits,
     WvsKReport,
-    survival_probability,
     hit_quantile,
     verify_spectral_hit,
     sphere_hit_distribution,

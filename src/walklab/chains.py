@@ -9,6 +9,7 @@ detailed balance are validated to 1e-12 at construction.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ MIXING_BLOCK_COLUMNS = 128     # >= 2; see mixing_profile
 EXACT_START_LIMIT = 5000       # see mixing_profile
 SAMPLE_STARTS = 64
 MAX_MIXING_STEPS = 100_000
+FAMILY_CHUNK_ROWS = 16_384     # see _family_blocks
 
 APERIODIC = "aperiodic"
 BIPARTITE_PERIODIC = "bipartite-periodic"
@@ -119,6 +121,96 @@ def chain_from_kernel(kernel, stationary) -> ReversibleChain:
     return ReversibleChain(
         n=n, kernel=kernel, stationary=pi, period_info=period,
         components=comps)
+
+
+# ---------------------------------------------------------------------------
+# restrictions to sets
+
+
+def _as_arrays(sets):
+    """``(members, offsets)`` of a family of sets, read off a family that
+    carries them (a :class:`hitting.CandidateFamily`), else packed."""
+    if hasattr(sets, "offsets"):
+        return sets.members, sets.offsets
+    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    members = np.fromiter(itertools.chain.from_iterable(sets),
+                          dtype=np.int64, count=int(offsets[-1]))
+    return members, offsets
+
+
+def _family_blocks(kernel, sets):
+    """Block-diagonal stacks of the restrictions K_A = kernel[A][:, A].
+
+    The only code that restricts a kernel to a set.  Whole families come
+    from :func:`hitting.family_survival` and :func:`hitting.hit_quantile`;
+    one set (``[A]``, one block) from the worst-start replay of
+    ``hit_quantile``, :func:`hitting.verify_spectral_hit`, the Perron
+    ranking of :func:`hitting.candidate_small_sets` and
+    :func:`spectral.restricted_top_eig`, which
+    :func:`spectral.compare_restricted` calls.  Each set must be nonempty
+    and sorted, with distinct entries in range, or :class:`ChainError` is
+    raised.
+
+    Consecutive sets share a block until it holds about
+    ``FAMILY_CHUNK_ROWS`` rows, or until one more set would take the slot
+    map (below) past 16 ``FAMILY_CHUNK_ROWS`` entries, which bounds the
+    memory of a step: a map holds at most max(16 ``FAMILY_CHUNK_ROWS``, n)
+    entries, n for a set alone in its chunk.  Yields ``(lo, starts,
+    block)``: the block stacks the sets from ``sets[lo]`` on, and set
+    ``lo + i`` owns the rows from ``starts[i]``.  Every row keeps the
+    entry order of kernel[A][:, A], so a block matvec equals the per-set
+    matvecs bit for bit.
+
+    The kernel rows of a chunk's members are sliced out together; an
+    entry (set, column) finds its block column by one gather in an int32
+    slot map local[set, vertex], which holds the vertex's block row, or
+    -1 when the vertex is not in the set.
+    """
+    kernel = sp.csr_matrix(kernel)
+    n = kernel.shape[0]
+    cap = 16 * FAMILY_CHUNK_ROWS
+    all_members, offsets = _as_arrays(sets)
+    lo = 0
+    while lo < len(sets):
+        last = np.searchsorted(offsets, offsets[lo] + FAMILY_CHUNK_ROWS,
+                               side="right") - 1
+        hi = max(min(int(last), lo + cap // max(n, 1)), lo + 1)
+        sizes = np.diff(offsets[lo:hi + 1])
+        members = all_members[offsets[lo]:offsets[hi]]
+        rows = len(members)
+        owner = np.repeat(np.arange(hi - lo), sizes)
+        # (set, vertex) keys; their sorted order is the block's row order
+        keys = owner * n + members
+        if np.any(sizes == 0) or np.any(np.diff(keys) <= 0) \
+                or np.any(members < 0) or np.any(members >= n):
+            raise ChainError(
+                "sets must be nonempty, sorted, distinct and in range")
+        sub = kernel[members]
+        entry_row = np.repeat(np.arange(rows), np.diff(sub.indptr))
+        col = _block_columns(owner, members, owner[entry_row], sub.indices, n)
+        keep = col >= 0
+        indptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(entry_row[keep], minlength=rows), out=indptr[1:])
+        block = sp.csr_matrix((sub.data[keep], col[keep], indptr),
+                              shape=(rows, rows))
+        yield lo, np.cumsum(sizes) - sizes, block
+        lo = hi
+
+
+def _block_columns(owner, members, entry_set, entry_col, n):
+    """Block row of the member (entry_set[e], entry_col[e]) for every
+    entry e, or -1 where entry_col[e] is not in set entry_set[e].
+
+    Member i is vertex members[i] of set owner[i].  The slot map spans
+    every vertex of every set in the chunk: sets x n entries, at most
+    max(16 ``FAMILY_CHUNK_ROWS``, n) under the chunking of
+    :func:`_family_blocks`.
+    """
+    local = np.full((int(owner[-1]) + 1, n), -1, dtype=np.int32)
+    local[owner, members] = np.arange(len(members))
+    return local[entry_set, entry_col]
 
 
 def evolve(chain: ReversibleChain, mu0: np.ndarray, t: int) -> np.ndarray:

@@ -23,7 +23,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .checks import Check
-from .chains import ReversibleChain, APERIODIC, MixingProfile
+from .chains import (ReversibleChain, APERIODIC, MixingProfile,
+                     _family_blocks)
 from .graphs import (Graph, _bfs_levels, _scan_vertices, ball_table,
                      vertex_transitive)
 from .spectral import restricted_top_eig
@@ -31,7 +32,6 @@ from .spectral import restricted_top_eig
 EXACT_SEARCH_LIMIT = 20
 MAX_QUANTILE_STEPS = 100_000
 MAX_GREEDY_SETS = 4096         # see candidate_small_sets
-FAMILY_CHUNK_ROWS = 16_384
 SURVIVAL_TOL = 1e-10           # slack of the survival and quantile checks
 
 
@@ -43,94 +43,12 @@ class HittingError(ValueError):
 # survival under killing
 
 
-def _restriction(chain: ReversibleChain, subset):
-    idx = np.asarray(sorted(set(int(v) for v in subset)), dtype=np.int64)
-    if len(idx) == 0:
-        raise HittingError("subset must be nonempty")
-    if idx[0] < 0 or idx[-1] >= chain.n:
-        raise HittingError("subset contains out-of-range states")
-    return idx, chain.kernel[idx][:, idx].tocsr()
-
-
-def survival_vector(chain: ReversibleChain, subset, t: int) -> np.ndarray:
-    """(P_A^t 1)(a) for every a in sorted(A)."""
-    idx, sub = _restriction(chain, subset)
-    u = np.ones(len(idx))
-    for _ in range(t):
-        u = sub @ u
-    return u
-
-
-def _family_blocks(kernel, sets):
-    """Block-diagonal stacks of the restrictions kernel[A][:, A].
-
-    Consecutive sets share a block until it holds about
-    ``FAMILY_CHUNK_ROWS`` rows, or until one more set would take the slot
-    map (below) past 16 ``FAMILY_CHUNK_ROWS`` entries, which bounds the
-    memory of a step: a map holds at most max(16 ``FAMILY_CHUNK_ROWS``, n)
-    entries, n for a set alone in its chunk.  Yields ``(lo, starts,
-    block)``: the block stacks the sets from ``sets[lo]`` on, and set
-    ``lo + i`` owns the rows from ``starts[i]``.  Every row keeps the
-    entry order of kernel[A][:, A], so a block matvec equals the per-set
-    matvecs bit for bit.  Each set must be nonempty and sorted, with
-    distinct entries.  A :class:`CandidateFamily` is read through its
-    arrays.
-
-    The kernel rows of a chunk's members are sliced out together; an
-    entry (set, column) finds its block column by one gather in an int32
-    slot map local[set, vertex], which holds the vertex's block row, or
-    -1 when the vertex is not in the set.
-    """
-    kernel = sp.csr_matrix(kernel)
-    n = kernel.shape[0]
-    cap = 16 * FAMILY_CHUNK_ROWS
-    all_members, offsets = _as_arrays(sets)
-    lo = 0
-    while lo < len(sets):
-        last = np.searchsorted(offsets, offsets[lo] + FAMILY_CHUNK_ROWS,
-                               side="right") - 1
-        hi = max(min(int(last), lo + cap // max(n, 1)), lo + 1)
-        sizes = np.diff(offsets[lo:hi + 1])
-        members = all_members[offsets[lo]:offsets[hi]]
-        rows = len(members)
-        owner = np.repeat(np.arange(hi - lo), sizes)
-        # (set, vertex) keys; their sorted order is the block's row order
-        keys = owner * n + members
-        if np.any(sizes == 0) or np.any(np.diff(keys) <= 0) \
-                or np.any(members < 0) or np.any(members >= n):
-            raise HittingError(
-                "sets must be nonempty, sorted, distinct and in range")
-        sub = kernel[members]
-        entry_row = np.repeat(np.arange(rows), np.diff(sub.indptr))
-        col = _block_columns(owner, members, owner[entry_row], sub.indices, n)
-        keep = col >= 0
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(entry_row[keep], minlength=rows), out=indptr[1:])
-        block = sp.csr_matrix((sub.data[keep], col[keep], indptr),
-                              shape=(rows, rows))
-        yield lo, np.cumsum(sizes) - sizes, block
-        lo = hi
-
-
-def _block_columns(owner, members, entry_set, entry_col, n):
-    """Block row of the member (entry_set[e], entry_col[e]) for every
-    entry e, or -1 where entry_col[e] is not in set entry_set[e].
-
-    Member i is vertex members[i] of set owner[i].  The slot map spans
-    every vertex of every set in the chunk: sets x n entries, at most
-    max(16 ``FAMILY_CHUNK_ROWS``, n) under the chunking of
-    :func:`_family_blocks`.
-    """
-    local = np.full((int(owner[-1]) + 1, n), -1, dtype=np.int32)
-    local[owner, members] = np.arange(len(members))
-    return local[entry_set, entry_col]
-
-
 def family_survival(kernel, sets, t: int) -> np.ndarray:
     """max_a (K_A^t 1)(a) for every set A of the family, in family order.
 
-    One block-diagonal matvec per step advances a whole chunk of sets;
-    ``np.maximum.reduceat`` takes each set's maximum.
+    One block-diagonal matvec per step advances a whole chunk of sets of
+    :func:`chains._family_blocks`; ``np.maximum.reduceat`` takes each
+    set's maximum.
     """
     out = np.empty(len(sets))
     for lo, starts, block in _family_blocks(kernel, sets):
@@ -139,17 +57,6 @@ def family_survival(kernel, sets, t: int) -> np.ndarray:
             u = block @ u
         out[lo:lo + len(starts)] = np.maximum.reduceat(u, starts)
     return out
-
-
-def survival_probability(chain: ReversibleChain, subset, a: int, t: int) -> float:
-    """P_a[T_{A^c} > t]: probability of staying in A for t steps from a."""
-    subset = sorted(set(int(v) for v in subset))
-    if a not in subset:
-        raise HittingError(f"start {a} is not in the subset")
-    if t < 0:
-        raise HittingError("t must be >= 0")
-    u = survival_vector(chain, subset, t)
-    return float(u[subset.index(a)])
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +89,6 @@ class CandidateFamily(Sequence):
         if not 0 <= i < len(self):
             raise IndexError("candidate family index out of range")
         return tuple(self.members[self.offsets[i]:self.offsets[i + 1]].tolist())
-
-
-def _as_arrays(sets):
-    """``(members, offsets)`` of a family given as a sequence of sets."""
-    if isinstance(sets, CandidateFamily):
-        return sets.members, sets.offsets
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    members = np.fromiter(itertools.chain.from_iterable(sets),
-                          dtype=np.int64, count=int(offsets[-1]))
-    return members, offsets
 
 
 def candidate_small_sets(chain: ReversibleChain, alpha: float,
@@ -294,7 +189,7 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
     for ball in balls:
         if len(ball) < 2 or len(ball) >= n:
             continue
-        sub = chain.kernel[ball][:, ball].tocsr()
+        _, _, sub = next(_family_blocks(chain.kernel, [ball]))
         weight = np.ones(len(ball)) / len(ball)
         for _ in range(50):
             nxt = sub @ weight
@@ -365,8 +260,8 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
     # last[i]: last step at which set i's survival exceeds eps.  A set
     # stays dead once its peak drops to eps or below, since killed-chain
     # survival maxima never increase.  The worst set's first maximizer at
-    # that step comes from replaying it alone: its block rows and its own
-    # matvecs give the same bits (see _family_blocks).
+    # that step comes from replaying it alone in a one-set block, which
+    # gives the same bits as its rows in the family's block.
     last = np.empty(len(sets), dtype=np.int64)
     for lo, starts, block in _family_blocks(chain.kernel, sets):
         u = np.ones(block.shape[0])
@@ -385,8 +280,11 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
     worst = int(np.flatnonzero(last == last.max())[-1])
     crossing = int(last[worst]) + 1
     worst_set = sets[worst]
-    worst_start = worst_set[int(np.argmax(
-        survival_vector(chain, worst_set, crossing - 1)))]
+    _, _, block = next(_family_blocks(chain.kernel, [worst_set]))
+    u = np.ones(len(worst_set))
+    for _ in range(crossing - 1):
+        u = block @ u
+    worst_start = worst_set[int(np.argmax(u))]
     return HitQuantile(time=crossing, alpha=alpha, eps=eps, mode=mode,
                        n_sets=len(sets), worst_set=worst_set,
                        worst_start=worst_start)
@@ -429,9 +327,10 @@ def verify_spectral_hit(chain: ReversibleChain, subset, t_list) -> HitReport:
     rec = restricted_top_eig(chain, subset)
     low = max(rec.lambda_A - rec.residual, 0.0)
 
-    idx, sub = _restriction(chain, subset)
-    pi_A = pi[idx] / pi[idx].sum()
-    u = np.ones(len(idx))
+    _, _, sub = next(_family_blocks(chain.kernel, [subset]))
+    pi_A = pi[list(subset)]
+    pi_A = pi_A / pi_A.sum()
+    u = np.ones(len(subset))
     checks = []
     middles = []
     curve = []

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .chains import ReversibleChain
+from .chains import ReversibleChain, _family_blocks
 from .graphs import Graph, _sorted_lookup, cyclic_automorphism, is_bipartite
 
 DENSE_BUDGET = 3000
@@ -290,7 +290,10 @@ def spectrum(chain: ReversibleChain, mode: str = "dense-full",
     where its estimate is below eps |theta|; the run stops when both ends
     have one, or on a breakdown, and a second pass replays the recurrence
     to form the two Ritz vectors, so memory is a few vectors of length n.
-    A negative lambda2 is found like any other.
+    A negative lambda2 is found like any other.  On a reducible chain
+    lambda2 = 1 exactly, with residual 0: sqrt(pi) on one class is an
+    eigenvector for 1 orthogonal to u.  The run then seeks lambda_min
+    alone.
     ``residuals`` holds each value's residual ||S x - theta x|| and, under
     both iteration keys, the operator applications of the shared run
     (both passes).  A residual r certifies that *some*
@@ -325,16 +328,18 @@ def spectrum(chain: ReversibleChain, mode: str = "dense-full",
 
     if mode != "iterative-extremal":
         raise SpectralError(f"unknown spectrum mode {mode!r}")
-    if not chain.is_irreducible:
-        raise SpectralError("iterative mode requires an irreducible chain")
     if chain.n < 2:
         raise SpectralError("iterative mode needs at least two states")
 
     s = symmetrized(chain)
     top = np.sqrt(chain.stationary)
     top /= np.linalg.norm(top)
-    ((lambda2, res2), (lambda_min, resm)), steps = _lanczos_extremal(
-        s, (-1, 0), top)
+    if chain.is_irreducible:
+        ((lambda2, res2), (lambda_min, resm)), steps = _lanczos_extremal(
+            s, (-1, 0), top)
+    else:
+        lambda2, res2 = 1.0, 0.0
+        ((lambda_min, resm),), steps = _lanczos_extremal(s, (0,), top)
     residuals = {"lambda2": res2, "lambda2_iterations": steps,
                  "lambda_min": resm, "lambda_min_iterations": steps}
     lam = _lambda_star(lambda2, lambda_min)
@@ -461,7 +466,9 @@ def restricted_top_eig(chain: ReversibleChain, subset,
                        lambda2=None) -> RestrictedEig:
     """Largest eigenvalue of P_A, by Lanczos on its symmetrization.
 
-    A must be a proper nonempty subset.  S_A = D^{1/2} P_A D^{-1/2} is
+    A must be a proper nonempty subset; P_A comes from
+    :func:`chains._family_blocks`, which raises :class:`chains.ChainError`
+    for a state out of range.  S_A = D^{1/2} P_A D^{-1/2} is
     symmetric and nonnegative, so its largest eigenvalue is lambda(A).
     On one state, or when P_A stores no entries, that is P_A's largest
     diagonal entry, with residual 0.  Otherwise :func:`_lanczos_extremal`
@@ -478,9 +485,8 @@ def restricted_top_eig(chain: ReversibleChain, subset,
         raise SpectralError("subset must be nonempty")
     if len(subset) >= chain.n:
         raise SpectralError("subset must be a proper subset of the states")
-    idx = np.asarray(subset, dtype=np.int64)
-    sub = chain.kernel[idx][:, idx].tocsr()
-    pi_sub = chain.stationary[idx]
+    _, _, sub = next(_family_blocks(chain.kernel, [subset]))
+    pi_sub = chain.stationary[list(subset)]
     root = np.sqrt(pi_sub)
     s_sub = (sp.diags(root) @ sub @ sp.diags(1.0 / root)).tocsr()
     if len(subset) == 1 or sub.nnz == 0:

@@ -287,11 +287,12 @@ def spectral_suite(run: Run) -> tuple:
 
 
 def mixing_suite(run: Run) -> tuple:
-    g, chain, summary, cfg = run.g, run.chain, run.summary, run.cfg
+    g, chain, cfg = run.g, run.chain, run.cfg
     if chain.period_info != C.APERIODIC:
         return [_skip("mixing", "chain is bipartite-periodic")], {}
     if not chain.is_irreducible:
         return [_skip("mixing", "chain is reducible")], {}
+    summary = run.summary
     recs = []
     csvs = {}
     prof = run.profile
@@ -340,12 +341,13 @@ def mixing_suite(run: Run) -> tuple:
 
 
 def hitting_suite(run: Run) -> tuple:
-    chain, summary, cfg = run.chain, run.summary, run.cfg
+    chain, cfg = run.chain, run.cfg
     recs = []
     csvs = {}
     sets = run.family
     if not sets:
         return [_skip("hitting", f"no sets with mass <= alpha={cfg.alpha}")], {}
+    summary = run.summary
     sets = _spread(sets, 6)
     t_list = tuple(cfg.t_grid)
     worst_curve = None

@@ -42,8 +42,8 @@ from .checks import Check
 # tracer wraps walks.bfs_distances
 from .graphs import (Graph, ball_table, bfs_distances,  # noqa: F401
                      is_connected)
-from .chains import ReversibleChain
-from .hitting import (SphereHits, _as_arrays, _sphere_hits, family_survival,
+from .chains import ReversibleChain, _as_arrays
+from .hitting import (SphereHits, _sphere_hits, family_survival,
                       sphere_hit_distribution)
 
 

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 from collections import deque
 
 import numpy as np
@@ -602,3 +604,42 @@ def test_mixing_profile_max_steps_boundary(monkeypatch, random_cubic_medium,
     with pytest.raises(ChainError, match="no mixing below eps=0.25 within "
                                          f"{last - 1} steps"):
         mixing_profile(chain, [0.25])
+
+
+class KernelSubscripts(ast.NodeVisitor):
+    """(module, innermost function, line) of every subscript of a kernel:
+    ``<anything>.kernel[...]``, or ``kernel[...]`` on a plain name."""
+
+    def __init__(self, module):
+        self.module, self.function, self.sites = module, None, []
+
+    def visit_FunctionDef(self, node):
+        outer, self.function = self.function, node.name
+        self.generic_visit(node)
+        self.function = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Subscript(self, node):
+        target = node.value
+        if isinstance(target, ast.Attribute) and target.attr == "kernel" \
+                or isinstance(target, ast.Name) and target.id == "kernel":
+            self.sites.append((self.module, self.function, node.lineno))
+        self.generic_visit(node)
+
+
+def kernel_subscripts(package_dir):
+    sites = []
+    for path in sorted(pathlib.Path(package_dir).glob("*.py")):
+        finder = KernelSubscripts(path.stem)
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites += finder.sites
+    return sites
+
+
+def test_only_the_family_blocks_slice_a_kernel():
+    # every K_A = kernel[A][:, A] comes from chains._family_blocks, which
+    # checks each set; a second slicing site would need its own checks
+    sites = kernel_subscripts(pathlib.Path(chains.__file__).parent)
+    assert [site for site in sites if site[1] != "_family_blocks"] == []
+    assert {site[0] for site in sites} == {"chains"}

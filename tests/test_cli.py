@@ -295,3 +295,66 @@ def test_all_suites_on_cycles_skip_the_walk(tmp_path, n):
     assert [(r["suite"], r["name"], r["note"]) for r in rep["records"]
             if r["suite"] == "walk"] == [
         ("walk", "suite-skipped", "needs a regular graph with d >= 3")]
+
+
+def zoo_spec(name, tmp_path):
+    """Graph spec of a small zoo member: P4, K1,4 and two disjoint
+    Petersen graphs are read from edge-list files."""
+    petersen = walklab.build_named("petersen")
+    files = {
+        "path4": (4, [(0, 1), (1, 2), (2, 3)]),
+        "star4": (5, [(0, leaf) for leaf in range(1, 5)]),
+        "two-petersen": (20, list(petersen.edges)
+                         + [(u + 10, v + 10) for u, v in petersen.edges]),
+    }
+    if name in files:
+        path = str(tmp_path / f"{name}.txt")
+        walklab.write_edge_list(walklab.make_graph(*files[name]), path)
+        return {"kind": "file", "path": path}
+    kind, param, value = {"k2": ("complete", "n", 2), "c6": ("cycle", "n", 6),
+                          "c7": ("cycle", "n", 7),
+                          "q4": ("hypercube", "dim", 4)}[name]
+    return {"kind": "named", "name": kind, param: value}
+
+
+@pytest.mark.parametrize("small", [False, True],
+                         ids=["default-budgets", "small-budgets"])
+@pytest.mark.parametrize("name", ["two-petersen", "path4", "star4", "k2",
+                                  "c6", "c7", "q4"])
+def test_every_suite_reports_on_the_zoo(monkeypatch, tmp_path, name, small):
+    # disconnected, non-regular, bipartite and odd cycles, on the dense and
+    # the iterative spectrum and on exact and sampled mixing starts
+    from walklab import chains, spectral
+    from walklab.suites import SUITE_NAMES
+    if small:
+        monkeypatch.setattr(spectral, "DENSE_BUDGET", 1)
+        monkeypatch.setattr(chains, "EXACT_START_LIMIT", 1)
+    out = tmp_path / "out"
+    report, paths = run_suite(ExperimentConfig(
+        graph=zoo_spec(name, tmp_path), trials=200, out_dir=str(out)))
+    assert os.path.exists(out / "report.json")
+    assert {r["suite"] for r in report.records} == {"run", *SUITE_NAMES}
+    [spec] = [r for r in report.records if r["name"] == "spectrum"]
+    assert spec["note"] == ("iterative-extremal" if small else "dense-full")
+    if name == "two-petersen" and small:
+        # two classes: lambda2 = 1 exactly, stated with residual 0
+        assert spec["extra"]["lambda2"] == 1.0
+        assert spec["extra"]["residuals"]["lambda2"] == 0.0
+
+
+def test_skipped_suites_build_no_spectrum(monkeypatch, tmp_path):
+    from walklab import spectral
+    calls = []
+    spectrum = spectral.spectrum
+    monkeypatch.setattr(spectral, "spectrum",
+                        lambda *args, **kwargs: calls.append(args)
+                        or spectrum(*args, **kwargs))
+    q4 = {"kind": "named", "name": "hypercube", "dim": 4}
+    # Q4 is bipartite, so the mixing suite skips; at alpha = 0.05 no set
+    # fits under the mass 1/16 of a vertex, so the hitting suite skips
+    for suite, alpha in (("mixing", 0.25), ("hitting", 0.05)):
+        report, _ = run_suite(ExperimentConfig(
+            graph=q4, suites=(suite,), alpha=alpha, out_dir=str(tmp_path)))
+        assert [r["name"] for r in report.records
+                if r["suite"] == suite] == ["suite-skipped"]
+    assert calls == []

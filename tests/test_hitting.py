@@ -3,41 +3,50 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import walklab as wl
-from walklab import hitting
-from walklab.chains import mixing_profile, srw_chain
+from walklab import chains, hitting, spectral
+from walklab.chains import ChainError, mixing_profile, srw_chain
 from walklab.hitting import (HittingError, candidate_small_sets,
                              expected_hit_time, family_survival, hit_quantile,
                              hitmix_constant_record, quantile_halflog_check,
-                             sphere_hit_distribution, survival_probability,
-                             survival_vector, verify_spectral_hit,
+                             sphere_hit_distribution, verify_spectral_hit,
                              w_vs_k_report)
-from walklab.spectral import spectrum
+from walklab.spectral import restricted_top_eig, spectrum
+from walklab.suites import _spread
 
 
 # -- survival -----------------------------------------------------------------
 
+def survival_vector(chain, subset, t):
+    """Reference: (P_A^t 1)(a) for every a in sorted(A), by t matvecs
+    with the slice kernel[A][:, A]."""
+    idx = np.asarray(sorted(set(subset)), dtype=np.int64)
+    sub = chain.kernel[idx][:, idx].tocsr()
+    u = np.ones(len(idx))
+    for _ in range(t):
+        u = sub @ u
+    return u
+
+
 def test_survival_at_zero_is_one(petersen_chain):
     for a in (0, 3, 7):
-        assert survival_probability(petersen_chain, [a, (a + 1) % 10], a, 0) == 1.0
+        assert family_survival(petersen_chain.kernel,
+                               [sorted([a, (a + 1) % 10])], 0).tolist() \
+            == [1.0]
 
 
 def test_survival_singleton_k4(k4_chain):
-    assert survival_probability(k4_chain, [0], 0, 1) == 0.0
-    assert survival_probability(k4_chain, [0], 0, 5) == 0.0
+    assert family_survival(k4_chain.kernel, [(0,)], 1).tolist() == [0.0]
+    assert family_survival(k4_chain.kernel, [(0,)], 5).tolist() == [0.0]
 
 
 def test_survival_pair_k4_closed_form(k4_chain):
     # restriction is (1/3) x swap, so survival decays exactly as 3^-t
     for t in range(8):
-        got = survival_probability(k4_chain, [0, 1], 0, t)
+        [got] = family_survival(k4_chain.kernel, [(0, 1)], t)
         assert abs(got - 3.0 ** (-t)) < 1e-15
-
-
-def test_survival_requires_membership(k4_chain):
-    with pytest.raises(HittingError, match="not in the subset"):
-        survival_probability(k4_chain, [0, 1], 2, 1)
 
 
 def test_survival_vector_monotone(petersen_chain):
@@ -45,6 +54,8 @@ def test_survival_vector_monotone(petersen_chain):
     for t in range(1, 10):
         cur = survival_vector(petersen_chain, [0, 1, 2], t)
         assert np.all(cur <= prev + 1e-15)
+        assert family_survival(petersen_chain.kernel, [(0, 1, 2)],
+                               t).tolist() == [cur.max()]
         prev = cur
 
 
@@ -189,7 +200,7 @@ def test_tiny_chunks_give_identical_results(monkeypatch, cubic_family,
     sets = sets[::4]
     wide = family_survival(chain.kernel, sets, 9)
     wide_hq = hit_quantile(petersen_chain, 0.3, 0.02)
-    monkeypatch.setattr(hitting, "FAMILY_CHUNK_ROWS", 5)
+    monkeypatch.setattr(chains, "FAMILY_CHUNK_ROWS", 5)
     assert np.array_equal(family_survival(chain.kernel, sets, 9), wide)
     assert hit_quantile(petersen_chain, 0.3, 0.02) == wide_hq
 
@@ -210,7 +221,7 @@ def test_hit_quantile_max_steps_overflow(monkeypatch, petersen_chain):
 
 
 def test_family_survival_rejects_unsorted_sets(petersen_chain):
-    with pytest.raises(HittingError, match="sorted"):
+    with pytest.raises(ChainError, match="sorted"):
         family_survival(petersen_chain.kernel, [(3, 1)], 2)
 
 
@@ -221,11 +232,11 @@ def reference_family_blocks(kernel, sets):
     import scipy.sparse as sp
     kernel = sp.csr_matrix(kernel)
     n = kernel.shape[0]
-    all_members, offsets = hitting._as_arrays(sets)
+    all_members, offsets = chains._as_arrays(sets)
     lo = 0
     while lo < len(sets):
         last = np.searchsorted(offsets,
-                               offsets[lo] + hitting.FAMILY_CHUNK_ROWS,
+                               offsets[lo] + chains.FAMILY_CHUNK_ROWS,
                                side="right") - 1
         hi = max(int(last), lo + 1)
         sizes = np.diff(offsets[lo:hi + 1])
@@ -235,7 +246,7 @@ def reference_family_blocks(kernel, sets):
         keys = owner * n + members
         if np.any(sizes == 0) or np.any(np.diff(keys) <= 0) \
                 or np.any(members < 0) or np.any(members >= n):
-            raise HittingError(
+            raise ChainError(
                 "sets must be nonempty, sorted, distinct and in range")
         sub = kernel[members]
         entry_row = np.repeat(np.arange(rows), np.diff(sub.indptr))
@@ -274,7 +285,7 @@ def reference_survival(kernel, sets, t):
 
 
 def assert_blocks_match_reference(kernel, sets):
-    blocks = list(hitting._family_blocks(kernel, sets))
+    blocks = list(chains._family_blocks(kernel, sets))
     assert [lo for lo, _, _ in blocks] == \
         np.cumsum([0] + [len(st) for _, st, _ in blocks[:-1]]).tolist()
     for got, want in zip(per_set_pieces(blocks),
@@ -297,7 +308,7 @@ def assert_blocks_match_reference(kernel, sets):
 
 
 def recording_slot_maps(monkeypatch):
-    """Sizes of the 2-d int32 arrays (slot maps) that hitting.py
+    """Sizes of the 2-d int32 arrays (slot maps) that chains.py
     allocates with np.full."""
     import inspect
     sizes = []
@@ -306,12 +317,12 @@ def recording_slot_maps(monkeypatch):
     def recorded(shape, *args, **kwargs):
         out = full(shape, *args, **kwargs)
         caller = inspect.currentframe().f_back.f_globals["__name__"]
-        if caller == hitting.__name__ and out.dtype == np.int32 \
+        if caller == chains.__name__ and out.dtype == np.int32 \
                 and out.ndim == 2:
             sizes.append(out.size)
         return out
 
-    monkeypatch.setattr(hitting.np, "full", recorded)
+    monkeypatch.setattr(chains.np, "full", recorded)
     return sizes
 
 
@@ -322,11 +333,11 @@ def test_family_blocks_match_search_reference(monkeypatch, cubic_family,
     # default chunks: one slot map of sets x n entries per chunk
     blocks = assert_blocks_match_reference(chain.kernel, sets)
     assert len(blocks) > 1 and sizes
-    assert max(sizes) <= 16 * hitting.FAMILY_CHUNK_ROWS
+    assert max(sizes) <= 16 * chains.FAMILY_CHUNK_ROWS
     # tiny chunks, a bound of 80 entries: on n = 200 a set alone gets a
     # map of all n vertices; on n = 10 a chunk holds up to 5 rows from at
     # most 8 sets
-    monkeypatch.setattr(hitting, "FAMILY_CHUNK_ROWS", 5)
+    monkeypatch.setattr(chains, "FAMILY_CHUNK_ROWS", 5)
     sizes.clear()
     blocks = assert_blocks_match_reference(chain.kernel, sets[::7])
     assert all(len(starts) == 1 for _, starts, _ in blocks)
@@ -343,10 +354,10 @@ def test_singleton_chunks_close_on_the_slot_map_bound(monkeypatch,
     sets = [(v,) for v in range(n)] * 8
     sizes = recording_slot_maps(monkeypatch)
     blocks = assert_blocks_match_reference(chain.kernel, sets)
-    per_chunk = 16 * hitting.FAMILY_CHUNK_ROWS // n
+    per_chunk = 16 * chains.FAMILY_CHUNK_ROWS // n
     assert [len(starts) for _, starts, _ in blocks] == \
         [per_chunk] * (len(sets) // per_chunk) + [len(sets) % per_chunk]
-    assert max(sizes) == per_chunk * n <= 16 * hitting.FAMILY_CHUNK_ROWS
+    assert max(sizes) == per_chunk * n <= 16 * chains.FAMILY_CHUNK_ROWS
     # the rows alone would have closed one chunk
     assert len(list(reference_family_blocks(chain.kernel, sets))) == 1
 
@@ -354,12 +365,12 @@ def test_singleton_chunks_close_on_the_slot_map_bound(monkeypatch,
 @pytest.mark.parametrize("rows", [None, 5])
 def test_family_blocks_reject_bad_sets(monkeypatch, petersen_chain, rows):
     if rows is not None:
-        monkeypatch.setattr(hitting, "FAMILY_CHUNK_ROWS", rows)
+        monkeypatch.setattr(chains, "FAMILY_CHUNK_ROWS", rows)
     message = "^sets must be nonempty, sorted, distinct and in range$"
     for bad in ([(0, 1), ()], [(3, 1)], [(2, 5, 5)], [(4, 10)], [(-1, 2)]):
-        with pytest.raises(HittingError, match=message):
+        with pytest.raises(ChainError, match=message):
             family_survival(petersen_chain.kernel, bad, 2)
-        with pytest.raises(HittingError, match=message):
+        with pytest.raises(ChainError, match=message):
             list(reference_family_blocks(petersen_chain.kernel, bad))
 
 
@@ -523,9 +534,9 @@ def lps17_13():
     return wl.build_lps(17, 13)
 
 
-@pytest.mark.parametrize("name,alpha,max_sets,as_built", FAMILY_CASES)
-def test_candidate_family_matches_scalar_reference(monkeypatch, request, name,
-                                                   alpha, max_sets, as_built):
+def family_case(monkeypatch, request, name, max_sets, as_built):
+    """(graph, chain) of a ``FAMILY_CASES`` row, with its greedy bound
+    set."""
     lazy = name == "lazy_prism"
     g = request.getfixturevalue("prism" if lazy else name)
     if not as_built:
@@ -536,10 +547,42 @@ def test_candidate_family_matches_scalar_reference(monkeypatch, request, name,
         chain = wl.chain_from_kernel((chain.kernel + np.eye(g.n)) * 0.5,
                                      chain.stationary)
     monkeypatch.setattr(hitting, "MAX_GREEDY_SETS", max_sets)
+    return g, chain
+
+
+@pytest.mark.parametrize("name,alpha,max_sets,as_built", FAMILY_CASES)
+def test_candidate_family_matches_scalar_reference(monkeypatch, request, name,
+                                                   alpha, max_sets, as_built):
+    g, chain = family_case(monkeypatch, request, name, max_sets, as_built)
     got = candidate_small_sets(chain, alpha, graph=g)
     ref = reference_candidate_small_sets(chain, alpha, g, max_sets=max_sets)
     assert list(got) == ref
     assert len(got) == len(ref)
+
+
+def reference_restricted_root(chain, subset):
+    """Reference: (lambda(A), residual, iterations) solved as
+    restricted_top_eig solves them, on the slice kernel[A][:, A]."""
+    idx = np.asarray(subset, dtype=np.int64)
+    sub = chain.kernel[idx][:, idx].tocsr()
+    if len(idx) == 1 or sub.nnz == 0:
+        return float(sub.diagonal().max()), 0.0, 0
+    root = np.sqrt(chain.stationary[idx])
+    s_sub = (sp.diags(root) @ sub @ sp.diags(1.0 / root)).tocsr()
+    ((lam, residual),), iterations = spectral._lanczos_extremal(s_sub, (-1,))
+    return lam, residual, iterations
+
+
+@pytest.mark.parametrize("name,alpha,max_sets,as_built", FAMILY_CASES)
+def test_restricted_roots_match_the_slice_reference(monkeypatch, request, name,
+                                                    alpha, max_sets, as_built):
+    g, chain = family_case(monkeypatch, request, name, max_sets, as_built)
+    sets = _spread(candidate_small_sets(chain, alpha, graph=g), 16)
+    assert sets
+    for A in sets:
+        rec = restricted_top_eig(chain, A)
+        assert (rec.lambda_A, rec.residual, rec.iterations) == \
+            reference_restricted_root(chain, A)
 
 
 def reversed_ties_argsort(monkeypatch):

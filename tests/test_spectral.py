@@ -9,8 +9,8 @@ import scipy.sparse as sp
 
 import walklab as wl
 from walklab import chains, spectral
-from walklab.chains import (BIPARTITE_PERIODIC, chain_from_kernel, power_chain,
-                            srw_chain)
+from walklab.chains import (BIPARTITE_PERIODIC, ChainError, chain_from_kernel,
+                            power_chain, srw_chain)
 from walklab.hitting import candidate_small_sets, verify_spectral_hit
 from walklab.reports import dumps_canonical
 from walklab.spectral import (SpectralError, classify_ramanujan,
@@ -129,10 +129,15 @@ def test_iterative_raises_at_the_step_cap(monkeypatch, random_cubic_medium):
         spectrum(chain, mode="iterative-extremal")
 
 
-def test_iterative_rejects_reducible_and_single_state(c6):
+def test_iterative_on_reducible_and_single_state_chains(c6):
+    # two triangles: lambda2 = 1 exactly, lambda_min = -1/2 as in dense mode
     chain = srw_chain(wl.inflate(c6, 2))
-    with pytest.raises(SpectralError, match="irreducible"):
-        spectrum(chain, mode="iterative-extremal")
+    s = spectrum(chain, mode="iterative-extremal")
+    assert (s.lambda2, s.residuals["lambda2"]) == (1.0, 0.0)
+    dense = spectrum(chain)
+    assert abs(s.lambda_min - dense.lambda_min) <= \
+        s.residuals["lambda_min"] + 1e-14
+    assert s.lambda_star == pytest.approx(dense.lambda_star, abs=1e-14)
     single = chain_from_kernel(np.array([[1.0]]), [1.0])
     with pytest.raises(SpectralError, match="two states"):
         spectrum(single, mode="iterative-extremal")
@@ -366,6 +371,20 @@ def test_verdicts_read_the_conservative_end(monkeypatch, petersen_chain):
     assert [c.rhs for c in hit2.survival_checks
             if c.name.startswith("norm-le-perron")] == [0.0, 0.0]
     assert not hit2.all_passed
+
+
+@pytest.mark.parametrize("subset", [[-1, 4], [-2, -1], [0, 10]])
+def test_restricted_entry_points_reject_out_of_range_states(petersen_chain,
+                                                            subset):
+    # no wrap-around onto the last states, no IndexError from the slicing
+    message = "^sets must be nonempty, sorted, distinct and in range$"
+    chain = petersen_chain
+    with pytest.raises(ChainError, match=message):
+        restricted_top_eig(chain, subset)
+    with pytest.raises(ChainError, match=message):
+        compare_restricted(chain, chain, subset)
+    with pytest.raises(ChainError, match=message):
+        verify_spectral_hit(chain, subset, (0, 1))
 
 
 def test_restricted_rejects_bad_subsets(k4_chain):
