@@ -145,6 +145,8 @@ def _family_blocks(kernel, sets):
 
     The only code that restricts a kernel to a set.  Whole families come
     from :func:`hitting.family_survival` and :func:`hitting.hit_quantile`;
+    on a :class:`hitting.CandidateFamily` these step only its tops, as
+    do the three survival maxima of :func:`walks.escape_transfer_experiment`;
     one set (``[A]``, one block) from the worst-start replay of
     ``hit_quantile``, :func:`hitting.verify_spectral_hit`, the Perron
     ranking of :func:`hitting.candidate_small_sets` and

@@ -69,13 +69,32 @@ class CandidateFamily(Sequence):
     Stored as one ``members`` array (every set's vertices, set after set)
     and ``offsets``: set i is ``members[offsets[i]:offsets[i + 1]]``.
     Indexing and iteration yield tuples of ints; a slice yields a list.
+
+    ``tops`` is a lexicographic :class:`CandidateFamily` of sets of this
+    family such that every set of it lies inside some top.  Survival
+    under killing is monotone in the set: for A within B and a
+    nonnegative kernel, (K_A^t 1)(a) <= (K_B^t 1)(a), since a path that
+    stays in A stays in B.  It holds bit for bit in floating point too:
+    row a of K_B is row a of K_A with more nonnegative terms, summed in
+    the same column order, and rounded addition and multiplication are
+    monotone.  So every survival maximum over the family, and the
+    crossing time of :func:`hit_quantile`, is attained on a top.  A
+    family built without ``tops`` is its own tops.
     """
 
-    def __init__(self, members: np.ndarray, offsets: np.ndarray):
+    def __init__(self, members: np.ndarray, offsets: np.ndarray,
+                 tops: CandidateFamily = None):
         members.flags.writeable = False
         offsets.flags.writeable = False
         self.members = members
         self.offsets = offsets
+        self._tops = tops
+
+    @property
+    def tops(self) -> CandidateFamily:
+        # no stored self-reference: a cycle would hold the arrays until
+        # the garbage collector runs
+        return self if self._tops is None else self._tops
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -89,6 +108,22 @@ class CandidateFamily(Sequence):
         if not 0 <= i < len(self):
             raise IndexError("candidate family index out of range")
         return tuple(self.members[self.offsets[i]:self.offsets[i + 1]].tolist())
+
+
+def _from_keys(keys, tops: CandidateFamily = None) -> CandidateFamily:
+    """The family of sets given as big-endian uint32 byte strings, in
+    byte order, which is tuple order."""
+    keys = sorted(keys)
+    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum([len(key) // 4 for key in keys], out=offsets[1:])
+    members = np.frombuffer(b"".join(keys), dtype=">u4").astype(np.int32)
+    return CandidateFamily(members, offsets, tops)
+
+
+def _tops(sets):
+    """The sets to step for a survival maximum over ``sets``: the tops of
+    a :class:`CandidateFamily`, else ``sets`` as given."""
+    return sets.tops if isinstance(sets, CandidateFamily) else sets
 
 
 def candidate_small_sets(chain: ReversibleChain, alpha: float,
@@ -128,6 +163,13 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
     ``MAX_GREEDY_SETS`` bounds only the greedy phase: it stops once the
     family holds more than ``MAX_GREEDY_SETS`` sets.  The ball and Perron
     phases are not bounded, so the family can be much larger.
+
+    Every set is a prefix of one chain: a seed's BFS order, one greedy
+    run (cut short or not) or one Perron ranking.  The chain's last set
+    added, its top, holds all of its sets, and the family's ``tops`` are
+    these, one per chain that added a set.  By the monotone rounding
+    that :class:`CandidateFamily` states, killed-chain survival maxima
+    over the family are attained on its tops.
     """
     pi = chain.stationary
     n = chain.n
@@ -138,14 +180,26 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
     stride = max(1, n // 32)
     # sorted sets as big-endian uint32 bytes: byte order is tuple order
     found = set()
+    tops = set()
 
     def push(sorted_members):
+        """Add a set; return its key, or None when it is not added."""
         if 0 < len(sorted_members) < n:
-            found.add(sorted_members.astype(">u4").tobytes())
+            key = sorted_members.astype(">u4").tobytes()
+            found.add(key)
+            return key
+        return None
+
+    def end_chain(top):
+        if top is not None:
+            tops.add(top)
 
     def push_prefixes(ranked, stops):
+        # stops ascend, so the last prefix pushed holds the others
+        top = None
         for stop in stops:
-            push(np.sort(ranked[:stop]))
+            top = push(np.sort(ranked[:stop])) or top
+        end_chain(top)
 
     # balls of growing radius around each seed; every stride-th seed keeps
     # the head of its BFS order as its Perron ball
@@ -169,18 +223,21 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
         def absorb(u):
             inside[u] = True
             np.add.at(links, indices[indptr[u]:indptr[u + 1]], 1)
-            push(np.flatnonzero(inside))
+            return push(np.flatnonzero(inside))
 
-        absorb(v)
+        top = absorb(v)
         while True:
             score = np.where(~inside & (mass + pi <= limit), links, 0)
             best = int(np.argmax(score))
             if score[best] == 0:
                 break
             mass += pi[best]
-            absorb(best)
+            top = absorb(best)
             if len(found) > MAX_GREEDY_SETS:
                 break
+        # the set only grows, so its last form is the run's top, also when
+        # the bound cuts the run short
+        end_chain(top)
         if len(found) > MAX_GREEDY_SETS:
             break
 
@@ -201,11 +258,7 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
         fit = int(np.searchsorted(np.cumsum(pi[ranked]), limit, side="right"))
         push_prefixes(ranked, range(1, fit + 1))
 
-    keys = sorted(found)
-    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum([len(key) // 4 for key in keys], out=offsets[1:])
-    members = np.frombuffer(b"".join(keys), dtype=">u4").astype(np.int32)
-    return CandidateFamily(members, offsets)
+    return _from_keys(found, _from_keys(tops))
 
 
 @dataclass(frozen=True)
@@ -214,7 +267,10 @@ class HitQuantile:
 
     ``mode`` is 'exact' (all subsets enumerated; true value) or
     'candidate-lower-bound' (heuristic family; certified lower bound).
-    ``worst_set``/``worst_start`` attain the last survival above eps.
+    ``n_sets`` counts the sets maximized over: the whole family, also
+    when only its tops are stepped.  ``worst_set``/``worst_start`` attain
+    the last survival above eps; on a :class:`CandidateFamily`
+    ``worst_set`` is the last tied top.
     """
 
     time: int
@@ -231,11 +287,14 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
     """First time every mass-<=alpha set is escaped w.p. >= 1-eps.
 
     With ``sets`` None every subset of size <= floor(alpha n) is
-    enumerated (n <= 20) and the value is exact; a given family, such as
-    ``candidate_small_sets(chain, alpha, graph)``, is maximized over as it
-    stands and the value is flagged as a lower bound.  Returns 0 when no
-    set qualifies; raises when some set's survival stays above eps for
-    ``MAX_QUANTILE_STEPS`` steps.
+    enumerated (n <= 20) and the value is exact; a given family is
+    maximized over as it stands and the value is flagged as a lower
+    bound.  On a :class:`CandidateFamily`, such as
+    ``candidate_small_sets(chain, alpha, graph)``, only its tops are
+    stepped: every set lies inside a top, whose survival is at least
+    that set's at every step, so the crossing time is the family's.
+    Returns 0 when no set qualifies; raises when some set's survival
+    stays above eps for ``MAX_QUANTILE_STEPS`` steps.
     """
     if not (0.0 < alpha < 1.0 and 0.0 < eps < 1.0):
         raise HittingError("alpha and eps must lie in (0,1)")
@@ -256,6 +315,8 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
 
     if not sets:
         return HitQuantile(time=0, alpha=alpha, eps=eps, mode=mode, n_sets=0)
+    n_sets = len(sets)
+    sets = _tops(sets)
 
     # last[i]: last step at which set i's survival exceeds eps.  A set
     # stays dead once its peak drops to eps or below, since killed-chain
@@ -286,7 +347,7 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
         u = block @ u
     worst_start = worst_set[int(np.argmax(u))]
     return HitQuantile(time=crossing, alpha=alpha, eps=eps, mode=mode,
-                       n_sets=len(sets), worst_set=worst_set,
+                       n_sets=n_sets, worst_set=worst_set,
                        worst_start=worst_start)
 
 

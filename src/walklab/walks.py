@@ -43,7 +43,7 @@ from .checks import Check
 from .graphs import (Graph, ball_table, bfs_distances,  # noqa: F401
                      is_connected)
 from .chains import ReversibleChain, _as_arrays
-from .hitting import (SphereHits, _sphere_hits, family_survival,
+from .hitting import (SphereHits, _sphere_hits, _tops, family_survival,
                       sphere_hit_distribution)
 
 
@@ -352,7 +352,8 @@ class EscapeTransferReport:
     over the candidate sets; ``y_escape`` kills the exact regeneration
     kernel on each set for tau(t) steps; ``k_escape`` does the same with
     the distance-k SRW kernel; ``slow_regen`` is the Monte Carlo estimate
-    of the worst P[fewer than tau(t) regenerations by t+s].
+    of the worst P[fewer than tau(t) regenerations by t+s].  ``n_sets``
+    counts the whole family, also when the maxima are taken on its tops.
     """
 
     k: int
@@ -393,7 +394,10 @@ def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
     ``MC_STARTS_LIMIT`` members (every vertex when n is at most that).
     On a certified vertex-transitive graph that family is F0, seeded at
     vertex 0: automorphisms preserve the SRW, W and K survivals, so their
-    maxima over F0 are those over its orbit closure.
+    maxima over F0 are those over its orbit closure.  On a
+    :class:`CandidateFamily` the three maxima step only its tops, which
+    attain them (see there); the W rows and the starts still come from
+    every member, and the tops hold the same members.
     """
     if not g.is_regular:
         raise WalkError("escape transfer experiment needs a regular graph")
@@ -404,7 +408,8 @@ def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
     tau_t = tau(t, d, k)
     horizon = t + s
 
-    srw_escape = float(family_survival(chain.kernel, sets, horizon).max())
+    tops = _tops(sets)
+    srw_escape = float(family_survival(chain.kernel, tops, horizon).max())
 
     needed = np.unique(_as_arrays(sets)[0]).tolist()
     rows, cols, vals = [], [], []
@@ -414,11 +419,11 @@ def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
         cols.extend(hit.sphere)
         vals.extend(hit.probabilities.tolist())
     w = sp.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
-    y_escape = float(family_survival(w, sets, tau_t).max())
+    y_escape = float(family_survival(w, tops, tau_t).max())
 
     k_escape = None
     if k_chain is not None:
-        k_escape = float(family_survival(k_chain.kernel, sets, tau_t).max())
+        k_escape = float(family_survival(k_chain.kernel, tops, tau_t).max())
 
     if g.n <= MC_STARTS_LIMIT:
         starts = list(range(g.n))

@@ -8,8 +8,9 @@ import scipy.sparse as sp
 import walklab as wl
 from walklab import chains, hitting, spectral
 from walklab.chains import ChainError, mixing_profile, srw_chain
-from walklab.hitting import (HittingError, candidate_small_sets,
-                             expected_hit_time, family_survival, hit_quantile,
+from walklab.hitting import (CandidateFamily, HittingError,
+                             candidate_small_sets, expected_hit_time,
+                             family_survival, hit_quantile,
                              hitmix_constant_record, quantile_halflog_check,
                              sphere_hit_distribution, verify_spectral_hit,
                              w_vs_k_report)
@@ -585,6 +586,39 @@ def test_restricted_roots_match_the_slice_reference(monkeypatch, request, name,
             reference_restricted_root(chain, A)
 
 
+def incidence(sets, n):
+    """0/1 matrix with row i the indicator of set i."""
+    out = np.zeros((len(sets), n))
+    for i, A in enumerate(sets):
+        out[i, list(A)] = 1.0
+    return out
+
+
+@pytest.mark.parametrize("name,alpha,max_sets,as_built", FAMILY_CASES)
+def test_family_tops_cover_the_family_and_attain_its_maxima(
+        monkeypatch, request, name, alpha, max_sets, as_built):
+    g, chain = family_case(monkeypatch, request, name, max_sets, as_built)
+    fam = candidate_small_sets(chain, alpha, graph=g)
+    tops = fam.tops
+    # every top is a family set, and every family set lies inside a top
+    assert list(tops) == sorted(set(tops)) and set(tops) <= set(fam)
+    assert tops.tops is tops
+    shared = incidence(fam, g.n) @ incidence(tops, g.n).T
+    sizes = np.diff(fam.offsets)
+    assert np.all((shared == sizes[:, None]).any(axis=1))
+    # the maxima over the tops are the family's, bit for bit
+    sets = list(fam)
+    for t in (1, 5, 18):
+        assert family_survival(chain.kernel, tops, t).max() == \
+            family_survival(chain.kernel, sets, t).max()
+    for eps in (0.1, 0.25, 0.5):
+        on_tops = hit_quantile(chain, alpha, eps, sets=fam)
+        on_all = hit_quantile(chain, alpha, eps, sets=sets)
+        assert on_tops.time == on_all.time
+        assert on_tops.n_sets == on_all.n_sets == len(fam)
+        assert on_tops.worst_set in set(tops)
+
+
 def reversed_ties_argsort(monkeypatch):
     """Replace ``np.argsort`` by another valid sort: stable calls keep
     their order, and every other call returns each run of equal keys in
@@ -693,6 +727,9 @@ def test_candidate_family_sequence(petersen, petersen_chain):
     with pytest.raises(ValueError):
         fam.members[0] = 1
     assert list(np.diff(fam.offsets)) == [len(s) for s in sets]
+    # a family built directly records no chains: it is its own tops
+    bare = CandidateFamily(fam.members.copy(), fam.offsets.copy())
+    assert bare.tops is bare and list(bare) == sets
 
 
 def test_run_suite_builds_the_family_once(monkeypatch, tmp_path):
@@ -758,6 +795,33 @@ def test_run_suite_builds_the_family_once(monkeypatch, tmp_path):
     [(_, prof)] = calls["mixing_profile"]
     assert prof.starts == (0,) and prof.exact_starts
     assert len(calls["sphere_hit_distribution"]) == 1
+
+
+def test_family_passes_step_only_the_tops(monkeypatch, tmp_path, rr512):
+    # the hitmix quantile and the escape experiment's SRW, W and K maxima
+    # each step the tops' rows (70,132 on this graph), not the family's
+    # (449,044); the halflog quantile skips, as lambda2 > 1/2 here
+    from walklab.suites import ExperimentConfig, run_suite
+    fam = candidate_small_sets(srw_chain(rr512), 0.25, graph=rr512)
+    passes = []
+    blocks = hitting._family_blocks
+
+    def recording(kernel, sets):
+        stepped = [len(sets), 0]
+        passes.append(stepped)
+        for piece in blocks(kernel, sets):
+            stepped[1] += piece[2].shape[0]
+            yield piece
+
+    monkeypatch.setattr(hitting, "_family_blocks", recording)
+    cfg = ExperimentConfig(graph={"kind": "random-regular", "n": 512, "d": 3,
+                                  "seed": 2}, suites=("hitting", "walk"),
+                           trials=200, seed=2, out_dir=str(tmp_path))
+    report, _ = run_suite(cfg)
+    assert any(r["name"] == "escape-decomposition" for r in report.records)
+    family_passes = [rows for count, rows in passes if count > 1]
+    assert family_passes == [fam.tops.offsets[-1]] * 4
+    assert fam.tops.offsets[-1] < fam.offsets[-1]
 
 
 def test_one_suite_alone_solves_only_what_it_reads(monkeypatch, tmp_path):

@@ -6,8 +6,9 @@ import pytest
 import walklab as wl
 from walklab.chains import srw_chain
 from walklab.graphs import BallTable, ball_table, bfs_distances, inflate
-from walklab.hitting import (CandidateFamily, candidate_small_sets,
-                             expected_hit_time, sphere_hit_distribution)
+from walklab.hitting import (CandidateFamily, SphereHits,
+                             candidate_small_sets, expected_hit_time,
+                             sphere_hit_distribution)
 from walklab.suites import ExperimentConfig, run_suite
 from walklab.walks import (WalkError, _lockstep_regenerations,
                            annotate_trace, block_statistics,
@@ -177,14 +178,19 @@ def test_escape_transfer_petersen(petersen):
     assert rep.n_sets > 0
 
 
-def test_escape_transfer_takes_a_list_of_sets(petersen):
-    chain = srw_chain(petersen)
-    family = candidate_small_sets(chain, 0.25, graph=petersen)
-    k_chain = srw_chain(inflate(petersen, 2))
-    reps = [escape_transfer_experiment(petersen, chain, sets, k_chain, k=2,
-                                       t=6, s=3, trials=500, seed=5)
+@pytest.mark.parametrize("name", ["petersen", "rr512", "lps13_17"])
+def test_escape_transfer_takes_a_list_of_sets(request, name):
+    # the family steps only its tops, the list every set: the same
+    # report, srw_escape, y_escape, k_escape, n_sets and slow_regen alike
+    g = request.getfixturevalue(name)
+    chain = srw_chain(g)
+    family = candidate_small_sets(chain, 0.25, graph=g)
+    k_chain = srw_chain(inflate(g, 2))
+    hits = SphereHits(g, 2)
+    reps = [escape_transfer_experiment(g, chain, sets, k_chain, k=2, t=6,
+                                       s=3, trials=500, seed=5, hits=hits)
             for sets in (family, list(family))]
-    assert reps[0] == reps[1]
+    assert reps[0] == reps[1] and reps[0].n_sets == len(family)
 
 
 def test_escape_transfer_t_zero(petersen):
@@ -257,6 +263,11 @@ def scalar_slow_regen(g, k, horizon, tau_t, trials, seed, starts):
 @pytest.fixture(scope="module")
 def cubic64():
     return wl.build_random_regular(64, 3, 8)
+
+
+@pytest.fixture(scope="module")
+def rr512():
+    return wl.build_random_regular(512, 3, 2)
 
 
 @pytest.fixture(scope="module")
