@@ -406,10 +406,17 @@ def build_high_girth_regular(n: int, d: int, min_girth: int,
 # traversal helpers
 
 
+def _check_vertex(n: int, v) -> None:
+    """Raise :class:`GraphError` naming ``v`` unless 0 <= v < n."""
+    if not 0 <= v < n:
+        raise GraphError(f"vertex {v} out of range for n={n}")
+
+
 def _bfs_levels(adj, v: int):
     """FIFO breadth-first order from v, neighbors in adjacency order, and
     the end of each distance level in it: level 0 is ``order[:ends[0]]``
     (just v), level r > 0 is ``order[ends[r - 1]:ends[r]]``."""
+    _check_vertex(adj.shape[0], v)
     order, pred = csgraph.breadth_first_order(adj, v, directed=True,
                                               return_predecessors=True)
     pos = np.empty(adj.shape[0], dtype=np.int64)
@@ -473,7 +480,9 @@ class BallTable:
 
     def ball(self, anchor: int) -> tuple:
         """``(vertices, dist)``: the vertices within distance k of
-        ``anchor`` in ascending order, and their distances."""
+        ``anchor`` in ascending order, and their distances; an anchor
+        outside 0..n-1 raises :class:`GraphError`."""
+        _check_vertex(self.n, anchor)
         base = anchor * self.n
         lo, hi = np.searchsorted(self.keys, (base, base + self.n))
         return self.keys[lo:hi] - base, self.dist[lo:hi]
@@ -733,8 +742,6 @@ def ball_stats(g: Graph, v: int, k: int) -> BallStats:
     see :class:`BallStats` for the cycle-count budget."""
     if k < 0:
         raise GraphError(f"radius must be >= 0, got {k}")
-    if not (0 <= v < g.n):
-        raise GraphError(f"vertex {v} out of range")
     dist = bfs_distances(g, v, cutoff=k)
     ball = np.flatnonzero(dist >= 0)
     levels = tuple(np.bincount(dist[ball], minlength=k + 1).tolist())

@@ -561,10 +561,15 @@ def sphere_hit_distribution(g: Graph, v: int, k: int) -> SphereHit:
 
 
 class SphereHits(dict):
-    """The sphere-hit rows of one graph at one radius, keyed by center:
-    ``hits[v]`` is ``sphere_hit_distribution(g, v, k)``, solved on first
-    access and kept.  One instance per run lets every reader of a row
-    share its solve."""
+    """The rows of the regeneration kernel W of graph ``g`` at radius
+    ``k``, keyed by center: ``hits[v]`` is
+    ``sphere_hit_distribution(g, v, k)``, solved on first access and kept.
+
+    It is the only source of W: :func:`w_vs_k_report`,
+    :func:`walks.escape_transfer_experiment` and
+    :func:`walks.empirical_y_kernel` take it and read ``g`` and ``k``
+    from it.  One instance per run lets every reader of a row share its
+    solve, so each ball is solved at most once."""
 
     def __init__(self, g: Graph, k: int):
         super().__init__()
@@ -574,16 +579,6 @@ class SphereHits(dict):
     def __missing__(self, v):
         hit = self[v] = sphere_hit_distribution(self.g, v, self.k)
         return hit
-
-
-def _sphere_hits(g: Graph, k: int, hits) -> SphereHits:
-    """``hits``, checked to belong to (g, k), or a fresh
-    :class:`SphereHits` when it is None."""
-    if hits is None:
-        return SphereHits(g, k)
-    if hits.g is not g or hits.k != k:
-        raise HittingError("sphere hits belong to another graph or radius")
-    return hits
 
 
 def expected_hit_time(g: Graph, v: int, k: int) -> float:
@@ -625,32 +620,33 @@ class WvsKReport:
         return out
 
 
-def w_vs_k_report(g: Graph, k: int, centers=None,
-                  hits: SphereHits = None) -> WvsKReport:
-    """min/max of W/K and of K d(d-1)^{k-1} over inflated edges.
+def w_vs_k_report(hits: SphereHits) -> WvsKReport:
+    """min/max of W/K and of K d(d-1)^{k-1} over inflated edges of
+    ``hits.g`` at radius ``hits.k``.
 
-    W rows are exact sphere-hitting solves, read from ``hits`` (the
-    run's :class:`SphereHits` of g at radius k; a fresh one when None);
-    K(x, .) is uniform over the distance-k neighbors.  Requires every
-    measured vertex to have a nonempty k-sphere.  On a certified
-    vertex-transitive graph an automorphism carries center 0's ball and
-    sphere-hit row onto every center's, so center 0 is solved once and
-    its row stands for each requested center.
+    W rows are the exact sphere-hitting solves of ``hits``, the run's
+    :class:`SphereHits`; K(x, .) is uniform over the distance-k neighbors.
+    Requires every measured vertex to have a nonempty k-sphere.  The
+    centers are every vertex when n <= 4096 or the graph is certified
+    vertex-transitive, and vertices 0..255 otherwise.  On a certified
+    graph an automorphism carries center 0's ball and sphere-hit row onto
+    every center's, so center 0 is solved once and its row stands for
+    each center.
     """
+    g, k = hits.g, hits.k
     if not g.is_regular:
         raise HittingError("comparison needs a regular graph")
     d = g.regular_degree
     scale = d * (d - 1) ** (k - 1)
-    if centers is None:
-        centers = range(g.n)
+    transitive = vertex_transitive(g)
+    centers = range(g.n) if g.n <= 4096 or transitive else range(256)
     ratio_min = math.inf
     ratio_max = -math.inf
     k_min = math.inf
     k_max = -math.inf
     w_min = math.inf
     per_center = []
-    hits = _sphere_hits(g, k, hits)
-    same = hits[0] if vertex_transitive(g) else None
+    same = hits[0] if transitive else None
     for x in centers:
         hit = same or hits[x]
         deg_k = len(hit.sphere)
@@ -660,7 +656,7 @@ def w_vs_k_report(g: Graph, k: int, centers=None,
         ratio_min = min(ratio_min, float(ratios.min()))
         ratio_max = max(ratio_max, float(ratios.max()))
         w_min = min(w_min, hit.min_prob * scale)
-        per_center.append((int(x), hit.excess, deg_k,
+        per_center.append((x, hit.excess, deg_k,
                            hit.min_prob, hit.max_prob, hit.c_hat))
     checks = (
         Check(name="k-lower", lhs=k_min, rhs=1.0,

@@ -192,8 +192,8 @@ class Run:
 
     @functools.cached_property
     def sphere_hits(self) -> H.SphereHits:
-        """Sphere-hit rows at radius k, each solved on first access; the
-        inflation and walk suites read the same rows."""
+        """Sphere-hit rows at radius k, each solved on first access: the
+        one source of W, whose rows the inflation and walk suites share."""
         return H.SphereHits(self.g, self.cfg.k)
 
     @functools.cached_property
@@ -398,10 +398,7 @@ def inflation_suite(run: Run) -> tuple:
     recs.append(record(
         "inflation", "inflated-srw-reversible", passed=True,
         note=f"pi proportional to degree, {k_chain.period_info}"))
-    # on a certified vertex-transitive graph every center costs one solve
-    centers = range(g.n) if g.n <= 4096 or G.vertex_transitive(g) \
-        else range(256)
-    wk = H.w_vs_k_report(g, cfg.k, centers=centers, hits=run.sphere_hits)
+    wk = H.w_vs_k_report(run.sphere_hits)
     for check in wk.checks:
         recs.append(record_from_check("inflation", check))
     recs.append(record(
@@ -506,7 +503,7 @@ def walk_suite(run: Run) -> tuple:
                "decay_ratio": stats.decay_ratio}))
 
     trials = max(10000, cfg.trials)
-    rows = W.empirical_y_kernel(g, k, trials, cfg.seed, anchors=[0])
+    rows = W.empirical_y_kernel(run.sphere_hits, trials, cfg.seed)
     row = rows[0]
     # gated from 10^5 trials, against the sampling noise of an exact sampler
     gate = W.tv_noise_bound(list(row.exact.values()), trials) \
@@ -518,9 +515,9 @@ def walk_suite(run: Run) -> tuple:
              f"seed ({row.seed},{row.stream})"))
 
     esc = W.escape_transfer_experiment(
-        g, run.chain, run.family, run.inflated_chain, k=k, t=cfg.steps,
-        s=max(1, cfg.steps // 2), trials=min(cfg.trials, 4000), seed=cfg.seed,
-        hits=run.sphere_hits)
+        run.sphere_hits, run.chain, run.family, run.inflated_chain,
+        t=cfg.steps, s=max(1, cfg.steps // 2), trials=min(cfg.trials, 4000),
+        seed=cfg.seed)
     for check in esc.checks:
         recs.append(record_from_check("walk", check, extra={
             "srw_escape": esc.srw_escape, "y_escape": esc.y_escape,

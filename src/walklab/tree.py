@@ -18,7 +18,7 @@ import numpy as np
 
 from .checks import Check
 from .chains import ReversibleChain, evolve, point_mass
-from .graphs import Graph, bfs_distances
+from .graphs import Graph, _check_vertex, bfs_distances
 
 DP_HORIZON_LIMIT = 10_000
 TD1_K_LIMIT = 6
@@ -210,6 +210,7 @@ def kernel_domination_check(g: Graph, chain: ReversibleChain, x: int, y: int,
     if not g.is_regular:
         raise TreeError("kernel domination needs a regular graph")
     d = g.regular_degree
+    _check_vertex(g.n, y)
     dist = int(bfs_distances(g, x)[y])
     if dist < 0:
         raise TreeError(f"{y} unreachable from {x}")

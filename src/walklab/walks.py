@@ -3,15 +3,16 @@ chain of regeneration positions.
 
 A walk regenerates when it first reaches graph distance k from its
 previous regeneration position (the anchor); the sequence of anchors is
-the Y-chain, whose exact one-step kernel is the sphere-hitting solve
-from the hitting module.  A step is good when at least d-1 neighbors of
-the current position are strictly farther from the anchor, which is what
-couples the walk to the tree level chain.  Distances to the anchor come
-from the graph's radius-k ball table.  The escape experiment's
-independent walks advance in lockstep as arrays of positions in that
-table and step through its ball-local step table, one gather per step;
-the first regenerations of the Y-kernel sampler are one walk, stepped in
-order on the adjacency lists.
+the Y-chain, whose exact one-step kernel W is the sphere-hitting solve
+from the hitting module, read through the run's ``SphereHits``.  A step
+is good when at least d-1 neighbors of the current position are strictly
+farther from the anchor, which is what couples the walk to the tree
+level chain.  Distances to the anchor come from the graph's radius-k
+ball table.  The escape experiment's independent walks advance in
+lockstep as arrays of positions in that table and step through its
+ball-local step table, one gather per step; the first regenerations of
+the Y-kernel sampler are one walk, stepped in order on the adjacency
+lists.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream); every result records its key, so reruns are
@@ -40,11 +41,10 @@ import scipy.sparse as sp
 from .checks import Check
 # bfs_distances stays bound here: perfbench's self-test checks that its
 # tracer wraps walks.bfs_distances
-from .graphs import (Graph, ball_table, bfs_distances,  # noqa: F401
-                     is_connected)
+from .graphs import (Graph, bfs_distances,  # noqa: F401
+                     _check_vertex, ball_table, is_connected)
 from .chains import ReversibleChain, _as_arrays
-from .hitting import (SphereHits, _sphere_hits, _tops, family_survival,
-                      sphere_hit_distribution)
+from .hitting import SphereHits, _tops, family_survival
 
 
 # Probability that the empirical-law TV of an exact sampler exceeds
@@ -67,6 +67,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 def random_walk_positions(g: Graph, start: int, steps: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Plain SRW trajectory of the given length (positions 0..steps)."""
+    _check_vertex(g.n, start)
     adj = g.adjacency
     cur = start
     out = [start]
@@ -137,6 +138,9 @@ def annotate_trace(g: Graph, positions, k: int):
     block would never terminate.
     """
     positions = np.asarray(positions, dtype=np.int64)
+    if len(positions):
+        _check_vertex(g.n, positions.min())
+        _check_vertex(g.n, positions.max())
     ball = ball_table(g, k)
     spheres = {}
 
@@ -244,21 +248,24 @@ class EmpiricalKernelRow:
     stream: int
 
 
-def empirical_y_kernel(g: Graph, k: int, trials: int, seed: int,
+def empirical_y_kernel(hits: SphereHits, trials: int, seed: int,
                        anchors=None) -> list:
     """Monte Carlo rows of the regeneration kernel against the exact solve.
 
-    For each anchor, ``trials`` independent first regenerations are
-    sampled and binned; the row is compared in total variation against
-    the absorbing-solve distribution.
+    For each anchor (vertex 0 when ``anchors`` is None), ``trials``
+    independent first regenerations at radius ``hits.k`` on ``hits.g``
+    are sampled and binned; the row is compared in total variation
+    against the anchor's exact row, read from ``hits``, the run's
+    :class:`SphereHits`.
     """
     if trials < 10_000:
         raise WalkError(f"need >= 10000 trials per anchor, got {trials}")
     if anchors is None:
         anchors = [0]
+    g, k = hits.g, hits.k
     out = []
     for si, anchor in enumerate(anchors):
-        exact = sphere_hit_distribution(g, anchor, k)
+        exact = hits[anchor]
         _, landings = sample_first_regenerations(g, anchor, k, trials,
                                                  make_rng(seed, si))
         counts = np.bincount(landings, minlength=g.n)
@@ -375,23 +382,24 @@ class EscapeTransferReport:
         return not any(c.failed for c in self.checks)
 
 
-def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
-                               k_chain: ReversibleChain, k: int, t: int,
-                               s: int, trials: int, seed: int,
-                               hits: SphereHits = None) -> EscapeTransferReport:
-    """Exact + Monte Carlo verification of the escape decomposition.
+def escape_transfer_experiment(hits: SphereHits, chain: ReversibleChain,
+                               sets, k_chain: ReversibleChain, t: int,
+                               s: int, trials: int,
+                               seed: int) -> EscapeTransferReport:
+    """Exact + Monte Carlo verification of the escape decomposition on
+    ``hits.g`` at regeneration radius ``hits.k``.
 
     P_a[T_{A^c} > t+s] <= P^Y_a[T_{A^c} > tau(t)] + P_a[T_{tau(t)} > t+s]
     is asserted for the worst set of ``sets`` within Monte Carlo error.
-    ``chain`` is the SRW chain of ``g`` and ``sets`` a nonempty family of
+    ``hits`` is the run's :class:`SphereHits`, from which the rows of the
+    regeneration kernel W are read, for the members of ``sets`` only.
+    ``chain`` is the SRW chain of g and ``sets`` a nonempty family of
     small sets, a sequence of vertex sets or a :class:`CandidateFamily`
     such as ``candidate_small_sets(chain, alpha, graph=g)``;
     ``k_chain`` is the SRW chain of ``inflate(g, k)``, or None when some
-    k-sphere is empty, which leaves ``k_escape`` None.  The rows of the
-    regeneration kernel W are read from ``hits``, the run's
-    :class:`SphereHits` of g at radius k (a fresh one when None), for the
-    members of ``sets`` only; the Monte Carlo starts are the first
-    ``MC_STARTS_LIMIT`` members (every vertex when n is at most that).
+    k-sphere is empty, which leaves ``k_escape`` None.  The Monte Carlo
+    starts are the first ``MC_STARTS_LIMIT`` members (every vertex when n
+    is at most that).
     On a certified vertex-transitive graph that family is F0, seeded at
     vertex 0: automorphisms preserve the SRW, W and K survivals, so their
     maxima over F0 are those over its orbit closure.  On a
@@ -399,12 +407,12 @@ def escape_transfer_experiment(g: Graph, chain: ReversibleChain, sets,
     attain them (see there); the W rows and the starts still come from
     every member, and the tops hold the same members.
     """
+    g, k = hits.g, hits.k
     if not g.is_regular:
         raise WalkError("escape transfer experiment needs a regular graph")
     d = g.regular_degree
     if not sets:
         raise WalkError("candidate family is empty: no set has mass <= alpha")
-    hits = _sphere_hits(g, k, hits)
     tau_t = tau(t, d, k)
     horizon = t + s
 

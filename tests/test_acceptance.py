@@ -13,7 +13,7 @@ import pytest
 
 import walklab as wl
 from walklab.chains import mixing_profile, srw_chain
-from walklab.hitting import (SURVIVAL_TOL, expected_hit_time,
+from walklab.hitting import (SURVIVAL_TOL, SphereHits, expected_hit_time,
                              sphere_hit_distribution, verify_spectral_hit,
                              w_vs_k_report)
 from walklab.spectral import (VERDICT_TOL, classify_ramanujan, poincare_bound,
@@ -165,11 +165,11 @@ def test_criterion_06_w_matches_k():
     for g, k in ((wl.build_high_girth_regular(400, 3, 5, seed=21), 2),
                  (wl.build_high_girth_regular(500, 3, 7, seed=9), 3),
                  (wl.build_named("petersen"), 2)):
-        rep = w_vs_k_report(g, k)
+        rep = w_vs_k_report(SphereHits(g, k))
         assert abs(rep.ratio_min - 1.0) < 1e-10
         assert abs(rep.ratio_max - 1.0) < 1e-10
         assert rep.k_scaled_min >= 1.0 - 1e-12
-    prism_rep = w_vs_k_report(wl.build_named("prism"), 2)
+    prism_rep = w_vs_k_report(SphereHits(wl.build_named("prism"), 2))
     assert abs(prism_rep.ratio_min - 1.0) < 1e-10
     assert abs(prism_rep.ratio_max - 1.0) < 1e-10
     _done(6, "W/K = 1 on girth > 2k fixtures and the prism", t0, 30.0)
@@ -240,7 +240,7 @@ def test_criterion_10_regeneration_statistics():
     assert abs(stats.t1_mean - exact) <= 4 * stats.t1_stderr
     assert stats.u_survival == (0.0,)   # every step good on Petersen
 
-    rows = empirical_y_kernel(pet, 2, 100_000, seed=3141)
+    rows = empirical_y_kernel(SphereHits(pet, 2), 100_000, seed=3141)
     assert rows[0].tv_deviation <= 0.02
 
     prism = wl.build_named("prism")

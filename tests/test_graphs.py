@@ -469,6 +469,15 @@ def test_ball_table_matches_bfs(petersen, prism, c6, random_cubic_medium):
         ball_table(petersen, 0)
 
 
+@pytest.mark.parametrize("anchor", [10, -1])
+def test_ball_table_rejects_out_of_range_anchors(petersen, anchor):
+    # the keys anchor * n + u hold no pair for such an anchor: an empty ball
+    table = ball_table(petersen, 2)
+    for lookup in (table.ball, table.sphere):
+        with pytest.raises(GraphError, match=f"^vertex {anchor} out of range"):
+            lookup(anchor)
+
+
 def test_ball_step_table_moves_inside_each_ball(petersen, prism, c6,
                                                 random_cubic_medium):
     path = wl.make_graph(5, [(0, 1), (1, 2), (2, 3)])   # 4 is isolated
@@ -684,6 +693,15 @@ def test_edge_list_header_mismatch(tmp_path):
 def test_bfs_distances_petersen(petersen):
     dist = bfs_distances(petersen, 0)
     assert sorted(np.bincount(dist).tolist()) == sorted([1, 3, 6])
+
+
+@pytest.mark.parametrize("source", [10, -1])
+def test_bfs_rejects_out_of_range_sources(capfd, petersen, source):
+    # csgraph itself answers 10 with all -1, printing and swallowing its
+    # IndexError, and -1 with an OverflowError
+    with pytest.raises(GraphError, match=f"^vertex {source} out of range"):
+        bfs_distances(petersen, source)
+    assert capfd.readouterr().err == ""
 
 
 # -- csgraph traversals against the Python code they replaced -----------------

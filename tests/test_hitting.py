@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 from itertools import combinations
 
 import numpy as np
@@ -8,7 +10,8 @@ import scipy.sparse as sp
 import walklab as wl
 from walklab import chains, hitting, spectral
 from walklab.chains import ChainError, mixing_profile, srw_chain
-from walklab.hitting import (CandidateFamily, HittingError,
+from walklab.graphs import GraphError
+from walklab.hitting import (CandidateFamily, HittingError, SphereHits,
                              candidate_small_sets, expected_hit_time,
                              family_survival, hit_quantile,
                              hitmix_constant_record, quantile_halflog_check,
@@ -733,7 +736,7 @@ def test_candidate_family_sequence(petersen, petersen_chain):
 
 
 def test_run_suite_builds_the_family_once(monkeypatch, tmp_path):
-    from walklab import chains, graphs, spectral, walks
+    from walklab import chains, graphs, spectral
     from walklab.suites import ExperimentConfig, run_suite
     builds = []
     build = hitting.candidate_small_sets
@@ -759,10 +762,6 @@ def test_run_suite_builds_the_family_once(monkeypatch, tmp_path):
                          (graphs, "inflate"), (chains, "srw_chain"),
                          (hitting, "sphere_hit_distribution")):
         record_calls(module, name)
-    walk_solves = []
-    solve = walks.sphere_hit_distribution
-    monkeypatch.setattr(walks, "sphere_hit_distribution",
-                        lambda *args: walk_solves.append(args) or solve(*args))
     cfg = ExperimentConfig(graph={"kind": "random-regular", "n": 64, "d": 3,
                                   "seed": 8}, trials=200, seed=3,
                            out_dir=str(tmp_path / "rr64"))
@@ -780,10 +779,9 @@ def test_run_suite_builds_the_family_once(monkeypatch, tmp_path):
     # a random graph carries no automorphisms: every start, every center
     [(_, prof)] = calls["mixing_profile"]
     assert prof.starts == tuple(range(64))
-    # the inflation suite and the escape experiment share one solve per
-    # center; the empirical Y-kernel row solves its anchor on its own
+    # the inflation suite, the escape experiment and the empirical Y-kernel
+    # row share one solve per center
     assert len(calls["sphere_hit_distribution"]) == 64
-    assert [args[1:] for args in walk_solves] == [(0, 2)]
 
     # on a certified Cayley graph one start and one center stand for all
     calls.clear()
@@ -827,10 +825,12 @@ def test_family_passes_step_only_the_tops(monkeypatch, tmp_path, rr512):
 def test_one_suite_alone_solves_only_what_it_reads(monkeypatch, tmp_path):
     from walklab import spectral
     from walklab.suites import ExperimentConfig, build_graph, run_suite
+    # every solve builds one SphereHit, whichever binding of
+    # sphere_hit_distribution it came through
     solves = []
-    solve = hitting.sphere_hit_distribution
-    monkeypatch.setattr(hitting, "sphere_hit_distribution",
-                        lambda *args: solves.append(args[1]) or solve(*args))
+    made = hitting.SphereHit
+    monkeypatch.setattr(hitting, "SphereHit", lambda **fields:
+                        solves.append(fields["center"]) or made(**fields))
     spectra = []
     spectrum = spectral.spectrum
     monkeypatch.setattr(spectral, "spectrum",
@@ -844,31 +844,67 @@ def test_one_suite_alone_solves_only_what_it_reads(monkeypatch, tmp_path):
     run_suite(ExperimentConfig(graph=graph, suites=("tree",),
                                out_dir=str(tmp_path)))
     assert spectra == []
-    # the walk suite solves the member union of the family, which on the
-    # certified LPS(17,13) is seeded at vertex 0 alone
-    for graph in (graph, {"kind": "lps", "p": 17, "q": 13}):
+    # the walk suite solves the member union of the family and the
+    # Y-kernel anchor 0, each once; on the certified LPS(17,13) the family
+    # is seeded at vertex 0 alone
+    for spec in (graph, {"kind": "lps", "p": 17, "q": 13}):
         solves.clear()
-        cfg = ExperimentConfig(graph=graph, suites=("walk",), trials=200,
+        cfg = ExperimentConfig(graph=spec, suites=("walk",), trials=200,
                                seed=3, out_dir=str(tmp_path))
         run_suite(cfg)
-        g = build_graph(graph)
+        g = build_graph(spec)
         family = candidate_small_sets(srw_chain(g), cfg.alpha, graph=g)
-        assert solves == np.unique(family.members).tolist()
+        assert sorted(solves) == np.union1d(family.members, [0]).tolist()
+    # all six suites share one solve per center
+    solves.clear()
+    run_suite(ExperimentConfig(graph=graph, trials=200, seed=3,
+                               out_dir=str(tmp_path)))
+    assert solves == list(range(64))
 
 
-def test_sphere_hits_solve_each_center_once(monkeypatch, petersen, prism):
+def test_sphere_hits_solve_each_center_once(monkeypatch, petersen):
     solves = []
     solve = hitting.sphere_hit_distribution
     monkeypatch.setattr(hitting, "sphere_hit_distribution",
                         lambda *args: solves.append(args) or solve(*args))
     hits = hitting.SphereHits(petersen, 2)
-    first = w_vs_k_report(petersen, 2, hits=hits)
-    assert w_vs_k_report(petersen, 2, hits=hits) == first
+    first = w_vs_k_report(hits)
+    assert w_vs_k_report(hits) == first
     assert solves == [(petersen, v, 2) for v in range(10)]
     assert hits[3] is hits[3] and len(solves) == 10
-    for g, k in ((prism, 2), (petersen, 1)):
-        with pytest.raises(HittingError, match="another graph or radius"):
-            w_vs_k_report(g, k, hits=hits)
+
+
+class SphereHitCalls(ast.NodeVisitor):
+    """The dotted scope (module, classes, functions) of every call of
+    ``sphere_hit_distribution``, by name or as an attribute."""
+
+    def __init__(self, module):
+        self.scope, self.sites = [module], []
+
+    def visit_scope(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = visit_scope
+
+    def visit_Call(self, node):
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) \
+                == "sphere_hit_distribution":
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_sphere_hits_solves_a_ball():
+    # W is read through the run's SphereHits alone, so each ball is solved
+    # once per run; a second caller would solve its balls again
+    sites = []
+    for path in sorted(pathlib.Path(hitting.__file__).parent.glob("*.py")):
+        finder = SphereHitCalls(path.stem)
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites += finder.sites
+    assert sites == ["hitting.SphereHits.__missing__"]
 
 
 # -- sphere hits against the column-solve reference ---------------------------
@@ -1051,6 +1087,17 @@ def test_sphere_hit_empty_sphere(k4):
         sphere_hit_distribution(k4, 0, 2)
 
 
+@pytest.mark.parametrize("solve", [
+    sphere_hit_distribution, expected_hit_time,
+    lambda g, v, k: SphereHits(g, k)[v]],
+    ids=["sphere_hit_distribution", "expected_hit_time", "SphereHits"])
+@pytest.mark.parametrize("v", [10, -1])
+def test_ball_solves_reject_out_of_range_centers(petersen, solve, v):
+    # the ball table has no pair for such a center: an empty sphere
+    with pytest.raises(GraphError, match=f"^vertex {v} out of range"):
+        solve(petersen, v, 2)
+
+
 def test_sphere_hit_lower_bound_everywhere(girth5_graph, prism, petersen):
     for g, k in ((girth5_graph, 2), (prism, 2), (petersen, 2), (petersen, 1)):
         for v in range(0, g.n, max(1, g.n // 16)):
@@ -1073,7 +1120,7 @@ def test_expected_hit_time_tree_formula(girth5_graph):
 # -- W against K --------------------------------------------------------------
 
 def test_w_vs_k_petersen(petersen):
-    rep = w_vs_k_report(petersen, 2)
+    rep = w_vs_k_report(SphereHits(petersen, 2))
     assert abs(rep.ratio_min - 1.0) < 1e-10
     assert abs(rep.ratio_max - 1.0) < 1e-10
     assert rep.k_scaled_min >= 1.0 - 1e-12
@@ -1082,7 +1129,7 @@ def test_w_vs_k_petersen(petersen):
 
 
 def test_w_vs_k_prism(prism):
-    rep = w_vs_k_report(prism, 2)
+    rep = w_vs_k_report(SphereHits(prism, 2))
     assert abs(rep.ratio_min - 1.0) < 1e-10   # W = K = 1/2 by symmetry
     assert abs(rep.ratio_max - 1.0) < 1e-10
     assert math.isclose(rep.k_scaled_min, 3.0)
@@ -1091,7 +1138,7 @@ def test_w_vs_k_prism(prism):
 
 
 def test_w_vs_k_high_girth(girth5_graph):
-    rep = w_vs_k_report(girth5_graph, 2)
+    rep = w_vs_k_report(SphereHits(girth5_graph, 2))
     assert abs(rep.ratio_min - 1.0) < 1e-10
     assert abs(rep.ratio_max - 1.0) < 1e-10
     assert abs(rep.k_scaled_min - 1.0) < 1e-12
@@ -1101,12 +1148,12 @@ def test_w_vs_k_high_girth(girth5_graph):
 def test_w_vs_k_one_center_matches_all_centers(monkeypatch, pq):
     g = wl.build_lps(*pq)
     plain = wl.make_graph(g.n, np.array(g.edges), g.provenance)
-    ref = w_vs_k_report(plain, 2)
+    ref = w_vs_k_report(SphereHits(plain, 2))
     solves = []
     solve = hitting.sphere_hit_distribution
     monkeypatch.setattr(hitting, "sphere_hit_distribution",
                         lambda *args: solves.append(args) or solve(*args))
-    rep = w_vs_k_report(g, 2)
+    rep = w_vs_k_report(SphereHits(g, 2))
     assert solves == [(g, 0, 2)]
     assert len(rep.per_center) == len(ref.per_center) == g.n
     for got, want in zip(rep.per_center, ref.per_center):
@@ -1136,7 +1183,7 @@ def test_uncertified_graphs_take_every_start_and_center(
         assert not chain.transitive
         assert mixing_profile(chain, [0.25]).starts == tuple(range(plain.n))
         solves.clear()
-        w_vs_k_report(plain, 2)
+        w_vs_k_report(SphereHits(plain, 2))
         assert [args[1] for args in solves] == list(range(plain.n))
 
 

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from walklab.chains import srw_chain
+from walklab.graphs import GraphError
 from walklab.tree import (TreeError, ballot_count, count_z_paths,
                           diameter_lower_bound, inv_normal_cdf,
                           kernel_domination_check, level_distribution,
@@ -309,6 +310,15 @@ def test_kernel_domination_sweep(petersen, prism, girth5_graph):
     rep = kernel_domination_check(girth5_graph, srw_chain(girth5_graph), 0,
                                   girth5_graph.adjacency[0][0], 5)
     assert rep.passed
+
+
+@pytest.mark.parametrize("x, y, bad", [(0, -1, -1), (0, 10, 10),
+                                       (-1, 0, -1)])
+def test_kernel_domination_rejects_out_of_range_vertices(petersen_chain,
+                                                         petersen, x, y, bad):
+    # a distance array indexed at -1 reads vertex 9
+    with pytest.raises(GraphError, match=f"^vertex {bad} out of range"):
+        kernel_domination_check(petersen, petersen_chain, x, y, 3)
 
 
 # -- concentration -------------------------------------------------------------

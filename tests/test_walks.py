@@ -5,7 +5,8 @@ import pytest
 
 import walklab as wl
 from walklab.chains import srw_chain
-from walklab.graphs import BallTable, ball_table, bfs_distances, inflate
+from walklab.graphs import (BallTable, GraphError, ball_table, bfs_distances,
+                            inflate)
 from walklab.hitting import (CandidateFamily, SphereHits,
                              candidate_small_sets, expected_hit_time,
                              sphere_hit_distribution)
@@ -13,7 +14,8 @@ from walklab.suites import ExperimentConfig, run_suite
 from walklab.walks import (WalkError, _lockstep_regenerations,
                            annotate_trace, block_statistics,
                            empirical_y_kernel, escape_transfer_experiment,
-                           make_rng, sample_first_regenerations,
+                           make_rng, random_walk_positions,
+                           sample_first_regenerations,
                            simulate_walk, tau, tv_noise_bound)
 
 
@@ -122,33 +124,50 @@ def test_block_statistics_needs_blocks(petersen):
 
 
 def test_empirical_y_kernel_petersen(petersen):
-    rows = empirical_y_kernel(petersen, 2, 100_000, seed=77)
+    rows = empirical_y_kernel(SphereHits(petersen, 2), 100_000, seed=77)
     row = rows[0]
     assert row.tv_deviation <= 0.02
     assert all(abs(v - 1 / 6) < 1e-12 for v in row.exact.values())
 
 
 def test_empirical_y_kernel_k4(k4):
-    rows = empirical_y_kernel(k4, 1, 20_000, seed=5)
+    rows = empirical_y_kernel(SphereHits(k4, 1), 20_000, seed=5)
     for freq in rows[0].frequencies.values():
         assert abs(freq - 1 / 3) < 0.02
 
 
 def test_empirical_y_kernel_prism(prism):
-    rows = empirical_y_kernel(prism, 2, 20_000, seed=6)
+    rows = empirical_y_kernel(SphereHits(prism, 2), 20_000, seed=6)
     assert all(abs(v - 0.5) < 1e-12 for v in rows[0].exact.values())
     assert rows[0].tv_deviation < 0.02
 
 
 def test_empirical_y_kernel_converges(petersen):
-    coarse = empirical_y_kernel(petersen, 2, 10_000, seed=123)[0]
-    fine = empirical_y_kernel(petersen, 2, 200_000, seed=123)[0]
+    coarse = empirical_y_kernel(SphereHits(petersen, 2), 10_000, seed=123)[0]
+    fine = empirical_y_kernel(SphereHits(petersen, 2), 200_000,
+                              seed=123)[0]
     assert fine.tv_deviation < coarse.tv_deviation
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda g: empirical_y_kernel(SphereHits(g, 2), 10_000, seed=1,
+                                  anchors=[10]), 10),
+    (lambda g: simulate_walk(g, 10, 20, 2, seed=1), 10),
+    (lambda g: simulate_walk(g, -1, 20, 2, seed=1), -1),
+    (lambda g: annotate_trace(g, [0, 1, -1], 2), -1),
+    (lambda g: random_walk_positions(g, -1, 3, make_rng(1)), -1)],
+    ids=["y-kernel-anchor", "walk-start-10", "walk-start--1", "trace",
+         "positions"])
+def test_walks_reject_out_of_range_vertices(petersen, call, bad):
+    # adjacency lists indexed at -1 read vertex 9, and the ball table has
+    # no pair for an anchor outside 0..n-1
+    with pytest.raises(GraphError, match=f"^vertex {bad} out of range"):
+        call(petersen)
 
 
 def test_empirical_y_kernel_needs_trials(petersen):
     with pytest.raises(WalkError, match="trials"):
-        empirical_y_kernel(petersen, 2, 500, seed=1)
+        empirical_y_kernel(SphereHits(petersen, 2), 500, seed=1)
 
 
 def test_sample_first_regenerations_matches_hit_time(petersen):
@@ -165,7 +184,8 @@ def escape_transfer(g, alpha, k, **kwargs):
     sets = candidate_small_sets(chain, alpha, graph=g)
     gk = inflate(g, k)
     k_chain = srw_chain(gk) if gk.degree_profile.min_degree > 0 else None
-    return escape_transfer_experiment(g, chain, sets, k_chain, k=k, **kwargs)
+    return escape_transfer_experiment(SphereHits(g, k), chain, sets, k_chain,
+                                      **kwargs)
 
 
 def test_escape_transfer_petersen(petersen):
@@ -187,8 +207,8 @@ def test_escape_transfer_takes_a_list_of_sets(request, name):
     family = candidate_small_sets(chain, 0.25, graph=g)
     k_chain = srw_chain(inflate(g, 2))
     hits = SphereHits(g, 2)
-    reps = [escape_transfer_experiment(g, chain, sets, k_chain, k=2, t=6,
-                                       s=3, trials=500, seed=5, hits=hits)
+    reps = [escape_transfer_experiment(hits, chain, sets, k_chain, t=6, s=3,
+                                       trials=500, seed=5)
             for sets in (family, list(family))]
     assert reps[0] == reps[1] and reps[0].n_sets == len(family)
 
@@ -301,9 +321,9 @@ def test_slow_regen_matches_scalar_reference(prism, cubic64, lps13_17, seed):
             g, k, 12, rep.tau_t, 300, seed, range(g.n))
     # n > 64: the Monte Carlo starts are the family's members, in order
     sets = few_sets(lps13_17)
-    rep = escape_transfer_experiment(lps13_17, srw_chain(lps13_17), sets,
-                                     None, k=2, t=8, s=4, trials=300,
-                                     seed=seed)
+    rep = escape_transfer_experiment(SphereHits(lps13_17, 2),
+                                     srw_chain(lps13_17), sets, None, t=8,
+                                     s=4, trials=300, seed=seed)
     assert 0 < rep.slow_regen < 1
     assert (rep.slow_regen, rep.slow_regen_stderr) == scalar_slow_regen(
         lps13_17, 2, 12, rep.tau_t, 300, seed,
