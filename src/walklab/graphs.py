@@ -31,6 +31,7 @@ INFINITE_GIRTH = math.inf
 # past it only the 2^rank - 1 cycle-space bound is reported.
 CYCLE_RANK_BUDGET = 20
 MAX_GIRTH_SWAPS = 20_000       # see build_high_girth_regular
+MAX_BALL_RADIUS = int(np.iinfo(np.int8).max)  # BallTable distances are int8
 
 
 class GraphError(ValueError):
@@ -450,8 +451,8 @@ def bfs_distances(g: Graph, source: int, cutoff=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BallTable:
-    """Radius-k balls around every vertex, for vectorized distance lookups
-    and walks that stay inside one ball.
+    """Radius-k balls around every vertex, and the step table through
+    which every walker that regenerates at distance k moves.
 
     ``keys`` holds ``anchor * n + u`` for every u within distance k of
     anchor, sorted ascending; ``dist[i]`` is the distance of ``keys[i]``.
@@ -471,12 +472,6 @@ class BallTable:
     dist: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-
-    def distance(self, anchor, v) -> np.ndarray:
-        """Elementwise dist(anchor, v), or -1 when v lies outside the ball."""
-        pos, found = _sorted_lookup(
-            self.keys, np.asarray(anchor, dtype=np.int64) * self.n + v)
-        return np.where(found, self.dist[pos], -1)
 
     def ball(self, anchor: int) -> tuple:
         """``(vertices, dist)``: the vertices within distance k of
@@ -544,8 +539,9 @@ def ball_table(g: Graph, k: int) -> BallTable:
 def _build_ball_table(g: Graph, k: int) -> BallTable:
     # level-synchronous BFS from all anchors at once over (anchor, vertex)
     # pairs encoded as anchor * n + vertex
-    if not 1 <= k <= np.iinfo(np.int8).max:
-        raise GraphError(f"ball radius must lie in 1..127, got {k}")
+    if not 1 <= k <= MAX_BALL_RADIUS:
+        raise GraphError(f"ball radius must lie in 1..{MAX_BALL_RADIUS}, "
+                         f"got {k}")
     n = g.n
     anchors = vertices = np.arange(n, dtype=np.int64)
     levels = [anchors * (n + 1)]

@@ -7,12 +7,16 @@ the Y-chain, whose exact one-step kernel W is the sphere-hitting solve
 from the hitting module, read through the run's ``SphereHits``.  A step
 is good when at least d-1 neighbors of the current position are strictly
 farther from the anchor, which is what couples the walk to the tree
-level chain.  Distances to the anchor come from the graph's radius-k
-ball table.  The escape experiment's independent walks advance in
-lockstep as arrays of positions in that table and step through its
-ball-local step table, one gather per step; the first regenerations of
-the Y-kernel sampler are one walk, stepped in order on the adjacency
-lists.
+level chain.
+
+Every walker is a position in the graph's radius-k ball table, the pair
+(anchor, u), and a step is one lookup in the table's step table; a
+walker that lands on its anchor's sphere at v regenerates and moves to
+the home position of v, so distances to the anchor and good steps are
+read off the table with no search.  ``simulate_walk`` and the Y-kernel
+sampler step one walker through Python lists of the table's rows; the
+escape experiment's independent walks advance in lockstep as arrays of
+positions, one gather per step.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream); every result records its key, so reruns are
@@ -42,7 +46,7 @@ from .checks import Check
 # bfs_distances stays bound here: perfbench's self-test checks that its
 # tracer wraps walks.bfs_distances
 from .graphs import (Graph, bfs_distances,  # noqa: F401
-                     _check_vertex, ball_table, is_connected)
+                     _expand, ball_table, is_connected)
 from .chains import ReversibleChain, _as_arrays
 from .hitting import SphereHits, _tops, family_survival
 
@@ -62,20 +66,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream): splittable and replayable."""
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def random_walk_positions(g: Graph, start: int, steps: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Plain SRW trajectory of the given length (positions 0..steps)."""
-    _check_vertex(g.n, start)
-    adj = g.adjacency
-    cur = start
-    out = [start]
-    for x in rng.random(steps).tolist():
-        nbrs = adj[cur]
-        cur = nbrs[int(x * len(nbrs))]
-        out.append(cur)
-    return np.array(out, dtype=np.int64)
 
 
 def tau(t: int, d: int, k: int) -> int:
@@ -116,7 +106,9 @@ class WalkTrace:
 
     def anchors(self) -> np.ndarray:
         """Anchor vertex governing each time index (the block's start)."""
-        return _block_anchors(self.positions, self.T)
+        bounds = np.append(np.asarray(self.T, dtype=np.int64),
+                           len(self.positions))
+        return np.repeat(self.positions[bounds[:-1]], np.diff(bounds))
 
     def csv_rows(self):
         """Rows (t, vertex, anchor, good) for trace dumps."""
@@ -126,66 +118,51 @@ class WalkTrace:
                 for t in range(len(self.positions))]
 
 
-def _block_anchors(positions: np.ndarray, T) -> np.ndarray:
-    bounds = np.append(np.asarray(T, dtype=np.int64), len(positions))
-    return np.repeat(positions[bounds[:-1]], np.diff(bounds))
-
-
-def annotate_trace(g: Graph, positions, k: int):
-    """Re-derive (T, good_flags, U) from raw positions; pure function.
-
-    Raises when some anchor cannot reach distance k at all, since the
-    block would never terminate.
-    """
-    positions = np.asarray(positions, dtype=np.int64)
-    if len(positions):
-        _check_vertex(g.n, positions.min())
-        _check_vertex(g.n, positions.max())
-    ball = ball_table(g, k)
-    spheres = {}
-
-    def sphere(anchor):
-        ring = spheres.get(anchor)
-        if ring is None:
-            ring = spheres[anchor] = frozenset(ball.sphere(anchor).tolist())
-            if not ring:
-                raise WalkError(
-                    f"anchor {anchor} has no vertex at distance {k}; "
-                    f"regeneration impossible")
-        return ring
-
-    T = [0]
-    ring = sphere(int(positions[0]))
-    for j, p in enumerate(positions[1:].tolist(), 1):
-        if p in ring:
-            T.append(j)
-            ring = sphere(p)
-
-    anchors = _block_anchors(positions, T)
-    dp = ball.distance(anchors, positions)
-    slot, w = g.expand(positions)
-    dw = ball.distance(anchors[slot], w)
-    farther = np.bincount(slot, weights=(dw < 0) | (dw > dp[slot]),
-                          minlength=len(positions))
-    indptr = g.indptr
-    good = farther >= indptr[positions + 1] - indptr[positions] - 1
-    bad = np.concatenate(([0], np.cumsum(~good)))
-    U = bad[T[1:]] - bad[T[:-1]]
-    return tuple(T), good, tuple(U.tolist())
-
-
 def simulate_walk(g: Graph, start: int, steps: int, k: int,
                   seed: int, stream: int = 0) -> WalkTrace:
-    """SRW trajectory with regenerations at distance k, fully annotated."""
+    """SRW trajectory with regenerations at distance k, fully annotated.
+
+    The walker steps through the radius-k :class:`BallTable`, so T, the
+    good flags and U are read off the table's distances.  Only the start
+    is checked for an empty k-sphere: a landing lies at distance exactly
+    k from the previous anchor, which then lies on the landing's sphere.
+    """
     if k < 1:
         raise WalkError("regeneration distance must be >= 1")
     if not is_connected(g):
         raise WalkError("walk simulation needs a connected graph")
-    rng = make_rng(seed, stream)
-    positions = random_walk_positions(g, start, steps, rng)
-    T, good, U = annotate_trace(g, positions, k)
-    return WalkTrace(start=start, k=k, positions=positions, T=T,
-                     good_flags=good, U=U, seed=seed, stream=stream)
+    ball = ball_table(g, k)
+    if not len(ball.sphere(start)):
+        raise WalkError(f"anchor {start} has no vertex at distance {k}; "
+                        f"regeneration impossible")
+    # flat lists: the walk visits many balls, and a list per row of the
+    # whole table would cost more to build than it saves per step
+    first, target = (a.tolist() for a in ball.steps)
+    dist, home = ball.dist.tolist(), ball.home.tolist()
+    vertex = (ball.keys % g.n).tolist()
+    p = home[start]
+    path, T = [p], [0]
+    for j, x in enumerate(make_rng(seed, stream).random(steps).tolist(), 1):
+        row = first[p]
+        p = target[row + int(x * (first[p + 1] - row))]
+        if dist[p] == k:
+            T.append(j)
+            p = home[vertex[p]]
+        path.append(p)
+
+    # every position is interior to its anchor's ball, and so are the
+    # neighbors that its row lists
+    path = np.array(path, dtype=np.int64)
+    slot, nbr = _expand(*ball.steps, path)
+    dp = ball.dist[path]
+    farther = np.bincount(slot, weights=ball.dist[nbr] > dp[slot],
+                          minlength=len(path))
+    good = farther >= np.bincount(slot, minlength=len(path)) - 1
+    bad = np.concatenate(([0], np.cumsum(~good)))
+    U = bad[T[1:]] - bad[T[:-1]]
+    return WalkTrace(start=start, k=k, positions=ball.vertex(path),
+                     T=tuple(T), good_flags=good, U=tuple(U.tolist()),
+                     seed=seed, stream=stream)
 
 
 @dataclass(frozen=True)
@@ -297,34 +274,42 @@ def sample_first_regenerations(g: Graph, anchor: int, k: int, trials: int,
                                rng: np.random.Generator):
     """Durations and landing spots of ``trials`` first regenerations.
 
-    The trials form one walk on ``g.adjacency`` that starts at ``anchor``
-    and jumps back to it whenever it lands on the anchor's k-sphere.
-    Uniforms are drawn in batches sized from the mean duration so far;
-    the uniforms left after the last trial are drawn but never read.
+    The trials form one walk through the anchor's rows of the radius-k
+    :class:`BallTable`: it starts at the anchor and jumps back to it
+    whenever it lands on the anchor's k-sphere.  Uniforms are drawn in
+    batches sized from the mean duration so far; the uniforms left after
+    the last trial are drawn but never read.
     """
-    ring = frozenset(ball_table(g, k).sphere(anchor).tolist())
-    if not ring:
+    ball = ball_table(g, k)
+    if not len(ball.sphere(anchor)):
         raise WalkError(f"anchor {anchor} has no vertex at distance {k}")
-    adj = g.adjacency
+    # the anchor's positions lo..hi-1 and their rows, shifted by -lo
+    lo, hi = np.searchsorted(ball.keys, (anchor * g.n, (anchor + 1) * g.n))
+    first, target = ball.steps
+    target = (target[first[lo]:first[hi]] - lo).tolist()
+    first = (first[lo:hi + 1] - first[lo]).tolist()
+    rows = [target[first[i]:first[i + 1]] for i in range(hi - lo)]
+    dist = ball.dist[lo:hi].tolist()
+    start = int(ball.home[anchor] - lo)
     durations, landings = [], []
-    cur, steps = anchor, 0
+    p, steps = start, 0
     while len(durations) < trials:
         # the batch rule fixes how many uniforms are drawn, and with it
         # the generator's state after the call
         mean = sum(durations) / len(durations) if durations else 4.0
         more = int(1.25 * mean * (trials - len(durations))) + 64
         for x in rng.random(more).tolist():
-            nbrs = adj[cur]
-            cur = nbrs[int(x * len(nbrs))]
+            nbrs = rows[p]
+            p = nbrs[int(x * len(nbrs))]
             steps += 1
-            if cur in ring:
+            if dist[p] == k:
                 durations.append(steps)
-                landings.append(cur)
+                landings.append(p)
                 if len(durations) == trials:
                     break
-                cur, steps = anchor, 0
+                p, steps = start, 0
     return (np.array(durations, dtype=np.int64),
-            np.array(landings, dtype=np.int64))
+            ball.vertex(lo + np.array(landings, dtype=np.int64)))
 
 
 def _lockstep_regenerations(g: Graph, start: int, k: int,

@@ -80,6 +80,9 @@ PETERSEN = {"kind": "named", "name": "petersen"}
     (("walk", "--trials", "-5"), None, "trials must be an integer >= 1"),
     (("walk", "--steps", "-3"), None, "steps must be an integer >= 0"),
     (("walk", "--k", "0"), None, "k must be an integer >= 1"),
+    (("verify", "--k", "128"), None, "k must be at most 127, got 128"),
+    (("tree", "--steps", "20000"), None,
+     "steps must be at most 10000, got 20000"),
     (("hit",), {"t_grid": [0, -1, 2]}, "each t_grid entry must be"),
     (("hit",), {"t_grid": []}, "t_grid must be a nonempty list"),
     (("verify",), {"suites": "spectral"}, "suites must be a nonempty list"),
@@ -87,7 +90,7 @@ PETERSEN = {"kind": "named", "name": "petersen"}
     (("gen",), {"graph": {"kind": "random-regular", "n": 10, "d": 3,
                           "seed": -1}}, "graph seed must be an integer"),
 ], ids=["alpha-1.5", "alpha-1.0", "alpha-0", "eps-0", "seed", "seed-2**64",
-        "trials", "steps", "k", "t_grid-negative", "t_grid-empty",
+        "trials", "steps", "k", "k-128", "steps-20000", "t_grid-negative", "t_grid-empty",
         "suites-string", "suites-empty", "graph-seed"])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, argv, config,
                                             message):
@@ -299,7 +302,7 @@ def test_all_suites_on_cycles_skip_the_walk(tmp_path, n):
 
 def zoo_spec(name, tmp_path):
     """Graph spec of a small zoo member: P4, K1,4 and two disjoint
-    Petersen graphs are read from edge-list files."""
+    Petersen graphs are read from edge-list files; rr8 is random cubic."""
     petersen = walklab.build_named("petersen")
     files = {
         "path4": (4, [(0, 1), (1, 2), (2, 3)]),
@@ -311,6 +314,8 @@ def zoo_spec(name, tmp_path):
         path = str(tmp_path / f"{name}.txt")
         walklab.write_edge_list(walklab.make_graph(*files[name]), path)
         return {"kind": "file", "path": path}
+    if name == "rr8":
+        return {"kind": "random-regular", "n": 8, "d": 3, "seed": 2}
     kind, param, value = {"k2": ("complete", "n", 2), "c6": ("cycle", "n", 6),
                           "c7": ("cycle", "n", 7),
                           "q4": ("hypercube", "dim", 4)}[name]
@@ -320,7 +325,7 @@ def zoo_spec(name, tmp_path):
 @pytest.mark.parametrize("small", [False, True],
                          ids=["default-budgets", "small-budgets"])
 @pytest.mark.parametrize("name", ["two-petersen", "path4", "star4", "k2",
-                                  "c6", "c7", "q4"])
+                                  "c6", "c7", "q4", "rr8"])
 def test_every_suite_reports_on_the_zoo(monkeypatch, tmp_path, name, small):
     # disconnected, non-regular, bipartite and odd cycles, on the dense and
     # the iterative spectrum and on exact and sampled mixing starts
@@ -330,8 +335,11 @@ def test_every_suite_reports_on_the_zoo(monkeypatch, tmp_path, name, small):
         monkeypatch.setattr(spectral, "DENSE_BUDGET", 1)
         monkeypatch.setattr(chains, "EXACT_START_LIMIT", 1)
     out = tmp_path / "out"
+    # on rr8 at k = 3, vertex 0 has eccentricity 3 but family member 1 has
+    # eccentricity 2: the escape check has no W row at 1
+    k = 3 if name == "rr8" else 2
     report, paths = run_suite(ExperimentConfig(
-        graph=zoo_spec(name, tmp_path), trials=200, out_dir=str(out)))
+        graph=zoo_spec(name, tmp_path), k=k, trials=200, out_dir=str(out)))
     assert os.path.exists(out / "report.json")
     assert {r["suite"] for r in report.records} == {"run", *SUITE_NAMES}
     [spec] = [r for r in report.records if r["name"] == "spectrum"]
@@ -340,6 +348,11 @@ def test_every_suite_reports_on_the_zoo(monkeypatch, tmp_path, name, small):
         # two classes: lambda2 = 1 exactly, stated with residual 0
         assert spec["extra"]["lambda2"] == 1.0
         assert spec["extra"]["residuals"]["lambda2"] == 0.0
+    if name == "rr8":
+        [esc] = [r for r in report.records
+                 if r["name"] == "escape-decomposition"]
+        assert (esc["passed"], esc["note"]) == (
+            None, "skipped: sphere of radius 3 around 1 is empty")
 
 
 def test_skipped_suites_build_no_spectrum(monkeypatch, tmp_path):

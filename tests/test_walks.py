@@ -11,11 +11,9 @@ from walklab.hitting import (CandidateFamily, SphereHits,
                              candidate_small_sets, expected_hit_time,
                              sphere_hit_distribution)
 from walklab.suites import ExperimentConfig, run_suite
-from walklab.walks import (WalkError, _lockstep_regenerations,
-                           annotate_trace, block_statistics,
+from walklab.walks import (WalkError, block_statistics,
                            empirical_y_kernel, escape_transfer_experiment,
-                           make_rng, random_walk_positions,
-                           sample_first_regenerations,
+                           make_rng, sample_first_regenerations,
                            simulate_walk, tau, tv_noise_bound)
 
 
@@ -60,14 +58,6 @@ def test_regeneration_distances_exact(petersen):
         assert dist[tr.positions[tr.T[i + 1]]] == 2
         for t in range(tr.T[i], tr.T[i + 1]):
             assert dist[tr.positions[t]] < 2
-
-
-def test_annotation_replay_identity(prism):
-    tr = simulate_walk(prism, 0, 2000, 2, seed=13)
-    T, good, U = annotate_trace(prism, tr.positions, 2)
-    assert T == tr.T
-    assert np.array_equal(good, tr.good_flags)
-    assert U == tr.U
 
 
 def test_simulation_deterministic(petersen):
@@ -153,14 +143,11 @@ def test_empirical_y_kernel_converges(petersen):
     (lambda g: empirical_y_kernel(SphereHits(g, 2), 10_000, seed=1,
                                   anchors=[10]), 10),
     (lambda g: simulate_walk(g, 10, 20, 2, seed=1), 10),
-    (lambda g: simulate_walk(g, -1, 20, 2, seed=1), -1),
-    (lambda g: annotate_trace(g, [0, 1, -1], 2), -1),
-    (lambda g: random_walk_positions(g, -1, 3, make_rng(1)), -1)],
-    ids=["y-kernel-anchor", "walk-start-10", "walk-start--1", "trace",
-         "positions"])
+    (lambda g: simulate_walk(g, -1, 20, 2, seed=1), -1)],
+    ids=["y-kernel-anchor", "walk-start-10", "walk-start--1"])
 def test_walks_reject_out_of_range_vertices(petersen, call, bad):
-    # adjacency lists indexed at -1 read vertex 9, and the ball table has
-    # no pair for an anchor outside 0..n-1
+    # the ball table has no pair for an anchor outside 0..n-1, and its home
+    # positions indexed at -1 read vertex n-1
     with pytest.raises(GraphError, match=f"^vertex {bad} out of range"):
         call(petersen)
 
@@ -403,16 +390,24 @@ def test_first_regenerations_match_offset_sampler(prism, petersen, cubic64,
         assert rng.random() == ref_rng.random()
 
 
-def test_walkers_never_search_the_ball_table(monkeypatch, prism, irregular):
-    def searched(*args):
-        raise AssertionError("BallTable.distance called on a walker step")
+def test_walkers_read_only_the_ball_table():
+    # every walker in walks steps through ball_table(g, k).steps; none
+    # reads the adjacency lists, and the table offers no distance search
+    import ast
+    import inspect
+    from walklab import walks
+    tree = ast.parse(inspect.getsource(walks))
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
 
-    monkeypatch.setattr(BallTable, "distance", searched)
-    durations, _ = sample_first_regenerations(irregular, 0, 2, 500,
-                                              make_rng(1, 0))
-    assert len(durations) == 500
-    u = make_rng(1, 1).random((200, 12))
-    assert _lockstep_regenerations(prism, 0, 2, u).sum() > 0
+    def readers(attr):
+        return {f.name for f in functions for node in ast.walk(f)
+                if isinstance(node, ast.Attribute) and node.attr == attr}
+
+    assert readers("adjacency") == set()
+    assert readers("steps") >= {"simulate_walk", "sample_first_regenerations",
+                                "_lockstep_regenerations"}
+    assert not hasattr(BallTable, "distance")
 
 
 def scalar_annotation(g, positions, k):
