@@ -472,15 +472,15 @@ def hitmix_constant_record(chain: ReversibleChain, alpha: float, eps: float,
 # absorbing solves on balls
 
 
-def _ball_absorbing_system(g: Graph, v: int, k: int):
+def _green_row(g: Graph, v: int, k: int):
     """The walk from v killed on the radius-k sphere.
 
-    Returns ``(interior, sphere, system, exits)``: ``system`` is
-    I - P_interior in CSC form, and ``exits = (src, dst, step)`` lists the
-    entries P(interior[src], sphere[dst]) = step row by row.  The walk never
-    leaves the ball, and the graph is undirected, so column j of
-    P_interior holds P(u, interior[j]) = 1/deg(u) for the interior
-    neighbors u of interior[j].
+    Returns ``(interior, sphere, system, exits, x)``: ``system`` is
+    I - P_interior in CSC form, ``exits = (src, dst, step)`` lists the
+    entries P(interior[src], sphere[dst]) = step row by row, and x is the
+    Green row G(v, .) from one transposed solve system^T x = e_v.  The
+    walk never leaves the ball, and the graph is undirected, so column j
+    of P_interior holds 1/deg(u) at each interior neighbor u of interior[j].
     """
     if k < 1:
         raise HittingError("radius must be >= 1")
@@ -502,7 +502,10 @@ def _ball_absorbing_system(g: Graph, v: int, k: int):
     outer = slot[~inner]
     exits = (outer, np.searchsorted(sphere, nbr[~inner]),
              inv_deg[interior[outer]])
-    return interior, sphere, system, exits
+    e_v = np.zeros(m)
+    e_v[np.searchsorted(interior, v)] = 1.0
+    x = spla.splu(system).solve(e_v, trans="T")
+    return interior, sphere, system, exits, x
 
 
 @dataclass(frozen=True)
@@ -512,6 +515,7 @@ class SphereHit:
     ``probabilities[i]`` is P_v[T_{D_k} = T_u] for u = sphere[i].  The
     tree lower bound 1/(d (d-1)^{k-1}) is checked with 1e-12 slack, and
     ``c_hat`` is the measured constant max_u P[...] * d (d-1)^{k-1}.
+    ``expected_time`` is E_v[T_{D_k}], the sum of the same Green row.
     """
 
     center: int
@@ -525,6 +529,7 @@ class SphereHit:
     c_hat: float
     excess: int
     lower_bound_pass: bool
+    expected_time: float
 
 
 def sphere_hit_distribution(g: Graph, v: int, k: int) -> SphereHit:
@@ -539,11 +544,7 @@ def sphere_hit_distribution(g: Graph, v: int, k: int) -> SphereHit:
     if not g.is_regular:
         raise HittingError("sphere hitting bound needs a regular graph")
     d = g.regular_degree
-    interior, sphere, system, (src, dst, step) = \
-        _ball_absorbing_system(g, v, k)
-    e_v = np.zeros(len(interior))
-    e_v[np.searchsorted(interior, v)] = 1.0
-    x = spla.splu(system).solve(e_v, trans="T")
+    interior, sphere, system, (src, dst, step), x = _green_row(g, v, k)
     row = np.bincount(dst, weights=x[src] * step, minlength=len(sphere))
     # edges with an interior endpoint: interior-interior ones appear twice
     # among the off-diagonal entries of the system, exits once each
@@ -557,7 +558,8 @@ def sphere_hit_distribution(g: Graph, v: int, k: int) -> SphereHit:
         min_prob=min_p, max_prob=max_p,
         c_hat=max_p * d * (d - 1) ** (k - 1),
         excess=edges - len(interior) - len(sphere) + 1,
-        lower_bound_pass=min_p >= lb - 1e-12)
+        lower_bound_pass=min_p >= lb - 1e-12,
+        expected_time=float(x.sum()))
 
 
 class SphereHits(dict):
@@ -582,10 +584,8 @@ class SphereHits(dict):
 
 
 def expected_hit_time(g: Graph, v: int, k: int) -> float:
-    """E_v[T_{D_k}]: expected steps to reach distance k from v."""
-    interior, _, system, _ = _ball_absorbing_system(g, v, k)
-    h = spla.splu(system).solve(np.ones(len(interior)))
-    return float(h[np.searchsorted(interior, v)])
+    """E_v[T_{D_k}] on any graph: the sum of the Green row G(v, .)."""
+    return float(_green_row(g, v, k)[-1].sum())
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ Every walker is a position in the graph's radius-k ball table, the pair
 walker that lands on its anchor's sphere at v regenerates and moves to
 the home position of v, so distances to the anchor and good steps are
 read off the table with no search.  ``simulate_walk`` and the Y-kernel
-sampler step one walker through Python lists of the table's rows; the
-escape experiment's independent walks advance in lockstep as arrays of
-positions, one gather per step.
+sampler step one walker through Python lists of the table's rows.  The
+escape experiment draws no walks: its chance of too few regenerations
+is an exact backward recursion over the same step table.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream); every result records its key, so reruns are
@@ -29,9 +29,6 @@ neighbor ``floor(x * deg(v))`` of v in sorted order.  Draw order:
   uniforms back to back; trial i starts with the uniform after the last
   one trial i-1 used.  ``empirical_y_kernel`` samples anchor number si
   this way from Philox (seed, si).
-- ``escape_transfer_experiment``: trial i of start number si uses
-  uniforms ``[i(t+s), (i+1)(t+s))`` of Philox (seed, 1_000_000 + si),
-  one per step, whether or not it regenerates.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from .checks import Check
 # bfs_distances stays bound here: perfbench's self-test checks that its
 # tracer wraps walks.bfs_distances
 from .graphs import (Graph, bfs_distances,  # noqa: F401
-                     _expand, ball_table, is_connected)
+                     _expand, ball_table, is_connected, vertex_transitive)
 from .chains import ReversibleChain, _as_arrays
 from .hitting import SphereHits, _tops, family_survival
 
@@ -55,7 +52,7 @@ from .hitting import SphereHits, _tops, family_survival
 # tv_noise_bound; see there
 TV_GATE_DELTA = 1e-6
 MIN_BLOCKS = 1000              # see block_statistics
-MC_STARTS_LIMIT = 64           # see escape_transfer_experiment
+SLOW_REGEN_WORK = 7e9          # multiply-adds, ~20 s; see _slow_regenerations
 
 
 class WalkError(ValueError):
@@ -72,9 +69,7 @@ def tau(t: int, d: int, k: int) -> int:
     """ceil((d-2) t / (d k)), in exact integer arithmetic."""
     if d < 3 or k < 1 or t < 0:
         raise WalkError(f"need d >= 3, k >= 1, t >= 0; got d={d}, k={k}, t={t}")
-    num = (d - 2) * t
-    den = d * k
-    return -(-num // den)
+    return -(-(d - 2) * t // (d * k))
 
 
 @dataclass(frozen=True)
@@ -112,10 +107,8 @@ class WalkTrace:
 
     def csv_rows(self):
         """Rows (t, vertex, anchor, good) for trace dumps."""
-        anchors = self.anchors()
-        return [(t, int(self.positions[t]), int(anchors[t]),
-                 bool(self.good_flags[t]))
-                for t in range(len(self.positions))]
+        return list(zip(range(len(self.positions)), self.positions.tolist(),
+                        self.anchors().tolist(), self.good_flags.tolist()))
 
 
 def simulate_walk(g: Graph, start: int, steps: int, k: int,
@@ -196,8 +189,7 @@ def block_statistics(traces) -> BlockStats:
     u_arr = np.asarray(us, dtype=np.int64)
     max_u = int(u_arr.max()) if len(u_arr) else 0
     survival = tuple(float((u_arr > level).mean()) for level in range(max_u + 1))
-    nonincreasing = all(survival[i] >= survival[i + 1]
-                        for i in range(len(survival) - 1))
+    nonincreasing = all(a >= b for a, b in zip(survival, survival[1:]))
     drops = survival[-1] < 1.0
     ratio = None
     positive = [sv for sv in survival if sv > 0]
@@ -312,27 +304,55 @@ def sample_first_regenerations(g: Graph, anchor: int, k: int, trials: int,
             ball.vertex(lo + np.array(landings, dtype=np.int64)))
 
 
-def _lockstep_regenerations(g: Graph, start: int, k: int,
-                            u: np.ndarray) -> np.ndarray:
-    """Completed regenerations of ``len(u)`` fresh walks from ``start``;
-    walk i takes its step j with uniform ``u[i, j]``.
+def _slow_regenerations(g: Graph, k: int, tau_t: int,
+                        horizon: int) -> np.ndarray:
+    """P_a[fewer than ``tau_t`` regenerations in ``horizon`` steps], exactly,
+    for every start a.
 
-    Each walker is its position in the radius-k :class:`BallTable`, the
-    pair (anchor, vertex).  A step is one gather in the step table; a
-    walker that lands on its anchor's sphere at v regenerates and moves to
-    the home position of v, so it never leaves the table's interior rows.
+    Regenerations are a Markov additive process on the interior positions
+    of the radius-k :class:`BallTable`: its step table splits into N, the
+    steps inside the anchor's ball, and R, the steps onto the k-sphere at
+    v, sent to ``home[v]``.  With f_j the chance of fewer than j+1
+    regenerations in the steps left, a step back is f_j <- N f_j + R
+    f_{j-1} (f_{-1} = 0; f = 1 at no steps left); the term is f_{tau-1}
+    at ``home[a]``.
+    On a certified vertex-transitive graph an automorphism carries the walk
+    after a regeneration at v onto the walk after one at 0, so only anchor
+    0's rows are stepped and every R step goes to ``home[0]``.  The work,
+    horizon * tau_t * (entries of those rows), stays within
+    ``SLOW_REGEN_WORK``: 20 s at 0.36e9 per second on an Intel Xeon core.
     """
-    d = g.regular_degree
     ball = ball_table(g, k)
     first, target = ball.steps
-    pos = np.full(len(u), ball.home[start])
-    regens = np.zeros(len(u), dtype=np.int64)
-    for x in u.T:
-        pos = target[first[pos] + (x * d).astype(np.int64)]
-        hit = ball.dist[pos] == k
-        regens += hit
-        pos[hit] = ball.home[ball.vertex(pos[hit])]
-    return regens
+    transitive = vertex_transitive(g)
+    # interior positions; anchor 0's are the keys below n
+    stop = np.searchsorted(ball.keys, g.n) if transitive else None
+    rows = np.flatnonzero(ball.dist[:stop] < k)
+    deg = np.diff(first)[rows]
+    work = horizon * tau_t * int(deg.sum())
+    if work > SLOW_REGEN_WORK:
+        raise WalkError(f"exact slow-regeneration term needs {work:.3g} "
+                        f"multiply-adds, above {SLOW_REGEN_WORK = :.3g}")
+    slot, land = _expand(first, target, rows)
+    regen = ball.dist[land] == k
+    land[regen] = (ball.home[0] if transitive
+                   else ball.home[ball.vertex(land[regen])])
+    col = np.searchsorted(rows, land)
+    weight = 1.0 / deg[slot]
+    stay, move = (sp.csr_matrix((weight[mask], (slot[mask], col[mask])),
+                                shape=(len(rows),) * 2)
+                  for mask in (~regen, regen))
+    # column j+1 holds f_j, column 0 f_{-1} = 0: R f shifted one entry on
+    # in C order is R f_{j-1} in column j+1 (and junk in column 0, reset)
+    f = np.ones((len(rows), tau_t + 1))
+    f[:, 0] = 0.0
+    for _ in range(horizon):
+        nxt = stay @ f
+        nxt.ravel()[1:] += (move @ f).ravel()[:-1]
+        nxt[:, 0] = 0.0
+        f = nxt
+    homes = ball.home[:1] if transitive else ball.home
+    return np.broadcast_to(f[np.searchsorted(rows, homes), -1], g.n)
 
 
 @dataclass(frozen=True)
@@ -343,8 +363,8 @@ class EscapeTransferReport:
     ``srw_escape`` is the exact worst escape probability at horizon t+s
     over the candidate sets; ``y_escape`` kills the exact regeneration
     kernel on each set for tau(t) steps; ``k_escape`` does the same with
-    the distance-k SRW kernel; ``slow_regen`` is the Monte Carlo estimate
-    of the worst P[fewer than tau(t) regenerations by t+s].  ``n_sets``
+    the distance-k SRW kernel; ``slow_regen`` is the exact worst P_a[fewer
+    than tau(t) regenerations by t+s] over the members a.  ``n_sets``
     counts the whole family, also when the maxima are taken on its tops.
     """
 
@@ -357,9 +377,6 @@ class EscapeTransferReport:
     y_escape: float
     k_escape: object
     slow_regen: float
-    slow_regen_stderr: float
-    trials: int
-    seed: int
     checks: tuple
 
     @property
@@ -369,76 +386,60 @@ class EscapeTransferReport:
 
 def escape_transfer_experiment(hits: SphereHits, chain: ReversibleChain,
                                sets, k_chain: ReversibleChain, t: int,
-                               s: int, trials: int,
-                               seed: int) -> EscapeTransferReport:
-    """Exact + Monte Carlo verification of the escape decomposition on
-    ``hits.g`` at regeneration radius ``hits.k``.
+                               s: int) -> EscapeTransferReport:
+    """Exact verification of the escape decomposition on ``hits.g`` at
+    regeneration radius ``hits.k``.
 
     P_a[T_{A^c} > t+s] <= P^Y_a[T_{A^c} > tau(t)] + P_a[T_{tau(t)} > t+s]
-    is asserted for the worst set of ``sets`` within Monte Carlo error.
+    is asserted for the worst set of ``sets``, every term exact.
     ``hits`` is the run's :class:`SphereHits`, from which the rows of the
     regeneration kernel W are read, for the members of ``sets`` only.
     ``chain`` is the SRW chain of g and ``sets`` a nonempty family of
     small sets, a sequence of vertex sets or a :class:`CandidateFamily`
     such as ``candidate_small_sets(chain, alpha, graph=g)``;
     ``k_chain`` is the SRW chain of ``inflate(g, k)``, or None when some
-    k-sphere is empty, which leaves ``k_escape`` None.  The Monte Carlo
-    starts are the first ``MC_STARTS_LIMIT`` members (every vertex when n
-    is at most that).
-    On a certified vertex-transitive graph that family is F0, seeded at
+    k-sphere is empty, which leaves ``k_escape`` None.  The last term is
+    :func:`_slow_regenerations` maximized over every member; past
+    ``SLOW_REGEN_WORK`` multiply-adds it raises :class:`WalkError` first.
+    On a certified vertex-transitive graph the family is F0, seeded at
     vertex 0: automorphisms preserve the SRW, W and K survivals, so their
     maxima over F0 are those over its orbit closure.  On a
     :class:`CandidateFamily` the three maxima step only its tops, which
     attain them (see there); the W rows and the starts still come from
-    every member, and the tops hold the same members.
+    every member, and the tops hold the same members.  The 1e-9 slack is
+    for rounding: a recursion value is at most t+s products with
+    nonnegative rows of at most d+1 terms that sum to at most 1, so its
+    error is at most (t+s)(d+1) 2^-52, below 1e-9 at the suites' largest
+    horizon, 15000, for every d <= 299.
     """
     g, k = hits.g, hits.k
     if not g.is_regular:
         raise WalkError("escape transfer experiment needs a regular graph")
-    d = g.regular_degree
     if not sets:
         raise WalkError("candidate family is empty: no set has mass <= alpha")
-    tau_t = tau(t, d, k)
+    tau_t = tau(t, g.regular_degree, k)
     horizon = t + s
+    needed = np.unique(_as_arrays(sets)[0]).tolist()
+    slow = float(_slow_regenerations(g, k, tau_t, horizon)[needed].max())
 
     tops = _tops(sets)
     srw_escape = float(family_survival(chain.kernel, tops, horizon).max())
 
-    needed = np.unique(_as_arrays(sets)[0]).tolist()
-    rows, cols, vals = [], [], []
-    for v in needed:
-        hit = hits[v]
-        rows.extend([v] * len(hit.sphere))
-        cols.extend(hit.sphere)
-        vals.extend(hit.probabilities.tolist())
-    w = sp.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+    w_rows = [hits[v] for v in needed]
+    w = sp.csr_matrix((np.concatenate([h.probabilities for h in w_rows]),
+                       (np.repeat(needed, [len(h.sphere) for h in w_rows]),
+                        np.concatenate([h.sphere for h in w_rows]))),
+                      shape=(g.n, g.n))
     y_escape = float(family_survival(w, tops, tau_t).max())
 
-    k_escape = None
-    if k_chain is not None:
-        k_escape = float(family_survival(k_chain.kernel, tops, tau_t).max())
+    k_escape = None if k_chain is None else float(
+        family_survival(k_chain.kernel, tops, tau_t).max())
 
-    if g.n <= MC_STARTS_LIMIT:
-        starts = list(range(g.n))
-    else:
-        starts = needed[:MC_STARTS_LIMIT]
-    slow = 0.0
-    slow_se = 0.0
-    for si, a in enumerate(starts):
-        u = make_rng(seed, 1_000_000 + si).random((trials, horizon))
-        regens = _lockstep_regenerations(g, a, k, u)
-        p_hat = int(np.count_nonzero(regens < tau_t)) / trials
-        se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / trials) / trials)
-        if p_hat > slow:
-            slow, slow_se = p_hat, se
-        slow_se = max(slow_se, se)
-
-    margin = 4.0 * slow_se + 1e-9
+    bound = y_escape + slow
     checks = [Check(
-        name="escape-decomposition",
-        lhs=srw_escape, rhs=y_escape + slow + margin,
-        passed=srw_escape <= y_escape + slow + margin,
-        note=f"margin includes 4 stderr = {4.0 * slow_se:.3g}")]
+        name="escape-decomposition", lhs=srw_escape, rhs=bound,
+        passed=srw_escape <= bound + 1e-9,
+        note="exact terms, 1e-09 rounding slack")]
     if k_escape is not None:
         checks.append(Check(
             name="y-vs-k-escape", lhs=y_escape, rhs=k_escape, passed=None,
@@ -446,5 +447,4 @@ def escape_transfer_experiment(hits: SphereHits, chain: ReversibleChain,
     return EscapeTransferReport(
         k=k, t=t, s=s, tau_t=tau_t, n_sets=len(sets), srw_escape=srw_escape,
         y_escape=y_escape, k_escape=k_escape, slow_regen=slow,
-        slow_regen_stderr=slow_se, trials=trials, seed=seed,
         checks=tuple(checks))

@@ -263,12 +263,12 @@ def test_report_json_independent_of_out_dir(tmp_path):
 ALL = ("all",)
 PINNED_DIGESTS = {
     "rr64": ({"kind": "random-regular", "n": 64, "d": 3, "seed": 8}, ALL,
-             "5336a56ea873c1fbdac3c07f94f7c1b183aa61e8fd3157704ce7ddb42e656698"),
+             "35fa528657168581fc3d4c564656dd2221da1395ee1a7d7d750eda1aa183e394"),
     "petersen": ({"kind": "named", "name": "petersen"}, ALL,
-                 "87ba4126267774ac2d06903f632670a62f7ed9cadc137dffde02d31878023bea"),
+                 "7b0be69432ad06a7402829a576c699ad344995de7496deec9f63e8a0e90d75e7"),
     # bipartite: the periodic skips of the mixing and hitmix records
     "q3": ({"kind": "named", "name": "hypercube", "dim": 3}, ALL,
-           "3382ce9392ef8b3912a15319659179b99b2fd227da544eecd12d18a632c9fb5c"),
+           "f04656167e1fd28c585dd90f5db35ae6dd670bab63156bd7abe8ad084b2b9ee9"),
     # diameter 1: every 2-sphere is empty
     "k5": ({"kind": "named", "name": "complete", "n": 5}, ALL,
            "b879694bc7aee7564efedc023dc9ce87c6325f5e4255b68a028369c29340c37c"),

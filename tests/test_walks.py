@@ -11,7 +11,8 @@ from walklab.hitting import (CandidateFamily, SphereHits,
                              candidate_small_sets, expected_hit_time,
                              sphere_hit_distribution)
 from walklab.suites import ExperimentConfig, run_suite
-from walklab.walks import (WalkError, block_statistics,
+from walklab import walks
+from walklab.walks import (WalkError, _slow_regenerations, block_statistics,
                            empirical_y_kernel, escape_transfer_experiment,
                            make_rng, sample_first_regenerations,
                            simulate_walk, tau, tv_noise_bound)
@@ -176,12 +177,15 @@ def escape_transfer(g, alpha, k, **kwargs):
 
 
 def test_escape_transfer_petersen(petersen):
-    rep = escape_transfer(petersen, 0.25, k=2, t=12, s=6, trials=2000,
-                          seed=14)
+    rep = escape_transfer(petersen, 0.25, k=2, t=12, s=6)
     assert rep.tau_t == tau(12, 3, 2)
     assert rep.all_passed
-    assert rep.srw_escape <= rep.y_escape + rep.slow_regen \
-        + 4 * rep.slow_regen_stderr + 1e-9
+    check = rep.checks[0]
+    # the bound itself, with the rounding slack in the pass test only
+    assert check.rhs == rep.y_escape + rep.slow_regen
+    assert rep.srw_escape <= check.rhs + 1e-9
+    assert rep.slow_regen == float(
+        _slow_regenerations(petersen, 2, rep.tau_t, 18).max())
     assert rep.n_sets > 0
 
 
@@ -194,22 +198,21 @@ def test_escape_transfer_takes_a_list_of_sets(request, name):
     family = candidate_small_sets(chain, 0.25, graph=g)
     k_chain = srw_chain(inflate(g, 2))
     hits = SphereHits(g, 2)
-    reps = [escape_transfer_experiment(hits, chain, sets, k_chain, t=6, s=3,
-                                       trials=500, seed=5)
+    reps = [escape_transfer_experiment(hits, chain, sets, k_chain, t=6, s=3)
             for sets in (family, list(family))]
     assert reps[0] == reps[1] and reps[0].n_sets == len(family)
 
 
 def test_escape_transfer_t_zero(petersen):
-    rep = escape_transfer(petersen, 0.25, k=2, t=0, s=4, trials=500, seed=2)
+    rep = escape_transfer(petersen, 0.25, k=2, t=0, s=4)
     assert rep.tau_t == 0
     assert rep.y_escape == 1.0  # zero-step Y chain never escapes
+    assert rep.slow_regen == 0.0  # fewer than 0 regenerations never happen
     assert rep.all_passed
 
 
 def test_escape_transfer_w_equals_k_on_high_girth(girth5_graph):
-    rep = escape_transfer(girth5_graph, 0.02, k=2, t=8, s=4, trials=400,
-                          seed=3)
+    rep = escape_transfer(girth5_graph, 0.02, k=2, t=8, s=4)
     assert rep.k_escape is not None
     assert abs(rep.y_escape - rep.k_escape) < 1e-10
     assert rep.all_passed
@@ -217,7 +220,7 @@ def test_escape_transfer_w_equals_k_on_high_girth(girth5_graph):
 
 def test_escape_transfer_alpha_too_small(petersen):
     with pytest.raises(WalkError, match="alpha"):
-        escape_transfer(petersen, 0.01, k=2, t=6, s=3, trials=100, seed=4)
+        escape_transfer(petersen, 0.01, k=2, t=6, s=3)
 
 
 def test_trace_csv_rows(petersen):
@@ -239,10 +242,10 @@ def test_trace_csv_rows(petersen):
 # consumes the Philox stream in the documented draw order.
 
 def scalar_slow_regen(g, k, horizon, tau_t, trials, seed, starts):
-    """Worst P[fewer than tau_t regenerations] over ``starts``, one trial
-    and one step at a time."""
+    """Monte Carlo P[fewer than tau_t regenerations] at each of
+    ``starts``, one trial and one step at a time."""
     dist = {}
-    slow = slow_se = 0.0
+    out = []
     for si, start in enumerate(starts):
         u = iter(make_rng(seed, 1_000_000 + si).random(trials * horizon)
                  .tolist())
@@ -259,12 +262,29 @@ def scalar_slow_regen(g, k, horizon, tau_t, trials, seed, starts):
                     regens += 1
                     anchor = cur
             few += regens < tau_t
-        p_hat = few / trials
-        se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / trials) / trials)
-        if p_hat > slow:
-            slow, slow_se = p_hat, se
-        slow_se = max(slow_se, se)
-    return slow, slow_se
+        out.append(few / trials)
+    return out
+
+
+def path_regeneration_counts(g, k, start, depth):
+    """``counts[h][r]``: how many of the paths of h <= depth steps from
+    ``start`` regenerate r times, by enumerating every path."""
+    dist = {}
+    counts = [{} for _ in range(depth + 1)]
+    stack = [(start, start, 0, 0)]
+    while stack:
+        anchor, cur, h, r = stack.pop()
+        counts[h][r] = counts[h].get(r, 0) + 1
+        if h == depth:
+            continue
+        if anchor not in dist:
+            dist[anchor] = bfs_distances(g, anchor, cutoff=k)
+        for w in g.adjacency[cur]:
+            if dist[anchor][w] == k:
+                stack.append((w, w, h + 1, r + 1))
+            else:
+                stack.append((anchor, w, h + 1, r))
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +300,11 @@ def rr512():
 @pytest.fixture(scope="module")
 def lps13_17():
     return wl.build_lps(13, 17)
+
+
+@pytest.fixture(scope="module")
+def q4():
+    return wl.build_named("hypercube", 4)
 
 
 @pytest.fixture(scope="module")
@@ -302,19 +327,86 @@ def few_sets(g):
 
 @pytest.mark.parametrize("seed", [3, 8])
 def test_slow_regen_matches_scalar_reference(prism, cubic64, lps13_17, seed):
-    for g, alpha, k in ((prism, 0.34, 2), (cubic64, 0.1, 2), (cubic64, 0.1, 3)):
-        rep = escape_transfer(g, alpha, k=k, t=8, s=4, trials=300, seed=seed)
-        assert (rep.slow_regen, rep.slow_regen_stderr) == scalar_slow_regen(
-            g, k, 12, rep.tau_t, 300, seed, range(g.n))
-    # n > 64: the Monte Carlo starts are the family's members, in order
-    sets = few_sets(lps13_17)
-    rep = escape_transfer_experiment(SphereHits(lps13_17, 2),
-                                     srw_chain(lps13_17), sets, None, t=8,
-                                     s=4, trials=300, seed=seed)
+    # the report's term is the exact maximum over the family's members,
+    # and each member's value lies within 4 stderr of 300 Monte Carlo
+    # trials, the stderr taken at the exact value
+    for g, alpha, k in ((prism, 0.34, 2), (cubic64, 0.1, 2), (cubic64, 0.1, 3),
+                        (lps13_17, None, 2)):
+        chain = srw_chain(g)
+        sets = few_sets(g) if alpha is None \
+            else candidate_small_sets(chain, alpha, graph=g)
+        rep = escape_transfer_experiment(SphereHits(g, k), chain, sets, None,
+                                         t=8, s=4)
+        exact = _slow_regenerations(g, k, rep.tau_t, 12)
+        members = np.unique(sets.members).tolist()
+        assert rep.slow_regen == float(exact[members].max())
+        for a, p_hat in zip(members, scalar_slow_regen(
+                g, k, 12, rep.tau_t, 300, seed, members)):
+            p = exact[a]
+            se = math.sqrt(max(p * (1.0 - p), 1.0 / 300) / 300)
+            assert abs(p - p_hat) <= 4 * se
     assert 0 < rep.slow_regen < 1
-    assert (rep.slow_regen, rep.slow_regen_stderr) == scalar_slow_regen(
-        lps13_17, 2, 12, rep.tau_t, 300, seed,
-        np.unique(sets.members).tolist())
+
+
+@pytest.mark.parametrize("name,k,depth", [
+    ("petersen", 2, 8), ("prism", 2, 8), ("q3", 2, 8), ("cubic64", 2, 6),
+    ("cubic64", 3, 6)])
+def test_slow_regen_equals_path_sum(request, name, k, depth):
+    # P_a[fewer than tau regenerations in h steps] summed over all d^h
+    # paths, exactly; q3 is certified and steps anchor 0's ball alone
+    g = request.getfixturevalue(name)
+    d = g.regular_degree
+    counts = [path_regeneration_counts(g, k, a, depth) for a in range(g.n)]
+    for h in range(depth + 1):
+        for tau_t in range(4):
+            want = [sum(c for r, c in per_start[h].items() if r < tau_t)
+                    / d ** h for per_start in counts]
+            got = _slow_regenerations(g, k, tau_t, h)
+            assert np.abs(got - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["lps13_17", "q4"])
+def test_slow_regen_quotient_matches_all_positions(request, name):
+    # the certified graph steps anchor 0's ball; an uncertified relabelled
+    # copy steps every position and must agree at every start
+    g = request.getfixturevalue(name)
+    assert wl.vertex_transitive(g)
+    perm = np.random.Generator(np.random.Philox(key=np.uint64(9))) \
+        .permutation(g.n)
+    bare = wl.make_graph(g.n, perm[np.array(g.edges)], g.provenance)
+    assert not wl.vertex_transitive(bare)
+    for t, s in ((12, 6), (30, 15)):
+        tau_t = tau(t, g.regular_degree, 2)
+        quotient = _slow_regenerations(g, 2, tau_t, t + s)
+        full = _slow_regenerations(bare, 2, tau_t, t + s)
+        assert 0 < quotient[0] < 1
+        assert np.allclose(full[perm], quotient, rtol=1e-12, atol=0)
+
+
+def test_slow_regen_work_bound(petersen, monkeypatch, tmp_path):
+    # past the bound the experiment raises and the walk suite records the
+    # escape check as skipped with the same note
+    monkeypatch.setattr(walks, "SLOW_REGEN_WORK", 1000)
+    with pytest.raises(WalkError, match="SLOW_REGEN_WORK"):
+        escape_transfer(petersen, 0.25, k=2, t=12, s=6)
+    report, _ = run_suite(ExperimentConfig(
+        graph={"kind": "named", "name": "petersen"}, suites=("walk",),
+        trials=200, seed=3, out_dir=str(tmp_path)))
+    escape = [r for r in report.records
+              if r["name"] == "escape-decomposition"]
+    assert [(r["passed"], r["note"]) for r in escape] == [
+        (None, "skipped: exact slow-regeneration term needs 4.32e+03 "
+               "multiply-adds, above SLOW_REGEN_WORK = 1e+03")]
+
+
+def test_walk_suite_skips_escape_on_an_empty_family(tmp_path):
+    # alpha below 1/n leaves no candidate set: a skipped record, no crash
+    report, _ = run_suite(ExperimentConfig(
+        graph={"kind": "named", "name": "petersen"}, suites=("walk",),
+        alpha=0.05, trials=200, seed=3, out_dir=str(tmp_path)))
+    assert [(r["passed"], r["note"]) for r in report.records
+            if r["name"] == "escape-decomposition"] == [
+        (None, "skipped: candidate family is empty: no set has mass <= alpha")]
 
 
 def test_first_regenerations_match_scalar_reference(prism, petersen, cubic64,
@@ -406,8 +498,23 @@ def test_walkers_read_only_the_ball_table():
 
     assert readers("adjacency") == set()
     assert readers("steps") >= {"simulate_walk", "sample_first_regenerations",
-                                "_lockstep_regenerations"}
+                                "_slow_regenerations"}
     assert not hasattr(BallTable, "distance")
+
+
+def test_escape_check_draws_no_randomness():
+    # the escape check is exact: no sampler may come back into it
+    import ast
+    import inspect
+    def called(fn):
+        return {node.func.id for node in ast.walk(ast.parse(
+                    inspect.getsource(fn)))
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)}
+
+    assert "_slow_regenerations" in called(escape_transfer_experiment)
+    for fn in (escape_transfer_experiment, _slow_regenerations):
+        assert "make_rng" not in called(fn)
 
 
 def scalar_annotation(g, positions, k):
