@@ -459,9 +459,9 @@ class BallTable:
     The index of a pair in ``keys`` is its position.  ``indptr`` and
     ``indices`` are the graph's CSR arrays, which the step table reads.
 
-    :attr:`steps` is the ball-local transition table: a walker at the
-    interior position of (anchor, u) moves to its slot-th neighbor w by
-    one gather, to the position of (anchor, w), with no search.
+    :meth:`moves` lists the moves out of given interior positions, and
+    :attr:`steps` tables them for all: a walker at (anchor, u) moves to
+    its slot-th neighbor w, at (anchor, w), by one gather, no search.
     :attr:`home` gives the position of (v, v), where a walker that has
     just reached its anchor's sphere at v starts v's ball.
     """
@@ -497,25 +497,30 @@ class BallTable:
         return _read_only(
             np.searchsorted(self.keys, np.arange(self.n) * (self.n + 1)))
 
-    @cached_property
-    def steps(self) -> tuple:
-        """``(first, target)``, built on first use: for the position p of
-        (anchor, u) with dist(anchor, u) < k, ``target[first[p] + slot]``
-        is the position of (anchor, w), w the slot-th neighbor of u in
-        adjacency order.  ``first`` has one entry per position plus one;
-        rows are the interior positions only, so a position at distance k
-        has an empty row, and ``target`` holds sum(deg(u)) entries over
-        the interior pairs: n |B_{k-1}| d on a d-regular graph whose balls
-        have |B_{k-1}| vertices."""
-        inner = np.flatnonzero(self.dist < self.k)
-        anchors, vertices = np.divmod(self.keys[inner], self.n)
-        degs = np.zeros(len(self.keys), dtype=np.int64)
-        degs[inner] = self.indptr[vertices + 1] - self.indptr[vertices]
-        first = np.zeros(len(self.keys) + 1, dtype=np.int64)
-        np.cumsum(degs, out=first[1:])
+    def moves(self, rows) -> tuple:
+        """``(slot, land, step)``: every move out of the interior positions
+        ``rows``, row after row in adjacency order, built for ``rows``
+        alone: position ``rows[slot]`` of (anchor, u) moves to position
+        ``land`` of (anchor, w) with probability ``step`` = 1/deg(u)."""
+        anchors, vertices = np.divmod(self.keys[rows], self.n)
         slot, nbr = _expand(self.indptr, self.indices, vertices)
         # a neighbor of an interior vertex lies in the ball
-        target = np.searchsorted(self.keys, anchors[slot] * self.n + nbr)
+        land = np.searchsorted(self.keys, anchors[slot] * self.n + nbr)
+        return slot, land, 1.0 / np.diff(self.indptr)[vertices[slot]]
+
+    @cached_property
+    def steps(self) -> tuple:
+        """``(first, target)``, built on first use: :meth:`moves` over every
+        interior position p of (anchor, u), so ``target[first[p] + slot]``
+        is the position of (anchor, w), w the slot-th neighbor of u.  A
+        position at distance k has an empty row; ``target`` holds
+        n |B_{k-1}| d entries on a d-regular graph whose balls have
+        |B_{k-1}| vertices."""
+        inner = np.flatnonzero(self.dist < self.k)
+        slot, target, _ = self.moves(inner)
+        first = np.zeros(len(self.keys) + 1, dtype=np.int64)
+        first[inner + 1] = np.bincount(slot, minlength=len(inner))
+        np.cumsum(first, out=first)
         return _read_only(first), _read_only(target)
 
 

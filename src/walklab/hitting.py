@@ -6,8 +6,8 @@ from a.  The quantile hit_{1-alpha}(eps) is the first time every set of
 stationary mass <= alpha is escaped with probability >= 1-eps from every
 start.  Sphere hitting distributions (the probability of exiting the
 radius-k ball through each boundary vertex) come from exact absorbing
-linear solves; they realize the one-step kernel of the walk observed at
-regeneration times.
+linear solves, one block-diagonal factorization over many balls; they
+realize the one-step kernel of the walk observed at regeneration times.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .checks import Check
+from . import chains
 from .chains import (ReversibleChain, APERIODIC, MixingProfile,
                      _family_blocks)
-from .graphs import (Graph, _bfs_levels, _scan_vertices, ball_table,
-                     vertex_transitive)
+from .graphs import (Graph, _bfs_levels, _check_vertex, _scan_vertices,
+                     ball_table, vertex_transitive)
 from .spectral import restricted_top_eig
 
 EXACT_SEARCH_LIMIT = 20
@@ -472,40 +473,46 @@ def hitmix_constant_record(chain: ReversibleChain, alpha: float, eps: float,
 # absorbing solves on balls
 
 
-def _green_row(g: Graph, v: int, k: int):
-    """The walk from v killed on the radius-k sphere.
+def _ball_solves(g: Graph, k: int, centers) -> list:
+    """``(center, sphere, row, time, excess)`` for each of ``centers``,
+    ascending and distinct, as :class:`SphereHit` defines them.
 
-    Returns ``(interior, sphere, system, exits, x)``: ``system`` is
-    I - P_interior in CSC form, ``exits = (src, dst, step)`` lists the
-    entries P(interior[src], sphere[dst]) = step row by row, and x is the
-    Green row G(v, .) from one transposed solve system^T x = e_v.  The
-    walk never leaves the ball, and the graph is undirected, so column j
-    of P_interior holds 1/deg(u) at each interior neighbor u of interior[j].
+    :meth:`graphs.BallTable.moves` never crosses anchors, so I - P on the
+    centers' interior positions is block-diagonal.  LU in natural column
+    order eliminates each block alone, so a row's bits do not depend on
+    the other balls (COLAMD mixes them and moves last bits); one
+    transposed solve with 1 at every home gives every Green row G(v, .).
     """
-    if k < 1:
-        raise HittingError("radius must be >= 1")
-    ball, dist = ball_table(g, k).ball(v)
-    interior, sphere = ball[dist < k], ball[dist == k]
-    if len(sphere) == 0:
-        raise HittingError(f"sphere of radius {k} around {v} is empty")
-    m = len(interior)
-    slot, nbr = g.expand(interior)
-    inv_deg = 1.0 / np.diff(g.indptr)
-    inner = dist[np.searchsorted(ball, nbr)] < k
-    rows = np.concatenate((np.arange(m), np.searchsorted(interior, nbr[inner])))
-    cols = np.concatenate((np.arange(m), slot[inner]))
-    vals = np.concatenate((np.ones(m), -inv_deg[nbr[inner]]))
-    order = np.lexsort((rows, cols))
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=m), out=indptr[1:])
-    system = sp.csc_matrix((vals[order], rows[order], indptr), shape=(m, m))
-    outer = slot[~inner]
-    exits = (outer, np.searchsorted(sphere, nbr[~inner]),
-             inv_deg[interior[outer]])
-    e_v = np.zeros(m)
-    e_v[np.searchsorted(interior, v)] = 1.0
-    x = spla.splu(system).solve(e_v, trans="T")
-    return interior, sphere, system, exits, x
+    table = ball_table(g, k)
+    for v in centers:
+        _check_vertex(g.n, v)
+    centers = np.asarray(centers, dtype=np.int64)
+    lo, hi = np.searchsorted(table.keys, (centers * g.n, (centers + 1) * g.n))
+    size = hi - lo
+    pos = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
+    inner = table.dist[pos] < k
+    m = np.add.reduceat(inner, np.cumsum(size) - size)
+    if np.any(m == size):
+        raise HittingError(f"sphere of radius {k} around "
+                           f"{centers[np.argmax(m == size)]} is empty")
+    rows, sphere = pos[inner], pos[~inner]
+    slot, land, step = table.moves(rows)
+    out = table.dist[land] == k
+    system = sp.identity(len(rows), format="csc") - sp.csc_matrix(
+        (step[~out], (slot[~out], np.searchsorted(rows, land[~out]))),
+        shape=(len(rows),) * 2)
+    homes = np.isin(rows, table.home[centers]) * 1.0
+    x = spla.splu(system, permc_spec="NATURAL").solve(homes, trans="T")
+    row = np.bincount(np.searchsorted(sphere, land[out]),
+                      weights=x[slot[out]] * step[out], minlength=len(sphere))
+    # moves plus exits is twice the edges with an interior endpoint
+    owner = np.repeat(np.arange(len(centers)), m)[slot]
+    excess = np.bincount(owner, 1 + out, len(centers)) // 2 - size + 1
+    cut = np.cumsum(size - m)[:-1]
+    return list(zip(centers.tolist(), np.split(table.vertex(sphere), cut),
+                    np.split(row, cut),
+                    [float(xv.sum()) for xv in np.split(x, np.cumsum(m)[:-1])],
+                    excess.astype(int).tolist()))
 
 
 @dataclass(frozen=True)
@@ -516,6 +523,8 @@ class SphereHit:
     tree lower bound 1/(d (d-1)^{k-1}) is checked with 1e-12 slack, and
     ``c_hat`` is the measured constant max_u P[...] * d (d-1)^{k-1}.
     ``expected_time`` is E_v[T_{D_k}], the sum of the same Green row.
+    ``excess`` is the tree excess of the ball: edges with an interior
+    endpoint minus the ball size, plus one.
     """
 
     center: int
@@ -532,60 +541,56 @@ class SphereHit:
     expected_time: float
 
 
-def sphere_hit_distribution(g: Graph, v: int, k: int) -> SphereHit:
-    """Solve the absorbing system on the ball B_k(v) exactly.
-
-    The walk killed on the radius-k sphere never leaves the ball, so the
-    hitting-location distribution is row v of (I - P_interior)^{-1}
-    P_boundary: one transposed solve (I - P_interior)^T x = e_v, then
-    x^T P_boundary.  ``excess`` is the tree excess of the ball: edges
-    with an interior endpoint minus the ball size, plus one.
-    """
-    if not g.is_regular:
-        raise HittingError("sphere hitting bound needs a regular graph")
-    d = g.regular_degree
-    interior, sphere, system, (src, dst, step), x = _green_row(g, v, k)
-    row = np.bincount(dst, weights=x[src] * step, minlength=len(sphere))
-    # edges with an interior endpoint: interior-interior ones appear twice
-    # among the off-diagonal entries of the system, exits once each
-    edges = (system.nnz - len(interior)) // 2 + len(src)
-    total = float(row.sum())
-    lb = 1.0 / (d * (d - 1) ** (k - 1))
-    min_p, max_p = float(row.min()), float(row.max())
-    return SphereHit(
-        center=v, radius=k, sphere=tuple(sphere.tolist()),
-        probabilities=row, total=total, lower_bound=lb,
-        min_prob=min_p, max_prob=max_p,
-        c_hat=max_p * d * (d - 1) ** (k - 1),
-        excess=edges - len(interior) - len(sphere) + 1,
-        lower_bound_pass=min_p >= lb - 1e-12,
-        expected_time=float(x.sum()))
-
-
 class SphereHits(dict):
     """The rows of the regeneration kernel W of graph ``g`` at radius
-    ``k``, keyed by center: ``hits[v]`` is
-    ``sphere_hit_distribution(g, v, k)``, solved on first access and kept.
+    ``k``, keyed by center: ``hits[v]`` is the :class:`SphereHit` of v,
+    solved on first access or by :meth:`solve`, and kept.
 
     It is the only source of W: :func:`w_vs_k_report`,
     :func:`walks.escape_transfer_experiment` and
     :func:`walks.empirical_y_kernel` take it and read ``g`` and ``k``
     from it.  One instance per run lets every reader of a row share its
-    solve, so each ball is solved at most once."""
+    solve, so each ball is solved at most once; a row's bits do not
+    depend on the centers solved with it."""
 
     def __init__(self, g: Graph, k: int):
         super().__init__()
         self.g = g
         self.k = k
 
+    def solve(self, centers) -> list:
+        """The :class:`SphereHit` of each of ``centers``.  Those not yet
+        held are solved ascending, in chunks of about ``FAMILY_CHUNK_ROWS``
+        interior positions, one :func:`_ball_solves` each; the smallest
+        whose sphere is empty raises :class:`HittingError`."""
+        g, k = self.g, self.k
+        if not g.is_regular:
+            raise HittingError("sphere hitting bound needs a regular graph")
+        todo = np.setdiff1d(np.asarray(centers, dtype=np.int64), list(self))
+        table = ball_table(g, k)
+        inner = [np.count_nonzero(table.ball(v)[1] < k) for v in todo.tolist()]
+        chunk = (np.cumsum(inner) - inner) // chains.FAMILY_CHUNK_ROWS
+        d = g.regular_degree
+        lb = 1.0 / (d * (d - 1) ** (k - 1))
+        for part in (todo[chunk == c] for c in np.unique(chunk)):
+            for v, sphere, row, time, excess in _ball_solves(g, k, part):
+                low, high = float(row.min()), float(row.max())
+                self[v] = SphereHit(
+                    center=v, radius=k, sphere=tuple(sphere.tolist()),
+                    probabilities=row, total=float(row.sum()),
+                    lower_bound=lb, min_prob=low, max_prob=high,
+                    c_hat=high * d * (d - 1) ** (k - 1), excess=excess,
+                    lower_bound_pass=low >= lb - 1e-12,
+                    expected_time=time)
+        return [self[v] for v in centers]
+
     def __missing__(self, v):
-        hit = self[v] = sphere_hit_distribution(self.g, v, self.k)
-        return hit
+        return self.solve([v])[0]
 
 
 def expected_hit_time(g: Graph, v: int, k: int) -> float:
     """E_v[T_{D_k}] on any graph: the sum of the Green row G(v, .)."""
-    return float(_green_row(g, v, k)[-1].sum())
+    return _ball_solves(g, k, [v])[0][3]
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +633,11 @@ def w_vs_k_report(hits: SphereHits) -> WvsKReport:
     :class:`SphereHits`; K(x, .) is uniform over the distance-k neighbors.
     Requires every measured vertex to have a nonempty k-sphere.  The
     centers are every vertex when n <= 4096 or the graph is certified
-    vertex-transitive, and vertices 0..255 otherwise.  On a certified
-    graph an automorphism carries center 0's ball and sphere-hit row onto
-    every center's, so center 0 is solved once and its row stands for
-    each center.
+    vertex-transitive, and vertices 0..255 otherwise.  On an uncertified
+    graph ``hits.solve`` solves them all in chunked batches.  On a
+    certified graph an automorphism carries center 0's ball and sphere-hit
+    row onto every center's, so center 0 is solved alone and its row
+    stands for each center.
     """
     g, k = hits.g, hits.k
     if not g.is_regular:
@@ -646,9 +652,9 @@ def w_vs_k_report(hits: SphereHits) -> WvsKReport:
     k_max = -math.inf
     w_min = math.inf
     per_center = []
-    same = hits[0] if transitive else None
+    hits.solve([0] if transitive else centers)
     for x in centers:
-        hit = same or hits[x]
+        hit = hits[0 if transitive else x]
         deg_k = len(hit.sphere)
         k_val = scale / deg_k
         k_min, k_max = min(k_min, k_val), max(k_max, k_val)

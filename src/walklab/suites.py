@@ -194,8 +194,8 @@ class Run:
 
     @functools.cached_property
     def sphere_hits(self) -> H.SphereHits:
-        """Sphere-hit rows at radius k, each solved on first access: the
-        one source of W, whose rows the inflation and walk suites share."""
+        """Sphere-hit rows at radius k, solved on first access or in
+        batches: the one source of W, shared by inflation and walk."""
         return H.SphereHits(self.g, self.cfg.k)
 
     @functools.cached_property
@@ -530,7 +530,8 @@ def walk_suite(run: Run) -> tuple:
             recs.append(record_from_check("walk", check, extra={
                 "srw_escape": esc.srw_escape, "y_escape": esc.y_escape,
                 "k_escape": esc.k_escape, "slow_regen": esc.slow_regen,
-                "tau": esc.tau_t, "n_sets": esc.n_sets}))
+                "tau": esc.tau_t, "n_sets": esc.n_sets}
+                if check.name == "escape-decomposition" else None))
     csvs = {}
     if cfg.dump_curves:
         csvs["walk_trace.csv"] = (("t", "vertex", "anchor", "good"),

@@ -88,8 +88,8 @@ def level_hitting_time(d: int, k: int) -> float:
     """Expected time for the level chain to first reach level k from 0.
 
     Solves the one-step recurrence e_j = (d + e_{j-1})/(d-1) exactly;
-    e_0 = 1 by the forced move.  No suite calls it: it is the closed-form
-    reference for :func:`hitting.expected_hit_time` on a tree ball.
+    e_0 = 1 by the forced move.  No suite calls it: it is the closed form
+    of E_v[T_{D_k}] on a tree ball, which :func:`hitting._ball_solves` gives.
     """
     _check_degree(d)
     if k < 0:

@@ -16,7 +16,7 @@ the home position of v, so distances to the anchor and good steps are
 read off the table with no search.  ``simulate_walk`` and the Y-kernel
 sampler step one walker through Python lists of the table's rows.  The
 escape experiment draws no walks: its chance of too few regenerations
-is an exact backward recursion over the same step table.
+is an exact backward recursion over the table's moves.
 
 All randomness flows through counter-based Philox streams keyed by
 (seed, stream); every result records its key, so reruns are
@@ -43,7 +43,7 @@ from .checks import Check
 # bfs_distances stays bound here: perfbench's self-test checks that its
 # tracer wraps walks.bfs_distances
 from .graphs import (Graph, bfs_distances,  # noqa: F401
-                     _expand, ball_table, is_connected, vertex_transitive)
+                     ball_table, is_connected, vertex_transitive)
 from .chains import ReversibleChain, _as_arrays
 from .hitting import SphereHits, _tops, family_survival
 
@@ -52,7 +52,7 @@ from .hitting import SphereHits, _tops, family_survival
 # tv_noise_bound; see there
 TV_GATE_DELTA = 1e-6
 MIN_BLOCKS = 1000              # see block_statistics
-SLOW_REGEN_WORK = 7e9          # multiply-adds, ~20 s; see _slow_regenerations
+SLOW_REGEN_WORK = 7e9          # multiply-adds, 8-14 s; see _slow_regenerations
 
 
 class WalkError(ValueError):
@@ -146,7 +146,7 @@ def simulate_walk(g: Graph, start: int, steps: int, k: int,
     # every position is interior to its anchor's ball, and so are the
     # neighbors that its row lists
     path = np.array(path, dtype=np.int64)
-    slot, nbr = _expand(*ball.steps, path)
+    slot, nbr, _ = ball.moves(path)
     dp = ball.dist[path]
     farther = np.bincount(slot, weights=ball.dist[nbr] > dp[slot],
                           minlength=len(path))
@@ -310,47 +310,46 @@ def _slow_regenerations(g: Graph, k: int, tau_t: int,
     for every start a.
 
     Regenerations are a Markov additive process on the interior positions
-    of the radius-k :class:`BallTable`: its step table splits into N, the
+    of the radius-k :class:`BallTable`: their moves split into N, the
     steps inside the anchor's ball, and R, the steps onto the k-sphere at
     v, sent to ``home[v]``.  With f_j the chance of fewer than j+1
     regenerations in the steps left, a step back is f_j <- N f_j + R
-    f_{j-1} (f_{-1} = 0; f = 1 at no steps left); the term is f_{tau-1}
-    at ``home[a]``.
+    f_{j-1} (f_{-1} = 0; f = 1 at no steps left), one product with N and
+    R stacked; the term is f_{tau-1} at ``home[a]``.
     On a certified vertex-transitive graph an automorphism carries the walk
     after a regeneration at v onto the walk after one at 0, so only anchor
     0's rows are stepped and every R step goes to ``home[0]``.  The work,
-    horizon * tau_t * (entries of those rows), stays within
-    ``SLOW_REGEN_WORK``: 20 s at 0.36e9 per second on an Intel Xeon core.
+    horizon * tau_t * (moves out of those rows), stays within
+    ``SLOW_REGEN_WORK``: 8.4 s at 0.83e9 per second on an Intel Xeon core
+    (rr512, tau_t >= 67), 14 s at the 0.50e9 of tau_t = 10.
     """
     ball = ball_table(g, k)
-    first, target = ball.steps
     transitive = vertex_transitive(g)
     # interior positions; anchor 0's are the keys below n
     stop = np.searchsorted(ball.keys, g.n) if transitive else None
     rows = np.flatnonzero(ball.dist[:stop] < k)
-    deg = np.diff(first)[rows]
-    work = horizon * tau_t * int(deg.sum())
+    slot, land, step = ball.moves(rows)
+    work = horizon * tau_t * len(slot)
     if work > SLOW_REGEN_WORK:
         raise WalkError(f"exact slow-regeneration term needs {work:.3g} "
                         f"multiply-adds, above {SLOW_REGEN_WORK = :.3g}")
-    slot, land = _expand(first, target, rows)
     regen = ball.dist[land] == k
     land[regen] = (ball.home[0] if transitive
                    else ball.home[ball.vertex(land[regen])])
-    col = np.searchsorted(rows, land)
-    weight = 1.0 / deg[slot]
-    stay, move = (sp.csr_matrix((weight[mask], (slot[mask], col[mask])),
-                                shape=(len(rows),) * 2)
-                  for mask in (~regen, regen))
+    m = len(rows)
+    # rows 0..m-1 hold N, rows m..2m-1 hold R
+    both = sp.csr_matrix(
+        (step, (slot + m * regen, np.searchsorted(rows, land))),
+        shape=(2 * m, m))
     # column j+1 holds f_j, column 0 f_{-1} = 0: R f shifted one entry on
     # in C order is R f_{j-1} in column j+1 (and junk in column 0, reset)
-    f = np.ones((len(rows), tau_t + 1))
+    f = np.ones((m, tau_t + 1))
     f[:, 0] = 0.0
     for _ in range(horizon):
-        nxt = stay @ f
-        nxt.ravel()[1:] += (move @ f).ravel()[:-1]
-        nxt[:, 0] = 0.0
-        f = nxt
+        both_f = both @ f
+        f = both_f[:m]
+        f.ravel()[1:] += both_f[m:].ravel()[:-1]
+        f[:, 0] = 0.0
     homes = ball.home[:1] if transitive else ball.home
     return np.broadcast_to(f[np.searchsorted(rows, homes), -1], g.n)
 
@@ -425,7 +424,7 @@ def escape_transfer_experiment(hits: SphereHits, chain: ReversibleChain,
     tops = _tops(sets)
     srw_escape = float(family_survival(chain.kernel, tops, horizon).max())
 
-    w_rows = [hits[v] for v in needed]
+    w_rows = hits.solve(needed)
     w = sp.csr_matrix((np.concatenate([h.probabilities for h in w_rows]),
                        (np.repeat(needed, [len(h.sphere) for h in w_rows]),
                         np.concatenate([h.sphere for h in w_rows]))),

@@ -14,7 +14,7 @@ import pytest
 import walklab as wl
 from walklab.chains import mixing_profile, srw_chain
 from walklab.hitting import (SURVIVAL_TOL, SphereHits, expected_hit_time,
-                             sphere_hit_distribution, verify_spectral_hit,
+                             verify_spectral_hit,
                              w_vs_k_report)
 from walklab.spectral import (VERDICT_TOL, classify_ramanujan, poincare_bound,
                               restricted_top_eig, rho, spectrum)
@@ -135,23 +135,26 @@ def test_criterion_04_survival_norm_perron_chain():
 def test_criterion_05_sphere_hitting_bound():
     t0 = time.perf_counter()
     pet = wl.build_named("petersen")
-    hit = sphere_hit_distribution(pet, 0, 2)
+    hit = SphereHits(pet, 2)[0]
     assert np.abs(hit.probabilities - 1 / 6).max() < 1e-12
     assert hit.lower_bound_pass
 
     big = wl.build_high_girth_regular(2000, 3, 7, seed=11)
     assert wl.girth(big) > 6
     c_hat_by_excess = {}
+    hits = SphereHits(big, 3)
+    hits.solve(range(big.n))
     for v in range(big.n):
-        h = sphere_hit_distribution(big, v, 3)
+        h = hits[v]
         assert h.min_prob >= h.lower_bound - 1e-12, v
         assert h.excess == 0
         assert np.abs(h.probabilities - 1 / 12).max() < 1e-12, v
         c_hat_by_excess[h.excess] = max(c_hat_by_excess.get(h.excess, 0.0),
                                         h.c_hat)
     for g, k in ((wl.build_named("prism"), 2), (pet, 1), (pet, 2)):
+        hits = SphereHits(g, k)
         for v in range(g.n):
-            h = sphere_hit_distribution(g, v, k)
+            h = hits[v]
             assert h.min_prob >= h.lower_bound - 1e-12
             c_hat_by_excess[h.excess] = max(c_hat_by_excess.get(h.excess, 0.0),
                                             h.c_hat)

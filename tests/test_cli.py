@@ -263,12 +263,12 @@ def test_report_json_independent_of_out_dir(tmp_path):
 ALL = ("all",)
 PINNED_DIGESTS = {
     "rr64": ({"kind": "random-regular", "n": 64, "d": 3, "seed": 8}, ALL,
-             "35fa528657168581fc3d4c564656dd2221da1395ee1a7d7d750eda1aa183e394"),
+             "8418ffea811b60365b2431de76fdc5a5e28af1b3a2593c89265335aa8368b78e"),
     "petersen": ({"kind": "named", "name": "petersen"}, ALL,
-                 "7b0be69432ad06a7402829a576c699ad344995de7496deec9f63e8a0e90d75e7"),
+                 "984cccc31dd5d2f41dfea3696c5dd0289108dcc5cdf7384e7da325cf648a2410"),
     # bipartite: the periodic skips of the mixing and hitmix records
     "q3": ({"kind": "named", "name": "hypercube", "dim": 3}, ALL,
-           "f04656167e1fd28c585dd90f5db35ae6dd670bab63156bd7abe8ad084b2b9ee9"),
+           "ec324370756151e698f0ea928a2561df53c43fa861cee095278a0911501c5319"),
     # diameter 1: every 2-sphere is empty
     "k5": ({"kind": "named", "name": "complete", "n": 5}, ALL,
            "b879694bc7aee7564efedc023dc9ce87c6325f5e4255b68a028369c29340c37c"),

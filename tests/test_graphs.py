@@ -502,6 +502,23 @@ def test_ball_step_table_moves_inside_each_ball(petersen, prism, c6,
                 assert table.vertex(row).tolist() == list(g.adjacency[u])
 
 
+def test_moves_list_the_step_table_rows(petersen, random_cubic_medium):
+    from walklab.graphs import _build_ball_table
+    path = wl.make_graph(5, [(0, 1), (1, 2), (2, 3)])   # degrees 1 and 2
+    for g in (petersen, random_cubic_medium, path):
+        for k in (1, 2, 3):
+            table = _build_ball_table(g, k)
+            rows = np.flatnonzero(table.dist < k)[::-3]
+            slot, land, step = table.moves(rows)
+            assert "steps" not in vars(table)   # built for rows alone
+            first, target = table.steps
+            degs = np.diff(first)[rows]
+            assert np.array_equal(slot, np.repeat(np.arange(len(rows)), degs))
+            assert np.array_equal(land, np.concatenate(
+                [target[first[p]:first[p + 1]] for p in rows]))
+            assert np.array_equal(step, 1.0 / degs[slot])
+
+
 @pytest.mark.parametrize("p,q,d,ball1", [(13, 17, 14, 15), (5, 13, 6, 7)])
 def test_step_table_size_on_regular_graphs(p, q, d, ball1):
     # interior rows only: n |B_1| d slots at k = 2, not n |B_2| d

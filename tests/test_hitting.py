@@ -15,8 +15,7 @@ from walklab.hitting import (CandidateFamily, HittingError, SphereHits,
                              candidate_small_sets, expected_hit_time,
                              family_survival, hit_quantile,
                              hitmix_constant_record, quantile_halflog_check,
-                             sphere_hit_distribution, verify_spectral_hit,
-                             w_vs_k_report)
+                             verify_spectral_hit, w_vs_k_report)
 from walklab.spectral import restricted_top_eig, spectrum
 from walklab.suites import _spread
 
@@ -760,7 +759,7 @@ def test_run_suite_builds_the_family_once(monkeypatch, tmp_path):
 
     for module, name in ((spectral, "spectrum"), (chains, "mixing_profile"),
                          (graphs, "inflate"), (chains, "srw_chain"),
-                         (hitting, "sphere_hit_distribution")):
+                         (hitting, "_ball_solves")):
         record_calls(module, name)
     cfg = ExperimentConfig(graph={"kind": "random-regular", "n": 64, "d": 3,
                                   "seed": 8}, trials=200, seed=3,
@@ -780,8 +779,10 @@ def test_run_suite_builds_the_family_once(monkeypatch, tmp_path):
     [(_, prof)] = calls["mixing_profile"]
     assert prof.starts == tuple(range(64))
     # the inflation suite, the escape experiment and the empirical Y-kernel
-    # row share one solve per center
-    assert len(calls["sphere_hit_distribution"]) == 64
+    # row share one solve per center: w_vs_k_report solves all 64 centers
+    # in one block-diagonal batch, and the others read its rows
+    [(args, _)] = calls["_ball_solves"]
+    assert list(args[2]) == list(range(64))
 
     # on a certified Cayley graph one start and one center stand for all
     calls.clear()
@@ -792,7 +793,8 @@ def test_run_suite_builds_the_family_once(monkeypatch, tmp_path):
     assert report.all_passed
     [(_, prof)] = calls["mixing_profile"]
     assert prof.starts == (0,) and prof.exact_starts
-    assert len(calls["sphere_hit_distribution"]) == 1
+    [(args, _)] = calls["_ball_solves"]
+    assert list(args[2]) == [0]
 
 
 def test_family_passes_step_only_the_tops(monkeypatch, tmp_path, rr512):
@@ -825,8 +827,8 @@ def test_family_passes_step_only_the_tops(monkeypatch, tmp_path, rr512):
 def test_one_suite_alone_solves_only_what_it_reads(monkeypatch, tmp_path):
     from walklab import spectral
     from walklab.suites import ExperimentConfig, build_graph, run_suite
-    # every solve builds one SphereHit, whichever binding of
-    # sphere_hit_distribution it came through
+    # every solved center builds one SphereHit, whichever batch it was
+    # solved in
     solves = []
     made = hitting.SphereHit
     monkeypatch.setattr(hitting, "SphereHit", lambda **fields:
@@ -862,24 +864,31 @@ def test_one_suite_alone_solves_only_what_it_reads(monkeypatch, tmp_path):
     assert solves == list(range(64))
 
 
+def spy_ball_solves(monkeypatch):
+    """Record the centers of every :func:`hitting._ball_solves` call."""
+    calls = []
+    solve = hitting._ball_solves
+    monkeypatch.setattr(hitting, "_ball_solves", lambda g, k, centers:
+                        calls.append(list(centers)) or solve(g, k, centers))
+    return calls
+
+
 def test_sphere_hits_solve_each_center_once(monkeypatch, petersen):
-    solves = []
-    solve = hitting.sphere_hit_distribution
-    monkeypatch.setattr(hitting, "sphere_hit_distribution",
-                        lambda *args: solves.append(args) or solve(*args))
+    solves = spy_ball_solves(monkeypatch)
     hits = hitting.SphereHits(petersen, 2)
     first = w_vs_k_report(hits)
     assert w_vs_k_report(hits) == first
-    assert solves == [(petersen, v, 2) for v in range(10)]
-    assert hits[3] is hits[3] and len(solves) == 10
+    assert solves == [list(range(10))]
+    assert [hit.center for hit in hits.solve([3, 9, 0])] == [3, 9, 0]
+    assert hits[3] is hits[3] and len(solves) == 1
 
 
-class SphereHitCalls(ast.NodeVisitor):
+class CallSites(ast.NodeVisitor):
     """The dotted scope (module, classes, functions) of every call of
-    ``sphere_hit_distribution``, by name or as an attribute."""
+    ``name``, by name or as an attribute."""
 
-    def __init__(self, module):
-        self.scope, self.sites = [module], []
+    def __init__(self, module, name):
+        self.scope, self.sites, self.name = [module], [], name
 
     def visit_scope(self, node):
         self.scope.append(node.name)
@@ -890,21 +899,77 @@ class SphereHitCalls(ast.NodeVisitor):
 
     def visit_Call(self, node):
         func = node.func
-        if getattr(func, "id", getattr(func, "attr", None)) \
-                == "sphere_hit_distribution":
+        if getattr(func, "id", getattr(func, "attr", None)) == self.name:
             self.sites.append(".".join(self.scope))
         self.generic_visit(node)
 
 
 def test_only_sphere_hits_solves_a_ball():
     # W is read through the run's SphereHits alone, so each ball is solved
-    # once per run; a second caller would solve its balls again
-    sites = []
-    for path in sorted(pathlib.Path(hitting.__file__).parent.glob("*.py")):
-        finder = SphereHitCalls(path.stem)
-        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
-        sites += finder.sites
-    assert sites == ["hitting.SphereHits.__missing__"]
+    # once per run; a second caller would solve its balls again.  Every
+    # LU goes through the one block-diagonal solve.
+    def sites(name):
+        found = []
+        for path in sorted(
+                pathlib.Path(hitting.__file__).parent.glob("*.py")):
+            finder = CallSites(path.stem, name)
+            finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+            found += finder.sites
+        return found
+
+    assert sites("splu") == ["hitting._ball_solves"]
+    assert sites("_ball_solves") == ["hitting.SphereHits.solve",
+                                     "hitting.expected_hit_time"]
+
+
+# -- rows do not depend on the batch -----------------------------------------
+
+def _uncertified_lps():
+    g = wl.build_lps(13, 17)
+    return wl.make_graph(g.n, np.array(g.edges), g.provenance)
+
+
+BATCH_CASES = {
+    "rr512-2": (lambda: wl.build_random_regular(512, 3, 2), 2),
+    "rr512-3": (lambda: wl.build_random_regular(512, 3, 2), 3),
+    "rr2048-3": (lambda: wl.build_random_regular(2048, 3, 2), 3),
+    "prism-2": (lambda: wl.build_named("prism"), 2),
+    "petersen-2": (lambda: wl.build_named("petersen"), 2),
+    "lps13_17-2": (_uncertified_lps, 2),
+}
+
+
+def row_bits(g, k, batched):
+    """(probabilities bytes, expected time, excess) of every center's
+    SphereHit: from one ``SphereHits.solve`` over all centers when
+    ``batched``, else each from a SphereHits of its own."""
+    hits = (SphereHits(g, k).solve(range(g.n)) if batched
+            else [SphereHits(g, k)[v] for v in range(g.n)])
+    return [(h.probabilities.tobytes(), h.expected_time, h.excess)
+            for h in hits]
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_rows_do_not_depend_on_the_batch(monkeypatch, case):
+    # a walk-only run solves row 0 alone and an all-suite run solves it
+    # with every center: both must write the same bits
+    build, k = BATCH_CASES[case]
+    g = build()
+    alone = row_bits(g, k, batched=False)
+    assert row_bits(g, k, batched=True) == alone
+    # many chunks: about 5 interior positions each
+    monkeypatch.setattr(chains, "FAMILY_CHUNK_ROWS", 5)
+    assert row_bits(g, k, batched=True) == alone
+
+
+def test_colamd_rows_depend_on_the_batch(monkeypatch):
+    # the mutant that drops the natural ordering: SuperLU's COLAMD mixes
+    # the blocks, and the batch test above fails
+    import scipy.sparse.linalg as spla
+    g, k = BATCH_CASES["rr512-3"][0](), 3
+    monkeypatch.setattr(hitting, "spla", type("Colamd", (), {
+        "splu": staticmethod(lambda a, **kwargs: spla.splu(a))}))
+    assert row_bits(g, k, batched=True) != row_bits(g, k, batched=False)
 
 
 # -- sphere hits against the column-solve reference ---------------------------
@@ -955,8 +1020,11 @@ SPHERE_CASES = [("petersen", 1), ("petersen", 2), ("prism", 2), ("q3", 2),
 def test_sphere_hit_matches_column_solve(request, name, k):
     from walklab.graphs import ball_stats
     g = request.getfixturevalue(name)
-    for v in range(0, g.n, max(1, g.n // 24)):
-        hit = sphere_hit_distribution(g, v, k)
+    hits = SphereHits(g, k)
+    centers = range(0, g.n, max(1, g.n // 24))
+    hits.solve(centers)
+    for v in centers:
+        hit = hits[v]
         sphere, row = reference_sphere_hit(g, v, k)
         assert hit.sphere == sphere
         assert np.max(np.abs(hit.probabilities - row)) <= 1e-15
@@ -1045,14 +1113,14 @@ def test_hitmix_record_needs_a_long_enough_profile(petersen_chain):
 # -- sphere hitting -----------------------------------------------------------
 
 def test_sphere_hit_k4_one_step(k4):
-    hit = sphere_hit_distribution(k4, 0, 1)
+    hit = SphereHits(k4, 1)[0]
     assert np.allclose(hit.probabilities, 1 / 3)
     assert math.isclose(hit.c_hat, 1.0)
     assert hit.lower_bound_pass
 
 
 def test_sphere_hit_petersen_uniform(petersen):
-    hit = sphere_hit_distribution(petersen, 0, 2)
+    hit = SphereHits(petersen, 2)[0]
     assert len(hit.sphere) == 6
     assert np.allclose(hit.probabilities, 1 / 6, atol=1e-12)
     assert math.isclose(hit.lower_bound, 1 / 6)
@@ -1061,7 +1129,7 @@ def test_sphere_hit_petersen_uniform(petersen):
 
 
 def test_sphere_hit_prism(prism):
-    hit = sphere_hit_distribution(prism, 0, 2)
+    hit = SphereHits(prism, 2)[0]
     assert len(hit.sphere) == 2
     assert np.allclose(hit.probabilities, 0.5, atol=1e-12)
     assert math.isclose(hit.c_hat, 3.0, abs_tol=1e-10)
@@ -1072,7 +1140,7 @@ def test_sphere_hit_prism(prism):
 def test_sphere_hit_monte_carlo_agreement(prism):
     # independent check: simulate first exits and compare within 4 SE
     from walklab.walks import make_rng, sample_first_regenerations
-    hit = sphere_hit_distribution(prism, 0, 2)
+    hit = SphereHits(prism, 2)[0]
     trials = 100_000
     _, landings = sample_first_regenerations(prism, 0, 2, trials,
                                              make_rng(11, 0))
@@ -1083,14 +1151,15 @@ def test_sphere_hit_monte_carlo_agreement(prism):
 
 
 def test_sphere_hit_empty_sphere(k4):
-    with pytest.raises(HittingError, match="empty"):
-        sphere_hit_distribution(k4, 0, 2)
+    with pytest.raises(HittingError, match="^sphere of radius 2 around 0 "
+                                          "is empty$"):
+        SphereHits(k4, 2)[0]
 
 
 @pytest.mark.parametrize("solve", [
-    sphere_hit_distribution, expected_hit_time,
+    lambda g, v, k: SphereHits(g, k).solve([0, v]), expected_hit_time,
     lambda g, v, k: SphereHits(g, k)[v]],
-    ids=["sphere_hit_distribution", "expected_hit_time", "SphereHits"])
+    ids=["SphereHits.solve", "expected_hit_time", "SphereHits"])
 @pytest.mark.parametrize("v", [10, -1])
 def test_ball_solves_reject_out_of_range_centers(petersen, solve, v):
     # the ball table has no pair for such a center: an empty sphere
@@ -1101,7 +1170,7 @@ def test_ball_solves_reject_out_of_range_centers(petersen, solve, v):
 def test_sphere_hit_lower_bound_everywhere(girth5_graph, prism, petersen):
     for g, k in ((girth5_graph, 2), (prism, 2), (petersen, 2), (petersen, 1)):
         for v in range(0, g.n, max(1, g.n // 16)):
-            hit = sphere_hit_distribution(g, v, k)
+            hit = SphereHits(g, k)[v]
             assert hit.lower_bound_pass
             assert abs(hit.total - 1.0) < 1e-10
 
@@ -1149,12 +1218,9 @@ def test_w_vs_k_one_center_matches_all_centers(monkeypatch, pq):
     g = wl.build_lps(*pq)
     plain = wl.make_graph(g.n, np.array(g.edges), g.provenance)
     ref = w_vs_k_report(SphereHits(plain, 2))
-    solves = []
-    solve = hitting.sphere_hit_distribution
-    monkeypatch.setattr(hitting, "sphere_hit_distribution",
-                        lambda *args: solves.append(args) or solve(*args))
+    solves = spy_ball_solves(monkeypatch)
     rep = w_vs_k_report(SphereHits(g, 2))
-    assert solves == [(g, 0, 2)]
+    assert solves == [[0]]
     assert len(rep.per_center) == len(ref.per_center) == g.n
     for got, want in zip(rep.per_center, ref.per_center):
         assert got[:3] == want[:3]
@@ -1174,17 +1240,14 @@ def test_uncertified_graphs_take_every_start_and_center(
     perm = np.random.Generator(np.random.Philox(key=np.uint64(5))) \
         .permutation(g.n)
     relabelled = wl.make_graph(g.n, perm[np.array(g.edges)], g.provenance)
-    solves = []
-    solve = hitting.sphere_hit_distribution
-    monkeypatch.setattr(hitting, "sphere_hit_distribution",
-                        lambda *args: solves.append(args) or solve(*args))
+    solves = spy_ball_solves(monkeypatch)
     for plain in (random_cubic_medium, wl.read_edge_list(path), relabelled):
         chain = srw_chain(plain)
         assert not chain.transitive
         assert mixing_profile(chain, [0.25]).starts == tuple(range(plain.n))
         solves.clear()
         w_vs_k_report(SphereHits(plain, 2))
-        assert [args[1] for args in solves] == list(range(plain.n))
+        assert sum(solves, []) == list(range(plain.n))
 
 
 def test_middle_term_two_ways(petersen_chain):

@@ -504,15 +504,16 @@ def test_compare_restricted_matches_dict_lookup(k4_chain):
 def test_compare_w_equals_k_on_tree_balls(girth5_graph):
     # on a girth > 4 graph the regeneration kernel at k=2 IS the SRW
     # kernel of the distance-2 graph; the comparison is then an equality
-    from walklab.hitting import sphere_hit_distribution
+    from walklab.hitting import SphereHits
     gk = wl.inflate(girth5_graph, 2)
     k_chain = srw_chain(gk)
     n = girth5_graph.n
     rows = []
     cols = []
     vals = []
+    hits = SphereHits(girth5_graph, 2)
     for x in range(n):
-        hit = sphere_hit_distribution(girth5_graph, x, 2)
+        hit = hits[x]
         for u, p in zip(hit.sphere, hit.probabilities):
             rows.append(x), cols.append(u), vals.append(float(p))
     w = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))

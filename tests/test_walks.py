@@ -8,8 +8,7 @@ from walklab.chains import srw_chain
 from walklab.graphs import (BallTable, GraphError, ball_table, bfs_distances,
                             inflate)
 from walklab.hitting import (CandidateFamily, SphereHits,
-                             candidate_small_sets, expected_hit_time,
-                             sphere_hit_distribution)
+                             candidate_small_sets, expected_hit_time)
 from walklab.suites import ExperimentConfig, run_suite
 from walklab import walks
 from walklab.walks import (WalkError, _slow_regenerations, block_statistics,
@@ -162,7 +161,7 @@ def test_sample_first_regenerations_matches_hit_time(petersen):
     durations, landings = sample_first_regenerations(
         petersen, 0, 2, 50_000, make_rng(3, 9))
     assert abs(durations.mean() - 3.0) < 4 * durations.std() / math.sqrt(50_000)
-    hit = sphere_hit_distribution(petersen, 0, 2)
+    hit = SphereHits(petersen, 2)[0]
     assert set(np.unique(landings)) == set(hit.sphere)
 
 
@@ -409,6 +408,23 @@ def test_walk_suite_skips_escape_on_an_empty_family(tmp_path):
         (None, "skipped: candidate family is empty: no set has mass <= alpha")]
 
 
+def test_walk_records_do_not_depend_on_the_other_suites(tmp_path):
+    # alone, the walk suite solves W's row 0 by itself; after the inflation
+    # suite it reads the row from that suite's batch of all 512 centers
+    graph = {"kind": "random-regular", "n": 512, "d": 3, "seed": 2}
+    walk_records = []
+    for suites in (("walk",), ("spectral", "mixing", "hitting", "inflation",
+                               "tree", "walk")):
+        report, _ = run_suite(ExperimentConfig(
+            graph=graph, suites=suites, k=3, trials=10_000, seed=2,
+            out_dir=str(tmp_path / suites[0])))
+        walk_records.append([r for r in report.records
+                             if r["suite"] == "walk"])
+    assert walk_records[0] == walk_records[1]
+    assert any(r["name"] == "escape-decomposition" and r["passed"]
+               for r in walk_records[0])
+
+
 def test_first_regenerations_match_scalar_reference(prism, petersen, cubic64,
                                                     lps13_17, irregular):
     for g, anchor, k in ((prism, 0, 2), (petersen, 3, 2), (cubic64, 5, 3),
@@ -483,8 +499,9 @@ def test_first_regenerations_match_offset_sampler(prism, petersen, cubic64,
 
 
 def test_walkers_read_only_the_ball_table():
-    # every walker in walks steps through ball_table(g, k).steps; none
-    # reads the adjacency lists, and the table offers no distance search
+    # every walker in walks steps through ball_table(g, k).steps or reads
+    # the table's moves; none reads the adjacency lists, and the table
+    # offers no distance search
     import ast
     import inspect
     from walklab import walks
@@ -497,8 +514,8 @@ def test_walkers_read_only_the_ball_table():
                 if isinstance(node, ast.Attribute) and node.attr == attr}
 
     assert readers("adjacency") == set()
-    assert readers("steps") >= {"simulate_walk", "sample_first_regenerations",
-                                "_slow_regenerations"}
+    assert readers("steps") >= {"simulate_walk", "sample_first_regenerations"}
+    assert readers("moves") >= {"simulate_walk", "_slow_regenerations"}
     assert not hasattr(BallTable, "distance")
 
 
