@@ -11,10 +11,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .graphs import (Graph, _cover_count, _level_distances, _support_classes,
                      vertex_transitive)
@@ -22,7 +26,7 @@ from .graphs import (Graph, _cover_count, _level_distances, _support_classes,
 ROW_SUM_TOL = 1e-12
 REVERSIBILITY_TOL = 1e-12
 EPS_SNAP = 1e-12               # see _snap
-MIXING_BLOCK_COLUMNS = 128     # >= 2; see mixing_profile
+MIXING_BLOCK_COLUMNS = 128     # >= 2; widest block, see mixing_profile
 EXACT_START_LIMIT = 5000       # see mixing_profile
 SAMPLE_STARTS = 64
 MAX_MIXING_STEPS = 100_000
@@ -229,6 +233,9 @@ def evolve(chain: ReversibleChain, mu0: np.ndarray, t: int) -> np.ndarray:
 
 
 def point_mass(n: int, x: int) -> np.ndarray:
+    """The distribution concentrated on state x; raises for x outside [0, n)."""
+    if not 0 <= x < n:
+        raise ChainError(f"state {x} out of range for n={n}")
     mu = np.zeros(n)
     mu[x] = 1.0
     return mu
@@ -298,28 +305,70 @@ def _farthest_point_starts(chain: ReversibleChain, count: int) -> list:
     return chosen
 
 
+def _workers() -> int:
+    """Threads for the mixing sweep: the cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _product(pt, state, out) -> None:
+    """``out[:] = pt @ state`` for C-contiguous float arrays, allocating
+    nothing: scipy's own kernel for that product (``csr_matvec`` for one
+    column, ``csr_matvecs`` for more) accumulates into the zeroed ``out``,
+    as ``pt @ state`` does into a fresh array, so the bits are the same."""
+    if not (state.flags.c_contiguous and out.flags.c_contiguous):
+        raise ValueError("the product needs C-contiguous arrays")
+    rows, cols = pt.shape
+    out.fill(0.0)
+    if state.shape[1] == 1:
+        _sparsetools.csr_matvec(rows, cols, pt.indptr, pt.indices, pt.data,
+                                state.ravel(), out.ravel())
+    else:
+        _sparsetools.csr_matvecs(rows, cols, state.shape[1], pt.indptr,
+                                 pt.indices, pt.data, state.ravel(),
+                                 out.ravel())
+
+
 def mixing_profile(chain: ReversibleChain, eps_grid) -> MixingProfile:
     """Worst-start mixing times for each epsilon, plus cutoff ratios.
 
     Evolves the point mass of every start (dense columns against the
-    sparse kernel) in blocks of at most ``MIXING_BLOCK_COLUMNS`` starts.
-    Each block is carried through every step it needs while it stays in
-    cache, and records per step only its largest TV, the first start
-    attaining it, and its largest L2 distance.  A block runs until its own
-    worst TV falls to the smallest target; the run stops at the last such
-    step, so a block that stopped earlier is resumed from its kept columns
-    until it reaches it.  The block records are then combined per step in
-    block order (the first block wins a TV tie), and the monotonicity and
-    Jensen checks run over the combined curve in step order, so the
-    profile is the one a single sweep of all starts would give.
+    sparse kernel) in blocks of at most ``MIXING_BLOCK_COLUMNS`` starts,
+    and at least one block per worker thread (one per core this process
+    may run on) while every block keeps two columns.  Each block is
+    carried through every step it needs while it stays in cache, and
+    records per step only its largest TV, the first start attaining it,
+    and its largest L2 distance.  A block runs until its own worst TV
+    falls to the smallest target; the run stops at the last such step, so
+    a block that stopped earlier is resumed from its kept columns until it
+    reaches it.  Each pass sweeps its unsettled blocks on the workers; with
+    one block or one core, in the calling thread.
+    The block records are then combined per step in block order (the
+    first block wins a TV tie), and the monotonicity and Jensen checks run
+    over the combined curve in step order, so the profile is the one a
+    single sweep of all starts would give: its bits depend neither on the
+    worker count nor on the block widths.  When every entry of pi is
+    equal, the distances subtract and divide by that scalar instead of
+    the stationary column, which gives the same bits.
+
+    Every array of size n is allocated up front in the calling thread:
+    the n x m states of the m starts, and a ring of one spare n x width
+    buffer per worker (width is the widest block's), which a block takes
+    for its products and distance passes and gives back when it stops.  The workers
+    allocate nothing of size n, so no thread keeps freed n-sized buffers
+    in a malloc arena of its own.  The peak is 8 n (m + workers width)
+    bytes plus the kernel transpose and the per-step records: within
+    8 n (m + (workers + 1) width) bytes and 64 KiB of slack on rr200.
 
     Above ``EXACT_START_LIMIT`` states a farthest-point sample of
     ``SAMPLE_STARTS`` starts is used instead and the result is a flagged
     lower bound.  On a ``transitive`` chain every start has the same
-    curves, so start 0 alone is evolved and the profile is exact at any n.  Raises for
-    periodic or reducible chains, whose TV does not converge, and when
-    the worst TV stays above the smallest target through
-    ``MAX_MIXING_STEPS`` steps.
+    curves, so start 0 alone is evolved and the profile is exact at any
+    n.  Raises for periodic or reducible chains, whose TV does not
+    converge, and when the worst TV stays above the smallest target
+    through ``MAX_MIXING_STEPS`` steps.
     """
     if chain.period_info != APERIODIC:
         raise ChainError("mixing time undefined: chain is bipartite-periodic")
@@ -339,7 +388,10 @@ def mixing_profile(chain: ReversibleChain, eps_grid) -> MixingProfile:
     else:
         starts = _farthest_point_starts(chain, SAMPLE_STARTS)
         exact = False
-    pi_col = chain.stationary[:, None]
+    pi = chain.stationary
+    # a uniform pi is one scalar: each element sees the same operation as
+    # against the broadcast column, so the bits are the same
+    pi = pi[0] if np.all(pi == pi[0]) else pi[:, None]
     pt = chain.kernel.T.tocsr()
     m = len(starts)
     targets = sorted(set(eps_grid) | {_snap(1.0 - e, eps_grid)
@@ -348,16 +400,29 @@ def mixing_profile(chain: ReversibleChain, eps_grid) -> MixingProfile:
 
     # A column's sparse product and its distance sums do not depend on the
     # width of its block: numpy sums a block of two or more columns row by
-    # row, as it does the whole array, so the curves are the same bits.  A
-    # single column is summed pairwise instead, so a block is one column
-    # wide only when the whole array is.  ``kept[b]`` holds block b's
-    # columns at the last step it reached; together they are the n x m state.
-    blocks = max(1, min(-(-m // MIXING_BLOCK_COLUMNS), m // 2))
+    # row, as it does the whole array, so the curves are the same bits for
+    # any block width and worker count.  A single column is summed pairwise
+    # instead, so a block is one column wide only when the whole array is.
+    # Every worker gets a block when each can keep two columns.
+    workers = _workers()
+    blocks = max(1, min(max(-(-m // MIXING_BLOCK_COLUMNS), workers), m // 2))
     edges = [m * b // blocks for b in range(blocks + 1)]
+    width = -(-m // blocks)
+    workers = min(workers, blocks)
     tv_rec = [[] for _ in range(blocks)]     # per block, per step: max TV
     arg_rec = [[] for _ in range(blocks)]    # sum, its first column, and
     l2_rec = [[] for _ in range(blocks)]     # max L2 sum
-    kept = [None] * blocks
+    # ``kept[b]`` holds block b's columns at the last step it reached (its
+    # point masses at t = 0); together they are the n x m state.  They and
+    # the spares are allocated here, not in the workers (see the docstring).
+    kept = []
+    for lo, hi in itertools.pairwise(edges):
+        state = np.zeros((n, hi - lo))
+        state[starts[lo:hi], np.arange(hi - lo)] = 1.0
+        kept.append(state)
+    spares = queue.SimpleQueue()
+    for _ in range(workers):
+        spares.put(np.empty(n * width))
 
     def settled(b, until):
         t = len(tv_rec[b]) - 1
@@ -365,42 +430,45 @@ def mixing_profile(chain: ReversibleChain, eps_grid) -> MixingProfile:
             t >= until and 0.5 * tv_rec[b][-1] <= need))
 
     def sweep(b, until):
-        lo, hi = edges[b], edges[b + 1]
-        state, kept[b] = kept[b], None
-        if state is None:       # a fresh block: its point masses at t = 0
-            state = np.zeros((n, hi - lo))
-            state[starts[lo:hi], np.arange(hi - lo)] = 1.0
-        scratch = np.empty_like(state)
-        tv_w, l2_w = np.empty(hi - lo), np.empty(hi - lo)
+        own = kept[b]
+        w = own.shape[1]
+        spare = spares.get()
+        state, scratch = own, spare[:n * w].reshape(n, w)
+        tv_w, l2_w = np.empty(w), np.empty(w)
         while not settled(b, until):
             if tv_rec[b]:
-                # the old state becomes the scratch: two blocks live at once
-                scratch = state
-                state = pt @ state
-            np.subtract(state, pi_col, out=scratch)
+                _product(pt, state, scratch)
+                # the old state becomes the scratch
+                state, scratch = scratch, state
+            np.subtract(state, pi, out=scratch)
             np.abs(scratch, out=scratch)
             scratch.sum(axis=0, out=tv_w)
             j = int(np.argmax(tv_w))
             np.multiply(state, state, out=scratch)
-            np.divide(scratch, pi_col, out=scratch)
+            np.divide(scratch, pi, out=scratch)
             scratch.sum(axis=0, out=l2_w)
             tv_rec[b].append(tv_w[j])
-            arg_rec[b].append(lo + j)
+            arg_rec[b].append(edges[b] + j)
             l2_rec[b].append(l2_w.max())
-        kept[b] = state
+        if state is not own:        # an odd number of products
+            np.copyto(own, state)
+        spares.put(spare)
 
     # every block runs to its own stop and the run stops at the last of
     # them, so the blocks that stopped earlier are resumed up to it (and
-    # past it, should one of them sit above the target there)
+    # past it, should one of them sit above the target there).  Blocks
+    # touch only their own records, so scheduling cannot move a bit.
     last = 0
-    while True:
-        for b in range(blocks):
-            if not settled(b, last):
-                sweep(b, last)
-        reached = max(map(len, tv_rec)) - 1
-        if reached == last:
-            break
-        last = reached
+    with ThreadPoolExecutor(workers) as pool:
+        # a lone worker is this thread: a one-block sweep starts no thread
+        run = pool.map if workers > 1 else map
+        while True:
+            todo = [b for b in range(blocks) if not settled(b, last)]
+            list(run(sweep, todo, [last] * len(todo)))
+            reached = max(map(len, tv_rec)) - 1
+            if reached == last:
+                break
+            last = reached
 
     # argmax takes the first block at a tie, so the worst start is the
     # first one over all columns; rounding is monotone, so subtracting 1

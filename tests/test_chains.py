@@ -1,6 +1,9 @@
 import ast
 import math
 import pathlib
+import sys
+import threading
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -89,6 +92,16 @@ def test_distances_petersen_t4(petersen_chain):
     # P^4 row: 15/81 at start, 4/81 on neighbors, 9/81 elsewhere
     tv, _ = distances(petersen_chain, 0, 4)
     assert abs(tv - 41 / 270) < 1e-12
+
+
+@pytest.mark.parametrize("x", [-1, 10])
+def test_point_mass_and_distances_reject_out_of_range_states(petersen_chain,
+                                                             x):
+    # -1 must not read as state 9, nor 10 raise a bare IndexError
+    with pytest.raises(ChainError, match=f"state {x} out of range for n=10"):
+        point_mass(10, x)
+    with pytest.raises(ChainError, match=f"state {x} out of range for n=10"):
+        distances(petersen_chain, x, 2)
 
 
 def test_jensen_inequality_everywhere(petersen_chain, k4_chain):
@@ -413,6 +426,14 @@ def test_components_and_period_match_dfs(request):
             reference_classes(chain.kernel), chain
 
 
+# worker counts the sweep is checked at; the same bits at every count
+WORKERS = (1, 2, 3)
+
+
+def patch_workers(monkeypatch, count):
+    monkeypatch.setattr(chains, "_workers", lambda: count)
+
+
 @pytest.mark.parametrize("graph", ["rr200", "lps"])
 @pytest.mark.parametrize("exact", [True, False])
 def test_mixing_profile_matches_whole_array_sweep(monkeypatch, request, graph,
@@ -424,11 +445,13 @@ def test_mixing_profile_matches_whole_array_sweep(monkeypatch, request, graph,
         chain = srw_chain(request.getfixturevalue("random_cubic_medium"))
     limit = chain.n if exact else chain.n // 2
     monkeypatch.setattr(chains, "EXACT_START_LIMIT", limit)
-    prof = mixing_profile(chain, [0.25])
     ref = reference_sweep(chain, 0.25, limit)
-    assert prof.exact_starts == exact
-    assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
-            prof.starts) == ref
+    for workers in WORKERS:
+        patch_workers(monkeypatch, workers)
+        prof = mixing_profile(chain, [0.25])
+        assert prof.exact_starts == exact
+        assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
+                prof.starts) == ref, workers
 
 
 @pytest.mark.parametrize("spec", [("lps", 13, 17), ("lps", 17, 13),
@@ -466,16 +489,17 @@ def test_only_certified_srw_chains_are_transitive(lps_chain, petersen_chain):
 def test_mixing_profile_narrow_blocks(monkeypatch, random_cubic_medium,
                                       columns):
     # narrow and uneven blocks sum each column in the same order
-    from walklab import chains
     monkeypatch.setattr(chains, "MIXING_BLOCK_COLUMNS", columns)
     chain = srw_chain(random_cubic_medium)
     for limit, count in ((chain.n, 64), (50, 64), (50, 1)):
         monkeypatch.setattr(chains, "EXACT_START_LIMIT", limit)
         monkeypatch.setattr(chains, "SAMPLE_STARTS", count)
-        prof = mixing_profile(chain, [0.25])
         ref = reference_sweep(chain, 0.25, limit, count)
-        assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
-                prof.starts) == ref
+        for workers in WORKERS:
+            patch_workers(monkeypatch, workers)
+            prof = mixing_profile(chain, [0.25])
+            assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
+                    prof.starts) == ref, (limit, count, workers)
 
 
 def test_farthest_point_starts_match_bfs(request, lps_chain):
@@ -566,16 +590,19 @@ def test_mixing_profile_resumes_blocks_that_stop_early(monkeypatch,
     # With 7-wide blocks the slow start 110 sits in a middle block of all
     # 211 starts, and in the first block of the sampled ones.  The rare
     # state's block stops first, and the L2 curve after that step is read
-    # from its resumed columns.
+    # from its resumed columns.  pi is not uniform: the column path.
     monkeypatch.setattr(chains, "MIXING_BLOCK_COLUMNS", 7)
     chain = _slow_and_rare_chain(random_cubic_medium)
     pt = chain.kernel.T.tocsr()
     pi = chain.stationary[:, None]
     for limit in (chain.n, 50):
         monkeypatch.setattr(chains, "EXACT_START_LIMIT", limit)
-        prof = mixing_profile(chain, [0.25])
-        assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
-                prof.starts) == reference_sweep(chain, 0.25, limit)
+        ref = reference_sweep(chain, 0.25, limit)
+        for workers in WORKERS:
+            patch_workers(monkeypatch, workers)
+            prof = mixing_profile(chain, [0.25])
+            assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
+                    prof.starts) == ref, workers
         starts = list(prof.starts)
         assert prof.worst_starts[-1] == 110 and 20 in starts
         cols = np.zeros((chain.n, len(starts)))
@@ -604,6 +631,93 @@ def test_mixing_profile_max_steps_boundary(monkeypatch, random_cubic_medium,
     with pytest.raises(ChainError, match="no mixing below eps=0.25 within "
                                          f"{last - 1} steps"):
         mixing_profile(chain, [0.25])
+
+
+def test_mixing_profile_blocks_share_nothing_under_thread_switches(
+        monkeypatch, random_cubic_medium):
+    # more workers than cores, switching threads every microsecond: a record
+    # landing in another block's list, or a spare buffer handed to two
+    # blocks at once, would move the curves off the reference
+    patch_workers(monkeypatch, 8)
+    monkeypatch.setattr(chains, "MIXING_BLOCK_COLUMNS", 7)
+    chain = _slow_and_rare_chain(random_cubic_medium)
+    ref = reference_sweep(chain, 0.25, chain.n)
+    # a corrupted sweep raises within this many steps instead of hanging
+    monkeypatch.setattr(chains, "MAX_MIXING_STEPS", 2 * len(ref[0]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        prof = mixing_profile(chain, [0.25])
+    finally:
+        sys.setswitchinterval(interval)
+    assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
+            prof.starts) == ref
+
+
+def test_one_worker_sweeps_in_the_calling_thread(monkeypatch, lps_chain,
+                                                 random_cubic_medium):
+    # one start (a transitive chain) or one core starts no thread
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    chain = srw_chain(random_cubic_medium)
+    mixing_profile(lps_chain, [0.25])
+    patch_workers(monkeypatch, 1)
+    mixing_profile(chain, [0.25])
+    assert started == []
+    patch_workers(monkeypatch, 2)
+    mixing_profile(chain, [0.25])
+    assert len(started) == 2
+
+
+@pytest.mark.parametrize("case", ["rr200", "lps", "slow-and-rare"])
+def test_allocation_free_product_matches_matmul(request, lps_chain, case):
+    # the sweep's product calls scipy's private kernels directly; a scipy
+    # whose _sparsetools no longer computes pt @ state fails here
+    if case == "lps":
+        chain = chain_from_kernel(lps_chain.kernel, lps_chain.stationary)
+    elif case == "rr200":
+        chain = srw_chain(request.getfixturevalue("random_cubic_medium"))
+    else:
+        chain = _slow_and_rare_chain(
+            request.getfixturevalue("random_cubic_medium"))
+    pt = chain.kernel.T.tocsr()
+    rng = np.random.default_rng(3)
+    for width in (1, 2, 3, 128):
+        state = rng.random((chain.n, width))
+        out = np.full_like(state, np.nan)
+        chains._product(pt, state, out)
+        assert np.array_equal(out, pt @ state)
+    # a strided view would be written through a copy and lose the product
+    with pytest.raises(ValueError, match="C-contiguous"):
+        chains._product(pt, state, np.empty((chain.n, 2 * width))[:, ::2])
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_mixing_profile_memory_stays_within_its_bound(monkeypatch,
+                                                      random_cubic_medium,
+                                                      workers):
+    # the docstring's bound, 8 n (m + (workers + 1) width) bytes, with 64 KiB
+    # for the kernel transpose, the records and the Python objects
+    patch_workers(monkeypatch, workers)
+    chain = srw_chain(random_cubic_medium)
+    n = m = chain.n
+    width = -(-m // workers)          # rr200: one block per worker
+    tracemalloc.start()
+    try:
+        prof = mixing_profile(chain, [0.25])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prof.starts) == m
+    assert peak <= 8 * n * (m + (workers + 1) * width) + 64 * 1024
+    # the states alone take 8 n m bytes, so the bound is not vacuous
+    assert peak >= 8 * n * m
 
 
 class KernelSubscripts(ast.NodeVisitor):
@@ -643,3 +757,34 @@ def test_only_the_family_blocks_slice_a_kernel():
     sites = kernel_subscripts(pathlib.Path(chains.__file__).parent)
     assert [site for site in sites if site[1] != "_family_blocks"] == []
     assert {site[0] for site in sites} == {"chains"}
+
+
+class SparsetoolsUses(KernelSubscripts):
+    """(module, innermost function) of every import of scipy's private
+    ``_sparsetools`` and of every attribute read off it."""
+
+    def visit_Subscript(self, node):
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if any(alias.name == "_sparsetools" for alias in node.names) \
+                or "_sparsetools" in (node.module or ""):
+            self.sites.append((self.module, self.function))
+
+    def visit_Attribute(self, node):
+        if getattr(node.value, "id", None) == "_sparsetools":
+            self.sites.append((self.module, self.function))
+        self.generic_visit(node)
+
+
+def test_only_the_sweep_product_calls_private_sparsetools():
+    # _sparsetools is scipy's private API; one caller, guarded bit for bit
+    # by test_allocation_free_product_matches_matmul, keeps an upgrade that
+    # changes it to one place
+    sites = []
+    for path in sorted(pathlib.Path(chains.__file__).parent.glob("*.py")):
+        finder = SparsetoolsUses(path.stem)
+        finder.visit(ast.parse(path.read_text(encoding="utf-8")))
+        sites += finder.sites
+    assert sites == [("chains", None), ("chains", "_product"),
+                     ("chains", "_product")]
