@@ -26,7 +26,10 @@ from .graphs import (Graph, _cover_count, _level_distances, _support_classes,
 ROW_SUM_TOL = 1e-12
 REVERSIBILITY_TOL = 1e-12
 EPS_SNAP = 1e-12               # see _snap
-MIXING_BLOCK_COLUMNS = 128     # >= 2; widest block, see mixing_profile
+# >= 2; widest block, see mixing_profile.  At 64 columns of n = 2048 a
+# block and its spare take 2 MiB, a per-core L2 cache of a 2-core Xeon;
+# the rr2048 sweep ran faster at 64 than at 32 or 128 there
+MIXING_BLOCK_COLUMNS = 64
 EXACT_START_LIMIT = 5000       # see mixing_profile
 SAMPLE_STARTS = 64
 MAX_MIXING_STEPS = 100_000
@@ -144,38 +147,45 @@ def _as_arrays(sets):
     return members, offsets
 
 
-def _family_blocks(kernel, sets):
-    """Block-diagonal stacks of the restrictions K_A = kernel[A][:, A].
+def _family_blocks(kernels, sets):
+    """Block-diagonal stacks of the restrictions K_A = kernel[A][:, A] of
+    each kernel of ``kernels``, all n x n, to every set A of ``sets``.
 
     The only code that restricts a kernel to a set.  Whole families come
-    from :func:`hitting.family_survival` and :func:`hitting.hit_quantile`;
+    from :func:`hitting.family_survivals` and :func:`hitting.hit_quantile`;
     on a :class:`hitting.CandidateFamily` these step only its tops, as
-    do the three survival maxima of :func:`walks.escape_transfer_experiment`;
-    one set (``[A]``, one block) from the worst-start replay of
-    ``hit_quantile``, :func:`hitting.verify_spectral_hit`, the Perron
-    ranking of :func:`hitting.candidate_small_sets` and
+    do the three survival maxima of :func:`walks.escape_transfer_experiment`,
+    which share one pass; one set (``[A]``, one block) from the worst-start
+    replay of ``hit_quantile``, :func:`hitting.verify_spectral_hit`, the
+    Perron ranking of :func:`hitting.candidate_small_sets` and
     :func:`spectral.restricted_top_eig`, which
     :func:`spectral.compare_restricted` calls.  Each set must be nonempty
     and sorted, with distinct entries in range, or :class:`ChainError` is
     raised.
 
-    Consecutive sets share a block until it holds about
+    Consecutive sets share a chunk until it holds about
     ``FAMILY_CHUNK_ROWS`` rows, or until one more set would take the slot
     map (below) past 16 ``FAMILY_CHUNK_ROWS`` entries, which bounds the
     memory of a step: a map holds at most max(16 ``FAMILY_CHUNK_ROWS``, n)
-    entries, n for a set alone in its chunk.  Yields ``(lo, starts,
-    block)``: the block stacks the sets from ``sets[lo]`` on, and set
-    ``lo + i`` owns the rows from ``starts[i]``.  Every row keeps the
+    entries, n for a set alone in its chunk.  Yields ``(lo, starts, which,
+    block)`` per chunk and kernel, kernels in order within a chunk: the
+    block of ``kernels[which]`` stacks the sets from ``sets[lo]`` on, and
+    set ``lo + i`` owns the rows from ``starts[i]``.  Every row keeps the
     entry order of kernel[A][:, A], so a block matvec equals the per-set
-    matvecs bit for bit.
+    matvecs bit for bit, and a kernel's block does not depend on the other
+    kernels.  One block is built at a time, so a caller that steps each
+    before taking the next holds no more than one kernel's block.
 
-    The kernel rows of a chunk's members are sliced out together; an
-    entry (set, column) finds its block column by one gather in an int32
-    slot map local[set, vertex], which holds the vertex's block row, or
-    -1 when the vertex is not in the set.
+    A chunk's layout is built once for all kernels: its checked members,
+    their owners, and an int32 slot map local[set, vertex] holding the
+    vertex's block row, or -1 when the vertex is not in the set.  Each
+    kernel's rows of the members are then sliced out together, and an
+    entry (set, column) finds its block column by one gather in the map.
     """
-    kernel = sp.csr_matrix(kernel)
-    n = kernel.shape[0]
+    kernels = [sp.csr_matrix(kernel) for kernel in kernels]
+    n = kernels[0].shape[0]
+    if any(kernel.shape != (n, n) for kernel in kernels):
+        raise ChainError("kernels must all be n x n for one n")
     cap = 16 * FAMILY_CHUNK_ROWS
     all_members, offsets = _as_arrays(sets)
     lo = 0
@@ -193,30 +203,21 @@ def _family_blocks(kernel, sets):
                 or np.any(members < 0) or np.any(members >= n):
             raise ChainError(
                 "sets must be nonempty, sorted, distinct and in range")
-        sub = kernel[members]
-        entry_row = np.repeat(np.arange(rows), np.diff(sub.indptr))
-        col = _block_columns(owner, members, owner[entry_row], sub.indices, n)
-        keep = col >= 0
-        indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(entry_row[keep], minlength=rows), out=indptr[1:])
-        block = sp.csr_matrix((sub.data[keep], col[keep], indptr),
-                              shape=(rows, rows))
-        yield lo, np.cumsum(sizes) - sizes, block
+        # the slot map spans every vertex of every set in the chunk
+        local = np.full((hi - lo, n), -1, dtype=np.int32)
+        local[owner, members] = np.arange(rows)
+        starts = np.cumsum(sizes) - sizes
+        for which, kernel in enumerate(kernels):
+            sub = kernel[members]
+            entry_row = np.repeat(np.arange(rows), np.diff(sub.indptr))
+            col = local[owner[entry_row], sub.indices]
+            keep = col >= 0
+            indptr = np.zeros(rows + 1, dtype=np.int64)
+            np.cumsum(np.bincount(entry_row[keep], minlength=rows),
+                      out=indptr[1:])
+            yield lo, starts, which, sp.csr_matrix(
+                (sub.data[keep], col[keep], indptr), shape=(rows, rows))
         lo = hi
-
-
-def _block_columns(owner, members, entry_set, entry_col, n):
-    """Block row of the member (entry_set[e], entry_col[e]) for every
-    entry e, or -1 where entry_col[e] is not in set entry_set[e].
-
-    Member i is vertex members[i] of set owner[i].  The slot map spans
-    every vertex of every set in the chunk: sets x n entries, at most
-    max(16 ``FAMILY_CHUNK_ROWS``, n) under the chunking of
-    :func:`_family_blocks`.
-    """
-    local = np.full((int(owner[-1]) + 1, n), -1, dtype=np.int32)
-    local[owner, members] = np.arange(len(members))
-    return local[entry_set, entry_col]
 
 
 def evolve(chain: ReversibleChain, mu0: np.ndarray, t: int) -> np.ndarray:
@@ -242,12 +243,46 @@ def point_mass(n: int, x: int) -> np.ndarray:
 
 
 def distances(chain: ReversibleChain, x: int, t: int):
-    """(total variation, squared L2(pi)) distance of P^t(x, .) from pi."""
-    mu = evolve(chain, point_mass(chain.n, x), t)
+    """(total variation, squared L2(pi)) distance of P^t(x, .) from pi.
+
+    Summed by :func:`_distance_sums` on one column, as the profile of a
+    ``transitive`` chain sums start 0, so the two agree bit for bit."""
+    mu = evolve(chain, point_mass(chain.n, x), t)[:, None]
+    tv, l2 = np.empty(1), np.empty(1)
+    _distance_sums(mu, *_stationary(chain), np.empty_like(mu), tv, l2)
+    return float(0.5 * tv[0]), float(l2[0] - 1.0)
+
+
+def _stationary(chain: ReversibleChain):
+    """``(pi, inv_pi)`` for :func:`_distance_sums`.  A uniform pi is one
+    scalar, with ``inv_pi`` None: each element sees the same operation as
+    against the broadcast column, so the TV bits are the same.  Otherwise
+    pi is the n x 1 column and ``inv_pi`` the vector 1/pi."""
     pi = chain.stationary
-    tv = 0.5 * np.abs(mu - pi).sum()
-    l2sq = float(np.sum(mu * mu / pi) - 1.0)
-    return float(tv), l2sq
+    if np.all(pi == pi[0]):
+        return pi[0], None
+    return pi[:, None], 1.0 / pi
+
+
+def _distance_sums(state, pi, inv_pi, scratch, tv, l2) -> None:
+    """For every column j of the n x w ``state``: ``tv[j]`` = sum_i
+    |state[i, j] - pi_i| and ``l2[j]`` = sum_i state[i, j]^2 / pi_i, with
+    ``pi, inv_pi`` from :func:`_stationary`.  ``scratch`` is an n x w
+    buffer for the TV pass; nothing of size n is allocated.
+
+    The L2 sum is one fused ``einsum`` pass: squares weighted by 1/pi on a
+    non-uniform chain; on a uniform one, the plain sums of squares divided
+    by the scalar pi afterwards.  Both accumulate row by row for w >= 2,
+    whatever w is; a single column is summed in another order.
+    """
+    np.subtract(state, pi, out=scratch)
+    np.abs(scratch, out=scratch)
+    scratch.sum(axis=0, out=tv)
+    if inv_pi is None:
+        np.einsum("ij,ij->j", state, state, out=l2)
+        l2 /= pi
+    else:
+        np.einsum("ij,ij,i->j", state, state, inv_pi, out=l2)
 
 
 @dataclass(frozen=True)
@@ -349,18 +384,32 @@ def mixing_profile(chain: ReversibleChain, eps_grid) -> MixingProfile:
     first block wins a TV tie), and the monotonicity and Jensen checks run
     over the combined curve in step order, so the profile is the one a
     single sweep of all starts would give: its bits depend neither on the
-    worker count nor on the block widths.  When every entry of pi is
-    equal, the distances subtract and divide by that scalar instead of
-    the stationary column, which gives the same bits.
+    worker count nor on the block widths.
+
+    The distances come from :func:`_distance_sums`: three passes for TV
+    (subtract pi, take absolute values, sum) and one fused ``einsum``
+    pass for L2.  When every entry of pi is equal, pi is that scalar and
+    the L2 sum is the sum of squares divided by it; otherwise the squares
+    are weighted by 1/pi inside the pass.  The TV curve, the worst starts
+    and the mixing times keep the bits they had when L2 took three
+    per-term passes (square, divide by pi, sum).  So does the L2 curve
+    where dividing by pi is exact and every block has two columns:
+    uniform chains on a power-of-two number of states (rr64, rr512,
+    rr2048).  Elsewhere (rr1000, Petersen, every non-uniform chain, and
+    the one column of a ``transitive`` chain) ``l2sq`` may move from the
+    per-term value in its last bits: by at most 2.3e-13 relative on
+    rr1000, Petersen and LPS(13,17).
 
     Every array of size n is allocated up front in the calling thread:
     the n x m states of the m starts, and a ring of one spare n x width
     buffer per worker (width is the widest block's), which a block takes
-    for its products and distance passes and gives back when it stops.  The workers
-    allocate nothing of size n, so no thread keeps freed n-sized buffers
-    in a malloc arena of its own.  The peak is 8 n (m + workers width)
-    bytes plus the kernel transpose and the per-step records: within
-    8 n (m + (workers + 1) width) bytes and 64 KiB of slack on rr200.
+    for its products and distance passes and gives back when it stops.
+    The workers allocate nothing of size n, so no thread keeps freed
+    n-sized buffers in a malloc arena of its own.  The peak is
+    8 n (m + workers width) bytes plus the kernel transpose, the per-step
+    records (at most 128 bytes per block and step) and, on a non-uniform
+    chain, the fixed-size iterator buffer (``np.getbufsize()`` doubles,
+    64 KiB) that numpy takes in each worker to subtract the pi column.
 
     Above ``EXACT_START_LIMIT`` states a farthest-point sample of
     ``SAMPLE_STARTS`` starts is used instead and the result is a flagged
@@ -388,10 +437,7 @@ def mixing_profile(chain: ReversibleChain, eps_grid) -> MixingProfile:
     else:
         starts = _farthest_point_starts(chain, SAMPLE_STARTS)
         exact = False
-    pi = chain.stationary
-    # a uniform pi is one scalar: each element sees the same operation as
-    # against the broadcast column, so the bits are the same
-    pi = pi[0] if np.all(pi == pi[0]) else pi[:, None]
+    pi, inv_pi = _stationary(chain)
     pt = chain.kernel.T.tocsr()
     m = len(starts)
     targets = sorted(set(eps_grid) | {_snap(1.0 - e, eps_grid)
@@ -399,10 +445,11 @@ def mixing_profile(chain: ReversibleChain, eps_grid) -> MixingProfile:
     need = min(targets)
 
     # A column's sparse product and its distance sums do not depend on the
-    # width of its block: numpy sums a block of two or more columns row by
-    # row, as it does the whole array, so the curves are the same bits for
-    # any block width and worker count.  A single column is summed pairwise
-    # instead, so a block is one column wide only when the whole array is.
+    # width of its block: numpy and einsum sum a block of two or more
+    # columns row by row, as they do the whole array, so the curves are
+    # the same bits for any block width and worker count.  A single column
+    # is summed in another order, so a block is one column wide only when
+    # the whole array is.
     # Every worker gets a block when each can keep two columns.
     workers = _workers()
     blocks = max(1, min(max(-(-m // MIXING_BLOCK_COLUMNS), workers), m // 2))
@@ -440,13 +487,8 @@ def mixing_profile(chain: ReversibleChain, eps_grid) -> MixingProfile:
                 _product(pt, state, scratch)
                 # the old state becomes the scratch
                 state, scratch = scratch, state
-            np.subtract(state, pi, out=scratch)
-            np.abs(scratch, out=scratch)
-            scratch.sum(axis=0, out=tv_w)
+            _distance_sums(state, pi, inv_pi, scratch, tv_w, l2_w)
             j = int(np.argmax(tv_w))
-            np.multiply(state, state, out=scratch)
-            np.divide(scratch, pi, out=scratch)
-            scratch.sum(axis=0, out=l2_w)
             tv_rec[b].append(tv_w[j])
             arg_rec[b].append(edges[b] + j)
             l2_rec[b].append(l2_w.max())

@@ -51,13 +51,22 @@ def family_survival(kernel, sets, t: int) -> np.ndarray:
     :func:`chains._family_blocks`; ``np.maximum.reduceat`` takes each
     set's maximum.
     """
-    out = np.empty(len(sets))
-    for lo, starts, block in _family_blocks(kernel, sets):
-        u = np.ones(block.shape[0])
-        for _ in range(t):
-            u = block @ u
-        out[lo:lo + len(starts)] = np.maximum.reduceat(u, starts)
+    [out] = family_survivals([(kernel, t)], sets)
     return out
+
+
+def family_survivals(runs, sets) -> list:
+    """:func:`family_survival` of every ``(kernel, t)`` of ``runs`` on one
+    family, in one pass: each chunk's layout is built once and every
+    kernel sliced through it, with the same bits as separate calls."""
+    kernels, times = zip(*runs)
+    outs = [np.empty(len(sets)) for _ in runs]
+    for lo, starts, which, block in _family_blocks(kernels, sets):
+        u = np.ones(block.shape[0])
+        for _ in range(times[which]):
+            u = block @ u
+        outs[which][lo:lo + len(starts)] = np.maximum.reduceat(u, starts)
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +256,7 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
     for ball in balls:
         if len(ball) < 2 or len(ball) >= n:
             continue
-        _, _, sub = next(_family_blocks(chain.kernel, [ball]))
+        _, _, _, sub = next(_family_blocks([chain.kernel], [ball]))
         weight = np.ones(len(ball)) / len(ball)
         for _ in range(50):
             nxt = sub @ weight
@@ -325,7 +334,7 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
     # that step comes from replaying it alone in a one-set block, which
     # gives the same bits as its rows in the family's block.
     last = np.empty(len(sets), dtype=np.int64)
-    for lo, starts, block in _family_blocks(chain.kernel, sets):
+    for lo, starts, _, block in _family_blocks([chain.kernel], sets):
         u = np.ones(block.shape[0])
         alive = np.ones(len(starts), dtype=bool)
         t = 0
@@ -342,7 +351,7 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
     worst = int(np.flatnonzero(last == last.max())[-1])
     crossing = int(last[worst]) + 1
     worst_set = sets[worst]
-    _, _, block = next(_family_blocks(chain.kernel, [worst_set]))
+    _, _, _, block = next(_family_blocks([chain.kernel], [worst_set]))
     u = np.ones(len(worst_set))
     for _ in range(crossing - 1):
         u = block @ u
@@ -389,7 +398,7 @@ def verify_spectral_hit(chain: ReversibleChain, subset, t_list) -> HitReport:
     rec = restricted_top_eig(chain, subset)
     low = max(rec.lambda_A - rec.residual, 0.0)
 
-    _, _, sub = next(_family_blocks(chain.kernel, [subset]))
+    _, _, _, sub = next(_family_blocks([chain.kernel], [subset]))
     pi_A = pi[list(subset)]
     pi_A = pi_A / pi_A.sum()
     u = np.ones(len(subset))

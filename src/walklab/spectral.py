@@ -485,7 +485,7 @@ def restricted_top_eig(chain: ReversibleChain, subset,
         raise SpectralError("subset must be nonempty")
     if len(subset) >= chain.n:
         raise SpectralError("subset must be a proper subset of the states")
-    _, _, sub = next(_family_blocks(chain.kernel, [subset]))
+    _, _, _, sub = next(_family_blocks([chain.kernel], [subset]))
     pi_sub = chain.stationary[list(subset)]
     root = np.sqrt(pi_sub)
     s_sub = (sp.diags(root) @ sub @ sp.diags(1.0 / root)).tocsr()

@@ -45,7 +45,7 @@ from .checks import Check
 from .graphs import (Graph, bfs_distances,  # noqa: F401
                      ball_table, is_connected, vertex_transitive)
 from .chains import ReversibleChain, _as_arrays
-from .hitting import SphereHits, _tops, family_survival
+from .hitting import SphereHits, _tops, family_survivals
 
 
 # Probability that the empirical-law TV of an exact sampler exceeds
@@ -421,18 +421,18 @@ def escape_transfer_experiment(hits: SphereHits, chain: ReversibleChain,
     needed = np.unique(_as_arrays(sets)[0]).tolist()
     slow = float(_slow_regenerations(g, k, tau_t, horizon)[needed].max())
 
-    tops = _tops(sets)
-    srw_escape = float(family_survival(chain.kernel, tops, horizon).max())
-
     w_rows = hits.solve(needed)
     w = sp.csr_matrix((np.concatenate([h.probabilities for h in w_rows]),
                        (np.repeat(needed, [len(h.sphere) for h in w_rows]),
                         np.concatenate([h.sphere for h in w_rows]))),
                       shape=(g.n, g.n))
-    y_escape = float(family_survival(w, tops, tau_t).max())
-
-    k_escape = None if k_chain is None else float(
-        family_survival(k_chain.kernel, tops, tau_t).max())
+    runs = [(chain.kernel, horizon), (w, tau_t)]
+    if k_chain is not None:
+        runs.append((k_chain.kernel, tau_t))
+    # one pass over the tops' layout for the SRW, W and K maxima
+    srw_escape, y_escape, *k_escape = (
+        float(s.max()) for s in family_survivals(runs, _tops(sets)))
+    k_escape = k_escape[0] if k_escape else None
 
     bound = y_escape + slow
     checks = [Check(

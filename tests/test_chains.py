@@ -340,9 +340,22 @@ def reference_starts(chain, count):
     return chosen
 
 
-def reference_sweep(chain, eps, exact_start_limit, sample_starts=64):
+def reference_l2_sums(cols, pi, per_term=False):
+    """Column sums of cols^2 / pi over the whole array: one fused einsum
+    pass, as mixing_profile sums them, or the per-term passes (square,
+    divide by pi, sum) it replaced."""
+    if per_term:
+        return np.sum(cols * cols / pi[:, None], axis=0)
+    if np.all(pi == pi[0]):
+        return np.einsum("ij,ij->j", cols, cols) / pi[0]
+    return np.einsum("ij,ij,i->j", cols, cols, 1.0 / pi)
+
+
+def reference_sweep(chain, eps, exact_start_limit, sample_starts=64,
+                    per_term=False):
     """The whole-array distance reductions that mixing_profile replaced:
-    (tv_curve, l2sq_curve, worst_starts, starts)."""
+    (tv_curve, l2sq_curve, worst_starts, starts); ``per_term`` as in
+    :func:`reference_l2_sums`."""
     n = chain.n
     if n <= exact_start_limit:
         starts = list(range(n))
@@ -359,7 +372,7 @@ def reference_sweep(chain, eps, exact_start_limit, sample_starts=64):
         worst = int(np.argmax(tv_all))
         tv_curve.append(float(tv_all[worst]))
         l2_curve.append(float(
-            (np.sum(cols * cols / pi[:, None], axis=0) - 1.0).max()))
+            (reference_l2_sums(cols, pi, per_term) - 1.0).max()))
         worst_starts.append(starts[worst])
         if tv_all[worst] <= min(eps, 1.0 - eps):
             return (tuple(tv_curve), tuple(l2_curve), tuple(worst_starts),
@@ -617,6 +630,44 @@ def test_mixing_profile_resumes_blocks_that_stop_early(monkeypatch,
         assert l2_worst[rare_stop + 1] == 20
 
 
+@pytest.mark.parametrize("n, seed", [(64, 8), (512, 2)])
+def test_fused_l2_is_the_per_term_passes_on_power_of_two_uniform_chains(
+        n, seed):
+    # pi = 1/n is a power of two, so dividing the sum of squares by it is
+    # exact: the L2 curve keeps the bits of square, divide by pi, sum
+    chain = srw_chain(wl.build_random_regular(n, 3, seed))
+    prof = mixing_profile(chain, [0.25])
+    assert (prof.tv_curve, prof.l2sq_curve, prof.worst_starts,
+            prof.starts) == reference_sweep(chain, 0.25, n, per_term=True)
+
+
+@pytest.mark.parametrize("case", ["rr1000", "petersen", "slow-and-rare"])
+def test_fused_l2_stays_near_the_per_term_passes(request, case):
+    # elsewhere the fused L2 moves only in the last bits; TV does not move
+    if case == "rr1000":
+        chain = srw_chain(wl.build_random_regular(1000, 3, 5))
+    elif case == "petersen":
+        chain = request.getfixturevalue("petersen_chain")
+    else:
+        chain = _slow_and_rare_chain(
+            request.getfixturevalue("random_cubic_medium"))
+    prof = mixing_profile(chain, [0.25])
+    tv, l2, worst, starts = reference_sweep(chain, 0.25, chain.n,
+                                            per_term=True)
+    assert (prof.tv_curve, prof.worst_starts, prof.starts) == \
+        (tv, worst, starts)
+    assert np.allclose(prof.l2sq_curve, l2, rtol=1e-12, atol=0)
+
+
+def test_distances_match_the_transitive_profile(lps_chain):
+    # one L2 formula: distances sums one column, as the profile of a
+    # transitive chain sums its start 0
+    prof = mixing_profile(lps_chain, [0.25])
+    assert prof.starts == (0,)
+    for t, (tv, l2) in enumerate(zip(prof.tv_curve, prof.l2sq_curve)):
+        assert distances(lps_chain, 0, t) == (tv, l2), t
+
+
 @pytest.mark.parametrize("transitive", [False, True])
 def test_mixing_profile_max_steps_boundary(monkeypatch, random_cubic_medium,
                                            lps_chain, transitive):
@@ -702,22 +753,31 @@ def test_allocation_free_product_matches_matmul(request, lps_chain, case):
 def test_mixing_profile_memory_stays_within_its_bound(monkeypatch,
                                                       random_cubic_medium,
                                                       workers):
-    # the docstring's bound, 8 n (m + (workers + 1) width) bytes, with 64 KiB
-    # for the kernel transpose, the records and the Python objects
+    # the docstring's bound: 8 n (m + workers width) bytes, 128 bytes of
+    # records per block and step, on a non-uniform chain one iterator
+    # buffer of numpy's size per worker, and 64 KiB for the kernel
+    # transpose and the Python objects; on the uniform rr200 and on the
+    # slow-and-rare chain, whose L2 pass weighs every square by 1/pi
     patch_workers(monkeypatch, workers)
-    chain = srw_chain(random_cubic_medium)
-    n = m = chain.n
-    width = -(-m // workers)          # rr200: one block per worker
-    tracemalloc.start()
-    try:
-        prof = mixing_profile(chain, [0.25])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(prof.starts) == m
-    assert peak <= 8 * n * (m + (workers + 1) * width) + 64 * 1024
-    # the states alone take 8 n m bytes, so the bound is not vacuous
-    assert peak >= 8 * n * m
+    for chain in (srw_chain(random_cubic_medium),
+                  _slow_and_rare_chain(random_cubic_medium)):
+        n = m = chain.n
+        blocks = max(-(-m // chains.MIXING_BLOCK_COLUMNS), workers)
+        width = -(-m // blocks)
+        uniform = np.all(chain.stationary == chain.stationary[0])
+        tracemalloc.start()
+        try:
+            prof = mixing_profile(chain, [0.25])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(prof.starts) == m
+        records = 128 * blocks * len(prof.tv_curve)
+        buffers = 0 if uniform else workers * 8 * np.getbufsize()
+        assert peak <= 8 * n * (m + workers * width) + records + buffers \
+            + 64 * 1024, n
+        # the states alone take 8 n m bytes, so the bound is not vacuous
+        assert peak >= 8 * n * m
 
 
 class KernelSubscripts(ast.NodeVisitor):

@@ -265,7 +265,7 @@ PINNED_DIGESTS = {
     "rr64": ({"kind": "random-regular", "n": 64, "d": 3, "seed": 8}, ALL,
              "8418ffea811b60365b2431de76fdc5a5e28af1b3a2593c89265335aa8368b78e"),
     "petersen": ({"kind": "named", "name": "petersen"}, ALL,
-                 "984cccc31dd5d2f41dfea3696c5dd0289108dcc5cdf7384e7da325cf648a2410"),
+                 "e01b97044849321e87e0d2c0c8f29b4b01692c7ebf15ecfe9ee93595011af24b"),
     # bipartite: the periodic skips of the mixing and hitmix records
     "q3": ({"kind": "named", "name": "hypercube", "dim": 3}, ALL,
            "ec324370756151e698f0ea928a2561df53c43fa861cee095278a0911501c5319"),
@@ -275,7 +275,7 @@ PINNED_DIGESTS = {
     # certified vertex-transitive (PSL, non-bipartite): one start, one center
     "lps17-13": ({"kind": "lps", "p": 17, "q": 13},
                  ("spectral", "mixing", "inflation"),
-                 "eda8511669665c2585510e41d4b5d6f357716f011fce859e9627ee396353ecf9"),
+                 "d8303900d17175541bd881e4fa29d4f3667e710ebbf90aaa2f6338be6a6fe428"),
 }
 
 

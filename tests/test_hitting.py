@@ -9,11 +9,13 @@ import scipy.sparse as sp
 
 import walklab as wl
 from walklab import chains, hitting, spectral
-from walklab.chains import ChainError, mixing_profile, srw_chain
+from walklab.chains import (ChainError, mixing_profile, power_chain,
+                            srw_chain)
 from walklab.graphs import GraphError
 from walklab.hitting import (CandidateFamily, HittingError, SphereHits,
                              candidate_small_sets, expected_hit_time,
-                             family_survival, hit_quantile,
+                             family_survival, family_survivals,
+                             hit_quantile,
                              hitmix_constant_record, quantile_halflog_check,
                              verify_spectral_hit, w_vs_k_report)
 from walklab.spectral import restricted_top_eig, spectrum
@@ -287,27 +289,43 @@ def reference_survival(kernel, sets, t):
     return np.array(out)
 
 
-def assert_blocks_match_reference(kernel, sets):
-    blocks = list(chains._family_blocks(kernel, sets))
-    assert [lo for lo, _, _ in blocks] == \
-        np.cumsum([0] + [len(st) for _, st, _ in blocks[:-1]]).tolist()
-    for got, want in zip(per_set_pieces(blocks),
-                         per_set_pieces(reference_family_blocks(kernel, sets)),
-                         strict=True):
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-    for _, starts, block in blocks:
-        # block-diagonal: every entry lies in its own set's columns
-        owner = np.searchsorted(starts, np.arange(block.shape[0]),
-                                side="right")
-        row_of = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-        assert np.array_equal(
-            np.searchsorted(starts, block.indices, side="right"),
-            owner[row_of])
-    for t in (0, 1, 6):
-        assert np.array_equal(family_survival(kernel, sets, t),
-                              reference_survival(kernel, sets, t))
-    return blocks
+def assert_blocks_match_reference(*kernels, sets):
+    """Blocks of every kernel from one pass over a shared layout, each
+    equal to its own reference; returns the first kernel's blocks."""
+    shared = list(chains._family_blocks(kernels, sets))
+    # each chunk yields every kernel's block, kernels in order
+    assert [which for _, _, which, _ in shared] == \
+        list(range(len(kernels))) * (len(shared) // len(kernels))
+    for i, kernel in enumerate(kernels):
+        blocks = [(lo, starts, block)
+                  for lo, starts, which, block in shared if which == i]
+        assert [lo for lo, _, _ in blocks] == \
+            np.cumsum([0] + [len(st) for _, st, _ in blocks[:-1]]).tolist()
+        for got, want in zip(
+                per_set_pieces(blocks),
+                per_set_pieces(reference_family_blocks(kernel, sets)),
+                strict=True):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        for _, starts, block in blocks:
+            # block-diagonal: every entry lies in its own set's columns
+            owner = np.searchsorted(starts, np.arange(block.shape[0]),
+                                    side="right")
+            row_of = np.repeat(np.arange(block.shape[0]),
+                               np.diff(block.indptr))
+            assert np.array_equal(
+                np.searchsorted(starts, block.indices, side="right"),
+                owner[row_of])
+        for t in (0, 1, 6):
+            assert np.array_equal(family_survival(kernel, sets, t),
+                                  reference_survival(kernel, sets, t))
+    # one pass over the shared layout gives each kernel's own bits
+    runs = [(kernel, t) for kernel, t in zip(kernels, (6, 1, 0))]
+    for got, (kernel, t) in zip(family_survivals(runs, sets), runs,
+                                strict=True):
+        assert np.array_equal(got, reference_survival(kernel, sets, t))
+    return [(lo, starts, block)
+            for lo, starts, which, block in shared if which == 0]
 
 
 def recording_slot_maps(monkeypatch):
@@ -329,25 +347,50 @@ def recording_slot_maps(monkeypatch):
     return sizes
 
 
+def two_step_kernel(chain):
+    """P^2 without the rows of odd states: another entry pattern on the
+    same states, with empty rows as in the W of the escape experiment."""
+    even = (np.arange(chain.n) % 2 == 0).astype(float)
+    kernel = (sp.diags(even) @ power_chain(chain, 2).kernel).tocsr()
+    kernel.eliminate_zeros()
+    return kernel
+
+
 def test_family_blocks_match_search_reference(monkeypatch, cubic_family,
                                               petersen_chain):
     chain, sets = cubic_family
     sizes = recording_slot_maps(monkeypatch)
-    # default chunks: one slot map of sets x n entries per chunk
-    blocks = assert_blocks_match_reference(chain.kernel, sets)
+    # default chunks: one slot map of sets x n entries per chunk, shared by
+    # the two kernels
+    blocks = assert_blocks_match_reference(
+        chain.kernel, two_step_kernel(chain), sets=sets)
     assert len(blocks) > 1 and sizes
     assert max(sizes) <= 16 * chains.FAMILY_CHUNK_ROWS
+    sizes.clear()
+    shared = list(chains._family_blocks([chain.kernel, two_step_kernel(chain)],
+                                        sets))
+    assert len(sizes) == len(blocks) == len(shared) // 2
     # tiny chunks, a bound of 80 entries: on n = 200 a set alone gets a
     # map of all n vertices; on n = 10 a chunk holds up to 5 rows from at
     # most 8 sets
     monkeypatch.setattr(chains, "FAMILY_CHUNK_ROWS", 5)
     sizes.clear()
-    blocks = assert_blocks_match_reference(chain.kernel, sets[::7])
+    blocks = assert_blocks_match_reference(
+        chain.kernel, two_step_kernel(chain), sets=sets[::7])
     assert all(len(starts) == 1 for _, starts, _ in blocks)
     assert set(sizes) == {chain.n} == {200}
     blocks = assert_blocks_match_reference(
-        petersen_chain.kernel, exact_family(petersen_chain, 0.3))
+        petersen_chain.kernel, two_step_kernel(petersen_chain),
+        sets=exact_family(petersen_chain, 0.3))
     assert max(len(starts) for _, starts, _ in blocks) == 5
+
+
+def test_family_blocks_reject_kernels_of_other_sizes(petersen_chain,
+                                                     cubic_family):
+    chain, _ = cubic_family
+    with pytest.raises(ChainError, match="n x n for one n"):
+        list(chains._family_blocks([petersen_chain.kernel, chain.kernel],
+                                   [(0, 1)]))
 
 
 def test_singleton_chunks_close_on_the_slot_map_bound(monkeypatch,
@@ -356,7 +399,7 @@ def test_singleton_chunks_close_on_the_slot_map_bound(monkeypatch,
     n = chain.n
     sets = [(v,) for v in range(n)] * 8
     sizes = recording_slot_maps(monkeypatch)
-    blocks = assert_blocks_match_reference(chain.kernel, sets)
+    blocks = assert_blocks_match_reference(chain.kernel, sets=sets)
     per_chunk = 16 * chains.FAMILY_CHUNK_ROWS // n
     assert [len(starts) for _, starts, _ in blocks] == \
         [per_chunk] * (len(sets) // per_chunk) + [len(sets) % per_chunk]
@@ -806,11 +849,11 @@ def test_family_passes_step_only_the_tops(monkeypatch, tmp_path, rr512):
     passes = []
     blocks = hitting._family_blocks
 
-    def recording(kernel, sets):
-        stepped = [len(sets), 0]
+    def recording(kernels, sets):
+        stepped = [len(sets), [0] * len(kernels)]
         passes.append(stepped)
-        for piece in blocks(kernel, sets):
-            stepped[1] += piece[2].shape[0]
+        for piece in blocks(kernels, sets):
+            stepped[1][piece[2]] += piece[3].shape[0]
             yield piece
 
     monkeypatch.setattr(hitting, "_family_blocks", recording)
@@ -819,8 +862,10 @@ def test_family_passes_step_only_the_tops(monkeypatch, tmp_path, rr512):
                            trials=200, seed=2, out_dir=str(tmp_path))
     report, _ = run_suite(cfg)
     assert any(r["name"] == "escape-decomposition" for r in report.records)
+    # the escape experiment's three maxima share one pass over the layout
     family_passes = [rows for count, rows in passes if count > 1]
-    assert family_passes == [fam.tops.offsets[-1]] * 4
+    assert family_passes == [[fam.tops.offsets[-1]],
+                             [fam.tops.offsets[-1]] * 3]
     assert fam.tops.offsets[-1] < fam.offsets[-1]
 
 
