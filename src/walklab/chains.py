@@ -8,7 +8,6 @@ detailed balance are validated to 1e-12 at construction.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import os
@@ -20,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .graphs import (Graph, _cover_count, _level_distances, _support_classes,
+from .graphs import (Graph, _level_distances, _support_classes,
                      vertex_transitive)
 
 ROW_SUM_TOL = 1e-12
@@ -70,18 +69,51 @@ class ReversibleChain:
                 f"components={len(self.components)})")
 
 
-def _validate(kernel: sp.csr_matrix, pi: np.ndarray) -> None:
+def _validate(kernel: sp.csr_matrix, pi: np.ndarray) -> sp.csr_matrix:
+    """Raise :class:`ChainError` unless ``kernel`` is a square kernel of
+    finite nonnegative entries whose rows sum to 1 within
+    ``ROW_SUM_TOL``, ``pi`` a distribution on its states, and the flux
+    pi(x) P(x, y) symmetric within ``REVERSIBILITY_TOL``.  Every
+    tolerance test is written so that NaN fails it.
+
+    The flux is the kernel's data scaled by pi row by row, and its
+    transpose the transposed kernel scaled by pi column by column: one
+    transpose and one subtraction.  Returns that transposed kernel."""
+    n = kernel.shape[0]
+    if kernel.shape != (n, n):
+        raise ChainError(f"kernel must be square, got shape {kernel.shape}")
+    if pi.shape != (n,):
+        raise ChainError(f"stationary vector has shape {pi.shape}, "
+                         f"expected ({n},)")
+    indptr, indices = kernel.indptr, kernel.indices[:kernel.nnz]
+    data = kernel.data[:kernel.nnz]
+    bad = np.flatnonzero(~((data >= 0) & (data < np.inf)))
+    if len(bad):
+        i = bad[0]
+        row = int(np.searchsorted(indptr, i, side="right")) - 1
+        raise ChainError(f"kernel entry ({row},{int(indices[i])}) is "
+                         f"{float(data[i])}, not finite and nonnegative")
+    bad = np.flatnonzero(~((pi >= 0) & (pi < np.inf)))
+    if len(bad):
+        raise ChainError(f"stationary entry {int(bad[0])} is "
+                         f"{float(pi[bad[0]])}, not finite and nonnegative")
     rows = np.asarray(kernel.sum(axis=1)).ravel()
     worst = np.abs(rows - 1.0).max() if len(rows) else 0.0
-    if worst > ROW_SUM_TOL:
+    if not worst <= ROW_SUM_TOL:
         raise ChainError(f"kernel rows deviate from 1 by {worst:.3e}")
-    if abs(pi.sum() - 1.0) > 1e-9 or np.any(pi < 0):
+    if not abs(pi.sum() - 1.0) <= 1e-9:
         raise ChainError("stationary vector is not a probability distribution")
-    flux = sp.diags(pi) @ kernel
-    asym = (flux - flux.T).tocoo()
+    flux = sp.csr_matrix((data * np.repeat(pi, np.diff(indptr)), indices,
+                          indptr), shape=kernel.shape)
+    transposed = kernel.T.tocsr()
+    back = sp.csr_matrix((transposed.data * pi[transposed.indices],
+                          transposed.indices, transposed.indptr),
+                         shape=kernel.shape)
+    asym = flux - back
     worst = np.abs(asym.data).max() if asym.nnz else 0.0
-    if worst > REVERSIBILITY_TOL:
+    if not worst <= REVERSIBILITY_TOL:
         raise ChainError(f"detailed balance violated by {worst:.3e}")
+    return transposed
 
 
 def _support(kernel: sp.csr_matrix) -> sp.csr_matrix:
@@ -89,11 +121,21 @@ def _support(kernel: sp.csr_matrix) -> sp.csr_matrix:
     return (kernel > 0).astype(float)
 
 
+def _period(bipartite) -> str:
+    """A chain with no holding probability is periodic when some class,
+    2-coloured by :func:`graphs._support_classes`, is bipartite."""
+    return BIPARTITE_PERIODIC if any(bipartite) else APERIODIC
+
+
 def srw_chain(g: Graph) -> ReversibleChain:
     """SRW kernel P(x,y) = 1/deg(x) on edges, pi proportional to degree.
 
-    ``transitive`` records :func:`graphs.vertex_transitive` of g: every
-    automorphism of g preserves the SRW kernel."""
+    The kernel is validated as any other; its support is g's adjacency,
+    which has no loops, so the classes and the period come from g's
+    components and their bipartiteness, which g computes once and
+    :func:`graphs.connected_components` and :func:`graphs.is_bipartite`
+    share.  ``transitive`` records :func:`graphs.vertex_transitive` of g:
+    every automorphism of g preserves the SRW kernel."""
     indptr, indices = g.indptr, g.indices
     degs = np.diff(indptr)
     isolated = np.flatnonzero(degs == 0)
@@ -102,31 +144,39 @@ def srw_chain(g: Graph) -> ReversibleChain:
             f"isolated vertices have no SRW step: {isolated.tolist()[:20]}")
     kernel = sp.csr_matrix((np.repeat(1.0 / degs, degs), indices, indptr),
                            shape=(g.n, g.n))
-    chain = chain_from_kernel(kernel, degs / degs.sum())
-    return dataclasses.replace(chain, transitive=vertex_transitive(g))
+    pi = degs / degs.sum()
+    _validate(kernel, pi)
+    comps, bipartite = g._classes
+    return ReversibleChain(n=g.n, kernel=kernel, stationary=pi,
+                           period_info=_period(bipartite), components=comps,
+                           transitive=vertex_transitive(g))
 
 
 def chain_from_kernel(kernel, stationary) -> ReversibleChain:
     """Wrap an explicit kernel; fails unless it is verifiably reversible.
 
-    The communicating classes are the components of the support graph;
-    the chain is bipartite-periodic when it has no holding probability
-    and some class is bipartite.  The chain keeps its own copies of the
-    kernel and of pi, so the caller's arrays are never modified or shared.
-    The chain is never ``transitive``: no automorphisms come with a kernel.
+    The communicating classes are the components of the support graph
+    (an entry P(x, y) > 0 joins x and y), read by
+    :func:`graphs._support_classes` in linear passes; the chain is
+    bipartite-periodic when it has no holding probability and some class
+    is bipartite, and a kernel with a holding probability is never
+    2-coloured.  The chain keeps its own copies of the kernel and of pi,
+    so the caller's arrays are never modified or shared.  The chain is
+    never ``transitive``: no automorphisms come with a kernel.
     """
     kernel = sp.csr_matrix(kernel, copy=True)
     pi = np.array(stationary, dtype=float)
-    _validate(kernel, pi)
+    transposed = _validate(kernel, pi)
     n = kernel.shape[0]
-    support = _support(kernel)
-    comps = _support_classes(support)
-    # a holding probability makes the chain aperiodic: no cover needed
-    has_diag = kernel.diagonal().max() > 0 if n else False
-    periodic = not has_diag and _cover_count(support) > len(comps)
-    period = BIPARTITE_PERIODIC if periodic else APERIODIC
+    # a holding probability makes the chain aperiodic: no coloring needed
+    holds = kernel.diagonal().max() > 0 if n else False
+    # the entries are nonnegative and a sum that is 0 is not stored, so
+    # P + P^T holds the positive entries of either, a symmetric pattern
+    comps, bipartite = _support_classes(kernel + transposed,
+                                        colour=not holds)
     return ReversibleChain(
-        n=n, kernel=kernel, stationary=pi, period_info=period,
+        n=n, kernel=kernel, stationary=pi,
+        period_info=APERIODIC if holds else _period(bipartite),
         components=comps)
 
 

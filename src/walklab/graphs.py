@@ -171,6 +171,12 @@ class Graph:
         return best
 
     @cached_property
+    def _classes(self) -> tuple:
+        """``(classes, bipartite)`` of :func:`_support_classes`, computed
+        once: the components of g and whether each is bipartite."""
+        return _support_classes(self._matrix)
+
+    @cached_property
     def _ball_tables(self) -> dict:
         """Radius -> :class:`BallTable`, filled by :func:`ball_table`."""
         return {}
@@ -232,10 +238,35 @@ def make_graph(n: int, edges, provenance=None, automorphisms=()) -> Graph:
             raise GraphError(f"edge ({a},{b}) out of range for n={n}")
         raise GraphError(f"parallel edge ({min(a, b)},{max(a, b)})")
     # each edge from both ends, sorted by (row, neighbor)
-    both = np.sort(np.concatenate((keys, hi * n + lo)))
-    rows, indices = np.divmod(both, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return _graph_from_keys(n, np.sort(np.concatenate((keys, hi * n + lo))),
+                            provenance, automorphisms)
+
+
+def _graph_from_keys(n: int, keys: np.ndarray, provenance=None,
+                     automorphisms=()) -> Graph:
+    """The :class:`Graph` whose rows list the keys u * n + v of every
+    (vertex u, neighbor v) pair, each edge from both ends.
+
+    ``keys`` must be strictly increasing, in 0..n^2-1 and loop-free,
+    checked in that order in O(len(keys) + n log len(keys)) time; the
+    :class:`GraphError` names the first key that fails the first failing
+    check.  The row of u is then the run of keys from u * n on, found by
+    one search per vertex, with no sort.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    down = np.flatnonzero(np.diff(keys) <= 0)
+    if len(down):
+        key = int(keys[down[0] + 1])
+        word = "repeated" if key == keys[down[0]] else "out-of-order"
+        raise GraphError(f"{word} pair {divmod(key, max(n, 1))} in the keys")
+    if len(keys) and not (keys[0] >= 0 and keys[-1] < n * n):
+        key = int(keys[0] if keys[0] < 0 else keys[-1])
+        raise GraphError(f"key {key} out of range for n={n}")
+    found = _sorted_lookup(keys, np.arange(n) * (n + 1))[1]
+    if found.any():
+        raise GraphError(f"self-loop at vertex {int(np.argmax(found))}")
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    indices = keys % max(n, 1)
     perms = tuple(np.array(p, dtype=np.int64) for p in automorphisms)
     for arr in (indptr, indices) + perms:
         arr.flags.writeable = False
@@ -573,42 +604,73 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _support_classes(support: sp.csr_matrix) -> tuple:
-    """Components of the undirected graph ``support``: sorted vertex
-    tuples, ordered by least vertex."""
-    count, labels = csgraph.connected_components(support, directed=False)
+def _support_classes(support: sp.csr_matrix, colour: bool = True) -> tuple:
+    """``(classes, bipartite)`` of the undirected graph on the symmetric
+    sparsity pattern of ``support``.
+
+    ``classes`` are its components, sorted vertex tuples ordered by least
+    vertex; ``bipartite[i]`` says whether class i can be 2-coloured (a
+    self-loop is an odd cycle), or ``bipartite`` is None when ``colour``
+    is False.  Two csgraph calls at most, however many classes there are:
+    one components call, and one breadth-first search from a virtual
+    vertex n joined to each class's least vertex.  The depth parities
+    come from pointer doubling up that BFS forest, and a class is
+    bipartite when no entry joins two vertices of one parity.  The time
+    is O(n log n + nnz), the extra memory a few bytes per entry.
+    """
+    n = support.shape[0]
+    nnz = support.nnz
+    indptr, indices = support.indptr, support.indices[:nnz]
+    # the pattern is symmetric, so its strong components are its
+    # components, found with no transpose
+    count, labels = csgraph.connected_components(support, directed=True,
+                                                 connection="strong")
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels, minlength=count)
-    # [:count] drops the empty piece np.split returns for no vertices
-    grouped = np.split(order, np.cumsum(sizes)[:-1])[:count]
-    return tuple(sorted((tuple(c.tolist()) for c in grouped),
-                        key=lambda c: c[0]))
-
-
-def _cover_count(support: sp.csr_matrix) -> int:
-    """Component count of the bipartite double cover of ``support``
-    (vertices (v, side), edges (u, 0)-(v, 1) and (u, 1)-(v, 0)).
-
-    A connected component is bipartite (a self-loop is an odd cycle)
-    exactly when its cover splits in two, so every component is bipartite
-    when the count is twice the component count, and some component is
-    when it is larger.
-    """
-    cover = sp.bmat([[None, support], [support, None]], format="csr")
-    return csgraph.connected_components(cover, directed=False)[0]
+    ends = np.cumsum(sizes)
+    least = order[ends - sizes]           # each label's least vertex
+    rank = np.argsort(least)
+    flat = order.tolist()
+    classes = tuple(tuple(flat[lo:hi]) for lo, hi in
+                    np.stack((ends - sizes, ends), axis=1)[rank].tolist())
+    if not colour:
+        return classes, None
+    forest = sp.csr_matrix(
+        (np.ones(nnz + count),
+         np.concatenate((indices, least.astype(indices.dtype))),
+         np.append(indptr, nnz + count)), shape=(n + 1, n + 1))
+    pred = csgraph.breadth_first_order(forest, n, directed=True,
+                                       return_predecessors=True)[1]
+    # parity[v]: the parity of the path from v up to up[v], doubled
+    # until every path ends at the virtual vertex
+    up = pred.astype(np.int64)
+    up[n] = n
+    parity = np.ones(n + 1, dtype=np.int8)
+    parity[n] = 0
+    while np.any(up != n):
+        parity ^= parity[up]
+        up = up[up]
+    degs = np.diff(indptr)
+    odd = np.repeat(parity[:n], degs) == parity[indices]
+    bipartite = np.ones(count, dtype=bool)
+    bipartite[np.repeat(labels, degs)[odd]] = False
+    return classes, tuple(bipartite[rank].tolist())
 
 
 def connected_components(g: Graph) -> list:
-    """List of components, each a sorted list of vertices."""
-    return [list(c) for c in _support_classes(g._matrix)]
+    """List of components, each a sorted list of vertices, ordered by
+    least vertex; read off the classes :class:`Graph` computes once."""
+    return [list(c) for c in g._classes[0]]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_support_classes(g._matrix)) <= 1
+    return len(g._classes[0]) <= 1
 
 
 def is_bipartite(g: Graph) -> bool:
-    return _cover_count(g._matrix) == 2 * len(_support_classes(g._matrix))
+    """Whether every component of g is bipartite; read off the classes
+    :class:`Graph` computes once."""
+    return all(g._classes[1])
 
 
 def eccentricity(g: Graph, v: int) -> int:
@@ -939,17 +1001,19 @@ def inflate(g: Graph, k: int) -> Graph:
     """Graph on the same vertices joining pairs at distance exactly k.
 
     May be disconnected or irregular; an empty edge set is allowed (with
-    a warning).  inflate(g, 1) reproduces g's edge set.
+    a warning).  inflate(g, 1) reproduces g's edge set.  The rows are the
+    radius-k :class:`BallTable`'s keys at distance k, which it holds
+    sorted, each pair from both ends: the CSR arrays are read off them
+    after linear checks, with no sort and no deduplication.
     """
     if k < 1:
         raise GraphError(f"inflation distance must be >= 1, got {k}")
     table = ball_table(g, k)
-    v, u = np.divmod(table.keys[table.dist == k], g.n)
-    keep = v < u
-    if not keep.any():
+    keys = table.keys[table.dist == k]
+    if not len(keys):
         warnings.warn(f"distance-{k} graph has no edges", stacklevel=2)
     prov = {"kind": "inflated", "k": k, "base": dict(g.provenance)}
-    return make_graph(g.n, np.column_stack((v[keep], u[keep])), prov)
+    return _graph_from_keys(g.n, keys, prov)
 
 
 # ---------------------------------------------------------------------------

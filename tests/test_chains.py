@@ -220,6 +220,41 @@ def test_chain_from_kernel_validates():
         chain_from_kernel(asym, np.array([0.5, 0.5]))
 
 
+SWAP = [[0.0, 1.0], [1.0, 0.0]]
+UNIFORM = [0.5, 0.5]
+
+
+@pytest.mark.parametrize("kernel, pi, message", [
+    # rows sum to 1 and the flux is symmetric, but -0.5 is no probability
+    ([[1.5, -0.5], [-0.5, 1.5]], UNIFORM,
+     r"kernel entry \(0,1\) is -0\.5, not finite and nonnegative"),
+    # NaN passed every "> tol" test, so this read as bipartite-periodic
+    ([[np.nan, 1.0], [1.0, 0.0]], UNIFORM,
+     r"kernel entry \(0,0\) is nan, not finite and nonnegative"),
+    ([[0.0, np.inf], [1.0, 0.0]], UNIFORM,
+     r"kernel entry \(0,1\) is inf, not finite and nonnegative"),
+    (SWAP, [np.nan, 0.5],
+     r"stationary entry 0 is nan, not finite and nonnegative"),
+    (SWAP, [0.5, -np.inf],
+     r"stationary entry 1 is -inf, not finite and nonnegative"),
+    (SWAP, [0.5, 0.5, 0.0],
+     r"stationary vector has shape \(3,\), expected \(2,\)"),
+    (SWAP, [[0.5, 0.5]],
+     r"stationary vector has shape \(1, 2\), expected \(2,\)"),
+    ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], UNIFORM,
+     r"kernel must be square, got shape \(2, 3\)"),
+    # finite entries whose sums overflow fail the tolerance tests
+    ([[1e308, 1e308], [1.0, 0.0]], UNIFORM,
+     r"kernel rows deviate from 1 by inf"),
+    (SWAP, [1e308, 1e308], "not a probability distribution"),
+], ids=["negative", "nan-entry", "inf-entry", "nan-pi", "inf-pi",
+        "pi-too-long", "pi-not-a-vector", "not-square", "row-overflow",
+        "pi-overflow"])
+def test_chain_from_kernel_rejects(kernel, pi, message):
+    with np.errstate(over="ignore"), pytest.raises(ChainError, match=message):
+        chain_from_kernel(sp.csr_matrix(np.array(kernel)), np.array(pi))
+
+
 def test_chain_from_kernel_leaves_the_callers_matrix_alone():
     # SRW on the triangle, row 0 stored with its columns as [2, 1]
     kernel = sp.csr_matrix((np.full(6, 0.5), np.array([2, 1, 0, 2, 0, 1]),
@@ -544,37 +579,95 @@ def test_mixing_profile_snaps_complements_onto_the_grid():
     assert list(prof.mixing_times) == [0.1, 0.25, 0.75, 0.9]
 
 
-def test_double_cover_built_only_when_a_period_is_asked(monkeypatch,
-                                                        petersen, c6, q3):
+def test_classes_computed_once_per_graph_and_never_coloured_when_holding(
+        monkeypatch, petersen, c6, q3):
     calls = []
-    cover_count = graphs._cover_count
+    support_classes = graphs._support_classes
 
-    def counted(support):
-        calls.append(support.shape[0])
-        return cover_count(support)
+    def counted(support, colour=True):
+        calls.append((support.shape[0], colour))
+        return support_classes(support, colour)
 
-    monkeypatch.setattr(graphs, "_cover_count", counted)
-    monkeypatch.setattr(chains, "_cover_count", counted)
+    monkeypatch.setattr(graphs, "_support_classes", counted)
+    monkeypatch.setattr(chains, "_support_classes", counted)
     k5 = wl.build_named("complete", 5)
     for g, bipartite in ((petersen, False), (c6, True), (q3, True),
                          (k5, False)):
-        connected_components(g)
+        # a fresh copy: the fixtures may have computed their classes
+        g = wl.make_graph(g.n, g.edges)
+        assert connected_components(g) == [list(range(g.n))]
         assert graphs.is_connected(g)
-        assert calls == []
+        assert graphs.is_bipartite(g) == bipartite
         chain = srw_chain(g)
-        assert calls == [g.n]
+        assert srw_chain(g).period_info == chain.period_info == (
+            BIPARTITE_PERIODIC if bipartite else APERIODIC)
+        assert calls == [(g.n, True)]
         two = power_chain(chain, 2)
         blend = chain_from_kernel((chain.kernel + two.kernel) * 0.5,
                                   chain.stationary)
-        # both hold with positive probability: aperiodic without a cover
+        # both hold with positive probability: aperiodic, never coloured
         assert two.period_info == blend.period_info == APERIODIC
-        assert calls == [g.n]
-        assert graphs.is_bipartite(g) == bipartite
-        assert calls == [g.n, g.n]
+        assert blend.components == chain.components
+        assert calls == [(g.n, True), (g.n, False), (g.n, False)]
+        again = chain_from_kernel(chain.kernel, chain.stationary)
+        assert again.period_info == chain.period_info
+        assert calls[-1] == (g.n, True)
         calls.clear()
-    assert srw_chain(c6).period_info == BIPARTITE_PERIODIC
-    assert srw_chain(q3).period_info == BIPARTITE_PERIODIC
-    assert srw_chain(k5).period_info == APERIODIC
+
+
+class CountingCsgraph:
+    """Stands in for ``scipy.sparse.csgraph`` and records each call."""
+
+    def __init__(self, module):
+        self.module, self.calls = module, []
+
+    def __getattr__(self, name):
+        fn = getattr(self.module, name)
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return fn(*args, **kwargs)
+        return counted
+
+
+def test_perfect_matching_classes_take_two_csgraph_calls(monkeypatch):
+    n = 20_000
+    pairs = np.random.default_rng(5).permutation(n).reshape(-1, 2)
+    g = wl.make_graph(n, pairs)
+    counting = CountingCsgraph(graphs.csgraph)
+    monkeypatch.setattr(graphs, "csgraph", counting)
+    chain = srw_chain(g)
+    # one components call and one search, not one search per class
+    assert counting.calls == ["connected_components", "breadth_first_order"]
+    assert chain.components == tuple(sorted(map(tuple, np.sort(pairs)
+                                                .tolist())))
+    assert len(chain.components) == n // 2
+    assert chain.period_info == BIPARTITE_PERIODIC
+    assert graphs.is_bipartite(g) and not graphs.is_connected(g)
+    assert len(counting.calls) == 2
+
+
+# the peak of srw_chain(inflate(LPS(13,17), 2)) over the bytes of its
+# kernel: 6.8 measured (the validation's flux, transposed kernel and
+# difference are live together, on top of the ball table and the graph);
+# the double cover that sp.bmat built took it to 9.8
+SRW_PEAK_PER_KERNEL_BYTE = 7.5
+
+
+def test_srw_chain_of_the_distance_2_graph_builds_no_cover():
+    g = wl.build_lps(13, 17)
+    tracemalloc.start()
+    try:
+        chain = srw_chain(wl.inflate(g, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kernel = chain.kernel
+    assert kernel.nnz == 445_536
+    own = kernel.data.nbytes + kernel.indices.nbytes + kernel.indptr.nbytes
+    assert peak <= SRW_PEAK_PER_KERNEL_BYTE * own
+    # the kernel and the graph's CSR arrays alone take 1.67 of it
+    assert peak >= 1.67 * own
 
 
 def _slow_and_rare_chain(g):

@@ -1,11 +1,17 @@
 import hashlib
 import math
+import warnings
 from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 import walklab as wl
+from walklab import graphs
+from walklab.chains import (APERIODIC, BIPARTITE_PERIODIC, chain_from_kernel,
+                            srw_chain)
 from walklab.graphs import (GraphError, GraphFileError, ball_table,
                             bfs_distances, connected_components,
                             count_simple_cycles, cyclic_automorphism,
@@ -428,6 +434,58 @@ def test_inflate_matches_bfs_definition(random_cubic_medium, c6):
                        for u in np.flatnonzero(bfs_distances(g, v, k) == k)
                        if v < u)
         assert wl.inflate(g, k).edges == tuple(edges)
+
+
+def reference_inflate(g, k):
+    """The distance-k graph as ``make_graph`` over g's pair list: the
+    pairs (v, u), v < u, at distance k in g's radius-k ball table."""
+    table = ball_table(g, k)
+    v, u = np.divmod(table.keys[table.dist == k], g.n)
+    keep = v < u
+    return wl.make_graph(g.n, np.column_stack((v[keep], u[keep])),
+                         {"kind": "inflated", "k": k,
+                          "base": dict(g.provenance)})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", ["petersen", "k4", "c6", "q3", "prism",
+                                  "girth5_graph", "random_cubic_medium",
+                                  "lps_bipartite"])
+def test_inflate_matches_make_graph_over_pairs(request, name, k):
+    g = request.getfixturevalue(name)
+    ref = reference_inflate(g, k)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got = wl.inflate(g, k)
+    # k4 at k = 2, 3 and petersen and prism at k = 3 have no pairs
+    assert [str(w.message) for w in seen] == (
+        [f"distance-{k} graph has no edges"] if ref.m == 0 else [])
+    for mine, theirs in ((got.indptr, ref.indptr),
+                         (got.indices, ref.indices)):
+        assert mine.dtype == theirs.dtype == np.int64
+        assert np.array_equal(mine, theirs)
+        assert not mine.flags.writeable
+    assert (got.n, got.provenance, got.automorphisms) == \
+        (ref.n, ref.provenance, ())
+    assert got.edges == ref.edges
+
+
+def test_graph_from_keys_rejects_bad_keys(c6):
+    keys = np.repeat(np.arange(6), 2) * 6 + np.array(c6.indices)
+    assert graphs._graph_from_keys(6, keys) == c6
+    cases = {
+        "repeated pair \\(0, 1\\)": np.insert(keys, 1, keys[0]),
+        "out-of-order pair \\(0, 1\\)": keys[[1, 0] + list(range(2, 12))],
+        "self-loop at vertex 2": np.insert(keys, 5, 2 * 7),
+        "key 36 out of range for n=6": np.append(keys, 36),
+        "key -1 out of range for n=6": np.insert(keys, 0, -1),
+    }
+    for message, bad in cases.items():
+        with pytest.raises(GraphError, match=message):
+            graphs._graph_from_keys(6, bad)
+    with pytest.raises(GraphError, match="key 0 out of range for n=0"):
+        graphs._graph_from_keys(0, [0])
+    assert graphs._graph_from_keys(0, []) == wl.make_graph(0, [])
 
 
 # -- cached derived data ------------------------------------------------------
@@ -929,6 +987,131 @@ def test_bipartite_verdicts(request):
                         "empty": True, "single": True, "c5": False,
                         "c6": True, "q3": True, "lps_bipartite": True,
                         "lps_nonbipartite": False}
+
+
+def reference_support_classes(support):
+    """``(classes, bipartite)`` from the bipartite double cover built by
+    ``sp.bmat``: vertices (v, side), edges (u, 0)-(v, 1) and (u, 1)-(v, 0).
+    A component is bipartite (a self-loop is an odd cycle) exactly when
+    its cover splits in two, i.e. (v, 0) and (v, 1) are apart."""
+    n = support.shape[0]
+    if n == 0:
+        return (), ()
+    count, labels = csgraph.connected_components(support, directed=False)
+    cover = sp.bmat([[None, support], [support, None]], format="csr")
+    cover_labels = csgraph.connected_components(cover, directed=False)[1]
+    classes = sorted((tuple(np.flatnonzero(labels == c).tolist())
+                      for c in range(count)), key=lambda c: c[0])
+    bipartite = tuple(bool(cover_labels[c[0]] != cover_labels[c[0] + n])
+                      for c in classes)
+    return tuple(classes), bipartite
+
+
+PETERSEN_EDGES = wl.build_named("petersen").edges
+# the zoo of the CLI tests that the fixtures do not already hold
+ZOO = {
+    "path4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "star4": (5, [(0, leaf) for leaf in range(1, 5)]),
+    "two-petersen": (20, list(PETERSEN_EDGES)
+                     + [(u + 10, v + 10) for u, v in PETERSEN_EDGES]),
+    "k2": (2, [(0, 1)]),
+    "c7": (7, [(i, (i + 1) % 7) for i in range(7)]),
+    "q4": (16, list(wl.build_named("hypercube", 4).edges)),
+}
+
+
+def _classes_graph(request, name):
+    if name in ZOO:
+        return wl.make_graph(*ZOO[name])
+    if name == "lps_13_17_distance_2":
+        return wl.inflate(request.getfixturevalue("lps_13_17"), 2)
+    g = _traversal_graph(request, name)
+    # a fresh copy, so that its classes are computed here
+    return wl.make_graph(g.n, np.array(g.edges, dtype=np.int64).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("name", sorted(TRAVERSAL_GRAPHS) + sorted(ZOO) + [
+    "petersen", "k4", "c6", "q3", "prism", "girth5_graph",
+    "random_cubic_medium", "lps_bipartite", "lps_nonbipartite", "lps_13_17",
+    "lps_13_17_distance_2"])
+def test_support_classes_match_double_cover(request, name):
+    g = _classes_graph(request, name)
+    ref = reference_support_classes(g._matrix)
+    assert graphs._support_classes(g._matrix) == ref
+    assert graphs._support_classes(g._matrix, colour=False) == (ref[0], None)
+    assert g._classes == ref
+    assert connected_components(g) == [list(c) for c in ref[0]]
+    assert is_connected(g) == (len(ref[0]) <= 1)
+    assert is_bipartite(g) == all(ref[1])
+    if g.n and g.degree_profile.min_degree > 0:
+        chain = srw_chain(g)
+        assert chain.components == ref[0]
+        assert chain.period_info == (BIPARTITE_PERIODIC if any(ref[1])
+                                     else APERIODIC)
+
+
+def random_reducible_kernel(seed, loops):
+    """A reversible kernel with random conductances on interleaved
+    classes: odd ones (a path closed into a triangle at its start, plus
+    random chords) and bipartite ones (a path plus random chords between
+    its even and odd positions).  With ``loops``, some classes are
+    isolated states that hold with probability 1, and a few other states
+    hold too."""
+    rng = np.random.default_rng(seed)
+    kinds = ["odd", "bipartite", "isolated"] if loops else ["odd",
+                                                            "bipartite"]
+    blocks = []
+    while sum(map(len, blocks)) < 60:
+        kind = kinds[rng.integers(len(kinds))]
+        blocks.append([kind] * (1 if kind == "isolated"
+                                else int(rng.integers(3, 9))))
+    n = sum(map(len, blocks))
+    perm = rng.permutation(n)
+    cond = np.zeros((n, n))
+    at = 0
+    for block in blocks:
+        v = perm[at:at + len(block)]
+        at += len(v)
+        links = [(v[i], v[i + 1]) for i in range(len(v) - 1)]
+        if block[0] == "odd":
+            links.append((v[0], v[2]))
+        for _ in range(len(v)):
+            i, j = sorted(rng.integers(len(v), size=2))
+            if i != j and (block[0] == "odd" or (j - i) % 2):
+                links.append((v[i], v[j]))
+        if block[0] == "isolated":
+            links.append((v[0], v[0]))
+        for a, b in links:
+            cond[a, b] = cond[b, a] = rng.uniform(0.5, 1.5)
+    if loops:
+        for x in rng.choice(n, size=3, replace=False):
+            cond[x, x] = rng.uniform(0.5, 1.5)
+    weight = cond.sum(axis=1)
+    return sp.csr_matrix(cond / weight[:, None]), weight / weight.sum()
+
+
+@pytest.mark.parametrize("loops", [False, True],
+                         ids=["no-loops", "isolated-and-loops"])
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_classes_match_double_cover(seed, loops):
+    kernel, pi = random_reducible_kernel(seed, loops)
+    support = (kernel > 0).astype(float)
+    ref = reference_support_classes(support)
+    assert len(ref[0]) > 1
+    assert graphs._support_classes(support) == ref
+    chain = chain_from_kernel(kernel, pi)
+    assert chain.components == ref[0]
+    holds = kernel.diagonal().max() > 0
+    assert holds == loops
+    assert chain.period_info == (BIPARTITE_PERIODIC if any(ref[1])
+                                 and not holds else APERIODIC)
+    # a one-way entry within the tolerances joins its two classes, as an
+    # undirected edge does
+    one_way = kernel.tolil()
+    one_way[ref[0][0][0], ref[0][1][0]] = 1e-14
+    merged = chain_from_kernel(one_way.tocsr(), pi)
+    assert merged.components[0] == tuple(sorted(ref[0][0] + ref[0][1]))
+    assert merged.components[1:] == ref[0][2:]
 
 
 def test_girth_matches_reference_scan(request, k4, prism, c6, q3, petersen,
