@@ -50,7 +50,6 @@ from .hitting import (
     WvsKReport,
     hit_quantile,
     verify_spectral_hit,
-    expected_hit_time,
     w_vs_k_report,
 )
 from .tree import (

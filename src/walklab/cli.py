@@ -110,6 +110,9 @@ def _config_from_args(args, suites) -> ExperimentConfig:
     if args.config:
         with open(args.config, "r", encoding="ascii") as fh:
             overrides = json.load(fh)
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"config must be a JSON object, got "
+                              f"{type(overrides).__name__}")
         data.update(overrides)
     if "WALKLAB_OUT" in os.environ:
         data["out_dir"] = os.environ["WALKLAB_OUT"]

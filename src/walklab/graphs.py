@@ -6,6 +6,11 @@ immutable :class:`Graph` built here.  Alongside the standard builders
 this module computes girth, ball/sphere decompositions with their tree
 excess, simple-cycle counts inside balls, and the distance-k graph.
 
+Every ball comes from one builder, :func:`_ball_keys`, a level-synchronous
+BFS from many anchors at once: the :class:`BallTable`, :func:`ball_stats`
+and :func:`assumption1_scan` read it.  :func:`_ball_shapes` is the one
+definition of a ball's tree excess and cycle rank.
+
 Builders of Cayley graphs attach automorphism generators;
 :func:`vertex_transitive` checks them once, and on a certified graph a
 graph-wide scan visits vertex 0 alone.  :func:`cyclic_automorphism`
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -508,10 +513,8 @@ class BallTable:
         """``(vertices, dist)``: the vertices within distance k of
         ``anchor`` in ascending order, and their distances; an anchor
         outside 0..n-1 raises :class:`GraphError`."""
-        _check_vertex(self.n, anchor)
-        base = anchor * self.n
-        lo, hi = np.searchsorted(self.keys, (base, base + self.n))
-        return self.keys[lo:hi] - base, self.dist[lo:hi]
+        pos = self.positions([anchor])
+        return self.vertex(pos), self.dist[pos]
 
     def sphere(self, anchor: int) -> np.ndarray:
         """Sorted vertices at distance exactly k from ``anchor``."""
@@ -527,6 +530,20 @@ class BallTable:
         """``home[v]``: the position of (v, v)."""
         return _read_only(
             np.searchsorted(self.keys, np.arange(self.n) * (self.n + 1)))
+
+    def positions(self, anchors) -> np.ndarray:
+        """The positions of every (anchor, u) of the sorted distinct
+        ``anchors``, anchor after anchor; the smallest anchor outside
+        0..n-1 raises :class:`GraphError`."""
+        anchors = np.asarray(anchors, dtype=np.int64)
+        bad = anchors[(anchors < 0) | (anchors >= self.n)]
+        if len(bad):
+            _check_vertex(self.n, int(bad[0]))
+        lo, hi = np.searchsorted(self.keys, (anchors * self.n,
+                                             (anchors + 1) * self.n))
+        size = hi - lo
+        return np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size,
+                                                 size)
 
     def moves(self, rows) -> tuple:
         """``(slot, land, step)``: every move out of the interior positions
@@ -573,30 +590,114 @@ def ball_table(g: Graph, k: int) -> BallTable:
 
 
 def _build_ball_table(g: Graph, k: int) -> BallTable:
-    # level-synchronous BFS from all anchors at once over (anchor, vertex)
-    # pairs encoded as anchor * n + vertex
     if not 1 <= k <= MAX_BALL_RADIUS:
         raise GraphError(f"ball radius must lie in 1..{MAX_BALL_RADIUS}, "
                          f"got {k}")
+    keys, dist = _ball_keys(g, np.arange(g.n, dtype=np.int64), k)
+    return BallTable(n=g.n, k=k, keys=_read_only(keys),
+                     dist=_read_only(dist), indptr=g.indptr,
+                     indices=g.indices)
+
+
+def _ball_keys(g: Graph, anchors: np.ndarray, k: int) -> tuple:
+    """The one ball builder: ``(keys, dist)``, the keys ``anchor * n + u``
+    of every u within distance k of each of the sorted int64 ``anchors``,
+    ascending, and their distances in the narrowest signed type (int8 up
+    to ``MAX_BALL_RADIUS``).  A level-synchronous BFS from every anchor
+    at once, which stops at the first empty level."""
     n = g.n
-    anchors = vertices = np.arange(n, dtype=np.int64)
     levels = [anchors * (n + 1)]
-    for _ in range(k):
+    owners = vertices = anchors
+    while len(levels) <= k:
         slot, nbr = g.expand(vertices)
-        found = np.sort(anchors[slot] * n + nbr)
+        found = np.sort(owners[slot] * n + nbr)
         found = found[np.diff(found, prepend=-1) != 0]
         # neighbors of level r-1 lie on levels r-2, r-1 or r
         for level in levels[-2:]:
             found = found[~_sorted_lookup(level, found)[1]]
+        if not len(found):
+            break
         levels.append(found)
-        anchors, vertices = np.divmod(found, n)
+        owners, vertices = np.divmod(found, n)
     keys = np.concatenate(levels)
-    dist = np.repeat(np.arange(k + 1, dtype=np.int8),
+    dist = np.repeat(np.arange(len(levels),
+                               dtype=np.min_scalar_type(-len(levels))),
                      [len(level) for level in levels])
     order = np.argsort(keys, kind="stable")
-    return BallTable(n=n, k=k, keys=_read_only(keys[order]),
-                     dist=_read_only(dist[order]), indptr=g.indptr,
-                     indices=g.indices)
+    return keys[order], dist[order]
+
+
+_BallShapes = namedtuple("_BallShapes",
+                         "levels size relevant full excess rank")
+
+
+def _ball_shapes(g: Graph, k: int, keys: np.ndarray,
+                 dist: np.ndarray) -> _BallShapes:
+    """Per-ball arrays, one row per anchor, of the radius-k balls whose
+    keys (ascending, as :func:`_ball_keys` and :class:`BallTable` hold
+    them) and distances are given: the level sizes (one column per
+    distance 0..k), the size |B|, the ``relevant`` edges (an endpoint at
+    distance < k) and the ``full`` induced edges.
+
+    The one definition of the two cycle ranks: ``excess`` = relevant -
+    |B| + 1, 0 on a tree ball, and ``rank`` = full - |B| + 1, the rank of
+    the induced ball, which is connected.  Neighbors are looked up a
+    slice of whole balls at a time, about 16 ``chains.FAMILY_CHUNK_ROWS``
+    entries, or one ball.
+    """
+    from . import chains    # chains imports this module
+    first = np.flatnonzero(np.diff(keys // g.n, prepend=-1))
+    size = np.diff(first, append=len(keys))
+    owner = np.repeat(np.arange(len(first)), size)
+    levels = np.bincount(owner * (k + 1) + dist,
+                         minlength=len(first) * (k + 1)).reshape(-1, k + 1)
+    inner = dist < k
+    full = np.zeros(len(first), dtype=np.int64)
+    relevant = np.zeros_like(full)
+    # whole balls lo..hi-1 at a time, their neighbors looked up among
+    # their own keys
+    step = max(1, 16 * chains.FAMILY_CHUNK_ROWS
+               // max(g.degree_profile.max_degree, 1))
+    ends = np.append(first, len(keys))
+    lo = 0
+    while lo < len(first):
+        hi = max(int(np.searchsorted(ends, ends[lo] + step, "right")) - 1,
+                 lo + 1)
+        part = slice(ends[lo], ends[hi])
+        src, dst = _ball_edges(g, keys[part], np.arange(ends[hi] - ends[lo]))
+        own, inn = owner[part] - lo, inner[part]
+        full[lo:hi] = np.bincount(own[src], minlength=hi - lo)
+        relevant[lo:hi] = np.bincount(own[src[inn[src] | inn[dst]]],
+                                      minlength=hi - lo)
+        lo = hi
+    return _BallShapes(levels, size, relevant, full,
+                       excess=relevant - size + 1, rank=full - size + 1)
+
+
+def _ball_edges(g: Graph, keys: np.ndarray, rows) -> tuple:
+    """``(src, dst)``: the positions in the ascending ``keys`` of (anchor,
+    u) and (anchor, w) for every edge u ~ w with u < w of an induced ball,
+    u at one of the positions ``rows``; rows ascending give them in the
+    order of ``g.edges``, ball after ball."""
+    anchors, vertices = np.divmod(keys[rows], g.n)
+    slot, nbr = g.expand(vertices)
+    up = vertices[slot] < nbr
+    slot, nbr = slot[up], nbr[up]
+    pos, found = _sorted_lookup(keys, anchors[slot] * g.n + nbr)
+    return rows[slot[found]], pos[found]
+
+
+def _cycle_counts(g: Graph, keys: np.ndarray, size: np.ndarray,
+                  balls) -> list:
+    """:func:`count_simple_cycles` of each induced ball of ``balls``,
+    indices into the balls whose ascending ``keys`` and sizes are given,
+    on its edge list in the order of ``g.edges``."""
+    owner = np.repeat(np.arange(len(size)), size)
+    src, dst = _ball_edges(g, keys, np.flatnonzero(np.isin(owner, balls)))
+    edges = list(zip((keys[src] % g.n).tolist(), (keys[dst] % g.n).tolist()))
+    ends = np.cumsum(np.bincount(owner[src], minlength=len(size))[balls])
+    return [count_simple_cycles(edges[lo:hi])
+            for lo, hi in zip([0, *ends.tolist()], ends.tolist())]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -774,14 +875,14 @@ class BallStats:
     """Structure of the radius-k ball around a center.
 
     ``excess`` is the cycle rank of the absorption-relevant subgraph (the
-    edges with an endpoint inside radius k-1, less the ball size, plus 1);
-    it scores 0 on tree balls.  ``full_cycle_rank`` is the cycle rank of
-    the whole induced ball, which also sees edges between two boundary
-    vertices.  ``simple_cycle_count`` counts the simple cycles of the
-    induced ball exactly, in time exponential in ``full_cycle_rank``
-    only, or is None when that rank exceeds ``CYCLE_RANK_BUDGET``; a tree
-    ball counts 0 at any size.  The repr omits
-    ``simple_cycle_bound`` = 2^full_cycle_rank - 1: it can run to
+    edges with an endpoint inside radius k-1), 0 on tree balls;
+    ``full_cycle_rank`` is that of the whole induced ball, which also
+    sees edges between two boundary vertices.  Both are defined once, by
+    :func:`_ball_shapes`.  ``simple_cycle_count`` counts the simple
+    cycles of the induced ball exactly, in time exponential in
+    ``full_cycle_rank`` only, or is None when that rank exceeds
+    ``CYCLE_RANK_BUDGET``; a tree ball counts 0 at any size.  The repr
+    omits ``simple_cycle_bound`` = 2^full_cycle_rank - 1: it can run to
     thousands of digits, past the int-to-str limit.
     """
 
@@ -801,40 +902,27 @@ class BallStats:
 
 
 def ball_stats(g: Graph, v: int, k: int) -> BallStats:
-    """Level sizes and cycle structure of the radius-k ball around v;
-    see :class:`BallStats` for the cycle-count budget."""
+    """Level sizes and cycle structure of the radius-k ball around v, any
+    k >= 0; see :class:`BallStats` for the cycle-count budget."""
     if k < 0:
         raise GraphError(f"radius must be >= 0, got {k}")
-    dist = bfs_distances(g, v, cutoff=k)
-    ball = np.flatnonzero(dist >= 0)
-    levels = tuple(np.bincount(dist[ball], minlength=k + 1).tolist())
-    ball_size = len(ball)
-
-    # each ball edge (u, w), u < w, once; u ascends and adjacency rows are
-    # sorted, so the list comes out in the order of g.edges
-    slot, w = g.expand(ball)
-    u = ball[slot]
-    keep = (u < w) & (dist[w] >= 0)
-    u, w = u[keep], w[keep]
-    ball_edges = list(zip(u.tolist(), w.tolist()))
-    full = len(ball_edges)
-    relevant = int(np.count_nonzero((dist[u] < k) | (dist[w] < k)))
-
-    # the induced ball is connected: every vertex reaches v along a
-    # shortest path that stays inside it
-    full_rank = full - ball_size + 1
-    bound = (1 << full_rank) - 1
-    if full_rank == 0:
+    _check_vertex(g.n, v)
+    keys, dist = _ball_keys(g, np.array([v], dtype=np.int64), k)
+    shape = _ball_shapes(g, k, keys, dist)
+    rank = int(shape.rank[0])
+    if rank == 0:
         count = 0   # a tree has no cycles, whatever its size
-    elif full_rank <= CYCLE_RANK_BUDGET:
-        count = count_simple_cycles(ball_edges)
+    elif rank <= CYCLE_RANK_BUDGET:
+        [count] = _cycle_counts(g, keys, shape.size, [0])
     else:
         count = None
-    return BallStats(center=v, radius=k, levels=levels,
-                     excess=relevant - ball_size + 1,
-                     relevant_edge_count=relevant, full_edge_count=full,
-                     full_cycle_rank=full_rank, simple_cycle_count=count,
-                     simple_cycle_bound=bound)
+    return BallStats(center=v, radius=k,
+                     levels=tuple(shape.levels[0].tolist()),
+                     excess=int(shape.excess[0]),
+                     relevant_edge_count=int(shape.relevant[0]),
+                     full_edge_count=int(shape.full[0]),
+                     full_cycle_rank=rank, simple_cycle_count=count,
+                     simple_cycle_bound=(1 << rank) - 1)
 
 
 def count_simple_cycles(edges) -> int:
@@ -969,26 +1057,40 @@ def assumption1_scan(g: Graph, r: int) -> Assumption1Report:
     ``max_cycle_rank`` and the simple-cycle figures refer to the full
     induced ball (the quantity whose uniform boundedness the machinery
     needs); ``max_excess`` is the absorption-relevant normalized excess.
-    On a certified vertex-transitive graph every ball is a copy of vertex
-    0's, and that one ball is scanned.
+    Both ranks are those of :func:`_ball_shapes`, the values
+    :func:`ball_stats` reports.  On a certified vertex-transitive graph
+    every ball is a copy of vertex 0's, and that one ball is scanned.
+
+    The balls are built by :func:`_ball_keys` a chunk of centers at a
+    time, so few that a chunk's keys times the largest degree stay within
+    16 ``chains.FAMILY_CHUNK_ROWS`` entries, and the memory is bounded
+    whatever n is.  Only the balls of rank 1..``CYCLE_RANK_BUDGET`` have
+    their simple cycles counted, and none once some ball's rank exceeds
+    the budget.
     """
-    max_excess = 0
-    max_rank = 0
-    max_bound = 0
-    max_count = 0
-    exact = True
-    for v in _scan_vertices(g):
-        stats = ball_stats(g, v, r)
-        max_excess = max(max_excess, stats.excess)
-        max_rank = max(max_rank, stats.full_cycle_rank)
-        max_bound = max(max_bound, stats.simple_cycle_bound)
-        if stats.simple_cycle_count is None:
-            exact = False
-        else:
-            max_count = max(max_count, stats.simple_cycle_count)
+    from . import chains    # chains imports this module
+    if r < 0:
+        raise GraphError(f"radius must be >= 0, got {r}")
+    # a radius-r ball has at most min(n, (d + 1)^r) vertices, d the
+    # largest degree
+    d = g.degree_profile.max_degree
+    most = min(g.n, (d + 1) ** min(r, g.n)) * max(d, 1)
+    per = max(1, 16 * chains.FAMILY_CHUNK_ROWS // max(most, 1))
+    centers = _scan_vertices(g)
+    max_excess = max_rank = max_count = 0
+    for lo in range(0, len(centers), per):
+        keys, dist = _ball_keys(
+            g, np.asarray(centers[lo:lo + per], dtype=np.int64), r)
+        shape = _ball_shapes(g, r, keys, dist)
+        max_excess = max(max_excess, int(shape.excess.max()))
+        max_rank = max(max_rank, int(shape.rank.max()))
+        if max_rank <= CYCLE_RANK_BUDGET:
+            max_count = max([max_count, *_cycle_counts(
+                g, keys, shape.size, np.flatnonzero(shape.rank > 0))])
+    exact = max_rank <= CYCLE_RANK_BUDGET
     return Assumption1Report(
         radius=r, max_excess=max_excess, max_cycle_rank=max_rank,
-        max_simple_cycle_bound=max_bound,
+        max_simple_cycle_bound=(1 << max_rank) - 1,
         max_simple_cycle_count=max_count if exact else None,
         all_counts_exact=exact)
 

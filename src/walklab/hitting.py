@@ -26,8 +26,8 @@ from .checks import Check
 from . import chains
 from .chains import (ReversibleChain, APERIODIC, MixingProfile,
                      _family_blocks)
-from .graphs import (Graph, _bfs_levels, _check_vertex, _scan_vertices,
-                     ball_table, vertex_transitive)
+from .graphs import (BallTable, Graph, _ball_shapes, _bfs_levels,
+                     _scan_vertices, ball_table, vertex_transitive)
 from .spectral import restricted_top_eig
 
 EXACT_SEARCH_LIMIT = 20
@@ -482,9 +482,10 @@ def hitmix_constant_record(chain: ReversibleChain, alpha: float, eps: float,
 # absorbing solves on balls
 
 
-def _ball_solves(g: Graph, k: int, centers) -> list:
-    """``(center, sphere, row, time, excess)`` for each of ``centers``,
-    ascending and distinct, as :class:`SphereHit` defines them.
+def _ball_solves(table: BallTable, pos: np.ndarray) -> list:
+    """``(center, sphere, row, time)`` for each ball whose positions in
+    ``table`` are ``pos``, balls in ascending order, each with a nonempty
+    sphere, as :class:`SphereHit` defines them.
 
     :meth:`graphs.BallTable.moves` never crosses anchors, so I - P on the
     centers' interior positions is block-diagonal.  LU in natural column
@@ -492,36 +493,25 @@ def _ball_solves(g: Graph, k: int, centers) -> list:
     the other balls (COLAMD mixes them and moves last bits); one
     transposed solve with 1 at every home gives every Green row G(v, .).
     """
-    table = ball_table(g, k)
-    for v in centers:
-        _check_vertex(g.n, v)
-    centers = np.asarray(centers, dtype=np.int64)
-    lo, hi = np.searchsorted(table.keys, (centers * g.n, (centers + 1) * g.n))
-    size = hi - lo
-    pos = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
-    inner = table.dist[pos] < k
-    m = np.add.reduceat(inner, np.cumsum(size) - size)
-    if np.any(m == size):
-        raise HittingError(f"sphere of radius {k} around "
-                           f"{centers[np.argmax(m == size)]} is empty")
+    dist = table.dist[pos]
+    anchor = table.keys[pos] // table.n
+    centers = anchor[dist == 0]
+    inner = dist < table.k
     rows, sphere = pos[inner], pos[~inner]
     slot, land, step = table.moves(rows)
-    out = table.dist[land] == k
+    out = table.dist[land] == table.k
     system = sp.identity(len(rows), format="csc") - sp.csc_matrix(
         (step[~out], (slot[~out], np.searchsorted(rows, land[~out]))),
         shape=(len(rows),) * 2)
-    homes = np.isin(rows, table.home[centers]) * 1.0
+    homes = (dist[inner] == 0) * 1.0
     x = spla.splu(system, permc_spec="NATURAL").solve(homes, trans="T")
     row = np.bincount(np.searchsorted(sphere, land[out]),
                       weights=x[slot[out]] * step[out], minlength=len(sphere))
-    # moves plus exits is twice the edges with an interior endpoint
-    owner = np.repeat(np.arange(len(centers)), m)[slot]
-    excess = np.bincount(owner, 1 + out, len(centers)) // 2 - size + 1
-    cut = np.cumsum(size - m)[:-1]
+    # each center's rows, and its sphere, are runs in center order
+    cut = np.searchsorted(anchor[~inner], centers[1:])
+    times = np.split(x, np.searchsorted(anchor[inner], centers[1:]))
     return list(zip(centers.tolist(), np.split(table.vertex(sphere), cut),
-                    np.split(row, cut),
-                    [float(xv.sum()) for xv in np.split(x, np.cumsum(m)[:-1])],
-                    excess.astype(int).tolist()))
+                    np.split(row, cut), [float(t.sum()) for t in times]))
 
 
 @dataclass(frozen=True)
@@ -532,8 +522,9 @@ class SphereHit:
     tree lower bound 1/(d (d-1)^{k-1}) is checked with 1e-12 slack, and
     ``c_hat`` is the measured constant max_u P[...] * d (d-1)^{k-1}.
     ``expected_time`` is E_v[T_{D_k}], the sum of the same Green row.
-    ``excess`` is the tree excess of the ball: edges with an interior
-    endpoint minus the ball size, plus one.
+    ``excess`` is the tree excess of the ball, as
+    :func:`graphs._ball_shapes` defines it for :class:`graphs.BallStats`
+    too: edges with an interior endpoint minus the ball size, plus one.
     """
 
     center: int
@@ -570,19 +561,29 @@ class SphereHits(dict):
     def solve(self, centers) -> list:
         """The :class:`SphereHit` of each of ``centers``.  Those not yet
         held are solved ascending, in chunks of about ``FAMILY_CHUNK_ROWS``
-        interior positions, one :func:`_ball_solves` each; the smallest
-        whose sphere is empty raises :class:`HittingError`."""
+        interior positions, one :func:`_ball_solves` each; when one's
+        sphere is empty, the smallest such raises :class:`HittingError`
+        and none is solved."""
         g, k = self.g, self.k
         if not g.is_regular:
             raise HittingError("sphere hitting bound needs a regular graph")
         todo = np.setdiff1d(np.asarray(centers, dtype=np.int64), list(self))
         table = ball_table(g, k)
-        inner = [np.count_nonzero(table.ball(v)[1] < k) for v in todo.tolist()]
+        pos = table.positions(todo)
+        shape = _ball_shapes(g, k, table.keys[pos], table.dist[pos])
+        spheres = shape.levels[:, k]
+        if not spheres.all():
+            raise HittingError(f"sphere of radius {k} around "
+                               f"{todo[np.argmin(spheres)]} is empty")
+        inner = shape.size - spheres
         chunk = (np.cumsum(inner) - inner) // chains.FAMILY_CHUNK_ROWS
         d = g.regular_degree
         lb = 1.0 / (d * (d - 1) ** (k - 1))
-        for part in (todo[chunk == c] for c in np.unique(chunk)):
-            for v, sphere, row, time, excess in _ball_solves(g, k, part):
+        for c in np.unique(chunk):
+            part = chunk == c
+            for (v, sphere, row, time), excess in zip(
+                    _ball_solves(table, pos[np.repeat(part, shape.size)]),
+                    shape.excess[part].tolist()):
                 low, high = float(row.min()), float(row.max())
                 self[v] = SphereHit(
                     center=v, radius=k, sphere=tuple(sphere.tolist()),
@@ -595,11 +596,6 @@ class SphereHits(dict):
 
     def __missing__(self, v):
         return self.solve([v])[0]
-
-
-def expected_hit_time(g: Graph, v: int, k: int) -> float:
-    """E_v[T_{D_k}] on any graph: the sum of the Green row G(v, .)."""
-    return _ball_solves(g, k, [v])[0][3]
 
 
 # ---------------------------------------------------------------------------

@@ -79,13 +79,24 @@ class ExperimentConfig:
         # the tree suite's level DP runs to horizon max(steps, 2)
         _check_int("steps", self.steps, 0, T.DP_HORIZON_LIMIT)
         _check_int("trials", self.trials, 1)
+        graph = self.graph if isinstance(self.graph, dict) else {}
         seeds = {"seed": self.seed}
-        if isinstance(self.graph, dict) and "seed" in self.graph:
-            seeds["graph seed"] = self.graph["seed"]
+        if "seed" in graph:
+            seeds["graph seed"] = graph["seed"]
         for name, seed in seeds.items():
             _check_int(name, seed, 0)
             if seed >= 2 ** 64:     # seeds key 64-bit Philox streams
                 raise ConfigError(f"{name} must be below 2**64, got {seed}")
+        # the builders check the ranges; a non-integer would crash them
+        for name in ("n", "d", "p", "q", "min_girth", "dim"):
+            if name in graph:
+                _check_int(f"graph {name}", graph[name], 0)
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got "
+                              f"{self.out_dir!r}")
+        if not isinstance(self.dump_curves, bool):
+            raise ConfigError(f"dump_curves must be true or false, got "
+                              f"{self.dump_curves!r}")
         for name in ("suites", "t_grid"):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)) or not value:

@@ -13,8 +13,7 @@ import pytest
 
 import walklab as wl
 from walklab.chains import mixing_profile, srw_chain
-from walklab.hitting import (SURVIVAL_TOL, SphereHits, expected_hit_time,
-                             verify_spectral_hit,
+from walklab.hitting import (SURVIVAL_TOL, SphereHits, verify_spectral_hit,
                              w_vs_k_report)
 from walklab.spectral import (VERDICT_TOL, classify_ramanujan, poincare_bound,
                               restricted_top_eig, rho, spectrum)
@@ -229,7 +228,7 @@ def test_criterion_09_mixing_time_sandwich():
 def test_criterion_10_regeneration_statistics():
     t0 = time.perf_counter()
     pet = wl.build_named("petersen")
-    exact = expected_hit_time(pet, 0, 2)
+    exact = SphereHits(pet, 2)[0].expected_time
     assert abs(exact - 3.0) < 1e-12
 
     # 10^5 completed blocks from a single seeded run

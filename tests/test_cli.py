@@ -89,9 +89,16 @@ PETERSEN = {"kind": "named", "name": "petersen"}
     (("verify",), {"suites": []}, "suites must be a nonempty list, got ()"),
     (("gen",), {"graph": {"kind": "random-regular", "n": 10, "d": 3,
                           "seed": -1}}, "graph seed must be an integer"),
+    (("tree",), [1, 2], "config must be a JSON object, got list"),
+    (("tree",), {"out_dir": 5}, "out_dir must be a string, got 5"),
+    (("tree",), {"graph": {"kind": "random-regular", "n": "10", "d": 3}},
+     "graph n must be an integer >= 0, got '10'"),
+    (("tree",), {"dump_curves": "no"},
+     "dump_curves must be true or false, got 'no'"),
 ], ids=["alpha-1.5", "alpha-1.0", "alpha-0", "eps-0", "seed", "seed-2**64",
         "trials", "steps", "k", "k-128", "steps-20000", "t_grid-negative", "t_grid-empty",
-        "suites-string", "suites-empty", "graph-seed"])
+        "suites-string", "suites-empty", "graph-seed", "config-list",
+        "out_dir-int", "graph-n-string", "dump_curves-string"])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, argv, config,
                                             message):
     args = [*argv, "--graph", "petersen", "--out", str(tmp_path / "o")]

@@ -399,6 +399,87 @@ def test_assumption1_scan_tree_like():
     assert rep.max_simple_cycle_count == 0
 
 
+def reference_assumption1_scan(g, r):
+    """The per-center scan: each ball from a full-graph BFS, its edges
+    from the CSR rows, maxima over the centers one at a time."""
+    max_excess = max_rank = max_count = 0
+    exact = True
+    for v in [0] if wl.vertex_transitive(g) else range(g.n):
+        dist = bfs_distances(g, v, cutoff=r)
+        ball = np.flatnonzero(dist >= 0)
+        slot, w = g.expand(ball)
+        u = ball[slot]
+        keep = (u < w) & (dist[w] >= 0)
+        u, w = u[keep], w[keep]
+        relevant = int(np.count_nonzero((dist[u] < r) | (dist[w] < r)))
+        rank = len(u) - len(ball) + 1
+        max_excess = max(max_excess, relevant - len(ball) + 1)
+        max_rank = max(max_rank, rank)
+        if rank > graphs.CYCLE_RANK_BUDGET:
+            exact = False
+        elif rank > 0:
+            count = count_simple_cycles(list(zip(u.tolist(), w.tolist())))
+            max_count = max(max_count, count)
+    return wl.Assumption1Report(
+        radius=r, max_excess=max_excess, max_cycle_rank=max_rank,
+        max_simple_cycle_bound=(1 << max_rank) - 1,
+        max_simple_cycle_count=max_count if exact else None,
+        all_counts_exact=exact)
+
+
+SCAN_CASES = [("rr512", r) for r in range(1, 6)] + [
+    (name, r) for name in ("petersen", "prism", "k4", "c6", "q3")
+    for r in (1, 2, 3)] + [("high_girth", 3), ("lps_13_17_plain", 2),
+                           ("empty", 2), ("isolated", 2)]
+
+
+def _scan_graph(request, name):
+    if name == "rr512":
+        return wl.build_random_regular(512, 3, 2)
+    if name == "high_girth":
+        return wl.build_high_girth_regular(1000, 3, 8, seed=3)
+    if name == "lps_13_17_plain":
+        return _uncertified(request.getfixturevalue("lps_13_17"))
+    if name == "empty":
+        return wl.make_graph(0, [])
+    if name == "isolated":
+        return wl.make_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4)])
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name,r", SCAN_CASES)
+def test_assumption1_scan_matches_per_center_scan(request, monkeypatch,
+                                                  name, r):
+    from walklab import chains
+    g = _scan_graph(request, name)
+    ref = reference_assumption1_scan(g, r)
+    assert wl.assumption1_scan(g, r) == ref
+    if g.n <= 512 and r <= 3:
+        # one center per chunk, or a few
+        monkeypatch.setattr(chains, "FAMILY_CHUNK_ROWS", 5)
+        assert wl.assumption1_scan(g, r) == ref
+
+
+def test_assumption1_scan_memory_stays_within_its_chunks(monkeypatch):
+    # chunks of 16 * 256 entries, 32 KiB of int64: the peak stays within
+    # 8 of them.  A scan of the whole table at once holds 2000 balls of
+    # up to 22 keys, with 3 neighbors each, and peaks near 7 MB.
+    import tracemalloc
+    from walklab import chains
+    g = wl.build_random_regular(2000, 3, 5)
+    ref = wl.assumption1_scan(g, 3)
+    monkeypatch.setattr(chains, "FAMILY_CHUNK_ROWS", 256)
+    budget = 16 * chains.FAMILY_CHUNK_ROWS * 8
+    tracemalloc.start()
+    try:
+        rep = wl.assumption1_scan(g, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep == ref
+    assert peak <= 8 * budget
+
+
 # -- inflation ----------------------------------------------------------------
 
 def test_inflate_identity_k1(petersen, k4, prism, c6):
@@ -1158,9 +1239,16 @@ def test_shortest_cycle_matches_swap_scan(key):
     assert _shortest_cycle(adj, math.inf)[0] == reference_girth(g)
 
 
+@pytest.fixture(scope="module")
+def c300():
+    return wl.build_named("cycle", 300)
+
+
 @pytest.mark.parametrize("name,ks", [
     ("petersen", (0, 1, 2, 3)), ("prism", (0, 1, 2, 3)),
-    ("random_cubic_medium", (1, 2, 3, 4)), ("girth5_graph", (1, 2, 3))])
+    ("random_cubic_medium", (1, 2, 3, 4)), ("girth5_graph", (1, 2, 3)),
+    # a radius past MAX_BALL_RADIUS, at which the ball closes
+    ("c300", (0, 150))])
 def test_ball_stats_match_edge_loop(request, name, ks, monkeypatch):
     # count_simple_cycles must get the edge list the loop built
     from walklab import graphs

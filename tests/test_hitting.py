@@ -13,7 +13,7 @@ from walklab.chains import (ChainError, mixing_profile, power_chain,
                             srw_chain)
 from walklab.graphs import GraphError
 from walklab.hitting import (CandidateFamily, HittingError, SphereHits,
-                             candidate_small_sets, expected_hit_time,
+                             candidate_small_sets,
                              family_survival, family_survivals,
                              hit_quantile,
                              hitmix_constant_record, quantile_halflog_check,
@@ -824,8 +824,8 @@ def test_run_suite_builds_the_family_once(monkeypatch, tmp_path):
     # the inflation suite, the escape experiment and the empirical Y-kernel
     # row share one solve per center: w_vs_k_report solves all 64 centers
     # in one block-diagonal batch, and the others read its rows
-    [(args, _)] = calls["_ball_solves"]
-    assert list(args[2]) == list(range(64))
+    [(_, rows)] = calls["_ball_solves"]
+    assert [row[0] for row in rows] == list(range(64))
 
     # on a certified Cayley graph one start and one center stand for all
     calls.clear()
@@ -836,8 +836,8 @@ def test_run_suite_builds_the_family_once(monkeypatch, tmp_path):
     assert report.all_passed
     [(_, prof)] = calls["mixing_profile"]
     assert prof.starts == (0,) and prof.exact_starts
-    [(args, _)] = calls["_ball_solves"]
-    assert list(args[2]) == [0]
+    [(_, rows)] = calls["_ball_solves"]
+    assert [row[0] for row in rows] == [0]
 
 
 def test_family_passes_step_only_the_tops(monkeypatch, tmp_path, rr512):
@@ -913,8 +913,13 @@ def spy_ball_solves(monkeypatch):
     """Record the centers of every :func:`hitting._ball_solves` call."""
     calls = []
     solve = hitting._ball_solves
-    monkeypatch.setattr(hitting, "_ball_solves", lambda g, k, centers:
-                        calls.append(list(centers)) or solve(g, k, centers))
+
+    def spy(table, pos):
+        rows = solve(table, pos)
+        calls.append([row[0] for row in rows])
+        return rows
+
+    monkeypatch.setattr(hitting, "_ball_solves", spy)
     return calls
 
 
@@ -963,8 +968,7 @@ def test_only_sphere_hits_solves_a_ball():
         return found
 
     assert sites("splu") == ["hitting._ball_solves"]
-    assert sites("_ball_solves") == ["hitting.SphereHits.solve",
-                                     "hitting.expected_hit_time"]
+    assert sites("_ball_solves") == ["hitting.SphereHits.solve"]
 
 
 # -- rows do not depend on the batch -----------------------------------------
@@ -1077,15 +1081,20 @@ def test_sphere_hit_matches_column_solve(request, name, k):
 
 
 def test_expected_hit_time_matches_reference_system(nonregular):
-    # degrees 1..4: the system's columns carry the neighbors' own 1/deg
+    # degrees 1..4: the system's columns carry the neighbors' own 1/deg.
+    # SphereHits needs a regular graph for its lower bound, so the solve
+    # that gives SphereHit.expected_time is called directly.
     import scipy.sparse.linalg as spla
+    from walklab.graphs import ball_table
     for k in (1, 2, 3):
+        table = ball_table(nonregular, k)
         for v in range(0, nonregular.n, 3):
             interior, _, system, _, at = reference_ball_system(
                 nonregular, v, k)
             ref = spla.splu(system).solve(np.ones(len(interior)))[at]
-            assert abs(expected_hit_time(nonregular, v, k) - ref) \
-                <= 1e-12 * ref
+            [(_, _, _, time)] = hitting._ball_solves(table,
+                                                     table.positions([v]))
+            assert abs(time - ref) <= 1e-12 * ref
 
 
 # -- the survival / Perron suite ---------------------------------------------
@@ -1202,9 +1211,9 @@ def test_sphere_hit_empty_sphere(k4):
 
 
 @pytest.mark.parametrize("solve", [
-    lambda g, v, k: SphereHits(g, k).solve([0, v]), expected_hit_time,
+    lambda g, v, k: SphereHits(g, k).solve([0, v]),
     lambda g, v, k: SphereHits(g, k)[v]],
-    ids=["SphereHits.solve", "expected_hit_time", "SphereHits"])
+    ids=["SphereHits.solve", "SphereHits"])
 @pytest.mark.parametrize("v", [10, -1])
 def test_ball_solves_reject_out_of_range_centers(petersen, solve, v):
     # the ball table has no pair for such a center: an empty sphere
@@ -1221,14 +1230,44 @@ def test_sphere_hit_lower_bound_everywhere(girth5_graph, prism, petersen):
 
 
 def test_expected_hit_time_petersen(petersen):
-    assert abs(expected_hit_time(petersen, 0, 2) - 3.0) < 1e-12
+    assert abs(SphereHits(petersen, 2)[0].expected_time - 3.0) < 1e-12
 
 
 def test_expected_hit_time_tree_formula(girth5_graph):
     # on a tree ball the expectation solves the biased birth-death chain
     from walklab.tree import level_hitting_time
-    assert abs(expected_hit_time(girth5_graph, 5, 2)
+    assert abs(SphereHits(girth5_graph, 2)[5].expected_time
                - level_hitting_time(3, 2)) < 1e-12
+
+
+def reference_excess(g, v, k):
+    """Reference: the edges with an endpoint at distance < k from v, less
+    the ball size, plus one, from a loop over every edge of g."""
+    from walklab.graphs import bfs_distances
+    dist = bfs_distances(g, v)
+    ball = (dist >= 0) & (dist <= k)
+    relevant = sum(1 for a, b in g.edges
+                   if ball[a] and ball[b] and min(dist[a], dist[b]) < k)
+    return relevant - int(ball.sum()) + 1
+
+
+@pytest.mark.parametrize("case, k, defects", [
+    ("rr512", 2, 15), ("rr512", 3, 75), ("rr2048", 2, 26),
+    ("girth5_graph", 2, 0)])
+def test_tree_balls_take_the_level_hitting_time(request, case, k, defects):
+    # E_v[T] on a tree ball of a 3-regular graph is the level chain's;
+    # the defect set, the centers whose ball is not a tree, sizes as in
+    # the distance-k spectrum account
+    from walklab.tree import level_hitting_time
+    g = (wl.build_random_regular(2048, 3, 3) if case == "rr2048"
+         else request.getfixturevalue(case))
+    hits = SphereHits(g, k).solve(range(g.n))
+    tree = [h for h in hits if h.excess == 0]
+    assert len(hits) - len(tree) == defects
+    for h in hits[::max(1, g.n // 64)]:
+        assert h.excess == reference_excess(g, h.center, k)
+    level = level_hitting_time(3, k)
+    assert max(abs(h.expected_time - level) for h in tree) <= 1e-10
 
 
 # -- W against K --------------------------------------------------------------

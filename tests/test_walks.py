@@ -7,8 +7,7 @@ import walklab as wl
 from walklab.chains import srw_chain
 from walklab.graphs import (BallTable, GraphError, ball_table, bfs_distances,
                             inflate)
-from walklab.hitting import (CandidateFamily, SphereHits,
-                             candidate_small_sets, expected_hit_time)
+from walklab.hitting import CandidateFamily, SphereHits, candidate_small_sets
 from walklab.suites import ExperimentConfig, run_suite
 from walklab import walks
 from walklab.walks import (WalkError, _slow_regenerations, block_statistics,
@@ -80,7 +79,7 @@ def test_block_statistics_petersen(petersen):
     traces = [simulate_walk(petersen, 0, 4000, 2, seed=20, stream=i)
               for i in range(3)]
     stats = block_statistics(traces)
-    exact = expected_hit_time(petersen, 0, 2)
+    exact = SphereHits(petersen, 2)[0].expected_time
     assert abs(exact - 3.0) < 1e-12
     assert abs(stats.t1_mean - exact) <= 4 * stats.t1_stderr
     assert stats.u_survival == (0.0,)
