@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import queue
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
+from . import graphs
 from .graphs import (Graph, _level_distances, _support_classes,
                      vertex_transitive)
 
@@ -32,7 +35,6 @@ MIXING_BLOCK_COLUMNS = 64
 EXACT_START_LIMIT = 5000       # see mixing_profile
 SAMPLE_STARTS = 64
 MAX_MIXING_STEPS = 100_000
-FAMILY_CHUNK_ROWS = 16_384     # see _family_blocks
 
 APERIODIC = "aperiodic"
 BIPARTITE_PERIODIC = "bipartite-periodic"
@@ -184,39 +186,92 @@ def chain_from_kernel(kernel, stationary) -> ReversibleChain:
 # restrictions to sets
 
 
-def _as_arrays(sets):
-    """``(members, offsets)`` of a family of sets, read off a family that
-    carries them (a :class:`hitting.CandidateFamily`), else packed."""
-    if hasattr(sets, "offsets"):
-        return sets.members, sets.offsets
-    sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-    offsets = np.zeros(len(sets) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    members = np.fromiter(itertools.chain.from_iterable(sets),
-                          dtype=np.int64, count=int(offsets[-1]))
-    return members, offsets
+class CandidateFamily(Sequence):
+    """Read-only sequence of sorted vertex tuples: a family of sets.
+
+    Stored as one ``members`` array (every set's vertices, set after set)
+    and ``offsets``: set i is ``members[offsets[i]:offsets[i + 1]]``.
+    Indexing and iteration yield tuples of ints; a slice yields a list.
+    :meth:`of` packs any sequence of sets; every reader of a family reads
+    these arrays through it.
+
+    ``tops`` is a :class:`CandidateFamily` of sets of this family such
+    that every set of it lies inside some top.  Survival under killing is
+    monotone in the set: for A within B and a nonnegative kernel,
+    (K_A^t 1)(a) <= (K_B^t 1)(a), since a path that stays in A stays in B.
+    It holds bit for bit in floating point too: row a of K_B is row a of
+    K_A with more nonnegative terms, summed in the same column order, and
+    rounded addition and multiplication are monotone.  So every survival
+    maximum over the family, and the crossing time of
+    :func:`hitting.hit_quantile`, is attained on a top.  A family built
+    without ``tops`` is its own tops.
+    """
+
+    def __init__(self, members: np.ndarray, offsets: np.ndarray,
+                 tops: CandidateFamily = None):
+        members.flags.writeable = False
+        offsets.flags.writeable = False
+        self.members = members
+        self.offsets = offsets
+        self._tops = tops
+
+    @classmethod
+    def of(cls, sets) -> CandidateFamily:
+        """``sets`` itself when it is a family; otherwise the family of
+        the sets of the sequence ``sets``, in the order given, which is
+        its own tops.  Nothing is checked: :func:`_family_blocks` checks
+        the sets it restricts a kernel to."""
+        if isinstance(sets, cls):
+            return sets
+        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        offsets = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        members = np.fromiter(itertools.chain.from_iterable(sets),
+                              dtype=np.int64, count=int(offsets[-1]))
+        return cls(members, offsets)
+
+    @property
+    def tops(self) -> CandidateFamily:
+        # no stored self-reference: a cycle would hold the arrays until
+        # the garbage collector runs
+        return self if self._tops is None else self._tops
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("candidate family index out of range")
+        return tuple(self.members[self.offsets[i]:self.offsets[i + 1]].tolist())
 
 
 def _family_blocks(kernels, sets):
     """Block-diagonal stacks of the restrictions K_A = kernel[A][:, A] of
     each kernel of ``kernels``, all n x n, to every set A of ``sets``.
 
-    The only code that restricts a kernel to a set.  Whole families come
-    from :func:`hitting.family_survivals` and :func:`hitting.hit_quantile`;
-    on a :class:`hitting.CandidateFamily` these step only its tops, as
-    do the three survival maxima of :func:`walks.escape_transfer_experiment`,
-    which share one pass; one set (``[A]``, one block) from the worst-start
-    replay of ``hit_quantile``, :func:`hitting.verify_spectral_hit`, the
-    Perron ranking of :func:`hitting.candidate_small_sets` and
+    The only code that restricts a kernel to a set.  ``sets`` is a
+    :class:`CandidateFamily` or any sequence of sets, read through
+    :meth:`CandidateFamily.of`.  Whole families come from
+    :func:`hitting.family_survivals` and :func:`hitting.hit_quantile`,
+    which steps only the family's tops, as do the three survival maxima of
+    :func:`walks.escape_transfer_experiment`, which share one pass; one
+    set (``[A]``, one block) from the worst-start replay of
+    ``hit_quantile``, :func:`hitting.verify_spectral_hit`, the Perron
+    ranking of :func:`hitting.candidate_small_sets` and
     :func:`spectral.restricted_top_eig`, which
     :func:`spectral.compare_restricted` calls.  Each set must be nonempty
     and sorted, with distinct entries in range, or :class:`ChainError` is
     raised.
 
     Consecutive sets share a chunk until it holds about
-    ``FAMILY_CHUNK_ROWS`` rows, or until one more set would take the slot
-    map (below) past 16 ``FAMILY_CHUNK_ROWS`` entries, which bounds the
-    memory of a step: a map holds at most max(16 ``FAMILY_CHUNK_ROWS``, n)
+    ``graphs.FAMILY_CHUNK_ROWS`` rows, the chunk budget, or until one more
+    set would take the slot map (below) past 16 budgets of entries, which
+    bounds the memory of a step: a map holds at most max(16 budgets, n)
     entries, n for a set alone in its chunk.  Yields ``(lo, starts, which,
     block)`` per chunk and kernel, kernels in order within a chunk: the
     block of ``kernels[which]`` stacks the sets from ``sets[lo]`` on, and
@@ -236,13 +291,14 @@ def _family_blocks(kernels, sets):
     n = kernels[0].shape[0]
     if any(kernel.shape != (n, n) for kernel in kernels):
         raise ChainError("kernels must all be n x n for one n")
-    cap = 16 * FAMILY_CHUNK_ROWS
-    all_members, offsets = _as_arrays(sets)
+    budget = graphs.FAMILY_CHUNK_ROWS
+    family = CandidateFamily.of(sets)
+    all_members, offsets = family.members, family.offsets
     lo = 0
-    while lo < len(sets):
-        last = np.searchsorted(offsets, offsets[lo] + FAMILY_CHUNK_ROWS,
+    while lo < len(family):
+        last = np.searchsorted(offsets, offsets[lo] + budget,
                                side="right") - 1
-        hi = max(min(int(last), lo + cap // max(n, 1)), lo + 1)
+        hi = max(min(int(last), lo + 16 * budget // max(n, 1)), lo + 1)
         sizes = np.diff(offsets[lo:hi + 1])
         members = all_members[offsets[lo]:offsets[hi]]
         rows = len(members)

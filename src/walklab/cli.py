@@ -20,14 +20,13 @@ directory.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from .graphs import GraphError, GraphFileError, write_edge_list, inflate
+from .graphs import GraphError, write_edge_list, inflate
 from .chains import ChainError
-from .reports import (write_json, read_report, emit_summary, dumps_canonical,
-                      render_text)
+from .reports import (InputError, write_json, read_json, read_report,
+                      emit_summary, dumps_canonical, render_text)
 from .suites import (ExperimentConfig, ConfigError, build_graph,
                      config_from_dict, run_suite, SUITE_NAMES)
 
@@ -108,8 +107,7 @@ def _config_from_args(args, suites) -> ExperimentConfig:
         "dump_curves": not args.no_curves,
     }
     if args.config:
-        with open(args.config, "r", encoding="ascii") as fh:
-            overrides = json.load(fh)
+        overrides = read_json(args.config)
         if not isinstance(overrides, dict):
             raise ConfigError(f"config must be a JSON object, got "
                               f"{type(overrides).__name__}")
@@ -211,8 +209,8 @@ def main(argv=None) -> int:
         if getattr(args, "suite", None):
             suites = tuple(args.suite)
         return _run_selected(args, suites)
-    except (ConfigError, GraphFileError, GraphError, ChainError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, GraphError, ChainError, InputError,
+            FileNotFoundError) as exc:
         print(f"walklab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,7 +9,9 @@ excess, simple-cycle counts inside balls, and the distance-k graph.
 Every ball comes from one builder, :func:`_ball_keys`, a level-synchronous
 BFS from many anchors at once: the :class:`BallTable`, :func:`ball_stats`
 and :func:`assumption1_scan` read it.  :func:`_ball_shapes` is the one
-definition of a ball's tree excess and cycle rank.
+definition of a ball's tree excess and cycle rank, and :func:`_ball_batches`
+the one rule that cuts many balls into batches within the chunk budget
+``FAMILY_CHUNK_ROWS``.  Only this module reads a ball table's keys.
 
 Builders of Cayley graphs attach automorphism generators;
 :func:`vertex_transitive` checks them once, and on a certified graph a
@@ -20,6 +22,7 @@ the exact spectrum splits into blocks.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections import deque, namedtuple
@@ -37,6 +40,10 @@ INFINITE_GIRTH = math.inf
 CYCLE_RANK_BUDGET = 20
 MAX_GIRTH_SWAPS = 20_000       # see build_high_girth_regular
 MAX_BALL_RADIUS = int(np.iinfo(np.int8).max)  # BallTable distances are int8
+# The chunk budget: rows of a chunk of chains._family_blocks, and 16 of it
+# the entries of a slot map there and of a batch's neighbor lookups here
+# (see _ball_batches).  Every reader reads it through this module.
+FAMILY_CHUNK_ROWS = 16_384
 
 
 class GraphError(ValueError):
@@ -285,6 +292,12 @@ def _graph_from_keys(n: int, keys: np.ndarray, provenance=None,
 
 def build_named(name: str, *params) -> Graph:
     """Build a standard small graph: complete, cycle, hypercube, petersen, prism."""
+    return named_builder(name)(*params)
+
+
+def named_builder(name: str):
+    """The builder of the named graph ``name``; its parameters are the
+    graph's: complete(n), cycle(n), hypercube(dim), petersen(), prism()."""
     builders = {
         "complete": _complete,
         "cycle": _cycle,
@@ -292,10 +305,10 @@ def build_named(name: str, *params) -> Graph:
         "petersen": _petersen,
         "prism": _prism,
     }
-    if name not in builders:
+    if not isinstance(name, str) or name not in builders:
         raise GraphError(f"unknown graph name {name!r}; "
                          f"expected one of {sorted(builders)}")
-    return builders[name](*params)
+    return builders[name]
 
 
 def _complete(n: int) -> Graph:
@@ -525,25 +538,49 @@ class BallTable:
         """The vertex u of each position of (anchor, u)."""
         return self.keys[pos] % self.n
 
+    def anchor(self, pos) -> np.ndarray:
+        """The anchor of each position of (anchor, u)."""
+        return self.keys[pos] // self.n
+
     @cached_property
     def home(self) -> np.ndarray:
         """``home[v]``: the position of (v, v)."""
         return _read_only(
             np.searchsorted(self.keys, np.arange(self.n) * (self.n + 1)))
 
+    def _spans(self, anchors) -> np.ndarray:
+        """``(lo, hi)``: anchor ``anchors[i]`` holds the positions lo[i]..
+        hi[i]-1; the smallest anchor outside 0..n-1 raises
+        :class:`GraphError`."""
+        bad = anchors[(anchors < 0) | (anchors >= self.n)]
+        if len(bad):
+            _check_vertex(self.n, int(bad[0]))
+        return np.searchsorted(self.keys, (anchors * self.n,
+                                           (anchors + 1) * self.n))
+
     def positions(self, anchors) -> np.ndarray:
         """The positions of every (anchor, u) of the sorted distinct
         ``anchors``, anchor after anchor; the smallest anchor outside
         0..n-1 raises :class:`GraphError`."""
-        anchors = np.asarray(anchors, dtype=np.int64)
-        bad = anchors[(anchors < 0) | (anchors >= self.n)]
-        if len(bad):
-            _check_vertex(self.n, int(bad[0]))
-        lo, hi = np.searchsorted(self.keys, (anchors * self.n,
-                                             (anchors + 1) * self.n))
+        lo, hi = self._spans(np.asarray(anchors, dtype=np.int64))
         size = hi - lo
         return np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size,
                                                  size)
+
+    def batches(self, anchors) -> list:
+        """The sorted distinct ``anchors`` cut, in order, into the batches
+        of :func:`_ball_batches`, whose balls take one :meth:`positions`
+        and one :meth:`shapes` each; the smallest anchor outside 0..n-1
+        raises :class:`GraphError`."""
+        anchors = np.asarray(anchors, dtype=np.int64)
+        lo, hi = self._spans(anchors)
+        cuts = _ball_batches(hi - lo, int(np.diff(self.indptr).max(initial=0)))
+        return [anchors[a:b] for a, b in itertools.pairwise(cuts)]
+
+    def shapes(self, g: Graph, pos) -> _BallShapes:
+        """:func:`_ball_shapes` of the whole balls at the positions ``pos``
+        of this table of ``g``."""
+        return _ball_shapes(g, self.k, self.keys[pos], self.dist[pos])
 
     def moves(self, rows) -> tuple:
         """``(slot, land, step)``: every move out of the interior positions
@@ -641,37 +678,38 @@ def _ball_shapes(g: Graph, k: int, keys: np.ndarray,
 
     The one definition of the two cycle ranks: ``excess`` = relevant -
     |B| + 1, 0 on a tree ball, and ``rank`` = full - |B| + 1, the rank of
-    the induced ball, which is connected.  Neighbors are looked up a
-    slice of whole balls at a time, about 16 ``chains.FAMILY_CHUNK_ROWS``
-    entries, or one ball.
+    the induced ball, which is connected.  Every neighbor of every key is
+    looked up at once, so callers with many balls pass a batch of
+    :func:`_ball_batches` at a time.
     """
-    from . import chains    # chains imports this module
     first = np.flatnonzero(np.diff(keys // g.n, prepend=-1))
     size = np.diff(first, append=len(keys))
     owner = np.repeat(np.arange(len(first)), size)
     levels = np.bincount(owner * (k + 1) + dist,
                          minlength=len(first) * (k + 1)).reshape(-1, k + 1)
     inner = dist < k
-    full = np.zeros(len(first), dtype=np.int64)
-    relevant = np.zeros_like(full)
-    # whole balls lo..hi-1 at a time, their neighbors looked up among
-    # their own keys
-    step = max(1, 16 * chains.FAMILY_CHUNK_ROWS
-               // max(g.degree_profile.max_degree, 1))
-    ends = np.append(first, len(keys))
-    lo = 0
-    while lo < len(first):
-        hi = max(int(np.searchsorted(ends, ends[lo] + step, "right")) - 1,
-                 lo + 1)
-        part = slice(ends[lo], ends[hi])
-        src, dst = _ball_edges(g, keys[part], np.arange(ends[hi] - ends[lo]))
-        own, inn = owner[part] - lo, inner[part]
-        full[lo:hi] = np.bincount(own[src], minlength=hi - lo)
-        relevant[lo:hi] = np.bincount(own[src[inn[src] | inn[dst]]],
-                                      minlength=hi - lo)
-        lo = hi
+    src, dst = _ball_edges(g, keys, np.arange(len(keys)))
+    full = np.bincount(owner[src], minlength=len(first))
+    relevant = np.bincount(owner[src[inner[src] | inner[dst]]],
+                           minlength=len(first))
     return _BallShapes(levels, size, relevant, full,
                        excess=relevant - size + 1, rank=full - size + 1)
+
+
+def _ball_batches(sizes: np.ndarray, degree: int) -> list:
+    """The batch rule for many balls: cuts ``[0, ..., len(sizes)]`` that
+    split consecutive balls of ``sizes`` keys into batches of whole balls,
+    each as many as keep its keys times ``degree`` (the neighbor lookups
+    of :func:`_ball_shapes`) within 16 ``FAMILY_CHUNK_ROWS`` entries, and
+    at least one."""
+    step = max(1, 16 * FAMILY_CHUNK_ROWS // max(degree, 1))
+    ends = np.cumsum(sizes)
+    cuts = [0]
+    while cuts[-1] < len(sizes):
+        lo = cuts[-1]
+        top = ends[lo] - sizes[lo] + step
+        cuts.append(max(int(np.searchsorted(ends, top, "right")), lo + 1))
+    return cuts
 
 
 def _ball_edges(g: Graph, keys: np.ndarray, rows) -> tuple:
@@ -1061,26 +1099,22 @@ def assumption1_scan(g: Graph, r: int) -> Assumption1Report:
     :func:`ball_stats` reports.  On a certified vertex-transitive graph
     every ball is a copy of vertex 0's, and that one ball is scanned.
 
-    The balls are built by :func:`_ball_keys` a chunk of centers at a
-    time, so few that a chunk's keys times the largest degree stay within
-    16 ``chains.FAMILY_CHUNK_ROWS`` entries, and the memory is bounded
-    whatever n is.  Only the balls of rank 1..``CYCLE_RANK_BUDGET`` have
-    their simple cycles counted, and none once some ball's rank exceeds
-    the budget.
+    The balls are built by :func:`_ball_keys` a batch of centers at a
+    time, cut by :func:`_ball_batches` as if each ball had the most keys a
+    radius-r ball can have, so the memory is bounded whatever n is.  Only
+    the balls of rank 1..``CYCLE_RANK_BUDGET`` have their simple cycles
+    counted, and none once some ball's rank exceeds the budget.
     """
-    from . import chains    # chains imports this module
     if r < 0:
         raise GraphError(f"radius must be >= 0, got {r}")
     # a radius-r ball has at most min(n, (d + 1)^r) vertices, d the
     # largest degree
     d = g.degree_profile.max_degree
-    most = min(g.n, (d + 1) ** min(r, g.n)) * max(d, 1)
-    per = max(1, 16 * chains.FAMILY_CHUNK_ROWS // max(most, 1))
-    centers = _scan_vertices(g)
+    centers = np.asarray(_scan_vertices(g), dtype=np.int64)
+    most = np.full(len(centers), min(g.n, (d + 1) ** min(r, g.n)))
     max_excess = max_rank = max_count = 0
-    for lo in range(0, len(centers), per):
-        keys, dist = _ball_keys(
-            g, np.asarray(centers[lo:lo + per], dtype=np.int64), r)
+    for lo, hi in itertools.pairwise(_ball_batches(most, d)):
+        keys, dist = _ball_keys(g, centers[lo:hi], r)
         shape = _ball_shapes(g, r, keys, dist)
         max_excess = max(max_excess, int(shape.excess.max()))
         max_rank = max(max_rank, int(shape.rank.max()))
@@ -1132,8 +1166,13 @@ def write_edge_list(g: Graph, path) -> None:
 
 def read_edge_list(path) -> Graph:
     """Parse the edge-list format; errors carry 1-based line numbers."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise GraphFileError(f"byte {data[exc.start]:#x} is not ASCII",
+                             data.count(b"\n", 0, exc.start) + 1) from exc
     if not lines:
         raise GraphFileError("empty file", 1)
     head = lines[0].split()

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +21,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .checks import Check
-from . import chains
-from .chains import (ReversibleChain, APERIODIC, MixingProfile,
-                     _family_blocks)
-from .graphs import (BallTable, Graph, _ball_shapes, _bfs_levels,
-                     _scan_vertices, ball_table, vertex_transitive)
+from .chains import (CandidateFamily, ReversibleChain, APERIODIC,
+                     MixingProfile, _family_blocks)
+from .graphs import (BallTable, Graph, _bfs_levels, _scan_vertices,
+                     ball_table, vertex_transitive)
 from .spectral import restricted_top_eig
 
 EXACT_SEARCH_LIMIT = 20
@@ -73,53 +70,6 @@ def family_survivals(runs, sets) -> list:
 # candidate small sets and the escape-time quantile
 
 
-class CandidateFamily(Sequence):
-    """Read-only sequence of sorted vertex tuples in lexicographic order.
-
-    Stored as one ``members`` array (every set's vertices, set after set)
-    and ``offsets``: set i is ``members[offsets[i]:offsets[i + 1]]``.
-    Indexing and iteration yield tuples of ints; a slice yields a list.
-
-    ``tops`` is a lexicographic :class:`CandidateFamily` of sets of this
-    family such that every set of it lies inside some top.  Survival
-    under killing is monotone in the set: for A within B and a
-    nonnegative kernel, (K_A^t 1)(a) <= (K_B^t 1)(a), since a path that
-    stays in A stays in B.  It holds bit for bit in floating point too:
-    row a of K_B is row a of K_A with more nonnegative terms, summed in
-    the same column order, and rounded addition and multiplication are
-    monotone.  So every survival maximum over the family, and the
-    crossing time of :func:`hit_quantile`, is attained on a top.  A
-    family built without ``tops`` is its own tops.
-    """
-
-    def __init__(self, members: np.ndarray, offsets: np.ndarray,
-                 tops: CandidateFamily = None):
-        members.flags.writeable = False
-        offsets.flags.writeable = False
-        self.members = members
-        self.offsets = offsets
-        self._tops = tops
-
-    @property
-    def tops(self) -> CandidateFamily:
-        # no stored self-reference: a cycle would hold the arrays until
-        # the garbage collector runs
-        return self if self._tops is None else self._tops
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = operator.index(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("candidate family index out of range")
-        return tuple(self.members[self.offsets[i]:self.offsets[i + 1]].tolist())
-
-
 def _from_keys(keys, tops: CandidateFamily = None) -> CandidateFamily:
     """The family of sets given as big-endian uint32 byte strings, in
     byte order, which is tuple order."""
@@ -128,12 +78,6 @@ def _from_keys(keys, tops: CandidateFamily = None) -> CandidateFamily:
     np.cumsum([len(key) // 4 for key in keys], out=offsets[1:])
     members = np.frombuffer(b"".join(keys), dtype=">u4").astype(np.int32)
     return CandidateFamily(members, offsets, tops)
-
-
-def _tops(sets):
-    """The sets to step for a survival maximum over ``sets``: the tops of
-    a :class:`CandidateFamily`, else ``sets`` as given."""
-    return sets.tops if isinstance(sets, CandidateFamily) else sets
 
 
 def candidate_small_sets(chain: ReversibleChain, alpha: float,
@@ -279,8 +223,8 @@ class HitQuantile:
     'candidate-lower-bound' (heuristic family; certified lower bound).
     ``n_sets`` counts the sets maximized over: the whole family, also
     when only its tops are stepped.  ``worst_set``/``worst_start`` attain
-    the last survival above eps; on a :class:`CandidateFamily`
-    ``worst_set`` is the last tied top.
+    the last survival above eps; ``worst_set``, a tuple, is the last tied
+    top.
     """
 
     time: int
@@ -299,10 +243,11 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
     With ``sets`` None every subset of size <= floor(alpha n) is
     enumerated (n <= 20) and the value is exact; a given family is
     maximized over as it stands and the value is flagged as a lower
-    bound.  On a :class:`CandidateFamily`, such as
-    ``candidate_small_sets(chain, alpha, graph)``, only its tops are
-    stepped: every set lies inside a top, whose survival is at least
-    that set's at every step, so the crossing time is the family's.
+    bound.  The family is read through :meth:`CandidateFamily.of`, and
+    only its tops are stepped: on a :class:`CandidateFamily` such as
+    ``candidate_small_sets(chain, alpha, graph)`` every set lies inside a
+    top, whose survival is at least that set's at every step, so the
+    crossing time is the family's; any other sequence is its own tops.
     Returns 0 when no set qualifies; raises when some set's survival
     stays above eps for ``MAX_QUANTILE_STEPS`` steps.
     """
@@ -326,7 +271,7 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
     if not sets:
         return HitQuantile(time=0, alpha=alpha, eps=eps, mode=mode, n_sets=0)
     n_sets = len(sets)
-    sets = _tops(sets)
+    sets = CandidateFamily.of(sets).tops
 
     # last[i]: last step at which set i's survival exceeds eps.  A set
     # stays dead once its peak drops to eps or below, since killed-chain
@@ -494,7 +439,7 @@ def _ball_solves(table: BallTable, pos: np.ndarray) -> list:
     transposed solve with 1 at every home gives every Green row G(v, .).
     """
     dist = table.dist[pos]
-    anchor = table.keys[pos] // table.n
+    anchor = table.anchor(pos)
     centers = anchor[dist == 0]
     inner = dist < table.k
     rows, sphere = pos[inner], pos[~inner]
@@ -560,30 +505,31 @@ class SphereHits(dict):
 
     def solve(self, centers) -> list:
         """The :class:`SphereHit` of each of ``centers``.  Those not yet
-        held are solved ascending, in chunks of about ``FAMILY_CHUNK_ROWS``
-        interior positions, one :func:`_ball_solves` each; when one's
-        sphere is empty, the smallest such raises :class:`HittingError`
-        and none is solved."""
+        held are solved ascending, a batch of whole balls at a time as
+        :meth:`graphs.BallTable.batches` cuts them, one
+        :meth:`graphs.BallTable.shapes` and one :func:`_ball_solves` each;
+        when one's sphere is empty, the smallest such raises
+        :class:`HittingError` before any batch is solved."""
         g, k = self.g, self.k
         if not g.is_regular:
             raise HittingError("sphere hitting bound needs a regular graph")
         todo = np.setdiff1d(np.asarray(centers, dtype=np.int64), list(self))
         table = ball_table(g, k)
-        pos = table.positions(todo)
-        shape = _ball_shapes(g, k, table.keys[pos], table.dist[pos])
-        spheres = shape.levels[:, k]
-        if not spheres.all():
-            raise HittingError(f"sphere of radius {k} around "
-                               f"{todo[np.argmin(spheres)]} is empty")
-        inner = shape.size - spheres
-        chunk = (np.cumsum(inner) - inner) // chains.FAMILY_CHUNK_ROWS
+        batches = table.batches(todo)
+        for anchors in batches:
+            pos = table.positions(anchors)
+            empty = np.setdiff1d(anchors,
+                                 table.anchor(pos[table.dist[pos] == k]))
+            if len(empty):
+                raise HittingError(f"sphere of radius {k} around "
+                                   f"{empty[0]} is empty")
         d = g.regular_degree
         lb = 1.0 / (d * (d - 1) ** (k - 1))
-        for c in np.unique(chunk):
-            part = chunk == c
+        for anchors in batches:
+            pos = table.positions(anchors)
             for (v, sphere, row, time), excess in zip(
-                    _ball_solves(table, pos[np.repeat(part, shape.size)]),
-                    shape.excess[part].tolist()):
+                    _ball_solves(table, pos),
+                    table.shapes(g, pos).excess.tolist()):
                 low, high = float(row.min()), float(row.max())
                 self[v] = SphereHit(
                     center=v, radius=k, sphere=tuple(sphere.tolist()),

@@ -115,9 +115,36 @@ def write_json(obj, path) -> None:
         fh.write(dumps_canonical(obj))
 
 
+class InputError(ValueError):
+    """A file that walklab cannot read, or reports that do not mix."""
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``; :class:`InputError`, naming
+    the path, unless the file is ASCII JSON."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return json.loads(data.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: byte {data[exc.start]:#x} at offset "
+                         f"{exc.start} is not ASCII") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def read_report(path) -> dict:
-    with open(path, "r", encoding="ascii") as fh:
-        return json.load(fh)
+    """The report written to ``path``; :class:`InputError` unless
+    :func:`read_json` finds an object there with a list of ``records``,
+    each an object with every field that :func:`record` writes."""
+    report = read_json(path)
+    records = report.get("records") if isinstance(report, dict) else None
+    fields = record("", "").keys()
+    if not isinstance(records, list) or not all(
+            isinstance(rec, dict) and fields <= rec.keys() for rec in records):
+        raise InputError(f"{path} is not a walklab report: it holds no "
+                         f"list of records")
+    return report
 
 
 def write_csv(path, header, rows) -> None:
@@ -191,10 +218,11 @@ def emit_summary(report_dicts) -> dict:
     measured sphere-hitting constants per excess class, and the cutoff
     ratio trend by graph size."""
     if not report_dicts:
-        raise ValueError("no reports to summarize")
+        raise InputError("no reports to summarize")
     versions = {r.get("version") for r in report_dicts}
     if len(versions) != 1:
-        raise ValueError(f"incompatible report versions: {sorted(versions)}")
+        raise InputError(f"incompatible report versions: "
+                          f"{sorted(versions, key=repr)}")
     max_hitmix = None
     c_hat_by_excess = {}
     ratio_rows = []

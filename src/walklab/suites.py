@@ -13,6 +13,7 @@ or host data.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import numbers
 import os
@@ -137,28 +138,42 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def build_graph(spec: dict, default_seed: int = 0) -> G.Graph:
-    """Materialize the graph described by a config dict."""
+    """Materialize the graph described by a config dict.
+
+    The fields besides ``kind`` (and ``name`` for a named graph) are the
+    builder's parameters, ``seed`` defaulting to ``default_seed``; a field
+    missing or one the builder does not take is a :class:`ConfigError`.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"graph spec must be a dict with 'kind', got {spec!r}")
     kind = spec["kind"]
-    try:
-        if kind == "named":
-            params = [spec[key] for key in ("n", "dim") if key in spec]
-            return G.build_named(spec["name"], *params)
-        if kind == "random-regular":
-            return G.build_random_regular(
-                spec["n"], spec["d"], spec.get("seed", default_seed))
-        if kind == "high-girth":
-            return G.build_high_girth_regular(
-                spec["n"], spec["d"], spec["min_girth"],
-                spec.get("seed", default_seed))
-        if kind == "lps":
-            return build_lps(spec["p"], spec["q"])
-        if kind == "file":
-            return G.read_edge_list(spec["path"])
-    except KeyError as exc:
-        raise ConfigError(f"graph spec {spec!r} is missing field {exc}") from exc
-    raise ConfigError(f"unknown graph kind {kind!r}")
+    # looked up on each call, so a wrapped module attribute is the one called
+    builders = {"named": G.named_builder,
+                "random-regular": G.build_random_regular,
+                "high-girth": G.build_high_girth_regular,
+                "lps": build_lps,
+                "file": G.read_edge_list}
+    builder = builders.get(kind) if isinstance(kind, str) else None
+    if builder is None:
+        raise ConfigError(f"unknown graph kind {kind!r}")
+    fields = {key: value for key, value in spec.items() if key != "kind"}
+    subject = f"kind {kind!r}"
+    if kind == "named":
+        if "name" not in fields:
+            raise ConfigError(f"graph spec {spec!r} is missing field 'name'")
+        subject = f"graph {fields['name']!r}"
+        builder = builder(fields.pop("name"))
+    params = inspect.signature(builder).parameters
+    if "seed" in params:
+        fields.setdefault("seed", default_seed)
+    for key in fields:
+        if key not in params:
+            raise ConfigError(f"graph spec {spec!r} has field {key!r}, "
+                              f"which {subject} does not take")
+    for key in params:
+        if key not in fields:
+            raise ConfigError(f"graph spec {spec!r} is missing field {key!r}")
+    return builder(**fields)
 
 
 def _skip(suite: str, reason: str) -> dict:

@@ -44,8 +44,8 @@ from .checks import Check
 # tracer wraps walks.bfs_distances
 from .graphs import (Graph, bfs_distances,  # noqa: F401
                      ball_table, is_connected, vertex_transitive)
-from .chains import ReversibleChain, _as_arrays
-from .hitting import SphereHits, _tops, family_survivals
+from .chains import CandidateFamily, ReversibleChain
+from .hitting import SphereHits, family_survivals
 
 
 # Probability that the empirical-law TV of an exact sampler exceeds
@@ -132,7 +132,7 @@ def simulate_walk(g: Graph, start: int, steps: int, k: int,
     # whole table would cost more to build than it saves per step
     first, target = (a.tolist() for a in ball.steps)
     dist, home = ball.dist.tolist(), ball.home.tolist()
-    vertex = (ball.keys % g.n).tolist()
+    vertex = ball.vertex(slice(None)).tolist()
     p = home[start]
     path, T = [p], [0]
     for j, x in enumerate(make_rng(seed, stream).random(steps).tolist(), 1):
@@ -276,7 +276,8 @@ def sample_first_regenerations(g: Graph, anchor: int, k: int, trials: int,
     if not len(ball.sphere(anchor)):
         raise WalkError(f"anchor {anchor} has no vertex at distance {k}")
     # the anchor's positions lo..hi-1 and their rows, shifted by -lo
-    lo, hi = np.searchsorted(ball.keys, (anchor * g.n, (anchor + 1) * g.n))
+    pos = ball.positions([anchor])
+    lo, hi = int(pos[0]), int(pos[-1]) + 1
     first, target = ball.steps
     target = (target[first[lo]:first[hi]] - lo).tolist()
     first = (first[lo:hi + 1] - first[lo]).tolist()
@@ -325,9 +326,9 @@ def _slow_regenerations(g: Graph, k: int, tau_t: int,
     """
     ball = ball_table(g, k)
     transitive = vertex_transitive(g)
-    # interior positions; anchor 0's are the keys below n
-    stop = np.searchsorted(ball.keys, g.n) if transitive else None
-    rows = np.flatnonzero(ball.dist[:stop] < k)
+    # interior positions, of anchor 0 alone on a transitive graph
+    pos = ball.positions([0]) if transitive else np.arange(len(ball.dist))
+    rows = pos[ball.dist[pos] < k]
     slot, land, step = ball.moves(rows)
     work = horizon * tau_t * len(slot)
     if work > SLOW_REGEN_WORK:
@@ -402,11 +403,11 @@ def escape_transfer_experiment(hits: SphereHits, chain: ReversibleChain,
     ``SLOW_REGEN_WORK`` multiply-adds it raises :class:`WalkError` first.
     On a certified vertex-transitive graph the family is F0, seeded at
     vertex 0: automorphisms preserve the SRW, W and K survivals, so their
-    maxima over F0 are those over its orbit closure.  On a
-    :class:`CandidateFamily` the three maxima step only its tops, which
-    attain them (see there); the W rows and the starts still come from
-    every member, and the tops hold the same members.  The 1e-9 slack is
-    for rounding: a recursion value is at most t+s products with
+    maxima over F0 are those over its orbit closure.  The family is read
+    through :meth:`CandidateFamily.of`, and the three maxima step only its
+    tops, which attain them (see there); the W rows and the starts still
+    come from every member, and the tops hold the same members.  The 1e-9
+    slack is for rounding: a recursion value is at most t+s products with
     nonnegative rows of at most d+1 terms that sum to at most 1, so its
     error is at most (t+s)(d+1) 2^-52, below 1e-9 at the suites' largest
     horizon, 15000, for every d <= 299.
@@ -418,7 +419,8 @@ def escape_transfer_experiment(hits: SphereHits, chain: ReversibleChain,
         raise WalkError("candidate family is empty: no set has mass <= alpha")
     tau_t = tau(t, g.regular_degree, k)
     horizon = t + s
-    needed = np.unique(_as_arrays(sets)[0]).tolist()
+    family = CandidateFamily.of(sets)
+    needed = np.unique(family.members).tolist()
     slow = float(_slow_regenerations(g, k, tau_t, horizon)[needed].max())
 
     w_rows = hits.solve(needed)
@@ -431,7 +433,7 @@ def escape_transfer_experiment(hits: SphereHits, chain: ReversibleChain,
         runs.append((k_chain.kernel, tau_t))
     # one pass over the tops' layout for the SRW, W and K maxima
     srw_escape, y_escape, *k_escape = (
-        float(s.max()) for s in family_survivals(runs, _tops(sets)))
+        float(s.max()) for s in family_survivals(runs, family.tops))
     k_escape = k_escape[0] if k_escape else None
 
     bound = y_escape + slow

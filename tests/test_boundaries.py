@@ -1,0 +1,93 @@
+"""Module boundaries of the package, read off its source.
+
+Each shared layout has one owner: ``graphs`` owns the ball table's keys
+and the chunk budget, ``chains`` the packed set families.  Other modules
+go through the owner's methods, so a change of layout stays in one file.
+"""
+
+import ast
+import pathlib
+
+import walklab
+
+PACKAGE = pathlib.Path(walklab.__file__).parent
+
+# (importing module, owner, private name): every read of a private name of
+# one package module by another.  Delete an entry when its import goes;
+# never add one.
+PRIVATE_IMPORTS = {
+    ("chains", "graphs", "_level_distances"),
+    ("chains", "graphs", "_support_classes"),
+    ("hitting", "chains", "_family_blocks"),
+    ("hitting", "graphs", "_bfs_levels"),
+    ("hitting", "graphs", "_scan_vertices"),
+    ("spectral", "chains", "_family_blocks"),
+    ("spectral", "graphs", "_sorted_lookup"),
+    ("tree", "graphs", "_check_vertex"),
+}
+
+
+def modules():
+    """``(name, tree)`` of every module of the package."""
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def package_imports(tree):
+    """``(owner, name)`` of every ``from .owner import name`` and every
+    ``from . import owner`` (name None), wherever it stands."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("walklab")):
+            owner = (node.module or "").removeprefix("walklab").lstrip(".")
+            for alias in node.names:
+                found.append((owner, alias.name) if owner
+                             else (alias.name, None))
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names
+                      if alias.name.split(".")[0] == "walklab"]
+    return found
+
+
+def test_graphs_imports_nothing_from_the_package():
+    [tree] = [tree for name, tree in modules() if name == "graphs"]
+    assert package_imports(tree) == []
+
+
+def test_only_graphs_reads_ball_table_keys():
+    # ``.keys()`` calls on dicts are not the table's keys
+    reads = []
+    for name, tree in modules():
+        called = {id(node.func) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)}
+        reads += [(name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "keys"
+                  and id(node) not in called]
+    assert reads and {name for name, _ in reads} == {"graphs"}
+
+
+def private_reads(name, tree):
+    """``(name, owner, private)`` of each private name that module
+    ``name`` imports from another, or reads off one it imports."""
+    found = {(name, owner, imported)
+             for owner, imported in package_imports(tree)
+             if imported is not None and imported.startswith("_")}
+    # ``from . import graphs as G`` and then ``G._name``
+    owners = {alias.asname or alias.name: alias.name
+              for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level
+              and not node.module for alias in node.names}
+    found |= {(name, owners[node.value.id], node.attr)
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in owners and node.attr.startswith("_")}
+    return found
+
+
+def test_private_imports_across_modules_are_pinned():
+    found = set()
+    for name, tree in modules():
+        found |= private_reads(name, tree)
+    assert found == PRIVATE_IMPORTS

@@ -8,6 +8,7 @@ import pytest
 
 import walklab
 from walklab.cli import main
+from walklab.graphs import GraphFileError, read_edge_list
 from walklab.reports import dumps_canonical, emit_summary, read_report
 from walklab.suites import (ConfigError, ExperimentConfig, build_graph,
                             config_from_dict, run_suite)
@@ -95,10 +96,30 @@ PETERSEN = {"kind": "named", "name": "petersen"}
      "graph n must be an integer >= 0, got '10'"),
     (("tree",), {"dump_curves": "no"},
      "dump_curves must be true or false, got 'no'"),
+    (("tree",), {"graph": {"kind": "named", "name": "petersen", "n": 5}},
+     "graph spec {'kind': 'named', 'name': 'petersen', 'n': 5} has field "
+     "'n', which graph 'petersen' does not take"),
+    (("tree",), {"graph": {"kind": "named", "name": "hypercube", "n": 3}},
+     "graph spec {'kind': 'named', 'name': 'hypercube', 'n': 3} has field "
+     "'n', which graph 'hypercube' does not take"),
+    (("gen",), {"graph": {"kind": "lps", "p": 5, "q": 13, "seed": 1}},
+     "graph spec {'kind': 'lps', 'p': 5, 'q': 13, 'seed': 1} has field "
+     "'seed', which kind 'lps' does not take"),
+    (("tree",), {"graph": {"kind": "named", "name": "complete"}},
+     "graph spec {'kind': 'named', 'name': 'complete'} is missing field "
+     "'n'"),
+    (("tree",), {"graph": {"kind": "high-girth", "n": 20, "d": 3}},
+     "graph spec {'kind': 'high-girth', 'n': 20, 'd': 3} is missing field "
+     "'min_girth'"),
+    (("tree",), {"graph": {"kind": ["lps"]}}, "unknown graph kind ['lps']"),
+    (("tree",), {"graph": {"kind": "named", "name": ["k5"]}},
+     "unknown graph name ['k5']"),
 ], ids=["alpha-1.5", "alpha-1.0", "alpha-0", "eps-0", "seed", "seed-2**64",
         "trials", "steps", "k", "k-128", "steps-20000", "t_grid-negative", "t_grid-empty",
         "suites-string", "suites-empty", "graph-seed", "config-list",
-        "out_dir-int", "graph-n-string", "dump_curves-string"])
+        "out_dir-int", "graph-n-string", "dump_curves-string",
+        "petersen-n", "hypercube-n", "lps-seed", "complete-no-n",
+        "high-girth-no-min_girth", "kind-list", "name-list"])
 def test_bad_config_values_are_usage_errors(tmp_path, capsys, argv, config,
                                             message):
     args = [*argv, "--graph", "petersen", "--out", str(tmp_path / "o")]
@@ -111,6 +132,64 @@ def test_bad_config_values_are_usage_errors(tmp_path, capsys, argv, config,
     assert err.startswith("walklab: error: " + message)
     assert err.count("\n") == 1
     assert not os.path.exists(tmp_path / "o")
+
+
+def usage_error(capsys, *argv) -> str:
+    """The one stderr line of a CLI run that must exit 2."""
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("walklab: error: ") and err.count("\n") == 1
+    return err
+
+
+def test_files_that_are_not_ascii_are_usage_errors(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_bytes(b"3 2\n0 1\n1 2 \xe9\n")
+    assert usage_error(capsys, "spectrum", "--graph", str(edges), "--out",
+                       str(tmp_path / "o")) == \
+        "walklab: error: line 3: byte 0xe9 is not ASCII\n"
+    with pytest.raises(GraphFileError, match="^line 3: byte 0xe9 "):
+        read_edge_list(edges)
+    config = tmp_path / "cfg.json"
+    config.write_bytes(b'{"seed": "\xc3\xa9"}')
+    assert "byte 0xc3 at offset 10 is not ASCII" in usage_error(
+        capsys, "tree", "--config", str(config), "--out", str(tmp_path / "o"))
+    report = tmp_path / "report.json"
+    report.write_bytes(b'{"records": [], "note": "\xff"}')
+    assert "byte 0xff at offset 25 is not ASCII" in usage_error(
+        capsys, "summary", str(report))
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("content", [
+    "[1, 2]", '{"version": 1}', '{"version": 1, "records": [3]}',
+    '{"version": 1, "records": [{"name": "hitmix-constant"}]}',
+], ids=["list", "no-records", "number-record", "record-without-lhs"])
+def test_summary_rejects_files_that_are_not_reports(tmp_path, capsys,
+                                                     content):
+    path = tmp_path / "report.json"
+    path.write_text(content)
+    assert usage_error(capsys, "summary", str(path)) == \
+        f"walklab: error: {path} is not a walklab report: it holds no " \
+        f"list of records\n"
+
+
+def test_malformed_json_names_its_file(tmp_path, capsys):
+    path = tmp_path / "cut.json"
+    path.write_text('{"records": [')
+    for argv in (("summary", str(path)), ("tree", "--config", str(path))):
+        assert usage_error(capsys, *argv).startswith(
+            f"walklab: error: {path}: Expecting value: line 1 column 14")
+
+
+def test_summary_rejects_reports_of_different_versions(tmp_path, capsys):
+    paths = []
+    for version in (1, 2):
+        path = tmp_path / f"v{version}.json"
+        path.write_text(json.dumps({"version": version, "records": []}))
+        paths.append(str(path))
+    assert usage_error(capsys, "summary", *paths) == \
+        "walklab: error: incompatible report versions: [1, 2]\n"
 
 
 def test_cli_prints_the_text_report_and_closes_its_files(tmp_path):

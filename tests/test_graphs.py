@@ -450,13 +450,12 @@ def _scan_graph(request, name):
 @pytest.mark.parametrize("name,r", SCAN_CASES)
 def test_assumption1_scan_matches_per_center_scan(request, monkeypatch,
                                                   name, r):
-    from walklab import chains
     g = _scan_graph(request, name)
     ref = reference_assumption1_scan(g, r)
     assert wl.assumption1_scan(g, r) == ref
     if g.n <= 512 and r <= 3:
         # one center per chunk, or a few
-        monkeypatch.setattr(chains, "FAMILY_CHUNK_ROWS", 5)
+        monkeypatch.setattr(graphs, "FAMILY_CHUNK_ROWS", 5)
         assert wl.assumption1_scan(g, r) == ref
 
 
@@ -465,11 +464,10 @@ def test_assumption1_scan_memory_stays_within_its_chunks(monkeypatch):
     # 8 of them.  A scan of the whole table at once holds 2000 balls of
     # up to 22 keys, with 3 neighbors each, and peaks near 7 MB.
     import tracemalloc
-    from walklab import chains
     g = wl.build_random_regular(2000, 3, 5)
     ref = wl.assumption1_scan(g, 3)
-    monkeypatch.setattr(chains, "FAMILY_CHUNK_ROWS", 256)
-    budget = 16 * chains.FAMILY_CHUNK_ROWS * 8
+    monkeypatch.setattr(graphs, "FAMILY_CHUNK_ROWS", 256)
+    budget = 16 * graphs.FAMILY_CHUNK_ROWS * 8
     tracemalloc.start()
     try:
         rep = wl.assumption1_scan(g, 3)

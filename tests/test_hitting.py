@@ -8,10 +8,10 @@ import pytest
 import scipy.sparse as sp
 
 import walklab as wl
-from walklab import chains, hitting, spectral
+from walklab import chains, graphs, hitting, spectral
 from walklab.chains import (ChainError, mixing_profile, power_chain,
                             srw_chain)
-from walklab.graphs import GraphError
+from walklab.graphs import GraphError, ball_table
 from walklab.hitting import (CandidateFamily, HittingError, SphereHits,
                              candidate_small_sets,
                              family_survival, family_survivals,
@@ -205,7 +205,7 @@ def test_tiny_chunks_give_identical_results(monkeypatch, cubic_family,
     sets = sets[::4]
     wide = family_survival(chain.kernel, sets, 9)
     wide_hq = hit_quantile(petersen_chain, 0.3, 0.02)
-    monkeypatch.setattr(chains, "FAMILY_CHUNK_ROWS", 5)
+    monkeypatch.setattr(graphs, "FAMILY_CHUNK_ROWS", 5)
     assert np.array_equal(family_survival(chain.kernel, sets, 9), wide)
     assert hit_quantile(petersen_chain, 0.3, 0.02) == wide_hq
 
@@ -237,11 +237,12 @@ def reference_family_blocks(kernel, sets):
     import scipy.sparse as sp
     kernel = sp.csr_matrix(kernel)
     n = kernel.shape[0]
-    all_members, offsets = chains._as_arrays(sets)
+    family = CandidateFamily.of(sets)
+    all_members, offsets = family.members, family.offsets
     lo = 0
     while lo < len(sets):
         last = np.searchsorted(offsets,
-                               offsets[lo] + chains.FAMILY_CHUNK_ROWS,
+                               offsets[lo] + graphs.FAMILY_CHUNK_ROWS,
                                side="right") - 1
         hi = max(int(last), lo + 1)
         sizes = np.diff(offsets[lo:hi + 1])
@@ -365,7 +366,7 @@ def test_family_blocks_match_search_reference(monkeypatch, cubic_family,
     blocks = assert_blocks_match_reference(
         chain.kernel, two_step_kernel(chain), sets=sets)
     assert len(blocks) > 1 and sizes
-    assert max(sizes) <= 16 * chains.FAMILY_CHUNK_ROWS
+    assert max(sizes) <= 16 * graphs.FAMILY_CHUNK_ROWS
     sizes.clear()
     shared = list(chains._family_blocks([chain.kernel, two_step_kernel(chain)],
                                         sets))
@@ -373,7 +374,7 @@ def test_family_blocks_match_search_reference(monkeypatch, cubic_family,
     # tiny chunks, a bound of 80 entries: on n = 200 a set alone gets a
     # map of all n vertices; on n = 10 a chunk holds up to 5 rows from at
     # most 8 sets
-    monkeypatch.setattr(chains, "FAMILY_CHUNK_ROWS", 5)
+    monkeypatch.setattr(graphs, "FAMILY_CHUNK_ROWS", 5)
     sizes.clear()
     blocks = assert_blocks_match_reference(
         chain.kernel, two_step_kernel(chain), sets=sets[::7])
@@ -400,10 +401,10 @@ def test_singleton_chunks_close_on_the_slot_map_bound(monkeypatch,
     sets = [(v,) for v in range(n)] * 8
     sizes = recording_slot_maps(monkeypatch)
     blocks = assert_blocks_match_reference(chain.kernel, sets=sets)
-    per_chunk = 16 * chains.FAMILY_CHUNK_ROWS // n
+    per_chunk = 16 * graphs.FAMILY_CHUNK_ROWS // n
     assert [len(starts) for _, starts, _ in blocks] == \
         [per_chunk] * (len(sets) // per_chunk) + [len(sets) % per_chunk]
-    assert max(sizes) == per_chunk * n <= 16 * chains.FAMILY_CHUNK_ROWS
+    assert max(sizes) == per_chunk * n <= 16 * graphs.FAMILY_CHUNK_ROWS
     # the rows alone would have closed one chunk
     assert len(list(reference_family_blocks(chain.kernel, sets))) == 1
 
@@ -411,7 +412,7 @@ def test_singleton_chunks_close_on_the_slot_map_bound(monkeypatch,
 @pytest.mark.parametrize("rows", [None, 5])
 def test_family_blocks_reject_bad_sets(monkeypatch, petersen_chain, rows):
     if rows is not None:
-        monkeypatch.setattr(chains, "FAMILY_CHUNK_ROWS", rows)
+        monkeypatch.setattr(graphs, "FAMILY_CHUNK_ROWS", rows)
     message = "^sets must be nonempty, sorted, distinct and in range$"
     for bad in ([(0, 1), ()], [(3, 1)], [(2, 5, 5)], [(4, 10)], [(-1, 2)]):
         with pytest.raises(ChainError, match=message):
@@ -1006,8 +1007,8 @@ def test_rows_do_not_depend_on_the_batch(monkeypatch, case):
     g = build()
     alone = row_bits(g, k, batched=False)
     assert row_bits(g, k, batched=True) == alone
-    # many chunks: about 5 interior positions each
-    monkeypatch.setattr(chains, "FAMILY_CHUNK_ROWS", 5)
+    # many batches: whole balls within 16 * 5 // d keys, one or a few each
+    monkeypatch.setattr(graphs, "FAMILY_CHUNK_ROWS", 5)
     assert row_bits(g, k, batched=True) == alone
 
 
@@ -1019,6 +1020,78 @@ def test_colamd_rows_depend_on_the_batch(monkeypatch):
     monkeypatch.setattr(hitting, "spla", type("Colamd", (), {
         "splu": staticmethod(lambda a, **kwargs: spla.splu(a))}))
     assert row_bits(g, k, batched=True) != row_bits(g, k, batched=False)
+
+
+def test_sphere_hit_batches_stay_within_the_chunk_budget(monkeypatch):
+    # at 1024 rows a batch takes at most 16 * 1024 // 14 = 1170 keys, five
+    # radius-2 balls of 197 keys with 14 neighbors each; beyond the rows
+    # it returns, the solve holds at most 8 int64 arrays of 16 * 1024
+    # entries (measured: 0.5 MB).  All 2448 balls in one batch would look
+    # up 6.7M neighbors (measured: 231 MB).
+    import tracemalloc
+    g = _uncertified_lps()
+    ball_table(g, 2)            # the table is the graph's, built once
+    monkeypatch.setattr(graphs, "FAMILY_CHUNK_ROWS", 1024)
+    hits = SphereHits(g, 2)
+    tracemalloc.start()
+    try:
+        rows = hits.solve(range(g.n))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [hit.center for hit in rows] == list(range(g.n))
+    assert peak - held <= 8 * 16 * graphs.FAMILY_CHUNK_ROWS * 8
+
+
+def test_empty_spheres_raise_before_any_batch_is_solved(monkeypatch,
+                                                        petersen):
+    # Petersen on 0..9, where every 2-sphere has 6 vertices, then K4 on
+    # 10..13, where none has any; one ball per batch
+    edges = list(petersen.edges) + [(a, b) for a in range(10, 14)
+                                    for b in range(a + 1, 14)]
+    g = wl.make_graph(14, edges)
+    monkeypatch.setattr(graphs, "FAMILY_CHUNK_ROWS", 1)
+    assert [len(b) for b in ball_table(g, 2).batches(range(14))] == [1] * 14
+    solves = spy_ball_solves(monkeypatch)
+    hits = SphereHits(g, 2)
+    with pytest.raises(HittingError, match="^sphere of radius 2 around 10 "
+                                          "is empty$"):
+        hits.solve(range(14))
+    assert solves == [] and len(hits) == 0
+    assert [hit.center for hit in hits.solve(range(10))] == list(range(10))
+    assert solves == [[v] for v in range(10)]
+
+
+# -- families packed from plain sequences -------------------------------------
+
+def test_a_list_reads_as_the_family_packed_from_it(cubic_family):
+    chain, fam = cubic_family
+    sets = list(fam)[::-3]              # not in lexicographic order
+    packed = CandidateFamily.of(sets)
+    assert list(packed) == sets and packed[1:3] == sets[1:3]
+    assert packed.tops is packed
+    assert CandidateFamily.of(packed) is packed
+    assert CandidateFamily.of(fam) is fam and fam.tops is not fam
+    assert len(CandidateFamily.of([])) == 0
+    runs = [(chain.kernel, 7), (two_step_kernel(chain), 3)]
+    for on_list, on_packed in zip(family_survivals(runs, sets),
+                                  family_survivals(runs, packed)):
+        assert np.array_equal(on_list, on_packed)
+    for eps in (0.05, 0.25):
+        assert hit_quantile(chain, 0.1, eps, sets=sets) == \
+            hit_quantile(chain, 0.1, eps, sets=packed)
+
+
+def test_worst_set_is_a_tuple_whatever_the_input(petersen_chain):
+    exact = hit_quantile(petersen_chain, 0.3, 0.02)
+    sets = exact_family(petersen_chain, 0.3)
+    for given in (sets, [list(s) for s in sets],
+                  [np.array(s) for s in sets], CandidateFamily.of(sets)):
+        hq = hit_quantile(petersen_chain, 0.3, 0.02, sets=given)
+        assert type(hq.worst_set) is tuple
+        assert (hq.time, hq.worst_set, hq.worst_start) == \
+            (exact.time, exact.worst_set, exact.worst_start)
+    assert type(exact.worst_set) is tuple
 
 
 # -- sphere hits against the column-solve reference ---------------------------

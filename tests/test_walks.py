@@ -201,6 +201,19 @@ def test_escape_transfer_takes_a_list_of_sets(request, name):
     assert reps[0] == reps[1] and reps[0].n_sets == len(family)
 
 
+@pytest.mark.parametrize("name", ["petersen", "rr512"])
+def test_escape_transfer_reads_a_list_as_its_packed_family(request, name):
+    # a list out of lexicographic order, and the family packed from it
+    g = request.getfixturevalue(name)
+    chain = srw_chain(g)
+    sets = list(candidate_small_sets(chain, 0.25, graph=g))[::-2]
+    k_chain = srw_chain(inflate(g, 2))
+    hits = SphereHits(g, 2)
+    reps = [escape_transfer_experiment(hits, chain, given, k_chain, t=6, s=3)
+            for given in (sets, CandidateFamily.of(sets))]
+    assert reps[0] == reps[1] and reps[0].n_sets == len(sets)
+
+
 def test_escape_transfer_t_zero(petersen):
     rep = escape_transfer(petersen, 0.25, k=2, t=0, s=4)
     assert rep.tau_t == 0
