@@ -68,23 +68,23 @@ def _graph_spec(args) -> dict:
     name = args.graph
     if name in NAMED_GRAPHS:
         spec = {"kind": "named", "name": name}
-        if name in ("complete", "cycle") :
-            spec["n"] = args.n if args.n else (4 if name == "complete" else 6)
-        if name == "hypercube":
-            spec["dim"] = args.n if args.n else 3
+        default = {"complete": 4, "cycle": 6, "hypercube": 3}.get(name)
+        if default is not None:
+            spec["dim" if name == "hypercube" else "n"] = (
+                default if args.n is None else args.n)
         return spec
     if name == "random-regular":
-        if not args.n or not args.d:
+        if args.n is None or args.d is None:
             raise ConfigError("random-regular needs --n and --d")
         return {"kind": "random-regular", "n": args.n, "d": args.d,
                 "seed": args.seed}
     if name == "high-girth":
-        if not args.n or not args.d:
+        if args.n is None or args.d is None:
             raise ConfigError("high-girth needs --n and --d")
         return {"kind": "high-girth", "n": args.n, "d": args.d,
                 "min_girth": args.min_girth, "seed": args.seed}
     if name == "lps":
-        if not args.p or not args.q:
+        if args.p is None or args.q is None:
             raise ConfigError("lps needs --p and --q")
         return {"kind": "lps", "p": args.p, "q": args.q}
     if os.path.exists(name) or os.sep in name or name.endswith(".txt"):

@@ -8,9 +8,10 @@ excess, simple-cycle counts inside balls, and the distance-k graph.
 
 Every ball comes from one builder, :func:`_ball_keys`, a level-synchronous
 BFS from many anchors at once: the :class:`BallTable`, :func:`ball_stats`
-and :func:`assumption1_scan` read it.  :func:`_ball_shapes` is the one
-definition of a ball's tree excess and cycle rank, and :func:`_ball_batches`
-the one rule that cuts many balls into batches within the chunk budget
+and :func:`assumption1_scan` read it.  :func:`_ball_shapes` defines a
+ball's tree excess and cycle rank for the last two (the sphere-hit solve
+counts the excess off its own moves), and :func:`_ball_batches` is the
+one rule that cuts many balls into batches within the chunk budget
 ``FAMILY_CHUNK_ROWS``.  Only this module reads a ball table's keys.
 
 Builders of Cayley graphs attach automorphism generators;
@@ -522,18 +523,6 @@ class BallTable:
     indptr: np.ndarray
     indices: np.ndarray
 
-    def ball(self, anchor: int) -> tuple:
-        """``(vertices, dist)``: the vertices within distance k of
-        ``anchor`` in ascending order, and their distances; an anchor
-        outside 0..n-1 raises :class:`GraphError`."""
-        pos = self.positions([anchor])
-        return self.vertex(pos), self.dist[pos]
-
-    def sphere(self, anchor: int) -> np.ndarray:
-        """Sorted vertices at distance exactly k from ``anchor``."""
-        vertices, dist = self.ball(anchor)
-        return vertices[dist == self.k]
-
     def vertex(self, pos) -> np.ndarray:
         """The vertex u of each position of (anchor, u)."""
         return self.keys[pos] % self.n
@@ -567,20 +556,25 @@ class BallTable:
         return np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size,
                                                  size)
 
+    def reach(self, anchors) -> np.ndarray:
+        """The largest distance in the ball of each of the sorted distinct
+        ``anchors``, k unless its k-sphere is empty, read off its run of
+        ``dist``; an anchor outside 0..n-1 raises as in :meth:`positions`."""
+        lo, hi = self._spans(np.asarray(anchors, dtype=np.int64))
+        # keep each run lo..hi-1, not the one up to the next lo; reduceat
+        # runs the last to the table's end itself
+        cuts = np.column_stack((lo, hi)).ravel()
+        return np.maximum.reduceat(self.dist, cuts[cuts < self.dist.size])[::2]
+
     def batches(self, anchors) -> list:
         """The sorted distinct ``anchors`` cut, in order, into the batches
         of :func:`_ball_batches`, whose balls take one :meth:`positions`
-        and one :meth:`shapes` each; the smallest anchor outside 0..n-1
-        raises :class:`GraphError`."""
+        each; the smallest anchor outside 0..n-1 raises
+        :class:`GraphError`."""
         anchors = np.asarray(anchors, dtype=np.int64)
         lo, hi = self._spans(anchors)
         cuts = _ball_batches(hi - lo, int(np.diff(self.indptr).max(initial=0)))
         return [anchors[a:b] for a, b in itertools.pairwise(cuts)]
-
-    def shapes(self, g: Graph, pos) -> _BallShapes:
-        """:func:`_ball_shapes` of the whole balls at the positions ``pos``
-        of this table of ``g``."""
-        return _ball_shapes(g, self.k, self.keys[pos], self.dist[pos])
 
     def moves(self, rows) -> tuple:
         """``(slot, land, step)``: every move out of the interior positions
@@ -699,9 +693,10 @@ def _ball_shapes(g: Graph, k: int, keys: np.ndarray,
 def _ball_batches(sizes: np.ndarray, degree: int) -> list:
     """The batch rule for many balls: cuts ``[0, ..., len(sizes)]`` that
     split consecutive balls of ``sizes`` keys into batches of whole balls,
-    each as many as keep its keys times ``degree`` (the neighbor lookups
-    of :func:`_ball_shapes`) within 16 ``FAMILY_CHUNK_ROWS`` entries, and
-    at least one."""
+    each as many as keep its keys times ``degree`` (a bound on the moves
+    of ``hitting._ball_solves`` and the neighbor lookups of
+    :func:`_ball_shapes`) within 16 ``FAMILY_CHUNK_ROWS`` entries, and at
+    least one."""
     step = max(1, 16 * FAMILY_CHUNK_ROWS // max(degree, 1))
     ends = np.cumsum(sizes)
     cuts = [0]

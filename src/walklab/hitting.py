@@ -428,15 +428,17 @@ def hitmix_constant_record(chain: ReversibleChain, alpha: float, eps: float,
 
 
 def _ball_solves(table: BallTable, pos: np.ndarray) -> list:
-    """``(center, sphere, row, time)`` for each ball whose positions in
-    ``table`` are ``pos``, balls in ascending order, each with a nonempty
-    sphere, as :class:`SphereHit` defines them.
+    """``(center, sphere, row, time, excess)`` for each ball whose
+    positions in ``table`` are ``pos``, balls in ascending order, each
+    with a nonempty sphere, as :class:`SphereHit` defines them.
 
     :meth:`graphs.BallTable.moves` never crosses anchors, so I - P on the
     centers' interior positions is block-diagonal.  LU in natural column
     order eliminates each block alone, so a row's bits do not depend on
     the other balls (COLAMD mixes them and moves last bits); one
     transposed solve with 1 at every home gives every Green row G(v, .).
+    An edge with an interior end is two of these moves, or one onto the
+    sphere, so they count each ball's excess too; every ball has both.
     """
     dist = table.dist[pos]
     anchor = table.anchor(pos)
@@ -445,6 +447,10 @@ def _ball_solves(table: BallTable, pos: np.ndarray) -> list:
     rows, sphere = pos[inner], pos[~inner]
     slot, land, step = table.moves(rows)
     out = table.dist[land] == table.k
+    ball = np.searchsorted(centers, anchor)
+    moves = ball[inner][slot]
+    excess = (np.bincount(moves) + np.bincount(moves[out])) // 2 \
+        - np.bincount(ball) + 1
     system = sp.identity(len(rows), format="csc") - sp.csc_matrix(
         (step[~out], (slot[~out], np.searchsorted(rows, land[~out]))),
         shape=(len(rows),) * 2)
@@ -456,7 +462,8 @@ def _ball_solves(table: BallTable, pos: np.ndarray) -> list:
     cut = np.searchsorted(anchor[~inner], centers[1:])
     times = np.split(x, np.searchsorted(anchor[inner], centers[1:]))
     return list(zip(centers.tolist(), np.split(table.vertex(sphere), cut),
-                    np.split(row, cut), [float(t.sum()) for t in times]))
+                    np.split(row, cut), [float(t.sum()) for t in times],
+                    excess.tolist()))
 
 
 @dataclass(frozen=True)
@@ -467,9 +474,9 @@ class SphereHit:
     tree lower bound 1/(d (d-1)^{k-1}) is checked with 1e-12 slack, and
     ``c_hat`` is the measured constant max_u P[...] * d (d-1)^{k-1}.
     ``expected_time`` is E_v[T_{D_k}], the sum of the same Green row.
-    ``excess`` is the tree excess of the ball, as
-    :func:`graphs._ball_shapes` defines it for :class:`graphs.BallStats`
-    too: edges with an interior endpoint minus the ball size, plus one.
+    ``excess`` is the tree excess of the ball, the value of
+    :class:`graphs.BallStats` too: edges with an interior endpoint minus
+    the ball size, plus one, counted off the solve's own moves.
     """
 
     center: int
@@ -504,32 +511,26 @@ class SphereHits(dict):
         self.k = k
 
     def solve(self, centers) -> list:
-        """The :class:`SphereHit` of each of ``centers``.  Those not yet
-        held are solved ascending, a batch of whole balls at a time as
-        :meth:`graphs.BallTable.batches` cuts them, one
-        :meth:`graphs.BallTable.shapes` and one :func:`_ball_solves` each;
-        when one's sphere is empty, the smallest such raises
-        :class:`HittingError` before any batch is solved."""
+        """The :class:`SphereHit` of each of ``centers``, in the order
+        given.  Those not yet held are solved ascending, one
+        :func:`_ball_solves` per batch of :meth:`graphs.BallTable.batches`;
+        when one's sphere is empty (its :meth:`graphs.BallTable.reach` is
+        below k), the smallest such raises :class:`HittingError` before
+        any batch is solved."""
         g, k = self.g, self.k
         if not g.is_regular:
             raise HittingError("sphere hitting bound needs a regular graph")
         todo = np.setdiff1d(np.asarray(centers, dtype=np.int64), list(self))
         table = ball_table(g, k)
-        batches = table.batches(todo)
-        for anchors in batches:
-            pos = table.positions(anchors)
-            empty = np.setdiff1d(anchors,
-                                 table.anchor(pos[table.dist[pos] == k]))
-            if len(empty):
-                raise HittingError(f"sphere of radius {k} around "
-                                   f"{empty[0]} is empty")
+        empty = todo[table.reach(todo) < k]
+        if len(empty):
+            raise HittingError(f"sphere of radius {k} around {empty[0]} "
+                               f"is empty")
         d = g.regular_degree
         lb = 1.0 / (d * (d - 1) ** (k - 1))
-        for anchors in batches:
-            pos = table.positions(anchors)
-            for (v, sphere, row, time), excess in zip(
-                    _ball_solves(table, pos),
-                    table.shapes(g, pos).excess.tolist()):
+        for anchors in table.batches(todo):
+            for v, sphere, row, time, excess in _ball_solves(
+                    table, table.positions(anchors)):
                 low, high = float(row.min()), float(row.max())
                 self[v] = SphereHit(
                     center=v, radius=k, sphere=tuple(sphere.tolist()),

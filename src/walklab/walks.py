@@ -125,7 +125,7 @@ def simulate_walk(g: Graph, start: int, steps: int, k: int,
     if not is_connected(g):
         raise WalkError("walk simulation needs a connected graph")
     ball = ball_table(g, k)
-    if not len(ball.sphere(start)):
+    if ball.reach([start])[0] < k:
         raise WalkError(f"anchor {start} has no vertex at distance {k}; "
                         f"regeneration impossible")
     # flat lists: the walk visits many balls, and a list per row of the
@@ -273,7 +273,7 @@ def sample_first_regenerations(g: Graph, anchor: int, k: int, trials: int,
     the last trial are drawn but never read.
     """
     ball = ball_table(g, k)
-    if not len(ball.sphere(anchor)):
+    if ball.reach([anchor])[0] < k:
         raise WalkError(f"anchor {anchor} has no vertex at distance {k}")
     # the anchor's positions lo..hi-1 and their rows, shifted by -lo
     pos = ball.positions([anchor])

@@ -3,6 +3,8 @@
 Each shared layout has one owner: ``graphs`` owns the ball table's keys
 and the chunk budget, ``chains`` the packed set families.  Other modules
 go through the owner's methods, so a change of layout stays in one file.
+The private members of one module's classes are read by another only
+where pinned below.
 """
 
 import ast
@@ -24,6 +26,14 @@ PRIVATE_IMPORTS = {
     ("spectral", "chains", "_family_blocks"),
     ("spectral", "graphs", "_sorted_lookup"),
     ("tree", "graphs", "_check_vertex"),
+}
+
+# (reading module, "Class._name"): every read of a private attribute that
+# a class of another module defines.  Delete an entry when its read goes;
+# never add one.
+PRIVATE_ATTRIBUTES = {
+    ("chains", "Graph._classes"),
+    ("hitting", "Graph._matrix"),
 }
 
 
@@ -91,3 +101,66 @@ def test_private_imports_across_modules_are_pinned():
     for name, tree in modules():
         found |= private_reads(name, tree)
     assert found == PRIVATE_IMPORTS
+
+
+def test_only_ball_stats_and_the_scan_shape_balls():
+    # the sphere-hit solve counts each ball's excess off its own moves;
+    # graphs._ball_shapes also looks up every sphere vertex's neighbors
+    sites = []
+    for name, tree in modules():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                sites += [f"{name}.{func.name}" for node in ast.walk(func)
+                          if isinstance(node, ast.Call) and getattr(
+                              node.func, "id",
+                              getattr(node.func, "attr", None))
+                          == "_ball_shapes"]
+    assert sorted(sites) == ["graphs.assumption1_scan", "graphs.ball_stats"]
+
+
+def is_private(attr):
+    return attr.startswith("_") and not (attr.startswith("__")
+                                         and attr.endswith("__"))
+
+
+def private_members(tree):
+    """``{name: class}`` of every private member the module's classes
+    define: methods and class-level names, and attributes they assign."""
+    members = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members[node.name] = cls.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in getattr(node, "targets", [node.target]):
+                    if isinstance(target, ast.Name):
+                        members[target.id] = cls.name
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                              ast.Store):
+                members[node.attr] = cls.name
+    return {name: cls for name, cls in members.items() if is_private(name)}
+
+
+def test_private_attributes_across_modules_are_pinned():
+    trees = modules()
+    members = {name: private_members(tree) for name, tree in trees}
+    found = set()
+    for name, tree in trees:
+        package = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level
+                   and not node.module for alias in node.names}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and is_private(node.attr)
+                    and node.attr not in members[name]):
+                continue
+            # a private name of a package module is a PRIVATE_IMPORTS read
+            if isinstance(node.value, ast.Name) and node.value.id in package:
+                continue
+            owners = sorted(defined[node.attr]
+                            for other, defined in members.items()
+                            if other != name and node.attr in defined)
+            found.add((name, f"{'|'.join(owners) or '?'}.{node.attr}"))
+    assert found == PRIVATE_ATTRIBUTES

@@ -206,6 +206,21 @@ def test_cli_prints_the_text_report_and_closes_its_files(tmp_path):
     assert proc.stdout == (out / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("cycle", "--n", "0"), "cycle needs n >= 3, got 0"),
+    (("hypercube", "--n", "0"), "hypercube needs dim >= 1, got 0"),
+    (("random-regular", "--n", "0", "--d", "3"),
+     "degree 3 must be smaller than n=0"),
+], ids=["cycle", "hypercube", "random-regular"])
+def test_an_explicit_zero_reaches_the_builder(tmp_path, capsys, argv,
+                                              message):
+    # 0 is a given value, not a missing one: the default graph must not
+    # stand in for it
+    assert usage_error(capsys, "gen", "--graph", *argv, "--out",
+                       str(tmp_path / "o")) == f"walklab: error: {message}\n"
+    assert not os.path.exists(tmp_path / "o")
+
+
 def test_unknown_graph_is_usage_error(tmp_path):
     code = run_cli("spectrum", "--graph", "nonexistent-family", "--out",
                    str(tmp_path / "o"))

@@ -596,14 +596,20 @@ def test_ball_table_matches_bfs(petersen, prism, c6, random_cubic_medium):
         for k in (1, 2, 3):
             table = ball_table(g, k)
             assert ball_table(g, k) is table
+            far = []
             for a in range(g.n):
                 dist = bfs_distances(g, a, cutoff=k)
-                vertices, ball_dist = table.ball(a)
+                pos = table.positions([a])
                 read = np.full(g.n, -1)
-                read[vertices] = ball_dist
+                read[table.vertex(pos)] = table.dist[pos]
                 assert np.array_equal(read, dist)
-                assert table.sphere(a).tolist() == \
-                    np.flatnonzero(dist == k).tolist()
+                assert table.reach([a]).tolist() == [dist.max()]
+                far.append(dist.max())
+            # runs of adjacent anchors, of anchors apart, and of none
+            for anchors in (range(g.n), range(1, g.n, 2), range(0, g.n, 3),
+                            [1, g.n - 1], [g.n - 1], []):
+                assert table.reach(anchors).tolist() == \
+                    [far[a] for a in anchors]
     with pytest.raises(GraphError, match="radius"):
         ball_table(petersen, 0)
 
@@ -612,9 +618,9 @@ def test_ball_table_matches_bfs(petersen, prism, c6, random_cubic_medium):
 def test_ball_table_rejects_out_of_range_anchors(petersen, anchor):
     # the keys anchor * n + u hold no pair for such an anchor: an empty ball
     table = ball_table(petersen, 2)
-    for lookup in (table.ball, table.sphere):
+    for lookup in (table.positions, table.reach, table.batches):
         with pytest.raises(GraphError, match=f"^vertex {anchor} out of range"):
-            lookup(anchor)
+            lookup([anchor])
 
 
 def test_ball_step_table_moves_inside_each_ball(petersen, prism, c6,

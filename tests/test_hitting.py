@@ -932,6 +932,14 @@ def test_sphere_hits_solve_each_center_once(monkeypatch, petersen):
     assert solves == [list(range(10))]
     assert [hit.center for hit in hits.solve([3, 9, 0])] == [3, 9, 0]
     assert hits[3] is hits[3] and len(solves) == 1
+    # none asked, none solved; rows come back in the order asked
+    solves.clear()
+    hits = hitting.SphereHits(petersen, 2)
+    assert hits.solve([]) == [] and solves == [] and len(hits) == 0
+    rows = hits.solve([7, 2, 7, 5, 2])
+    assert [hit.center for hit in rows] == [7, 2, 7, 5, 2]
+    assert rows[0] is rows[2] and rows[1] is rows[4]
+    assert solves == [[2, 5, 7]]
 
 
 class CallSites(ast.NodeVisitor):
@@ -1005,11 +1013,17 @@ def test_rows_do_not_depend_on_the_batch(monkeypatch, case):
     # with every center: both must write the same bits
     build, k = BATCH_CASES[case]
     g = build()
+    # graphs._ball_shapes would look up every sphere vertex's neighbors
+    # too: the solve counts each excess off its own moves
+    shapes, shaped = graphs._ball_shapes, []
+    monkeypatch.setattr(graphs, "_ball_shapes",
+                        lambda *args: shaped.append(args) or shapes(*args))
     alone = row_bits(g, k, batched=False)
     assert row_bits(g, k, batched=True) == alone
     # many batches: whole balls within 16 * 5 // d keys, one or a few each
     monkeypatch.setattr(graphs, "FAMILY_CHUNK_ROWS", 5)
     assert row_bits(g, k, batched=True) == alone
+    assert shaped == []
 
 
 def test_colamd_rows_depend_on_the_batch(monkeypatch):
@@ -1026,8 +1040,8 @@ def test_sphere_hit_batches_stay_within_the_chunk_budget(monkeypatch):
     # at 1024 rows a batch takes at most 16 * 1024 // 14 = 1170 keys, five
     # radius-2 balls of 197 keys with 14 neighbors each; beyond the rows
     # it returns, the solve holds at most 8 int64 arrays of 16 * 1024
-    # entries (measured: 0.5 MB).  All 2448 balls in one batch would look
-    # up 6.7M neighbors (measured: 231 MB).
+    # entries (measured: 0.1 MB).  All 2448 balls in one batch would build
+    # 514k moves out of their 36,720 interior keys (measured: 25 MB).
     import tracemalloc
     g = _uncertified_lps()
     ball_table(g, 2)            # the table is the graph's, built once
@@ -1156,18 +1170,19 @@ def test_sphere_hit_matches_column_solve(request, name, k):
 def test_expected_hit_time_matches_reference_system(nonregular):
     # degrees 1..4: the system's columns carry the neighbors' own 1/deg.
     # SphereHits needs a regular graph for its lower bound, so the solve
-    # that gives SphereHit.expected_time is called directly.
+    # that gives SphereHit.expected_time and .excess is called directly.
     import scipy.sparse.linalg as spla
-    from walklab.graphs import ball_table
+    from walklab.graphs import ball_stats, ball_table
     for k in (1, 2, 3):
         table = ball_table(nonregular, k)
         for v in range(0, nonregular.n, 3):
             interior, _, system, _, at = reference_ball_system(
                 nonregular, v, k)
             ref = spla.splu(system).solve(np.ones(len(interior)))[at]
-            [(_, _, _, time)] = hitting._ball_solves(table,
-                                                     table.positions([v]))
+            [(_, _, _, time, excess)] = hitting._ball_solves(
+                table, table.positions([v]))
             assert abs(time - ref) <= 1e-12 * ref
+            assert excess == ball_stats(nonregular, v, k).excess
 
 
 # -- the survival / Perron suite ---------------------------------------------
