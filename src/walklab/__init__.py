@@ -30,7 +30,6 @@ from .chains import (
     evolve,
     distances,
     mixing_profile,
-    power_chain,
 )
 from .spectral import (
     SpectrumSummary,

@@ -664,17 +664,3 @@ def mixing_profile(chain: ReversibleChain, eps_grid) -> MixingProfile:
         tv_curve=tuple(tv_curve), l2sq_curve=tuple(l2_curve),
         worst_starts=tuple(worst_starts),
         starts=tuple(starts), exact_starts=exact)
-
-
-def power_chain(chain: ReversibleChain, t: int) -> ReversibleChain:
-    """Chain with kernel P^t and the same stationary distribution."""
-    if t < 1:
-        raise ChainError("exponent must be >= 1")
-    if t == 1:
-        return chain
-    kern = chain.kernel
-    for _ in range(t - 1):
-        kern = kern @ chain.kernel
-    # products leave each row's columns unsorted; keep the canonical order
-    kern.sort_indices()
-    return chain_from_kernel(kern, chain.stationary)

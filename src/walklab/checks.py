@@ -21,9 +21,5 @@ class Check:
     note: str = ""
 
     @property
-    def asserted(self) -> bool:
-        return self.passed is not None
-
-    @property
     def failed(self) -> bool:
         return self.passed is False

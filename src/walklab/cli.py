@@ -210,7 +210,7 @@ def main(argv=None) -> int:
             suites = tuple(args.suite)
         return _run_selected(args, suites)
     except (ConfigError, GraphError, ChainError, InputError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"walklab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -807,13 +807,6 @@ def is_bipartite(g: Graph) -> bool:
     return all(g._classes[1])
 
 
-def eccentricity(g: Graph, v: int) -> int:
-    dist = bfs_distances(g, v)
-    if np.any(dist < 0):
-        return -1
-    return int(dist.max())
-
-
 def vertex_transitive(g: Graph) -> bool:
     """Whether ``g.automorphisms`` certify that g is vertex-transitive.
 
@@ -843,18 +836,6 @@ def _scan_vertices(g: Graph):
     """The vertices a graph-wide scan must visit: 0 alone on a certified
     vertex-transitive graph, every vertex otherwise."""
     return [0] if vertex_transitive(g) else range(g.n)
-
-
-def diameter(g: Graph) -> int:
-    """Max eccentricity; -1 when disconnected.  One eccentricity on a
-    certified vertex-transitive graph."""
-    worst = 0
-    for v in _scan_vertices(g):
-        e = eccentricity(g, v)
-        if e < 0:
-            return -1
-        worst = max(worst, e)
-    return worst
 
 
 def girth(g: Graph):

@@ -41,21 +41,12 @@ class HittingError(ValueError):
 # survival under killing
 
 
-def family_survival(kernel, sets, t: int) -> np.ndarray:
-    """max_a (K_A^t 1)(a) for every set A of the family, in family order.
-
-    One block-diagonal matvec per step advances a whole chunk of sets of
-    :func:`chains._family_blocks`; ``np.maximum.reduceat`` takes each
-    set's maximum.
-    """
-    [out] = family_survivals([(kernel, t)], sets)
-    return out
-
-
 def family_survivals(runs, sets) -> list:
-    """:func:`family_survival` of every ``(kernel, t)`` of ``runs`` on one
-    family, in one pass: each chunk's layout is built once and every
-    kernel sliced through it, with the same bits as separate calls."""
+    """max_a (K_A^t 1)(a) for every set A of the family ``sets``, in family
+    order, for every ``(kernel, t)`` of ``runs``: one block-diagonal matvec
+    per step advances a chunk of sets of :func:`chains._family_blocks`,
+    whose layout is built once for all the kernels, with the same bits as
+    separate runs; ``np.maximum.reduceat`` takes each set's maximum."""
     kernels, times = zip(*runs)
     outs = [np.empty(len(sets)) for _ in runs]
     for lo, starts, which, block in _family_blocks(kernels, sets):
@@ -268,7 +259,7 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
     else:
         mode = "candidate-lower-bound"
 
-    if not sets:
+    if len(sets) == 0:
         return HitQuantile(time=0, alpha=alpha, eps=eps, mode=mode, n_sets=0)
     n_sets = len(sets)
     sets = CandidateFamily.of(sets).tops

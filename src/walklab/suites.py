@@ -107,12 +107,13 @@ class ExperimentConfig:
             _check_int("each t_grid entry", t, 0)
 
     def selected_suites(self) -> tuple:
-        if "all" in self.suites:
-            return SUITE_NAMES
-        unknown = [s for s in self.suites if s not in SUITE_NAMES]
+        unknown = [s for s in self.suites
+                   if s != "all" and s not in SUITE_NAMES]
         if unknown:
             raise ConfigError(f"unknown suites {unknown!r}; "
                               f"choose from {SUITE_NAMES}")
+        if "all" in self.suites:
+            return SUITE_NAMES
         return tuple(s for s in SUITE_NAMES if s in self.suites)
 
     def canonical_dict(self) -> dict:
@@ -300,7 +301,7 @@ def spectral_suite(run: Run) -> tuple:
                 extra=solver))
     if sets and summary.eigenvalues is not None:
         # blend with the two-step kernel: support always contains P's
-        # (sorted rows, as power_chain keeps them); reassigning frees P^2
+        # (rows sorted to the canonical order); reassigning frees P^2
         blend = chain.kernel @ chain.kernel
         blend.sort_indices()
         blend = (chain.kernel + blend) * 0.5

@@ -415,7 +415,7 @@ def escape_transfer_experiment(hits: SphereHits, chain: ReversibleChain,
     g, k = hits.g, hits.k
     if not g.is_regular:
         raise WalkError("escape transfer experiment needs a regular graph")
-    if not sets:
+    if len(sets) == 0:
         raise WalkError("candidate family is empty: no set has mass <= alpha")
     tau_t = tau(t, g.regular_degree, k)
     horizon = t + s

@@ -1,7 +1,7 @@
 import pytest
 
 from walklab import build_named, build_random_regular, build_high_girth_regular
-from walklab.chains import srw_chain
+from walklab.chains import chain_from_kernel, srw_chain
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +48,14 @@ def girth5_graph():
 @pytest.fixture(scope="session")
 def random_cubic_medium():
     return build_random_regular(200, 3, 77)
+
+
+@pytest.fixture(scope="session")
+def two_step():
+    """P^2 of a chain as the spectral suite builds it for its blend:
+    ``chain_from_kernel`` on the product, each row's columns sorted."""
+    def square(chain):
+        kernel = chain.kernel @ chain.kernel
+        kernel.sort_indices()
+        return chain_from_kernel(kernel, chain.stationary)
+    return square

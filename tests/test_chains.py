@@ -14,7 +14,7 @@ import walklab as wl
 from walklab import chains, graphs
 from walklab.chains import (APERIODIC, BIPARTITE_PERIODIC, ChainError,
                             chain_from_kernel, distances, evolve,
-                            mixing_profile, point_mass, power_chain,
+                            mixing_profile, point_mass,
                             srw_chain)
 from walklab.graphs import connected_components
 
@@ -153,62 +153,6 @@ def test_mixing_profile_sampled_starts(monkeypatch, random_cubic_medium):
     assert len(sampled.starts) == 16
     # a start subset can only lower the worst-start curve
     assert sampled.mixing_times[0.25] <= exact.mixing_times[0.25]
-
-
-def test_power_chain_identity(k4_chain):
-    assert power_chain(k4_chain, 1) is k4_chain
-
-
-def test_power_chain_k4_square(k4_chain):
-    p2 = power_chain(k4_chain, 2)
-    dense = p2.kernel.toarray()
-    assert math.isclose(dense[0, 0], 1 / 3)
-    assert math.isclose(dense[0, 1], 2 / 9)
-
-
-def test_power_chain_petersen_cube(petersen_chain):
-    # oracle: A^3 = 2J + 3A - 2I over 27
-    a = petersen_adjacency()
-    oracle = (2 * np.ones((10, 10)) + 3 * a - 2 * np.eye(10)) / 27.0
-    p3 = power_chain(petersen_chain, 3)
-    assert np.allclose(p3.kernel.toarray(), oracle, atol=1e-14)
-
-
-def test_power_chain_matches_evolve(petersen_chain):
-    p4 = power_chain(petersen_chain, 4)
-    for x in range(10):
-        direct = evolve(petersen_chain, point_mass(10, x), 4)
-        one = evolve(p4, point_mass(10, x), 1)
-        assert np.abs(direct - one).max() <= 1e-10
-
-
-def assert_same_power(chain, t):
-    """power_chain against the dense matrix_power it replaced: the same
-    CSR pattern, entries within 1e-15."""
-    got = power_chain(chain, t).kernel
-    want = sp.csr_matrix(np.linalg.matrix_power(chain.kernel.toarray(), t))
-    assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.abs(got.data - want.data).max() <= 1e-15
-
-
-@pytest.mark.parametrize("t", [2, 3, 4])
-def test_power_chain_matches_dense_power(petersen_chain, t):
-    assert_same_power(petersen_chain, t)
-
-
-def test_power_chain_matches_dense_power_lps(lps_chain):
-    assert_same_power(lps_chain, 2)
-
-
-def test_power_chain_beyond_3000_states():
-    chain = srw_chain(wl.build_random_regular(4000, 3, 1))
-    p2 = power_chain(chain, 2)
-    assert p2.n == 4000 and p2.is_irreducible
-    for x in (0, 1999, 3999):
-        direct = evolve(chain, point_mass(chain.n, x), 2)
-        assert np.abs(evolve(p2, point_mass(chain.n, x), 1) - direct).max() \
-            <= 1e-15
 
 
 def test_chain_from_kernel_validates():
@@ -467,8 +411,9 @@ def test_components_and_period_match_dfs(request):
         assert srw_chain(wl.make_graph(*INTERLEAVED[name])).period_info \
             == period
     chains = [srw_chain(g) for g in _kernel_cases(request)]
-    chains.append(power_chain(request.getfixturevalue("petersen_chain"), 2))
-    chains.append(power_chain(srw_chain(request.getfixturevalue("c6")), 2))
+    two_step = request.getfixturevalue("two_step")
+    chains.append(two_step(request.getfixturevalue("petersen_chain")))
+    chains.append(two_step(srw_chain(request.getfixturevalue("c6"))))
     for chain in chains:
         assert (chain.components, chain.period_info) == \
             reference_classes(chain.kernel), chain
@@ -529,8 +474,6 @@ def test_only_certified_srw_chains_are_transitive(lps_chain, petersen_chain):
     assert lps_chain.transitive and not petersen_chain.transitive
     assert not chain_from_kernel(lps_chain.kernel,
                                  lps_chain.stationary).transitive
-    assert power_chain(lps_chain, 1) is lps_chain
-    assert not power_chain(lps_chain, 2).transitive
 
 
 @pytest.mark.parametrize("columns", [2, 3, 7])
@@ -580,7 +523,7 @@ def test_mixing_profile_snaps_complements_onto_the_grid():
 
 
 def test_classes_computed_once_per_graph_and_never_coloured_when_holding(
-        monkeypatch, petersen, c6, q3):
+        monkeypatch, petersen, c6, q3, two_step):
     calls = []
     support_classes = graphs._support_classes
 
@@ -602,7 +545,7 @@ def test_classes_computed_once_per_graph_and_never_coloured_when_holding(
         assert srw_chain(g).period_info == chain.period_info == (
             BIPARTITE_PERIODIC if bipartite else APERIODIC)
         assert calls == [(g.n, True)]
-        two = power_chain(chain, 2)
+        two = two_step(chain)
         blend = chain_from_kernel((chain.kernel + two.kernel) * 0.5,
                                   chain.stationary)
         # both hold with positive probability: aperiodic, never coloured

@@ -88,6 +88,8 @@ PETERSEN = {"kind": "named", "name": "petersen"}
     (("hit",), {"t_grid": []}, "t_grid must be a nonempty list"),
     (("verify",), {"suites": "spectral"}, "suites must be a nonempty list"),
     (("verify",), {"suites": []}, "suites must be a nonempty list, got ()"),
+    (("verify",), {"suites": ["all", "spectrl"]},
+     "unknown suites ['spectrl']"),
     (("gen",), {"graph": {"kind": "random-regular", "n": 10, "d": 3,
                           "seed": -1}}, "graph seed must be an integer"),
     (("tree",), [1, 2], "config must be a JSON object, got list"),
@@ -116,7 +118,7 @@ PETERSEN = {"kind": "named", "name": "petersen"}
      "unknown graph name ['k5']"),
 ], ids=["alpha-1.5", "alpha-1.0", "alpha-0", "eps-0", "seed", "seed-2**64",
         "trials", "steps", "k", "k-128", "steps-20000", "t_grid-negative", "t_grid-empty",
-        "suites-string", "suites-empty", "graph-seed", "config-list",
+        "suites-string", "suites-empty", "suites-misspelt", "graph-seed", "config-list",
         "out_dir-int", "graph-n-string", "dump_curves-string",
         "petersen-n", "hypercube-n", "lps-seed", "complete-no-n",
         "high-girth-no-min_girth", "kind-list", "name-list"])
@@ -218,6 +220,24 @@ def test_an_explicit_zero_reaches_the_builder(tmp_path, capsys, argv,
     # stand in for it
     assert usage_error(capsys, "gen", "--graph", *argv, "--out",
                        str(tmp_path / "o")) == f"walklab: error: {message}\n"
+    assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("verify", "--graph", "{dir}", "--out", "{dir}/o"), "Is a directory"),
+    (("summary", "{dir}"), "Is a directory"),
+    (("verify", "--config", "{dir}", "--out", "{dir}/o"), "Is a directory"),
+    (("tree", "--out", "{file}"), "File exists"),
+], ids=["graph-dir", "summary-dir", "config-dir", "out-file"])
+def test_paths_of_the_wrong_kind_are_usage_errors(tmp_path, capsys, argv,
+                                                  error):
+    # an OSError other than FileNotFoundError is a usage error too
+    file = tmp_path / "taken"
+    file.write_text("")
+    path = file if "{file}" in argv else tmp_path
+    err = usage_error(capsys, *[a.format(dir=tmp_path, file=file)
+                                for a in argv])
+    assert error in err and f"'{path}'" in err
     assert not os.path.exists(tmp_path / "o")
 
 

@@ -9,12 +9,11 @@ import scipy.sparse as sp
 
 import walklab as wl
 from walklab import chains, graphs, hitting, spectral
-from walklab.chains import (ChainError, mixing_profile, power_chain,
-                            srw_chain)
+from walklab.chains import ChainError, mixing_profile, srw_chain
 from walklab.graphs import GraphError, ball_table
 from walklab.hitting import (CandidateFamily, HittingError, SphereHits,
                              candidate_small_sets,
-                             family_survival, family_survivals,
+                             family_survivals,
                              hit_quantile,
                              hitmix_constant_record, quantile_halflog_check,
                              verify_spectral_hit, w_vs_k_report)
@@ -37,20 +36,21 @@ def survival_vector(chain, subset, t):
 
 def test_survival_at_zero_is_one(petersen_chain):
     for a in (0, 3, 7):
-        assert family_survival(petersen_chain.kernel,
-                               [sorted([a, (a + 1) % 10])], 0).tolist() \
-            == [1.0]
+        [got] = family_survivals([(petersen_chain.kernel, 0)],
+                                 [sorted([a, (a + 1) % 10])])
+        assert got.tolist() == [1.0]
 
 
 def test_survival_singleton_k4(k4_chain):
-    assert family_survival(k4_chain.kernel, [(0,)], 1).tolist() == [0.0]
-    assert family_survival(k4_chain.kernel, [(0,)], 5).tolist() == [0.0]
+    for t in (1, 5):
+        [got] = family_survivals([(k4_chain.kernel, t)], [(0,)])
+        assert got.tolist() == [0.0]
 
 
 def test_survival_pair_k4_closed_form(k4_chain):
     # restriction is (1/3) x swap, so survival decays exactly as 3^-t
     for t in range(8):
-        [got] = family_survival(k4_chain.kernel, [(0, 1)], t)
+        [[got]] = family_survivals([(k4_chain.kernel, t)], [(0, 1)])
         assert abs(got - 3.0 ** (-t)) < 1e-15
 
 
@@ -59,8 +59,8 @@ def test_survival_vector_monotone(petersen_chain):
     for t in range(1, 10):
         cur = survival_vector(petersen_chain, [0, 1, 2], t)
         assert np.all(cur <= prev + 1e-15)
-        assert family_survival(petersen_chain.kernel, [(0, 1, 2)],
-                               t).tolist() == [cur.max()]
+        [got] = family_survivals([(petersen_chain.kernel, t)], [(0, 1, 2)])
+        assert got.tolist() == [cur.max()]
         prev = cur
 
 
@@ -194,7 +194,7 @@ def test_worst_start_is_the_maximizer_at_the_last_step(petersen_chain, eps):
 def test_family_survival_matches_per_set_vectors(cubic_family):
     chain, sets = cubic_family
     for t in (0, 7):
-        got = family_survival(chain.kernel, sets, t)
+        [got] = family_survivals([(chain.kernel, t)], sets)
         for i in range(0, len(sets), 5):
             assert got[i] == survival_vector(chain, sets[i], t).max()
 
@@ -203,10 +203,11 @@ def test_tiny_chunks_give_identical_results(monkeypatch, cubic_family,
                                             petersen_chain):
     chain, sets = cubic_family
     sets = sets[::4]
-    wide = family_survival(chain.kernel, sets, 9)
+    [wide] = family_survivals([(chain.kernel, 9)], sets)
     wide_hq = hit_quantile(petersen_chain, 0.3, 0.02)
     monkeypatch.setattr(graphs, "FAMILY_CHUNK_ROWS", 5)
-    assert np.array_equal(family_survival(chain.kernel, sets, 9), wide)
+    [narrow] = family_survivals([(chain.kernel, 9)], sets)
+    assert np.array_equal(narrow, wide)
     assert hit_quantile(petersen_chain, 0.3, 0.02) == wide_hq
 
 
@@ -227,7 +228,7 @@ def test_hit_quantile_max_steps_overflow(monkeypatch, petersen_chain):
 
 def test_family_survival_rejects_unsorted_sets(petersen_chain):
     with pytest.raises(ChainError, match="sorted"):
-        family_survival(petersen_chain.kernel, [(3, 1)], 2)
+        family_survivals([(petersen_chain.kernel, 2)], [(3, 1)])
 
 
 def reference_family_blocks(kernel, sets):
@@ -318,7 +319,7 @@ def assert_blocks_match_reference(*kernels, sets):
                 np.searchsorted(starts, block.indices, side="right"),
                 owner[row_of])
         for t in (0, 1, 6):
-            assert np.array_equal(family_survival(kernel, sets, t),
+            assert np.array_equal(family_survivals([(kernel, t)], sets)[0],
                                   reference_survival(kernel, sets, t))
     # one pass over the shared layout gives each kernel's own bits
     runs = [(kernel, t) for kernel, t in zip(kernels, (6, 1, 0))]
@@ -352,7 +353,9 @@ def two_step_kernel(chain):
     """P^2 without the rows of odd states: another entry pattern on the
     same states, with empty rows as in the W of the escape experiment."""
     even = (np.arange(chain.n) % 2 == 0).astype(float)
-    kernel = (sp.diags(even) @ power_chain(chain, 2).kernel).tocsr()
+    square = chain.kernel @ chain.kernel
+    square.sort_indices()
+    kernel = (sp.diags(even) @ square).tocsr()
     kernel.eliminate_zeros()
     return kernel
 
@@ -416,7 +419,7 @@ def test_family_blocks_reject_bad_sets(monkeypatch, petersen_chain, rows):
     message = "^sets must be nonempty, sorted, distinct and in range$"
     for bad in ([(0, 1), ()], [(3, 1)], [(2, 5, 5)], [(4, 10)], [(-1, 2)]):
         with pytest.raises(ChainError, match=message):
-            family_survival(petersen_chain.kernel, bad, 2)
+            family_survivals([(petersen_chain.kernel, 2)], bad)
         with pytest.raises(ChainError, match=message):
             list(reference_family_blocks(petersen_chain.kernel, bad))
 
@@ -655,8 +658,8 @@ def test_family_tops_cover_the_family_and_attain_its_maxima(
     # the maxima over the tops are the family's, bit for bit
     sets = list(fam)
     for t in (1, 5, 18):
-        assert family_survival(chain.kernel, tops, t).max() == \
-            family_survival(chain.kernel, sets, t).max()
+        assert family_survivals([(chain.kernel, t)], tops)[0].max() == \
+            family_survivals([(chain.kernel, t)], sets)[0].max()
     for eps in (0.1, 0.25, 0.5):
         on_tops = hit_quantile(chain, alpha, eps, sets=fam)
         on_all = hit_quantile(chain, alpha, eps, sets=sets)
@@ -740,9 +743,10 @@ def test_family_statistics_match_on_the_orbit_closure(spec, alpha):
     closure = orbit_closure(g, family)
     assert set(family) < set(closure)
     for t in range(1, 6):
-        assert family_survival(chain.kernel, family, t).max() == \
-            pytest.approx(family_survival(chain.kernel, closure, t).max(),
-                          rel=0, abs=1e-15)
+        [on_family] = family_survivals([(chain.kernel, t)], family)
+        [on_closure] = family_survivals([(chain.kernel, t)], closure)
+        assert on_family.max() == pytest.approx(on_closure.max(), rel=0,
+                                                abs=1e-15)
     for eps in (0.1, 0.25):
         assert hit_quantile(chain, alpha, eps, sets=family).time == \
             hit_quantile(chain, alpha, eps, sets=closure).time
@@ -1106,6 +1110,13 @@ def test_worst_set_is_a_tuple_whatever_the_input(petersen_chain):
         assert (hq.time, hq.worst_set, hq.worst_start) == \
             (exact.time, exact.worst_set, exact.worst_start)
     assert type(exact.worst_set) is tuple
+    # an (m, s) int array of sets reads as the list of its rows
+    triples = [s for s in sets if len(s) == 3]
+    on_list, on_array = (hit_quantile(petersen_chain, 0.3, 0.02, sets=given)
+                         for given in (triples, np.array(triples)))
+    assert type(on_array.worst_set) is tuple
+    assert (on_array.time, on_array.worst_set, on_array.worst_start) == \
+        (on_list.time, on_list.worst_set, on_list.worst_start)
 
 
 # -- sphere hits against the column-solve reference ---------------------------

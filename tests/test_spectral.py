@@ -8,9 +8,9 @@ import pytest
 import scipy.sparse as sp
 
 import walklab as wl
-from walklab import chains, spectral
+from walklab import spectral
 from walklab.chains import (BIPARTITE_PERIODIC, ChainError, chain_from_kernel,
-                            power_chain, srw_chain)
+                            srw_chain)
 from walklab.hitting import candidate_small_sets, verify_spectral_hit
 from walklab.reports import dumps_canonical
 from walklab.spectral import (SpectralError, classify_ramanujan,
@@ -343,13 +343,14 @@ def set_residual(monkeypatch, residual):
     monkeypatch.setattr(spectral, "_lanczos_extremal", patched)
 
 
-def test_verdicts_read_the_conservative_end(monkeypatch, petersen_chain):
+def test_verdicts_read_the_conservative_end(monkeypatch, petersen_chain,
+                                            two_step):
     chain, subset = petersen_chain, [0, 1]         # an edge: lambda(A) = 1/3
     lam2 = spectrum(chain).lambda2
     rec = restricted_top_eig(chain, subset, lambda2=lam2)
     assert rec.refined_pass and rec.plain_pass
-    blend = chain_from_kernel((chain.kernel + power_chain(chain, 2).kernel)
-                              * 0.5, chain.stationary)
+    blend = chain_from_kernel((chain.kernel + two_step(chain).kernel) * 0.5,
+                              chain.stationary)
     cmp = compare_restricted(chain, blend, subset)
     assert cmp.passed
     hit = verify_spectral_hit(chain, subset, (1, 2))
@@ -443,8 +444,8 @@ def test_compare_restricted_self(k4_chain):
     assert rep.passed
 
 
-def test_compare_restricted_k4_square(k4_chain):
-    rep = compare_restricted(k4_chain, power_chain(k4_chain, 2), [0, 1])
+def test_compare_restricted_k4_square(k4_chain, two_step):
+    rep = compare_restricted(k4_chain, two_step(k4_chain), [0, 1])
     assert math.isclose(rep.C1, 1.5)
     assert rep.C2 == 1.0
     assert math.isclose(rep.lhs, 1 / 3, abs_tol=1e-10)
@@ -452,8 +453,8 @@ def test_compare_restricted_k4_square(k4_chain):
     assert rep.passed
 
 
-def test_compare_restricted_support_violation(k4_chain):
-    p2 = power_chain(k4_chain, 2)
+def test_compare_restricted_support_violation(k4_chain, two_step):
+    p2 = two_step(k4_chain)
     with pytest.raises(SpectralError, match=r"support violation.*P2\(0,0\)"):
         compare_restricted(p2, k4_chain, [0, 1])
 
@@ -474,9 +475,9 @@ def reference_compare_c1(chain1, chain2):
     return c1
 
 
-def test_compare_restricted_matches_dict_lookup(k4_chain):
+def test_compare_restricted_matches_dict_lookup(k4_chain, two_step):
     lps = srw_chain(wl.build_lps(13, 17))
-    blend = chain_from_kernel((lps.kernel + power_chain(lps, 2).kernel) * 0.5,
+    blend = chain_from_kernel((lps.kernel + two_step(lps).kernel) * 0.5,
                               lps.stationary)
     # P2 with each row's entries stored in reverse order
     flipped = blend.kernel.copy()
@@ -490,12 +491,12 @@ def test_compare_restricted_matches_dict_lookup(k4_chain):
     stored = flipped_chain.kernel.indices.copy()
     assert not np.array_equal(stored, blend.kernel.indices)
     for p1, p2 in ((lps, blend), (lps, flipped_chain),
-                   (k4_chain, power_chain(k4_chain, 2))):
+                   (k4_chain, two_step(k4_chain))):
         c1 = compare_restricted(p1, p2, [0, 1]).C1
         assert type(c1) is float and c1 == reference_compare_c1(p1, p2)
     # the lookup leaves the caller's kernel as it was stored
     assert np.array_equal(flipped_chain.kernel.indices, stored)
-    for p1, p2 in ((power_chain(k4_chain, 2), k4_chain), (blend, lps)):
+    for p1, p2 in ((two_step(k4_chain), k4_chain), (blend, lps)):
         with pytest.raises(SpectralError) as info:
             compare_restricted(p1, p2, [0, 1])
         assert str(info.value) == reference_compare_c1(p1, p2)
@@ -582,14 +583,10 @@ def test_spectral_suite_records_the_blocks(tmp_path):
             assert recs[name]["passed"] is True
 
 
-def test_spectral_suite_blends_without_a_power_chain(monkeypatch, tmp_path):
+def test_spectral_suite_blend_records_are_pinned(tmp_path):
     # the blend reads the sorted product K @ K; sha256 of each canonical
     # restricted-comparison-vs-blend record, whose two roots come from the
     # plain Lanczos run of spectral._lanczos_extremal
-    def refuse(chain, t):
-        raise AssertionError("the spectral suite built a power chain")
-
-    monkeypatch.setattr(chains, "power_chain", refuse)
     for spec, digest in (
             ({"kind": "named", "name": "petersen"},
              "961e92ee4f9d8a01944681ad0873438de4d1404608c1b51b7a4a19ee8fc5e3c9"),

@@ -212,6 +212,11 @@ def test_escape_transfer_reads_a_list_as_its_packed_family(request, name):
     reps = [escape_transfer_experiment(hits, chain, given, k_chain, t=6, s=3)
             for given in (sets, CandidateFamily.of(sets))]
     assert reps[0] == reps[1] and reps[0].n_sets == len(sets)
+    # an (m, s) int array of sets reads as the list of its rows
+    rows = [A for A in sets if len(A) == len(sets[0])]
+    reps = [escape_transfer_experiment(hits, chain, given, k_chain, t=6, s=3)
+            for given in (rows, np.array(rows))]
+    assert reps[0] == reps[1] and reps[0].n_sets == len(rows)
 
 
 def test_escape_transfer_t_zero(petersen):
