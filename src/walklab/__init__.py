@@ -28,7 +28,6 @@ from .chains import (
     srw_chain,
     chain_from_kernel,
     evolve,
-    distances,
     mixing_profile,
 )
 from .spectral import (

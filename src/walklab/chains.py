@@ -259,10 +259,11 @@ def _family_blocks(kernels, sets):
     :meth:`CandidateFamily.of`.  Whole families come from
     :func:`hitting.family_survivals` and :func:`hitting.hit_quantile`,
     which steps only the family's tops, as do the three survival maxima of
-    :func:`walks.escape_transfer_experiment`, which share one pass; one
-    set (``[A]``, one block) from the worst-start replay of
-    ``hit_quantile``, :func:`hitting.verify_spectral_hit`, the Perron
-    ranking of :func:`hitting.candidate_small_sets` and
+    :func:`walks.escape_transfer_experiment`, which share one pass, and
+    from the Perron ranking of :func:`hitting.candidate_small_sets`, all
+    its balls in one pass; one set (``[A]``, one block) from the
+    worst-start replay of ``hit_quantile``,
+    :func:`hitting.verify_spectral_hit` and
     :func:`spectral.restricted_top_eig`, which
     :func:`spectral.compare_restricted` calls.  Each set must be nonempty
     and sorted, with distinct entries in range, or :class:`ChainError` is
@@ -346,17 +347,6 @@ def point_mass(n: int, x: int) -> np.ndarray:
     mu = np.zeros(n)
     mu[x] = 1.0
     return mu
-
-
-def distances(chain: ReversibleChain, x: int, t: int):
-    """(total variation, squared L2(pi)) distance of P^t(x, .) from pi.
-
-    Summed by :func:`_distance_sums` on one column, as the profile of a
-    ``transitive`` chain sums start 0, so the two agree bit for bit."""
-    mu = evolve(chain, point_mass(chain.n, x), t)[:, None]
-    tv, l2 = np.empty(1), np.empty(1)
-    _distance_sums(mu, *_stationary(chain), np.empty_like(mu), tv, l2)
-    return float(0.5 * tv[0]), float(l2[0] - 1.0)
 
 
 def _stationary(chain: ReversibleChain):
@@ -454,16 +444,20 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _product(pt, state, out) -> None:
-    """``out[:] = pt @ state`` for C-contiguous float arrays, allocating
-    nothing: scipy's own kernel for that product (``csr_matvec`` for one
-    column, ``csr_matvecs`` for more) accumulates into the zeroed ``out``,
-    as ``pt @ state`` does into a fresh array, so the bits are the same."""
+def product(pt, state, out) -> None:
+    """``out[:] = pt @ state`` for a CSR matrix and C-contiguous float
+    arrays, a vector or columns, allocating nothing: scipy's own kernel
+    for that product (``csr_matvec`` for one column, ``csr_matvecs`` for
+    more) accumulates into the zeroed ``out``, as ``pt @ state`` does into
+    a fresh array, so the bits are the same.  The one caller of scipy's
+    private ``_sparsetools``: the mixing sweep, the Lanczos recurrence of
+    :mod:`spectral` and the Perron ranking of
+    :func:`hitting.candidate_small_sets` step through it."""
     if not (state.flags.c_contiguous and out.flags.c_contiguous):
         raise ValueError("the product needs C-contiguous arrays")
     rows, cols = pt.shape
     out.fill(0.0)
-    if state.shape[1] == 1:
+    if state.ndim == 1 or state.shape[1] == 1:
         _sparsetools.csr_matvec(rows, cols, pt.indptr, pt.indices, pt.data,
                                 state.ravel(), out.ravel())
     else:
@@ -590,7 +584,7 @@ def mixing_profile(chain: ReversibleChain, eps_grid) -> MixingProfile:
         tv_w, l2_w = np.empty(w), np.empty(w)
         while not settled(b, until):
             if tv_rec[b]:
-                _product(pt, state, scratch)
+                product(pt, state, scratch)
                 # the old state becomes the scratch
                 state, scratch = scratch, state
             _distance_sums(state, pi, inv_pi, scratch, tv_w, l2_w)

@@ -130,6 +130,98 @@ class Graph:
         ``vertices[slot]``, slot by slot in adjacency order."""
         return _expand(self.indptr, self.indices, vertices)
 
+    def bfs_prefixes(self, seeds, mass, limit, least):
+        """The breadth-first orders from many seeds at once, each as far as
+        it is asked for.
+
+        Each order is FIFO with neighbors in adjacency order, as
+        :func:`_bfs_levels` gives it: level r + 1 lists the unseen
+        neighbors of level r by (the discovery rank of a neighbor's first
+        parent on level r, its slot in that parent's row).  Seed i's order
+        ends with the first level at whose end the running sum of ``mass``
+        exceeds ``limit`` and that holds ``least[i]`` vertices in all, or
+        with its component.
+
+        Yields ``(lo, owner, order, level, total)`` per batch of
+        consecutive seeds from ``seeds[lo]`` on: entry j is vertex
+        ``order[j]`` at distance ``level[j]`` from seed ``lo + owner[j]``,
+        seed after seed in BFS order, and ``total[j]`` is the sum of
+        ``mass`` over that seed's order up to entry j, added left to right
+        as ``np.cumsum`` adds it.
+
+        Each level is built for the whole batch in one pass: its
+        candidates are the (seed, neighbor) keys of the level before,
+        those already seen are dropped by one gather in the batch's
+        seen-map of (seed, vertex) flags, and the first occurrence of each
+        remaining key, in discovery order, joins the new level.  Before
+        its last level a seed holds at most p = max(F + 1, least)
+        vertices, F the most of the smallest masses that fit ``limit``,
+        so at most (degree + 1) p entries in all, of four 8-byte words
+        each (owner, rank, vertex, running mass), and a seen-map row of n
+        flags.  :func:`_ball_batches` cuts the seeds into batches of
+        at most 16 ``FAMILY_CHUNK_ROWS`` such words: nothing has seeds x
+        n entries.
+        """
+        n = self.n
+        seeds = np.asarray(seeds, dtype=np.int64)
+        bad = seeds[(seeds < 0) | (seeds >= n)]
+        if len(bad):
+            _check_vertex(n, int(bad[0]))
+        mass = np.asarray(mass, dtype=float)
+        least = np.broadcast_to(np.asarray(least, dtype=np.int64), seeds.shape)
+        fit = int(np.searchsorted(np.cumsum(np.sort(mass)), limit, "right"))
+        degree = int(np.diff(self.indptr).max(initial=0))
+        need = np.minimum(n, np.maximum(fit + 1, least))
+        cuts = _ball_batches(4 * (degree + 1) * need + n // 8, 1)
+        for lo, hi in itertools.pairwise(cuts):
+            k = hi - lo
+            owner = np.arange(k)
+            vertex = seeds[lo:hi]
+            seen = np.zeros(k * n, dtype=bool)
+            seen[owner * n + vertex] = True
+            carry = np.zeros(k)
+            held = np.zeros(k, dtype=np.int64)
+            levels = []             # (owner, rank in its order, vertex, total)
+            while len(owner):
+                size = np.bincount(owner, minlength=k)
+                rank = np.arange(len(owner)) - (np.cumsum(size) - size)[owner]
+                # each seed's running mass, left to right from its carry: a
+                # padded row per seed, so no sum crosses two seeds
+                width = 1 + int(size.max())
+                cell = owner * width + rank + 1
+                sums = np.zeros(k * width)
+                sums[::width] = carry
+                sums[cell] = mass[vertex]
+                np.cumsum(sums.reshape(k, width), axis=1,
+                          out=sums.reshape(k, width))
+                carry = sums[width - 1::width]
+                levels.append((owner, held[owner] + rank, vertex, sums[cell]))
+                held += size
+                grow = ((carry <= limit) | (held < least[lo:hi]))[owner]
+                slot, vertex = _expand(self.indptr, self.indices, vertex[grow])
+                owner = owner[grow][slot]
+                keys = owner * n + vertex
+                fresh = ~seen[keys]
+                keys, owner, vertex = keys[fresh], owner[fresh], vertex[fresh]
+                # first occurrences in discovery order: (key, index) pairs
+                # sort by key, and each key's run starts at its least index
+                shift = int(len(keys)).bit_length()
+                pairs = np.sort((keys << shift) | np.arange(len(keys)))
+                first = np.zeros(len(keys), dtype=bool)
+                first[pairs[np.diff(pairs >> shift, prepend=-1) != 0]
+                      & ((1 << shift) - 1)] = True
+                keys, owner, vertex = keys[first], owner[first], vertex[first]
+                seen[keys] = True
+            # seed after seed: a level's entries follow the seed's earlier ones
+            start = np.cumsum(held) - held
+            order = np.empty(int(held.sum()), dtype=np.int64)
+            dist = np.empty(len(order), dtype=np.int32)
+            total = np.empty(len(order))
+            for r, (owner, rank, vertex, sums) in enumerate(levels):
+                at = start[owner] + rank
+                order[at], dist[at], total[at] = vertex, r, sums
+            yield lo, np.repeat(np.arange(k), held), order, dist, total
+
     @cached_property
     def _matrix(self) -> sp.csr_matrix:
         """Unit-weight adjacency matrix on the CSR arrays, for csgraph."""

@@ -21,10 +21,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .checks import Check
+from . import graphs
 from .chains import (CandidateFamily, ReversibleChain, APERIODIC,
-                     MixingProfile, _family_blocks)
-from .graphs import (BallTable, Graph, _bfs_levels, _scan_vertices,
-                     ball_table, vertex_transitive)
+                     MixingProfile, _family_blocks, product)
+from .graphs import (BallTable, Graph, _scan_vertices, ball_table,
+                     vertex_transitive)
 from .spectral import restricted_top_eig
 
 EXACT_SEARCH_LIMIT = 20
@@ -61,14 +62,136 @@ def family_survivals(runs, sets) -> list:
 # candidate small sets and the escape-time quantile
 
 
-def _from_keys(keys, tops: CandidateFamily = None) -> CandidateFamily:
-    """The family of sets given as big-endian uint32 byte strings, in
-    byte order, which is tuple order."""
-    keys = sorted(keys)
-    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    np.cumsum([len(key) // 4 for key in keys], out=offsets[1:])
-    members = np.frombuffer(b"".join(keys), dtype=">u4").astype(np.int32)
-    return CandidateFamily(members, offsets, tops)
+def _set_words(n: int) -> np.ndarray:
+    """A fixed random 64-bit word per vertex.  A set's hash is the sum of
+    its vertices' words modulo 2^64, whatever order a chain adds them in."""
+    return np.random.Philox(key=np.uint64(5)).random_raw(n)
+
+
+def _sorted_members(flat, start, length, which, n) -> np.ndarray:
+    """The members of the sets ``which``, set after set, each sorted: set
+    i is ``flat[start[i]:start[i] + length[i]]``."""
+    size = length[which]
+    owner = np.repeat(np.arange(len(which)), size)
+    at = np.arange(len(owner)) + np.repeat(start[which] - np.cumsum(size)
+                                           + size, size)
+    keys = owner * n + flat[at]
+    keys.sort()
+    return keys - owner * n
+
+
+class _Chains:
+    """The sets of a candidate family as prefixes of chains.
+
+    A chain is an ordered vertex array; each set it adds is one of its
+    prefixes, sorted, and its last set, its top, holds the others.  The
+    chains lie end to end, and set i is ``length[i]`` vertices from
+    ``start[i]``.  A set's key is (size, hash), the hash the sum of
+    :func:`_set_words` over it, read off one cumulative sum along the
+    chains, so equal sets have equal keys.  Sets with equal keys are
+    compared member by member: a collision never merges two sets.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.words = _set_words(n)
+        empty = np.zeros(0, dtype=np.int64)
+        self.pieces, self.starts, self.lengths = [empty], [empty], [empty]
+        self.tops = [empty.astype(bool)]
+        self.size = 0
+
+    def add(self, piece, starts, lengths, tops) -> None:
+        """Chains laid end to end in ``piece`` and their sets: set i is
+        ``piece[starts[i]:starts[i] + lengths[i]]``, and ``tops[i]`` says
+        whether it is its chain's top."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        self.pieces.append(np.asarray(piece, dtype=np.int64))
+        self.starts.append(np.broadcast_to(
+            np.asarray(starts, dtype=np.int64) + self.size, lengths.shape))
+        self.lengths.append(lengths)
+        self.tops.append(np.asarray(tops, dtype=bool))
+        self.size += len(piece)
+
+    def identify(self) -> tuple:
+        """``(flat, start, length, hashes, first)`` of every set added so
+        far: ``first[i]`` is the first set equal to set i.  The chains
+        added so far are kept as one piece from here on."""
+        flat = np.concatenate(self.pieces)
+        start = np.concatenate(self.starts)
+        length = np.concatenate(self.lengths)
+        self.pieces, self.starts, self.lengths = [flat], [start], [length]
+        self.tops = [np.concatenate(self.tops)]
+        # uint64 sums wrap modulo 2^64, so a difference is a prefix's sum
+        cum = np.zeros(len(flat) + 1, dtype=np.uint64)
+        np.cumsum(self.words[flat], out=cum[1:])
+        hashes = cum[start + length] - cum[start]
+        by_key = np.lexsort((hashes, length))
+        new = np.ones(len(by_key), dtype=bool)
+        new[1:] = (np.diff(length[by_key]) != 0) | (np.diff(hashes[by_key])
+                                                     != 0)
+        head = np.flatnonzero(new)
+        first = np.empty(len(by_key), dtype=np.int64)
+        first[by_key] = np.repeat(by_key[head],
+                                  np.diff(np.r_[head, len(by_key)]))
+        dup = np.flatnonzero(first != np.arange(len(first)))
+        mine = _sorted_members(flat, start, length, dup, self.n)
+        theirs = _sorted_members(flat, start, length, first[dup], self.n)
+        owner = np.repeat(np.arange(len(dup)), length[dup])
+        clash = np.unique(first[dup[owner[mine != theirs]]])
+        # a collision: split those keys' sets by their members
+        seen = {}
+        for i in np.flatnonzero(np.isin(first, clash)).tolist():
+            members = np.sort(flat[start[i]:start[i] + length[i]]).tobytes()
+            first[i] = seen.setdefault(members, i)
+        return flat, start, length, hashes, first
+
+    def family(self) -> CandidateFamily:
+        """The distinct sets, in lexicographic order of their sorted
+        tuples, with the tops of the chains as the family's tops.
+
+        Each distinct set's members become big-endian uint32 bytes, whose
+        byte order is tuple order; they are built, and packed back in
+        order, a chunk of about ``graphs.FAMILY_CHUNK_ROWS`` entries at a
+        time.  The chains are let go once the keys hold their sets, so
+        the store is spent afterwards."""
+        flat, start, length, _, first = self.identify()
+        self.pieces = []
+        distinct = np.flatnonzero(first == np.arange(len(first)))
+        size = length[distinct]
+        budget = graphs.FAMILY_CHUNK_ROWS
+        keys = []
+        for part in np.split(np.arange(len(distinct)), np.searchsorted(
+                np.cumsum(size), np.arange(budget, size.sum(), budget))):
+            buf = _sorted_members(flat, start, length, distinct[part],
+                                  self.n).astype(">u4").tobytes()
+            ends = 4 * np.cumsum(size[part])
+            keys += [buf[a:b] for a, b in zip((ends - 4 * size[part]).tolist(),
+                                              ends.tolist())]
+        del flat
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum(size[order], out=offsets[1:])
+        members = np.empty(offsets[-1], dtype=np.int32)
+        cuts = [0, *np.searchsorted(offsets, np.arange(budget, offsets[-1],
+                                                       budget)).tolist()]
+        # packed from the end, each chunk's keys let go once packed
+        keys = [keys[i] for i in order]
+        for lo in reversed(cuts):
+            members[offsets[lo]:offsets[len(keys)]] = np.frombuffer(
+                b"".join(keys[lo:]), dtype=">u4")
+            del keys[lo:]
+        # the tops, a subset of the family, in its order
+        place = np.empty(len(order), dtype=np.int64)
+        place[order] = np.arange(len(order))
+        tops = np.unique(place[np.searchsorted(distinct,
+                                               first[self.tops[0]])])
+        top_offsets = np.zeros(len(tops) + 1, dtype=np.int64)
+        np.cumsum(np.diff(offsets)[tops], out=top_offsets[1:])
+        top_members = np.concatenate(
+            [members[:0], *(members[offsets[t]:offsets[t + 1]]
+                            for t in tops.tolist())])
+        return CandidateFamily(members, offsets,
+                               CandidateFamily(top_members, top_offsets))
 
 
 def candidate_small_sets(chain: ReversibleChain, alpha: float,
@@ -115,95 +238,138 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
     these, one per chain that added a set.  By the monotone rounding
     that :class:`CandidateFamily` states, killed-chain survival maxima
     over the family are attained on its tops.
+
+    The phases run in bulk where the rules allow.  Every seed's BFS order
+    comes from one lockstep pass, :meth:`graphs.Graph.bfs_prefixes`, which
+    stops each seed once its mass passes alpha (the Perron seeds once
+    they also hold their ball), and its running mass is the same left to
+    right sum.  The greedy runs stay one seed at a time, since the bound
+    reads the running count of distinct sets.  The Perron balls take one
+    :func:`chains._family_blocks` layout, each power step is one
+    block-diagonal product with each ball scaled by its own largest entry
+    (``np.maximum.reduceat``) and frozen once that is below 1e-300, and
+    one ``np.lexsort`` by (ball, -weight) ranks them all.  Sets are found
+    distinct by the keys of :class:`_Chains`.
     """
     pi = chain.stationary
     n = chain.n
     limit = alpha + 1e-15
     indptr, indices = graph.indptr, graph.indices
-    seeds = _scan_vertices(graph)
+    seeds = np.asarray(_scan_vertices(graph), dtype=np.int64)
     size = max(4, int(2.5 * alpha * n))
     stride = max(1, n // 32)
-    # sorted sets as big-endian uint32 bytes: byte order is tuple order
-    found = set()
-    tops = set()
+    chains = _Chains(n)
 
-    def push(sorted_members):
-        """Add a set; return its key, or None when it is not added."""
-        if 0 < len(sorted_members) < n:
-            key = sorted_members.astype(">u4").tobytes()
-            found.add(key)
-            return key
-        return None
-
-    def end_chain(top):
-        if top is not None:
-            tops.add(top)
-
-    def push_prefixes(ranked, stops):
-        # stops ascend, so the last prefix pushed holds the others
-        top = None
-        for stop in stops:
-            top = push(np.sort(ranked[:stop])) or top
-        end_chain(top)
-
-    # balls of growing radius around each seed; every stride-th seed keeps
+    # balls of growing radius around every seed; every stride-th seed keeps
     # the head of its BFS order as its Perron ball
+    least = np.zeros(len(seeds), dtype=np.int64)
+    least[::stride] = size
     balls = []
-    for i, v in enumerate(seeds):
-        order, ends = _bfs_levels(graph._matrix, v)
-        fit = int(np.searchsorted(np.cumsum(pi[order]), limit, side="right"))
-        push_prefixes(order, [e for e in ends if e < fit] + [fit])
-        if i % stride == 0:
-            balls.append(np.sort(order[:size]))
+    for lo, owner, order, level, total in graph.bfs_prefixes(seeds, pi, limit,
+                                                            least):
+        held = np.bincount(owner)
+        first = np.cumsum(held) - held
+        rank = np.arange(len(order)) - first[owner]
+        fit = np.bincount(owner[total <= limit], minlength=len(held))
+        # the ball of each complete radius that fits ends where a level starts
+        ends = np.flatnonzero((rank > 0) & (rank < fit[owner])
+                              & (np.diff(level, prepend=0) != 0))
+        seed = np.concatenate((owner[ends], np.arange(len(held))))
+        stop = np.concatenate((rank[ends], fit))
+        keep = (stop > 0) & (stop < n)
+        by_seed = np.lexsort((stop[keep], seed[keep]))
+        seed, stop = seed[keep][by_seed], stop[keep][by_seed]
+        last = np.ones(len(seed), dtype=bool)
+        last[:-1] = seed[1:] != seed[:-1]
+        chains.add(order[rank < fit[owner]], (np.cumsum(fit) - fit)[seed],
+                   stop, last)
+        for i in range(-lo % stride, len(held), stride):
+            balls.append(np.sort(order[first[i]:first[i] + min(size, held[i])]))
 
     # greedy connected growth: absorb the boundary vertex with the most
-    # neighbors already inside (maximizes internal retention)
-    for v in seeds:
+    # neighbors already inside (maximizes internal retention); the bound
+    # reads the number of distinct sets found so far
+    flat, start, length, hashes, first = chains.identify()
+    distinct = np.flatnonzero(first == np.arange(len(first)))
+    seen = {}           # (size, hash) -> (chain, start) of each such set
+    for key, at in zip(zip(length[distinct].tolist(),
+                           hashes[distinct].tolist()),
+                       start[distinct].tolist()):
+        seen.setdefault(key, []).append((flat, at))
+    found = len(distinct)
+    words = chains.words.tolist()
+    for v in seeds.tolist():
         mass = pi[v]
         if mass > limit:
             continue
         inside = np.zeros(n, dtype=bool)
         links = np.zeros(n, dtype=np.int64)
+        run, tag = [], 0
 
         def absorb(u):
+            nonlocal found, tag
             inside[u] = True
-            np.add.at(links, indices[indptr[u]:indptr[u + 1]], 1)
-            return push(np.flatnonzero(inside))
+            links[indices[indptr[u]:indptr[u + 1]]] += 1   # simple: no repeats
+            run.append(u)
+            tag = (tag + words[u]) % 2 ** 64
+            if len(run) >= n:
+                return
+            same = seen.setdefault((len(run), tag), [])
+            if same:
+                members = np.flatnonzero(inside)
+                if any(np.array_equal(members, np.sort(seq[at:at + len(run)]))
+                       for seq, at in same):
+                    return
+            same.append((run, 0))
+            found += 1
 
-        top = absorb(v)
+        absorb(v)
         while True:
             score = np.where(~inside & (mass + pi <= limit), links, 0)
             best = int(np.argmax(score))
             if score[best] == 0:
                 break
             mass += pi[best]
-            top = absorb(best)
-            if len(found) > MAX_GREEDY_SETS:
+            absorb(best)
+            if found > MAX_GREEDY_SETS:
                 break
         # the set only grows, so its last form is the run's top, also when
-        # the bound cuts the run short
-        end_chain(top)
-        if len(found) > MAX_GREEDY_SETS:
+        # the bound cuts the run short; a run that reaches all n has none
+        sizes = np.arange(1, min(len(run), n - 1) + 1)
+        chains.add(run, 0, sizes, sizes == len(run))
+        if found > MAX_GREEDY_SETS:
             break
+    # the chains are repacked with the Perron prefixes; let this copy go
+    del flat, start, length, hashes, first, distinct, seen
 
     # Perron-guided: rank a larger ball's vertices by restricted Perron
     # weight and take mass-feasible prefixes
-    for ball in balls:
-        if len(ball) < 2 or len(ball) >= n:
-            continue
-        _, _, _, sub = next(_family_blocks([chain.kernel], [ball]))
-        weight = np.ones(len(ball)) / len(ball)
+    balls = [ball for ball in balls if 1 < len(ball) < n]
+    offsets = np.zeros(len(balls) + 1, dtype=np.int64)
+    np.cumsum([len(ball) for ball in balls], out=offsets[1:])
+    packed = CandidateFamily(np.concatenate([np.zeros(0, np.int64), *balls]),
+                             offsets)
+    for lo, starts, _, block in _family_blocks([chain.kernel], packed):
+        rows = block.shape[0]
+        count = np.diff(starts, append=rows)
+        weight = np.repeat(1.0 / count, count)
+        live = np.ones(rows, dtype=bool)
+        step = np.empty(rows)
         for _ in range(50):
-            nxt = sub @ weight
-            top = nxt.max()
-            if top < 1e-300:
-                break
-            weight = nxt / top
-        ranked = ball[np.argsort(-weight, kind="stable")]
-        fit = int(np.searchsorted(np.cumsum(pi[ranked]), limit, side="right"))
-        push_prefixes(ranked, range(1, fit + 1))
+            product(block, weight, step)
+            top = np.repeat(np.maximum.reduceat(step, starts), count)
+            live &= ~(top < 1e-300)
+            np.divide(step, top, out=weight, where=live)
+        owner = np.repeat(np.arange(len(starts)), count)
+        ranked = packed.members[offsets[lo]:offsets[lo] + rows][
+            np.lexsort((-weight, owner))]
+        for a, b in zip(starts.tolist(), (starts + count).tolist()):
+            fit = int(np.searchsorted(np.cumsum(pi[ranked[a:b]]), limit,
+                                      side="right"))
+            sizes = np.arange(1, fit + 1)
+            chains.add(ranked[a:a + fit], 0, sizes, sizes == fit)
 
-    return _from_keys(found, _from_keys(tops))
+    return chains.family()
 
 
 @dataclass(frozen=True)
@@ -442,9 +608,18 @@ def _ball_solves(table: BallTable, pos: np.ndarray) -> list:
     moves = ball[inner][slot]
     excess = (np.bincount(moves) + np.bincount(moves[out])) // 2 \
         - np.bincount(ball) + 1
-    system = sp.identity(len(rows), format="csc") - sp.csc_matrix(
-        (step[~out], (slot[~out], np.searchsorted(rows, land[~out]))),
-        shape=(len(rows),) * 2)
+    # I - P on the interior, built as one canonical CSC (rows ascending in
+    # each column): 1 on the diagonal, -step off it
+    size = len(rows)
+    entry_row = np.concatenate((slot[~out], np.arange(size)))
+    entry_col = np.concatenate((np.searchsorted(rows, land[~out]),
+                                np.arange(size)))
+    by_col = np.argsort(entry_col * size + entry_row)
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(entry_col, minlength=size), out=indptr[1:])
+    system = sp.csc_matrix(
+        (np.concatenate((-step[~out], np.ones(size)))[by_col],
+         entry_row[by_col], indptr), shape=(size, size))
     homes = (dist[inner] == 0) * 1.0
     x = spla.splu(system, permc_spec="NATURAL").solve(homes, trans="T")
     row = np.bincount(np.searchsorted(sphere, land[out]),

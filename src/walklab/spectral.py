@@ -24,15 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import get_lapack_funcs
 
-from .chains import ReversibleChain, _family_blocks
+from .chains import ReversibleChain, _family_blocks, product
 from .graphs import Graph, _sorted_lookup, cyclic_automorphism, is_bipartite
 
 DENSE_BUDGET = 3000
 EIG_ONE_TOL = 1e-9
 VERDICT_TOL = 1e-9       # slack of the Ramanujan and restricted-root verdicts
 LANCZOS_MAX_STEPS = 20000
+# bisection and inverse iteration on a float64 tridiagonal, the LAPACK
+# pair that scipy.linalg.eigh_tridiagonal calls for one eigenpair by index
+_STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
 
 
 class SpectralError(ValueError):
@@ -101,24 +104,53 @@ def _lanczos_steps(s: sp.csr_matrix, top):
     so the recurrence runs on S restricted to the complement of ``top``.
     The start is the first draw of a fixed Philox stream, so two runs
     yield the same bits; a caller stops before resuming past a beta_j of
-    0.  Each step applies S once.
+    0.  Each step applies S once, through :func:`chains.product`.
+
+    Four vectors of length n are allocated once and reused: q_j is a
+    buffer that a later step overwrites, so a caller reads it before
+    resuming.  Every operation is the one the textbook form spells out
+    (``s @ q``, ``r -= alpha * q``, ``r / beta``) with its result written
+    into a buffer, and ||r|| is sqrt(r . r), numpy's own norm formula, so
+    the bits are those of the allocating form.
     """
     rng = np.random.Generator(np.random.Philox(key=np.uint64(7)))
     q = rng.standard_normal(s.shape[0])
     if top is not None:
         q -= (top @ q) * top
     q /= np.linalg.norm(q)
-    prev, beta = np.zeros_like(q), 0.0
+    prev, r, scaled = np.zeros_like(q), np.empty_like(q), np.empty_like(q)
+    beta = 0.0
     while True:
-        r = s @ q
+        product(s, q, r)
         alpha = float(q @ r)
-        r -= alpha * q
-        r -= beta * prev
+        r -= np.multiply(q, alpha, out=scaled)
+        r -= np.multiply(prev, beta, out=scaled)
         if top is not None:
-            r -= (top @ r) * top
-        beta = float(np.linalg.norm(r))
+            r -= np.multiply(top, top @ r, out=scaled)
+        beta = math.sqrt(r.dot(r))
         yield q, alpha, beta
-        prev, q = q, r / beta
+        prev, q = q, np.divide(r, beta, out=prev)
+
+
+def _ritz(alphas, betas, index) -> tuple:
+    """``(theta, s)``: the eigenvalue of the tridiagonal T with diagonal
+    ``alphas`` and off-diagonal ``betas`` at ``index`` of its ascending
+    spectrum, and its unit eigenvector, by the calls that
+    ``scipy.linalg.eigh_tridiagonal(..., select="i")`` makes (its 1 x 1
+    shortcut, else ``_STEBZ`` in block order, then ``_STEIN``), so the
+    bits are its bits."""
+    d = np.asarray_chkfinite(alphas, dtype=float)
+    if len(d) == 1:
+        return d[0], np.ones(1)
+    e = np.asarray_chkfinite(betas, dtype=float)
+    m, w, block, split, info = _STEBZ(d, e, 2, 0.0, 1.0, index + 1,
+                                      index + 1, 0.0, "B")
+    if not info:
+        vec, info = _STEIN(d, e, w[:m], block, split)
+    if info:
+        raise SpectralError(f"tridiagonal eigensolve failed "
+                            f"(LAPACK info={info})")
+    return w[0], vec[:, 0]
 
 
 def _lanczos_extremal(s: sp.csr_matrix, ends: tuple, top=None):
@@ -130,19 +162,20 @@ def _lanczos_extremal(s: sp.csr_matrix, ends: tuple, top=None):
     the complement of ``top`` only.  The first pass runs the recurrence of
     :func:`_lanczos_steps` and keeps only the alpha_j and beta_j of the
     tridiagonal T_k.  Every 16 steps it solves T_k for the Ritz pair
-    (theta, s) at each end not yet settled (``eigh_tridiagonal``, one
-    eigenvalue by index) and settles it once beta_k |s_k|, the residual
-    estimate of that pair, is at most eps max(|theta|, eps^(2/3)) (the
-    floor as in ARPACK).  The pass ends when every end is settled, or at
-    once on a breakdown, beta_k <= sqrt(eps) ||T_k||: the Krylov space is
-    invariant to that width, T_k's extreme eigenvalues are S's to within
-    beta_k, and dividing by beta_k would lift the rounding in q_{k+1}
-    past the sqrt(eps) level of orthogonality plain Lanczos relies on.
-    Reaching k = n is no reason to stop: the vectors lose orthogonality,
-    so they are not exhausted there, and the ends keep converging.  The
-    second pass replays the same recurrence and adds s_j q_j into each
-    end's Ritz vector x, so memory stays a few vectors of length n, never
-    the k-column basis.
+    (theta, s) at each end not yet settled (:func:`_ritz`, one eigenvalue
+    by index, as ``eigh_tridiagonal`` solves it) and settles it once
+    beta_k |s_k|, the residual estimate of that pair, is at most
+    eps max(|theta|, eps^(2/3)) (the floor as in ARPACK).  The pass ends
+    when every end is settled, or at once on a breakdown, beta_k <=
+    sqrt(eps) ||T_k||: the Krylov space is invariant to that width, T_k's
+    extreme eigenvalues are S's to within beta_k, and dividing by beta_k
+    would lift the rounding in q_{k+1} past the sqrt(eps) level of
+    orthogonality plain Lanczos relies on.  Reaching k = n is no reason
+    to stop: the vectors lose orthogonality, so they are not exhausted
+    there, and the ends keep converging.  The second pass replays the
+    same recurrence and adds s_j q_j into each end's Ritz vector x, so
+    memory stays a few vectors of length n, allocated once, never the
+    k-column basis.
 
     Returns ([(theta, residual), ...] per end, applications): theta is the
     Rayleigh quotient x . S x of the normalised x, which minimises its
@@ -164,12 +197,10 @@ def _lanczos_extremal(s: sp.csr_matrix, ends: tuple, top=None):
             for e, end in enumerate(ends):
                 if found[e] is not None:
                     continue
-                theta, vec = eigh_tridiagonal(
-                    alphas, betas[:-1], select="i",
-                    select_range=(end % k, end % k))
-                if broke or beta * abs(vec[-1, 0]) \
-                        <= eps * max(abs(theta[0]), eps ** (2 / 3)):
-                    found[e] = vec[:, 0]
+                theta, vec = _ritz(alphas, betas[:-1], end % k)
+                if broke or beta * abs(vec[-1]) \
+                        <= eps * max(abs(theta), eps ** (2 / 3)):
+                    found[e] = vec
             if all(vec is not None for vec in found):
                 break
         if k == LANCZOS_MAX_STEPS:
@@ -178,18 +209,20 @@ def _lanczos_extremal(s: sp.csr_matrix, ends: tuple, top=None):
                 f"steps ({k} operator applications)")
     replay = max(len(vec) for vec in found)
     xs = [np.zeros(s.shape[0]) for _ in ends]
+    scaled, sx = np.empty(s.shape[0]), np.empty(s.shape[0])
     for j, (q, _, _) in enumerate(_lanczos_steps(s, top)):
         for x, vec in zip(xs, found):
             if j < len(vec):
-                x += vec[j] * q
+                x += np.multiply(q, vec[j], out=scaled)
         if j + 1 == replay:
             break
     out = []
     for x in xs:
-        x /= np.linalg.norm(x)
-        sx = s @ x
+        x /= math.sqrt(x.dot(x))
+        product(s, x, sx)
         theta = float(x @ sx)
-        out.append((theta, float(np.linalg.norm(sx - theta * x))))
+        sx -= np.multiply(x, theta, out=scaled)
+        out.append((theta, math.sqrt(sx.dot(sx))))
     return out, k + replay
 
 
@@ -488,7 +521,12 @@ def restricted_top_eig(chain: ReversibleChain, subset,
     _, _, _, sub = next(_family_blocks([chain.kernel], [subset]))
     pi_sub = chain.stationary[list(subset)]
     root = np.sqrt(pi_sub)
-    s_sub = (sp.diags(root) @ sub @ sp.diags(1.0 / root)).tocsr()
+    # S_A = D^{1/2} P_A D^{-1/2} entry by entry, (p * root_i) * (1/root_j)
+    # in P_A's entry order, as the two diagonal products compute it
+    row = np.repeat(np.arange(len(subset)), np.diff(sub.indptr))
+    s_sub = sp.csr_matrix(
+        (sub.data * root[row] * (1.0 / root)[sub.indices], sub.indices,
+         sub.indptr), shape=sub.shape)
     if len(subset) == 1 or sub.nnz == 0:
         lam, residual, iterations = float(sub.diagonal().max()), 0.0, 0
     else:

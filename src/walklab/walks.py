@@ -420,7 +420,8 @@ def escape_transfer_experiment(hits: SphereHits, chain: ReversibleChain,
     tau_t = tau(t, g.regular_degree, k)
     horizon = t + s
     family = CandidateFamily.of(sets)
-    needed = np.unique(family.members).tolist()
+    # every set lies inside a top, so the tops hold every member
+    needed = np.unique(family.tops.members).tolist()
     slow = float(_slow_regenerations(g, k, tau_t, horizon)[needed].max())
 
     w_rows = hits.solve(needed)

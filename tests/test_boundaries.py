@@ -21,7 +21,6 @@ PRIVATE_IMPORTS = {
     ("chains", "graphs", "_level_distances"),
     ("chains", "graphs", "_support_classes"),
     ("hitting", "chains", "_family_blocks"),
-    ("hitting", "graphs", "_bfs_levels"),
     ("hitting", "graphs", "_scan_vertices"),
     ("spectral", "chains", "_family_blocks"),
     ("spectral", "graphs", "_sorted_lookup"),
@@ -33,7 +32,6 @@ PRIVATE_IMPORTS = {
 # never add one.
 PRIVATE_ATTRIBUTES = {
     ("chains", "Graph._classes"),
-    ("hitting", "Graph._matrix"),
 }
 
 

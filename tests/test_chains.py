@@ -13,9 +13,8 @@ import scipy.sparse as sp
 import walklab as wl
 from walklab import chains, graphs
 from walklab.chains import (APERIODIC, BIPARTITE_PERIODIC, ChainError,
-                            chain_from_kernel, distances, evolve,
-                            mixing_profile, point_mass,
-                            srw_chain)
+                            chain_from_kernel, evolve, mixing_profile,
+                            point_mass, srw_chain)
 from walklab.graphs import connected_components
 
 
@@ -77,6 +76,18 @@ def test_evolve_semigroup(petersen_chain):
     mu_s = evolve(petersen_chain, point_mass(10, 3), 4)
     two_leg = evolve(petersen_chain, evolve(petersen_chain, point_mass(10, 3), 1), 3)
     assert np.abs(mu_s - two_leg).max() <= 1e-10
+
+
+def distances(chain, x, t):
+    """Oracle: (total variation, squared L2(pi)) distance of P^t(x, .)
+    from pi, by exact evolution of one point mass.  Summed by
+    ``chains._distance_sums`` on one column, as the profile of a
+    transitive chain sums start 0, so the two agree bit for bit."""
+    mu = evolve(chain, point_mass(chain.n, x), t)[:, None]
+    tv, l2 = np.empty(1), np.empty(1)
+    chains._distance_sums(mu, *chains._stationary(chain), np.empty_like(mu),
+                          tv, l2)
+    return float(0.5 * tv[0]), float(l2[0] - 1.0)
 
 
 def test_distances_k4(k4_chain):
@@ -775,14 +786,15 @@ def test_allocation_free_product_matches_matmul(request, lps_chain, case):
             request.getfixturevalue("random_cubic_medium"))
     pt = chain.kernel.T.tocsr()
     rng = np.random.default_rng(3)
-    for width in (1, 2, 3, 128):
-        state = rng.random((chain.n, width))
+    for width in (None, 1, 2, 3, 128):
+        # None: a vector, as the Lanczos recurrence passes it
+        state = rng.random(chain.n if width is None else (chain.n, width))
         out = np.full_like(state, np.nan)
-        chains._product(pt, state, out)
+        chains.product(pt, state, out)
         assert np.array_equal(out, pt @ state)
     # a strided view would be written through a copy and lose the product
     with pytest.raises(ValueError, match="C-contiguous"):
-        chains._product(pt, state, np.empty((chain.n, 2 * width))[:, ::2])
+        chains.product(pt, state, np.empty((chain.n, 2 * width))[:, ::2])
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -882,5 +894,5 @@ def test_only_the_sweep_product_calls_private_sparsetools():
         finder = SparsetoolsUses(path.stem)
         finder.visit(ast.parse(path.read_text(encoding="utf-8")))
         sites += finder.sites
-    assert sites == [("chains", None), ("chains", "_product"),
-                     ("chains", "_product")]
+    assert sites == [("chains", None), ("chains", "product"),
+                     ("chains", "product")]

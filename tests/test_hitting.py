@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -441,17 +442,29 @@ def reference_candidate_small_sets(chain, alpha, graph, max_sets=4096,
     frozenset dedupe), with every phase seeded at ``seeds`` (all states
     when None).  Its tie rules are written out without numpy sorts: BFS
     in FIFO order with ascending neighbors, the lowest vertex among the
-    most linked, and Python's stable sort for the Perron ranking."""
+    most linked, and Python's stable sort for the Perron ranking.
+
+    Returns ``(family, tops)``, both sorted tuples: a chain's top is the
+    last set it adds (a greedy run's last set, none when that set is all
+    n states, as the bound keeps it)."""
     from collections import deque
     pi = chain.stationary
     seeds = list(range(chain.n)) if seeds is None else list(seeds)
     adj = [sorted(graph.adjacency[v]) for v in range(graph.n)]
     found = set()
+    tops = set()
 
     def push(vertices):
+        """Add a set; return it, or None when it is not added."""
         fs = frozenset(int(v) for v in vertices)
         if fs and pi[list(fs)].sum() <= alpha + 1e-15 and len(fs) < chain.n:
             found.add(fs)
+            return fs
+        return None
+
+    def end_chain(top):
+        if top is not None:
+            tops.add(top)
 
     def bfs(v):
         dist = {v: 0}
@@ -471,22 +484,23 @@ def reference_candidate_small_sets(chain, alpha, graph, max_sets=4096,
         mass = 0.0
         ball = []
         radius = 0
+        top = None
         for u in order:
             if dist[u] > radius:
-                push(ball)
+                top = push(ball) or top
                 radius = dist[u]
             if mass + pi[u] > alpha + 1e-15:
                 break
             ball.append(u)
             mass += pi[u]
-        push(ball)
+        end_chain(push(ball) or top)
 
     for v in seeds:
         inside = {v}
         mass = pi[v]
         if mass > alpha + 1e-15:
             continue
-        push(inside)
+        top = push(inside)
         while True:
             boundary = {}
             for u in inside:
@@ -503,9 +517,10 @@ def reference_candidate_small_sets(chain, alpha, graph, max_sets=4096,
                 break
             inside.add(best)
             mass += pi[best]
-            push(inside)
+            top = push(inside)
             if len(found) > max_sets:
                 break
+        end_chain(top)
         if len(found) > max_sets:
             break
 
@@ -525,13 +540,16 @@ def reference_candidate_small_sets(chain, alpha, graph, max_sets=4096,
                                           key=lambda i: -weight[i])]
         prefix = []
         mass = 0.0
+        top = None
         for u in ranked:
             if mass + pi[u] > alpha + 1e-15:
                 break
             prefix.append(u)
             mass += pi[u]
-            push(prefix)
-    return sorted(tuple(sorted(s)) for s in found)
+            top = push(prefix) or top
+        end_chain(top)
+    return (sorted(tuple(sorted(s)) for s in found),
+            sorted(tuple(sorted(s)) for s in tops))
 
 
 def _nonregular_graph():
@@ -605,34 +623,50 @@ def test_candidate_family_matches_scalar_reference(monkeypatch, request, name,
                                                    alpha, max_sets, as_built):
     g, chain = family_case(monkeypatch, request, name, max_sets, as_built)
     got = candidate_small_sets(chain, alpha, graph=g)
-    ref = reference_candidate_small_sets(chain, alpha, g, max_sets=max_sets)
+    ref, tops = reference_candidate_small_sets(chain, alpha, g,
+                                               max_sets=max_sets)
     assert list(got) == ref
     assert len(got) == len(ref)
+    assert list(got.tops) == tops
 
 
-def reference_restricted_root(chain, subset):
+def reference_restricted_root(chain, subset, lanczos):
     """Reference: (lambda(A), residual, iterations) solved as
-    restricted_top_eig solves them, on the slice kernel[A][:, A]."""
+    restricted_top_eig solves them, on the slice kernel[A][:, A] scaled by
+    two diagonal products, with the frozen Lanczos solve ``lanczos``."""
     idx = np.asarray(subset, dtype=np.int64)
     sub = chain.kernel[idx][:, idx].tocsr()
     if len(idx) == 1 or sub.nnz == 0:
         return float(sub.diagonal().max()), 0.0, 0
     root = np.sqrt(chain.stationary[idx])
     s_sub = (sp.diags(root) @ sub @ sp.diags(1.0 / root)).tocsr()
-    ((lam, residual),), iterations = spectral._lanczos_extremal(s_sub, (-1,))
+    ((lam, residual),), iterations = lanczos(s_sub, (-1,))
     return lam, residual, iterations
 
 
 @pytest.mark.parametrize("name,alpha,max_sets,as_built", FAMILY_CASES)
 def test_restricted_roots_match_the_slice_reference(monkeypatch, request, name,
-                                                    alpha, max_sets, as_built):
+                                                    alpha, max_sets, as_built,
+                                                    lanczos_reference):
     g, chain = family_case(monkeypatch, request, name, max_sets, as_built)
     sets = _spread(candidate_small_sets(chain, alpha, graph=g), 16)
     assert sets
     for A in sets:
         rec = restricted_top_eig(chain, A)
         assert (rec.lambda_A, rec.residual, rec.iterations) == \
-            reference_restricted_root(chain, A)
+            reference_restricted_root(chain, A, lanczos_reference)
+
+
+@pytest.mark.parametrize("name", ["lps17_13", "rr512"])
+def test_restricted_roots_match_the_reference_on_spread_sets(
+        request, name, lanczos_reference):
+    # the spread sets the spectral suite solves, on the two benchmark graphs
+    g = request.getfixturevalue(name)
+    chain = srw_chain(g)
+    for A in _spread(candidate_small_sets(chain, 0.25, graph=g), 12):
+        rec = restricted_top_eig(chain, A)
+        assert (rec.lambda_A, rec.residual, rec.iterations) == \
+            reference_restricted_root(chain, A, lanczos_reference)
 
 
 def incidence(sets, n):
@@ -701,6 +735,46 @@ def test_candidate_family_ignores_the_argsort_tie_order(monkeypatch, request,
     assert list(candidate_small_sets(chain, 0.25, graph=g)) == want
 
 
+@pytest.mark.parametrize("name", ["petersen", "rr64", "nonregular", "q3"])
+def test_candidate_family_survives_hash_collisions(monkeypatch, request, name):
+    # with one word for every vertex, every two sets of one size share a
+    # key: only the member comparisons keep distinct sets apart, in the
+    # bulk identification and in the greedy phase's running count
+    g = request.getfixturevalue(name)
+    chain = srw_chain(g)
+    want = candidate_small_sets(chain, 0.25, graph=g)
+    monkeypatch.setattr(hitting, "_set_words",
+                        lambda n: np.full(n, 7, dtype=np.uint64))
+    got = candidate_small_sets(chain, 0.25, graph=g)
+    for a, b in ((got, want), (got.tops, want.tops)):
+        assert np.array_equal(a.members, b.members)
+        assert np.array_equal(a.offsets, b.offsets)
+    monkeypatch.setattr(hitting, "MAX_GREEDY_SETS", 30)
+    seeds = [0] if wl.vertex_transitive(g) else None
+    assert list(candidate_small_sets(chain, 0.25, graph=g)) == \
+        reference_candidate_small_sets(chain, 0.25, g, max_sets=30,
+                                       seeds=seeds)[0]
+
+
+def test_candidate_family_memory_is_bounded_by_its_tops():
+    # the build holds the family's members (about 25 bytes per top entry
+    # on this graph) and its own working set: the lockstep BFS in batches
+    # within the chunk budget, one copy of the chains, and the sort keys
+    # let go as the members are packed.  Its traced peak stays within 8
+    # int64 words per top entry; a build that kept each prefix's key and
+    # a joined copy alongside the members took 84 bytes per top entry
+    g = wl.build_random_regular(2048, 3, 2)
+    chain = srw_chain(g)
+    tracemalloc.start()
+    try:
+        fam = candidate_small_sets(chain, 0.25, graph=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * fam.tops.offsets[-1]
+    assert fam.members.nbytes >= 3 * 8 * fam.tops.offsets[-1]
+
+
 CERTIFIED_FAMILY_CASES = [(("cycle", 12), 0.25), (("hypercube", 4), 0.25),
                           (("complete", 6), 0.34), (("hypercube", 3), 0.25)]
 
@@ -712,12 +786,14 @@ def test_the_certificate_alone_decides_the_seeds(spec, alpha):
     g = wl.build_named(*spec)
     assert wl.vertex_transitive(g)
     chain = srw_chain(g)
-    assert list(candidate_small_sets(chain, alpha, graph=g)) == \
+    fam = candidate_small_sets(chain, alpha, graph=g)
+    assert (list(fam), list(fam.tops)) == \
         reference_candidate_small_sets(chain, alpha, g, seeds=[0])
     bare = relabelled(g)
     assert not wl.vertex_transitive(bare)
     chain = srw_chain(bare)
-    assert list(candidate_small_sets(chain, alpha, graph=bare)) == \
+    fam = candidate_small_sets(chain, alpha, graph=bare)
+    assert (list(fam), list(fam.tops)) == \
         reference_candidate_small_sets(chain, alpha, bare)
 
 
@@ -867,9 +943,11 @@ def test_family_passes_step_only_the_tops(monkeypatch, tmp_path, rr512):
                            trials=200, seed=2, out_dir=str(tmp_path))
     report, _ = run_suite(cfg)
     assert any(r["name"] == "escape-decomposition" for r in report.records)
-    # the escape experiment's three maxima share one pass over the layout
+    # the family build ranks its 32 Perron balls of 320 vertices in one
+    # pass, and the escape experiment's three maxima share one pass over
+    # the layout
     family_passes = [rows for count, rows in passes if count > 1]
-    assert family_passes == [[fam.tops.offsets[-1]],
+    assert family_passes == [[32 * 320], [fam.tops.offsets[-1]],
                              [fam.tops.offsets[-1]] * 3]
     assert fam.tops.offsets[-1] < fam.offsets[-1]
 
@@ -1046,7 +1124,6 @@ def test_sphere_hit_batches_stay_within_the_chunk_budget(monkeypatch):
     # it returns, the solve holds at most 8 int64 arrays of 16 * 1024
     # entries (measured: 0.1 MB).  All 2448 balls in one batch would build
     # 514k moves out of their 36,720 interior keys (measured: 25 MB).
-    import tracemalloc
     g = _uncertified_lps()
     ball_table(g, 2)            # the table is the graph's, built once
     monkeypatch.setattr(graphs, "FAMILY_CHUNK_ROWS", 1024)

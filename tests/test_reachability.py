@@ -49,8 +49,6 @@ UNREACHED = {
     "graphs.assumption1_scan": CYCLES,
     "graphs.girth": "exported; the LPS girth sets the ball radius r(n) "
                     "of the cycle hypothesis",
-    "chains.distances": "oracle: tests check the mixing profile's TV and "
-                        "L2 curves against it",
     "tree.level_hitting_time": "oracle: tests check the tree-ball "
                                "sphere-hit times against it",
     "checks.Check.failed": READ_BY_TESTS,

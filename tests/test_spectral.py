@@ -94,6 +94,31 @@ def test_iterative_matches_dense_within_residuals(name):
         assert it.t_rel == math.inf
 
 
+@pytest.mark.parametrize("name", ["rr2048", *sorted(ITERATIVE_CASES)])
+def test_iterative_spectrum_matches_the_frozen_lanczos(name,
+                                                       lanczos_reference):
+    # the buffered recurrence and the LAPACK calls of the 16-step check give
+    # the bits of the allocating form, on rr2048 (seed 3, the spectral-cert
+    # graph) and on every small case, breakdowns included
+    g = (wl.build_random_regular(2048, 3, 3) if name == "rr2048"
+         else ITERATIVE_CASES[name]())
+    chain = srw_chain(g)
+    it = spectrum(chain, mode="iterative-extremal")
+    top = np.sqrt(chain.stationary)
+    top /= np.linalg.norm(top)
+    if chain.is_irreducible:
+        ((lambda2, res2), (lambda_min, resm)), steps = lanczos_reference(
+            symmetrized(chain), (-1, 0), top)
+    else:
+        lambda2, res2 = 1.0, 0.0
+        ((lambda_min, resm),), steps = lanczos_reference(symmetrized(chain),
+                                                         (0,), top)
+    assert (it.lambda2, it.lambda_min) == (lambda2, lambda_min)
+    assert it.residuals == {"lambda2": res2, "lambda2_iterations": steps,
+                            "lambda_min": resm,
+                            "lambda_min_iterations": steps}
+
+
 @pytest.mark.parametrize("name", sorted(ITERATIVE_CASES))
 def test_iterative_reruns_identical(name):
     # path3 breaks down: its Krylov space is invariant after two steps
