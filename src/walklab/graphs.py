@@ -8,7 +8,8 @@ excess, simple-cycle counts inside balls, and the distance-k graph.
 
 Every ball comes from one builder, :func:`_ball_keys`, a level-synchronous
 BFS from many anchors at once: the :class:`BallTable`, :func:`ball_stats`
-and :func:`assumption1_scan` read it.  :func:`_ball_shapes` defines a
+and :func:`assumption1_scan` read it (on a certified graph the table
+moves vertex 0's ball to every vertex).  :func:`_ball_shapes` defines a
 ball's tree excess and cycle rank for the last two (the sphere-hit solve
 counts the excess off its own moves), and :func:`_ball_batches` is the
 one rule that cuts many balls into batches within the chunk budget
@@ -598,6 +599,7 @@ class BallTable:
 
     ``keys`` holds ``anchor * n + u`` for every u within distance k of
     anchor, sorted ascending; ``dist[i]`` is the distance of ``keys[i]``.
+    On a certified graph they are vertex 0's, moved (same bits).
     The index of a pair in ``keys`` is its position.  ``indptr`` and
     ``indices`` are the graph's CSR arrays, which the step table reads.
 
@@ -704,7 +706,8 @@ def _sorted_lookup(keys: np.ndarray, query):
 
 
 def ball_table(g: Graph, k: int) -> BallTable:
-    """The radius-k :class:`BallTable` of ``g``, built once per (graph, k)."""
+    """The radius-k :class:`BallTable` of ``g``, built once per (graph, k);
+    see :func:`_build_ball_table`."""
     tables = g._ball_tables
     table = tables.get(k)
     if table is None:
@@ -713,10 +716,16 @@ def ball_table(g: Graph, k: int) -> BallTable:
 
 
 def _build_ball_table(g: Graph, k: int) -> BallTable:
+    """On a graph certified by :func:`vertex_transitive`, vertex 0's ball
+    moved to every vertex (:func:`_moved_balls`), else a BFS from every
+    anchor: the same keys and distances."""
     if not 1 <= k <= MAX_BALL_RADIUS:
         raise GraphError(f"ball radius must lie in 1..{MAX_BALL_RADIUS}, "
                          f"got {k}")
-    keys, dist = _ball_keys(g, np.arange(g.n, dtype=np.int64), k)
+    if vertex_transitive(g):
+        keys, dist = _moved_balls(g, k)
+    else:
+        keys, dist = _ball_keys(g, np.arange(g.n, dtype=np.int64), k)
     return BallTable(n=g.n, k=k, keys=_read_only(keys),
                      dist=_read_only(dist), indptr=g.indptr,
                      indices=g.indices)
@@ -748,6 +757,40 @@ def _ball_keys(g: Graph, anchors: np.ndarray, k: int) -> tuple:
                      [len(level) for level in levels])
     order = np.argsort(keys, kind="stable")
     return keys[order], dist[order]
+
+
+def _moved_balls(g: Graph, k: int) -> tuple:
+    """:func:`_ball_keys` of every vertex of a certified graph, from vertex
+    0's ball alone.  A breadth-first walk from 0 along the moves v ->
+    perm[v] of the certified arrays gives each vertex v an automorphism
+    sigma_v with sigma_v(0) = v, and v's ball is sigma_v of 0's: row
+    perm[u] = perm[row u], one gather per vertex, and the distances are
+    row 0's, which automorphisms preserve.  Each row is then sorted once,
+    as packed (vertex, distance) words, in place."""
+    n = g.n
+    ball, dist = _ball_keys(g, np.zeros(1, dtype=np.int64), k)
+    rows = np.empty((n, len(ball)), dtype=np.int64)
+    rows[0] = ball
+    seen = np.arange(n) == 0
+    frontier = np.zeros(1, dtype=np.int64)
+    while len(frontier):
+        reached = []
+        for perm in g.automorphisms:
+            moved = perm[frontier]
+            fresh = ~seen[moved]
+            new = moved[fresh]
+            seen[new] = True
+            rows[new] = perm[rows[frontier[fresh]]]
+            reached.append(new)
+        frontier = np.concatenate(reached)
+    rows *= k + 1
+    rows += dist
+    rows.sort(axis=1)
+    dists = np.empty(rows.shape, dtype=dist.dtype)
+    np.remainder(rows, k + 1, out=dists, casting="unsafe")
+    rows //= k + 1
+    rows += np.arange(0, n * n, n)[:, None]
+    return rows.ravel(), dists.ravel()
 
 
 _BallShapes = namedtuple("_BallShapes",

@@ -754,8 +754,9 @@ def w_vs_k_report(hits: SphereHits) -> WvsKReport:
     vertex-transitive, and vertices 0..255 otherwise.  On an uncertified
     graph ``hits.solve`` solves them all in chunked batches.  On a
     certified graph an automorphism carries center 0's ball and sphere-hit
-    row onto every center's, so center 0 is solved alone and its row
-    stands for each center.
+    row onto every center's, so center 0 is solved alone, its ratios and
+    extremes are computed once, and each center x's ``per_center`` row is
+    (x, *center 0's fields).
     """
     g, k = hits.g, hits.k
     if not g.is_regular:
@@ -770,9 +771,10 @@ def w_vs_k_report(hits: SphereHits) -> WvsKReport:
     k_max = -math.inf
     w_min = math.inf
     per_center = []
-    hits.solve([0] if transitive else centers)
-    for x in centers:
-        hit = hits[0 if transitive else x]
+    measured = [0] if transitive else centers
+    hits.solve(measured)
+    for x in measured:
+        hit = hits[x]
         deg_k = len(hit.sphere)
         k_val = scale / deg_k
         k_min, k_max = min(k_min, k_val), max(k_max, k_val)
@@ -780,8 +782,10 @@ def w_vs_k_report(hits: SphereHits) -> WvsKReport:
         ratio_min = min(ratio_min, float(ratios.min()))
         ratio_max = max(ratio_max, float(ratios.max()))
         w_min = min(w_min, hit.min_prob * scale)
-        per_center.append((x, hit.excess, deg_k,
+        per_center.append((hit.excess, deg_k,
                            hit.min_prob, hit.max_prob, hit.c_hat))
+    if transitive:
+        per_center *= len(centers)
     checks = (
         Check(name="k-lower", lhs=k_min, rhs=1.0,
               passed=k_min >= 1.0 - 1e-12,
@@ -793,4 +797,5 @@ def w_vs_k_report(hits: SphereHits) -> WvsKReport:
     return WvsKReport(k=k, ratio_min=ratio_min, ratio_max=ratio_max,
                       k_scaled_min=k_min, k_scaled_max=k_max,
                       w_scaled_min=w_min, checks=checks,
-                      per_center=tuple(per_center))
+                      per_center=tuple((x, *row) for x, row
+                                       in zip(centers, per_center)))

@@ -36,6 +36,12 @@ LANCZOS_MAX_STEPS = 20000
 # bisection and inverse iteration on a float64 tridiagonal, the LAPACK
 # pair that scipy.linalg.eigh_tridiagonal calls for one eigenpair by index
 _STEBZ, _STEIN = get_lapack_funcs(("stebz", "stein"), (np.zeros(1),))
+# the dense divide-and-conquer pair that np.linalg.eigvalsh calls, real
+# symmetric and complex Hermitian, each with its workspace query
+_SYEVD, _SYEVD_LWORK = get_lapack_funcs(("syevd", "syevd_lwork"),
+                                        (np.zeros(1),))
+_HEEVD, _HEEVD_LWORK = get_lapack_funcs(("heevd", "heevd_lwork"),
+                                        (np.zeros(1, dtype=complex),))
 
 
 class SpectralError(ValueError):
@@ -258,6 +264,9 @@ def _block_eigenvalues(s: sp.csr_matrix, perm: np.ndarray, m: int):
     representatives' rows alone; blocks k and m - k are conjugate, so
     k = 0 .. m // 2 are solved, one at a time, and the pairs counted twice
     (Babai, "Spectra of Cayley graphs", JCTB 27, 1979).
+    Each block is built once, in Fortran order, and reduced in place by
+    the ``?syevd``/``?heevd`` call that ``np.linalg.eigvalsh`` makes: its
+    bits, without its copy.  A nonzero LAPACK info raises SpectralError.
     """
     n = s.shape[0]
     size = n // m
@@ -275,7 +284,7 @@ def _block_eigenvalues(s: sp.csr_matrix, perm: np.ndarray, m: int):
         phase[cur] = j
         cur = perm[cur]
     rows = s[reps].tocoo()   # row o is the representative of orbit o
-    cell = rows.row.astype(np.int64) * size + orbit[rows.col]
+    cell = orbit[rows.col] * size + rows.row   # (o, c) in Fortran order
     shift = phase[rows.col]
     # omega^t with omega^(m - t) the exact conjugate of omega^t and the
     # points on the axes exact, so a zero eigenvalue such as C4's comes
@@ -290,10 +299,24 @@ def _block_eigenvalues(s: sp.csr_matrix, perm: np.ndarray, m: int):
     parts = []
     for k in range(m // 2 + 1):
         w = omega[k * shift % m] * rows.data
-        block = np.bincount(cell, w.real, size * size)
         if 2 * k % m:
-            block = block + 1j * np.bincount(cell, w.imag, size * size)
-        vals = np.linalg.eigvalsh(block.reshape(size, size))
+            block = np.empty(size * size, dtype=complex)
+            block.real = np.bincount(cell, w.real, size * size)
+            block.imag = np.bincount(cell, w.imag, size * size)
+            solve, query = _HEEVD, _HEEVD_LWORK
+        else:
+            block = np.bincount(cell, w.real, size * size)
+            solve, query = _SYEVD, _SYEVD_LWORK
+        # jobz 'N', uplo 'L' and the optimal workspace: a minimal one sends
+        # ?sytrd down its unblocked path, slower and with other bits
+        work, iwork, *rwork, _ = query(size, 0, 1)
+        vals, info = solve(block.reshape(size, size, order="F"), 0, 1,
+                           int(work.real), iwork, *map(int, rwork),
+                           overwrite_a=1)[::2]   # not the overwritten block
+        if info:
+            raise SpectralError(f"dense eigensolve failed (LAPACK "
+                                f"info={info})")
+        del block       # before the next block is allocated
         parts.append(vals)
         if 0 < 2 * k < m:
             parts.append(vals)
@@ -312,7 +335,7 @@ def spectrum(chain: ReversibleChain, mode: str = "dense-full",
     passed with the wrong graph falls back), and ``blocks`` then records m
     and the size.  Otherwise h is the
     identity, m = 1, and the one block is S itself, solved by one dense
-    ``eigvalsh``; ``blocks`` stays None.
+    LAPACK call, in place; ``blocks`` stays None.
     iterative-extremal finds lambda2 and lambda_min as the largest and the
     smallest eigenvalue of S on the complement of its top eigenvector
     u = sqrt(pi)/||sqrt(pi)||, from one run of :func:`_lanczos_extremal`:

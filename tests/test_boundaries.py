@@ -101,19 +101,55 @@ def test_private_imports_across_modules_are_pinned():
     assert found == PRIVATE_IMPORTS
 
 
+def sites(names):
+    """``module.function`` of each top-level function or method of the
+    package that reads one of ``names``, once per read, as a name or an
+    attribute."""
+    found = []
+    for name, tree in modules():
+        for top in tree.body:
+            defs = [top] if not isinstance(top, ast.ClassDef) else top.body
+            for func in defs:
+                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found += [f"{name}.{func.name}" for node in ast.walk(func)
+                              if getattr(node, "id", getattr(node, "attr",
+                                                             None)) in names
+                              and isinstance(node.ctx, ast.Load)]
+    return sorted(found)
+
+
 def test_only_ball_stats_and_the_scan_shape_balls():
     # the sphere-hit solve counts each ball's excess off its own moves;
     # graphs._ball_shapes also looks up every sphere vertex's neighbors
-    sites = []
-    for name, tree in modules():
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                sites += [f"{name}.{func.name}" for node in ast.walk(func)
-                          if isinstance(node, ast.Call) and getattr(
-                              node.func, "id",
-                              getattr(node.func, "attr", None))
-                          == "_ball_shapes"]
-    assert sorted(sites) == ["graphs.assumption1_scan", "graphs.ball_stats"]
+    assert sites({"_ball_shapes"}) == ["graphs.assumption1_scan",
+                                       "graphs.ball_stats"]
+
+
+def test_one_dense_eigensolver_call_site():
+    # numpy's and scipy's dense symmetric solvers, and the LAPACK handles
+    # of spectral, are read in one place: the block solve
+    assert sites({"eigvalsh", "eigh", "_SYEVD", "_HEEVD"}) == [
+        "spectral._block_eigenvalues"] * 2
+
+
+def test_one_bfs_ball_builder():
+    # the table, ball_stats and the scan take their balls from _ball_keys;
+    # the transport takes vertex 0's and runs no traversal of its own
+    assert sites({"_ball_keys"}) == [
+        "graphs._build_ball_table", "graphs._moved_balls",
+        "graphs.assumption1_scan", "graphs.ball_stats"]
+    [moved] = [node for node in ast.walk(dict(modules())["graphs"])
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "_moved_balls"]
+    called = [getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(moved) if isinstance(node, ast.Call)]
+    assert not set(called) & {"expand", "_expand", "_bfs_levels",
+                              "_level_distances", "bfs_distances",
+                              "bfs_prefixes", "breadth_first_order"}
+    [anchors] = [node.args[1] for node in ast.walk(moved)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_ball_keys"]
+    assert ast.unparse(anchors) == "np.zeros(1, dtype=np.int64)"
 
 
 def is_private(attr):

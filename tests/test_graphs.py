@@ -15,7 +15,7 @@ from walklab.chains import (APERIODIC, BIPARTITE_PERIODIC, chain_from_kernel,
 from walklab.graphs import (GraphError, GraphFileError, ball_table,
                             bfs_distances, connected_components,
                             count_simple_cycles, cyclic_automorphism,
-                            is_bipartite, is_connected)
+                            is_bipartite, is_connected, vertex_transitive)
 
 
 # -- exhaustive-search oracles ------------------------------------------------
@@ -659,6 +659,46 @@ def test_moves_list_the_step_table_rows(petersen, random_cubic_medium):
             assert np.array_equal(land, np.concatenate(
                 [target[first[p]:first[p + 1]] for p in rows]))
             assert np.array_equal(step, 1.0 / degs[slot])
+
+
+CERTIFIED = {
+    "k5": lambda: wl.build_named("complete", 5),
+    "c9": lambda: wl.build_named("cycle", 9),
+    "q3": lambda: wl.build_named("hypercube", 3),
+    "q4": lambda: wl.build_named("hypercube", 4),
+    "lps13_17": lambda: wl.build_lps(13, 17),
+    "lps17_13": lambda: wl.build_lps(17, 13),
+    "lps5_13": lambda: wl.build_lps(5, 13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_certified_ball_table_equals_the_all_anchor_bfs(name):
+    # vertex 0's ball moved along the certified arrays is each vertex's
+    from walklab.graphs import _ball_keys, _build_ball_table
+    g = CERTIFIED[name]()
+    assert vertex_transitive(g)
+    for k in (1, 2, 3):
+        table = _build_ball_table(g, k)
+        keys, dist = _ball_keys(g, np.arange(g.n, dtype=np.int64), k)
+        assert np.array_equal(table.keys, keys)
+        assert np.array_equal(table.dist, dist)
+        assert table.dist.dtype == dist.dtype
+
+
+def test_a_false_automorphism_gets_the_bfs_table(petersen):
+    # the rotation v -> v + 1 is a permutation whose one orbit is all of V,
+    # but it does not map Petersen's edges onto themselves, nor 0's
+    # radius-1 ball onto 1's
+    from walklab.graphs import _ball_keys, _build_ball_table, _moved_balls
+    rotation = (np.arange(10) + 1) % 10
+    g = wl.make_graph(10, np.array(petersen.edges), None, [rotation])
+    assert not vertex_transitive(g)
+    keys, dist = _ball_keys(g, np.arange(10, dtype=np.int64), 1)
+    assert not np.array_equal(_moved_balls(g, 1)[0], keys)
+    table = _build_ball_table(g, 1)
+    assert np.array_equal(table.keys, keys)
+    assert np.array_equal(table.dist, dist)
 
 
 @pytest.mark.parametrize("p,q,d,ball1", [(13, 17, 14, 15), (5, 13, 6, 7)])

@@ -1492,6 +1492,42 @@ def test_w_vs_k_one_center_matches_all_centers(monkeypatch, pq):
     assert [c.passed for c in rep.checks] == [c.passed for c in ref.checks]
 
 
+def reference_w_vs_k_loop(hits):
+    """Frozen copy of the report's loop as first written: every center of
+    a certified graph re-reads center 0's row and recomputes its ratios."""
+    g, k = hits.g, hits.k
+    d = g.regular_degree
+    scale = d * (d - 1) ** (k - 1)
+    ratio_min = k_min = w_min = math.inf
+    ratio_max = k_max = -math.inf
+    per_center = []
+    for x in range(g.n):
+        hit = hits[0]
+        deg_k = len(hit.sphere)
+        k_val = scale / deg_k
+        k_min, k_max = min(k_min, k_val), max(k_max, k_val)
+        ratios = hit.probabilities * deg_k
+        ratio_min = min(ratio_min, float(ratios.min()))
+        ratio_max = max(ratio_max, float(ratios.max()))
+        w_min = min(w_min, hit.min_prob * scale)
+        per_center.append((x, hit.excess, deg_k,
+                           hit.min_prob, hit.max_prob, hit.c_hat))
+    return ratio_min, ratio_max, k_min, k_max, w_min, tuple(per_center)
+
+
+@pytest.mark.parametrize("build", [lambda: wl.build_lps(13, 17),
+                                   lambda: wl.build_lps(17, 13),
+                                   lambda: wl.build_named("hypercube", 4)],
+                         ids=["lps13_17", "lps17_13", "q4"])
+def test_w_vs_k_reads_one_row_on_a_certified_graph(build):
+    g = build()
+    hits = SphereHits(g, 2)
+    rep = w_vs_k_report(hits)
+    assert list(hits) == [0]
+    assert (rep.ratio_min, rep.ratio_max, rep.k_scaled_min, rep.k_scaled_max,
+            rep.w_scaled_min, rep.per_center) == reference_w_vs_k_loop(hits)
+
+
 def test_uncertified_graphs_take_every_start_and_center(
         monkeypatch, tmp_path, random_cubic_medium):
     g = wl.build_lps(17, 13)

@@ -652,6 +652,117 @@ def test_one_block_spectrum_equals_dense_eigvalsh_bit_for_bit():
         assert np.array_equal(s.eigenvalues, dense)
 
 
+def reference_block_eigenvalues(s, perm, m):
+    """Frozen copy of the block solve as first written: each block built
+    in C order, a complex one as ``block + 1j * imag``, and handed to
+    ``np.linalg.eigvalsh``, which copies it before LAPACK reduces it."""
+    n = s.shape[0]
+    size = n // m
+    smallest = np.arange(n)
+    cur = perm
+    for _ in range(m - 1):
+        np.minimum(smallest, cur, out=smallest)
+        cur = perm[cur]
+    reps = np.flatnonzero(smallest == np.arange(n))
+    orbit = np.empty(n, dtype=np.int64)
+    phase = np.empty(n, dtype=np.int64)
+    cur = reps
+    for j in range(m):
+        orbit[cur] = np.arange(size)
+        phase[cur] = j
+        cur = perm[cur]
+    rows = s[reps].tocoo()
+    cell = rows.row.astype(np.int64) * size + orbit[rows.col]
+    shift = phase[rows.col]
+    half = np.exp(2j * np.pi * np.arange(m // 2 + 1) / m)
+    half[0] = 1.0
+    if m % 2 == 0:
+        half[m // 2] = -1.0
+    if m % 4 == 0:
+        half[m // 4] = 1j
+    omega = np.concatenate((half, half[1:(m + 1) // 2][::-1].conj()))
+    parts = []
+    for k in range(m // 2 + 1):
+        w = omega[k * shift % m] * rows.data
+        block = np.bincount(cell, w.real, size * size)
+        if 2 * k % m:
+            block = block + 1j * np.bincount(cell, w.imag, size * size)
+        vals = np.linalg.eigvalsh(block.reshape(size, size))
+        parts.append(vals)
+        if 0 < 2 * k < m:
+            parts.append(vals)
+    return np.sort(np.concatenate(parts))
+
+
+IN_PLACE_CASES = {
+    "rr2048": lambda: wl.build_random_regular(2048, 3, 3),     # m = 1
+    "lps13-17": lambda: wl.build_lps(13, 17),    # complex blocks
+    "lps17-13": lambda: wl.build_lps(17, 13),
+    "lps5-13": lambda: wl.build_lps(5, 13),
+    "non-regular": lambda: wl.inflate(wl.build_random_regular(512, 3, 2), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_PLACE_CASES))
+def test_in_place_block_solve_equals_the_frozen_eigvalsh_path(name):
+    g = IN_PLACE_CASES[name]()
+    chain = srw_chain(g)
+    s = symmetrized(chain)
+    perm, m = spectral._commuting_symmetry(s, g) or (np.arange(g.n), 1)
+    assert (m > 1) == name.startswith("lps")
+    assert g.is_regular != (name == "non-regular")
+    got = spectrum(chain, source_graph=g).eigenvalues
+    assert np.array_equal(got, reference_block_eigenvalues(s, perm, m)[::-1])
+
+
+def cube_times_triangle(dim):
+    """Q_dim x K_3, certified by its bit flips and the triangle's 3-cycle,
+    whose cycles are the longest uniform ones: a real and a complex block
+    of size 2^dim."""
+    half = 1 << dim
+    v = np.arange(3 * half)
+    x, c = v % half, v // half
+    moves = [(x ^ (1 << b)) + c * half for b in range(dim)]
+    moves.append(x + (c + 1) % 3 * half)
+    ends = np.sort(np.column_stack((np.tile(v, dim + 1),
+                                    np.concatenate(moves))), axis=1)
+    return wl.make_graph(3 * half, np.unique(ends, axis=0), None, moves)
+
+
+def test_dense_blocks_are_reduced_in_place():
+    # an n x n block of 8-byte cells takes n^2 8 bytes, and a copy of it
+    # for LAPACK would double that; numpy's own eigvalsh copy is not
+    # traced, but a copy made by a LAPACK wrapper is
+    rr = wl.build_random_regular(1024, 3, 1)
+    chain = srw_chain(rr)
+    tracemalloc.start()
+    try:
+        assert spectrum(chain, source_graph=rr).blocks is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * rr.n ** 2 * 8
+    # a complex block: 16 bytes a cell, and 8 of the one bincount filling
+    # it; S, the representatives' rows and the workspace take the rest
+    g = cube_times_triangle(9)
+    chain = srw_chain(g)
+    tracemalloc.start()
+    try:
+        blocks = spectrum(chain, source_graph=g).blocks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == {"m": 3, "size": 512}
+    assert peak <= 28 * 512 ** 2
+
+
+def test_a_failed_dense_solve_raises(monkeypatch, petersen_chain):
+    monkeypatch.setattr(spectral, "_SYEVD",
+                        lambda a, *args, **kwargs: (None, a, 3))
+    with pytest.raises(SpectralError, match="LAPACK info=3"):
+        spectrum(petersen_chain)
+
+
 def test_block_spectrum_keeps_exact_zeros():
     # C4's lambda2 is 0; an ulp below it would make the plain restricted
     # bound inapplicable and drop its records
