@@ -3,7 +3,6 @@ on regular graphs, with exact regular-tree and integer-lattice oracles."""
 
 from .graphs import (
     Graph,
-    BallStats,
     Assumption1Report,
     GraphError,
     GraphFileError,
@@ -11,7 +10,6 @@ from .graphs import (
     build_random_regular,
     build_high_girth_regular,
     girth,
-    ball_stats,
     assumption1_scan,
     inflate,
     make_graph,

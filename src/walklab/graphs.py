@@ -3,16 +3,17 @@
 Everything downstream (chains, spectra, hitting solves) consumes the
 immutable :class:`Graph` built here.  Alongside the standard builders
 (named families, random regular via the pairing model, edge-list files)
-this module computes girth, ball/sphere decompositions with their tree
-excess, simple-cycle counts inside balls, and the distance-k graph.
+this module computes girth, radius-k ball tables, the tree excess and
+simple-cycle counts of balls, and the distance-k graph.
 
 Every ball comes from one builder, :func:`_ball_keys`, a level-synchronous
-BFS from many anchors at once: the :class:`BallTable`, :func:`ball_stats`
-and :func:`assumption1_scan` read it (on a certified graph the table
-moves vertex 0's ball to every vertex).  :func:`_ball_shapes` defines a
-ball's tree excess and cycle rank for the last two (the sphere-hit solve
-counts the excess off its own moves), and :func:`_ball_batches` is the
-one rule that cuts many balls into batches within the chunk budget
+BFS from many anchors at once: the :class:`BallTable` and
+:func:`assumption1_scan` read it (on a certified graph the table moves
+vertex 0's ball to every vertex).  The scan is the one measure of cycles
+in balls, their tree excess, cycle rank and simple-cycle count, each off
+one :func:`_ball_edges` lookup per batch (the sphere-hit solve counts the
+excess off its own moves), and :func:`_ball_batches` is the one rule
+that cuts many balls into batches within the chunk budget
 ``FAMILY_CHUNK_ROWS``.  Only this module reads a ball table's keys.
 
 Builders of Cayley graphs attach automorphism generators;
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections import deque, namedtuple
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -417,12 +418,15 @@ def _cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
     edges = [(i, (i + 1) % n) for i in range(n)]
+    # the rotations by 1, 2, 4, ... < n, the one by 1 first: a walk from 0
+    # along them reaches every vertex in log2 n levels, not n - 1
     return make_graph(n, edges, {"kind": "named", "name": "cycle", "n": n},
-                      [_rotation(n)])
+                      [_rotation(n, 1 << i)
+                       for i in range((n - 1).bit_length())])
 
 
-def _rotation(n: int) -> np.ndarray:
-    return (np.arange(n) + 1) % n
+def _rotation(n: int, step: int = 1) -> np.ndarray:
+    return (np.arange(n) + step) % n
 
 
 def _hypercube(dim: int) -> Graph:
@@ -761,28 +765,33 @@ def _ball_keys(g: Graph, anchors: np.ndarray, k: int) -> tuple:
 
 def _moved_balls(g: Graph, k: int) -> tuple:
     """:func:`_ball_keys` of every vertex of a certified graph, from vertex
-    0's ball alone.  A breadth-first walk from 0 along the moves v ->
-    perm[v] of the certified arrays gives each vertex v an automorphism
-    sigma_v with sigma_v(0) = v, and v's ball is sigma_v of 0's: row
-    perm[u] = perm[row u], one gather per vertex, and the distances are
-    row 0's, which automorphisms preserve.  Each row is then sorted once,
-    as packed (vertex, distance) words, in place."""
+    0's ball alone.  A walk from 0 along the moves v -> perm[v] of the
+    certified arrays gives each vertex v an automorphism sigma_v with
+    sigma_v(0) = v, and v's ball is sigma_v of 0's: row perm[u] = perm[row
+    u], one gather per vertex, and the distances are row 0's, which
+    automorphisms preserve.  The arrays take turns, each moving the
+    vertices reached since its last turn, so a round of turns goes at
+    least one breadth-first level.  Each row is then sorted once, as
+    packed (vertex, distance) words, in place."""
     n = g.n
     ball, dist = _ball_keys(g, np.zeros(1, dtype=np.int64), k)
     rows = np.empty((n, len(ball)), dtype=np.int64)
     rows[0] = ball
     seen = np.arange(n) == 0
-    frontier = np.zeros(1, dtype=np.int64)
-    while len(frontier):
-        reached = []
-        for perm in g.automorphisms:
-            moved = perm[frontier]
+    order = np.zeros(n, dtype=np.int64)     # the vertices as reached
+    done = [0] * len(g.automorphisms)       # order[:done[i]] took array i
+    total = 1
+    while total < n:
+        for i, perm in enumerate(g.automorphisms):
+            src = order[done[i]:total]
+            done[i] = total
+            moved = perm[src]
             fresh = ~seen[moved]
             new = moved[fresh]
             seen[new] = True
-            rows[new] = perm[rows[frontier[fresh]]]
-            reached.append(new)
-        frontier = np.concatenate(reached)
+            rows[new] = perm[rows[src[fresh]]]
+            order[total:total + len(new)] = new
+            total += len(new)
     rows *= k + 1
     rows += dist
     rows.sort(axis=1)
@@ -793,44 +802,12 @@ def _moved_balls(g: Graph, k: int) -> tuple:
     return rows.ravel(), dists.ravel()
 
 
-_BallShapes = namedtuple("_BallShapes",
-                         "levels size relevant full excess rank")
-
-
-def _ball_shapes(g: Graph, k: int, keys: np.ndarray,
-                 dist: np.ndarray) -> _BallShapes:
-    """Per-ball arrays, one row per anchor, of the radius-k balls whose
-    keys (ascending, as :func:`_ball_keys` and :class:`BallTable` hold
-    them) and distances are given: the level sizes (one column per
-    distance 0..k), the size |B|, the ``relevant`` edges (an endpoint at
-    distance < k) and the ``full`` induced edges.
-
-    The one definition of the two cycle ranks: ``excess`` = relevant -
-    |B| + 1, 0 on a tree ball, and ``rank`` = full - |B| + 1, the rank of
-    the induced ball, which is connected.  Every neighbor of every key is
-    looked up at once, so callers with many balls pass a batch of
-    :func:`_ball_batches` at a time.
-    """
-    first = np.flatnonzero(np.diff(keys // g.n, prepend=-1))
-    size = np.diff(first, append=len(keys))
-    owner = np.repeat(np.arange(len(first)), size)
-    levels = np.bincount(owner * (k + 1) + dist,
-                         minlength=len(first) * (k + 1)).reshape(-1, k + 1)
-    inner = dist < k
-    src, dst = _ball_edges(g, keys, np.arange(len(keys)))
-    full = np.bincount(owner[src], minlength=len(first))
-    relevant = np.bincount(owner[src[inner[src] | inner[dst]]],
-                           minlength=len(first))
-    return _BallShapes(levels, size, relevant, full,
-                       excess=relevant - size + 1, rank=full - size + 1)
-
-
 def _ball_batches(sizes: np.ndarray, degree: int) -> list:
     """The batch rule for many balls: cuts ``[0, ..., len(sizes)]`` that
     split consecutive balls of ``sizes`` keys into batches of whole balls,
     each as many as keep its keys times ``degree`` (a bound on the moves
     of ``hitting._ball_solves`` and the neighbor lookups of
-    :func:`_ball_shapes`) within 16 ``FAMILY_CHUNK_ROWS`` entries, and at
+    :func:`_ball_edges`) within 16 ``FAMILY_CHUNK_ROWS`` entries, and at
     least one."""
     step = max(1, 16 * FAMILY_CHUNK_ROWS // max(degree, 1))
     ends = np.cumsum(sizes)
@@ -842,30 +819,19 @@ def _ball_batches(sizes: np.ndarray, degree: int) -> list:
     return cuts
 
 
-def _ball_edges(g: Graph, keys: np.ndarray, rows) -> tuple:
-    """``(src, dst)``: the positions in the ascending ``keys`` of (anchor,
-    u) and (anchor, w) for every edge u ~ w with u < w of an induced ball,
-    u at one of the positions ``rows``; rows ascending give them in the
-    order of ``g.edges``, ball after ball."""
-    anchors, vertices = np.divmod(keys[rows], g.n)
+def _ball_edges(g: Graph, keys: np.ndarray) -> tuple:
+    """``(src, dst)``: the positions in the ascending ``keys`` (as
+    :func:`_ball_keys` gives them) of (anchor, u) and (anchor, w) for every
+    edge u ~ w with u < w of an induced ball, in the order of ``g.edges``,
+    ball after ball.  Every neighbor of every key is looked up at once, so
+    callers with many balls pass a batch of :func:`_ball_batches` at a
+    time."""
+    anchors, vertices = np.divmod(keys, g.n)
     slot, nbr = g.expand(vertices)
     up = vertices[slot] < nbr
     slot, nbr = slot[up], nbr[up]
     pos, found = _sorted_lookup(keys, anchors[slot] * g.n + nbr)
-    return rows[slot[found]], pos[found]
-
-
-def _cycle_counts(g: Graph, keys: np.ndarray, size: np.ndarray,
-                  balls) -> list:
-    """:func:`count_simple_cycles` of each induced ball of ``balls``,
-    indices into the balls whose ascending ``keys`` and sizes are given,
-    on its edge list in the order of ``g.edges``."""
-    owner = np.repeat(np.arange(len(size)), size)
-    src, dst = _ball_edges(g, keys, np.flatnonzero(np.isin(owner, balls)))
-    edges = list(zip((keys[src] % g.n).tolist(), (keys[dst] % g.n).tolist()))
-    ends = np.cumsum(np.bincount(owner[src], minlength=len(size))[balls])
-    return [count_simple_cycles(edges[lo:hi])
-            for lo, hi in zip([0, *ends.tolist()], ends.tolist())]
+    return slot[found], pos[found]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -1016,62 +982,7 @@ def _shortest_cycle(adjacency, bound, sources=None) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# balls, tree excess, cycle counts
-
-
-@dataclass(frozen=True)
-class BallStats:
-    """Structure of the radius-k ball around a center.
-
-    ``excess`` is the cycle rank of the absorption-relevant subgraph (the
-    edges with an endpoint inside radius k-1), 0 on tree balls;
-    ``full_cycle_rank`` is that of the whole induced ball, which also
-    sees edges between two boundary vertices.  Both are defined once, by
-    :func:`_ball_shapes`.  ``simple_cycle_count`` counts the simple
-    cycles of the induced ball exactly, in time exponential in
-    ``full_cycle_rank`` only, or is None when that rank exceeds
-    ``CYCLE_RANK_BUDGET``; a tree ball counts 0 at any size.  The repr
-    omits ``simple_cycle_bound`` = 2^full_cycle_rank - 1: it can run to
-    thousands of digits, past the int-to-str limit.
-    """
-
-    center: int
-    radius: int
-    levels: tuple
-    excess: int
-    relevant_edge_count: int
-    full_edge_count: int
-    full_cycle_rank: int
-    simple_cycle_count: object
-    simple_cycle_bound: int = field(repr=False)
-
-    @property
-    def ball_size(self) -> int:
-        return sum(self.levels)
-
-
-def ball_stats(g: Graph, v: int, k: int) -> BallStats:
-    """Level sizes and cycle structure of the radius-k ball around v, any
-    k >= 0; see :class:`BallStats` for the cycle-count budget."""
-    if k < 0:
-        raise GraphError(f"radius must be >= 0, got {k}")
-    _check_vertex(g.n, v)
-    keys, dist = _ball_keys(g, np.array([v], dtype=np.int64), k)
-    shape = _ball_shapes(g, k, keys, dist)
-    rank = int(shape.rank[0])
-    if rank == 0:
-        count = 0   # a tree has no cycles, whatever its size
-    elif rank <= CYCLE_RANK_BUDGET:
-        [count] = _cycle_counts(g, keys, shape.size, [0])
-    else:
-        count = None
-    return BallStats(center=v, radius=k,
-                     levels=tuple(shape.levels[0].tolist()),
-                     excess=int(shape.excess[0]),
-                     relevant_edge_count=int(shape.relevant[0]),
-                     full_edge_count=int(shape.full[0]),
-                     full_cycle_rank=rank, simple_cycle_count=count,
-                     simple_cycle_bound=(1 << rank) - 1)
+# cycles in balls
 
 
 def count_simple_cycles(edges) -> int:
@@ -1190,7 +1101,9 @@ def count_simple_cycles(edges) -> int:
 
 @dataclass(frozen=True)
 class Assumption1Report:
-    """Per-center ball statistics aggregated to maxima over all centers."""
+    """Per-center ball statistics aggregated to maxima over all centers.
+    The repr omits ``max_simple_cycle_bound`` = 2^max_cycle_rank - 1: it
+    can run to thousands of digits, past the int-to-str limit."""
 
     radius: int
     max_excess: int
@@ -1203,18 +1116,20 @@ class Assumption1Report:
 def assumption1_scan(g: Graph, r: int) -> Assumption1Report:
     """Worst-case cycle content over all radius-r balls.
 
-    ``max_cycle_rank`` and the simple-cycle figures refer to the full
-    induced ball (the quantity whose uniform boundedness the machinery
-    needs); ``max_excess`` is the absorption-relevant normalized excess.
-    Both ranks are those of :func:`_ball_shapes`, the values
-    :func:`ball_stats` reports.  On a certified vertex-transitive graph
-    every ball is a copy of vertex 0's, and that one ball is scanned.
+    A ball B's excess is the cycle rank of its absorption-relevant
+    subgraph, the edges with an endpoint at distance < r: their number -
+    |B| + 1, 0 on a tree ball.  Its rank is that of the whole induced
+    ball, which is connected: induced edges - |B| + 1.  The rank and the
+    simple-cycle figures are the quantity whose uniform boundedness the
+    machinery needs.  On a certified vertex-transitive graph every ball
+    is a copy of vertex 0's, and that one ball is scanned.
 
     The balls are built by :func:`_ball_keys` a batch of centers at a
     time, cut by :func:`_ball_batches` as if each ball had the most keys a
-    radius-r ball can have, so the memory is bounded whatever n is.  Only
-    the balls of rank 1..``CYCLE_RANK_BUDGET`` have their simple cycles
-    counted, and none once some ball's rank exceeds the budget.
+    radius-r ball can have, so the memory is bounded whatever n is; one
+    :func:`_ball_edges` lookup per batch gives both ranks and the edges
+    whose simple cycles are counted, for balls of rank 1 to
+    ``CYCLE_RANK_BUDGET`` only, and none once some rank exceeds it.
     """
     if r < 0:
         raise GraphError(f"radius must be >= 0, got {r}")
@@ -1226,12 +1141,23 @@ def assumption1_scan(g: Graph, r: int) -> Assumption1Report:
     max_excess = max_rank = max_count = 0
     for lo, hi in itertools.pairwise(_ball_batches(most, d)):
         keys, dist = _ball_keys(g, centers[lo:hi], r)
-        shape = _ball_shapes(g, r, keys, dist)
-        max_excess = max(max_excess, int(shape.excess.max()))
-        max_rank = max(max_rank, int(shape.rank.max()))
+        owner = np.searchsorted(centers[lo:hi], keys // g.n)
+        src, dst = _ball_edges(g, keys)
+        ball = owner[src]       # ascending: each ball's edges are one run
+        inner = dist < r
+        size, full, relevant = (np.bincount(i, minlength=hi - lo) for i in
+                                (owner, ball, ball[inner[src] | inner[dst]]))
+        rank = full - size + 1
+        max_excess = max(max_excess, int((relevant - size).max()) + 1)
+        max_rank = max(max_rank, int(rank.max()))
         if max_rank <= CYCLE_RANK_BUDGET:
-            max_count = max([max_count, *_cycle_counts(
-                g, keys, shape.size, np.flatnonzero(shape.rank > 0))])
+            vertex, keep = keys % g.n, (rank > 0)[ball]
+            edges = list(zip(vertex[src[keep]].tolist(),
+                             vertex[dst[keep]].tolist()))
+            ends = np.cumsum(full[rank > 0]).tolist()
+            max_count = max([max_count, *(
+                count_simple_cycles(edges[a:b])
+                for a, b in zip([0, *ends], ends))])
     exact = max_rank <= CYCLE_RANK_BUDGET
     return Assumption1Report(
         radius=r, max_excess=max_excess, max_cycle_rank=max_rank,

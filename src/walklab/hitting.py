@@ -640,9 +640,10 @@ class SphereHit:
     tree lower bound 1/(d (d-1)^{k-1}) is checked with 1e-12 slack, and
     ``c_hat`` is the measured constant max_u P[...] * d (d-1)^{k-1}.
     ``expected_time`` is E_v[T_{D_k}], the sum of the same Green row.
-    ``excess`` is the tree excess of the ball, the value of
-    :class:`graphs.BallStats` too: edges with an interior endpoint minus
-    the ball size, plus one, counted off the solve's own moves.
+    ``excess`` is the tree excess of the ball, as
+    :func:`graphs.assumption1_scan` defines it: edges with an interior
+    endpoint minus the ball size, plus one, counted off the solve's own
+    moves.
     """
 
     center: int

@@ -55,11 +55,17 @@ def rho(d: int) -> float:
 
 def symmetrized(chain: ReversibleChain) -> sp.csr_matrix:
     """S = D^{1/2} P D^{-1/2} with D = diag(pi); symmetric by reversibility."""
-    root = np.sqrt(chain.stationary)
-    inv = np.zeros_like(root)
-    nz = root > 0
-    inv[nz] = 1.0 / root[nz]
-    return (sp.diags(root) @ chain.kernel @ sp.diags(inv)).tocsr()
+    return _conjugated(chain.kernel, chain.stationary)
+
+
+def _conjugated(p: sp.csr_matrix, pi: np.ndarray) -> sp.csr_matrix:
+    """D^{1/2} P D^{-1/2}, D = diag(pi), on P's own entries in their
+    order: p * sqrt(pi_i) * (1 / sqrt(pi_j)), and 0 where pi_j = 0."""
+    root = np.sqrt(pi)
+    inv = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
+    row = np.repeat(np.arange(p.shape[0]), np.diff(p.indptr))
+    return sp.csr_matrix((p.data * root[row] * inv[p.indices], p.indices,
+                          p.indptr), shape=p.shape)
 
 
 @dataclass(frozen=True)
@@ -543,13 +549,7 @@ def restricted_top_eig(chain: ReversibleChain, subset,
         raise SpectralError("subset must be a proper subset of the states")
     _, _, _, sub = next(_family_blocks([chain.kernel], [subset]))
     pi_sub = chain.stationary[list(subset)]
-    root = np.sqrt(pi_sub)
-    # S_A = D^{1/2} P_A D^{-1/2} entry by entry, (p * root_i) * (1/root_j)
-    # in P_A's entry order, as the two diagonal products compute it
-    row = np.repeat(np.arange(len(subset)), np.diff(sub.indptr))
-    s_sub = sp.csr_matrix(
-        (sub.data * root[row] * (1.0 / root)[sub.indices], sub.indices,
-         sub.indptr), shape=sub.shape)
+    s_sub = _conjugated(sub, pi_sub)
     if len(subset) == 1 or sub.nnz == 0:
         lam, residual, iterations = float(sub.diagonal().max()), 0.0, 0
     else:

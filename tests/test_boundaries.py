@@ -118,11 +118,10 @@ def sites(names):
     return sorted(found)
 
 
-def test_only_ball_stats_and_the_scan_shape_balls():
+def test_only_the_scan_reads_ball_edges():
     # the sphere-hit solve counts each ball's excess off its own moves;
-    # graphs._ball_shapes also looks up every sphere vertex's neighbors
-    assert sites({"_ball_shapes"}) == ["graphs.assumption1_scan",
-                                       "graphs.ball_stats"]
+    # graphs._ball_edges also looks up every sphere vertex's neighbors
+    assert sites({"_ball_edges"}) == ["graphs.assumption1_scan"]
 
 
 def test_one_dense_eigensolver_call_site():
@@ -133,11 +132,11 @@ def test_one_dense_eigensolver_call_site():
 
 
 def test_one_bfs_ball_builder():
-    # the table, ball_stats and the scan take their balls from _ball_keys;
+    # the table and the scan take their balls from _ball_keys;
     # the transport takes vertex 0's and runs no traversal of its own
     assert sites({"_ball_keys"}) == [
         "graphs._build_ball_table", "graphs._moved_balls",
-        "graphs.assumption1_scan", "graphs.ball_stats"]
+        "graphs.assumption1_scan"]
     [moved] = [node for node in ast.walk(dict(modules())["graphs"])
                if isinstance(node, ast.FunctionDef)
                and node.name == "_moved_balls"]

@@ -244,45 +244,6 @@ def test_girth_tree_sentinel():
     assert wl.girth(tree) == wl.INFINITE_GIRTH
 
 
-# -- balls and excess ---------------------------------------------------------
-
-def test_ball_stats_petersen(petersen):
-    st = wl.ball_stats(petersen, 0, 2)
-    assert st.levels == (1, 3, 6)
-    assert st.relevant_edge_count == 9
-    assert st.excess == 0
-
-
-def test_ball_stats_k4(k4):
-    st = wl.ball_stats(k4, 0, 1)
-    assert st.levels == (1, 3)
-    assert st.excess == 0
-
-
-def test_ball_stats_c6(c6):
-    st = wl.ball_stats(c6, 0, 3)
-    assert st.levels == (1, 2, 2, 1)
-    assert st.relevant_edge_count == 6
-    assert st.excess == 1
-
-
-def test_excess_equals_edge_surplus_plus_one(petersen, prism, c6, random_cubic_medium):
-    for g in (petersen, prism, c6, random_cubic_medium):
-        for v in range(0, g.n, max(1, g.n // 10)):
-            for k in (1, 2, 3):
-                st = wl.ball_stats(g, v, k)
-                # edge surplus: relevant edges minus the ball size
-                assert st.excess == st.relevant_edge_count - st.ball_size + 1
-                assert st.excess >= 0
-
-
-def test_ball_levels_sum_to_n_at_diameter(petersen, prism):
-    for g in (petersen, prism):         # both of diameter 2
-        for v in range(g.n):
-            st = wl.ball_stats(g, v, 2)
-            assert sum(st.levels) == g.n and st.levels[2] > 0
-
-
 K33 = [(a, b) for a in range(3) for b in range(3, 6)]
 
 
@@ -477,6 +438,61 @@ def test_assumption1_scan_memory_stays_within_its_chunks(monkeypatch):
     assert peak <= 8 * budget
 
 
+def test_assumption1_scan_looks_each_batch_up_once(monkeypatch):
+    # the ranks and the simple-cycle counts both read the batch's one
+    # _ball_edges lookup: 512 balls of at most 512 keys, 170 a batch
+    g = wl.build_random_regular(512, 3, 2)
+    calls = {"_ball_keys": 0, "_ball_edges": 0}
+    for name in calls:
+        def spy(*args, real=getattr(graphs, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(graphs, name, spy)
+    rep = wl.assumption1_scan(g, 5)
+    assert rep.all_counts_exact and rep.max_cycle_rank > 0
+    assert calls == {"_ball_keys": 4, "_ball_edges": 4}
+
+
+# (graph, r) -> (max_excess, max_cycle_rank, bit length of
+# max_simple_cycle_bound, max_simple_cycle_count); the counts are exact
+# exactly when not None.  The uncertified LPS rows stop at r = 2, where
+# the scan of all 2448 balls takes well under a second.
+ASSUMPTION1_TABLE = {
+    "petersen": {1: (0, 0, 0, 0), 2: (0, 6, 6, 57), 3: (6, 6, 6, 57),
+                 5: (6, 6, 6, 57)},
+    "prism": {1: (0, 1, 1, 1), 2: (3, 4, 4, 14), 3: (4, 4, 4, 14),
+              5: (4, 4, 4, 14)},
+    "q3": {1: (0, 0, 0, 0), 2: (3, 3, 3, 7), 3: (5, 5, 5, 28),
+           5: (5, 5, 5, 28)},
+    "rr512": {1: (0, 1, 1, 1), 2: (1, 2, 2, 3), 3: (2, 3, 3, 6),
+              5: (8, 12, 12, 2118)},
+    "rr2000": {1: (0, 1, 1, 1), 2: (1, 1, 1, 1), 3: (1, 2, 2, 2),
+               5: (4, 5, 5, 28)},
+    "lps_13_17": {1: (0, 0, 0, 0), 2: (0, 0, 0, 0),
+                  3: (876, 6660, 6660, None), 5: (14689, 14689, 14689, None)},
+    "lps_13_17_plain": {1: (0, 0, 0, 0), 2: (0, 0, 0, 0)},
+    "lps_17_13_plain": {1: (0, 3, 3, 3), 2: (27, 579, 579, None)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSUMPTION1_TABLE))
+def test_assumption1_scan_frozen_table(request, name):
+    builders = {
+        "q3": lambda: wl.build_named("hypercube", 3),
+        "rr512": lambda: wl.build_random_regular(512, 3, 2),
+        "rr2000": lambda: wl.build_random_regular(2000, 3, 4),
+        "lps_13_17_plain": lambda: _uncertified(
+            request.getfixturevalue("lps_13_17")),
+        "lps_17_13_plain": lambda: _uncertified(wl.build_lps(17, 13)),
+    }
+    g = builders.get(name, lambda: request.getfixturevalue(name))()
+    for r, (excess, rank, bits, count) in ASSUMPTION1_TABLE[name].items():
+        assert wl.assumption1_scan(g, r) == wl.Assumption1Report(
+            radius=r, max_excess=excess, max_cycle_rank=rank,
+            max_simple_cycle_bound=(1 << bits) - 1,
+            max_simple_cycle_count=count, all_counts_exact=count is not None)
+
+
 # -- inflation ----------------------------------------------------------------
 
 def test_inflate_identity_k1(petersen, k4, prism, c6):
@@ -664,6 +680,7 @@ def test_moves_list_the_step_table_rows(petersen, random_cubic_medium):
 CERTIFIED = {
     "k5": lambda: wl.build_named("complete", 5),
     "c9": lambda: wl.build_named("cycle", 9),
+    "c2000": lambda: wl.build_named("cycle", 2000),
     "q3": lambda: wl.build_named("hypercube", 3),
     "q4": lambda: wl.build_named("hypercube", 4),
     "lps13_17": lambda: wl.build_lps(13, 17),
@@ -684,6 +701,32 @@ def test_certified_ball_table_equals_the_all_anchor_bfs(name):
         assert np.array_equal(table.keys, keys)
         assert np.array_equal(table.dist, dist)
         assert table.dist.dtype == dist.dtype
+
+
+def move_levels(g):
+    """The breadth-first levels from vertex 0 along the moves v -> perm[v]
+    of the attached arrays, through which _moved_balls carries 0's ball
+    to every vertex."""
+    seen, frontier, levels = {0}, [0], 0
+    while frontier:
+        frontier = [v for v in {int(perm[u]) for u in frontier
+                                for perm in g.automorphisms} if v not in seen]
+        seen.update(frontier)
+        levels += len(frontier) > 0
+    assert len(seen) == g.n
+    return levels
+
+
+@pytest.mark.parametrize("n", [3, 8, 9, 2000])
+def test_certified_cycles_move_in_log_levels(n):
+    # the rotation by 1 alone takes n - 1 levels, each a few numpy calls
+    # per array; the rotations by 1, 2, 4, ... < n take at most log2 n
+    g = wl.build_named("cycle", n)
+    assert vertex_transitive(g)
+    assert move_levels(g) <= (n - 1).bit_length()
+    # the spectrum still splits along the rotation by 1
+    perm, m = cyclic_automorphism(g)
+    assert m == n and np.array_equal(perm, (np.arange(n) + 1) % n)
 
 
 def test_a_false_automorphism_gets_the_bfs_table(petersen):
@@ -837,12 +880,11 @@ def test_graph_equality(petersen):
 
 
 def test_tree_balls_count_exactly_beyond_edge_budget():
-    # LPS(13,17) has girth 6, so its radius-2 balls are trees of 196 edges
+    # LPS(13,17) has girth 6, so its radius-2 balls are trees of 197
+    # vertices and 196 edges
     g = wl.build_lps(13, 17)
-    stats = wl.ball_stats(g, 0, 2)
+    assert len(ball_table(g, 2).positions([0])) == 197
     # the budget is on the cycle rank only, not on the edge count
-    assert stats.full_edge_count == 196
-    assert stats.full_cycle_rank == 0 and stats.simple_cycle_count == 0
     rep = wl.assumption1_scan(g, 2)
     assert rep.max_cycle_rank == 0
     assert rep.all_counts_exact and rep.max_simple_cycle_count == 0
@@ -850,15 +892,9 @@ def test_tree_balls_count_exactly_beyond_edge_budget():
 
 def test_reprs_survive_huge_cycle_bounds():
     # the radius-4 ball covers LPS(13,17): rank 14,689, a 4,422-digit bound
-    stats = wl.ball_stats(wl.build_lps(13, 17), 0, 4)
-    assert stats.full_cycle_rank == 14689
-    assert stats.simple_cycle_bound == (1 << 14689) - 1
-    text = repr(stats)
-    assert "full_cycle_rank=14689" in text and "simple_cycle_bound" not in text
-    rep = wl.Assumption1Report(
-        radius=4, max_excess=12825, max_cycle_rank=14689,
-        max_simple_cycle_bound=stats.simple_cycle_bound,
-        max_simple_cycle_count=None, all_counts_exact=False)
+    rep = wl.assumption1_scan(wl.build_lps(13, 17), 4)
+    assert rep.max_cycle_rank == 14689
+    assert rep.max_simple_cycle_bound == (1 << 14689) - 1
     assert "max_cycle_rank=14689" in repr(rep)
     assert "max_simple_cycle_bound" not in repr(rep)
 
@@ -1072,10 +1108,11 @@ def reference_short_cycle_edge(adj, min_girth):
 
 
 def reference_ball_stats(g, v, k):
-    """The ball statistics from a loop over every edge of g, with the
+    """``((excess, rank, count), edges, components)`` of v's radius-k ball
+    from a loop over every edge of g: its tree excess and cycle rank, its
+    simple-cycle count (None past the budget), its induced edges and the
     union-find component count of the induced ball."""
     dist = reference_bfs_distances(g, v, cutoff=k)
-    levels = tuple(int(np.sum(dist == i)) for i in range(k + 1))
     ball = [int(u) for u in np.flatnonzero(dist >= 0)]
     in_ball = dist >= 0
     inner = in_ball & (dist <= k - 1)
@@ -1100,18 +1137,11 @@ def reference_ball_stats(g, v, k):
         if ra != rb:
             parent[ra] = rb
     components = len({find(i) for i in range(len(ball))})
-    full = len(ball_edges)
-    full_rank = full - len(ball) + components
+    rank = len(ball_edges) - len(ball) + components
     count = None
-    if full_rank <= wl.graphs.CYCLE_RANK_BUDGET:
+    if rank <= wl.graphs.CYCLE_RANK_BUDGET:
         count = reference_count_simple_cycles(ball_edges)
-    stats = wl.BallStats(
-        center=v, radius=k, levels=levels,
-        excess=relevant - len(ball) + 1, relevant_edge_count=relevant,
-        full_edge_count=full, full_cycle_rank=full_rank,
-        simple_cycle_count=count,
-        simple_cycle_bound=(1 << full_rank) - 1 if full_rank >= 0 else 0)
-    return stats, ball_edges, components
+    return (relevant - len(ball) + 1, rank, count), ball_edges, components
 
 
 # disjoint unions with isolated vertices, labelled so that components
@@ -1350,8 +1380,9 @@ def c300():
     # a radius past MAX_BALL_RADIUS, at which the ball closes
     ("c300", (0, 150))])
 def test_ball_stats_match_edge_loop(request, name, ks, monkeypatch):
-    # count_simple_cycles must get the edge list the loop built
-    from walklab import graphs
+    # the scan's maxima are the edge loop's over every center, and
+    # count_simple_cycles gets each cyclic ball's edge list as the loop
+    # built it, center after center
     seen = []
     real = graphs.count_simple_cycles
 
@@ -1362,12 +1393,19 @@ def test_ball_stats_match_edge_loop(request, name, ks, monkeypatch):
     monkeypatch.setattr(graphs, "count_simple_cycles", spy)
     g = request.getfixturevalue(name)
     for k in ks:
-        for v in range(0, g.n, max(1, g.n // 50)):
-            seen.clear()
-            ref, ref_edges, components = reference_ball_stats(g, v, k)
-            assert components == 1
-            assert wl.ball_stats(g, v, k) == ref
-            assert seen in ([], [ref_edges])
+        refs = [reference_ball_stats(g, v, k)
+                for v in ([0] if wl.vertex_transitive(g) else range(g.n))]
+        assert {components for _, _, components in refs} == {1}
+        excess, rank, count = zip(*[stats for stats, _, _ in refs])
+        exact = None not in count
+        seen.clear()
+        assert wl.assumption1_scan(g, k) == wl.Assumption1Report(
+            radius=k, max_excess=max(excess), max_cycle_rank=max(rank),
+            max_simple_cycle_bound=(1 << max(rank)) - 1,
+            max_simple_cycle_count=max(count) if exact else None,
+            all_counts_exact=exact)
+        assert exact and seen == [edges for (_, rank, _), edges, _ in refs
+                                  if rank > 0]
 
 
 # -- certified vertex-transitivity --------------------------------------------

@@ -1095,11 +1095,11 @@ def test_rows_do_not_depend_on_the_batch(monkeypatch, case):
     # with every center: both must write the same bits
     build, k = BATCH_CASES[case]
     g = build()
-    # graphs._ball_shapes would look up every sphere vertex's neighbors
+    # graphs._ball_edges would look up every sphere vertex's neighbors
     # too: the solve counts each excess off its own moves
-    shapes, shaped = graphs._ball_shapes, []
-    monkeypatch.setattr(graphs, "_ball_shapes",
-                        lambda *args: shaped.append(args) or shapes(*args))
+    edges, shaped = graphs._ball_edges, []
+    monkeypatch.setattr(graphs, "_ball_edges",
+                        lambda *args: shaped.append(args) or edges(*args))
     alone = row_bits(g, k, batched=False)
     assert row_bits(g, k, batched=True) == alone
     # many batches: whole balls within 16 * 5 // d keys, one or a few each
@@ -1242,7 +1242,6 @@ SPHERE_CASES = [("petersen", 1), ("petersen", 2), ("prism", 2), ("q3", 2),
 
 @pytest.mark.parametrize("name,k", SPHERE_CASES)
 def test_sphere_hit_matches_column_solve(request, name, k):
-    from walklab.graphs import ball_stats
     g = request.getfixturevalue(name)
     hits = SphereHits(g, k)
     centers = range(0, g.n, max(1, g.n // 24))
@@ -1252,7 +1251,7 @@ def test_sphere_hit_matches_column_solve(request, name, k):
         sphere, row = reference_sphere_hit(g, v, k)
         assert hit.sphere == sphere
         assert np.max(np.abs(hit.probabilities - row)) <= 1e-15
-        assert hit.excess == ball_stats(g, v, k).excess
+        assert hit.excess == reference_excess(g, v, k)
 
 
 def test_expected_hit_time_matches_reference_system(nonregular):
@@ -1260,7 +1259,7 @@ def test_expected_hit_time_matches_reference_system(nonregular):
     # SphereHits needs a regular graph for its lower bound, so the solve
     # that gives SphereHit.expected_time and .excess is called directly.
     import scipy.sparse.linalg as spla
-    from walklab.graphs import ball_stats, ball_table
+    from walklab.graphs import ball_table
     for k in (1, 2, 3):
         table = ball_table(nonregular, k)
         for v in range(0, nonregular.n, 3):
@@ -1270,7 +1269,7 @@ def test_expected_hit_time_matches_reference_system(nonregular):
             [(_, _, _, time, excess)] = hitting._ball_solves(
                 table, table.positions([v]))
             assert abs(time - ref) <= 1e-12 * ref
-            assert excess == ball_stats(nonregular, v, k).excess
+            assert excess == reference_excess(nonregular, v, k)
 
 
 # -- the survival / Perron suite ---------------------------------------------

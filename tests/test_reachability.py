@@ -37,11 +37,7 @@ READ_BY_TESTS = "a pass/fail summary that the acceptance tests read"
 # Delete an entry when a product path reaches it or its code goes; never
 # add one for new code.
 UNREACHED = {
-    "graphs.ball_stats": CYCLES,
-    "graphs.BallStats.ball_size": CYCLES,
-    "graphs._ball_shapes": CYCLES,
     "graphs._ball_edges": CYCLES,
-    "graphs._cycle_counts": CYCLES,
     "graphs.count_simple_cycles": CYCLES,
     "graphs.count_simple_cycles.far": CYCLES,
     "graphs.count_simple_cycles.trace": CYCLES,
