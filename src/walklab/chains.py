@@ -189,11 +189,13 @@ def chain_from_kernel(kernel, stationary) -> ReversibleChain:
 class CandidateFamily(Sequence):
     """Read-only sequence of sorted vertex tuples: a family of sets.
 
-    Stored as one ``members`` array (every set's vertices, set after set)
-    and ``offsets``: set i is ``members[offsets[i]:offsets[i + 1]]``.
-    Indexing and iteration yield tuples of ints; a slice yields a list.
-    :meth:`of` packs any sequence of sets; every reader of a family reads
-    these arrays through it.
+    Stored as ranges of one ``vertices`` array: set i is the states
+    ``vertices[start[i]:start[i] + length[i]]``, in any order, and sets may
+    share a range the way the prefixes of one chain do.  Indexing and
+    iteration yield sorted tuples of ints; a slice yields a list.
+    :meth:`of` packs any sequence of sets.  Only this module reads the
+    three arrays; other modules go through :meth:`sorted_members`,
+    :meth:`union` and :meth:`ranked`.
 
     ``tops`` is a :class:`CandidateFamily` of sets of this family such
     that every set of it lies inside some top.  Survival under killing is
@@ -207,28 +209,33 @@ class CandidateFamily(Sequence):
     without ``tops`` is its own tops.
     """
 
-    def __init__(self, members: np.ndarray, offsets: np.ndarray,
-                 tops: CandidateFamily = None):
-        members.flags.writeable = False
-        offsets.flags.writeable = False
-        self.members = members
-        self.offsets = offsets
+    def __init__(self, vertices: np.ndarray, start: np.ndarray,
+                 length: np.ndarray, tops: CandidateFamily = None):
+        for array in (vertices, start, length):
+            array.flags.writeable = False
+        self.vertices = vertices
+        self.start = start
+        self.length = length
         self._tops = tops
 
     @classmethod
     def of(cls, sets) -> CandidateFamily:
-        """``sets`` itself when it is a family; otherwise the family of
-        the sets of the sequence ``sets``, in the order given, which is
-        its own tops.  Nothing is checked: :func:`_family_blocks` checks
-        the sets it restricts a kernel to."""
+        """``sets`` itself when it is a family; otherwise the sets of the
+        sequence ``sets`` packed end to end in the order given, its own
+        tops.  Raises :class:`ChainError` unless every set is nonempty and
+        strictly ascending; :func:`_family_blocks` checks their range."""
         if isinstance(sets, cls):
             return sets
-        sizes = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
-        offsets = np.zeros(len(sets) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        members = np.fromiter(itertools.chain.from_iterable(sets),
-                              dtype=np.int64, count=int(offsets[-1]))
-        return cls(members, offsets)
+        length = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+        start = np.cumsum(length) - length
+        vertices = np.fromiter(itertools.chain.from_iterable(sets),
+                               dtype=np.int64, count=int(length.sum()))
+        # the steps within each set, without those from one set to the next
+        if np.any(length == 0) or np.any(
+                np.delete(np.diff(vertices), start[1:] - 1) <= 0):
+            raise ChainError(
+                "sets must be nonempty, sorted, distinct and in range")
+        return cls(vertices, start, length)
 
     @property
     def tops(self) -> CandidateFamily:
@@ -237,7 +244,7 @@ class CandidateFamily(Sequence):
         return self if self._tops is None else self._tops
 
     def __len__(self) -> int:
-        return len(self.offsets) - 1
+        return len(self.length)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -247,7 +254,57 @@ class CandidateFamily(Sequence):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("candidate family index out of range")
-        return tuple(self.members[self.offsets[i]:self.offsets[i + 1]].tolist())
+        at = self.start[i]
+        return tuple(np.sort(self.vertices[at:at + self.length[i]]).tolist())
+
+    def sorted_members(self, which, n: int) -> tuple:
+        """``(owner, members)`` of the sets ``which``: their members, set
+        after set and each set sorted, and for each member its set's
+        position in ``which``.  One sort of the (owner, vertex) keys over
+        the states 0..n-1 sorts them all.  Raises :class:`ChainError` for
+        an empty set, a state outside 0..n-1, or one held twice."""
+        length = self.length[which]
+        owner = np.repeat(np.arange(len(length)), length)
+        at = np.arange(len(owner)) + np.repeat(
+            self.start[which] - np.cumsum(length) + length, length)
+        members = self.vertices[at]
+        keys = owner * n + members
+        keys.sort()
+        # keys of states in range part by owner, so a repeat is adjacent
+        if np.any(length == 0) or np.any(members < 0) \
+                or np.any(members >= n) or np.any(np.diff(keys) == 0):
+            raise ChainError(
+                "sets must be nonempty, sorted, distinct and in range")
+        keys -= owner * n
+        return owner, keys
+
+    def union(self) -> np.ndarray:
+        """The states of the family's sets, ascending, each once: the
+        entries of ``vertices`` that some set's range covers."""
+        m = len(self.vertices)
+        depth = np.cumsum(np.bincount(self.start, minlength=m + 1)
+                          - np.bincount(self.start + self.length,
+                                        minlength=m + 1))
+        return np.unique(self.vertices[depth[:m] > 0])
+
+    def ranked(self, ranks) -> list:
+        """The sets at positions ``ranks`` of the family's order by (size,
+        sorted tuple), as tuples.  Only the size classes that the ranks
+        fall in are put in order: a class's sets, sorted, are the rows of
+        one array, ordered by one ``np.lexsort`` over its columns."""
+        sizes = np.sort(self.length)
+        n = int(self.vertices.max(initial=-1)) + 1
+        classes = {}
+        out = []
+        for r in ranks:
+            size = int(sizes[r])
+            if size not in classes:
+                which = np.flatnonzero(self.length == size)
+                rows = self.sorted_members(which, n)[1].reshape(-1, size)
+                classes[size] = rows[np.lexsort(rows.T[::-1])]
+            out.append(tuple(classes[size][r - np.searchsorted(sizes, size)]
+                             .tolist()))
+        return out
 
 
 def _family_blocks(kernels, sets):
@@ -267,7 +324,9 @@ def _family_blocks(kernels, sets):
     :func:`spectral.restricted_top_eig`, which
     :func:`spectral.compare_restricted` calls.  Each set must be nonempty
     and sorted, with distinct entries in range, or :class:`ChainError` is
-    raised.
+    raised: ``of`` checks a sequence's order, and each chunk's sets come
+    from :meth:`CandidateFamily.sorted_members`, each set checked for
+    range, order and repeats.
 
     Consecutive sets share a chunk until it holds about
     ``graphs.FAMILY_CHUNK_ROWS`` rows, the chunk budget, or until one more
@@ -276,13 +335,14 @@ def _family_blocks(kernels, sets):
     entries, n for a set alone in its chunk.  Yields ``(lo, starts, which,
     block)`` per chunk and kernel, kernels in order within a chunk: the
     block of ``kernels[which]`` stacks the sets from ``sets[lo]`` on, and
-    set ``lo + i`` owns the rows from ``starts[i]``.  Every row keeps the
-    entry order of kernel[A][:, A], so a block matvec equals the per-set
-    matvecs bit for bit, and a kernel's block does not depend on the other
-    kernels.  One block is built at a time, so a caller that steps each
-    before taking the next holds no more than one kernel's block.
+    set ``lo + i`` owns the rows from ``starts[i]``, its members in
+    ascending order.  Every row keeps the entry order of kernel[A][:, A],
+    so a block matvec equals the per-set matvecs bit for bit, and a
+    kernel's block does not depend on the other kernels.  One block is
+    built at a time, so a caller that steps each before taking the next
+    holds no more than one kernel's block.
 
-    A chunk's layout is built once for all kernels: its checked members,
+    A chunk's layout is built once for all kernels: its sorted members,
     their owners, and an int32 slot map local[set, vertex] holding the
     vertex's block row, or -1 when the vertex is not in the set.  Each
     kernel's rows of the members are then sliced out together, and an
@@ -294,25 +354,18 @@ def _family_blocks(kernels, sets):
         raise ChainError("kernels must all be n x n for one n")
     budget = graphs.FAMILY_CHUNK_ROWS
     family = CandidateFamily.of(sets)
-    all_members, offsets = family.members, family.offsets
+    ends = np.cumsum(family.length)     # the rows up to each set's last
     lo = 0
     while lo < len(family):
-        last = np.searchsorted(offsets, offsets[lo] + budget,
-                               side="right") - 1
+        last = np.searchsorted(ends, ends[lo] - family.length[lo] + budget,
+                               side="right")
         hi = max(min(int(last), lo + 16 * budget // max(n, 1)), lo + 1)
-        sizes = np.diff(offsets[lo:hi + 1])
-        members = all_members[offsets[lo]:offsets[hi]]
+        owner, members = family.sorted_members(np.arange(lo, hi), n)
         rows = len(members)
-        owner = np.repeat(np.arange(hi - lo), sizes)
-        # (set, vertex) keys; their sorted order is the block's row order
-        keys = owner * n + members
-        if np.any(sizes == 0) or np.any(np.diff(keys) <= 0) \
-                or np.any(members < 0) or np.any(members >= n):
-            raise ChainError(
-                "sets must be nonempty, sorted, distinct and in range")
         # the slot map spans every vertex of every set in the chunk
         local = np.full((hi - lo, n), -1, dtype=np.int32)
         local[owner, members] = np.arange(rows)
+        sizes = family.length[lo:hi]
         starts = np.cumsum(sizes) - sizes
         for which, kernel in enumerate(kernels):
             sub = kernel[members]

@@ -132,17 +132,16 @@ class Graph:
         ``vertices[slot]``, slot by slot in adjacency order."""
         return _expand(self.indptr, self.indices, vertices)
 
-    def bfs_prefixes(self, seeds, mass, limit, least):
+    def bfs_prefixes(self, seeds, mass, limit):
         """The breadth-first orders from many seeds at once, each as far as
         it is asked for.
 
         Each order is FIFO with neighbors in adjacency order, as
         :func:`_bfs_levels` gives it: level r + 1 lists the unseen
         neighbors of level r by (the discovery rank of a neighbor's first
-        parent on level r, its slot in that parent's row).  Seed i's order
+        parent on level r, its slot in that parent's row).  Each order
         ends with the first level at whose end the running sum of ``mass``
-        exceeds ``limit`` and that holds ``least[i]`` vertices in all, or
-        with its component.
+        exceeds ``limit``, or with its seed's component.
 
         Yields ``(lo, owner, order, level, total)`` per batch of
         consecutive seeds from ``seeds[lo]`` on: entry j is vertex
@@ -156,13 +155,12 @@ class Graph:
         those already seen are dropped by one gather in the batch's
         seen-map of (seed, vertex) flags, and the first occurrence of each
         remaining key, in discovery order, joins the new level.  Before
-        its last level a seed holds at most p = max(F + 1, least)
-        vertices, F the most of the smallest masses that fit ``limit``,
-        so at most (degree + 1) p entries in all, of four 8-byte words
-        each (owner, rank, vertex, running mass), and a seen-map row of n
-        flags.  :func:`_ball_batches` cuts the seeds into batches of
-        at most 16 ``FAMILY_CHUNK_ROWS`` such words: nothing has seeds x
-        n entries.
+        its last level a seed holds at most p = F + 1 vertices, F the most
+        of the smallest masses that fit ``limit``, so at most (degree + 1) p
+        entries in all, of four 8-byte words each (owner, rank, vertex,
+        running mass), and a seen-map row of n flags.
+        :func:`_ball_batches` cuts the seeds into batches of at most 16
+        ``FAMILY_CHUNK_ROWS`` such words: nothing has seeds x n entries.
         """
         n = self.n
         seeds = np.asarray(seeds, dtype=np.int64)
@@ -170,11 +168,11 @@ class Graph:
         if len(bad):
             _check_vertex(n, int(bad[0]))
         mass = np.asarray(mass, dtype=float)
-        least = np.broadcast_to(np.asarray(least, dtype=np.int64), seeds.shape)
         fit = int(np.searchsorted(np.cumsum(np.sort(mass)), limit, "right"))
         degree = int(np.diff(self.indptr).max(initial=0))
-        need = np.minimum(n, np.maximum(fit + 1, least))
-        cuts = _ball_batches(4 * (degree + 1) * need + n // 8, 1)
+        need = min(n, fit + 1)
+        cuts = _ball_batches(
+            np.full(len(seeds), 4 * (degree + 1) * need + n // 8), 1)
         for lo, hi in itertools.pairwise(cuts):
             k = hi - lo
             owner = np.arange(k)
@@ -199,7 +197,7 @@ class Graph:
                 carry = sums[width - 1::width]
                 levels.append((owner, held[owner] + rank, vertex, sums[cell]))
                 held += size
-                grow = ((carry <= limit) | (held < least[lo:hi]))[owner]
+                grow = (carry <= limit)[owner]
                 slot, vertex = _expand(self.indptr, self.indices, vertex[grow])
                 owner = owner[grow][slot]
                 keys = owner * n + vertex

@@ -21,7 +21,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .checks import Check
-from . import graphs
 from .chains import (CandidateFamily, ReversibleChain, APERIODIC,
                      MixingProfile, _family_blocks, product)
 from .graphs import (BallTable, Graph, _scan_vertices, ball_table,
@@ -68,28 +67,17 @@ def _set_words(n: int) -> np.ndarray:
     return np.random.Philox(key=np.uint64(5)).random_raw(n)
 
 
-def _sorted_members(flat, start, length, which, n) -> np.ndarray:
-    """The members of the sets ``which``, set after set, each sorted: set
-    i is ``flat[start[i]:start[i] + length[i]]``."""
-    size = length[which]
-    owner = np.repeat(np.arange(len(which)), size)
-    at = np.arange(len(owner)) + np.repeat(start[which] - np.cumsum(size)
-                                           + size, size)
-    keys = owner * n + flat[at]
-    keys.sort()
-    return keys - owner * n
-
-
 class _Chains:
     """The sets of a candidate family as prefixes of chains.
 
     A chain is an ordered vertex array; each set it adds is one of its
-    prefixes, sorted, and its last set, its top, holds the others.  The
-    chains lie end to end, and set i is ``length[i]`` vertices from
-    ``start[i]``.  A set's key is (size, hash), the hash the sum of
-    :func:`_set_words` over it, read off one cumulative sum along the
-    chains, so equal sets have equal keys.  Sets with equal keys are
-    compared member by member: a collision never merges two sets.
+    prefixes, and its last set, its top, holds the others.  The chains lie
+    end to end, and set i is ``length[i]`` vertices from ``start[i]``: the
+    family keeps them so, as ranges of the chains.  A set's key is (size,
+    hash), the hash the sum of :func:`_set_words` over it, read off one
+    cumulative sum along the chains, so equal sets have equal keys.  Sets
+    with equal keys are compared member by member: a collision never
+    merges two sets.
     """
 
     def __init__(self, n: int):
@@ -134,70 +122,32 @@ class _Chains:
         first[by_key] = np.repeat(by_key[head],
                                   np.diff(np.r_[head, len(by_key)]))
         dup = np.flatnonzero(first != np.arange(len(first)))
-        mine = _sorted_members(flat, start, length, dup, self.n)
-        theirs = _sorted_members(flat, start, length, first[dup], self.n)
-        owner = np.repeat(np.arange(len(dup)), length[dup])
+        sets = CandidateFamily(flat, start, length)
+        owner, mine = sets.sorted_members(dup, self.n)
+        theirs = sets.sorted_members(first[dup], self.n)[1]
         clash = np.unique(first[dup[owner[mine != theirs]]])
         # a collision: split those keys' sets by their members
         seen = {}
         for i in np.flatnonzero(np.isin(first, clash)).tolist():
-            members = np.sort(flat[start[i]:start[i] + length[i]]).tobytes()
-            first[i] = seen.setdefault(members, i)
+            first[i] = seen.setdefault(sets[i], i)
         return flat, start, length, hashes, first
 
     def family(self) -> CandidateFamily:
-        """The distinct sets, in lexicographic order of their sorted
-        tuples, with the tops of the chains as the family's tops.
-
-        Each distinct set's members become big-endian uint32 bytes, whose
-        byte order is tuple order; they are built, and packed back in
-        order, a chunk of about ``graphs.FAMILY_CHUNK_ROWS`` entries at a
-        time.  The chains are let go once the keys hold their sets, so
-        the store is spent afterwards."""
+        """The distinct sets in the order first found, as ranges of the
+        chains, with the distinct tops of the chains, in the same order, as
+        the family's tops: ranges of the same array."""
         flat, start, length, _, first = self.identify()
-        self.pieces = []
         distinct = np.flatnonzero(first == np.arange(len(first)))
-        size = length[distinct]
-        budget = graphs.FAMILY_CHUNK_ROWS
-        keys = []
-        for part in np.split(np.arange(len(distinct)), np.searchsorted(
-                np.cumsum(size), np.arange(budget, size.sum(), budget))):
-            buf = _sorted_members(flat, start, length, distinct[part],
-                                  self.n).astype(">u4").tobytes()
-            ends = 4 * np.cumsum(size[part])
-            keys += [buf[a:b] for a, b in zip((ends - 4 * size[part]).tolist(),
-                                              ends.tolist())]
-        del flat
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.cumsum(size[order], out=offsets[1:])
-        members = np.empty(offsets[-1], dtype=np.int32)
-        cuts = [0, *np.searchsorted(offsets, np.arange(budget, offsets[-1],
-                                                       budget)).tolist()]
-        # packed from the end, each chunk's keys let go once packed
-        keys = [keys[i] for i in order]
-        for lo in reversed(cuts):
-            members[offsets[lo]:offsets[len(keys)]] = np.frombuffer(
-                b"".join(keys[lo:]), dtype=">u4")
-            del keys[lo:]
-        # the tops, a subset of the family, in its order
-        place = np.empty(len(order), dtype=np.int64)
-        place[order] = np.arange(len(order))
-        tops = np.unique(place[np.searchsorted(distinct,
-                                               first[self.tops[0]])])
-        top_offsets = np.zeros(len(tops) + 1, dtype=np.int64)
-        np.cumsum(np.diff(offsets)[tops], out=top_offsets[1:])
-        top_members = np.concatenate(
-            [members[:0], *(members[offsets[t]:offsets[t + 1]]
-                            for t in tops.tolist())])
-        return CandidateFamily(members, offsets,
-                               CandidateFamily(top_members, top_offsets))
+        top = np.unique(first[self.tops[0]])
+        return CandidateFamily(flat, start[distinct], length[distinct],
+                               CandidateFamily(flat, start[top], length[top]))
 
 
 def candidate_small_sets(chain: ReversibleChain, alpha: float,
                          graph: Graph) -> CandidateFamily:
     """Heuristic family of sets with pi(A) <= alpha, deduplicated and in
-    lexicographic order of their sorted tuples.
+    the order first found: phase by phase, and within a phase chain by
+    chain, each chain's sets by size.
 
     Three phases traverse ``graph``, each adding only sets with
     0 < |A| < n whose mass, summed in the order the phase adds vertices,
@@ -241,15 +191,16 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
 
     The phases run in bulk where the rules allow.  Every seed's BFS order
     comes from one lockstep pass, :meth:`graphs.Graph.bfs_prefixes`, which
-    stops each seed once its mass passes alpha (the Perron seeds once
-    they also hold their ball), and its running mass is the same left to
-    right sum.  The greedy runs stay one seed at a time, since the bound
-    reads the running count of distinct sets.  The Perron balls take one
+    stops each seed once its mass passes alpha, and its running mass is
+    the same left to right sum; a second pass with unit masses stops each
+    Perron seed once it holds its ball.  The greedy runs stay one seed at
+    a time, since the bound reads the running count of distinct sets.  The
+    Perron balls, packed by :meth:`CandidateFamily.of`, take one
     :func:`chains._family_blocks` layout, each power step is one
     block-diagonal product with each ball scaled by its own largest entry
     (``np.maximum.reduceat``) and frozen once that is below 1e-300, and
     one ``np.lexsort`` by (ball, -weight) ranks them all.  Sets are found
-    distinct by the keys of :class:`_Chains`.
+    distinct by the keys of :class:`_Chains`, and kept as its ranges.
     """
     pi = chain.stationary
     n = chain.n
@@ -260,13 +211,8 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
     stride = max(1, n // 32)
     chains = _Chains(n)
 
-    # balls of growing radius around every seed; every stride-th seed keeps
-    # the head of its BFS order as its Perron ball
-    least = np.zeros(len(seeds), dtype=np.int64)
-    least[::stride] = size
-    balls = []
-    for lo, owner, order, level, total in graph.bfs_prefixes(seeds, pi, limit,
-                                                            least):
+    # balls of growing radius around every seed
+    for _, owner, order, level, total in graph.bfs_prefixes(seeds, pi, limit):
         held = np.bincount(owner)
         first = np.cumsum(held) - held
         rank = np.arange(len(order)) - first[owner]
@@ -283,8 +229,6 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
         last[:-1] = seed[1:] != seed[:-1]
         chains.add(order[rank < fit[owner]], (np.cumsum(fit) - fit)[seed],
                    stop, last)
-        for i in range(-lo % stride, len(held), stride):
-            balls.append(np.sort(order[first[i]:first[i] + min(size, held[i])]))
 
     # greedy connected growth: absorb the boundary vertex with the most
     # neighbors already inside (maximizes internal retention); the bound
@@ -342,13 +286,15 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
     # the chains are repacked with the Perron prefixes; let this copy go
     del flat, start, length, hashes, first, distinct, seen
 
-    # Perron-guided: rank a larger ball's vertices by restricted Perron
-    # weight and take mass-feasible prefixes
-    balls = [ball for ball in balls if 1 < len(ball) < n]
-    offsets = np.zeros(len(balls) + 1, dtype=np.int64)
-    np.cumsum([len(ball) for ball in balls], out=offsets[1:])
-    packed = CandidateFamily(np.concatenate([np.zeros(0, np.int64), *balls]),
-                             offsets)
+    # Perron-guided: rank the ball (the head of a BFS order) of every
+    # stride-th seed by restricted Perron weight; add mass-feasible prefixes
+    balls = []
+    for _, owner, order, _, _ in graph.bfs_prefixes(seeds[::stride],
+                                                    np.ones(n), size - 1):
+        held = np.bincount(owner)
+        balls += [np.sort(order[a:a + min(size, h)]) for a, h in
+                  zip((np.cumsum(held) - held).tolist(), held.tolist())]
+    packed = CandidateFamily.of([ball for ball in balls if 1 < len(ball) < n])
     for lo, starts, _, block in _family_blocks([chain.kernel], packed):
         rows = block.shape[0]
         count = np.diff(starts, append=rows)
@@ -360,9 +306,9 @@ def candidate_small_sets(chain: ReversibleChain, alpha: float,
             top = np.repeat(np.maximum.reduceat(step, starts), count)
             live &= ~(top < 1e-300)
             np.divide(step, top, out=weight, where=live)
-        owner = np.repeat(np.arange(len(starts)), count)
-        ranked = packed.members[offsets[lo]:offsets[lo] + rows][
-            np.lexsort((-weight, owner))]
+        owner, members = packed.sorted_members(
+            np.arange(lo, lo + len(starts)), n)
+        ranked = members[np.lexsort((-weight, owner))]
         for a, b in zip(starts.tolist(), (starts + count).tolist()):
             fit = int(np.searchsorted(np.cumsum(pi[ranked[a:b]]), limit,
                                       side="right"))
@@ -381,7 +327,7 @@ class HitQuantile:
     ``n_sets`` counts the sets maximized over: the whole family, also
     when only its tops are stepped.  ``worst_set``/``worst_start`` attain
     the last survival above eps; ``worst_set``, a tuple, is the last tied
-    top.
+    top in the order of the family's tops.
     """
 
     time: int
@@ -405,8 +351,9 @@ def hit_quantile(chain: ReversibleChain, alpha: float, eps: float,
     ``candidate_small_sets(chain, alpha, graph)`` every set lies inside a
     top, whose survival is at least that set's at every step, so the
     crossing time is the family's; any other sequence is its own tops.
-    Returns 0 when no set qualifies; raises when some set's survival
-    stays above eps for ``MAX_QUANTILE_STEPS`` steps.
+    The worst set is the last tied top in the tops' order.  Returns 0 when
+    no set qualifies; raises when some set's survival stays above eps for
+    ``MAX_QUANTILE_STEPS`` steps.
     """
     if not (0.0 < alpha < 1.0 and 0.0 < eps < 1.0):
         raise HittingError("alpha and eps must lie in (0,1)")

@@ -204,10 +204,11 @@ class Run:
 
     @functools.cached_property
     def family(self) -> H.CandidateFamily:
-        """Candidate small sets at ``cfg.alpha``.  On a certified
-        vertex-transitive graph it is F0, the sets seeded at vertex 0,
-        which stands for its orbit closure: the spread samples, the hit
-        quantile and the escape values all come from F0."""
+        """Candidate small sets at ``cfg.alpha``, in the order found,
+        which nothing reads: the spread ranks its sets and the rest take
+        maxima.  On a certified vertex-transitive graph it is F0, the sets
+        seeded at vertex 0, which stands for its orbit closure: the spread
+        samples, the hit quantile and the escape values all come from F0."""
         return H.candidate_small_sets(self.chain, self.cfg.alpha, graph=self.g)
 
     @functools.cached_property
@@ -240,9 +241,9 @@ class Run:
 
 def _spread(family: H.CandidateFamily, count: int) -> list:
     """Every (len // count)-th set in (size, lexicographic) order, at most
-    ``count``; the family is lexicographic, so a stable sort by size."""
-    order = np.argsort(np.diff(family.offsets), kind="stable")
-    return [family[i] for i in order[::max(1, len(order) // count)][:count]]
+    ``count``, ranked by :meth:`chains.CandidateFamily.ranked`."""
+    return family.ranked(
+        range(0, len(family), max(1, len(family) // count))[:count])
 
 
 # ---------------------------------------------------------------------------

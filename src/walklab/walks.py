@@ -421,7 +421,7 @@ def escape_transfer_experiment(hits: SphereHits, chain: ReversibleChain,
     horizon = t + s
     family = CandidateFamily.of(sets)
     # every set lies inside a top, so the tops hold every member
-    needed = np.unique(family.tops.members).tolist()
+    needed = family.tops.union().tolist()
     slow = float(_slow_regenerations(g, k, tau_t, horizon)[needed].max())
 
     w_rows = hits.solve(needed)

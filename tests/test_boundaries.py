@@ -1,8 +1,9 @@
 """Module boundaries of the package, read off its source.
 
 Each shared layout has one owner: ``graphs`` owns the ball table's keys
-and the chunk budget, ``chains`` the packed set families.  Other modules
-go through the owner's methods, so a change of layout stays in one file.
+and the chunk budget, ``chains`` the set families' vertex ranges.  Other
+modules go through the owner's methods, so a change of layout stays in one
+file.
 The private members of one module's classes are read by another only
 where pinned below.
 """
@@ -73,6 +74,20 @@ def test_only_graphs_reads_ball_table_keys():
                   if isinstance(node, ast.Attribute) and node.attr == "keys"
                   and id(node) not in called]
     assert reads and {name for name, _ in reads} == {"graphs"}
+
+
+def test_only_chains_reads_family_ranges():
+    # a family's layout is its (vertices, start, length) arrays; other
+    # modules go through CandidateFamily's methods.  ``exc.start`` is a
+    # UnicodeDecodeError's offset, not a family's
+    reads = {(name, ast.unparse(node)) for name, tree in modules()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)
+             and node.attr in {"vertices", "start", "length"}}
+    assert {name for name, _ in reads} >= {"chains"}
+    assert {read for read in reads if read[0] != "chains"} == {
+        ("graphs", "exc.start"), ("reports", "exc.start")}
 
 
 def private_reads(name, tree):

@@ -941,10 +941,10 @@ def test_bfs_rejects_out_of_range_sources(capfd, petersen, source):
     assert capfd.readouterr().err == ""
 
 
-def reference_bfs_prefix(g, seed, mass, limit, least):
+def reference_bfs_prefix(g, seed, mass, limit):
     """Reference: one seed's FIFO order by a deque, its distances, and the
     running sums of ``mass`` by ``np.cumsum``, cut after the first level
-    whose end has passed ``limit`` and holds ``least`` vertices."""
+    whose end has passed ``limit``."""
     dist = {seed: 0}
     order = [seed]
     queue = deque([seed])
@@ -958,15 +958,16 @@ def reference_bfs_prefix(g, seed, mass, limit, least):
     level = np.array([dist[v] for v in order])
     total = np.cumsum(mass[order])
     ends = np.flatnonzero(np.diff(level, append=level[-1] + 1)) + 1
-    stop = next((e for e in ends if total[e - 1] > limit and e >= least),
-                len(order))
+    stop = next((e for e in ends if total[e - 1] > limit), len(order))
     return np.array(order[:stop]), level[:stop], total[:stop]
 
 
 @pytest.mark.parametrize("rows", [16_384, 64])
 def test_bfs_prefixes_match_one_seed_at_a_time(monkeypatch, rows):
     # a 64-row budget cuts the seeds into many batches; the orders, levels
-    # and running sums do not depend on the batch
+    # and running sums do not depend on the batch.  Every third seed also
+    # runs with unit masses until it holds n // 2 vertices, as the Perron
+    # balls of the candidate family run
     monkeypatch.setattr(graphs, "FAMILY_CHUNK_ROWS", rows)
     path = wl.make_graph(40, [(i, i + 1) for i in range(39)]
                          + [(0, 10), (5, 30), (12, 18), (20, 35), (3, 37)])
@@ -974,24 +975,26 @@ def test_bfs_prefixes_match_one_seed_at_a_time(monkeypatch, rows):
               wl.make_graph(7, [(0, 1), (1, 2), (4, 5)])):
         mass = np.random.default_rng(g.n).random(g.n)
         mass /= mass.sum()
-        seeds = np.arange(g.n)[::-1]
-        least = np.where(seeds % 3 == 0, g.n // 2, 0)
-        seen = 0
-        for lo, owner, order, level, total in g.bfs_prefixes(
-                seeds, mass, 0.2, least):
-            for i in range(owner[-1] + 1):
-                mine = owner == i
-                want = reference_bfs_prefix(g, seeds[lo + i], mass, 0.2,
-                                            least[lo + i])
-                assert np.array_equal(order[mine], want[0])
-                assert np.array_equal(level[mine], want[1])
-                assert np.array_equal(total[mine], want[2])
-            assert np.all(np.diff(owner) >= 0)
-            seen += owner[-1] + 1
-        assert seen == g.n
+        every = np.arange(g.n)[::-1]
+        for seeds, weights, limit in ((every, mass, 0.2),
+                                      (every[every % 3 == 0], np.ones(g.n),
+                                       g.n // 2 - 1)):
+            seen = 0
+            for lo, owner, order, level, total in g.bfs_prefixes(
+                    seeds, weights, limit):
+                for i in range(owner[-1] + 1):
+                    mine = owner == i
+                    want = reference_bfs_prefix(g, seeds[lo + i], weights,
+                                                limit)
+                    assert np.array_equal(order[mine], want[0])
+                    assert np.array_equal(level[mine], want[1])
+                    assert np.array_equal(total[mine], want[2])
+                assert np.all(np.diff(owner) >= 0)
+                seen += owner[-1] + 1
+            assert seen == len(seeds)
     for bad in (40, -1):
         with pytest.raises(GraphError, match=f"^vertex {bad} out of range"):
-            next(path.bfs_prefixes([0, bad], np.ones(40), 1.0, 0))
+            next(path.bfs_prefixes([0, bad], np.ones(40), 1.0))
 
 
 # -- csgraph traversals against the Python code they replaced -----------------

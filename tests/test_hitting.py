@@ -235,12 +235,14 @@ def test_family_survival_rejects_unsorted_sets(petersen_chain):
 def reference_family_blocks(kernel, sets):
     """Reference: the block builder that finds each kernel entry's block
     column by binary search over the chunk's (set, vertex) keys, with
-    chunks closed on rows alone."""
+    chunks closed on rows alone.  The sets are read as Python sequences,
+    so a family's sets are its sorted tuples."""
     import scipy.sparse as sp
     kernel = sp.csr_matrix(kernel)
     n = kernel.shape[0]
-    family = CandidateFamily.of(sets)
-    all_members, offsets = family.members, family.offsets
+    sets = [list(s) for s in sets]
+    offsets = np.cumsum([0] + [len(s) for s in sets])
+    all_members = np.array([v for s in sets for v in s], dtype=np.int64)
     lo = 0
     while lo < len(sets):
         last = np.searchsorted(offsets,
@@ -602,6 +604,11 @@ def lps17_13():
     return wl.build_lps(17, 13)
 
 
+@pytest.fixture(scope="module")
+def lps13_17():
+    return wl.build_lps(13, 17)
+
+
 def family_case(monkeypatch, request, name, max_sets, as_built):
     """(graph, chain) of a ``FAMILY_CASES`` row, with its greedy bound
     set."""
@@ -625,9 +632,33 @@ def test_candidate_family_matches_scalar_reference(monkeypatch, request, name,
     got = candidate_small_sets(chain, alpha, graph=g)
     ref, tops = reference_candidate_small_sets(chain, alpha, g,
                                                max_sets=max_sets)
-    assert list(got) == ref
+    assert sorted(got) == ref
     assert len(got) == len(ref)
-    assert list(got.tops) == tops
+    assert sorted(got.tops) == tops
+    assert len(got.tops) == len(tops)
+
+
+def assert_spread_is_the_sorted_stride(family):
+    ordered = sorted(family, key=lambda s: (len(s), s))
+    assert len(ordered) == len(family)
+    for count in (6, 12, 16):
+        assert _spread(family, count) == \
+            ordered[::max(1, len(family) // count)][:count]
+
+
+@pytest.mark.parametrize("name,alpha,max_sets,as_built", FAMILY_CASES)
+def test_spread_is_the_sorted_stride(monkeypatch, request, name, alpha,
+                                     max_sets, as_built):
+    g, chain = family_case(monkeypatch, request, name, max_sets, as_built)
+    assert_spread_is_the_sorted_stride(
+        candidate_small_sets(chain, alpha, graph=g))
+
+
+@pytest.mark.parametrize("name", ["rr512", "lps13_17"])
+def test_spread_is_the_sorted_stride_on_the_benchmark_graphs(request, name):
+    g = request.getfixturevalue(name)
+    assert_spread_is_the_sorted_stride(
+        candidate_small_sets(srw_chain(g), 0.25, graph=g))
 
 
 def reference_restricted_root(chain, subset, lanczos):
@@ -684,10 +715,10 @@ def test_family_tops_cover_the_family_and_attain_its_maxima(
     fam = candidate_small_sets(chain, alpha, graph=g)
     tops = fam.tops
     # every top is a family set, and every family set lies inside a top
-    assert list(tops) == sorted(set(tops)) and set(tops) <= set(fam)
+    assert sorted(tops) == sorted(set(tops)) and set(tops) <= set(fam)
     assert tops.tops is tops
     shared = incidence(fam, g.n) @ incidence(tops, g.n).T
-    sizes = np.diff(fam.offsets)
+    sizes = np.array([len(A) for A in fam])
     assert np.all((shared == sizes[:, None]).any(axis=1))
     # the maxima over the tops are the family's, bit for bit
     sets = list(fam)
@@ -747,22 +778,25 @@ def test_candidate_family_survives_hash_collisions(monkeypatch, request, name):
                         lambda n: np.full(n, 7, dtype=np.uint64))
     got = candidate_small_sets(chain, 0.25, graph=g)
     for a, b in ((got, want), (got.tops, want.tops)):
-        assert np.array_equal(a.members, b.members)
-        assert np.array_equal(a.offsets, b.offsets)
+        assert np.array_equal(a.vertices, b.vertices)
+        assert np.array_equal(a.start, b.start)
+        assert np.array_equal(a.length, b.length)
     monkeypatch.setattr(hitting, "MAX_GREEDY_SETS", 30)
     seeds = [0] if wl.vertex_transitive(g) else None
-    assert list(candidate_small_sets(chain, 0.25, graph=g)) == \
-        reference_candidate_small_sets(chain, 0.25, g, max_sets=30,
-                                       seeds=seeds)[0]
+    got = candidate_small_sets(chain, 0.25, graph=g)
+    want = reference_candidate_small_sets(chain, 0.25, g, max_sets=30,
+                                          seeds=seeds)[0]
+    assert sorted(got) == want and len(got) == len(want)
 
 
 def test_candidate_family_memory_is_bounded_by_its_tops():
-    # the build holds the family's members (about 25 bytes per top entry
-    # on this graph) and its own working set: the lockstep BFS in batches
-    # within the chunk budget, one copy of the chains, and the sort keys
-    # let go as the members are packed.  Its traced peak stays within 8
-    # int64 words per top entry; a build that kept each prefix's key and
-    # a joined copy alongside the members took 84 bytes per top entry
+    # the family keeps its chains, one vertex array that its tops share,
+    # and two words per set.  The build holds that array and its own
+    # working set: the lockstep BFS in batches within the chunk budget and
+    # the cumulative hash sum along the chains.  Its traced peak stays
+    # within 4 int64 words per top entry (3.3 on this graph); a build that
+    # packed every set apart from its chain took 7.2, and one that also
+    # kept each prefix's key and a joined copy took 10.5
     g = wl.build_random_regular(2048, 3, 2)
     chain = srw_chain(g)
     tracemalloc.start()
@@ -771,8 +805,14 @@ def test_candidate_family_memory_is_bounded_by_its_tops():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 8 * fam.tops.offsets[-1]
-    assert fam.members.nbytes >= 3 * 8 * fam.tops.offsets[-1]
+    entries = sum(map(len, fam.tops))
+    assert peak <= 4 * 8 * entries
+    assert fam.tops.vertices is fam.vertices
+    # the stored arrays stay within 1.1 words per top entry, while the
+    # sets they hold count 6 times as many entries
+    stored = fam.vertices.nbytes + fam.start.nbytes + fam.length.nbytes
+    assert stored <= 1.1 * 8 * entries
+    assert sum(map(len, fam)) >= 6 * entries
 
 
 CERTIFIED_FAMILY_CASES = [(("cycle", 12), 0.25), (("hypercube", 4), 0.25),
@@ -787,14 +827,16 @@ def test_the_certificate_alone_decides_the_seeds(spec, alpha):
     assert wl.vertex_transitive(g)
     chain = srw_chain(g)
     fam = candidate_small_sets(chain, alpha, graph=g)
-    assert (list(fam), list(fam.tops)) == \
-        reference_candidate_small_sets(chain, alpha, g, seeds=[0])
+    sets, tops = reference_candidate_small_sets(chain, alpha, g, seeds=[0])
+    assert (sorted(fam), sorted(fam.tops)) == (sets, tops)
+    assert (len(fam), len(fam.tops)) == (len(sets), len(tops))
     bare = relabelled(g)
     assert not wl.vertex_transitive(bare)
     chain = srw_chain(bare)
     fam = candidate_small_sets(chain, alpha, graph=bare)
-    assert (list(fam), list(fam.tops)) == \
-        reference_candidate_small_sets(chain, alpha, bare)
+    sets, tops = reference_candidate_small_sets(chain, alpha, bare)
+    assert (sorted(fam), sorted(fam.tops)) == (sets, tops)
+    assert (len(fam), len(fam.tops)) == (len(sets), len(tops))
 
 
 def orbit_closure(g, family):
@@ -844,17 +886,22 @@ def test_candidate_family_sequence(petersen, petersen_chain):
     sets = list(fam)
     assert all(isinstance(s, tuple) and list(s) == sorted(s) for s in sets)
     assert all(isinstance(v, int) for s in sets for v in s)
-    assert sets == sorted(sets) and len(set(sets)) == len(sets)
+    assert sorted(sets) == sorted(set(sets)) and len(set(sets)) == len(sets)
     assert fam[-1] == sets[-1] and fam[3] == sets[3]
     assert fam[1:7:2] == sets[1:7:2]
     assert sets[2] in fam
     with pytest.raises(IndexError):
         fam[len(fam)]
-    with pytest.raises(ValueError):
-        fam.members[0] = 1
-    assert list(np.diff(fam.offsets)) == [len(s) for s in sets]
+    for array in (fam.vertices, fam.start, fam.length):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    # set i is a range of the chains, in chain order, read back sorted
+    assert [tuple(sorted(fam.vertices[a:a + b])) for a, b in
+            zip(fam.start, fam.length)] == sets
+    assert list(fam.length) == [len(s) for s in sets]
     # a family built directly records no chains: it is its own tops
-    bare = CandidateFamily(fam.members.copy(), fam.offsets.copy())
+    bare = CandidateFamily(fam.vertices.copy(), fam.start.copy(),
+                           fam.length.copy())
     assert bare.tops is bare and list(bare) == sets
 
 
@@ -947,9 +994,9 @@ def test_family_passes_step_only_the_tops(monkeypatch, tmp_path, rr512):
     # pass, and the escape experiment's three maxima share one pass over
     # the layout
     family_passes = [rows for count, rows in passes if count > 1]
-    assert family_passes == [[32 * 320], [fam.tops.offsets[-1]],
-                             [fam.tops.offsets[-1]] * 3]
-    assert fam.tops.offsets[-1] < fam.offsets[-1]
+    top_rows = sum(map(len, fam.tops))
+    assert family_passes == [[32 * 320], [top_rows], [top_rows] * 3]
+    assert top_rows == 70_132 < sum(map(len, fam)) == 449_044
 
 
 def test_one_suite_alone_solves_only_what_it_reads(monkeypatch, tmp_path):
@@ -984,7 +1031,7 @@ def test_one_suite_alone_solves_only_what_it_reads(monkeypatch, tmp_path):
         run_suite(cfg)
         g = build_graph(spec)
         family = candidate_small_sets(srw_chain(g), cfg.alpha, graph=g)
-        assert sorted(solves) == np.union1d(family.members, [0]).tolist()
+        assert sorted(solves) == np.union1d(family.union(), [0]).tolist()
     # all six suites share one solve per center
     solves.clear()
     run_suite(ExperimentConfig(graph=graph, trials=200, seed=3,
