@@ -4,7 +4,14 @@ Kernels are conjugated by sqrt(pi) into symmetric form before solving,
 which preserves the spectrum and admits symmetric solvers.  Dense mode
 returns the full eigenvalue multiset, block by block when the source
 graph carries a certified automorphism with uniform cycles that commutes
-with the kernel.  Iterative mode finds the second largest and the
+with the kernel; each block is reduced in place by one LAPACK call,
+``?syevd``/``?heevd`` (the pair ``np.linalg.eigvalsh`` calls), or, for a
+real block of size at least ``TWO_STAGE_MIN``, LAPACK 3.7's two-stage
+``dsyevd_2stage``, whose bits differ from ``dsyevd``'s in the last places.
+scipy does not wrap it: it is read from the OpenBLAS that scipy bundles
+(scipy-openblas; scipy 1.17.1 ships OpenBLAS 0.3.30), which exports
+it as ``scipy_dsyevd_2stage_``; without that symbol such a block raises.
+Iterative mode finds the second largest and the
 smallest eigenvalue together, from one run of the plain three-term
 Lanczos recurrence on S off the top eigenvector sqrt(pi): it stops when
 the Ritz estimate at both ends reaches working precision, or on a
@@ -19,12 +26,13 @@ lambda(A) of a killed chain, found by the same routine.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import _flapack, get_lapack_funcs
 
 from .chains import ReversibleChain, _family_blocks, product
 from .graphs import Graph, _sorted_lookup, cyclic_automorphism, is_bipartite
@@ -42,6 +50,21 @@ _SYEVD, _SYEVD_LWORK = get_lapack_funcs(("syevd", "syevd_lwork"),
                                         (np.zeros(1),))
 _HEEVD, _HEEVD_LWORK = get_lapack_funcs(("heevd", "heevd_lwork"),
                                         (np.zeros(1, dtype=complex),))
+# real blocks of this size and up go to LAPACK's two-stage reduction
+# (dense to band, band to tridiagonal; Haidar, Ltaief and Dongarra, SC'11),
+# dsyevd_2stage.  On one OpenBLAS thread its time over dsyevd's reads 1.33
+# at 512, 1.04 at 832, 0.97 at 896, 0.86 at 1024, 0.66 at 2048 and 0.53 at
+# 3000 (S of random 3-regular graphs, AVX-512 Xeon).  scipy does not wrap
+# it; the OpenBLAS that scipy bundles exports it as a Fortran symbol, None
+# when the install lacks it
+TWO_STAGE_MIN = 1024
+_DSYEVD_2STAGE_SYMBOL = "scipy_dsyevd_2stage_"
+_DSYEVD_2STAGE = getattr(ctypes.CDLL(_flapack.__file__),
+                         _DSYEVD_2STAGE_SYMBOL, None)
+if _DSYEVD_2STAGE is not None:
+    _DSYEVD_2STAGE.restype = None
+    _DSYEVD_2STAGE.argtypes = ([ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9
+                               + [ctypes.c_size_t] * 2)
 
 
 class SpectralError(ValueError):
@@ -258,6 +281,51 @@ def _commuting_symmetry(s: sp.csr_matrix, graph: Graph):
     return None
 
 
+def _dsyevd_2stage_lwork(n: int, compute_v: int, lower: int):
+    """``(work, iwork, info)`` of dsyevd_2stage's workspace query for an
+    n x n matrix, as scipy's ``syevd_lwork`` returns them."""
+    work, iwork = np.zeros(1), np.zeros(1, dtype=np.int32)
+    info = _call_dsyevd_2stage(np.zeros(1), n, compute_v, lower, np.zeros(1),
+                               work, -1, iwork, -1)
+    return work[0], iwork[0], info
+
+
+def _dsyevd_2stage(a: np.ndarray, compute_v: int, lower: int, lwork: int,
+                   liwork: int, overwrite_a: int = 0):
+    """``(w, a, info)`` of dsyevd_2stage on the symmetric float64 ``a``, as
+    scipy's ``syevd`` returns them: a Fortran-ordered ``a`` is reduced in
+    place under ``overwrite_a``, anything else in a copy.  The two-stage
+    routines give eigenvalues alone, so compute_v = 1 returns info -1.
+    The workspace is allocated here, by numpy, where tracemalloc sees it."""
+    a = (np.asfortranarray(a, dtype=float) if overwrite_a
+         else np.array(a, dtype=float, order="F"))
+    w = np.empty(a.shape[0])
+    info = _call_dsyevd_2stage(a, a.shape[0], compute_v, lower, w,
+                               np.empty(lwork), lwork,
+                               np.empty(liwork, dtype=np.int32), liwork)
+    return w, a, info
+
+
+def _call_dsyevd_2stage(a, n, compute_v, lower, w, work, lwork, iwork,
+                        liwork) -> int:
+    """LAPACK's info from one call of the Fortran symbol: 32-bit integers
+    by reference, and the hidden lengths of the jobz and uplo characters
+    last.  Raises SpectralError, naming the symbol, when scipy's LAPACK
+    does not export it: a fallback would make report bits depend on the
+    install."""
+    if _DSYEVD_2STAGE is None:
+        raise SpectralError(
+            f"a real dense block of size >= {TWO_STAGE_MIN} needs LAPACK's "
+            f"dsyevd_2stage, and scipy's LAPACK does not export "
+            f"{_DSYEVD_2STAGE_SYMBOL}")
+    ints = [ctypes.c_int32(v) for v in (n, max(n, 1), lwork, liwork, 0)]
+    n_ref, lda, lwork_ref, liwork_ref, info = map(ctypes.byref, ints)
+    _DSYEVD_2STAGE(b"V" if compute_v else b"N", b"L" if lower else b"U",
+                   n_ref, a.ctypes.data, lda, w.ctypes.data, work.ctypes.data,
+                   lwork_ref, iwork.ctypes.data, liwork_ref, info, 1, 1)
+    return ints[-1].value
+
+
 def _block_eigenvalues(s: sp.csr_matrix, perm: np.ndarray, m: int):
     """Eigenvalues of the symmetric ``s`` (ascending), from the Fourier
     blocks of a permutation h that commutes with it and whose cycles all
@@ -270,9 +338,14 @@ def _block_eigenvalues(s: sp.csr_matrix, perm: np.ndarray, m: int):
     representatives' rows alone; blocks k and m - k are conjugate, so
     k = 0 .. m // 2 are solved, one at a time, and the pairs counted twice
     (Babai, "Spectra of Cayley graphs", JCTB 27, 1979).
-    Each block is built once, in Fortran order, and reduced in place by
-    the ``?syevd``/``?heevd`` call that ``np.linalg.eigvalsh`` makes: its
-    bits, without its copy.  A nonzero LAPACK info raises SpectralError.
+    Each block is built once, in Fortran order, and reduced in place.
+    A complex block, and a real one smaller than ``TWO_STAGE_MIN``, goes
+    to the ``?heevd``/``?syevd`` call that ``np.linalg.eigvalsh`` makes:
+    its bits, without its copy.  A real block of ``TWO_STAGE_MIN`` or
+    more goes to ``dsyevd_2stage`` (jobz 'N', uplo 'L'), faster there and
+    with two-stage last bits; it needs the ``scipy_dsyevd_2stage_`` symbol
+    of scipy's bundled OpenBLAS, and raises SpectralError naming it when
+    that is missing.  A nonzero LAPACK info raises SpectralError.
     """
     n = s.shape[0]
     size = n // m
@@ -312,7 +385,8 @@ def _block_eigenvalues(s: sp.csr_matrix, perm: np.ndarray, m: int):
             solve, query = _HEEVD, _HEEVD_LWORK
         else:
             block = np.bincount(cell, w.real, size * size)
-            solve, query = _SYEVD, _SYEVD_LWORK
+            solve, query = ((_SYEVD, _SYEVD_LWORK) if size < TWO_STAGE_MIN
+                            else (_dsyevd_2stage, _dsyevd_2stage_lwork))
         # jobz 'N', uplo 'L' and the optimal workspace: a minimal one sends
         # ?sytrd down its unblocked path, slower and with other bits
         work, iwork, *rwork, _ = query(size, 0, 1)
@@ -341,7 +415,11 @@ def spectrum(chain: ReversibleChain, mode: str = "dense-full",
     passed with the wrong graph falls back), and ``blocks`` then records m
     and the size.  Otherwise h is the
     identity, m = 1, and the one block is S itself, solved by one dense
-    LAPACK call, in place; ``blocks`` stays None.
+    LAPACK call, in place; ``blocks`` stays None.  Real blocks of size
+    ``TWO_STAGE_MIN`` or more are reduced by ``dsyevd_2stage`` (the
+    ``scipy_dsyevd_2stage_`` symbol of scipy's bundled OpenBLAS), smaller
+    and complex ones by ``?syevd``/``?heevd``, so the eigenvalues of such a
+    block carry two-stage last bits.
     iterative-extremal finds lambda2 and lambda_min as the largest and the
     smallest eigenvalue of S on the complement of its top eigenvector
     u = sqrt(pi)/||sqrt(pi)||, from one run of :func:`_lanczos_extremal`:

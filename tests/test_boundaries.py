@@ -141,9 +141,11 @@ def test_only_the_scan_reads_ball_edges():
 
 def test_one_dense_eigensolver_call_site():
     # numpy's and scipy's dense symmetric solvers, and the LAPACK handles
-    # of spectral, are read in one place: the block solve
-    assert sites({"eigvalsh", "eigh", "_SYEVD", "_HEEVD"}) == [
-        "spectral._block_eigenvalues"] * 2
+    # of spectral, are read in one place: the block solve; the two-stage
+    # symbol is called only through its wrapper
+    assert sites({"eigvalsh", "eigh", "_SYEVD", "_HEEVD",
+                  "_dsyevd_2stage"}) == ["spectral._block_eigenvalues"] * 3
+    assert sites({"_DSYEVD_2STAGE"}) == ["spectral._call_dsyevd_2stage"] * 2
 
 
 def test_one_bfs_ball_builder():

@@ -688,10 +688,12 @@ def test_restricted_roots_match_the_slice_reference(monkeypatch, request, name,
             reference_restricted_root(chain, A, lanczos_reference)
 
 
-@pytest.mark.parametrize("name", ["lps17_13", "rr512"])
+@pytest.mark.parametrize("name", ["lps13_17", "lps17_13", "rr512"])
 def test_restricted_roots_match_the_reference_on_spread_sets(
         request, name, lanczos_reference):
-    # the spread sets the spectral suite solves, on the two benchmark graphs
+    # the spread sets the spectral suite solves: on the graphs of the
+    # benchmark's two suite workloads, rr512 and LPS(13,17), and on the
+    # pinned LPS(17,13)
     g = request.getfixturevalue(name)
     chain = srw_chain(g)
     for A in _spread(candidate_small_sets(chain, 0.25, graph=g), 12):

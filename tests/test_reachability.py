@@ -140,6 +140,10 @@ def run_product_paths(out, monkeypatch):
         patch.setattr(chains, "EXACT_START_LIMIT", 50)
         cli(0, "verify", "--graph", "random-regular", "--n", 80, "--d", 3,
             "--suite", "spectral", "--suite", "mixing", "--out", out / "rr80")
+    with monkeypatch.context() as patch:
+        # Petersen's one real block of 10 in LAPACK's two stages
+        patch.setattr(spectral, "TWO_STAGE_MIN", 10)
+        cli(0, "spectrum", "--graph", "petersen", "--out", out / "two-stage")
     tour()
 
 

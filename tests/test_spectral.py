@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import math
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import _flapack
 
 import walklab as wl
 from walklab import spectral
@@ -655,10 +657,11 @@ def test_one_block_spectrum_equals_dense_eigvalsh_bit_for_bit():
         assert np.array_equal(s.eigenvalues, dense)
 
 
-def reference_block_eigenvalues(s, perm, m):
+def reference_block_eigenvalues(s, perm, m, real_solve=np.linalg.eigvalsh):
     """Frozen copy of the block solve as first written: each block built
     in C order, a complex one as ``block + 1j * imag``, and handed to
-    ``np.linalg.eigvalsh``, which copies it before LAPACK reduces it."""
+    ``np.linalg.eigvalsh``, which copies it before LAPACK reduces it; a
+    real block goes to ``real_solve`` instead when one is given."""
     n = s.shape[0]
     size = n // m
     smallest = np.arange(n)
@@ -688,17 +691,42 @@ def reference_block_eigenvalues(s, perm, m):
     for k in range(m // 2 + 1):
         w = omega[k * shift % m] * rows.data
         block = np.bincount(cell, w.real, size * size)
+        solve = real_solve
         if 2 * k % m:
             block = block + 1j * np.bincount(cell, w.imag, size * size)
-        vals = np.linalg.eigvalsh(block.reshape(size, size))
+            solve = np.linalg.eigvalsh
+        vals = solve(block.reshape(size, size))
         parts.append(vals)
         if 0 < 2 * k < m:
             parts.append(vals)
     return np.sort(np.concatenate(parts))
 
 
+def lapacke_two_stage(a):
+    """Frozen two-stage reference: the eigenvalues (ascending) of the
+    symmetric float64 ``a`` from LAPACKE's C entry to dsyevd_2stage in
+    scipy's bundled OpenBLAS, column-major, jobz 'N', uplo 'L', on a copy
+    and with a workspace LAPACKE allocates itself: the block solve's
+    routine, reached without the block solve's own call."""
+    fn = ctypes.CDLL(_flapack.__file__).scipy_LAPACKE_dsyevd_2stage
+    fn.restype = ctypes.c_int32
+    fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char,
+                   ctypes.c_int32, ctypes.c_void_p, ctypes.c_int32,
+                   ctypes.c_void_p]
+    a = np.array(a, dtype=float, order="F")
+    w = np.empty(len(a))
+    assert fn(102, b"N", b"L", len(a), a.ctypes.data, max(len(a), 1),
+              w.ctypes.data) == 0
+    return w
+
+
+# two-stage against eigvalsh bits on S (||S|| = 1): 6.4e-15 was measured
+# on rr2048, and n eps ||S|| there is 4.5e-13
+TWO_STAGE_TOL = 1e-13
+
 IN_PLACE_CASES = {
-    "rr2048": lambda: wl.build_random_regular(2048, 3, 3),     # m = 1
+    # m = 1: a real block of 2048, past the cutoff, in two stages
+    "rr2048": lambda: wl.build_random_regular(2048, 3, 3),
     "lps13-17": lambda: wl.build_lps(13, 17),    # complex blocks
     "lps17-13": lambda: wl.build_lps(17, 13),
     "lps5-13": lambda: wl.build_lps(5, 13),
@@ -715,7 +743,53 @@ def test_in_place_block_solve_equals_the_frozen_eigvalsh_path(name):
     assert (m > 1) == name.startswith("lps")
     assert g.is_regular != (name == "non-regular")
     got = spectrum(chain, source_graph=g).eigenvalues
-    assert np.array_equal(got, reference_block_eigenvalues(s, perm, m)[::-1])
+    frozen = reference_block_eigenvalues(s, perm, m)[::-1]
+    if name != "rr2048":
+        assert np.array_equal(got, frozen)
+        return
+    two_stage = reference_block_eigenvalues(s, perm, m, lapacke_two_stage)
+    assert np.array_equal(got, two_stage[::-1])
+    assert np.abs(got - frozen).max() <= TWO_STAGE_TOL
+
+
+def test_the_two_stage_symbol_resolves():
+    # blocks past the cutoff take their bits from it, and without it they
+    # raise: its absence from scipy's OpenBLAS must fail here, not skip
+    assert spectral._DSYEVD_2STAGE is not None
+    assert spectral._DSYEVD_2STAGE.__name__ == "scipy_dsyevd_2stage_"
+
+
+@pytest.mark.parametrize("n", [spectral.TWO_STAGE_MIN - 2,
+                               spectral.TWO_STAGE_MIN])
+def test_two_stage_agrees_with_eigvalsh_across_the_cutoff(n):
+    # below the cutoff the spectrum keeps eigvalsh's bits, from it on the
+    # two-stage ones; the two agree to TWO_STAGE_TOL on either side
+    g = wl.build_random_regular(n, 3, 4)
+    chain = srw_chain(g)
+    a = symmetrized(chain).toarray()
+    frozen = np.linalg.eigvalsh(a)[::-1]
+    two_stage = lapacke_two_stage(a)[::-1]
+    assert np.abs(two_stage - frozen).max() <= TWO_STAGE_TOL
+    got = spectrum(chain, source_graph=g)
+    assert got.blocks is None
+    assert np.array_equal(got.eigenvalues,
+                          frozen if n < spectral.TWO_STAGE_MIN else two_stage)
+
+
+def test_two_stage_takes_the_real_blocks_alone(monkeypatch):
+    # under a cutoff of 128, Q7 x K3's real block of 128 goes to the
+    # two-stage routine and its complex pair of 128 stays on zheevd
+    g = cube_times_triangle(7)
+    chain = srw_chain(g)
+    s = symmetrized(chain)
+    perm, m = spectral._commuting_symmetry(s, g)
+    monkeypatch.setattr(spectral, "TWO_STAGE_MIN", 128)
+    got = spectrum(chain, source_graph=g)
+    assert got.blocks == {"m": 3, "size": 128}
+    two_stage = reference_block_eigenvalues(s, perm, m, lapacke_two_stage)
+    assert np.array_equal(got.eigenvalues, two_stage[::-1])
+    frozen = reference_block_eigenvalues(s, perm, m)[::-1]
+    assert np.abs(got.eigenvalues - frozen).max() <= TWO_STAGE_TOL
 
 
 def cube_times_triangle(dim):
@@ -735,9 +809,12 @@ def cube_times_triangle(dim):
 def test_dense_blocks_are_reduced_in_place():
     # an n x n block of 8-byte cells takes n^2 8 bytes, and a copy of it
     # for LAPACK would double that; numpy's own eigvalsh copy is not
-    # traced, but a copy made by a LAPACK wrapper is
+    # traced, but a copy made by a LAPACK wrapper is.  rr1024's block
+    # reaches the cutoff: the two-stage workspace, allocated by numpy, is
+    # traced too
     rr = wl.build_random_regular(1024, 3, 1)
     chain = srw_chain(rr)
+    assert rr.n >= spectral.TWO_STAGE_MIN
     tracemalloc.start()
     try:
         assert spectrum(chain, source_graph=rr).blocks is None
@@ -759,7 +836,8 @@ def test_dense_blocks_are_reduced_in_place():
     assert peak <= 28 * 512 ** 2
     # tracemalloc sees neither numpy's eigvalsh copy nor OpenBLAS's
     # buffers; the peak resident size of a child process sees both.  The
-    # n = 3000 block takes 72 MB, and a copy of it would make 144.
+    # n = 3000 block, reduced in two stages, takes 72 MB, and a copy of it
+    # would make 144.
     n = 3000
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.dirname(os.path.dirname(wl.__file__)))
@@ -798,6 +876,25 @@ def test_a_failed_dense_solve_raises(monkeypatch, petersen_chain):
     monkeypatch.setattr(spectral, "_SYEVD",
                         lambda a, *args, **kwargs: (None, a, 3))
     with pytest.raises(SpectralError, match="LAPACK info=3"):
+        spectrum(petersen_chain)
+
+
+def test_a_failed_two_stage_solve_raises(monkeypatch, petersen_chain):
+    monkeypatch.setattr(spectral, "TWO_STAGE_MIN", 10)
+    monkeypatch.setattr(spectral, "_dsyevd_2stage",
+                        lambda a, *args, **kwargs: (None, a, 3))
+    with pytest.raises(SpectralError, match="LAPACK info=3"):
+        spectrum(petersen_chain)
+
+
+def test_a_missing_two_stage_symbol_raises_from_the_cutoff(monkeypatch,
+                                                           petersen_chain):
+    # no fallback to dsyevd: the bits of a report must not depend on the
+    # install, so a block past the cutoff raises and one below it solves
+    monkeypatch.setattr(spectral, "_DSYEVD_2STAGE", None)
+    assert spectrum(petersen_chain).lambda2 == pytest.approx(1 / 3)
+    monkeypatch.setattr(spectral, "TWO_STAGE_MIN", 10)
+    with pytest.raises(SpectralError, match="scipy_dsyevd_2stage_"):
         spectrum(petersen_chain)
 
 
