@@ -78,9 +78,15 @@ def _validate(kernel: sp.csr_matrix, pi: np.ndarray) -> sp.csr_matrix:
     pi(x) P(x, y) symmetric within ``REVERSIBILITY_TOL``.  Every
     tolerance test is written so that NaN fails it.
 
-    The flux is the kernel's data scaled by pi row by row, and its
-    transpose the transposed kernel scaled by pi column by column: one
-    transpose and one subtraction.  Returns that transposed kernel."""
+    The flux is checked against its transpose in row chunks of at most
+    ``graphs.FAMILY_CHUNK_ROWS`` stored entries of the kernel and of its
+    transpose together (:func:`graphs.row_chunks`): a chunk's flux rows
+    are its kernel rows scaled by pi row by row, the same rows of the
+    transposed flux are the transposed kernel's rows scaled by pi column
+    by column, and their one sparse difference serves any pattern.  At its
+    peak a call holds, beside the kernel, the transposed kernel and one
+    chunk's rows and difference, and a byte or two per entry for the
+    entry test.  Returns that transposed kernel."""
     n = kernel.shape[0]
     if kernel.shape != (n, n):
         raise ChainError(f"kernel must be square, got shape {kernel.shape}")
@@ -105,14 +111,23 @@ def _validate(kernel: sp.csr_matrix, pi: np.ndarray) -> sp.csr_matrix:
         raise ChainError(f"kernel rows deviate from 1 by {worst:.3e}")
     if not abs(pi.sum() - 1.0) <= 1e-9:
         raise ChainError("stationary vector is not a probability distribution")
-    flux = sp.csr_matrix((data * np.repeat(pi, np.diff(indptr)), indices,
-                          indptr), shape=kernel.shape)
     transposed = kernel.T.tocsr()
-    back = sp.csr_matrix((transposed.data * pi[transposed.indices],
-                          transposed.indices, transposed.indptr),
-                         shape=kernel.shape)
-    asym = flux - back
-    worst = np.abs(asym.data).max() if asym.nnz else 0.0
+    back_ptr, back_cols = transposed.indptr, transposed.indices
+    worst = 0.0
+    for lo, hi in itertools.pairwise(graphs.row_chunks(
+            np.diff(indptr) + np.diff(back_ptr))):
+        a, b = indptr[lo], indptr[hi]
+        flux = sp.csr_matrix(
+            (data[a:b] * np.repeat(pi[lo:hi], np.diff(indptr[lo:hi + 1])),
+             indices[a:b], indptr[lo:hi + 1] - a), shape=(hi - lo, n))
+        a, b = back_ptr[lo], back_ptr[hi]
+        back = sp.csr_matrix(
+            (transposed.data[a:b] * pi[back_cols[a:b]], back_cols[a:b],
+             back_ptr[lo:hi + 1] - a), shape=(hi - lo, n))
+        asym = flux - back
+        if asym.nnz:
+            # np.maximum keeps a NaN, which then fails the test below
+            worst = np.maximum(worst, np.abs(asym.data).max())
     if not worst <= REVERSIBILITY_TOL:
         raise ChainError(f"detailed balance violated by {worst:.3e}")
     return transposed
@@ -165,6 +180,13 @@ def chain_from_kernel(kernel, stationary) -> ReversibleChain:
     2-coloured.  The chain keeps its own copies of the kernel and of pi,
     so the caller's arrays are never modified or shared.  The chain is
     never ``transitive``: no automorphisms come with a kernel.
+
+    The classes are read off the kernel itself when every stored entry is
+    positive and the transposed kernel stores the same pattern, compared
+    on the arrays; otherwise off P + P^T, formed after the transpose's
+    comparison, and the transpose is dropped before the classes run.  At
+    its peak a call holds the caller's kernel, its copy, the transpose of
+    :func:`_validate` and one chunk of its check, or P + P^T in its place.
     """
     kernel = sp.csr_matrix(kernel, copy=True)
     pi = np.array(stationary, dtype=float)
@@ -173,9 +195,16 @@ def chain_from_kernel(kernel, stationary) -> ReversibleChain:
     # a holding probability makes the chain aperiodic: no coloring needed
     holds = kernel.diagonal().max() > 0 if n else False
     # the entries are nonnegative and a sum that is 0 is not stored, so
-    # P + P^T holds the positive entries of either, a symmetric pattern
-    comps, bipartite = _support_classes(kernel + transposed,
-                                        colour=not holds)
+    # P + P^T holds the positive entries of either, a symmetric pattern;
+    # P holds them itself when its pattern is P^T's and no entry is 0
+    if (np.array_equal(kernel.indptr, transposed.indptr)
+            and np.array_equal(kernel.indices, transposed.indices)
+            and kernel.data.all()):
+        support = kernel
+    else:
+        support = kernel + transposed
+    del transposed
+    comps, bipartite = _support_classes(support, colour=not holds)
     return ReversibleChain(
         n=n, kernel=kernel, stationary=pi,
         period_info=APERIODIC if holds else _period(bipartite),

@@ -14,7 +14,8 @@ in balls, their tree excess, cycle rank and simple-cycle count, each off
 one :func:`_ball_edges` lookup per batch (the sphere-hit solve counts the
 excess off its own moves), and :func:`_ball_batches` is the one rule
 that cuts many balls into batches within the chunk budget
-``FAMILY_CHUNK_ROWS``.  Only this module reads a ball table's keys.
+``FAMILY_CHUNK_ROWS``, as :func:`row_chunks` cuts the rows of a sparse
+matrix.  Only this module reads a ball table's keys.
 
 Builders of Cayley graphs attach automorphism generators;
 :func:`vertex_transitive` checks them once, and on a certified graph a
@@ -45,7 +46,9 @@ MAX_GIRTH_SWAPS = 20_000       # see build_high_girth_regular
 MAX_BALL_RADIUS = int(np.iinfo(np.int8).max)  # BallTable distances are int8
 # The chunk budget: rows of a chunk of chains._family_blocks, and 16 of it
 # the entries of a slot map there and of a batch's neighbor lookups here
-# (see _ball_batches).  Every reader reads it through this module.
+# (see _ball_batches); the stored entries of a chunk of a sparse matrix
+# read row by row (see row_chunks).  Every reader reads it through this
+# module.
 FAMILY_CHUNK_ROWS = 16_384
 
 
@@ -82,6 +85,11 @@ class Graph:
     v goes to ``perm[v]``); nothing trusts them until
     :func:`vertex_transitive` has checked them.  Build instances with
     :func:`make_graph`; they are safe to share across threads.
+
+    Beside its arrays a graph keeps what it computes once: its classes,
+    its certificate and its ball tables.  The unit-weight float matrix
+    that csgraph reads, :attr:`_matrix`, is built afresh by each reader
+    and never kept, so a graph holds no float copy of its adjacency.
     """
 
     n: int
@@ -222,9 +230,12 @@ class Graph:
                 order[at], dist[at], total[at] = vertex, r, sums
             yield lo, np.repeat(np.arange(k), held), order, dist, total
 
-    @cached_property
+    @property
     def _matrix(self) -> sp.csr_matrix:
-        """Unit-weight adjacency matrix on the CSR arrays, for csgraph."""
+        """A fresh unit-weight adjacency matrix on the CSR arrays, for
+        csgraph: 8 bytes of weight and 4 of int32 column per stored entry,
+        held only by the caller, :attr:`_classes` and
+        :func:`bfs_distances`."""
         return sp.csr_matrix((np.ones(len(self.indices)), self.indices,
                               self.indptr), shape=(self.n, self.n))
 
@@ -278,7 +289,8 @@ class Graph:
     @cached_property
     def _classes(self) -> tuple:
         """``(classes, bipartite)`` of :func:`_support_classes`, computed
-        once: the components of g and whether each is bipartite."""
+        once: the components of g and whether each is bipartite.  The
+        unit-weight matrix it reads is dropped when they are found."""
         return _support_classes(self._matrix)
 
     @cached_property
@@ -482,7 +494,9 @@ def build_random_regular(n: int, d: int, seed: int) -> Graph:
         if np.any(lo == hi):
             continue
         keys = lo.astype(np.int64) * n + hi
-        if len(np.unique(keys)) != len(keys):
+        # a parallel edge is a repeated key: equal neighbours once sorted
+        keys.sort()
+        if np.any(keys[1:] == keys[:-1]):
             continue
         return make_graph(
             n, pairs,
@@ -587,7 +601,9 @@ def _level_distances(adj, v: int) -> np.ndarray:
 
 def bfs_distances(g: Graph, source: int, cutoff=None) -> np.ndarray:
     """Distances from ``source``; unreachable vertices, and those beyond
-    ``cutoff`` when it is given, get -1."""
+    ``cutoff`` when it is given, get -1.  At its peak a call holds a
+    unit-weight copy of g's adjacency (12 bytes per stored entry, see
+    :attr:`Graph._matrix`) and a few n-sized arrays; it keeps nothing."""
     dist = _level_distances(g._matrix, source)
     if cutoff is not None:
         dist[dist > cutoff] = -1
@@ -807,7 +823,20 @@ def _ball_batches(sizes: np.ndarray, degree: int) -> list:
     of ``hitting._ball_solves`` and the neighbor lookups of
     :func:`_ball_edges`) within 16 ``FAMILY_CHUNK_ROWS`` entries, and at
     least one."""
-    step = max(1, 16 * FAMILY_CHUNK_ROWS // max(degree, 1))
+    return _cuts(sizes, max(1, 16 * FAMILY_CHUNK_ROWS // max(degree, 1)))
+
+
+def row_chunks(sizes: np.ndarray) -> list:
+    """The chunk rule for a sparse matrix read row by row: cuts ``[0, ...,
+    len(sizes)]`` that split consecutive rows of ``sizes`` stored entries
+    into chunks of at most ``FAMILY_CHUNK_ROWS`` entries, and at least
+    one row."""
+    return _cuts(sizes, FAMILY_CHUNK_ROWS)
+
+
+def _cuts(sizes: np.ndarray, step: int) -> list:
+    """Cuts ``[0, ..., len(sizes)]`` of consecutive items of ``sizes``
+    entries into runs of at most ``step`` entries, and at least one."""
     ends = np.cumsum(sizes)
     cuts = [0]
     while cuts[-1] < len(sizes):
@@ -845,11 +874,15 @@ def _support_classes(support: sp.csr_matrix, colour: bool = True) -> tuple:
     vertex; ``bipartite[i]`` says whether class i can be 2-coloured (a
     self-loop is an odd cycle), or ``bipartite`` is None when ``colour``
     is False.  Two csgraph calls at most, however many classes there are:
-    one components call, and one breadth-first search from a virtual
-    vertex n joined to each class's least vertex.  The depth parities
-    come from pointer doubling up that BFS forest, and a class is
+    one components call, and one breadth-first search.  With one class
+    the search runs from vertex 0 on ``support`` itself; with several,
+    from a virtual vertex n joined to each class's least vertex, on a copy
+    of the pattern with those edges added (the forest).  The depth
+    parities come from pointer doubling up the BFS tree, and a class is
     bipartite when no entry joins two vertices of one parity.  The time
-    is O(n log n + nnz), the extra memory a few bytes per entry.
+    is O(n log n + nnz).  Beside ``support`` a call holds a few bytes per
+    entry for the parity test and O(n) arrays, plus, with several
+    classes, the forest: 8 bytes of weight and one column per entry.
     """
     n = support.shape[0]
     nnz = support.nnz
@@ -868,19 +901,23 @@ def _support_classes(support: sp.csr_matrix, colour: bool = True) -> tuple:
                     np.stack((ends - sizes, ends), axis=1)[rank].tolist())
     if not colour:
         return classes, None
-    forest = sp.csr_matrix(
-        (np.ones(nnz + count),
-         np.concatenate((indices, least.astype(indices.dtype))),
-         np.append(indptr, nnz + count)), shape=(n + 1, n + 1))
-    pred = csgraph.breadth_first_order(forest, n, directed=True,
+    if count == 1:              # its least vertex is 0
+        root, graph = 0, support
+    else:
+        root, graph = n, sp.csr_matrix(
+            (np.ones(nnz + count),
+             np.concatenate((indices, least.astype(indices.dtype))),
+             np.append(indptr, nnz + count)), shape=(n + 1, n + 1))
+    pred = csgraph.breadth_first_order(graph, root, directed=True,
                                        return_predecessors=True)[1]
+    del graph
     # parity[v]: the parity of the path from v up to up[v], doubled
-    # until every path ends at the virtual vertex
+    # until every path ends at the root
     up = pred.astype(np.int64)
-    up[n] = n
-    parity = np.ones(n + 1, dtype=np.int8)
-    parity[n] = 0
-    while np.any(up != n):
+    up[root] = root
+    parity = np.ones(len(up), dtype=np.int8)
+    parity[root] = 0
+    while np.any(up != root):
         parity ^= parity[up]
         up = up[up]
     degs = np.diff(indptr)

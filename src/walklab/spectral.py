@@ -27,6 +27,7 @@ lambda(A) of a killed chain, found by the same routine.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +36,8 @@ import scipy.sparse as sp
 from scipy.linalg import _flapack, get_lapack_funcs
 
 from .chains import ReversibleChain, _family_blocks, product
-from .graphs import Graph, _sorted_lookup, cyclic_automorphism, is_bipartite
+from .graphs import (Graph, _sorted_lookup, cyclic_automorphism, is_bipartite,
+                     row_chunks)
 
 DENSE_BUDGET = 3000
 EIG_ONE_TOL = 1e-9
@@ -681,19 +683,32 @@ def _entries(kernel: sp.csr_matrix) -> tuple:
 
 def compare_restricted(chain1: ReversibleChain, chain2: ReversibleChain,
                        subset) -> ComparisonReport:
+    """The :class:`ComparisonReport` of P1 = ``chain1`` against P2 =
+    ``chain2`` on ``subset``.  C1 is the largest P1(x, y) / P2(x, y) over
+    P1's positive entries, each kernel's duplicates summed; P2 is looked
+    up at P1's entries one row chunk at a time (:func:`graphs.row_chunks`
+    over the entries of both), so no key array spans a whole kernel.
+    Raises :class:`SpectralError` at the first entry, in (row, column)
+    order, where P1 is positive and P2 is not."""
     if chain1.n != chain2.n:
         raise SpectralError("chains must share a state space")
-    keys1, w1 = _entries(chain1.kernel)
-    keys2, w2 = _entries(chain2.kernel)
-    pos, found = _sorted_lookup(keys2, keys1)
-    denom = np.where(found, w2[pos], 0.0)
-    live = w1 > 0
-    bad = np.flatnonzero(live & (denom <= 0))
-    if len(bad):
-        u, v = divmod(int(keys1[bad[0]]), chain1.n)
-        raise SpectralError(f"support violation: P1({u},{v}) = "
-                            f"{w1[bad[0]]:.3e} but P2({u},{v}) = 0")
-    c1 = float(np.max(w1[live] / denom[live], initial=0.0))
+    k1, k2 = chain1.kernel, chain2.kernel
+    c1 = 0.0
+    for lo, hi in itertools.pairwise(
+            row_chunks(np.diff(k1.indptr) + np.diff(k2.indptr))):
+        # keys of the chunk's own rows, from row lo as 0
+        keys1, w1 = _entries(k1[lo:hi])
+        keys2, w2 = _entries(k2[lo:hi])
+        pos, found = _sorted_lookup(keys2, keys1)
+        denom = np.where(found, w2[pos], 0.0)
+        live = w1 > 0
+        bad = np.flatnonzero(live & (denom <= 0))
+        if len(bad):
+            u, v = divmod(int(keys1[bad[0]]), chain1.n)
+            u += lo
+            raise SpectralError(f"support violation: P1({u},{v}) = "
+                                f"{w1[bad[0]]:.3e} but P2({u},{v}) = 0")
+        c1 = max(c1, float(np.max(w1[live] / denom[live], initial=0.0)))
     ratio = chain1.stationary / chain2.stationary
     c2 = float(max(ratio.max(), (1.0 / ratio).max()))
     one = restricted_top_eig(chain1, subset)

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import walklab
 from walklab import build_named, build_random_regular, build_high_girth_regular
 from walklab.chains import chain_from_kernel, srw_chain
 
@@ -132,3 +136,47 @@ def reference_lanczos_extremal(s, ends, top=None, max_steps=20000):
 def lanczos_reference():
     """:func:`reference_lanczos_extremal`, the frozen plain Lanczos solve."""
     return reference_lanczos_extremal
+
+
+# Runs argv[1], then evaluates the expression argv[2] once; prints the
+# rise of the process's peak resident size (VmHWM) over its resident size
+# (VmRSS) just before the expression, in bytes, then the value's repr.
+# The process's own VmHWM is read: ru_maxrss starts from the parent's peak
+# when that is larger, since an exec keeps it.
+PEAK_CHILD = """
+import sys
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh
+                    if line.startswith(key + ":"))
+
+exec(sys.argv[1])
+before = status("VmRSS")
+value = eval(sys.argv[2])
+print(status("VmHWM") - before)
+print(repr(value))
+"""
+
+
+def child_peak_growth(setup, expression):
+    """``(growth, value)``: ``setup`` runs in a fresh interpreter with one
+    BLAS thread, then ``expression`` is evaluated once; ``growth`` is the
+    bytes by which the peak resident size rose over the resident size just
+    before it, ``value`` the repr of its value.  When the set-up peaked
+    higher than the expression, ``growth`` bounds the expression's rise
+    from above."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(walklab.__file__)))
+    proc = subprocess.run([sys.executable, "-c", PEAK_CHILD, setup,
+                           expression], capture_output=True, text=True,
+                          env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    growth, value = proc.stdout.split("\n", 1)
+    return int(growth), value.strip()
+
+
+@pytest.fixture(scope="session")
+def peak_growth():
+    """:func:`child_peak_growth`, the peak resident growth of one call."""
+    return child_peak_growth

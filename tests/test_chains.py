@@ -231,6 +231,101 @@ def test_chain_from_kernel_leaves_the_callers_stationary_vector_alone():
     assert chain.stationary.tolist() == [1.0 / 3.0] * 3
 
 
+def reference_balance_worst(kernel, pi):
+    """The largest |pi(x) P(x, y) - pi(y) P(y, x)| as the whole-matrix
+    check took it: the full flux minus its full transpose."""
+    flux = sp.diags(pi) @ kernel
+    return np.abs((flux - flux.T.tocsr()).data).max()
+
+
+def cycle_kernel(n):
+    """The SRW kernel of the n-cycle: two entries per row."""
+    return srw_chain(wl.build_named("cycle", n)).kernel.copy()
+
+
+def test_balance_is_checked_chunk_by_chunk_to_the_last():
+    # 20,000 rows of 2 entries, and as many transposed: several chunks of
+    # the budget, and rows n - 3..n - 1 lie in the last one
+    n = 20_000
+    kernel = cycle_kernel(n)
+    assert 4 * n > 2 * graphs.FAMILY_CHUNK_ROWS
+    pi = np.full(n, 1.0 / n)
+    # row n - 2 leans towards n - 1: the only asymmetric fluxes join
+    # n - 3, n - 2 and n - 1
+    lo = kernel.indptr[n - 2]
+    assert kernel.indices[lo:lo + 2].tolist() == [n - 3, n - 1]
+    kernel.data[lo:lo + 2] = [0.5 - 1e-6, 0.5 + 1e-6]
+    worst = reference_balance_worst(kernel, pi)
+    assert 1e-12 < worst
+    with pytest.raises(ChainError) as info:
+        chain_from_kernel(kernel, pi)
+    assert str(info.value) == f"detailed balance violated by {worst:.3e}"
+    kernel.data[lo:lo + 2] = 0.5
+    assert chain_from_kernel(kernel, pi).components == (tuple(range(n)),)
+
+
+def one_way_kernel(weight):
+    """Two 2-state classes {0, 1} and {2, 3}, each holding or moving with
+    probability 1/2, and a one-way entry P(1, 2) = ``weight`` taken from
+    P(1, 1): a pattern that is not symmetric."""
+    return sp.csr_matrix(
+        (np.array([0.5, 0.5, 0.5, 0.5 - weight, weight, 0.5, 0.5, 0.5, 0.5]),
+         np.array([0, 1, 0, 1, 2, 2, 3, 2, 3]), np.array([0, 2, 5, 7, 9])),
+        shape=(4, 4))
+
+
+def test_a_one_way_entry_passes_only_below_the_tolerance():
+    pi = np.full(4, 0.25)
+    # a flux of 0.25 weight at (1, 2), and none back
+    below = one_way_kernel(2e-12)
+    assert reference_balance_worst(below, pi) <= chains.REVERSIBILITY_TOL
+    chain = chain_from_kernel(below, pi)
+    # P + P^T joins the classes through the one-way entry
+    assert chain.components == ((0, 1, 2, 3),)
+    assert chain.period_info == APERIODIC
+    above = one_way_kernel(8e-12)
+    worst = reference_balance_worst(above, pi)
+    assert worst > chains.REVERSIBILITY_TOL
+    with pytest.raises(ChainError) as info:
+        chain_from_kernel(above, pi)
+    assert str(info.value) == f"detailed balance violated by {worst:.3e}"
+    below.data[4] = np.nan
+    with pytest.raises(ChainError, match=r"kernel entry \(1,2\) is nan"):
+        chain_from_kernel(below, pi)
+
+
+def test_stored_zeros_join_no_classes():
+    # the pattern is symmetric, but the stored zeros at (1, 2) and (2, 1)
+    # are no entries of the support: two classes, as P + P^T gives them
+    kernel = sp.csr_matrix(
+        (np.array([0.5, 0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.5, 0.5, 0.5]),
+         np.array([0, 1, 0, 1, 2, 1, 2, 3, 2, 3]),
+         np.array([0, 2, 5, 8, 10])), shape=(4, 4))
+    chain = chain_from_kernel(kernel, np.full(4, 0.25))
+    assert chain.kernel.nnz == 10
+    assert chain.components == ((0, 1), (2, 3))
+
+
+def test_chain_builders_hold_a_kernel_and_one_transpose(peak_growth):
+    # the chain's kernel and the check's transpose take 12 bytes an entry
+    # each; the full flux, its transpose and their difference took about
+    # 40 bytes an entry beside them
+    lps = "import walklab as wl\nfrom walklab import chains\n"
+    growth, entries = peak_growth(
+        lps + "g = wl.inflate(wl.build_lps(13, 17), 2)\n"
+        "wl.graphs.connected_components(g)",
+        "(chains.srw_chain(g), len(g.indices))[1]")
+    assert growth <= 30 * int(entries)
+    growth, entries = peak_growth(
+        lps + "p = chains.srw_chain(wl.build_lps(13, 17))\n"
+        "two = p.kernel @ p.kernel\n"
+        "two.sort_indices()\n"
+        "blend = (p.kernel + two) * 0.5\n"
+        "del two",
+        "(chains.chain_from_kernel(blend, p.stationary), blend.nnz)[1]")
+    assert growth <= 30 * int(entries)
+
+
 def test_tv_monotone_on_profile(random_cubic_medium):
     chain = srw_chain(random_cubic_medium)
     prof = mixing_profile(chain, [0.25])

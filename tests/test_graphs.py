@@ -220,6 +220,31 @@ def test_random_regular_deterministic():
     assert c.edges != a.edges
 
 
+def reference_random_regular(n, d, seed):
+    """``(pairs, attempts)`` of the pairing model as first written: a
+    parallel edge found by counting the distinct keys with ``np.unique``."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    stubs = np.repeat(np.arange(n), d)
+    for attempt in range(1, 10 * n + 1):
+        pairs = rng.permutation(stubs).reshape(-1, 2)
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        keys = lo.astype(np.int64) * n + hi
+        if np.all(lo != hi) and len(np.unique(keys)) == len(keys):
+            return pairs, attempt
+    raise AssertionError("no simple pairing")
+
+
+@pytest.mark.parametrize("n, d, seed", [
+    (10, 3, 4), (60, 3, 123), (200, 4, 7), (20_000, 3, 5)])
+def test_random_regular_matches_the_unique_key_oracle(n, d, seed):
+    # the sorted keys reject the same pairings; rr20000 takes 29 attempts
+    pairs, attempts = reference_random_regular(n, d, seed)
+    g = wl.build_random_regular(n, d, seed)
+    assert g.provenance["attempts"] == attempts
+    assert g == wl.make_graph(n, pairs)
+    assert attempts == 29 or n < 20_000
+
+
 def test_high_girth_regular():
     g = wl.build_high_girth_regular(300, 3, 6, seed=5)
     assert g.is_regular and g.regular_degree == 3
@@ -1262,6 +1287,36 @@ def test_support_classes_match_double_cover(request, name):
         assert chain.components == ref[0]
         assert chain.period_info == (BIPARTITE_PERIODIC if any(ref[1])
                                      else APERIODIC)
+
+
+@pytest.mark.parametrize("name, count", [
+    ("petersen", 1), ("c6", 1), ("lps_13_17_distance_2", 1),
+    ("two-petersen", 2), ("c4+c3+isolated", 3)])
+def test_one_class_is_searched_on_the_support_itself(request, monkeypatch,
+                                                     name, count):
+    # one class: a BFS from vertex 0 on the matrix that was passed in;
+    # several: one BFS from the virtual vertex n over the (n+1)-vertex
+    # forest, which copies the pattern
+    if name == "c4+c3+isolated":
+        g = wl.make_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0),
+                              (4, 5), (5, 6), (6, 4)])
+    else:
+        g = _classes_graph(request, name)
+    support = g._matrix
+    searches = []
+    search = csgraph.breadth_first_order
+
+    def spy(graph, root, *args, **kwargs):
+        searches.append((graph is support, graph.shape[0], root))
+        return search(graph, root, *args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "breadth_first_order", spy)
+    found = graphs._support_classes(support)
+    monkeypatch.undo()
+    assert found == reference_support_classes(support)
+    assert len(found[0]) == count
+    assert searches == ([(True, g.n, 0)] if count == 1
+                        else [(False, g.n + 1, g.n)])
 
 
 def random_reducible_kernel(seed, loops):

@@ -2,9 +2,6 @@ import ctypes
 import dataclasses
 import hashlib
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -806,7 +803,7 @@ def cube_times_triangle(dim):
     return wl.make_graph(3 * half, np.unique(ends, axis=0), None, moves)
 
 
-def test_dense_blocks_are_reduced_in_place():
+def test_dense_blocks_are_reduced_in_place(peak_growth):
     # an n x n block of 8-byte cells takes n^2 8 bytes, and a copy of it
     # for LAPACK would double that; numpy's own eigvalsh copy is not
     # traced, but a copy made by a LAPACK wrapper is.  rr1024's block
@@ -839,37 +836,14 @@ def test_dense_blocks_are_reduced_in_place():
     # n = 3000 block, reduced in two stages, takes 72 MB, and a copy of it
     # would make 144.
     n = 3000
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.path.dirname(os.path.dirname(wl.__file__)))
-    proc = subprocess.run([sys.executable, "-c", DENSE_RSS_CHILD, str(n)],
-                          capture_output=True, text=True, env=env,
-                          timeout=600)
-    assert proc.returncode == 0, proc.stderr
-    blocks, growth = proc.stdout.split()
+    growth, blocks = peak_growth(
+        "import walklab as wl\n"
+        "from walklab.chains import srw_chain\n"
+        f"g = wl.build_random_regular({n}, 3, 2)\n"
+        "chain = srw_chain(g)",
+        "wl.spectrum(chain, source_graph=g).blocks")
     assert blocks == "None"
-    assert int(growth) <= 1.5 * n ** 2 * 8
-
-
-# The growth, in bytes, of the peak resident size over one dense spectrum
-# of a random 3-regular graph on argv[1] vertices.  The peak is the
-# process's own VmHWM: ru_maxrss starts from the parent's peak when that
-# is larger, since an exec keeps it.
-DENSE_RSS_CHILD = """
-import sys
-import walklab as wl
-from walklab.chains import srw_chain
-
-def peak():
-    with open("/proc/self/status") as fh:
-        return next(int(line.split()[1]) * 1024 for line in fh
-                    if line.startswith("VmHWM:"))
-
-g = wl.build_random_regular(int(sys.argv[1]), 3, 2)
-chain = srw_chain(g)
-before = peak()
-blocks = wl.spectrum(chain, source_graph=g).blocks
-print(blocks, peak() - before)
-"""
+    assert growth <= 1.5 * n ** 2 * 8
 
 
 def test_a_failed_dense_solve_raises(monkeypatch, petersen_chain):
